@@ -47,7 +47,6 @@ import (
 	"charmgo/internal/apps/stencil"
 	"charmgo/internal/charm"
 	"charmgo/internal/machine"
-	"charmgo/internal/optsim"
 	"charmgo/internal/parsim"
 	"charmgo/internal/pup"
 	"charmgo/internal/telemetry"
@@ -290,7 +289,7 @@ type optsimResult struct {
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential"`
 	SpeedupVsParallel   float64 `json:"speedup_vs_parallel"`
 
-	// Speculation accounting (see internal/optsim's Stats).
+	// Speculation accounting (see internal/parsim's Stats).
 	Launched           uint64  `json:"spec_launched"`
 	Committed          uint64  `json:"spec_committed"`
 	RolledBack         uint64  `json:"spec_rolled_back"`
@@ -337,7 +336,7 @@ func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
 	seqNs, seqSummary, _ := runPDESBench(pes, "sequential", 0, 0, cfg)
 	parNs, parSummary, _ := runPDESBench(pes, "parallel", workers, 0, cfg)
 	optNs, optSummary, optRT := runPDESBench(pes, "optimistic", workers, snapInterval, cfg)
-	st := optRT.Engine().(*optsim.Engine).EngineStats()
+	st := optRT.Engine().(*parsim.Engine).EngineStats()
 	saves := optRT.SpecSaveStats()
 
 	r := optsimResult{
@@ -440,7 +439,7 @@ func runSnapSweep(smoke bool, workers int) snapSweepResult {
 	var eagerBytes uint64
 	for _, k := range []int{1, 4, 16, 0} {
 		ns, summary, rt := runPDESBench(pes, "optimistic", workers, k, cfg)
-		st := rt.Engine().(*optsim.Engine).EngineStats()
+		st := rt.Engine().(*parsim.Engine).EngineStats()
 		saves := rt.SpecSaveStats()
 		p := snapSweepPoint{
 			SnapInterval:     k,

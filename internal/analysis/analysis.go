@@ -128,10 +128,10 @@ const (
 	// subsystems that bridge into the simulation).
 	WaiverSpawn = "charmvet:spawn"
 	// WaiverParsim marks the parallel engine's phase-worker spawns. It is
-	// honored only inside parsim packages: the conservative scheduler is
-	// the one place where goroutines provably cannot reorder events (see
-	// internal/parsim's package comment), so the waiver must not leak into
-	// runtime or app code.
+	// honored only inside parsim packages: the engine's pipeline, in both
+	// its modes, is the one place where goroutines provably cannot reorder
+	// events (see internal/parsim's package comment), so the waiver must
+	// not leak into runtime or app code.
 	WaiverParsim = "charmvet:parsim"
 	// WaiverTelemetry marks the observability layer's wall-clock reads. It
 	// is honored only inside telemetry packages, and even there only for

@@ -78,6 +78,37 @@ func TestCallGraphRoots(t *testing.T) {
 	}
 }
 
+// TestScheduleRootThroughParsimEngine: the one parallel engine type is a
+// schedule-root receiver, so a closure handed to (*parsim.Engine).At from
+// optimistic-mode code (the specstate fixture's rearm) is rooted as a
+// scheduled event body and taints what it calls.
+func TestScheduleRootThroughParsimEngine(t *testing.T) {
+	w, err := loadFixtures()
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	g := w.graph
+	rearm := nodeByKeySuffix(t, g, "specstate.rearm")
+	if rearm.Root != "" {
+		t.Errorf("rearm: root = %q, want none", rearm.Root)
+	}
+	var lit *analysis.Node
+	for _, e := range rearm.Edges {
+		if e.Kind == "closure" {
+			lit = e.Callee
+		}
+	}
+	if lit == nil {
+		t.Fatalf("rearm has no closure edge to its At literal")
+	}
+	if lit.Root != analysis.RootSchedule {
+		t.Errorf("rearm's literal: root = %q, want %q", lit.Root, analysis.RootSchedule)
+	}
+	if tock := nodeByKeySuffix(t, g, "specstate.tock"); !g.Reachable(tock) {
+		t.Errorf("tock is unreachable; the scheduled closure should root it")
+	}
+}
+
 // TestCallGraphReachability checks cross-package static edges and the
 // chain rendering the analyzers attach to findings.
 func TestCallGraphReachability(t *testing.T) {

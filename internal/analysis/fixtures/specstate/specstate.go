@@ -9,6 +9,8 @@ package specstate
 
 import (
 	"charmgo/internal/charm"
+	"charmgo/internal/des"
+	"charmgo/internal/parsim"
 	"charmgo/internal/pup"
 )
 
@@ -112,3 +114,14 @@ func onEvacuate(obj any, ctx *charm.Ctx, msg any) {
 	// speculations commit.
 	ctx.Defer(func() { m.deparr = nil; m.pending = 0 })
 }
+
+// rearm mirrors optimistic-mode runtime code that holds the engine by its
+// concrete type (as charm's speculation controller does): a timer scheduled
+// through *parsim.Engine roots its closure as a scheduled event body exactly
+// like one scheduled through the des.Engine interface. Nothing else calls
+// tock, so the schedule root is its only path to reachability.
+func rearm(eng *parsim.Engine, at des.Time) {
+	eng.At(at, func() { tock() })
+}
+
+func tock() {}

@@ -13,7 +13,7 @@ import (
 	"charmgo/internal/charm"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
-	"charmgo/internal/optsim"
+	"charmgo/internal/parsim"
 	"charmgo/internal/trace"
 )
 
@@ -73,7 +73,7 @@ func assertReplayTorture(t *testing.T, name string, mk func() machine.Config, ru
 				t.Errorf("%s: optimistic backend diverged from sequential at SnapInterval=%d:\n  sequential: %s\n  optimistic: %s",
 					name, k, seq, opt)
 			}
-			st := rt.Engine().(*optsim.Engine).EngineStats()
+			st := rt.Engine().(*parsim.Engine).EngineStats()
 			saves := rt.SpecSaveStats()
 			t.Logf("%s K=%d: rolledback=%d snapshots=%d avoided=%d restores=%d replays=%d finalK=%d",
 				name, k, st.RolledBack, saves.Snapshots, saves.SnapshotsAvoided, saves.Restores, saves.Replays, saves.SnapInterval)

@@ -6,7 +6,6 @@ import (
 
 	"charmgo/internal/des"
 	"charmgo/internal/machine"
-	"charmgo/internal/optsim"
 	"charmgo/internal/parsim"
 	"charmgo/internal/projections/metrics"
 	"charmgo/internal/pup"
@@ -176,7 +175,7 @@ type Runtime struct {
 	eng  des.Engine
 	mach *machine.Machine
 
-	// parallel marks the parsim and optsim backends: element-handler
+	// parallel marks the parsim backends (both modes): element-handler
 	// contexts buffer their global effects (see Ctx.fx) so handler bodies
 	// can run concurrently, and PE→shard mapping follows the node layout.
 	parallel bool
@@ -274,37 +273,12 @@ type RuntimeStats struct {
 // New creates a runtime over a machine. The machine config's Backend field
 // selects the event engine: sequential (the default calendar-queue engine),
 // heap (the reference binary-heap engine, for differential tests and
-// benchmarks), or the conservative parallel engine of internal/parsim; all
-// produce bit-identical runs.
+// benchmarks), or the parallel engine of internal/parsim in its
+// conservative ("parallel") or Time Warp ("optimistic") mode; all produce
+// bit-identical runs.
 func New(m *machine.Machine) *Runtime {
 	cfg := m.Config()
-	var eng des.Engine
-	parallel := false
-	switch cfg.Backend {
-	case "", "sequential":
-		eng = des.NewEngine()
-	case "heap":
-		eng = des.NewHeapEngine()
-	case "parallel", "parsim":
-		eng = parsim.New(parsim.Options{
-			Lookahead: des.Time(cfg.Alpha),
-			Shards:    m.NumNodes(),
-			Workers:   cfg.ParallelWorkers,
-		})
-		parallel = true
-	case "optimistic", "optsim":
-		eng = optsim.New(optsim.Options{
-			Shards:  m.NumNodes(),
-			Workers: cfg.ParallelWorkers,
-			Window:  des.Time(cfg.OptimisticWindow),
-		})
-		parallel = true
-	default:
-		panic(fmt.Sprintf("charm: unknown backend %q (want \"sequential\", \"heap\", \"parallel\", or \"optimistic\")", cfg.Backend))
-	}
 	rt := &Runtime{
-		eng:        eng,
-		parallel:   parallel,
 		mach:       m,
 		arrayNames: map[string]*Array{},
 		keyEID:     map[elemKey]int32{},
@@ -318,18 +292,33 @@ func New(m *machine.Machine) *Runtime {
 	rt.funcPEH = rt.DeclareNamedPEHandler("rts:func", rt.funcHandler)
 	rt.mcastPEH = rt.DeclareNamedPEHandler("rts:mcast", rt.mcastHandler)
 	rt.registerRuntimeMetrics()
-	if pe, ok := eng.(*parsim.Engine); ok {
-		pe.RegisterMetrics(rt.metrics)
-	}
-	if oe, ok := eng.(*optsim.Engine); ok {
+	popts := parsim.Options{Shards: m.NumNodes(), Workers: cfg.ParallelWorkers}
+	switch cfg.Backend {
+	case "", "sequential":
+		rt.eng = des.NewEngine()
+	case "heap":
+		rt.eng = des.NewHeapEngine()
+	case "parallel", "parsim":
+		popts.Lookahead = des.Time(cfg.Alpha)
+		rt.parallel = true
+	case "optimistic", "optsim":
 		// Time Warp needs an undo controller: the engine rolls back a
 		// shard by asking it to restore the phase's shard-local mutations
 		// (the withheld commit closure already holds every global effect).
 		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval, des.Time(cfg.OptimisticWindow))
-		rt.spec.eng = oe
-		oe.SetController(rt.spec)
-		oe.RegisterMetrics(rt.metrics)
-		rt.spec.registerMetrics(rt.metrics)
+		popts.Window, popts.Controller = rt.spec.baseWindow, rt.spec
+		rt.parallel = true
+	default:
+		panic(fmt.Sprintf("charm: unknown backend %q (want \"sequential\", \"heap\", \"parallel\", or \"optimistic\")", cfg.Backend))
+	}
+	if rt.parallel {
+		pe := parsim.New(popts)
+		pe.RegisterMetrics(rt.metrics)
+		rt.eng = pe
+		if rt.spec != nil {
+			rt.spec.eng = pe
+			rt.spec.registerMetrics(rt.metrics)
+		}
 	}
 	// One backing slab for every peState: at paper-scale PE counts (8k–64k
 	// virtual PEs) per-PE allocations and map headers dominate the boot

@@ -7,14 +7,14 @@ import (
 
 	"charmgo/internal/ctrlpoint"
 	"charmgo/internal/des"
-	"charmgo/internal/optsim"
+	"charmgo/internal/parsim"
 	"charmgo/internal/projections/metrics"
 	"charmgo/internal/pup"
 )
 
 // This file is the runtime half of the optimistic (Time Warp) backend: the
-// speculation controller internal/optsim calls around every phase it runs
-// ahead of the commit frontier. The engine guarantees a speculation's
+// speculation controller internal/parsim calls, in its optimistic mode,
+// around every phase it runs ahead of the commit frontier. The engine guarantees a speculation's
 // commit closure never runs unless the speculation survives to its pop, so
 // everything globally visible — sends, statistics, quiescence, reduction
 // merges — needs no undo at all: the closure is simply dropped. What the
@@ -149,7 +149,7 @@ const (
 	windowScaleOne = 16
 )
 
-// specController implements optsim.Controller over the runtime's shard
+// specController implements parsim.Controller over the runtime's shard
 // (node) layout. BeginSpec/CommitSpec/RollbackSpec run on the engine's
 // driving goroutine; the note/touch hooks run inside the speculated phase
 // on a worker, ordered against the driver by the engine's job-channel and
@@ -158,7 +158,7 @@ const (
 // deterministic — worker-written atomics feed only metrics, never policy.
 type specController struct {
 	rt     *Runtime
-	eng    *optsim.Engine
+	eng    *parsim.Engine
 	shards []shardSpec
 
 	// Snapshot counters feed the optsim.* metrics family. Phases on
@@ -234,8 +234,8 @@ func (sc *specController) curK() int {
 }
 
 // specFor returns the undo log the phase running on pe should record into,
-// or nil when the execution is not speculative (sequential and parsim
-// backends, optsim inline pops, commit context). One nil check on the
+// or nil when the execution is not speculative (sequential and conservative
+// backends, optimistic inline pops, commit context). One nil check on the
 // non-speculative hot path.
 func (rt *Runtime) specFor(pe int) *shardSpec {
 	sc := rt.spec
@@ -641,7 +641,7 @@ func (sc *specController) tune() {
 	}
 }
 
-var _ optsim.Controller = (*specController)(nil)
+var _ parsim.Controller = (*specController)(nil)
 
 // SpecSnapshotStats reports how many chare images the optimistic backend
 // has packed and their total PUP bytes (zero on other backends).

@@ -6,14 +6,17 @@
 // ordered by an insertion sequence number, which makes every simulation run
 // bit-for-bit reproducible.
 //
-// Three implementations exist: Sequential (this package) executes every
-// event on the calling goroutine from a slab-allocated event store drained
-// through a calendar queue; Heap (this package) is the original binary-heap
-// executor, kept as the reference for differential order tests and for
-// measuring the calendar engine's speedup; and internal/parsim executes
-// provably independent events on worker goroutines while preserving the
-// exact (timestamp, sequence) commit order. All satisfy the Engine
-// interface and produce identical event orders.
+// Three engines exist over two event stores. Calendar (this package) is the
+// production store: a slab of events drained through a calendar queue.
+// Sequential (this package) executes every event from it on the calling
+// goroutine; internal/parsim runs event phases on worker goroutines from the
+// same store, in a conservative mode (launches bounded by the machine's
+// lookahead) and an optimistic Time Warp mode (launches past it, undone by
+// rollback), both preserving the exact (timestamp, sequence) commit order.
+// Heap (this package) is the original binary-heap executor, kept as the
+// reference for differential order tests and for measuring the calendar's
+// speedup. All satisfy the Engine interface and produce identical event
+// orders.
 package des
 
 import "math"
@@ -82,11 +85,12 @@ type Engine interface {
 // HorizonReporter is implemented by engines that can report a safe
 // scheduling horizon for *global* events: the earliest timestamp at which a
 // new global event is guaranteed not to precede any phase the engine has
-// already handed to a worker. The sequential engine's horizon is simply
-// Now(); the parallel engine's is the high-water timestamp of its in-flight
-// phases. Fault-recovery code uses this to schedule a rollback — a global
-// event — from inside an event commit without tripping the parallel
-// engine's lookahead guard.
+// already handed to a worker and cannot take back. The sequential engine's
+// horizon is simply Now(), and so is the parallel engine's in optimistic
+// mode (it rolls such phases back); in conservative mode it is the
+// high-water timestamp of the in-flight phases. Fault-recovery code uses
+// this to schedule a rollback — a global event — from inside an event
+// commit without tripping the conservative lookahead guard.
 type HorizonReporter interface {
 	GlobalHorizon() Time
 }
@@ -177,35 +181,21 @@ type ProbeSetter interface {
 	SetProbe(Probe)
 }
 
-// Ref is an engine-internal event reference held by a Handle.
-type Ref interface {
-	// Live reports whether the event is still scheduled.
-	Live() bool
-}
-
-// Handle allows a scheduled event to be cancelled before it fires. Two
-// representations exist: pointer-based engines (Heap, parsim) wrap a Ref;
-// the slab-backed Sequential engine mints index+generation handles so the
-// hot path never allocates.
+// Handle allows a scheduled event to be cancelled before it fires. Events
+// in a Calendar are named by slot index + generation, so minting a handle
+// never allocates and a fired or recycled slot rejects stale handles by
+// construction; the reference Heap engine's handles point at its heap node.
 type Handle struct {
-	ev  Ref
-	eng *Sequential
+	ev  *heapEvent
+	cal *Calendar
 	id  uint64 // slot index << 32 | slot generation
 }
-
-// HandleFor wraps an engine's event reference; engine implementations use
-// it to mint handles.
-func HandleFor(r Ref) Handle { return Handle{ev: r} }
-
-// EventRef returns the wrapped reference (nil for the zero Handle and for
-// slab-backed handles).
-func (h Handle) EventRef() Ref { return h.ev }
 
 // Cancelled reports whether Cancel was called on the handle's event, or the
 // event already fired.
 func (h Handle) Cancelled() bool {
-	if h.eng != nil {
-		return !h.eng.live(h.id)
+	if h.cal != nil {
+		return !h.cal.live(h.id)
 	}
-	return h.ev == nil || !h.ev.Live()
+	return h.ev == nil || h.ev.pos < 0
 }

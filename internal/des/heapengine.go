@@ -26,31 +26,20 @@ func NewHeapEngine() *Heap {
 	return &Heap{}
 }
 
-// Event is a closure scheduled to run at a virtual time (heap engine form).
-type Event struct {
-	At    Time
-	Fn    func()
-	sfn   func() func() // sharded two-phase body (nil for global events)
-	pfn   PhaseFn
-	cfn   CommitFn
-	a     any
-	b     int64
-	shard int // shard id of a sharded event (unused for globals)
-	seq   uint64
-	pos   int // heap index, -1 when popped or cancelled
+// heapEvent is a scheduled Event plus its position in the binary heap.
+type heapEvent struct {
+	Event
+	pos int // heap index, -1 when popped or cancelled
 }
 
-// Live reports whether the event is still scheduled.
-func (ev *Event) Live() bool { return ev.pos >= 0 }
-
-type eventHeap []*Event
+type eventHeap []*heapEvent
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
-	return h[i].seq < h[j].seq
+	return h[i].Seq < h[j].Seq
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -58,7 +47,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].pos = j
 }
 func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
+	ev := x.(*heapEvent)
 	ev.pos = len(*h)
 	*h = append(*h, ev)
 }
@@ -85,50 +74,38 @@ func (e *Heap) GlobalHorizon() Time { return e.now }
 // Executed counts events that have run.
 func (e *Heap) Executed() uint64 { return e.executed }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Heap) At(t Time, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
+// add schedules ev. Scheduling in the past panics: it would silently
+// reorder causality.
+func (e *Heap) add(ev Event) Handle {
+	if ev.At < e.now {
+		panic(fmt.Sprintf("des: scheduling event at %v before now %v", ev.At, e.now))
 	}
-	ev := &Event{At: t, Fn: fn, seq: e.seq}
+	ev.Seq = e.seq
 	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+	he := &heapEvent{Event: ev}
+	heap.Push(&e.heap, he)
+	return Handle{ev: he}
+}
+
+// At schedules fn to run at absolute virtual time t.
+func (e *Heap) At(t Time, fn func()) Handle {
+	return e.add(Event{At: t, Fn: fn, Shard: -1})
 }
 
 // AtShard schedules a two-phase event; phase and commit run back to back.
 func (e *Heap) AtShard(shard int, t Time, fn func() func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, sfn: fn, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+	return e.add(Event{At: t, Sfn: fn, Shard: int32(shard)})
 }
 
 // AtShardFn schedules a two-phase event from a preallocated PhaseFn.
 func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, pfn: fn, a: a, b: b, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+	return e.add(Event{At: t, Pfn: fn, A: a, B: b, Shard: int32(shard)})
 }
 
 // AtShardCommit schedules a commit-only sharded event from a preallocated
 // CommitFn.
 func (e *Heap) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{At: t, cfn: fn, a: a, b: b, shard: shard, seq: e.seq}
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return HandleFor(ev)
+	return e.add(Event{At: t, Cfn: fn, A: a, B: b, Shard: int32(shard)})
 }
 
 // After schedules fn to run d seconds from now.
@@ -142,11 +119,9 @@ func (e *Heap) After(d Time, fn func()) Handle {
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Heap) Cancel(h Handle) {
-	ev, ok := h.ev.(*Event)
-	if !ok || ev == nil || ev.pos < 0 {
-		return
+	if h.ev != nil && h.ev.pos >= 0 {
+		heap.Remove(&e.heap, h.ev.pos)
 	}
-	heap.Remove(&e.heap, ev.pos)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -162,31 +137,10 @@ func (e *Heap) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(*Event)
+	ev := heap.Pop(&e.heap).(*heapEvent)
 	e.now = ev.At
 	e.executed++
-	if ev.Fn != nil {
-		ev.Fn()
-		return true
-	}
-	if e.sink != nil {
-		e.sink.PhaseStart(ev.shard, ev.At)
-	}
-	switch {
-	case ev.cfn != nil:
-		ev.cfn(ev.a, ev.b, ev.At)
-	case ev.pfn != nil:
-		if commit := ev.pfn(ev.a, ev.b, ev.At); commit != nil {
-			commit()
-		}
-	default:
-		if commit := ev.sfn(); commit != nil {
-			commit()
-		}
-	}
-	if e.sink != nil {
-		e.sink.PhaseDone(ev.shard, ev.At)
-	}
+	ev.Exec(e.sink)
 	return true
 }
 

@@ -93,12 +93,12 @@ type Config struct {
 
 	// Backend selects the event-engine implementation driving the
 	// simulation: "" or "sequential" is the single-threaded engine of
-	// internal/des; "parallel" (alias "parsim") is the conservative
-	// parallel engine of internal/parsim, which shards the virtual PEs by
-	// node and uses Alpha (the minimum cross-node latency) as the
-	// lookahead bound; "optimistic" (alias "optsim") is the Time Warp
-	// engine of internal/optsim, which speculates past any lookahead and
-	// rolls back stragglers. All produce bit-identical runs.
+	// internal/des; "parallel" (alias "parsim") is the parallel engine of
+	// internal/parsim in conservative mode, which shards the virtual PEs
+	// by node and uses Alpha (the minimum cross-node latency) as the
+	// lookahead bound; "optimistic" (alias "optsim") is the same engine in
+	// Time Warp mode, which speculates past any lookahead and rolls back
+	// stragglers. All produce bit-identical runs.
 	Backend string
 	// ParallelWorkers caps the parallel backends' worker goroutines;
 	// 0 means GOMAXPROCS.

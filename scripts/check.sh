@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # check.sh — the full local gate: build, go vet, charmvet (determinism &
 # PUP-completeness rules, see DESIGN.md "Determinism rules"), the test
-# suite under the race detector, the cross-backend equivalence tests at
-# several GOMAXPROCS values, a smoke run of the parallel benchmark, and
-# the chaos fault-injection soak. CI runs exactly this.
+# suite under the race detector, the benchmark module's own suite, the
+# cross-backend equivalence tests at several GOMAXPROCS values, a smoke
+# run of the parallel benchmark, and the chaos fault-injection soak. CI
+# runs exactly this.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -15,6 +16,10 @@ go vet ./...
 go run ./cmd/charmvet -baseline charmvet.baseline ./...
 go run ./cmd/charmvet -json ./... > /dev/null
 go test -race ./...
+# bench/ is its own module, invisible to the ./... above. Its smoke suite is
+# what catches a renamed engine gauge or a cross-backend digest break in the
+# repository benchmark (BENCHMARK.json).
+(cd bench && go vet . && go test .)
 
 # All three backends (sequential, conservative-parallel, optimistic) must
 # produce bit-identical digests no matter how many host threads the phase
