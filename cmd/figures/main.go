@@ -17,17 +17,19 @@ import (
 	"time"
 
 	"charmgo/internal/figures"
+	"charmgo/internal/machine"
 )
 
 func main() {
 	figID := flag.String("fig", "", "run only the figure with this id (e.g. 9, 8L, 15b)")
 	list := flag.Bool("list", false, "list available figures")
-	backend := flag.String("backend", "sequential", "engine backend: sequential, parallel")
+	backend := flag.String("backend", "sequential", "engine backend: "+machine.BackendNames())
 	workers := flag.Int("workers", 1, "concurrent sweep points per figure (0 = GOMAXPROCS); output is identical at any value")
 	flag.Parse()
 
-	if *backend != "sequential" && *backend != "parallel" {
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want sequential or parallel)\n", *backend)
+	chosen, err := machine.ParseBackend(*backend)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *workers == 0 {
@@ -47,8 +49,8 @@ func main() {
 	// does not hide the state of every later figure.
 	failed := 0
 	run := func(f figures.Fig) {
-		be := *backend
-		if f.SeqOnly && be == "parallel" {
+		be := chosen
+		if f.SeqOnly && (be == "parallel" || be == "optimistic") {
 			fmt.Printf("(figure %s drives AMPI rank threads; running on the sequential engine)\n", f.ID)
 			be = "sequential"
 		}

@@ -72,6 +72,9 @@ type result struct {
 	MaxInFlight      int     `json:"max_in_flight"`
 	ParallelFraction float64 `json:"phase_parallel_fraction"`
 	DigestsIdentical bool    `json:"digests_identical"`
+	// Handoff is where the launched phases ran — timing-dependent, unlike
+	// every counter above.
+	Handoff parsim.HandoffStats `json:"handoff"`
 }
 
 func main() {
@@ -79,7 +82,7 @@ func main() {
 	out := flag.String("out", "", "write the JSON report to this file (default: stdout only)")
 	workers := flag.Int("workers", 8, "parsim worker goroutines (and GOMAXPROCS) for the parallel run")
 	micro := flag.Bool("micro", false, "run the LeanMD/PDES calendar-vs-heap engine microbenchmarks")
-	backend := flag.String("backend", "", "benchmark the named backend ('optimistic') against sequential and conservative-parallel on a low-lookahead PDES run")
+	backend := flag.String("backend", "", "'optimistic': benchmark Time Warp against sequential and conservative-parallel on a low-lookahead PDES run (names: "+machine.BackendNames()+")")
 	scale := flag.Bool("scale", false, "run the 1k/8k/64k virtual-PE scale benchmark")
 	gate := flag.String("gate", "", "re-run the scale benchmark and fail on >20% regression against this budget file")
 	snapInterval := flag.Int("snap-interval", 0, "optimistic backend state-saving interval: image a chare every K-th speculated execution and replay between (0 = adaptive, 1 = eager per-execution snapshots)")
@@ -92,6 +95,11 @@ func main() {
 	flag.Parse()
 	telemetryServeAddr = *telemetryAddr
 
+	be, err := machine.ParseBackend(*backend)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -127,12 +135,13 @@ func main() {
 		emit(runMicro(*smoke), *out)
 	case *scale:
 		emit(runScale(*smoke), *out)
-	case *backend == "optimistic" && *snapSweep:
+	case be == "optimistic" && *snapSweep:
 		emit(runSnapSweep(*smoke, *workers), *out)
-	case *backend == "optimistic":
+	case be == "optimistic":
 		emit(runOptsim(*smoke, *workers, *snapInterval), *out)
 	case *backend != "":
-		fatal(fmt.Errorf("unknown -backend %q (want optimistic)", *backend))
+		fmt.Fprintf(os.Stderr, "-backend %s has no comparison of its own: the default run already covers sequential and parallel\n", be)
+		os.Exit(2)
 	default:
 		emit(runParsim(*smoke, *workers), *out)
 	}
@@ -192,6 +201,7 @@ func runParsim(smoke bool, workers int) result {
 		MaxInFlight:      st.MaxInFlight,
 		ParallelFraction: float64(st.Launched) / float64(st.Launched+st.Inline+st.Global),
 		DigestsIdentical: seqSummary == parSummary,
+		Handoff:          eng.(*parsim.Engine).HandoffStats(),
 	}
 	if !r.DigestsIdentical {
 		fmt.Fprintf(os.Stderr, "parsimbench: backend divergence!\n  sequential: %s\n  parallel:   %s\n", seqSummary, parSummary)
@@ -316,6 +326,9 @@ type optsimResult struct {
 	FinalWindowSec    float64 `json:"final_window_sec"`
 
 	DigestsIdentical bool `json:"digests_identical"`
+	// Handoff is where the speculated phases ran — timing-dependent, unlike
+	// the counters above.
+	Handoff parsim.HandoffStats `json:"handoff"`
 }
 
 func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
@@ -381,6 +394,7 @@ func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
 		FinalWindowSec:    saves.Window,
 
 		DigestsIdentical: seqSummary == parSummary && seqSummary == optSummary,
+		Handoff:          optRT.Engine().(*parsim.Engine).HandoffStats(),
 	}
 	if !r.DigestsIdentical {
 		fmt.Fprintf(os.Stderr, "parsimbench: backend divergence!\n  sequential: %s\n  parallel:   %s\n  optimistic: %s\n",

@@ -30,7 +30,7 @@ import (
 func main() {
 	app := flag.String("app", "leanmd", "app to trace: leanmd, pdes")
 	pes := flag.Int("pes", 16, "processing elements")
-	backend := flag.String("backend", "sequential", "engine backend: sequential, parallel, optimistic")
+	backend := flag.String("backend", "sequential", "engine backend: "+machine.BackendNames())
 	scale := flag.Int("scale", 1, "problem-size multiplier")
 	top := flag.Int("top", 10, "profile rows to print")
 	perfetto := flag.String("perfetto", "", "write Chrome trace-event JSON here (load at ui.perfetto.dev)")
@@ -40,6 +40,10 @@ func main() {
 	smoke := flag.Bool("smoke", false, "selfbench: fewer reps, smaller run")
 	out := flag.String("out", "", "selfbench: write the result JSON here")
 	flag.Parse()
+	if _, err := machine.ParseBackend(*backend); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	switch {
 	case *selfbench:

@@ -1,9 +1,14 @@
 package charm
 
 import (
+	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"charmgo/internal/des"
+	"charmgo/internal/machine"
+	"charmgo/internal/parsim"
 	"charmgo/internal/pup"
 )
 
@@ -63,6 +68,83 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 	t.Logf("steady-state allocs/event = %.4f over %d events", perEvent, ev)
 	if perEvent > 0.5 {
 		t.Fatalf("steady-state allocs/event = %.3f, want <= 0.5 (message/Ctx/commit pooling regressed)", perEvent)
+	}
+}
+
+// TestBufferedEffectsAllocFree is the parallel backends' counterpart of the
+// pin above: a delivery whose handler makes two Sends and one Contribute —
+// all three buffered during the phase and replayed by the commit — performs
+// no allocation at steady state, in either parallel mode. The effects are
+// typed records in the PE's reused buffer, not a list, a slice growth and a
+// closure each. Two fan elements on different shards take one trigger each
+// per round, so conservatively one of the two deliveries is launched and
+// the other runs inline; the four sink deliveries they cause ride along.
+// State saving allocates by design (a retained image per speculated chare,
+// a replay log that owns its messages), so the optimistic row shuts its
+// window: nothing is speculated, and what is left is what that mode adds
+// to every buffered delivery — the controller hooks and the resolve log.
+// The test contributes to one generation that never completes, so a
+// reduction's per-generation bookkeeping stays out of the per-delivery
+// number.
+func TestBufferedEffectsAllocFree(t *testing.T) {
+	const (
+		epFan EP = iota
+		epSink
+	)
+	for _, mode := range []struct {
+		backend string
+		window  float64
+	}{{"parallel", 0}, {"optimistic", 1e-12}} {
+		cfg := machine.Testbed(4)
+		cfg.Backend, cfg.OptimisticWindow = mode.backend, mode.window
+		rt := New(machine.New(cfg))
+		var arr *Array
+		first := Reducer{Name: "first", Merge: func(a, _ any) any { return a }}
+		var fans atomic.Int64 // the two fan phases run concurrently
+		handlers := []Handler{
+			epFan: func(obj Chare, ctx *Ctx, _ any) {
+				fans.Add(1)
+				ctx.Send(arr, Idx1(2), epSink, nil)
+				ctx.Send(arr, Idx1(3), epSink, nil)
+				ctx.Contribute(nil, first, Callback{})
+			},
+			epSink: func(Chare, *Ctx, any) {},
+		}
+		arr = rt.DeclareArray("fan", func() Chare { return &counter{} }, handlers, ArrayOpts{PureHandlers: true})
+		for i := 0; i < 4; i++ {
+			arr.InsertOn(Idx1(i), &counter{}, i)
+		}
+		fanEls := []*element{rt.pes[0].elems[elemKey{arr.id, Idx1(0)}], rt.pes[1].elems[elemKey{arr.id, Idx1(1)}]}
+		inject := func() {
+			for i, el := range fanEls {
+				el.redGen = 0 // every contribution joins generation 0
+				m := getMsg()
+				m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, epFan, 64, i
+				// Simultaneous with the window open, so the two overlap; a
+				// nanosecond apart with it shut, so they cannot.
+				rt.send(m, rt.eng.Now()+des.Time(i)*des.Time(mode.window)*1e3)
+			}
+		}
+		round := func() {
+			rt.eng.After(0, inject)
+			rt.eng.Run()
+		}
+		round()
+		arr.redOpen[0].expected = math.MaxInt // generation 0 stays open however many rounds join it
+		// Warm the pools, the slab, every calendar bucket and the effect buffers.
+		for i := 0; i < 4096; i++ {
+			round()
+		}
+		fans.Store(0)
+		if n := testing.AllocsPerRun(200, round); n > 0 && !raceEnabled {
+			t.Errorf("%s: %.0f allocations per round of two fan deliveries, want 0", mode.backend, n)
+		}
+		if fans.Load() != 2*201 { // AllocsPerRun warms up with one extra call
+			t.Fatalf("%s: %d fan deliveries in 201 rounds, want 402", mode.backend, fans.Load())
+		}
+		if st := rt.eng.(*parsim.Engine).EngineStats(); (st.Launched > 4000) != (mode.window == 0) {
+			t.Fatalf("%s: stats %+v: want the fan deliveries launched with the window open and only then", mode.backend, st)
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 			rt.enqueue(m, p)
 			continue
 		}
-		ctx.fx.fns = append(ctx.fx.fns, func() {
+		ctx.emit(func() {
 			rt.inflight++
 			//charmvet:retain (effect closure: runs at this delivery's commit, before the message could be recycled)
 			rt.enqueue(m, p)
@@ -279,7 +279,7 @@ func (c *Ctx) Contribute(value any, reducer Reducer, cb Callback) {
 		rt.contribute(el, gen, value, reducer, cb, at)
 		return
 	}
-	c.fx.fns = append(c.fx.fns, func() { rt.contribute(el, gen, value, reducer, cb, at) })
+	c.fx.contribute(fxContrib{el: el, gen: gen, value: value, reducer: reducer, cb: cb}, at)
 }
 
 // contribute is the commit half of Contribute.

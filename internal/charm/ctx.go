@@ -13,8 +13,74 @@ import (
 // (sends, reduction merges, statistics) here during the concurrent phase;
 // the commit replays them in call order, exactly reproducing the
 // sequential interleaving.
+//
+// Each PE owns one (peState.fx), refilled by every delivery and truncated
+// by its commit's flushFX — or by discard when the execution is dropped —
+// so buffering an effect allocates nothing at steady state. The buffer is
+// shard-local under the same commit(i) ≺ phase(i+1) ordering that protects
+// p.ctxSpare. The hot effects are closure-free records: a send is the
+// pooled message plus its timestamp, a contribution its arguments; the
+// rest (Defer, AtSync, Migrate, structural mutations, broadcast fan-out)
+// ride as a plain func.
 type fxList struct {
-	fns []func()
+	recs []fxRec
+	reds []fxContrib // payloads of the fxContribute records, in order
+}
+
+type fxKind uint8
+
+const (
+	fxFn fxKind = iota
+	fxSend
+	fxContribute
+)
+
+// fxRec is one buffered effect.
+type fxRec struct {
+	kind fxKind
+	red  int32    // fxContribute: index into fxList.reds
+	at   des.Time // fxSend, fxContribute: the virtual moment of the call
+	m    *message // fxSend
+	fn   func()   // fxFn
+}
+
+// fxContrib is the argument list of a buffered Contribute.
+type fxContrib struct {
+	el      *element
+	gen     uint64
+	value   any
+	reducer Reducer
+	cb      Callback
+}
+
+func (fx *fxList) send(m *message, at des.Time) {
+	//charmvet:retain (effect record: replayed or discarded by this delivery's commit, before the message is recycled)
+	fx.recs = append(fx.recs, fxRec{kind: fxSend, at: at, m: m})
+}
+
+func (fx *fxList) contribute(c fxContrib, at des.Time) {
+	fx.recs = append(fx.recs, fxRec{kind: fxContribute, at: at, red: int32(len(fx.reds))})
+	fx.reds = append(fx.reds, c)
+}
+
+// reset empties the buffer for the PE's next delivery, dropping every
+// reference it held.
+func (fx *fxList) reset() {
+	clear(fx.recs)
+	clear(fx.reds)
+	fx.recs, fx.reds = fx.recs[:0], fx.reds[:0]
+}
+
+// discard drops the effects of an execution that will never commit (a
+// rolled-back speculation, a coast-forward replay), returning the messages
+// its sends built to the pool.
+func (fx *fxList) discard() {
+	for i := range fx.recs {
+		if r := &fx.recs[i]; r.kind == fxSend {
+			putMsg(r.m)
+		}
+	}
+	fx.reset()
 }
 
 // Ctx is the execution context of a running entry method (or PE handler).
@@ -28,7 +94,7 @@ type Ctx struct {
 	elapsed des.Time // cost accumulated so far in this execution
 	loadFS  int64    // speed-normalized compute so far, integer femtoseconds
 	exitReq bool
-	fx      *fxList // nil: immediate mode; non-nil: buffered (parallel phase)
+	fx      *fxList // nil: immediate mode; non-nil: buffered into the PE's list (parallel phase)
 	phase   bool    // true while an element handler runs (vs commit context)
 	cause   uint64  // trace ID of the send that triggered this execution
 
@@ -90,7 +156,7 @@ func (c *Ctx) emit(fn func()) {
 		fn()
 		return
 	}
-	c.fx.fns = append(c.fx.fns, fn)
+	c.fx.recs = append(c.fx.recs, fxRec{fn: fn})
 }
 
 // Defer runs fn after the current entry method's effects become globally
@@ -112,7 +178,7 @@ func (c *Ctx) Defer(fn func()) { c.emit(fn) }
 // (PE handlers, replayed effects) the mutation applies inline as before.
 func (c *Ctx) deferStruct(fn func()) {
 	if c.fx == nil && c.phase {
-		c.fx = &fxList{}
+		c.fx = &c.rt.pes[c.pe].fx
 	}
 	c.emit(fn)
 }
@@ -127,9 +193,18 @@ func (c *Ctx) flushFX() {
 	}
 	fx := c.fx
 	c.fx = nil
-	for i := 0; i < len(fx.fns); i++ {
-		fx.fns[i]()
+	for i := 0; i < len(fx.recs); i++ {
+		switch r := &fx.recs[i]; r.kind {
+		case fxSend:
+			c.rt.send(r.m, r.at)
+		case fxContribute:
+			d := &fx.reds[r.red]
+			c.rt.contribute(d.el, d.gen, d.value, d.reducer, d.cb, r.at)
+		default:
+			r.fn()
+		}
 	}
+	fx.reset()
 }
 
 // Runtime returns the owning runtime.
@@ -301,12 +376,11 @@ func (c *Ctx) SendOpt(arr *Array, idx Index, ep EP, payload any, opts *SendOpts)
 	at := c.Now()
 	if c.fx == nil {
 		// Immediate mode: the steady-state send path runs allocation-free
-		// (pooled message, no deferred-effect closure).
+		// (pooled message, no effect record).
 		c.rt.send(m, at)
 		return
 	}
-	//charmvet:retain (effect closure: runs at this delivery's commit, before Ctx and message are recycled)
-	c.fx.fns = append(c.fx.fns, func() { c.rt.send(m, at) })
+	c.fx.send(m, at)
 }
 
 // SendPE invokes a PE-level handler on the destination PE.
@@ -335,8 +409,7 @@ func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
 		c.rt.send(m, at)
 		return
 	}
-	//charmvet:retain (effect closure: runs at this delivery's commit, before Ctx and message are recycled)
-	c.fx.fns = append(c.fx.fns, func() { c.rt.send(m, at) })
+	c.fx.send(m, at)
 }
 
 // LocalInvoke runs an entry method on a local element synchronously within

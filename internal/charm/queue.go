@@ -38,7 +38,7 @@ var msgPool = sync.Pool{New: func() any { return new(message) }}
 
 // PoolStats counts message-pool traffic for the telemetry layer: Gets-Puts
 // is the number of live (checked-out) messages — the event-pool occupancy.
-// The counters are process-wide (the pool is), atomic (phase workers call
+// The counters are process-wide (the pool is), atomic (concurrent phases call
 // getMsg concurrently), and strictly side-band: nothing reads them on a
 // simulation path.
 type PoolStats struct {

@@ -88,6 +88,10 @@ type peState struct {
 	// runOne takes it, the delivery commit releases it. Shard-local like
 	// p.q, so the parallel backend needs no synchronization.
 	ctxSpare *Ctx
+	// fx is the PE's effect buffer: a buffered delivery's context points
+	// at it (Ctx.fx) from its phase to the end of its commit. Shard-local
+	// and reused exactly like ctxSpare.
+	fx fxList
 
 	// Pending delivery, valid between runOne's phase and its commit. The
 	// engine runs commit(i) before phase(i+1) on the same shard, so at
@@ -293,23 +297,26 @@ func New(m *machine.Machine) *Runtime {
 	rt.mcastPEH = rt.DeclareNamedPEHandler("rts:mcast", rt.mcastHandler)
 	rt.registerRuntimeMetrics()
 	popts := parsim.Options{Shards: m.NumNodes(), Workers: cfg.ParallelWorkers}
-	switch cfg.Backend {
-	case "", "sequential":
+	backend, err := machine.ParseBackend(cfg.Backend)
+	if err != nil {
+		// CLIs validate the name at the flag; reaching here is a caller bug.
+		panic("charm: " + err.Error())
+	}
+	switch backend {
+	case "sequential":
 		rt.eng = des.NewEngine()
 	case "heap":
 		rt.eng = des.NewHeapEngine()
-	case "parallel", "parsim":
+	case "parallel":
 		popts.Lookahead = des.Time(cfg.Alpha)
 		rt.parallel = true
-	case "optimistic", "optsim":
+	case "optimistic":
 		// Time Warp needs an undo controller: the engine rolls back a
 		// shard by asking it to restore the phase's shard-local mutations
 		// (the withheld commit closure already holds every global effect).
 		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval, des.Time(cfg.OptimisticWindow))
 		popts.Window, popts.Controller = rt.spec.baseWindow, rt.spec
 		rt.parallel = true
-	default:
-		panic(fmt.Sprintf("charm: unknown backend %q (want \"sequential\", \"heap\", \"parallel\", or \"optimistic\")", cfg.Backend))
 	}
 	if rt.parallel {
 		pe := parsim.New(popts)
@@ -775,7 +782,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	ctx := p.takeCtx(rt, el, at)
 	ctx.phase = true
 	if rt.parallel {
-		ctx.fx = &fxList{}
+		ctx.fx = &p.fx
 	}
 	ctx.cause = m.traceID
 	// The clock takes the locality-aware receive cost (a node-local sender

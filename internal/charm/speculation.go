@@ -152,10 +152,11 @@ const (
 // specController implements parsim.Controller over the runtime's shard
 // (node) layout. BeginSpec/CommitSpec/RollbackSpec run on the engine's
 // driving goroutine; the note/touch hooks run inside the speculated phase
-// on a worker, ordered against the driver by the engine's job-channel and
-// done-channel edges. The commit hook (onCommitted) and the tuner run on
-// the driver in commit order, so every input to the adaptive decisions is
-// deterministic — worker-written atomics feed only metrics, never policy.
+// on whichever goroutine claimed it, ordered against the driver by the
+// engine's post/claim/done atomics. The commit hook (onCommitted) and the
+// tuner run on the driver in commit order, so every input to the adaptive
+// decisions is deterministic — phase-written atomics feed only metrics,
+// never policy.
 type specController struct {
 	rt     *Runtime
 	eng    *parsim.Engine
@@ -249,7 +250,7 @@ func (rt *Runtime) specFor(pe int) *shardSpec {
 }
 
 // BeginSpec opens shard s's undo log. Runs on the driver strictly before
-// the phase is handed to a worker.
+// the phase is posted for whoever claims it.
 func (sc *specController) BeginSpec(s int) {
 	sp := &sc.shards[s]
 	if sp.active {
@@ -285,6 +286,13 @@ func (sc *specController) RollbackSpec(s int) {
 	// Deactivate first: coast-forward replay re-executes committed handlers
 	// below, and nothing they touch may be recorded into this undo log.
 	sp.active = false
+
+	// The dropped execution's buffered effects die with it: nothing it sent
+	// entered the network, so the messages go back to the pool, and the
+	// PE's buffer is empty for the replays below and the re-execution.
+	if sp.p != nil {
+		sp.p.fx.discard()
+	}
 
 	// Location-cache hint (mutually exclusive with a dequeue log — a
 	// speculation is a single phase — but guarded independently anyway).
@@ -339,7 +347,7 @@ func (sc *specController) RollbackSpec(s int) {
 }
 
 // noteDequeue records the pump/queue/context state runOne is about to
-// shadow. Phase context, worker goroutine.
+// shadow. Phase context, on whichever goroutine claimed the phase.
 func (sp *shardSpec) noteDequeue(p *peState) {
 	sp.p = p
 	sp.pumpAt = p.pumpAt
@@ -350,7 +358,7 @@ func (sp *shardSpec) noteDequeue(p *peState) {
 // noteLocCache records the previous state of the location-cache slot the
 // hint write (rt.cacheLoc) is about to overwrite — the flat-table slot for
 // small bounded arrays, the map entry otherwise, mirroring cacheLoc's own
-// dispatch. Phase context, worker goroutine.
+// dispatch. Phase context, on whichever goroutine claimed the phase.
 func (sp *shardSpec) noteLocCache(rt *Runtime, p *peState, key elemKey) {
 	sp.cacheP = p
 	sp.cacheKey = key
@@ -381,7 +389,7 @@ func (sp *shardSpec) noteLocCache(rt *Runtime, p *peState, key elemKey) {
 // yet mutated the object, so the image is committed state and stays valid
 // no matter the speculation's fate. Dedupes by element — one execution can
 // reach the same chare twice through LocalInvoke, and only the first touch
-// decides. Phase context, worker goroutine.
+// decides. Phase context, on whichever goroutine claimed the phase.
 func (sp *shardSpec) touchElem(sc *specController, el *element) {
 	for _, t := range sp.touched {
 		if t == el {
@@ -467,28 +475,30 @@ func (sc *specController) restoreImage(el *element, sv *elemSave) {
 
 // coastForward re-executes the committed deliveries logged since el's
 // image, in commit order, each in an effect-suppressed replay context:
-// every global effect buffers into a discarded fxList (the originals are
-// already committed), sends re-price from the recorded resolve answers,
-// and no message, load charge, or statistic escapes. Determinism of the
-// phase/commit discipline guarantees the identical state trajectory; the
-// recorded after-values are verified per entry as the tripwire. Driver
-// context (inside RollbackSpec).
+// every global effect buffers into the PE's fxList and is discarded (the
+// originals are already committed), sends re-price from the recorded
+// resolve answers, and no message, load charge, or statistic escapes.
+// Determinism of the phase/commit discipline guarantees the identical state
+// trajectory; the recorded after-values are verified per entry as the
+// tripwire. Driver context (inside RollbackSpec).
 func (sc *specController) coastForward(el *element, sv *elemSave) {
 	rt := sc.rt
 	arr := rt.arrays[el.key.array]
 	cfg := rt.mach.Config()
+	fx := &rt.pes[el.pe].fx
 	for i := range sv.log {
 		rec := &sv.log[i]
 		ctx := rt.newCtxAt(el.pe, el, rec.at)
 		ctx.phase = true
 		ctx.replay = true
-		ctx.fx = &fxList{} // buffer — then discard — every global effect
+		ctx.fx = fx // buffer — then discard — every global effect
 		ctx.cause = rec.m.traceID
 		ctx.res = sv.resolves[:rec.resEnd]
 		ctx.resIdx = rec.resStart
 		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, rec.m.srcPE)
 		ctx.chargeLoadWork(cfg.RecvOverheadLocal)
 		arr.handlers[rec.m.ep](el.obj, ctx, rec.m.payload)
+		fx.discard()
 		if ctx.resIdx != rec.resEnd || ctx.elapsed != rec.elapsed ||
 			el.msgsSent != rec.msgsSent || el.bytesSent != rec.bytesSent ||
 			el.redGen != rec.redGen || el.atSync != rec.atSync {

@@ -1,6 +1,9 @@
 package des
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Calendar is the production event store: every engine except the reference
 // Heap keeps its pending events here (Sequential directly, internal/parsim
@@ -37,6 +40,10 @@ type Calendar struct {
 	spanEnd  uint64 // fs one past the last bucket's range
 	cur      int    // open bucket index (-1 right after a reseed)
 	buckets  [][]int32
+	// occ has one bit per ring bucket, set while the bucket holds filed
+	// events: a sparse ring (PHOLD fills ~2% of it) is crossed a word at a
+	// time instead of a bucket at a time.
+	occ      [calBuckets / 64]uint64
 	ring     int // events in buckets[cur+1:] (including cancelled)
 	drain    []Ent
 	drainPos int
@@ -265,7 +272,9 @@ func (c *Calendar) Add(t Time, shard int32) (*Event, Ent) {
 	s.state = slotQueued
 	c.count++
 	k := s.key(id)
-	if fs := toFS(t); fs < c.openEnd {
+	// A saturated openEnd is the open catch-all tail bucket (see file):
+	// nothing lies past it, so a key at the saturation point joins it too.
+	if fs := toFS(t); fs < c.openEnd || c.openEnd == ^uint64(0) {
 		c.curHeap.Push(k)
 	} else if !c.file(id, fs) {
 		c.far = append(c.far, id)
@@ -282,6 +291,7 @@ func (c *Calendar) file(id int32, fs uint64) bool {
 	}
 	b := min(int((fs-c.spanBase)/c.width), len(c.buckets)-1)
 	c.buckets[b] = append(c.buckets[b], id)
+	c.occ[b>>6] |= 1 << (b & 63)
 	c.ring++
 	return true
 }
@@ -326,30 +336,34 @@ func (c *Calendar) openBucket(ids []int32) {
 	slices.SortFunc(c.drain, entCmp)
 }
 
-// advanceBucket moves to the next non-empty ring bucket and opens it.
+// advanceBucket moves to the next occupied ring bucket and opens it.
 // Callers guarantee ring > 0.
 func (c *Calendar) advanceBucket() {
-	for {
-		c.cur++
-		if c.cur >= len(c.buckets) {
+	b := c.cur + 1
+	w := b >> 6
+	if w >= len(c.occ) {
+		panic("des: calendar ring accounting broken")
+	}
+	word := c.occ[w] &^ (1<<(b&63) - 1) // occupied buckets at or past b
+	for word == 0 {
+		if w++; w >= len(c.occ) {
 			panic("des: calendar ring accounting broken")
 		}
-		if c.cur == len(c.buckets)-1 {
-			// The tail bucket's range runs to the span end (which may be
-			// saturated — see file), not just one width past its start.
-			c.openEnd = c.spanEnd
-		} else {
-			c.openEnd = c.spanBase + uint64(c.cur+1)*c.width
-		}
-		ids := c.buckets[c.cur]
-		if len(ids) == 0 {
-			continue
-		}
-		c.ring -= len(ids)
-		c.buckets[c.cur] = ids[:0]
-		c.openBucket(ids)
-		return
+		word = c.occ[w]
 	}
+	c.cur = w<<6 + bits.TrailingZeros64(word)
+	c.occ[w] &^= 1 << (c.cur & 63)
+	if c.cur == len(c.buckets)-1 {
+		// The tail bucket's range runs to the span end (which may be
+		// saturated — see file), not just one width past its start.
+		c.openEnd = c.spanEnd
+	} else {
+		c.openEnd = c.spanBase + uint64(c.cur+1)*c.width
+	}
+	ids := c.buckets[c.cur]
+	c.ring -= len(ids)
+	c.buckets[c.cur] = ids[:0]
+	c.openBucket(ids)
 }
 
 // reseed rebuilds the span around the far population once the current span

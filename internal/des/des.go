@@ -144,9 +144,10 @@ type SpecSink interface {
 // what they decided and to obtain wall-clock stamps, and nothing a probe
 // returns may influence scheduling — the digest of a run must be
 // byte-identical with and without a probe installed. Engines therefore
-// never read the wall clock themselves; the one clock in the tree lives
-// behind WallNow, inside the telemetry package, where charmvet's
-// //charmvet:telemetry waiver scopes it.
+// take every stamp they *report* from WallNow — the telemetry package's
+// clock, where charmvet's //charmvet:telemetry waiver scopes it. (The one
+// clock an engine reads for itself is internal/parsim's grain gate, which
+// decides on which goroutine a phase runs and nothing observable.)
 //
 // All calls arrive on the driving goroutine. A nil probe (the default) is
 // the fast path: every call site is guarded by a single pointer check.
@@ -159,10 +160,11 @@ type Probe interface {
 	// of still-pending events — the telemetry layer's heartbeat for
 	// publish throttling and commit-queue-depth tracking.
 	EventExecuted(shard int, at Time, pending int)
-	// PhaseWall reports one worker-launched phase after its commit:
-	// wallNs is launch→commit-done latency, stallNs the driver's wait for
-	// the phase result at pop, speculative whether the launch ran ahead
-	// of the commit frontier (optimistic backend).
+	// PhaseWall reports one launched phase after its commit: wallNs is
+	// launch→commit-done latency, stallNs the time the driver spent blocked
+	// on a helper goroutine for the phase result at pop (running the phase
+	// itself is not a stall), speculative whether the launch ran ahead of
+	// the commit frontier (optimistic backend).
 	PhaseWall(shard int, at Time, wallNs, stallNs int64, speculative bool)
 	// WindowStall reports a conservative launch scan that found events in
 	// the lookahead window but could launch none of them.

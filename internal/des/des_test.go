@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -261,5 +262,55 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 			e.At(Time(j%97), func() {})
 		}
 		e.Run()
+	}
+}
+
+// TestSparseRingMatchesHeap crosses a nearly empty calendar ring — the case
+// the occupancy bitmap exists for — and checks the pop order against the
+// Heap oracle: eight events spread over the first span (one of them in its
+// tail bucket) with every other one cancelled after filing, so occupied
+// buckets that hold only cancelled entries sit between the live ones; then
+// a far population wide enough to saturate the reseeded span's end, with an
+// event at Forever — past that end — landing in the catch-all tail bucket,
+// from where it schedules one more.
+func TestSparseRingMatchesHeap(t *testing.T) {
+	span := Time(calBuckets*defaultWidthFS) / fsPerSec
+	pops := func(e Engine) []string {
+		var got []string
+		at := func(t Time, name string) Handle {
+			return e.At(t, func() { got = append(got, fmt.Sprintf("%s@%v", name, e.Now())) })
+		}
+		var doomed []Handle
+		for i := 0; i < 8; i++ {
+			ts := span * Time(i) / 8
+			if i == 7 {
+				ts = span * (1 - 0.5/calBuckets) // the middle of the tail bucket
+			}
+			at(ts+span/64, fmt.Sprint("live", i))
+			doomed = append(doomed, at(ts+span/16, fmt.Sprint("doomed", i)))
+		}
+		at(span/4+span/64, "twin") // same bucket, same timestamp: sequence order
+		for _, h := range doomed {
+			e.Cancel(h)
+		}
+		// 2^64 fs is ≈18446 s: a population from 15000 s to Forever makes
+		// the reseeded span end wrap, hence saturate.
+		for i, ts := range []Time{15000, 16000, 17000, 18000} {
+			at(ts, fmt.Sprint("far", i))
+		}
+		e.At(Forever, func() {
+			got = append(got, "forever")
+			at(Forever, "forever-again")
+		})
+		e.Run()
+		return got
+	}
+	want := pops(NewHeapEngine())
+	got := pops(NewEngine())
+	if len(want) != 15 {
+		t.Fatalf("oracle popped %d events, want 15: %v", len(want), want)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("calendar pop order\n%v\nwant the heap's\n%v", got, want)
 	}
 }

@@ -43,8 +43,8 @@ type Fig struct {
 // backend overrides the engine every figure runtime uses; see SetBackend.
 var backend string
 
-// SetBackend routes subsequent figure runs onto the chosen engine
-// ("sequential" or "parallel"); the empty string keeps each machine
+// SetBackend routes subsequent figure runs onto the chosen engine (any
+// name machine.ParseBackend accepts); the empty string keeps each machine
 // config's default. Figure output is virtual-time only, so a figure's
 // table is byte-identical across backends.
 func SetBackend(b string) { backend = b }

@@ -11,6 +11,11 @@
 // and so on.
 package machine
 
+import (
+	"fmt"
+	"strings"
+)
+
 // ThermalParams describes the lumped RC thermal model of one chip.
 // Temperature evolves as
 //
@@ -93,12 +98,14 @@ type Config struct {
 
 	// Backend selects the event-engine implementation driving the
 	// simulation: "" or "sequential" is the single-threaded engine of
-	// internal/des; "parallel" (alias "parsim") is the parallel engine of
-	// internal/parsim in conservative mode, which shards the virtual PEs
-	// by node and uses Alpha (the minimum cross-node latency) as the
-	// lookahead bound; "optimistic" (alias "optsim") is the same engine in
-	// Time Warp mode, which speculates past any lookahead and rolls back
-	// stragglers. All produce bit-identical runs.
+	// internal/des; "heap" is its reference binary-heap engine; "parallel"
+	// (alias "parsim") is the parallel engine of internal/parsim in
+	// conservative mode, which shards the virtual PEs by node and uses
+	// Alpha (the minimum cross-node latency) as the lookahead bound;
+	// "optimistic" (alias "optsim") is the same engine in Time Warp mode,
+	// which speculates past any lookahead and rolls back stragglers. All
+	// produce bit-identical runs. ParseBackend is the one list of accepted
+	// spellings.
 	Backend string
 	// ParallelWorkers caps the parallel backends' worker goroutines;
 	// 0 means GOMAXPROCS.
@@ -120,6 +127,46 @@ type Config struct {
 	SnapInterval int
 
 	Thermal ThermalParams
+}
+
+// backends is the one list of Config.Backend names and their aliases.
+var backends = []struct{ name, alias string }{
+	{name: "sequential"},
+	{name: "heap"},
+	{name: "parallel", alias: "parsim"},
+	{name: "optimistic", alias: "optsim"},
+}
+
+// BackendNames renders the accepted Config.Backend spellings, for flag help
+// and error messages.
+func BackendNames() string {
+	var sb strings.Builder
+	for i, b := range backends {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(b.name)
+		if b.alias != "" {
+			sb.WriteString(" (alias " + b.alias + ")")
+		}
+	}
+	return sb.String()
+}
+
+// ParseBackend resolves a Config.Backend spelling — a canonical name, an
+// alias, or "" for the default — to its canonical name. Everything that
+// takes a backend name from a user validates it here, so an unknown name is
+// a usage error at the flag, not a panic out of charm.New.
+func ParseBackend(name string) (string, error) {
+	if name == "" {
+		return backends[0].name, nil
+	}
+	for _, b := range backends {
+		if name == b.name || name == b.alias {
+			return b.name, nil
+		}
+	}
+	return "", fmt.Errorf("unknown backend %q (want %s)", name, BackendNames())
 }
 
 // NumPEs returns the machine's total PE count.

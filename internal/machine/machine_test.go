@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -350,5 +351,34 @@ func TestEnergyAccounting(t *testing.T) {
 	if m2.Node(0).EnergyJ() >= busy {
 		t.Fatalf("DVFS-throttled node drew %v J vs %v J at full clock",
 			m2.Node(0).EnergyJ(), busy)
+	}
+}
+
+// TestParseBackend walks every accepted Config.Backend spelling — canonical
+// names, aliases, and the empty default — and a few that must be rejected
+// with an error naming what is accepted.
+func TestParseBackend(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "sequential"},
+		{"sequential", "sequential"},
+		{"heap", "heap"},
+		{"parallel", "parallel"},
+		{"parsim", "parallel"},
+		{"optimistic", "optimistic"},
+		{"optsim", "optimistic"},
+		{"bogus", ""},
+		{"Parallel", ""},
+		{"optimistic ", ""},
+	} {
+		got, err := ParseBackend(tc.in)
+		if got != tc.want || (err == nil) != (tc.want != "") {
+			t.Errorf("ParseBackend(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
+		}
+		if err != nil && !strings.Contains(err.Error(), BackendNames()) {
+			t.Errorf("ParseBackend(%q) error %q does not list the accepted names %q", tc.in, err, BackendNames())
+		}
+	}
+	if want := "sequential, heap, parallel (alias parsim), optimistic (alias optsim)"; BackendNames() != want {
+		t.Errorf("BackendNames() = %q, want %q", BackendNames(), want)
 	}
 }

@@ -643,6 +643,9 @@ type tortureCfg struct {
 	forms     bool     // rotate AtShard / AtShardFn / AtShardCommit bodies
 	cancels   bool     // cancel pending, in-flight and already-fired handles
 	slice     des.Time // > 0: drive with RunUntil slices this wide, not Run
+	// Hooks: phase runs inside every state mutation (on whichever goroutine
+	// executes it), commit at the start of every commit (on the driver).
+	phase, commit func()
 }
 
 // tortureTally counts what the optional inputs actually exercised.
@@ -700,10 +703,16 @@ func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([
 	budget := 2500
 	var schedule func(from, shard int, t des.Time)
 	phase := func(shard int) int64 {
+		if cfg.phase != nil {
+			cfg.phase()
+		}
 		state[shard] = state[shard]*3 + int64(shard) + 1
 		return state[shard]
 	}
 	commit := func(shard int, t des.Time, v int64) {
+		if cfg.commit != nil {
+			cfg.commit()
+		}
 		log = append(log, fmt.Sprintf("%d@%.9f=%d", shard, t, v))
 		if budget <= 0 {
 			return

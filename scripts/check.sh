@@ -26,9 +26,12 @@ go test -race ./...
 # workers are spread over — for the optimistic engine that covers
 # speculation, rollback, and the commit pipeline. The projections suite
 # holds the event-log flavor of the same guarantee: byte-identical traces
-# across backends.
+# across backends. The engine's own suite rides the same loop: its phase
+# handoff is a lock-free claim protocol whose failure mode at one thread is
+# a hang, not a wrong digest, and the default thread count never shows it.
 for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -count=1 -run 'CrossBackend' ./internal/apps/determinism/ ./internal/projections/
+	GOMAXPROCS=$procs go test -race -count=1 ./internal/parsim/
 done
 
 # Telemetry gate: LeanMD/PDES/Stencil2D digests must be byte-identical with
