@@ -29,7 +29,7 @@
 //	go run ./cmd/parsimbench -gate BENCH_scale.json   # fail on >20% regression
 //	go run ./cmd/parsimbench -backend optimistic -snap-interval K  # state-saving interval
 //	go run ./cmd/parsimbench -backend optimistic -snap-sweep       # K=1/4/16 vs adaptive
-//	go run ./cmd/parsimbench -gate-optsim BENCH_optsim.json  # fail on snapshot-churn regression
+//	go run ./cmd/parsimbench -gate-optsim BENCH_optsim.json  # fail on snapshot-churn or heap-traffic regression
 package main
 
 import (
@@ -85,9 +85,9 @@ func main() {
 	backend := flag.String("backend", "", "'optimistic': benchmark Time Warp against sequential and conservative-parallel on a low-lookahead PDES run (names: "+machine.BackendNames()+")")
 	scale := flag.Bool("scale", false, "run the 1k/8k/64k virtual-PE scale benchmark")
 	gate := flag.String("gate", "", "re-run the scale benchmark and fail on >20% regression against this budget file")
-	snapInterval := flag.Int("snap-interval", 0, "optimistic backend state-saving interval: image a chare every K-th speculated execution and replay between (0 = adaptive, 1 = eager per-execution snapshots)")
+	snapInterval := flag.Int("snap-interval", 0, "optimistic backend state-saving interval: image a chare every K-th speculated execution and replay between (0 = adaptive, 1 = eager per-execution snapshots; negative is a usage error)")
 	snapSweep := flag.Bool("snap-sweep", false, "sweep the optimistic backend over fixed snap intervals and the adaptive policy (requires -backend optimistic)")
-	gateOptsim := flag.String("gate-optsim", "", "re-run the optimistic PHOLD benchmark and fail on snapshot-churn regression against this budget file (BENCH_optsim.json)")
+	gateOptsim := flag.String("gate-optsim", "", "re-run the optimistic PHOLD benchmark and fail on snapshot-churn or allocs/bytes-per-event regression against this budget file (BENCH_optsim.json)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	telemetryAddr := flag.String("telemetry", "", "serve live introspection (/status, /metrics, /events, pprof) on this address during benchmark runs")
@@ -98,6 +98,10 @@ func main() {
 	be, err := machine.ParseBackend(*backend)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := (machine.Config{SnapInterval: *snapInterval}).ValidateSpeculation(); err != nil {
+		fmt.Fprintln(os.Stderr, "-snap-interval:", err)
 		os.Exit(2)
 	}
 	if *cpuprofile != "" {
@@ -314,16 +318,25 @@ type optsimResult struct {
 	// the configured interval (0 = adaptive); FinalSnapInterval and
 	// FinalWindowSec are the adaptive policy's last values. All counters
 	// are deterministic: re-running the benchmark reproduces them exactly.
+	// Retired + Invalidations is how many images' intervals ended: on
+	// schedule, and early (migration, load balancing, multi-element runs).
 	SnapshotCount     uint64  `json:"snapshots"`
 	SnapshotBytes     uint64  `json:"snapshot_bytes"`
 	SnapshotsAvoided  uint64  `json:"snapshots_avoided"`
 	Restores          uint64  `json:"snapshot_restores"`
 	Replays           uint64  `json:"replays"`
 	LoggedDeliveries  uint64  `json:"logged_deliveries"`
+	Retired           uint64  `json:"save_retired"`
 	Invalidations     uint64  `json:"save_invalidations"`
 	SnapInterval      int     `json:"snap_interval"`
 	FinalSnapInterval int     `json:"final_snap_interval"`
 	FinalWindowSec    float64 `json:"final_window_sec"`
+
+	// The optimistic run's heap traffic per engine event: properties of the
+	// code, not the host (up to what a collection empties out of the message
+	// pool), so -gate-optsim budgets them like the snapshot counters.
+	AllocsEvent float64 `json:"optimistic_allocs_per_event"`
+	BytesEvent  float64 `json:"optimistic_bytes_per_event"`
 
 	DigestsIdentical bool `json:"digests_identical"`
 	// Handoff is where the speculated phases ran — timing-dependent, unlike
@@ -346,11 +359,13 @@ func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
 
 	runtime.GOMAXPROCS(workers)
 
-	seqNs, seqSummary, _ := runPDESBench(pes, "sequential", 0, 0, cfg)
-	parNs, parSummary, _ := runPDESBench(pes, "parallel", workers, 0, cfg)
-	optNs, optSummary, optRT := runPDESBench(pes, "optimistic", workers, snapInterval, cfg)
-	st := optRT.Engine().(*parsim.Engine).EngineStats()
-	saves := optRT.SpecSaveStats()
+	seq := runPDESBench(pes, "sequential", 0, 0, cfg)
+	par := runPDESBench(pes, "parallel", workers, 0, cfg)
+	opt := runPDESBench(pes, "optimistic", workers, snapInterval, cfg)
+	eng := opt.rt.Engine().(*parsim.Engine)
+	st := eng.EngineStats()
+	saves := opt.rt.SpecSaveStats()
+	events := float64(eng.Executed())
 
 	r := optsimResult{
 		Benchmark:    "PDES/phold-low-alpha",
@@ -366,11 +381,11 @@ func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
 		GOMAXPROCS: workers,
 		Workers:    workers,
 
-		SequentialNsOp:      seqNs,
-		ParallelNsOp:        parNs,
-		OptimisticNsOp:      optNs,
-		SpeedupVsSequential: float64(seqNs) / float64(optNs),
-		SpeedupVsParallel:   float64(parNs) / float64(optNs),
+		SequentialNsOp:      seq.ns,
+		ParallelNsOp:        par.ns,
+		OptimisticNsOp:      opt.ns,
+		SpeedupVsSequential: float64(seq.ns) / float64(opt.ns),
+		SpeedupVsParallel:   float64(par.ns) / float64(opt.ns),
 
 		Launched:           st.Launched,
 		Committed:          st.Committed,
@@ -388,17 +403,21 @@ func runOptsim(smoke bool, workers, snapInterval int) optsimResult {
 		Restores:          saves.Restores,
 		Replays:           saves.Replays,
 		LoggedDeliveries:  saves.LoggedDeliveries,
+		Retired:           saves.Retired,
 		Invalidations:     saves.Invalidations,
 		SnapInterval:      snapInterval,
 		FinalSnapInterval: saves.SnapInterval,
 		FinalWindowSec:    saves.Window,
 
-		DigestsIdentical: seqSummary == parSummary && seqSummary == optSummary,
-		Handoff:          optRT.Engine().(*parsim.Engine).HandoffStats(),
+		AllocsEvent: float64(opt.allocs) / events,
+		BytesEvent:  float64(opt.bytes) / events,
+
+		DigestsIdentical: seq.summary == par.summary && seq.summary == opt.summary,
+		Handoff:          eng.HandoffStats(),
 	}
 	if !r.DigestsIdentical {
 		fmt.Fprintf(os.Stderr, "parsimbench: backend divergence!\n  sequential: %s\n  parallel:   %s\n  optimistic: %s\n",
-			seqSummary, parSummary, optSummary)
+			seq.summary, par.summary, opt.summary)
 		os.Exit(1)
 	}
 	return r
@@ -442,7 +461,7 @@ func runSnapSweep(smoke bool, workers int) snapSweepResult {
 		Lookahead: 0.05, MeanDelay: 4.0,
 	}
 	runtime.GOMAXPROCS(workers)
-	_, seqSummary, _ := runPDESBench(pes, "sequential", 0, 0, cfg)
+	seqSummary := runPDESBench(pes, "sequential", 0, 0, cfg).summary
 
 	r := snapSweepResult{
 		Benchmark:  "PDES/phold-low-alpha snap-interval sweep",
@@ -452,9 +471,10 @@ func runSnapSweep(smoke bool, workers int) snapSweepResult {
 	}
 	var eagerBytes uint64
 	for _, k := range []int{1, 4, 16, 0} {
-		ns, summary, rt := runPDESBench(pes, "optimistic", workers, k, cfg)
-		st := rt.Engine().(*parsim.Engine).EngineStats()
-		saves := rt.SpecSaveStats()
+		run := runPDESBench(pes, "optimistic", workers, k, cfg)
+		ns, summary := run.ns, run.summary
+		st := run.rt.Engine().(*parsim.Engine).EngineStats()
+		saves := run.rt.SpecSaveStats()
 		p := snapSweepPoint{
 			SnapInterval:     k,
 			OptimisticNsOp:   ns,
@@ -482,15 +502,26 @@ func runSnapSweep(smoke bool, workers int) snapSweepResult {
 	return r
 }
 
-// runPDESBench executes one PDES run and returns wall-clock ns, a result
-// summary for the cross-backend identity check, and the runtime.
-func runPDESBench(pes int, backend string, workers, snapInterval int, cfg pdes.Config) (int64, string, *charm.Runtime) {
+// pdesRun is one PDES run: wall-clock ns, a result summary for the
+// cross-backend identity check, the heap objects and bytes allocated while it
+// ran, and the runtime.
+type pdesRun struct {
+	ns            int64
+	summary       string
+	allocs, bytes uint64
+	rt            *charm.Runtime
+}
+
+func runPDESBench(pes int, backend string, workers, snapInterval int, cfg pdes.Config) pdesRun {
 	mc := machine.Testbed(pes)
 	mc.Backend = backend
 	mc.ParallelWorkers = workers
 	mc.SnapInterval = snapInterval
 	rt := charm.New(machine.New(mc))
 	defer serveTelemetry(rt).finish()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := pdes.Run(rt, cfg)
 	if err != nil {
@@ -498,9 +529,15 @@ func runPDESBench(pes int, backend string, workers, snapInterval int, cfg pdes.C
 		os.Exit(1)
 	}
 	ns := time.Since(start).Nanoseconds()
-	summary := fmt.Sprintf("events=%d committed=%d windows=%d elapsed=%v maxvt=%v",
-		rt.Engine().Executed(), res.Committed, res.Windows, res.Elapsed, res.MaxVT)
-	return ns, summary, rt
+	runtime.ReadMemStats(&after)
+	return pdesRun{
+		ns: ns,
+		summary: fmt.Sprintf("events=%d committed=%d windows=%d elapsed=%v maxvt=%v",
+			rt.Engine().Executed(), res.Committed, res.Windows, res.Elapsed, res.MaxVT),
+		allocs: after.Mallocs - before.Mallocs,
+		bytes:  after.TotalAlloc - before.TotalAlloc,
+		rt:     rt,
+	}
 }
 
 // ---- -telbench mode: telemetry-layer overhead ----
@@ -845,10 +882,12 @@ func runGate(path string) {
 }
 
 // runOptsimGate re-runs the optimistic PHOLD benchmark and gates the
-// snapshot churn against the committed BENCH_optsim.json. Snapshot counts
-// and bytes are deterministic (driver-ordered state saving on a fixed
-// seed), so any growth is a code change, not noise; they gate hard at
-// +20%. Wall-clock speeds are host-dependent and never gate.
+// snapshot churn and the run's heap traffic against the committed
+// BENCH_optsim.json. Snapshot counts and bytes are deterministic
+// (driver-ordered state saving on a fixed seed), so any growth is a code
+// change, not noise; allocations and bytes per event are properties of the
+// code like BENCH_scale.json's memory budget. All four gate hard at +20%.
+// Wall-clock speeds are host-dependent and never gate.
 func runOptsimGate(path string, workers int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -864,23 +903,29 @@ func runOptsimGate(path string, workers int) {
 		fatal(fmt.Errorf("budget config in %s is stale (LPs/events/lookahead changed); regenerate with scripts/bench.sh --optsim", path))
 	}
 
+	if budget.AllocsEvent == 0 || budget.BytesEvent == 0 {
+		fatal(fmt.Errorf("%s has no allocation budget; regenerate with scripts/bench.sh --optsim", path))
+	}
+
 	const tol = 1.2
 	failed := false
-	check := func(label string, got, want uint64) {
-		if float64(got) > float64(want)*tol+0.05 {
-			fmt.Fprintf(os.Stderr, "parsimbench: REGRESSION %s: %d exceeds budget %d by >20%%\n", label, got, want)
+	check := func(label string, got, want float64) {
+		if got > want*tol+0.05 {
+			fmt.Fprintf(os.Stderr, "parsimbench: REGRESSION %s: %.4g exceeds budget %.4g by >20%%\n", label, got, want)
 			failed = true
 		}
 	}
-	check("snapshots", cur.SnapshotCount, budget.SnapshotCount)
-	check("snapshot bytes", cur.SnapshotBytes, budget.SnapshotBytes)
+	check("snapshots", float64(cur.SnapshotCount), float64(budget.SnapshotCount))
+	check("snapshot bytes", float64(cur.SnapshotBytes), float64(budget.SnapshotBytes))
+	check("optimistic allocs/event", cur.AllocsEvent, budget.AllocsEvent)
+	check("optimistic bytes/event", cur.BytesEvent, budget.BytesEvent)
 	// The divergence check already ran inside runOptsim (it exits nonzero
 	// on any backend mismatch), so reaching here means digests held.
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("parsimbench: optsim snapshot churn within 20%% of %s budgets (%d snapshots, %d bytes)\n",
-		path, cur.SnapshotCount, cur.SnapshotBytes)
+	fmt.Printf("parsimbench: optsim snapshot churn and heap traffic within 20%% of %s budgets (%d snapshots, %d bytes, %.3f allocs/event, %.1f bytes/event)\n",
+		path, cur.SnapshotCount, cur.SnapshotBytes, cur.AllocsEvent, cur.BytesEvent)
 }
 
 func runScale(smoke bool) scaleReport {

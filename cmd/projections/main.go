@@ -137,9 +137,9 @@ func writeSpecSummary(w io.Writer, rt *charm.Runtime) {
 	fmt.Fprintf(w, "  max GVT lag %.3g vs  snapshots %.0f (%.1f KB, %.0f restored)\n",
 		vals["optsim.max_gvt_lag"], vals["optsim.snapshots"],
 		vals["optsim.snapshot_bytes"]/1024, vals["optsim.snapshot_restores"])
-	fmt.Fprintf(w, "  snapshots avoided %.0f  replayed deliveries %.0f  save invalidations %.0f\n",
+	fmt.Fprintf(w, "  snapshots avoided %.0f  replayed deliveries %.0f  saves retired %.0f, invalidated %.0f\n",
 		vals["optsim.snapshots_avoided"], vals["optsim.replays"],
-		vals["optsim.save_invalidations"])
+		vals["optsim.save_retired"], vals["optsim.save_invalidations"])
 	fmt.Fprintf(w, "  snap interval K=%.0f  optimism window %.3g vs\n",
 		vals["optsim.snap_interval"], vals["optsim.window"])
 }

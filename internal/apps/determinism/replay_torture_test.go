@@ -50,15 +50,17 @@ func torturedRun(t *testing.T, mk func() machine.Config, run func(rt *charm.Runt
 }
 
 // assertReplayTorture runs the app once sequentially, then on the
-// optimistic backend at each snapshot interval, requiring identical
-// digests. When wantRollbacks is set the config is expected to provoke
-// stragglers, and the test additionally asserts that the rollback and (for
-// K != 1) coast-forward machinery actually fired — a torture test that
-// never rolls back proves nothing.
-func assertReplayTorture(t *testing.T, name string, mk func() machine.Config, run func(rt *charm.Runtime) string, wantRollbacks bool) {
+// optimistic backend at each of the given snapshot intervals, requiring
+// identical digests. When wantRollbacks is set the config is expected to
+// provoke stragglers, and the test additionally asserts that the rollback
+// and (for K != 1) coast-forward machinery actually fired — a torture test
+// that never rolls back proves nothing. check, when non-nil, inspects each
+// optimistic run's counters further.
+func assertReplayTorture(t *testing.T, name string, intervals []int, mk func() machine.Config, run func(rt *charm.Runtime) string,
+	wantRollbacks bool, check func(t *testing.T, k int, rt *charm.Runtime)) {
 	t.Helper()
 	seq := digestedRun(t, withBackend(mk, "sequential"), run)
-	for _, k := range snapIntervals {
+	for _, k := range intervals {
 		k := k
 		t.Run(fmt.Sprintf("snap_interval=%d", k), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(8)
@@ -89,6 +91,9 @@ func assertReplayTorture(t *testing.T, name string, mk func() machine.Config, ru
 			if k != 1 && saves.SnapshotsAvoided == 0 && saves.Snapshots > 0 {
 				t.Errorf("%s: SnapInterval=%d avoided no snapshots — infrequent saving is not engaging", name, k)
 			}
+			if check != nil {
+				check(t, k, rt)
+			}
 		})
 	}
 }
@@ -103,7 +108,7 @@ func TestPDESReplayTorture(t *testing.T) {
 		LPs: 64, EventsPerLP: 8, TargetEvents: 8000, Seed: 42,
 		Lookahead: 0.05, MeanDelay: 4.0,
 	}
-	assertReplayTorture(t, "pdes",
+	assertReplayTorture(t, "pdes", snapIntervals,
 		func() machine.Config { return machine.Testbed(8) },
 		func(rt *charm.Runtime) string {
 			res, err := pdes.Run(rt, cfg)
@@ -111,7 +116,7 @@ func TestPDESReplayTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("committed=%d windows=%d maxvt=%v", res.Committed, res.Windows, res.MaxVT)
-		}, true)
+		}, true, nil)
 }
 
 // TestLeanMDReplayTorture exercises sparse imaging under migration: LB
@@ -123,7 +128,7 @@ func TestLeanMDReplayTorture(t *testing.T) {
 		AtomsPerCell: 20, Steps: 6, Seed: 42,
 		LBPeriod: 3, Gaussian: 0.35,
 	}
-	assertReplayTorture(t, "leanmd",
+	assertReplayTorture(t, "leanmd", snapIntervals,
 		func() machine.Config { return machine.Testbed(8) },
 		func(rt *charm.Runtime) string {
 			rt.SetBalancer(lb.Greedy{})
@@ -132,7 +137,7 @@ func TestLeanMDReplayTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("atoms=%d energy=%v stepdone=%v", res.Atoms, res.Energy, res.StepDone)
-		}, true)
+		}, true, nil)
 }
 
 // TestStencilReplayTorture covers the reduction-heavy bulk-synchronous
@@ -142,7 +147,7 @@ func TestStencilReplayTorture(t *testing.T) {
 	cfg := stencil.Config{
 		GridN: 96, Chares: 12, Iters: 10, LBPeriod: 4,
 	}
-	assertReplayTorture(t, "stencil",
+	assertReplayTorture(t, "stencil", snapIntervals,
 		func() machine.Config { return machine.Testbed(16) },
 		func(rt *charm.Runtime) string {
 			rt.SetBalancer(lb.Greedy{})
@@ -151,5 +156,5 @@ func TestStencilReplayTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("iters=%d residuals=%v done=%v", len(res.Residuals), res.Residuals, res.IterDone)
-		}, true)
+		}, true, nil)
 }

@@ -201,6 +201,11 @@ type App struct {
 
 	window    float64 // current window end
 	committed int64
+
+	// onWindowCB is the window reduction's callback, built once: every
+	// LP's report_min delivery passes it to Contribute, and building it
+	// there costs a method-value closure per delivery.
+	onWindowCB charm.Callback
 }
 
 // New creates the LP array and the initial PHOLD event population.
@@ -210,6 +215,7 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("pdes: need LPs")
 	}
 	a := &App{rt: rt, cfg: cfg, res: &Result{}}
+	a.onWindowCB = charm.CallbackFunc(0, a.onWindow)
 	handlers := []charm.Handler{
 		epExecute:   a.onExecute,
 		epEvent:     a.onEvent,
@@ -337,7 +343,7 @@ func (a *App) onReportMin(obj charm.Chare, ctx *charm.Ctx, msg any) {
 		m = l.Q[0]
 	}
 	ctx.Charge(3e-7)
-	ctx.Contribute(m, charm.MinF64, charm.CallbackFunc(0, a.onWindow))
+	ctx.Contribute(m, charm.MinF64, a.onWindowCB)
 }
 
 // onWindow receives the global minimum and opens the next window.

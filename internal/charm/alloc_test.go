@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"charmgo/internal/des"
 	"charmgo/internal/machine"
 	"charmgo/internal/parsim"
 	"charmgo/internal/pup"
@@ -77,26 +76,22 @@ func TestSteadyStateAllocsPerEvent(t *testing.T) {
 // no allocation at steady state, in either parallel mode. The effects are
 // typed records in the PE's reused buffer, not a list, a slice growth and a
 // closure each. Two fan elements on different shards take one trigger each
-// per round, so conservatively one of the two deliveries is launched and
-// the other runs inline; the four sink deliveries they cause ride along.
-// State saving allocates by design (a retained image per speculated chare,
-// a replay log that owns its messages), so the optimistic row shuts its
-// window: nothing is speculated, and what is left is what that mode adds
-// to every buffered delivery — the controller hooks and the resolve log.
-// The test contributes to one generation that never completes, so a
-// reduction's per-generation bookkeeping stays out of the per-delivery
-// number.
+// per round, so one of the two deliveries (conservative) or both
+// (optimistic) are launched; the four sink deliveries they cause ride
+// along. The optimistic row runs with its window open and SnapInterval 4,
+// so the measured rounds also speculate, pack an image every fourth
+// commit, log the deliveries between and retire the interval: state saving
+// works in storage the elements keep. The test contributes to one
+// generation that never completes, so a reduction's per-generation
+// bookkeeping stays out of the per-delivery number.
 func TestBufferedEffectsAllocFree(t *testing.T) {
 	const (
 		epFan EP = iota
 		epSink
 	)
-	for _, mode := range []struct {
-		backend string
-		window  float64
-	}{{"parallel", 0}, {"optimistic", 1e-12}} {
+	for _, backend := range []string{"parallel", "optimistic"} {
 		cfg := machine.Testbed(4)
-		cfg.Backend, cfg.OptimisticWindow = mode.backend, mode.window
+		cfg.Backend, cfg.SnapInterval = backend, 4
 		rt := New(machine.New(cfg))
 		var arr *Array
 		first := Reducer{Name: "first", Merge: func(a, _ any) any { return a }}
@@ -120,9 +115,7 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 				el.redGen = 0 // every contribution joins generation 0
 				m := getMsg()
 				m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, epFan, 64, i
-				// Simultaneous with the window open, so the two overlap; a
-				// nanosecond apart with it shut, so they cannot.
-				rt.send(m, rt.eng.Now()+des.Time(i)*des.Time(mode.window)*1e3)
+				rt.send(m, rt.eng.Now()) // simultaneous, so the two overlap
 			}
 		}
 		round := func() {
@@ -131,19 +124,29 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 		}
 		round()
 		arr.redOpen[0].expected = math.MaxInt // generation 0 stays open however many rounds join it
-		// Warm the pools, the slab, every calendar bucket and the effect buffers.
+		// Warm the pools, the slab, every calendar bucket, the effect buffers
+		// and — optimistic — every element's save.
 		for i := 0; i < 4096; i++ {
 			round()
 		}
 		fans.Store(0)
+		saves := rt.SpecSaveStats()
 		if n := testing.AllocsPerRun(200, round); n > 0 && !raceEnabled {
-			t.Errorf("%s: %.0f allocations per round of two fan deliveries, want 0", mode.backend, n)
+			t.Errorf("%s: %.0f allocations per round of two fan deliveries, want 0", backend, n)
 		}
 		if fans.Load() != 2*201 { // AllocsPerRun warms up with one extra call
-			t.Fatalf("%s: %d fan deliveries in 201 rounds, want 402", mode.backend, fans.Load())
+			t.Fatalf("%s: %d fan deliveries in 201 rounds, want 402", backend, fans.Load())
 		}
-		if st := rt.eng.(*parsim.Engine).EngineStats(); (st.Launched > 4000) != (mode.window == 0) {
-			t.Fatalf("%s: stats %+v: want the fan deliveries launched with the window open and only then", mode.backend, st)
+		if st := rt.eng.(*parsim.Engine).EngineStats(); st.Launched < 4000 {
+			t.Fatalf("%s: stats %+v: want the fan deliveries launched", backend, st)
+		}
+		if backend != "optimistic" {
+			continue
+		}
+		// 201 commits per fan element at K=4: each went through 50 intervals.
+		now := rt.SpecSaveStats()
+		if img, ret, logged := now.Snapshots-saves.Snapshots, now.Retired-saves.Retired, now.LoggedDeliveries-saves.LoggedDeliveries; img < 100 || ret < 100 || logged < 3*100 {
+			t.Fatalf("measured rounds packed %d images, retired %d and logged %d deliveries: want the saves cycling (>= 100, 100, 300)", img, ret, logged)
 		}
 	}
 }
@@ -171,31 +174,33 @@ func TestResolveAllocFree(t *testing.T) {
 
 // TestSnapshotSkipFastPathAllocs pins the infrequent-state-saving fast
 // path at zero allocations: when a speculated execution touches an element
-// that still holds a retained image, touchElem must only bump the
-// avoided counter and record the element in the shard's touched set —
-// no packing, no image buffer, no metadata copies. This is the path taken
+// that still holds a live image, touchElem must only bump the phase's
+// skipped count and record the element in the shard's touched set — no
+// packing, no image buffer, no metadata copies. This is the path taken
 // K-1 times out of every K speculated executions, so a single allocation
 // here would erase most of what sparse imaging saves.
 func TestSnapshotSkipFastPathAllocs(t *testing.T) {
-	sc := &specController{}
 	sp := &shardSpec{}
 	els := []*element{
-		{save: &elemSave{}},
-		{save: &elemSave{}},
-		{save: &elemSave{}},
+		{save: &elemSave{live: true}},
+		{save: &elemSave{live: true}},
+		{save: &elemSave{live: true}},
 	}
 	// Warm once so sp.touched reaches its working capacity.
 	for _, el := range els {
-		sp.touchElem(sc, el)
+		sp.touchElem(el)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		sp.touched = sp.touched[:0]
 		for _, el := range els {
-			sp.touchElem(sc, el)
-			sp.touchElem(sc, el) // dedup re-touch, the commonest case of all
+			sp.touchElem(el)
+			sp.touchElem(el) // dedup re-touch, the commonest case of all
 		}
 	}); n > 0 {
 		t.Fatalf("snapshot-skipped touch allocates %.2f per phase, want 0", n)
+	}
+	if sp.freshImages != 0 || sp.skipped != 3*1002 {
+		t.Fatalf("packed %d images and skipped %d, want 0 and %d", sp.freshImages, sp.skipped, 3*1002)
 	}
 }
 

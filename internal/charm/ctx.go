@@ -434,14 +434,14 @@ func (c *Ctx) LocalInvoke(arr *Array, idx Index, ep EP, payload any) {
 				// Speculative execution is about to mutate a second chare;
 				// make it restorable too so a rollback undoes the whole
 				// execution.
-				sp.touchElem(c.rt.spec, el)
+				sp.touchElem(el)
 			}
 			c.noteExtra(el)
 		} else {
 			// Commit-context mutation (PE handlers, collective fan-out,
 			// boot): not part of any logged phase, so the element's
 			// retained image can no longer coast-forward past it.
-			c.rt.spec.dropSave(el)
+			c.rt.spec.invalidateSave(el)
 		}
 	}
 	sub := c.rt.newCtxAt(c.pe, el, c.start)

@@ -163,7 +163,7 @@ func (rt *Runtime) Rebalance() LBReport {
 			el.comm = nil
 			// Commit-context meter reset: a retained speculation image holds
 			// the pre-reset meters, which replay cannot reconstruct.
-			rt.dropSave(el)
+			rt.invalidateSave(el)
 		}
 	}
 	if rt.lbListener != nil {
@@ -180,7 +180,7 @@ func (rt *Runtime) ResetLoadStats() {
 			el.msgsSent = 0
 			el.bytesSent = 0
 			el.comm = nil
-			rt.dropSave(el) // see the post-LB reset loop
+			rt.invalidateSave(el) // see the post-LB reset loop
 		}
 	}
 }
@@ -342,7 +342,7 @@ func (rt *Runtime) runLB() {
 				el.msgsSent = 0
 				el.bytesSent = 0
 				el.comm = nil
-				rt.dropSave(el) // see the post-LB reset loop
+				rt.invalidateSave(el) // see the post-LB reset loop
 				rt.inflight++
 				m := getMsg()
 				m.dest = el.key

@@ -75,7 +75,8 @@ type element struct {
 	// committed deliveries since it was packed (infrequent state saving,
 	// see speculation.go). Owned by the element's own shard: only the
 	// shard's phases (touchElem) and commits (onCommitted, RollbackSpec,
-	// dropSave) ever touch it, and the engine orders those.
+	// invalidateSave, dropSave) ever touch it, and the engine orders those.
+	// A pointer, so an element that is never speculated costs one word.
 	save *elemSave
 }
 
@@ -314,6 +315,9 @@ func New(m *machine.Machine) *Runtime {
 		// Time Warp needs an undo controller: the engine rolls back a
 		// shard by asking it to restore the phase's shard-local mutations
 		// (the withheld commit closure already holds every global effect).
+		if err := cfg.ValidateSpeculation(); err != nil {
+			panic("charm: " + err.Error()) // as for the backend name: CLIs validate at the flag
+		}
 		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval, des.Time(cfg.OptimisticWindow))
 		popts.Window, popts.Controller = rt.spec.baseWindow, rt.spec
 		rt.parallel = true
@@ -774,7 +778,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 		}
 	}
 	if sp != nil {
-		sp.touchElem(rt.spec, el)
+		sp.touchElem(el)
 	}
 	if rt.spec != nil {
 		p.resLog = p.resLog[:0]

@@ -3,7 +3,6 @@ package charm
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"charmgo/internal/ctrlpoint"
 	"charmgo/internal/des"
@@ -24,7 +23,7 @@ import (
 // delivery slot, the executed chare's state, and a location-cache hint.
 //
 // Chare state uses *infrequent state saving* (Rönngren & Ayani): an element
-// is PUP-packed only when it has no retained image — which, by the commit
+// is PUP-packed only when it has no live image — which, by the commit
 // hook's bookkeeping, happens every K-th committed execution. Between
 // images, the commit of each delivery appends the delivery's inputs (the
 // pooled message, its timestamp, and the resolve answers its sends
@@ -39,15 +38,24 @@ import (
 // point that also throttles the engine's optimism window under rollback
 // storms.
 
-// elemSave is one element's retained state image plus the replay log of
-// committed deliveries executed since the image was taken. It lives on the
-// element (element.save) across speculations; it is dropped — image buffer
-// and retained messages returned to their pools — when the log reaches the
-// saving interval, when a commit-context or multi-element execution
-// mutates the element outside the log's single-element replay model, or
-// when migration/destruction/recovery invalidates the state outright.
+// elemSave is one element's state-saving storage: the retained image of its
+// committed state plus the replay log of committed deliveries executed since
+// the image was packed. It is allocated at the element's first speculative
+// touch and then kept for as long as the element stays put, so steady-state
+// saving allocates nothing: an interval that ends — the log reached the
+// saving interval, the array is on the eager contract, a commit-context or
+// multi-element execution mutated the element outside the log's
+// single-element replay model, a load-balancing round reset its meters —
+// only marks the save not live, hands the log's messages back to msgPool at
+// that moment and truncates the log (retire), and the next touch packs into
+// the same buffers. Only a structural change — migration, evacuation,
+// destruction, Replace, RecoverReset — releases the storage (el.save = nil),
+// so a departed element pins nothing.
 type elemSave struct {
-	img []byte // pooled PUP image of el.obj at image time (committed state)
+	// live marks a retained image: img, the meta fields and the log describe
+	// the element's committed state. Not live, everything below is capacity.
+	live bool
+	img  []byte // PUP image of el.obj at image time, in a buffer the save owns
 
 	// Runtime-side element fields a phase may mutate, at image time (load
 	// accounting is commit-side and never rolls back).
@@ -57,14 +65,15 @@ type elemSave struct {
 	hasPos    bool
 	atSync    bool
 	redGen    uint64
+	hasComm   bool               // el.comm was non-nil at image time
 	comm      map[elemKey]uint64 // owned copy; never aliased to el.comm
 
 	// log holds the committed deliveries since img, in commit order.
 	// resolves is the flat arena of location-cache answers their sends
-	// observed (each record owns the [resStart,resEnd) slice): the caches
-	// may learn newer hints before a rollback, and Ctx.Now — which apps
-	// fold into chare state — prices sends from these answers, so replay
-	// must re-read the originals, not the live caches.
+	// observed (record i owns the slice from record i-1's resEnd to its
+	// own): the caches may learn newer hints before a rollback, and Ctx.Now
+	// — which apps fold into chare state — prices sends from these answers,
+	// so replay must re-read the originals, not the live caches.
 	log      []replayRec
 	resolves []int32
 }
@@ -73,21 +82,76 @@ type elemSave struct {
 // inputs that deterministically reproduce it, plus the after-values the
 // commit observed, verified after re-execution as a divergence tripwire.
 type replayRec struct {
-	//charmvet:retain (replay log: the save owns the pooled message until the next image or an invalidation returns it via putMsg)
+	//charmvet:retain (replay log: the save owns the pooled message until its interval retires and returns it via putMsg)
 	m  *message
 	at des.Time
-
-	resStart, resEnd int
 
 	// After-values at the original commit. elapsed doubles as the dynamic-
 	// frequency tripwire: every other elapsed input is pinned by the record,
 	// so a mismatch means PE speed changed between execution and replay — a
 	// machine model infrequent saving cannot coast across (see DESIGN.md).
-	elapsed   des.Time
-	msgsSent  uint64
-	bytesSent uint64
-	redGen    uint64
-	atSync    bool
+	// meters packs the element's other four phase-mutable fields (see
+	// packMeters).
+	elapsed des.Time
+	meters  uint64
+
+	resEnd int32 // end of this record's answers in the save's resolves arena
+}
+
+// The meters word of a replayRec: the low bits of the element's send
+// counters and reduction generation plus its AtSync flag, each in a field of
+// its own so a tripwire mismatch still names the meter that diverged. One
+// delivery moves a counter by far less than its field's range, so comparing
+// the low bits catches every divergence the full values would.
+const (
+	meterMsgsBits  = 20
+	meterBytesBits = 32
+	meterGenBits   = 11
+)
+
+func packMeters(el *element) uint64 {
+	w := el.msgsSent & (1<<meterMsgsBits - 1)
+	w |= el.bytesSent & (1<<meterBytesBits - 1) << meterMsgsBits
+	w |= el.redGen & (1<<meterGenBits - 1) << (meterMsgsBits + meterBytesBits)
+	if el.atSync {
+		w |= 1 << 63
+	}
+	return w
+}
+
+// meterDiff names the first field in which two meters words differ, with
+// both values ("" when the words are equal).
+func meterDiff(got, want uint64) string {
+	for _, f := range [...]struct {
+		name        string
+		shift, bits uint
+	}{
+		{"msgsSent", 0, meterMsgsBits},
+		{"bytesSent", meterMsgsBits, meterBytesBits},
+		{"redGen", meterMsgsBits + meterBytesBits, meterGenBits},
+		{"atSync", 63, 1},
+	} {
+		mask := uint64(1)<<f.bits - 1
+		if g, w := got>>f.shift&mask, want>>f.shift&mask; g != w {
+			return fmt.Sprintf("%s %d want %d (low %d bits)", f.name, g, w, f.bits)
+		}
+	}
+	return ""
+}
+
+// retire ends the save's interval: the log's messages go back to the pool
+// now — not at the next image — so an element that is never speculated
+// again holds no message or payload, and the records are unreachable from
+// this moment on. The image buffer, the log's and arena's capacity and the
+// comm map stay for the next interval.
+func (sv *elemSave) retire() {
+	for i := range sv.log {
+		putMsg(sv.log[i].m)
+	}
+	clear(sv.log)
+	sv.log = sv.log[:0]
+	sv.resolves = sv.resolves[:0]
+	sv.live = false
 }
 
 // shardSpec is the undo log of one shard's in-flight speculation. A
@@ -110,11 +174,14 @@ type shardSpec struct {
 
 	// touched lists the elements this speculation executed (and must
 	// restore on rollback); freshImages/freshBytes count the images the
-	// phase packed, read by the driver after the phase's done-edge to feed
-	// the cost model with deterministic inputs.
+	// phase packed and skipped the touches that found a live one. The phase
+	// owns its shard, so these are plain fields; the driver reads them after
+	// the phase's done-edge, folding them into the controller's totals and
+	// feeding the cost model with deterministic inputs.
 	touched     []*element
-	freshImages int
+	freshImages uint64
 	freshBytes  uint64
+	skipped     uint64
 
 	// Location-cache undo (updateLocCache's phase body). cacheDense marks
 	// a write to the array's flat hint table (cacheOff its slot, cacheNil
@@ -155,26 +222,28 @@ const (
 // on whichever goroutine claimed it, ordered against the driver by the
 // engine's post/claim/done atomics. The commit hook (onCommitted) and the
 // tuner run on the driver in commit order, so every input to the adaptive
-// decisions is deterministic — phase-written atomics feed only metrics,
-// never policy.
+// decisions is deterministic. Nothing here is shared between goroutines: a
+// phase counts what it packed and skipped in its own shardSpec, and the
+// driver folds that in when it closes the speculation.
 type specController struct {
 	rt     *Runtime
 	eng    *parsim.Engine
 	shards []shardSpec
 
-	// Snapshot counters feed the optsim.* metrics family. Phases on
-	// different shards pack and skip concurrently, so these are atomics —
-	// the only speculation state shared across goroutines. Their final
-	// (run-end) values are deterministic; mid-run reads are side-band.
-	snapshots     atomic.Uint64
-	snapshotBytes atomic.Uint64
-	avoided       atomic.Uint64
-	restores      atomic.Uint64
-
-	// Driver-owned counters (commit order, deterministic).
+	// Driver-owned counters feeding the optsim.* metrics family (commit
+	// order, deterministic; the gauges are evaluated on the driver too).
+	snapshots     uint64 // images packed, folded in as speculations close
+	snapshotBytes uint64
+	avoided       uint64 // touches that found a live image
+	restores      uint64 // element restores across all rollbacks
 	replays       uint64 // coast-forward handler re-executions
-	invalidations uint64 // retained images dropped before their interval
+	retired       uint64 // intervals ended on schedule: the K-th commit, the eager contract
+	invalidations uint64 // live images dropped before their interval
 	logged        uint64 // committed deliveries appended to replay logs
+
+	// replayCtx is the one context coast-forward re-executes logged
+	// deliveries in, reset per record.
+	replayCtx Ctx
 
 	// ---- adaptive saving interval + optimism window (driver-owned) ----
 	fixedK     int // Config.SnapInterval: >=1 pins K and disables tuning
@@ -215,11 +284,12 @@ func newSpecController(rt *Runtime, shards, fixedK int, window des.Time) *specCo
 }
 
 func (sc *specController) registerMetrics(reg *metrics.Registry) {
-	reg.GaugeFunc("optsim.snapshots", func() float64 { return float64(sc.snapshots.Load()) })
-	reg.GaugeFunc("optsim.snapshot_bytes", func() float64 { return float64(sc.snapshotBytes.Load()) })
-	reg.GaugeFunc("optsim.snapshot_restores", func() float64 { return float64(sc.restores.Load()) })
-	reg.GaugeFunc("optsim.snapshots_avoided", func() float64 { return float64(sc.avoided.Load()) })
+	reg.GaugeFunc("optsim.snapshots", func() float64 { return float64(sc.snapshots) })
+	reg.GaugeFunc("optsim.snapshot_bytes", func() float64 { return float64(sc.snapshotBytes) })
+	reg.GaugeFunc("optsim.snapshot_restores", func() float64 { return float64(sc.restores) })
+	reg.GaugeFunc("optsim.snapshots_avoided", func() float64 { return float64(sc.avoided) })
 	reg.GaugeFunc("optsim.replays", func() float64 { return float64(sc.replays) })
+	reg.GaugeFunc("optsim.save_retired", func() float64 { return float64(sc.retired) })
 	reg.GaugeFunc("optsim.save_invalidations", func() float64 { return float64(sc.invalidations) })
 	reg.GaugeFunc("optsim.snap_interval", func() float64 { return float64(sc.curK()) })
 	reg.GaugeFunc("optsim.window", func() float64 { return float64(sc.eng.Window()) })
@@ -250,31 +320,63 @@ func (rt *Runtime) specFor(pe int) *shardSpec {
 }
 
 // BeginSpec opens shard s's undo log. Runs on the driver strictly before
-// the phase is posted for whoever claims it.
+// the phase is posted for whoever claims it. A closed log is all zero (see
+// close), so opening it is one store.
 func (sc *specController) BeginSpec(s int) {
 	sp := &sc.shards[s]
 	if sp.active {
 		panic(fmt.Sprintf("charm: BeginSpec on shard %d with a speculation already open", s))
 	}
-	*sp = shardSpec{active: true, touched: sp.touched[:0]}
+	sp.active = true
+}
+
+// close folds the phase's image counts into the controller's totals and
+// returns the log to its closed, all-zero state by resetting what the phase
+// set — a phase writes one of the dequeue and location-cache groups, not
+// the whole struct. The value fields of a group (times, the cache key and
+// entry) are only read behind its marker and rewritten with it.
+func (sc *specController) close(sp *shardSpec) {
+	sp.active = false
+	sc.snapshots += sp.freshImages
+	sc.snapshotBytes += sp.freshBytes
+	sc.avoided += sp.skipped
+	sp.freshImages, sp.freshBytes, sp.skipped = 0, 0, 0
+	clear(sp.touched)
+	sp.touched = sp.touched[:0]
+	if sp.p != nil {
+		sp.p, sp.popped, sp.spare = nil, nil, nil
+		sp.pendM, sp.pendEl, sp.pendCtx = nil, nil, nil
+	}
+	if sp.cacheP != nil {
+		sp.cacheP = nil
+		sp.cacheDense, sp.cacheHad, sp.cacheNil = false, false, false
+	}
+}
+
+// tick counts one speculation outcome and retunes once per tunePeriod.
+// Small enough to inline: 1023 calls in 1024 are a counter bump.
+func (sc *specController) tick() {
+	if sc.sys == nil {
+		return // fixed interval: nothing adapts
+	}
+	if sc.tuneTick++; sc.tuneTick%tunePeriod == 0 {
+		sc.tune()
+	}
 }
 
 // CommitSpec closes a committed speculation's log. Fossil collection is
-// lazy now: retained images persist on their elements across speculations
-// — that is the whole point of infrequent saving — and are reclaimed at
-// the next image or invalidation. The driver harvests the phase's
-// image-packing counts here (safe and deterministic: the phase's done-edge
-// precedes its pop) to feed the cost model.
+// lazy: retained images persist on their elements across speculations —
+// that is the whole point of infrequent saving — and are retired by the
+// commit hook. The driver harvests the phase's image-packing counts here
+// (safe and deterministic: the phase's done-edge precedes its pop) to feed
+// the cost model.
 func (sc *specController) CommitSpec(s int) {
 	sp := &sc.shards[s]
 	sc.dCommits++
-	sc.dImgCount += uint64(sp.freshImages)
+	sc.dImgCount += sp.freshImages
 	sc.dImgBytes += sp.freshBytes
-	for i := range sp.touched {
-		sp.touched[i] = nil
-	}
-	*sp = shardSpec{touched: sp.touched[:0]}
-	sc.tune()
+	sc.close(sp)
+	sc.tick()
 }
 
 // RollbackSpec undoes the phase's shard-local mutations, in reverse of the
@@ -311,18 +413,17 @@ func (sc *specController) RollbackSpec(s int) {
 		}
 	}
 
-	// Executed chares: restore the last retained image, then coast-forward
-	// over the replay log so the element lands exactly on its committed
+	// Executed chares: restore the live image, then coast-forward over the
+	// replay log so the element lands exactly on its committed
 	// pre-speculation state.
-	for i, el := range sp.touched {
+	for _, el := range sp.touched {
 		sv := el.save
-		if sv == nil {
+		if sv == nil || !sv.live {
 			panic(fmt.Sprintf("charm: rollback of %v with no retained image", el.key))
 		}
 		sc.restoreImage(el, sv)
 		sc.coastForward(el, sv)
-		sp.touched[i] = nil
-		sc.restores.Add(1)
+		sc.restores++
 	}
 
 	// The dequeue: push the popped message back (the queue's (prio, seq)
@@ -341,9 +442,9 @@ func (sc *specController) RollbackSpec(s int) {
 		p.pendM, p.pendEl, p.pendCtx, p.pendAt = sp.pendM, sp.pendEl, sp.pendCtx, sp.pendAt
 	}
 
-	*sp = shardSpec{touched: sp.touched[:0]}
+	sc.close(sp)
 	sc.dRollbacks++
-	sc.tune()
+	sc.tick()
 }
 
 // noteDequeue records the pump/queue/context state runOne is about to
@@ -382,57 +483,46 @@ func (sp *shardSpec) noteLocCache(rt *Runtime, p *peState, key elemKey) {
 }
 
 // touchElem guarantees el is restorable if this speculation rolls back.
-// With an image already retained the touch is free — the snapshot-skipped
-// fast path, zero allocations — because the image plus the replay log
-// reconstruct the element's committed state regardless of what this phase
-// does to it. Without one, the element is packed now: the phase has not
-// yet mutated the object, so the image is committed state and stays valid
-// no matter the speculation's fate. Dedupes by element — one execution can
-// reach the same chare twice through LocalInvoke, and only the first touch
-// decides. Phase context, on whichever goroutine claimed the phase.
-func (sp *shardSpec) touchElem(sc *specController, el *element) {
+// With a live image the touch is free — the snapshot-skipped fast path,
+// zero allocations — because the image plus the replay log reconstruct the
+// element's committed state regardless of what this phase does to it.
+// Without one, the element is packed now: the phase has not yet mutated the
+// object, so the image is committed state and stays valid no matter the
+// speculation's fate. Dedupes by element — one execution can reach the same
+// chare twice through LocalInvoke, and only the first touch decides. Phase
+// context, on whichever goroutine claimed the phase.
+func (sp *shardSpec) touchElem(el *element) {
 	for _, t := range sp.touched {
 		if t == el {
 			return
 		}
 	}
-	if el.save == nil {
-		sc.packImage(el)
-		sp.freshImages++
-		sp.freshBytes += uint64(len(el.save.img))
+	if sv := el.save; sv != nil && sv.live {
+		sp.skipped++
 	} else {
-		sc.avoided.Add(1)
+		sp.freshImages++
+		sp.freshBytes += uint64(len(el.packImage().img))
 	}
 	sp.touched = append(sp.touched, el)
 }
 
-// packImage retires el's previous save (image buffer and retained replay
-// messages back to their pools) and packs a fresh image of its committed
-// state, reusing the save's backing storage. Worker or driver context —
-// never both for one element: an element's save is only ever reached from
-// its own shard's phase (touch) or its own shard's commits (append/drop),
-// and the engine orders those.
-func (sc *specController) packImage(el *element) {
+// packImage opens a saving interval: it packs el's committed state into the
+// element's save — allocated on the first touch, reused with its buffers
+// from then on — and marks it live. Phase context — never concurrent with
+// the driver for one element: a save is only ever reached from its own
+// shard's phase (touch) or its own shard's commits (append/retire), and the
+// engine orders those.
+func (el *element) packImage() *elemSave {
 	sv := el.save
 	if sv == nil {
 		sv = &elemSave{}
 		el.save = sv
-	} else {
-		for i := range sv.log {
-			putMsg(sv.log[i].m)
-			sv.log[i] = replayRec{}
-		}
-		sv.log = sv.log[:0]
-		sv.resolves = sv.resolves[:0]
-		pup.PutBuffer(sv.img)
 	}
-	sv.img = pup.PackTo(pup.GetBuffer(), el.obj)
+	sv.img = pup.PackTo(sv.img[:0], el.obj)
 	sv.msgsSent, sv.bytesSent = el.msgsSent, el.bytesSent
 	sv.pos, sv.hasPos = el.pos, el.hasPos
 	sv.atSync, sv.redGen = el.atSync, el.redGen
-	if el.comm == nil {
-		sv.comm = nil
-	} else {
+	if sv.hasComm = el.comm != nil; sv.hasComm {
 		if sv.comm == nil {
 			sv.comm = make(map[elemKey]uint64, len(el.comm))
 		} else {
@@ -443,15 +533,15 @@ func (sc *specController) packImage(el *element) {
 			sv.comm[k] = v
 		}
 	}
-	sc.snapshots.Add(1)
-	sc.snapshotBytes.Add(uint64(len(sv.img)))
+	sv.live = true
+	return sv
 }
 
 // restoreImage rolls el back to its image-time committed state: the PUP
 // image is unpacked into a factory-fresh object, exactly as migration
 // re-homes state, and the image-time meta fields are copied back (the comm
-// map deeply — the save persists past this rollback, and replay mutates
-// el.comm).
+// map deeply, into el's own map — the save persists past this rollback,
+// and replay mutates el.comm).
 func (sc *specController) restoreImage(el *element, sv *elemSave) {
 	fresh := sc.rt.arrays[el.key.array].NewElement()
 	if err := pup.Unpack(sv.img, fresh); err != nil {
@@ -461,15 +551,18 @@ func (sc *specController) restoreImage(el *element, sv *elemSave) {
 	el.msgsSent, el.bytesSent = sv.msgsSent, sv.bytesSent
 	el.pos, el.hasPos = sv.pos, sv.hasPos
 	el.atSync, el.redGen = sv.atSync, sv.redGen
-	if sv.comm == nil {
+	if !sv.hasComm {
 		el.comm = nil
+		return
+	}
+	if el.comm == nil {
+		el.comm = make(map[elemKey]uint64, len(sv.comm))
 	} else {
-		comm := make(map[elemKey]uint64, len(sv.comm))
-		//charmvet:ordered (map-to-map copy: the result is identical under any iteration order)
-		for k, v := range sv.comm {
-			comm[k] = v
-		}
-		el.comm = comm
+		clear(el.comm)
+	}
+	//charmvet:ordered (map-to-map copy: the result is identical under any iteration order)
+	for k, v := range sv.comm {
+		el.comm[k] = v
 	}
 }
 
@@ -486,37 +579,47 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 	arr := rt.arrays[el.key.array]
 	cfg := rt.mach.Config()
 	fx := &rt.pes[el.pe].fx
+	ctx := &sc.replayCtx
+	resStart := 0
 	for i := range sv.log {
 		rec := &sv.log[i]
-		ctx := rt.newCtxAt(el.pe, el, rec.at)
-		ctx.phase = true
-		ctx.replay = true
-		ctx.fx = fx // buffer — then discard — every global effect
-		ctx.cause = rec.m.traceID
-		ctx.res = sv.resolves[:rec.resEnd]
-		ctx.resIdx = rec.resStart
+		*ctx = Ctx{
+			rt: rt, pe: el.pe, elem: el, start: rec.at,
+			phase: true, replay: true,
+			fx:    fx, // buffer — then discard — every global effect
+			cause: rec.m.traceID,
+			res:   sv.resolves[:rec.resEnd], resIdx: resStart,
+		}
 		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, rec.m.srcPE)
 		ctx.chargeLoadWork(cfg.RecvOverheadLocal)
 		arr.handlers[rec.m.ep](el.obj, ctx, rec.m.payload)
 		fx.discard()
-		if ctx.resIdx != rec.resEnd || ctx.elapsed != rec.elapsed ||
-			el.msgsSent != rec.msgsSent || el.bytesSent != rec.bytesSent ||
-			el.redGen != rec.redGen || el.atSync != rec.atSync {
-			panic(fmt.Sprintf("charm: coast-forward replay of %v diverged at log entry %d/%d "+
-				"(elapsed %v want %v, msgsSent %d want %d): handler state must be a pure function "+
-				"of (chare, payload) — a Now()-dependence on dynamic PE speed, or payload mutation, "+
-				"breaks infrequent saving (set SnapInterval: 1 to restore eager snapshots)",
-				el.key, i, len(sv.log), ctx.elapsed, rec.elapsed, el.msgsSent, rec.msgsSent))
+		if meters := packMeters(el); ctx.resIdx != int(rec.resEnd) || ctx.elapsed != rec.elapsed || meters != rec.meters {
+			var what string
+			switch {
+			case ctx.elapsed != rec.elapsed:
+				what = fmt.Sprintf("elapsed %v want %v", ctx.elapsed, rec.elapsed)
+			case meters != rec.meters:
+				what = meterDiff(meters, rec.meters)
+			default:
+				what = fmt.Sprintf("%d location resolves want %d", ctx.resIdx-resStart, int(rec.resEnd)-resStart)
+			}
+			panic(fmt.Sprintf("charm: coast-forward replay of %v diverged at log entry %d/%d (%s): "+
+				"handler state must be a pure function of (chare, payload) — a Now()-dependence on "+
+				"dynamic PE speed, or payload mutation, breaks infrequent saving (set SnapInterval: 1 "+
+				"to restore eager snapshots)", el.key, i, len(sv.log), what))
 		}
+		resStart = int(rec.resEnd)
 		sc.replays++
 	}
+	*ctx = Ctx{}
 }
 
 // onCommitted runs in every element delivery's commit on the optimistic
 // backend — speculated and inline pops alike — and decides the fate of the
-// element's retained image: extend the replay log with this delivery
-// (taking ownership of its message as the replay input), retire the image
-// when the log has reached the saving interval, or drop it when the
+// element's live image: extend the replay log with this delivery (taking
+// ownership of its message as the replay input), retire the interval when
+// the log has reached the saving interval, or invalidate it when the
 // execution mutated chares the single-element replay model cannot cover.
 // Returns whether it took ownership of m. Driver context, commit order.
 func (sc *specController) onCommitted(el *element, ctx *Ctx, m *message, at des.Time) bool {
@@ -524,90 +627,87 @@ func (sc *specController) onCommitted(el *element, ctx *Ctx, m *message, at des.
 		// Multi-element execution (LocalInvoke reached other chares): the
 		// per-element logs hold only single-element deliveries, so every
 		// touched image goes stale.
-		sc.dropSave(el)
+		sc.invalidateSave(el)
 		for _, ex := range ctx.extraEls {
-			sc.dropSave(ex)
+			sc.invalidateSave(ex)
 		}
 		return false
 	}
 	sv := el.save
-	if sv == nil {
+	if sv == nil || !sv.live {
 		return false
 	}
-	if !sc.rt.arrays[el.key.array].opts.PureHandlers {
-		// Handlers may consult mutable app-global state, which replay
-		// cannot pin: stay eager — retire the image every commit, exactly
-		// the pre-infrequent-saving behavior.
-		sc.dropSave(el)
+	// Two scheduled ends of an interval. Handlers not declared pure may
+	// consult mutable app-global state, which replay cannot pin: stay eager
+	// — retire every commit, exactly the pre-infrequent-saving behavior.
+	// Otherwise the K-th execution since the image is due: retire now, so
+	// the next speculative touch packs fresh and the coast-forward chain a
+	// rollback must re-execute stays bounded at K-1 deliveries.
+	if !sc.rt.arrays[el.key.array].opts.PureHandlers || len(sv.log)+1 >= sc.curK() {
+		sv.retire()
+		sc.retired++
 		return false
 	}
-	if len(sv.log)+1 >= sc.curK() {
-		// The K-th execution since the image is due: retire now, so the
-		// next speculative touch packs fresh and the coast-forward chain a
-		// rollback must re-execute stays bounded at K-1 deliveries.
-		sc.dropSave(el)
-		return false
+	if sv.log == nil {
+		// Sized once, not doubled into: a log holds at most K-1 records, the
+		// adaptive K never passes maxSnapInterval, and a larger fixed one
+		// grows past it by append.
+		k := maxSnapInterval
+		if sc.fixedK > 0 && sc.fixedK < k {
+			k = sc.fixedK
+		}
+		sv.log = make([]replayRec, 0, k-1)
 	}
-	p := sc.rt.pes[ctx.pe]
-	start := len(sv.resolves)
-	sv.resolves = append(sv.resolves, p.resLog...)
+	sv.resolves = append(sv.resolves, sc.rt.pes[ctx.pe].resLog...)
 	sv.log = append(sv.log, replayRec{
-		//charmvet:retain (replay log: the save owns m until the next image or an invalidation returns it via putMsg)
-		m:         m,
-		at:        at,
-		resStart:  start,
-		resEnd:    len(sv.resolves),
-		elapsed:   ctx.elapsed,
-		msgsSent:  el.msgsSent,
-		bytesSent: el.bytesSent,
-		redGen:    el.redGen,
-		atSync:    el.atSync,
+		//charmvet:retain (replay log: the save owns m until its interval retires and returns it via putMsg)
+		m:       m,
+		at:      at,
+		elapsed: ctx.elapsed,
+		meters:  packMeters(el),
+		resEnd:  int32(len(sv.resolves)),
 	})
 	sc.logged++
 	return true
 }
 
-// dropSave invalidates el's retained image, returning the image buffer and
-// the log's retained messages to their pools. Driver/global context (every
-// caller — commit hooks, structural mutation, recovery — runs there).
-func (sc *specController) dropSave(el *element) {
-	sv := el.save
-	if sv == nil {
-		return
+// invalidateSave ends el's interval early because something outside its
+// replay log changed the element: a commit-context or multi-element
+// execution, a load-balancing round's meter reset. The storage stays with
+// the element. Driver/global context.
+func (sc *specController) invalidateSave(el *element) {
+	if sv := el.save; sv != nil && sv.live {
+		sv.retire()
+		sc.invalidations++
 	}
-	el.save = nil
-	sc.invalidations++
-	for i := range sv.log {
-		putMsg(sv.log[i].m)
-		sv.log[i] = replayRec{}
-	}
-	pup.PutBuffer(sv.img)
-	sv.img = nil
 }
 
-// dropSave is the runtime-side hook structural mutations call: migration,
-// destruction, checkpoint rollback, and Replace all leave the retained
-// image describing a state trajectory that no longer exists.
+// invalidateSave is the hook the runtime's commit-context meter resets
+// call; see the controller's method.
+func (rt *Runtime) invalidateSave(el *element) {
+	if rt.spec != nil {
+		rt.spec.invalidateSave(el)
+	}
+}
+
+// dropSave is the hook structural mutations call: migration, evacuation,
+// destruction, checkpoint rollback and Replace all leave the element's
+// state trajectory somewhere its save cannot follow, so the interval is
+// invalidated and the storage released with it — a departed or destroyed
+// element pins neither buffers nor a log.
 func (rt *Runtime) dropSave(el *element) {
 	if rt.spec != nil {
-		rt.spec.dropSave(el)
+		rt.spec.invalidateSave(el)
+		el.save = nil
 	}
 }
 
-// tune recomputes the saving interval and the optimism window once per
-// tuning period. Driver context; every input — the driver-owned outcome
+// tune recomputes the saving interval and the optimism window; tick calls it
+// once per tuning period. Driver context; every input — the driver-owned outcome
 // counters and the engine's Stats — is deterministic in commit order, so
 // the adaptive decisions (and therefore snapshot counts, launch decisions,
 // and Stats) are identical run to run.
 func (sc *specController) tune() {
-	if sc.sys == nil {
-		return // fixed interval: nothing adapts
-	}
-	sc.tuneTick++
-	if sc.tuneTick%tunePeriod != 0 {
-		return
-	}
-
 	// Feed the control system one observation (lower = better): rollbacks
 	// weighted against inline pops this period. Too much optimism shows up
 	// as rollbacks; too little shows up as events the launcher never dared
@@ -659,12 +759,14 @@ func (rt *Runtime) SpecSnapshotStats() (snapshots, bytes uint64) {
 	if rt.spec == nil {
 		return 0, 0
 	}
-	return rt.spec.snapshots.Load(), rt.spec.snapshotBytes.Load()
+	return rt.spec.snapshots, rt.spec.snapshotBytes
 }
 
 // SpecSaveStats is the state-saving profile of an optimistic run: images
-// packed vs skipped, rollback restores and coast-forward re-executions,
-// and the adaptive policy's current interval and window.
+// packed vs skipped, rollback restores and coast-forward re-executions, how
+// the images' intervals ended, and the adaptive policy's current interval
+// and window. The image counts cover closed speculations (all of them once
+// Run returns).
 type SpecSaveStats struct {
 	Snapshots        uint64
 	SnapshotBytes    uint64
@@ -672,10 +774,16 @@ type SpecSaveStats struct {
 	Restores         uint64
 	Replays          uint64
 	LoggedDeliveries uint64
-	Invalidations    uint64
-	SnapInterval     int
-	Adaptive         bool
-	Window           float64
+	// Retired counts intervals that ended on schedule — the K-th commit
+	// since the image, or every commit on the eager contract (SnapInterval 1
+	// and arrays without PureHandlers). Invalidations counts live images
+	// dropped before that: migration, destruction, recovery, a load-balancing
+	// meter reset, a multi-element or commit-context execution.
+	Retired       uint64
+	Invalidations uint64
+	SnapInterval  int
+	Adaptive      bool
+	Window        float64
 }
 
 // SpecSaveStats reports the optimistic backend's state-saving counters
@@ -686,12 +794,13 @@ func (rt *Runtime) SpecSaveStats() SpecSaveStats {
 		return SpecSaveStats{}
 	}
 	return SpecSaveStats{
-		Snapshots:        sc.snapshots.Load(),
-		SnapshotBytes:    sc.snapshotBytes.Load(),
-		SnapshotsAvoided: sc.avoided.Load(),
-		Restores:         sc.restores.Load(),
+		Snapshots:        sc.snapshots,
+		SnapshotBytes:    sc.snapshotBytes,
+		SnapshotsAvoided: sc.avoided,
+		Restores:         sc.restores,
 		Replays:          sc.replays,
 		LoggedDeliveries: sc.logged,
+		Retired:          sc.retired,
 		Invalidations:    sc.invalidations,
 		SnapInterval:     sc.curK(),
 		Adaptive:         sc.fixedK <= 0,

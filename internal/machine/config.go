@@ -169,6 +169,21 @@ func ParseBackend(name string) (string, error) {
 	return "", fmt.Errorf("unknown backend %q (want %s)", name, BackendNames())
 }
 
+// ValidateSpeculation reports the optimistic backend's settings that lie
+// outside their accepted range. Like a backend name, whatever takes them
+// from a user checks them here, so a negative value is a usage error at the
+// flag — not a silent "adaptive" or "unbounded", and not a panic out of
+// charm.New.
+func (c Config) ValidateSpeculation() error {
+	if c.SnapInterval < 0 {
+		return fmt.Errorf("snap interval %d out of range (want 0 = adaptive, 1 = eager, or K >= 2)", c.SnapInterval)
+	}
+	if !(c.OptimisticWindow >= 0) { // negative or NaN
+		return fmt.Errorf("optimistic window %v out of range (want 0 = unbounded, or a positive number of virtual seconds)", c.OptimisticWindow)
+	}
+	return nil
+}
+
 // NumPEs returns the machine's total PE count.
 func (c Config) NumPEs() int { return c.NumNodes * c.PEsPerNode }
 

@@ -146,10 +146,14 @@ type Status struct {
 
 	// Optimistic-backend state saving (zero on other backends): snapshots
 	// actually packed vs skipped by infrequent saving, coast-forward
-	// replay executions, and the live adaptive settings.
+	// replay executions, how the images' intervals ended (retired on
+	// schedule vs invalidated early by migration, load balancing or a
+	// multi-element execution), and the live adaptive settings.
 	Snapshots        uint64  `json:"snapshots,omitempty"`
 	SnapshotsAvoided uint64  `json:"snapshots_avoided,omitempty"`
 	Replays          uint64  `json:"replays,omitempty"`
+	SavesRetired     uint64  `json:"save_retired,omitempty"`
+	SavesInvalidated uint64  `json:"save_invalidations,omitempty"`
 	SnapInterval     int     `json:"snap_interval,omitempty"`
 	SnapAdaptive     bool    `json:"snap_adaptive,omitempty"`
 	WindowSec        float64 `json:"optimism_window_sec,omitempty"`
@@ -374,6 +378,8 @@ func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 		st.Snapshots = saves.Snapshots
 		st.SnapshotsAvoided = saves.SnapshotsAvoided
 		st.Replays = saves.Replays
+		st.SavesRetired = saves.Retired
+		st.SavesInvalidated = saves.Invalidations
 		st.SnapInterval = saves.SnapInterval
 		st.SnapAdaptive = saves.Adaptive
 		st.WindowSec = saves.Window

@@ -14,10 +14,12 @@
 #                               # against the committed BENCH_scale.json budgets
 #                               # (memory metrics gate hard; events/sec warns),
 #                               # then re-run the optimistic PHOLD benchmark and
-#                               # fail on snapshot-churn regression against the
-#                               # committed BENCH_optsim.json (snapshots taken
-#                               # and snapshot bytes gate hard — both are
-#                               # deterministic counters, not wall-clock)
+#                               # fail on snapshot-churn or heap-traffic
+#                               # regression against the committed
+#                               # BENCH_optsim.json (snapshots taken, snapshot
+#                               # bytes, and the optimistic run's allocations
+#                               # and bytes per event gate hard — properties
+#                               # of the code, not wall-clock)
 #   scripts/bench.sh --optsim   # three-backend PHOLD at low lookahead,
 #                               # rewrites BENCH_optsim.json (speculation
 #                               # stats, rollback ratio, wasted work, and

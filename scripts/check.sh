@@ -16,6 +16,10 @@ go vet ./...
 go run ./cmd/charmvet -baseline charmvet.baseline ./...
 go run ./cmd/charmvet -json ./... > /dev/null
 go test -race ./...
+# The allocation pins assert nothing under -race (sync.Pool drops Puts
+# there, so the counts are compiled out behind raceEnabled): run them once
+# without it.
+go test -count=1 -run 'Alloc' ./internal/charm/ ./internal/parsim/ ./internal/des/
 # bench/ is its own module, invisible to the ./... above. Its smoke suite is
 # what catches a renamed engine gauge or a cross-backend digest break in the
 # repository benchmark (BENCHMARK.json).
