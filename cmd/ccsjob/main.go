@@ -26,7 +26,6 @@ import (
 	"charmgo/internal/projections"
 	"charmgo/internal/pup"
 	"charmgo/internal/telemetry"
-	"charmgo/internal/trace"
 )
 
 // worker is a self-perpetuating compute chare: the job iterates until told
@@ -92,8 +91,6 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 		defer tsrv.Close()
 		fmt.Printf("telemetry: http://%s\n", tsrv.Addr())
 	}
-	tr := trace.New(rt, 0.05)
-	tr.Start()
 	events := projections.Attach(rt, projections.Options{})
 
 	var arr *charm.Array
@@ -143,7 +140,7 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 			rt.Stats.MsgsDelivered, rt.Stats.Migrations), nil
 	})
 	srv.Register("timeline", func(string) (string, error) {
-		return tr.Timeline(16), nil
+		return events.Utilization(0.05).Timeline(16), nil
 	})
 	projections.InstallCCS(srv, events)
 	srv.Register("ckpt", func(path string) (string, error) {
@@ -158,7 +155,6 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 	})
 	srv.Register("stop", func(string) (string, error) {
 		stopped = true
-		tr.Stop() // let the engine drain completely
 		return "stopping after the current iterations drain", nil
 	})
 

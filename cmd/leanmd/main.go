@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"charmgo/internal/charm"
@@ -15,7 +16,6 @@ import (
 	"charmgo/internal/malleable"
 	"charmgo/internal/projections"
 	"charmgo/internal/telemetry"
-	"charmgo/internal/trace"
 
 	"charmgo/internal/apps/leanmd"
 )
@@ -58,14 +58,9 @@ func main() {
 		AtomsPerCell: *atoms, Gaussian: *gaussian, Steps: *steps, Seed: 1,
 		UseMulticast: *multicast,
 	}
-	var tr *trace.Tracer
-	if *traceOut != "" {
-		tr = trace.New(rt, 1e-4)
-		tr.Start()
-	}
 	var events *projections.Tracer
-	if *perfetto != "" || *eventsOut != "" || *profile {
-		events = projections.Attach(rt, projections.Options{EngineEvents: true})
+	if engine := *perfetto != "" || *eventsOut != "" || *profile; engine || *traceOut != "" {
+		events = projections.Attach(rt, projections.Options{EngineEvents: engine})
 	}
 	if s := pickStrategy(*balancer); s != nil {
 		rt.SetBalancer(s)
@@ -115,19 +110,6 @@ func main() {
 	}
 	fmt.Printf("total virtual time: %.4f s; migrations: %d; LB rounds: %d\n",
 		float64(res.Elapsed), rt.Stats.Migrations, rt.LBRounds())
-	if tr != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := tr.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: %d samples to %s\n", len(tr.Samples()), *traceOut)
-	}
 	if events != nil {
 		if *profile {
 			fmt.Println()
@@ -136,7 +118,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		writeEvents := func(path string, fn func(*os.File) error, what string) {
+		writeEvents := func(path string, fn func(io.Writer) error, what string) {
 			f, err := os.Create(path)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -149,14 +131,17 @@ func main() {
 			}
 			fmt.Printf("%s: %d events to %s\n", what, events.Recorded(), path)
 		}
+		if *traceOut != "" {
+			writeEvents(*traceOut, events.Utilization(1e-4).WriteJSON, "utilization trace")
+		}
 		if *perfetto != "" {
-			writeEvents(*perfetto, func(f *os.File) error {
-				return projections.WritePerfetto(f, events.Events())
+			writeEvents(*perfetto, func(w io.Writer) error {
+				return projections.WritePerfetto(w, events.Events())
 			}, "perfetto trace")
 		}
 		if *eventsOut != "" {
-			writeEvents(*eventsOut, func(f *os.File) error {
-				return projections.WriteLog(f, events.Events())
+			writeEvents(*eventsOut, func(w io.Writer) error {
+				return projections.WriteLog(w, events.Events())
 			}, "event log")
 		}
 	}

@@ -1,13 +1,9 @@
-// parsimbench measures the event core. Three modes:
+// parsimbench measures the event core. Two modes:
 //
 //   - default: the parallel (parsim) backend against the sequential engine
 //     on a large Stencil2D run, emitting BENCH_parsim.json. The two
 //     backends are required to produce identical results — the benchmark
 //     refuses to report a speedup on diverging runs.
-//   - -micro: LeanMD and PDES microbenchmarks on the calendar-queue engine
-//     against the reference binary-heap engine, in one process. The ratio
-//     is host-independent in the sense that both engines run the same
-//     event stream on the same host back to back.
 //   - -scale: Stencil2D at 1k/8k/64k virtual PEs, recording events/sec,
 //     bytes/event, allocs/event, steady-state allocs/event, and live heap,
 //     emitting BENCH_scale.json (the budget file scripts/bench.sh gates
@@ -24,7 +20,6 @@
 //
 //	go run ./cmd/parsimbench -out BENCH_parsim.json   # full benchmark
 //	go run ./cmd/parsimbench -smoke                   # small config for CI
-//	go run ./cmd/parsimbench -micro                   # calendar vs heap engines
 //	go run ./cmd/parsimbench -scale -out BENCH_scale.json
 //	go run ./cmd/parsimbench -gate BENCH_scale.json   # fail on >20% regression
 //	go run ./cmd/parsimbench -backend optimistic -snap-interval K  # state-saving interval
@@ -39,10 +34,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"time"
 
-	"charmgo/internal/apps/leanmd"
 	"charmgo/internal/apps/pdes"
 	"charmgo/internal/apps/stencil"
 	"charmgo/internal/charm"
@@ -81,7 +74,6 @@ func main() {
 	smoke := flag.Bool("smoke", false, "small configuration for CI: validates the harness, not the speedup")
 	out := flag.String("out", "", "write the JSON report to this file (default: stdout only)")
 	workers := flag.Int("workers", 8, "parsim worker goroutines (and GOMAXPROCS) for the parallel run")
-	micro := flag.Bool("micro", false, "run the LeanMD/PDES calendar-vs-heap engine microbenchmarks")
 	backend := flag.String("backend", "", "'optimistic': benchmark Time Warp against sequential and conservative-parallel on a low-lookahead PDES run (names: "+machine.BackendNames()+")")
 	scale := flag.Bool("scale", false, "run the 1k/8k/64k virtual-PE scale benchmark")
 	gate := flag.String("gate", "", "re-run the scale benchmark and fail on >20% regression against this budget file")
@@ -91,7 +83,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	telemetryAddr := flag.String("telemetry", "", "serve live introspection (/status, /metrics, /events, pprof) on this address during benchmark runs")
-	telbench := flag.Bool("telbench", false, "measure the telemetry layer's overhead (attached vs detached) on all three backends")
 	flag.Parse()
 	telemetryServeAddr = *telemetryAddr
 
@@ -133,10 +124,6 @@ func main() {
 		runGate(*gate)
 	case *gateOptsim != "":
 		runOptsimGate(*gateOptsim, *workers)
-	case *telbench:
-		emit(runTelbench(*smoke, *workers), *out)
-	case *micro:
-		emit(runMicro(*smoke), *out)
 	case *scale:
 		emit(runScale(*smoke), *out)
 	case be == "optimistic" && *snapSweep:
@@ -537,200 +524,6 @@ func runPDESBench(pes int, backend string, workers, snapInterval int, cfg pdes.C
 		allocs: after.Mallocs - before.Mallocs,
 		bytes:  after.TotalAlloc - before.TotalAlloc,
 		rt:     rt,
-	}
-}
-
-// ---- -telbench mode: telemetry-layer overhead ----
-
-// telemetryBackendResult is one backend's attached-vs-detached comparison.
-type telemetryBackendResult struct {
-	Backend          string  `json:"backend"`
-	DisabledNs       int64   `json:"disabled_ns_per_op"`
-	EnabledNs        int64   `json:"enabled_ns_per_op"`
-	OverheadPct      float64 `json:"overhead_pct"`
-	EventsExecuted   uint64  `json:"events_executed"`
-	DigestsIdentical bool    `json:"digests_identical"`
-}
-
-// telemetryResult is the BENCH_telemetry.json payload: the same Stencil2D
-// run on all three backends, with and without the telemetry probe
-// attached. Two claims are gated downstream: digests are byte-identical
-// either way (the layer is side-band), and the enabled overhead stays a
-// small fraction of the run (the hooks are atomic bumps).
-type telemetryResult struct {
-	Benchmark  string                   `json:"benchmark"`
-	Machine    string                   `json:"machine"`
-	GridN      int                      `json:"grid_n"`
-	Chares     int                      `json:"chares"`
-	Iters      int                      `json:"iters"`
-	Reps       int                      `json:"reps"`
-	HostCPUs   int                      `json:"host_cpus"`
-	GOMAXPROCS int                      `json:"gomaxprocs"`
-	Backends   []telemetryBackendResult `json:"backends"`
-}
-
-func runTelbench(smoke bool, workers int) telemetryResult {
-	pes, grid, chares, iters, reps := 64, 768, 8, 12, 5
-	if smoke {
-		pes, grid, chares, iters, reps = 16, 192, 4, 6, 3
-	}
-	cfg := stencil.Config{GridN: grid, Chares: chares, Iters: iters}
-	runtime.GOMAXPROCS(workers)
-
-	measure := func(backend string, attach bool) (int64, string, uint64) {
-		times := make([]int64, 0, reps)
-		var summary string
-		var events uint64
-		for i := 0; i < reps; i++ {
-			mc := machine.Testbed(pes)
-			mc.Backend = backend
-			mc.ParallelWorkers = workers
-			rt := charm.New(machine.New(mc))
-			var tel *telemetry.Telemetry
-			if attach {
-				tel = telemetry.Attach(rt, telemetry.Options{FlightDir: os.TempDir()})
-			}
-			start := time.Now()
-			res, err := stencil.Run(rt, cfg)
-			if err != nil {
-				fatal(fmt.Errorf("telbench %s run: %w", backend, err))
-			}
-			times = append(times, time.Since(start).Nanoseconds())
-			if tel != nil {
-				tel.Final()
-			}
-			summary = fmt.Sprintf("events=%d residuals=%v done=%v",
-				rt.Engine().Executed(), res.Residuals, res.IterDone)
-			events = rt.Engine().Executed()
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[len(times)/2], summary, events
-	}
-
-	r := telemetryResult{
-		Benchmark: "Stencil2D/telemetry-overhead",
-		Machine:   fmt.Sprintf("Testbed(%d)", pes),
-		GridN:     grid, Chares: chares, Iters: iters, Reps: reps,
-		HostCPUs: runtime.NumCPU(), GOMAXPROCS: workers,
-	}
-	for _, backend := range []string{"sequential", "parallel", "optimistic"} {
-		offNs, offSum, events := measure(backend, false)
-		onNs, onSum, _ := measure(backend, true)
-		br := telemetryBackendResult{
-			Backend:          backend,
-			DisabledNs:       offNs,
-			EnabledNs:        onNs,
-			OverheadPct:      100 * (float64(onNs) - float64(offNs)) / float64(offNs),
-			EventsExecuted:   events,
-			DigestsIdentical: offSum == onSum,
-		}
-		if !br.DigestsIdentical {
-			fmt.Fprintf(os.Stderr, "parsimbench: telemetry perturbed the %s run!\n  off: %s\n  on:  %s\n",
-				backend, offSum, onSum)
-			os.Exit(1)
-		}
-		r.Backends = append(r.Backends, br)
-	}
-	return r
-}
-
-// ---- -micro mode: calendar-queue engine vs reference heap engine ----
-
-type microResult struct {
-	Benchmark          string  `json:"benchmark"`
-	VirtualPEs         int     `json:"virtual_pes"`
-	Events             uint64  `json:"events"`
-	CalendarNs         int64   `json:"calendar_ns"`
-	HeapNs             int64   `json:"heap_ns"`
-	CalendarEventsSec  float64 `json:"calendar_events_per_sec"`
-	HeapEventsSec      float64 `json:"heap_events_per_sec"`
-	CalendarOverHeap   float64 `json:"calendar_over_heap"`
-	ResultsIdentical   bool    `json:"results_identical"`
-	CalendarAllocEvent float64 `json:"calendar_allocs_per_event"`
-	HeapAllocEvent     float64 `json:"heap_allocs_per_event"`
-}
-
-type microRun struct {
-	ns     int64
-	events uint64
-	allocs uint64
-	digest string
-}
-
-func microApp(backend string, app func(rt *charm.Runtime) string, pes int) microRun {
-	mc := machine.Testbed(pes)
-	mc.Backend = backend
-	rt := charm.New(machine.New(mc))
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	digest := app(rt)
-	ns := time.Since(start).Nanoseconds()
-	runtime.ReadMemStats(&after)
-	return microRun{
-		ns:     ns,
-		events: rt.Engine().Executed(),
-		allocs: after.Mallocs - before.Mallocs,
-		digest: digest,
-	}
-}
-
-func micro(name string, pes int, app func(rt *charm.Runtime) string) microResult {
-	// Warm the process-wide pools so the calendar run (first) is not
-	// charged for populating them while the heap run reuses them.
-	microApp("sequential", app, pes)
-	cal := microApp("sequential", app, pes)
-	hp := microApp("heap", app, pes)
-	r := microResult{
-		Benchmark:          name,
-		VirtualPEs:         pes,
-		Events:             cal.events,
-		CalendarNs:         cal.ns,
-		HeapNs:             hp.ns,
-		CalendarEventsSec:  float64(cal.events) / (float64(cal.ns) / 1e9),
-		HeapEventsSec:      float64(hp.events) / (float64(hp.ns) / 1e9),
-		CalendarOverHeap:   float64(hp.ns) / float64(cal.ns),
-		ResultsIdentical:   cal.digest == hp.digest && cal.events == hp.events,
-		CalendarAllocEvent: float64(cal.allocs) / float64(cal.events),
-		HeapAllocEvent:     float64(hp.allocs) / float64(hp.events),
-	}
-	if !r.ResultsIdentical {
-		fmt.Fprintf(os.Stderr, "parsimbench: %s: calendar/heap divergence!\n  calendar: events=%d %s\n  heap:     events=%d %s\n",
-			name, cal.events, cal.digest, hp.events, hp.digest)
-		os.Exit(1)
-	}
-	return r
-}
-
-func runMicro(smoke bool) []microResult {
-	lmdPes, lmdCells, lmdSteps := 64, 6, 8
-	pdesPes, pdesLPs, pdesEPL := 64, 64*64, 8
-	if smoke {
-		lmdPes, lmdCells, lmdSteps = 16, 4, 3
-		pdesPes, pdesLPs, pdesEPL = 16, 16*16, 4
-	}
-	return []microResult{
-		micro("LeanMD/steps", lmdPes, func(rt *charm.Runtime) string {
-			res, err := leanmd.Run(rt, leanmd.Config{
-				CellsX: lmdCells, CellsY: lmdCells, CellsZ: lmdCells,
-				AtomsPerCell: 27, Steps: lmdSteps, Seed: 5, MigratePeriod: 100,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			return fmt.Sprintf("%v", res.StepTimes())
-		}),
-		micro("PDES/phold", pdesPes, func(rt *charm.Runtime) string {
-			res, err := pdes.Run(rt, pdes.Config{
-				LPs: pdesLPs, EventsPerLP: pdesEPL,
-				TargetEvents: pdesLPs * pdesEPL * 2, Seed: 11,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			return fmt.Sprintf("%d %v", res.Committed, res.Elapsed)
-		}),
 	}
 }
 

@@ -7,17 +7,13 @@
 //
 //	projections -app leanmd -perfetto out.json     trace a run, export
 //	projections -in run.log                        analyze a saved log
-//	projections -selfbench [-smoke] [-out f.json]  tracing-overhead bench
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"time"
 
 	"charmgo/internal/apps/leanmd"
 	"charmgo/internal/apps/pdes"
@@ -36,21 +32,15 @@ func main() {
 	perfetto := flag.String("perfetto", "", "write Chrome trace-event JSON here (load at ui.perfetto.dev)")
 	logOut := flag.String("log", "", "write the raw event log (JSON lines) here")
 	in := flag.String("in", "", "analyze a saved event log instead of running an app")
-	selfbench := flag.Bool("selfbench", false, "measure tracing overhead instead of tracing a run")
-	smoke := flag.Bool("smoke", false, "selfbench: fewer reps, smaller run")
-	out := flag.String("out", "", "selfbench: write the result JSON here")
 	flag.Parse()
 	if _, err := machine.ParseBackend(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	switch {
-	case *selfbench:
-		runSelfbench(*smoke, *out)
-	case *in != "":
+	if *in != "" {
 		analyzeFile(*in, *top, *perfetto)
-	default:
+	} else {
 		traceRun(*app, *pes, *backend, *scale, *top, *perfetto, *logOut)
 	}
 }
@@ -60,19 +50,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runApp executes the selected app on a fresh runtime and returns it.
+// runApp executes the selected app, traced, on a fresh runtime. The two
+// default runs' logs are pinned by internal/projections' TestLogPinCrossBackend.
 func runApp(app string, pes, scale int, backend string) (*charm.Runtime, *projections.Tracer) {
-	cfg := machine.Testbed(pes)
-	cfg.Backend = backend
-	rt := charm.New(machine.New(cfg))
+	mcfg := machine.Testbed(pes)
+	mcfg.Backend = backend
+	rt := charm.New(machine.New(mcfg))
 	tr := projections.Attach(rt, projections.Options{EngineEvents: true})
 	rt.SetBalancer(lb.Greedy{})
-	runAppOn(rt, app, scale)
-	return rt, tr
-}
-
-// runAppOn drives one app execution on an existing runtime.
-func runAppOn(rt *charm.Runtime, app string, scale int) {
 	switch app {
 	case "leanmd":
 		cfg := leanmd.Config{
@@ -95,6 +80,7 @@ func runAppOn(rt *charm.Runtime, app string, scale int) {
 		fmt.Fprintf(os.Stderr, "unknown app %q (want leanmd or pdes)\n", app)
 		os.Exit(2)
 	}
+	return rt, tr
 }
 
 func traceRun(app string, pes int, backend string, scale, top int, perfetto, logOut string) {
@@ -174,69 +160,5 @@ func writeTo(path string, fn func(*os.File) error) {
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
-	}
-}
-
-// benchResult is the BENCH_projections.json payload.
-type benchResult struct {
-	Bench       string  `json:"bench"`
-	App         string  `json:"app"`
-	Smoke       bool    `json:"smoke"`
-	Reps        int     `json:"reps"`
-	DisabledNs  int64   `json:"disabled_ns"`  // median wall time, no tracer attached
-	EnabledNs   int64   `json:"enabled_ns"`   // median wall time, tracer + engine events
-	OverheadPct float64 `json:"overhead_pct"` // enabled vs disabled
-	Events      uint64  `json:"events"`       // events recorded per traced run
-}
-
-// runSelfbench measures the wall-clock cost of tracing: the same LeanMD
-// run with no tracer attached (the nil-hook fast path) and with the full
-// tracer recording engine events. Virtual results are identical by
-// construction; only wall time differs.
-func runSelfbench(smoke bool, out string) {
-	reps, scale := 7, 2
-	if smoke {
-		reps, scale = 3, 1
-	}
-	run := func(traced bool) (int64, uint64) {
-		times := make([]int64, 0, reps)
-		var events uint64
-		for i := 0; i < reps; i++ {
-			cfg := machine.Testbed(16)
-			rt := charm.New(machine.New(cfg))
-			rt.SetBalancer(lb.Greedy{})
-			var tr *projections.Tracer
-			if traced {
-				tr = projections.Attach(rt, projections.Options{EngineEvents: true})
-			}
-			t0 := time.Now()
-			runAppOn(rt, "leanmd", scale)
-			times = append(times, time.Since(t0).Nanoseconds())
-			if tr != nil {
-				events = tr.Recorded()
-			}
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[len(times)/2], events
-	}
-	disabled, _ := run(false)
-	enabled, events := run(true)
-	res := benchResult{
-		Bench: "projections_overhead", App: "leanmd", Smoke: smoke, Reps: reps,
-		DisabledNs: disabled, EnabledNs: enabled,
-		OverheadPct: 100 * (float64(enabled) - float64(disabled)) / float64(disabled),
-		Events:      events,
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fatal(err)
-	}
-	if out != "" {
-		writeTo(out, func(f *os.File) error {
-			e := json.NewEncoder(f)
-			e.SetIndent("", "  ")
-			return e.Encode(res)
-		})
 	}
 }

@@ -1,25 +1,29 @@
 // Introspection example: the runtime continuously observes itself — the
-// §III-E story. A Projections-style tracer samples per-PE utilization
-// while an imbalanced LeanMD runs; the load database names the heaviest
+// §III-E story. A Projections-style tracer logs every entry execution
+// while an imbalanced LeanMD runs, and the per-PE utilization timeline is
+// computed from that log; the load database names the heaviest
 // objects; and after an RTS-triggered rebalance the same instruments show
 // the machine leveled out.
 package main
 
 import (
 	"fmt"
+	"sort"
 
 	"charmgo"
+	"charmgo/internal/charm"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
-	"charmgo/internal/trace"
+	"charmgo/internal/projections"
 
 	"charmgo/internal/apps/leanmd"
 )
 
 func main() {
 	rt := charmgo.NewRuntime(charmgo.NewMachine(machine.Testbed(8)))
-	tr := trace.New(rt, 0.0005)
-	tr.Start()
+	// The ring is sized to the run (~42k events per PE) so the timeline
+	// starts at t=0 on every PE.
+	tr := projections.Attach(rt, projections.Options{RingCap: 1 << 16})
 
 	cfg := leanmd.Config{
 		CellsX: 4, CellsY: 4, CellsZ: 4, AtomsPerCell: 27,
@@ -37,8 +41,7 @@ func main() {
 			maxE, avgE := lb.Imbalance(objs, pes)
 			fmt.Printf("step %d: measured imbalance max/avg = %.2f — triggering LB\n",
 				step, maxE/avgE)
-			top := trace.LoadProfile(rt, 3)
-			for _, o := range top {
+			for _, o := range loadProfile(rt, 3) {
 				fmt.Printf("  heaviest object %s%v on PE %d: %.3f ms of load\n",
 					o.Array.Name(), o.Idx, o.PE, o.Load*1e3)
 			}
@@ -63,7 +66,24 @@ func main() {
 	fmt.Printf("\nstep time before LB: %.3f ms, after: %.3f ms\n", before*1e3, after*1e3)
 
 	fmt.Println("\nper-PE utilization timeline (one column per 0.5 ms):")
-	fmt.Print(tr.Timeline(8))
-	pe, util := tr.HottestPE()
-	fmt.Printf("hottest PE: %d at %.0f%% mean utilization\n", pe, util*100)
+	util := tr.Utilization(0.0005)
+	fmt.Print(util.Timeline(8))
+	pe, mean := util.HottestPE()
+	fmt.Printf("hottest PE: %d at %.0f%% mean utilization\n", pe, mean*100)
+}
+
+// loadProfile summarizes the current per-object load database: the top-k
+// heaviest migratable objects.
+func loadProfile(rt *charm.Runtime, k int) []charm.LBObject {
+	objs, _ := rt.LBView()
+	sort.Slice(objs, func(i, j int) bool {
+		if objs[i].Load != objs[j].Load {
+			return objs[i].Load > objs[j].Load
+		}
+		return objs[i].Idx.Less(objs[j].Idx)
+	})
+	if k > 0 && len(objs) > k {
+		objs = objs[:k]
+	}
+	return objs
 }

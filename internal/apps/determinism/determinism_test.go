@@ -8,8 +8,6 @@
 package determinism
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -18,27 +16,16 @@ import (
 	"charmgo/internal/charm"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
-	"charmgo/internal/trace"
 )
 
-// digestedRun executes one simulation with a tracer attached and returns a
-// digest of everything observable about the run: the full utilization/
-// message trace, the event count, and the app-level result summary.
+// digestedRun executes one simulation with a recorder attached and returns
+// a digest of everything observable about the run: the full event log
+// (every send, receive, execution, migration and LB round, in emission
+// order), the event count, and the app-level result summary.
 func digestedRun(t *testing.T, mk func() machine.Config, run func(rt *charm.Runtime) string) string {
 	t.Helper()
-	rt := charm.New(machine.New(mk()))
-	tr := trace.New(rt, 0.05)
-	tr.Start()
-	summary := run(rt)
-
-	h := sha256.New()
-	fmt.Fprintf(h, "summary %s\n", summary)
-	fmt.Fprintf(h, "events %d\n", rt.Engine().Executed())
-	fmt.Fprintf(h, "stats %+v\n", rt.Stats)
-	if err := tr.WriteJSON(h); err != nil {
-		t.Fatalf("writing trace: %v", err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	digest, _ := torturedRun(t, mk, run)
+	return digest
 }
 
 func assertIdenticalRuns(t *testing.T, name string, mk func() machine.Config, run func(rt *charm.Runtime) string) {

@@ -14,7 +14,7 @@ import (
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
 	"charmgo/internal/parsim"
-	"charmgo/internal/trace"
+	"charmgo/internal/projections"
 )
 
 // Replay torture suite: the optimistic backend with infrequent state saving
@@ -35,16 +35,21 @@ var snapIntervals = []int{1, 4, 16, 0}
 func torturedRun(t *testing.T, mk func() machine.Config, run func(rt *charm.Runtime) string) (string, *charm.Runtime) {
 	t.Helper()
 	rt := charm.New(machine.New(mk()))
-	tr := trace.New(rt, 0.05)
-	tr.Start()
+	// Each ring holds the busiest PE of the suite's largest run (50,386
+	// events in TestPDESReplayTorture), so the digest covers every event.
+	tr := projections.Attach(rt, projections.Options{RingCap: 1 << 16})
 	summary := run(rt)
 
 	h := sha256.New()
 	fmt.Fprintf(h, "summary %s\n", summary)
 	fmt.Fprintf(h, "events %d\n", rt.Engine().Executed())
 	fmt.Fprintf(h, "stats %+v\n", rt.Stats)
-	if err := tr.WriteJSON(h); err != nil {
-		t.Fatalf("writing trace: %v", err)
+	events := tr.Events()
+	if len(events) == 0 || tr.Dropped() != 0 {
+		t.Fatalf("event log incomplete: %d events held, %d dropped", len(events), tr.Dropped())
+	}
+	if err := projections.WriteLog(h, events); err != nil {
+		t.Fatalf("writing event log: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), rt
 }

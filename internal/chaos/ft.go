@@ -368,7 +368,7 @@ func (c *Controller) evacuateDueWarns() des.Time {
 		total += dur
 		c.rt.Metrics().Counter("chaos.evacuations").Inc()
 		if h := c.rt.Trace(); h != nil {
-			h.Fault(c.rt.Now(), "evacuate", w.f.PE)
+			h.Emit(charm.Event{Kind: charm.KFault, At: c.rt.Now(), PE: w.f.PE, Entry: string(charm.FaultEvacuate)})
 		}
 		if c.obs != nil {
 			c.obs.Evacuated(w.f.PE, c.rt.Now())
@@ -420,7 +420,7 @@ func (c *Controller) warnDelivered(f Fault) {
 	rt.SetPEEvacuating(f.PE, true)
 	rt.Metrics().Counter("chaos.warnings").Inc()
 	if h := rt.Trace(); h != nil {
-		h.Fault(rt.Now(), "warn", f.PE)
+		h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultWarn)})
 	}
 }
 
@@ -458,8 +458,8 @@ func (c *Controller) warnLands(f Fault) {
 		w.rec.BootCost = float64(boot)
 		rt.Metrics().Counter("chaos.crashes_absorbed").Inc()
 		if h := rt.Trace(); h != nil {
-			h.Fault(rt.Now(), "crash", f.PE)
-			h.Fault(rt.Now(), "replace", f.PE)
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultCrash)})
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultReplace)})
 		}
 	} else if !rt.PEDead(f.PE) {
 		c.noteCrash(f.PE)
@@ -515,7 +515,7 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 		c.restarts++
 		rt.Metrics().Counter("chaos.nested_recoveries").Inc()
 		if h := rt.Trace(); h != nil {
-			h.Fault(at, "detect", pe)
+			h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
 		}
 		if c.obs != nil {
 			c.obs.FailureDetected(pe, at)
@@ -538,7 +538,7 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 	c.firstDetectedAt = float64(at)
 	rt.Metrics().Counter("chaos.detections").Inc()
 	if h := rt.Trace(); h != nil {
-		h.Fault(at, "detect", pe)
+		h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
 	}
 	if c.obs != nil {
 		c.obs.FailureDetected(pe, at)
@@ -641,7 +641,7 @@ func (c *Controller) finishRecovery(resumedAt float64) {
 	rt.Metrics().Counter("chaos.recoveries").Inc()
 	if h := rt.Trace(); h != nil {
 		for _, pe := range rec.PEs {
-			h.Fault(rt.Now(), "recover", pe)
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: pe, Entry: string(charm.FaultRecover)})
 		}
 	}
 	if c.obs != nil {

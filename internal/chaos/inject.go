@@ -65,7 +65,7 @@ func (inj *injector) arm() {
 				}
 				mach.SetInterference(f.PE, f.Factor)
 				if h := rt.Trace(); h != nil {
-					h.Fault(rt.Now(), "straggler", f.PE)
+					h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultStraggler)})
 				}
 			})
 			eng.At(des.Time(f.Until), func() {

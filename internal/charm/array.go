@@ -396,8 +396,9 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) {
 
 	rt.owner[el.eid] = int32(toPE) // home PE updated during migration (§II-D)
 	rt.Stats.Migrations++
-	if rt.hooks != nil {
-		rt.hooks.Migration(rt.eng.Now(), rt.arrays[el.key.array].name, el.key.idx, from, toPE)
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: from,
+			Arr: rt.arrays[el.key.array].name, Idx: el.key.idx.String(), A: int64(from), B: int64(toPE)})
 	}
 }
 

@@ -70,8 +70,8 @@ func (rt *Runtime) CrashPE(pe int) {
 	}
 	p.q = nil
 	rt.mach.ResetNIC(pe)
-	if rt.hooks != nil {
-		rt.hooks.Fault(rt.eng.Now(), "crash", pe)
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: pe, Entry: string(FaultCrash)})
 	}
 	rt.checkQD()
 }
@@ -94,8 +94,8 @@ func (rt *Runtime) dropInjected(m *message, dst int, t des.Time) {
 	}
 	rt.Stats.MsgsDropped++
 	putMsg(m)
-	if rt.hooks != nil {
-		rt.hooks.Fault(t, "drop", dst)
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KFault, At: t, PE: dst, Entry: string(FaultDrop)})
 	}
 	rt.checkQD()
 }
@@ -218,8 +218,8 @@ func (rt *Runtime) RecoverReset() {
 			rt.dropSave(el)
 		}
 	}
-	if rt.hooks != nil {
-		rt.hooks.Fault(rt.eng.Now(), "rollback", -1)
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: -1, Entry: string(FaultRollback)})
 	}
 }
 

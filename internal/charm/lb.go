@@ -114,8 +114,8 @@ func (rt *Runtime) StallActivePEs(t des.Time) {
 func (rt *Runtime) Rebalance() LBReport {
 	objs, pes := rt.LBView()
 	start := rt.MaxBusy()
-	if rt.hooks != nil {
-		rt.hooks.LBStart(start, rt.lbCount, len(objs))
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KLBStart, At: start, PE: -1, A: int64(rt.lbCount), B: int64(len(objs))})
 	}
 	decision := 0.0
 	var migs []Migration
@@ -128,8 +128,8 @@ func (rt *Runtime) Rebalance() LBReport {
 			decision = 2e-4 + 2e-7*n*float64(log2ceil(len(objs)+1))
 		}
 	}
-	if rt.hooks != nil {
-		rt.hooks.LBDecision(start+des.Time(decision), rt.strategyName(), len(migs))
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KLBDecision, At: start + des.Time(decision), PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
 	}
 	maxXfer := des.Time(0)
 	moved := 0
@@ -150,8 +150,8 @@ func (rt *Runtime) Rebalance() LBReport {
 	dur := des.Time(decision) + maxXfer + rt.barrierLatency()
 	rt.StallActivePEs(start + dur)
 	rep := rt.summarize(objs, pes, start, dur, moved)
-	if rt.hooks != nil {
-		rt.hooks.LBDone(start+dur, rt.lbCount, moved, dur)
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KLBDone, At: start + dur, PE: -1, A: int64(rt.lbCount), B: int64(moved), Dur: dur})
 	}
 	rt.lbCount++
 	rt.Stats.LBInvocations++
@@ -263,8 +263,8 @@ func (rt *Runtime) LBView() ([]LBObject, []LBPE) {
 func (rt *Runtime) runLB() {
 	objs, pes := rt.LBView()
 	start := rt.eng.Now()
-	if rt.hooks != nil {
-		rt.hooks.LBStart(start, rt.lbCount, len(objs))
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KLBStart, At: start, PE: -1, A: int64(rt.lbCount), B: int64(len(objs))})
 	}
 
 	var migs []Migration
@@ -278,8 +278,8 @@ func (rt *Runtime) runLB() {
 			decision = 2e-4 + 2e-7*n*float64(log2ceil(len(objs)+1))
 		}
 	}
-	if rt.hooks != nil {
-		rt.hooks.LBDecision(start+des.Time(decision), rt.strategyName(), len(migs))
+	if rt.trace != nil {
+		rt.trace.Emit(Event{Kind: KLBDecision, At: start + des.Time(decision), PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
 	}
 
 	// Apply migrations; the span of the transfer phase is the max cost of
@@ -306,8 +306,8 @@ func (rt *Runtime) runLB() {
 	resumeAt := start + des.Time(decision) + maxXfer + rt.barrierLatency()
 	rt.atEpoch(resumeAt, func() {
 		rt.lbInProgress = false
-		if rt.hooks != nil {
-			rt.hooks.LBDone(resumeAt, rt.lbCount, moved, resumeAt-start)
+		if rt.trace != nil {
+			rt.trace.Emit(Event{Kind: KLBDone, At: resumeAt, PE: -1, A: int64(rt.lbCount), B: int64(moved), Dur: resumeAt - start})
 		}
 		rt.lbCount++
 		rt.Stats.LBInvocations++

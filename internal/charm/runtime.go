@@ -245,9 +245,9 @@ type Runtime struct {
 	booted bool
 	Stats  RuntimeStats
 
-	// Observability (internal/projections): nil hooks is the untraced
+	// Observability (internal/projections): a nil trace is the untraced
 	// fast path; metrics is always present.
-	hooks   TraceHooks
+	trace   TraceSink
 	metrics *metrics.Registry
 
 	// Fault injection and rollback recovery (internal/chaos). epoch counts
@@ -276,11 +276,10 @@ type RuntimeStats struct {
 }
 
 // New creates a runtime over a machine. The machine config's Backend field
-// selects the event engine: sequential (the default calendar-queue engine),
-// heap (the reference binary-heap engine, for differential tests and
-// benchmarks), or the parallel engine of internal/parsim in its
-// conservative ("parallel") or Time Warp ("optimistic") mode; all produce
-// bit-identical runs.
+// selects the event engine: sequential (the default calendar-queue engine)
+// or the parallel engine of internal/parsim in its conservative
+// ("parallel") or Time Warp ("optimistic") mode; all produce bit-identical
+// runs.
 func New(m *machine.Machine) *Runtime {
 	cfg := m.Config()
 	rt := &Runtime{
@@ -306,8 +305,6 @@ func New(m *machine.Machine) *Runtime {
 	switch backend {
 	case "sequential":
 		rt.eng = des.NewEngine()
-	case "heap":
-		rt.eng = des.NewHeapEngine()
 	case "parallel":
 		popts.Lookahead = des.Time(cfg.Alpha)
 		rt.parallel = true
@@ -476,14 +473,14 @@ func (rt *Runtime) send(m *message, t des.Time) {
 		rt.inflight++ // element-targeted app message: QD-counted
 		dst, eid := rt.resolveEID(m.srcPE, m.dest)
 		m.destEID = eid
-		if rt.hooks != nil {
-			m.traceID = rt.hooks.MsgSend(t, m.srcPE, dst, m.size, m.cause)
+		if rt.trace != nil {
+			m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(dst), B: int64(m.size)})
 		}
 		rt.transmit(m, m.srcPE, dst, t)
 		return
 	}
-	if rt.hooks != nil {
-		m.traceID = rt.hooks.MsgSend(t, m.srcPE, m.destPE, m.size, m.cause)
+	if rt.trace != nil {
+		m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(m.destPE), B: int64(m.size)})
 	}
 	rt.transmit(m, m.srcPE, m.destPE, t)
 }
@@ -663,8 +660,8 @@ func (rt *Runtime) enqueue(m *message, dst int) {
 		rt.discard(m)
 		return
 	}
-	if rt.hooks != nil && m.traceID != 0 {
-		rt.hooks.MsgRecv(rt.eng.Now(), dst, m.traceID, m.hops)
+	if rt.trace != nil && m.traceID != 0 {
+		rt.trace.Emit(Event{Kind: KMsgRecv, At: rt.eng.Now(), PE: dst, Ref: m.traceID, A: int64(m.hops)})
 	}
 	p := rt.pes[dst]
 	m.seq = p.seq
@@ -740,12 +737,12 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 				ctx := p.takeCtx(rt, nil, rt.eng.Now())
 				ctx.cause = m.traceID
 				ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, m.srcPE)
-				if rt.hooks != nil {
-					rt.hooks.EntryBegin(at, p.id, "", rt.peHandlerNames[m.ep], Index{}, m.traceID)
+				if rt.trace != nil {
+					rt.trace.Emit(Event{Kind: KEntryBegin, At: at, PE: p.id, Ref: m.traceID, Entry: rt.peHandlerNames[m.ep]})
 				}
 				rt.peHandlers[m.ep](ctx, m.payload)
-				if rt.hooks != nil {
-					rt.hooks.EntryEnd(at+ctx.elapsed, p.id, "", rt.peHandlerNames[m.ep], Index{}, m.traceID)
+				if rt.trace != nil {
+					rt.trace.Emit(Event{Kind: KEntryEnd, At: at + ctx.elapsed, PE: p.id, Ref: m.traceID, Entry: rt.peHandlerNames[m.ep]})
 				}
 				rt.finishExec(ctx, nil)
 				putMsg(m)
@@ -820,14 +817,16 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 			ctx.flushFX()
 			rt.inflight--
 			rt.Stats.MsgsDelivered++
-			if rt.hooks != nil {
+			if rt.trace != nil {
 				// After flushFX, so the execution's sends (inline on the
 				// sequential backend, replayed here on the parallel one) hold
 				// the same log positions on both backends.
 				arr := rt.arrays[m.dest.array]
-				name := arr.EntryName(m.ep)
-				rt.hooks.EntryBegin(at, p.id, arr.name, name, m.dest.idx, m.traceID)
-				rt.hooks.EntryEnd(at+ctx.elapsed, p.id, arr.name, name, m.dest.idx, m.traceID)
+				ev := Event{Kind: KEntryBegin, At: at, PE: p.id, Ref: m.traceID,
+					Arr: arr.name, Entry: arr.EntryName(m.ep), Idx: m.dest.idx.String()}
+				rt.trace.Emit(ev)
+				ev.Kind, ev.At = KEntryEnd, at+ctx.elapsed
+				rt.trace.Emit(ev)
 			}
 			rt.finishExec(ctx, el)
 			if rt.spec == nil || !rt.spec.onCommitted(el, ctx, m, at) {

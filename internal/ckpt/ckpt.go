@@ -76,7 +76,8 @@ func Capture(rt *charm.Runtime) *Snapshot {
 	rt.Metrics().Counter("ckpt.captures").Inc()
 	rt.Metrics().Counter("ckpt.bytes").Add(uint64(s.TotalBytes()))
 	if h := rt.Trace(); h != nil {
-		h.Checkpoint(rt.Now(), "capture", int(s.TotalBytes()))
+		h.Emit(charm.Event{Kind: charm.KCheckpoint, At: rt.Now(), PE: -1,
+			Entry: string(charm.CheckpointCapture), A: s.TotalBytes()})
 	}
 	return s
 }

@@ -332,7 +332,8 @@ func (m *Mem) StartRecovery(plan *RecoveryPlan) (des.Time, error) {
 	m.Restarts++
 	m.rt.Metrics().Counter("ckpt.mem_restarts").Inc()
 	if h := m.rt.Trace(); h != nil {
-		h.Checkpoint(m.rt.Now(), "restore", int(m.snap.TotalBytes()))
+		h.Emit(charm.Event{Kind: charm.KCheckpoint, At: m.rt.Now(), PE: -1,
+			Entry: string(charm.CheckpointRestore), A: m.snap.TotalBytes()})
 	}
 
 	// Roll every element back to the checkpoint, placing it on its

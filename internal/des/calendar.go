@@ -105,7 +105,7 @@ func (ev *Event) Exec(sink TraceSink) {
 		return
 	}
 	if sink != nil {
-		sink.PhaseStart(int(ev.Shard), ev.At)
+		sink.Phase(PhaseStart, int(ev.Shard), ev.At)
 	}
 	var commit func()
 	switch {
@@ -120,7 +120,7 @@ func (ev *Event) Exec(sink TraceSink) {
 		commit()
 	}
 	if sink != nil {
-		sink.PhaseDone(int(ev.Shard), ev.At)
+		sink.Phase(PhaseDone, int(ev.Shard), ev.At)
 	}
 }
 
@@ -353,12 +353,13 @@ func (c *Calendar) advanceBucket() {
 	}
 	c.cur = w<<6 + bits.TrailingZeros64(word)
 	c.occ[w] &^= 1 << (c.cur & 63)
-	if c.cur == len(c.buckets)-1 {
+	c.openEnd = c.spanBase + uint64(c.cur+1)*c.width
+	if c.cur == len(c.buckets)-1 || c.openEnd < c.spanBase {
 		// The tail bucket's range runs to the span end (which may be
-		// saturated — see file), not just one width past its start.
+		// saturated — see file), not just one width past its start; and a
+		// bucket whose end wraps past 2^64 fs is the tail in all but index
+		// (nothing can be filed after it), so it saturates the same way.
 		c.openEnd = c.spanEnd
-	} else {
-		c.openEnd = c.spanBase + uint64(c.cur+1)*c.width
 	}
 	ids := c.buckets[c.cur]
 	c.ring -= len(ids)

@@ -104,39 +104,35 @@ func EngineHorizon(e Engine) Time {
 	return e.Now()
 }
 
-// TraceSink receives engine-level execution events: the pop of each
-// sharded event (PhaseStart) and the completion of its commit (PhaseDone).
-// Engines call the sink only from the driving goroutine, in exact
-// (timestamp, sequence) pop order — the same order on the sequential and
-// parallel engines — so a recorder that logs calls as they arrive produces
-// bit-identical traces on both backends. The projections tracer uses these
-// events to measure how much phase parallelism a run exposes.
+// PhaseKind names a point in an engine's execution pipeline.
+type PhaseKind uint8
+
+const (
+	// PhaseStart is the pop of a sharded event, PhaseDone the completion of
+	// its commit. Every engine reports them, in exact (timestamp, sequence)
+	// pop order.
+	PhaseStart PhaseKind = iota
+	PhaseDone
+	// SpecLaunch (a phase handed to a worker ahead of the commit frontier),
+	// SpecCommit (a speculation whose result was used at its pop) and
+	// SpecRollback (one undone by a straggler) exist only in the parallel
+	// engine's optimistic mode. Launch and rollback decisions depend on
+	// queue state, never worker timing, so their sequence is deterministic
+	// run to run — but no other engine emits them, so a recorder that keeps
+	// them forfeits cross-backend trace identity. They stay last, so
+	// kind >= SpecLaunch selects them.
+	SpecLaunch
+	SpecCommit
+	SpecRollback
+)
+
+// TraceSink is the engine-side virtual-time tracing interface. Engines call
+// it only from the driving goroutine, at positions that coincide on every
+// engine for the kinds they share, so a recorder that logs calls as they
+// arrive produces bit-identical traces on all of them. A nil sink (the
+// default) is the fast path: one pointer check per call site.
 type TraceSink interface {
-	PhaseStart(shard int, at Time)
-	PhaseDone(shard int, at Time)
-}
-
-// SinkSetter is implemented by engines that can report phase events to a
-// TraceSink. A nil sink (the default) disables reporting.
-type SinkSetter interface {
-	SetTraceSink(TraceSink)
-}
-
-// SpecSink extends TraceSink with the speculation pipeline of the
-// optimistic (Time Warp) engine: a phase handed to a worker ahead of the
-// commit frontier (SpecLaunch), a speculation whose result was used at its
-// pop (SpecCommit), and a speculation undone by a straggler (SpecRollback).
-// All calls arrive on the driving goroutine. Launch and rollback decisions
-// depend only on heap state — never worker timing — so the call sequence
-// is deterministic run-to-run for a given workload, though it exists only
-// on the optimistic backend (conservative and sequential engines never
-// speculate, so recording these events forfeits cross-backend trace
-// identity; the projections tracer keeps them opt-in for that reason).
-type SpecSink interface {
-	TraceSink
-	SpecLaunch(shard int, at Time)
-	SpecCommit(shard int, at Time)
-	SpecRollback(shard int, at Time)
+	Phase(kind PhaseKind, shard int, at Time)
 }
 
 // Probe is the engine's wall-clock telemetry interface, implemented by

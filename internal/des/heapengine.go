@@ -17,7 +17,6 @@ type Heap struct {
 	heap     eventHeap
 	stopped  bool
 	executed uint64
-	sink     TraceSink
 }
 
 // NewHeapEngine returns the reference binary-heap engine with the clock at
@@ -127,10 +126,6 @@ func (e *Heap) Cancel(h Handle) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Heap) Stop() { e.stopped = true }
 
-// SetTraceSink installs (or, with nil, removes) the engine's phase-event
-// sink.
-func (e *Heap) SetTraceSink(s TraceSink) { e.sink = s }
-
 // Step executes the single earliest event. It reports false when no events
 // remain.
 func (e *Heap) Step() bool {
@@ -140,7 +135,7 @@ func (e *Heap) Step() bool {
 	ev := heap.Pop(&e.heap).(*heapEvent)
 	e.now = ev.At
 	e.executed++
-	ev.Exec(e.sink)
+	ev.Exec(nil)
 	return true
 }
 

@@ -98,10 +98,10 @@ type Config struct {
 
 	// Backend selects the event-engine implementation driving the
 	// simulation: "" or "sequential" is the single-threaded engine of
-	// internal/des; "heap" is its reference binary-heap engine; "parallel"
-	// (alias "parsim") is the parallel engine of internal/parsim in
-	// conservative mode, which shards the virtual PEs by node and uses
-	// Alpha (the minimum cross-node latency) as the lookahead bound;
+	// internal/des; "parallel" (alias "parsim") is the parallel engine of
+	// internal/parsim in conservative mode, which shards the virtual PEs by
+	// node and uses Alpha (the minimum cross-node latency) as the lookahead
+	// bound;
 	// "optimistic" (alias "optsim") is the same engine in Time Warp mode,
 	// which speculates past any lookahead and rolls back stragglers. All
 	// produce bit-identical runs. ParseBackend is the one list of accepted
@@ -132,7 +132,6 @@ type Config struct {
 // backends is the one list of Config.Backend names and their aliases.
 var backends = []struct{ name, alias string }{
 	{name: "sequential"},
-	{name: "heap"},
 	{name: "parallel", alias: "parsim"},
 	{name: "optimistic", alias: "optsim"},
 }

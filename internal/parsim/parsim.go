@@ -83,7 +83,7 @@
 //
 // The modes differ in exactly six places, each keyed on "controller
 // present": the window source, the straggler response, the Controller and
-// des.SpecSink/Spec* probe callbacks, run exit, GlobalHorizon, and the gauge
+// speculation sink/probe callbacks, run exit, GlobalHorizon, and the gauge
 // family RegisterMetrics registers.
 //
 // # Discipline
@@ -244,7 +244,6 @@ type Engine struct {
 
 	stats Stats
 	sink  des.TraceSink
-	ssink des.SpecSink
 	probe des.Probe
 }
 
@@ -349,17 +348,11 @@ func (e *Engine) Window() des.Time {
 }
 
 // SetTraceSink installs (or, with nil, removes) the engine's phase-event
-// sink. PhaseStart/PhaseDone are called only from the driving goroutine at
+// sink. PhaseStart/PhaseDone are reported only from the driving goroutine at
 // the pop of each sharded event — the same positions, in the same total
-// order, as the sequential engine. In optimistic mode a sink that also
-// implements des.SpecSink receives the speculation-pipeline events too.
-func (e *Engine) SetTraceSink(s des.TraceSink) {
-	e.sink = s
-	e.ssink = nil
-	if e.ctrl != nil {
-		e.ssink, _ = s.(des.SpecSink)
-	}
-}
+// order, as the sequential engine. Optimistic mode reports the
+// speculation-pipeline kinds too.
+func (e *Engine) SetTraceSink(s des.TraceSink) { e.sink = s }
 
 // SetProbe installs (or, with nil, removes) the engine's wall-clock
 // telemetry probe (internal/telemetry). Strictly side-band: nothing it
@@ -636,7 +629,7 @@ func (e *Engine) step() {
 			panic("parsim: internal: shard event popped past its in-flight phase")
 		}
 		if e.sink != nil {
-			e.sink.PhaseStart(shard, ev.At)
+			e.sink.Phase(des.PhaseStart, shard, ev.At)
 		}
 		stallNs = e.await(f)
 		f.active = false
@@ -655,12 +648,12 @@ func (e *Engine) step() {
 			// Fossil collection: the commit frontier passed this
 			// speculation, so its undo state can never be needed again.
 			e.ctrl.CommitSpec(shard)
-			if e.ssink != nil {
-				e.ssink.SpecCommit(shard, ev.At)
+			if e.sink != nil {
+				e.sink.Phase(des.SpecCommit, shard, ev.At)
 			}
 		}
 		if e.sink != nil {
-			e.sink.PhaseDone(shard, ev.At)
+			e.sink.Phase(des.PhaseDone, shard, ev.At)
 		}
 	}
 	if e.probe != nil {
@@ -676,7 +669,7 @@ func (e *Engine) step() {
 func (e *Engine) inline(ev *des.Event) {
 	shard := int(ev.Shard)
 	if e.sink != nil {
-		e.sink.PhaseStart(shard, ev.At)
+		e.sink.Phase(des.PhaseStart, shard, ev.At)
 	}
 	if ev.Cfn != nil {
 		ev.Cfn(ev.A, ev.B, ev.At)
@@ -684,7 +677,7 @@ func (e *Engine) inline(ev *des.Event) {
 		commit()
 	}
 	if e.sink != nil {
-		e.sink.PhaseDone(shard, ev.At)
+		e.sink.Phase(des.PhaseDone, shard, ev.At)
 	}
 }
 
@@ -779,8 +772,8 @@ func (e *Engine) launchEvent(s int, c *candidate) {
 	e.stats.MaxInFlight = max(e.stats.MaxInFlight, e.inFlight)
 	lag := ev.At - e.now
 	e.stats.MaxGVTLag = max(e.stats.MaxGVTLag, lag)
-	if e.ssink != nil {
-		e.ssink.SpecLaunch(s, ev.At)
+	if e.sink != nil && e.ctrl != nil {
+		e.sink.Phase(des.SpecLaunch, s, ev.At)
 	}
 	if e.probe != nil {
 		f.launchNs = e.probe.WallNow()
@@ -879,8 +872,8 @@ func (e *Engine) rollback(s int) {
 	e.cand[s].launchable = true
 	e.ctrl.RollbackSpec(s)
 	e.stats.RolledBack++
-	if e.ssink != nil {
-		e.ssink.SpecRollback(s, f.ev.At)
+	if e.sink != nil {
+		e.sink.Phase(des.SpecRollback, s, f.ev.At)
 	}
 	if e.probe != nil {
 		e.probe.SpecRolledBack(s, f.ev.At, waitNs)

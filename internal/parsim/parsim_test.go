@@ -632,6 +632,46 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	}
 }
 
+// The calendar keys buckets on femtoseconds in a uint64, which saturates at
+// ≈18,446.744 virtual seconds. A global event that starts just below the
+// boundary and re-arms itself across it must keep running on every engine:
+// once the open bucket's end wraps, later events belong to it, not to a
+// ring bucket behind the cursor.
+func TestRearmAcrossCalendarSaturation(t *testing.T) {
+	opt, _ := mkOptimistic(2, 2)
+	engines := []struct {
+		name string
+		e    des.Engine
+	}{
+		{"sequential", des.NewEngine()},
+		{"conservative", mkConservative(2, 2)},
+		{"optimistic", opt},
+	}
+	for _, tc := range engines {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.e
+			var fired []des.Time
+			var tick func()
+			tick = func() {
+				fired = append(fired, e.Now())
+				if len(fired) < 5 {
+					e.After(0.05, tick)
+				}
+			}
+			e.At(18446.70, tick)
+			e.Run()
+			if len(fired) != 5 || e.Pending() != 0 {
+				t.Fatalf("fired at %v with %d pending, want 5 firings and 0", fired, e.Pending())
+			}
+			for i := 1; i < len(fired); i++ {
+				if fired[i] <= fired[i-1] {
+					t.Fatalf("firing times not increasing: %v", fired)
+				}
+			}
+		})
+	}
+}
+
 // tortureCfg selects the torture program's optional inputs. The zero value
 // is the original straggler-baiting program, whose engine counters are
 // pinned below.

@@ -5,13 +5,14 @@ import (
 	"io"
 	"sort"
 
+	"charmgo/internal/charm"
 	"charmgo/internal/des"
 )
 
 // EntryStat is one row of the usage profile (Projections' "usage
 // profile"): aggregate time and call count per entry method.
 type EntryStat struct {
-	Name  string   // "array.entry", or the PE-handler name
+	Name  string // "array.entry", or the PE-handler name
 	Calls int
 	Time  des.Time // total virtual execution time
 	Max   des.Time // longest single execution
@@ -27,9 +28,9 @@ func Profile(events []Event) []EntryStat {
 	open := map[int][]Event{}
 	for _, e := range events {
 		switch e.Kind {
-		case KEntryBegin:
+		case charm.KEntryBegin:
 			open[e.PE] = append(open[e.PE], e)
-		case KEntryEnd:
+		case charm.KEntryEnd:
 			st := open[e.PE]
 			if len(st) == 0 {
 				continue
@@ -94,9 +95,9 @@ func MessageLatency(events []Event) LatencyHist {
 	var total des.Time
 	for _, e := range events {
 		switch e.Kind {
-		case KMsgSend:
+		case charm.KMsgSend:
 			sendAt[e.ID] = e.At
-		case KMsgRecv:
+		case charm.KMsgRecv:
 			t0, ok := sendAt[e.Ref]
 			if !ok {
 				continue // send dropped from its ring
@@ -158,21 +159,21 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 
 	for _, e := range events {
 		switch e.Kind {
-		case KEntryBegin:
+		case charm.KEntryBegin:
 			x := &exec{begin: e.At, end: -1, cause: e.Ref, name: e.Name()}
 			all = append(all, x)
 			open[e.PE] = append(open[e.PE], x)
 			if e.Ref != 0 {
 				bySend[e.Ref] = x
 			}
-		case KEntryEnd:
+		case charm.KEntryEnd:
 			st := open[e.PE]
 			if len(st) == 0 {
 				continue
 			}
 			st[len(st)-1].end = e.At
 			open[e.PE] = st[:len(st)-1]
-		case KMsgSend:
+		case charm.KMsgSend:
 			// Work before this send = work up the chain + compute spent
 			// inside the emitting execution before the send was stamped.
 			w := best[e.Ref]
@@ -253,7 +254,7 @@ func ComputePhaseParallelism(events []Event, window des.Time) []PhaseBucket {
 	var cur *PhaseBucket
 	seen := map[int]bool{}
 	for _, e := range events {
-		if e.Kind != KPhaseStart {
+		if e.Kind != charm.KPhaseStart {
 			continue
 		}
 		t0 := des.Time(int64(float64(e.At)/float64(window))) * window
@@ -354,11 +355,4 @@ func writeSummary(w io.Writer, events []Event, recorded, dropped uint64, topK in
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

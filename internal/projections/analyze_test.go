@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"charmgo/internal/charm"
 	"charmgo/internal/des"
 )
 
@@ -23,16 +24,16 @@ import (
 func synthetic() []Event {
 	us := func(n float64) des.Time { return des.Time(n * 1e-6) }
 	return []Event{
-		{ID: 1, Kind: KMsgSend, At: 0, PE: 0, A: 0, B: 64},
-		{ID: 2, Kind: KMsgRecv, At: 0, PE: 0, Ref: 1},
-		{ID: 3, Kind: KEntryBegin, At: 0, PE: 0, Arr: "a", Entry: "x", Ref: 1},
-		{ID: 4, Kind: KMsgSend, At: us(6), PE: 0, A: 1, B: 64, Ref: 1},
-		{ID: 5, Kind: KEntryEnd, At: us(10), PE: 0, Arr: "a", Entry: "x", Ref: 1},
-		{ID: 6, Kind: KMsgRecv, At: us(12), PE: 1, Ref: 4},
-		{ID: 7, Kind: KEntryBegin, At: us(12), PE: 1, Arr: "a", Entry: "y", Ref: 4},
-		{ID: 8, Kind: KEntryEnd, At: us(20), PE: 1, Arr: "a", Entry: "y", Ref: 4},
-		{ID: 9, Kind: KEntryBegin, At: us(1), PE: 0, Arr: "b", Entry: "z"},
-		{ID: 10, Kind: KEntryEnd, At: us(3), PE: 0, Arr: "b", Entry: "z"},
+		{ID: 1, Kind: charm.KMsgSend, At: 0, PE: 0, A: 0, B: 64},
+		{ID: 2, Kind: charm.KMsgRecv, At: 0, PE: 0, Ref: 1},
+		{ID: 3, Kind: charm.KEntryBegin, At: 0, PE: 0, Arr: "a", Entry: "x", Ref: 1},
+		{ID: 4, Kind: charm.KMsgSend, At: us(6), PE: 0, A: 1, B: 64, Ref: 1},
+		{ID: 5, Kind: charm.KEntryEnd, At: us(10), PE: 0, Arr: "a", Entry: "x", Ref: 1},
+		{ID: 6, Kind: charm.KMsgRecv, At: us(12), PE: 1, Ref: 4},
+		{ID: 7, Kind: charm.KEntryBegin, At: us(12), PE: 1, Arr: "a", Entry: "y", Ref: 4},
+		{ID: 8, Kind: charm.KEntryEnd, At: us(20), PE: 1, Arr: "a", Entry: "y", Ref: 4},
+		{ID: 9, Kind: charm.KEntryBegin, At: us(1), PE: 0, Arr: "b", Entry: "z"},
+		{ID: 10, Kind: charm.KEntryEnd, At: us(3), PE: 0, Arr: "b", Entry: "z"},
 	}
 }
 
@@ -63,10 +64,10 @@ func TestProfileNestedPEHandlers(t *testing.T) {
 	// b.z runs nested inside a.x on the same PE (LIFO pairing).
 	us := func(n float64) des.Time { return des.Time(n * 1e-6) }
 	events := []Event{
-		{ID: 1, Kind: KEntryBegin, At: 0, PE: 0, Entry: "outer"},
-		{ID: 2, Kind: KEntryBegin, At: us(2), PE: 0, Entry: "inner"},
-		{ID: 3, Kind: KEntryEnd, At: us(4), PE: 0, Entry: "inner"},
-		{ID: 4, Kind: KEntryEnd, At: us(10), PE: 0, Entry: "outer"},
+		{ID: 1, Kind: charm.KEntryBegin, At: 0, PE: 0, Entry: "outer"},
+		{ID: 2, Kind: charm.KEntryBegin, At: us(2), PE: 0, Entry: "inner"},
+		{ID: 3, Kind: charm.KEntryEnd, At: us(4), PE: 0, Entry: "inner"},
+		{ID: 4, Kind: charm.KEntryEnd, At: us(10), PE: 0, Entry: "outer"},
 	}
 	prof := Profile(events)
 	if len(prof) != 2 {
@@ -122,10 +123,10 @@ func TestComputeCriticalPath(t *testing.T) {
 func TestComputePhaseParallelism(t *testing.T) {
 	us := func(n float64) des.Time { return des.Time(n * 1e-6) }
 	events := []Event{
-		{ID: 1, Kind: KPhaseStart, At: us(100), PE: 0},
-		{ID: 2, Kind: KPhaseStart, At: us(200), PE: 1},
-		{ID: 3, Kind: KPhaseStart, At: us(300), PE: 0},
-		{ID: 4, Kind: KPhaseStart, At: des.Time(2.5e-3), PE: 2},
+		{ID: 1, Kind: charm.KPhaseStart, At: us(100), PE: 0},
+		{ID: 2, Kind: charm.KPhaseStart, At: us(200), PE: 1},
+		{ID: 3, Kind: charm.KPhaseStart, At: us(300), PE: 0},
+		{ID: 4, Kind: charm.KPhaseStart, At: des.Time(2.5e-3), PE: 2},
 	}
 	buckets := ComputePhaseParallelism(events, 1e-3)
 	if len(buckets) != 2 {

@@ -119,11 +119,11 @@ func TestSpecEventsRecorded(t *testing.T) {
 		var launches, commits, rollbacks int
 		for _, e := range tr.Events() {
 			switch e.Kind {
-			case KSpecLaunch:
+			case charm.KSpecLaunch:
 				launches++
-			case KSpecCommit:
+			case charm.KSpecCommit:
 				commits++
-			case KSpecRollback:
+			case charm.KSpecRollback:
 				rollbacks++
 			}
 		}

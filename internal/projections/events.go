@@ -19,106 +19,12 @@ import (
 	"fmt"
 	"io"
 
-	"charmgo/internal/des"
+	"charmgo/internal/charm"
 )
 
-// Kind classifies one trace event.
-type Kind uint8
-
-const (
-	// KMsgSend: PE = source, A = destination PE, B = bytes, Ref = cause.
-	KMsgSend Kind = iota + 1
-	// KMsgRecv: PE = destination, Ref = the send's ID, A = hops.
-	KMsgRecv
-	// KEntryBegin / KEntryEnd bracket one entry-method execution:
-	// Arr/Entry/Idx name it, Ref is the triggering send's ID.
-	KEntryBegin
-	KEntryEnd
-	// KMigration: Arr/Idx name the element, A = from PE, B = to PE.
-	KMigration
-	// KLBStart: A = round, B = objects. KLBDecision: Entry = strategy,
-	// A = proposed migrations. KLBDone: A = round, B = moved, Dur = span.
-	KLBStart
-	KLBDecision
-	KLBDone
-	// KCheckpoint: Entry = kind ("capture", "restore"), A = bytes.
-	KCheckpoint
-	// KTramBuffer: A = buffer depth after the append.
-	// KTramFlush: A = items in the batch, B = 1 for a timed flush.
-	KTramBuffer
-	KTramFlush
-	// KPhaseStart / KPhaseCommit are engine pipeline events: PE = shard.
-	KPhaseStart
-	KPhaseCommit
-	// KFault: Entry = fault kind ("crash", "drop", "delay", "straggler",
-	// "detect", "rollback", "recover"), PE = affected PE (-1 machine-wide).
-	KFault
-	// KSpecLaunch / KSpecCommit / KSpecRollback are Time Warp speculation
-	// lifecycle events from the optimistic engine: PE = shard, At = the
-	// speculated event's timestamp. Recorded only with Options.SpecEvents
-	// (they exist on no other backend, so they are excluded from the
-	// cross-backend byte-identity contract).
-	KSpecLaunch
-	KSpecCommit
-	KSpecRollback
-)
-
-var kindNames = [...]string{
-	KMsgSend:    "send",
-	KMsgRecv:    "recv",
-	KEntryBegin: "begin",
-	KEntryEnd:   "end",
-	KMigration:  "migrate",
-	KLBStart:    "lb-start",
-	KLBDecision: "lb-decision",
-	KLBDone:     "lb-done",
-	KCheckpoint: "checkpoint",
-	KTramBuffer: "tram-buffer",
-	KTramFlush:  "tram-flush",
-	KPhaseStart:   "phase-start",
-	KPhaseCommit:  "phase-commit",
-	KFault:        "fault",
-	KSpecLaunch:   "spec-launch",
-	KSpecCommit:   "spec-commit",
-	KSpecRollback: "spec-rollback",
-}
-
-// String returns the kind's log token.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind%d", k)
-}
-
-// Event is one record of the trace. IDs are assigned from a single
-// monotone counter in emission order, so sorting a trace by ID
-// reconstructs the exact global order of the run.
-type Event struct {
-	ID    uint64   `json:"id"`
-	Kind  Kind     `json:"k"`
-	At    des.Time `json:"t"`
-	PE    int      `json:"pe"`              // -1 for driver-context events
-	Ref   uint64   `json:"ref,omitempty"`   // causal link (see Kind docs)
-	Arr   string   `json:"arr,omitempty"`   // chare array name
-	Entry string   `json:"ep,omitempty"`    // entry/handler/strategy name
-	Idx   string   `json:"idx,omitempty"`   // element index, rendered
-	A     int64    `json:"a,omitempty"`     // kind-specific
-	B     int64    `json:"b,omitempty"`     // kind-specific
-	Dur   des.Time `json:"dur,omitempty"`   // kind-specific span
-}
-
-// Name renders the event's subject: "array.entry" for entry events, the
-// bare entry/kind token otherwise.
-func (e Event) Name() string {
-	if e.Arr != "" {
-		return e.Arr + "." + e.Entry
-	}
-	if e.Entry != "" {
-		return e.Entry
-	}
-	return e.Kind.String()
-}
+// Event is one record of the trace; it is declared beside its emitters
+// (charm.Event, with its Kinds).
+type Event = charm.Event
 
 // WriteLog writes events as JSON lines — the trace's canonical on-disk
 // form. Two runs are equivalent exactly when their WriteLog bytes match.

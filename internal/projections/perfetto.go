@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"charmgo/internal/charm"
 	"charmgo/internal/des"
 )
 
@@ -70,7 +71,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	namedEngine := false
 	for _, e := range events {
 		switch e.Kind {
-		case KPhaseStart, KPhaseCommit:
+		case charm.KPhaseStart, charm.KPhaseCommit:
 			if !namedEngine {
 				namedEngine = true
 				if err := emit(traceEvent{Ph: "M", Pid: pidEngine, Name: "process_name",
@@ -101,10 +102,10 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	for _, e := range events {
 		var te traceEvent
 		switch e.Kind {
-		case KEntryBegin:
+		case charm.KEntryBegin:
 			open[e.PE] = append(open[e.PE], e)
 			continue
-		case KEntryEnd:
+		case charm.KEntryEnd:
 			st := open[e.PE]
 			if len(st) == 0 {
 				continue
@@ -117,29 +118,29 @@ func WritePerfetto(w io.Writer, events []Event) error {
 			if b.Idx != "" {
 				te.Args["idx"] = b.Idx
 			}
-		case KMigration:
+		case charm.KMigration:
 			te = traceEvent{Ph: "i", Pid: pidPEs, Tid: e.PE, Ts: us(e.At), S: "p",
 				Name: fmt.Sprintf("migrate %s%s -> PE %d", e.Arr, e.Idx, e.B)}
-		case KTramFlush:
+		case charm.KTramFlush:
 			kind := "full"
 			if e.B != 0 {
 				kind = "timed"
 			}
 			te = traceEvent{Ph: "i", Pid: pidPEs, Tid: e.PE, Ts: us(e.At), S: "t",
 				Name: fmt.Sprintf("tram flush (%d items, %s)", e.A, kind)}
-		case KLBStart:
+		case charm.KLBStart:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 				Name: fmt.Sprintf("LB round %d start (%d objs)", e.A, e.B)}
-		case KLBDecision:
+		case charm.KLBDecision:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 				Name: fmt.Sprintf("LB decision %s (%d migrations)", e.Entry, e.A)}
-		case KLBDone:
+		case charm.KLBDone:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 				Name: fmt.Sprintf("LB round %d done (%d moved)", e.A, e.B)}
-		case KCheckpoint:
+		case charm.KCheckpoint:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 				Name: fmt.Sprintf("checkpoint %s (%d bytes)", e.Entry, e.A)}
-		case KFault:
+		case charm.KFault:
 			if e.PE >= 0 {
 				te = traceEvent{Ph: "i", Pid: pidPEs, Tid: e.PE, Ts: us(e.At), S: "p",
 					Name: fmt.Sprintf("fault: %s PE %d", e.Entry, e.PE)}
@@ -147,7 +148,7 @@ func WritePerfetto(w io.Writer, events []Event) error {
 				te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 					Name: "fault: " + e.Entry}
 			}
-		case KPhaseStart:
+		case charm.KPhaseStart:
 			te = traceEvent{Ph: "i", Pid: pidEngine, Tid: e.PE, Ts: us(e.At), S: "t",
 				Name: "phase"}
 		default:

@@ -60,9 +60,9 @@ func (r *ring) events() []Event {
 	return out
 }
 
-// Tracer records runtime and engine events into per-PE rings. It
-// implements charm.TraceHooks and des.TraceSink; the runtime calls every
-// hook from driver or commit context, so the tracer needs no locks and a
+// Tracer records runtime and engine events into per-PE rings. It is the
+// runtime's charm.TraceSink and the engine's des.TraceSink; both call it
+// only from driver or commit context, so the tracer needs no locks and a
 // single monotone ID counter is deterministic.
 type Tracer struct {
 	rt     *charm.Runtime
@@ -72,7 +72,8 @@ type Tracer struct {
 }
 
 // Attach installs a tracer on a runtime (and, with EngineEvents, on its
-// engine). Attach before Run.
+// engine). Attach before Run. Attaching schedules nothing: a traced run
+// drains exactly when the untraced one does.
 func Attach(rt *charm.Runtime, opts Options) *Tracer {
 	if opts.RingCap == 0 {
 		opts.RingCap = 1 << 15
@@ -82,35 +83,48 @@ func Attach(rt *charm.Runtime, opts Options) *Tracer {
 	for i := range t.rings {
 		t.rings[i].buf = make([]Event, 0, opts.RingCap)
 	}
-	rt.SetTraceHooks(t)
+	var engine des.TraceSink
 	if opts.EngineEvents {
-		if ss, ok := rt.Engine().(des.SinkSetter); ok {
-			ss.SetTraceSink(t)
-		}
+		engine = t
 	}
+	rt.SetTrace(t, engine)
 	return t
 }
 
-// Detach removes the tracer's hooks from the runtime and engine; the
-// recorded events remain readable.
-func (t *Tracer) Detach() {
-	t.rt.SetTraceHooks(nil)
-	if ss, ok := t.rt.Engine().(des.SinkSetter); ok {
-		ss.SetTraceSink(nil)
-	}
-}
+// Detach removes the tracer from the runtime and engine; the recorded
+// events remain readable.
+func (t *Tracer) Detach() { t.rt.SetTrace(nil, nil) }
 
-// Runtime returns the traced runtime.
-func (t *Tracer) Runtime() *charm.Runtime { return t.rt }
-
-// driverRing indexes the ring for events with no PE affinity.
-func (t *Tracer) driverRing() int { return len(t.rings) - 1 }
-
-func (t *Tracer) record(ringIdx int, e Event) uint64 {
+// Emit records one event — in its PE's ring, or the driver ring when it has
+// no PE affinity — and returns the ID it assigned.
+func (t *Tracer) Emit(e Event) uint64 {
 	t.nextID++
 	e.ID = t.nextID
-	t.rings[ringIdx].add(e)
+	r := len(t.rings) - 1
+	if e.PE >= 0 && e.PE < r {
+		r = e.PE
+	}
+	t.rings[r].add(e)
 	return e.ID
+}
+
+// phaseKinds maps the engine's pipeline points onto trace kinds.
+var phaseKinds = [...]charm.Kind{
+	des.PhaseStart:   charm.KPhaseStart,
+	des.PhaseDone:    charm.KPhaseCommit,
+	des.SpecLaunch:   charm.KSpecLaunch,
+	des.SpecCommit:   charm.KSpecCommit,
+	des.SpecRollback: charm.KSpecRollback,
+}
+
+// Phase records one engine pipeline event alongside the PEs' (a shard is a
+// node, so shard ids never exceed the PE count); the speculation kinds only
+// with Options.SpecEvents.
+func (t *Tracer) Phase(kind des.PhaseKind, shard int, at des.Time) {
+	if kind >= des.SpecLaunch && !t.opts.SpecEvents {
+		return
+	}
+	t.Emit(Event{Kind: phaseKinds[kind], At: at, PE: shard})
 }
 
 // Events returns every recorded event in global emission order (by ID).
@@ -137,148 +151,3 @@ func (t *Tracer) Recorded() uint64 { return t.nextID }
 
 // Metrics returns the traced runtime's registry.
 func (t *Tracer) Metrics() *metrics.Registry { return t.rt.Metrics() }
-
-// ---- charm.TraceHooks ----
-
-// MsgSend records a send and returns its event ID for causal linking.
-func (t *Tracer) MsgSend(at des.Time, srcPE, dstPE, size int, cause uint64) uint64 {
-	return t.record(srcPE, Event{
-		Kind: KMsgSend, At: at, PE: srcPE, Ref: cause,
-		A: int64(dstPE), B: int64(size),
-	})
-}
-
-// MsgRecv records a traced message entering a PE's scheduler queue.
-func (t *Tracer) MsgRecv(at des.Time, pe int, sendID uint64, hops int) {
-	t.record(pe, Event{Kind: KMsgRecv, At: at, PE: pe, Ref: sendID, A: int64(hops)})
-}
-
-// EntryBegin records the start of an entry-method execution.
-func (t *Tracer) EntryBegin(at des.Time, pe int, array, entry string, idx charm.Index, cause uint64) {
-	t.record(pe, Event{
-		Kind: KEntryBegin, At: at, PE: pe, Ref: cause,
-		Arr: array, Entry: entry, Idx: idxString(array, idx),
-	})
-}
-
-// EntryEnd records the completion of an entry-method execution.
-func (t *Tracer) EntryEnd(at des.Time, pe int, array, entry string, idx charm.Index, cause uint64) {
-	t.record(pe, Event{
-		Kind: KEntryEnd, At: at, PE: pe, Ref: cause,
-		Arr: array, Entry: entry, Idx: idxString(array, idx),
-	})
-}
-
-// Migration records one element move.
-func (t *Tracer) Migration(at des.Time, array string, idx charm.Index, fromPE, toPE int) {
-	t.record(fromPE, Event{
-		Kind: KMigration, At: at, PE: fromPE,
-		Arr: array, Idx: idx.String(), A: int64(fromPE), B: int64(toPE),
-	})
-}
-
-// LBStart records the start of a load-balancing round.
-func (t *Tracer) LBStart(at des.Time, round, numObjs int) {
-	t.record(t.driverRing(), Event{
-		Kind: KLBStart, At: at, PE: -1, A: int64(round), B: int64(numObjs),
-	})
-}
-
-// LBDecision records the strategy's verdict.
-func (t *Tracer) LBDecision(at des.Time, strategy string, numMigrations int) {
-	t.record(t.driverRing(), Event{
-		Kind: KLBDecision, At: at, PE: -1, Entry: strategy, A: int64(numMigrations),
-	})
-}
-
-// LBDone records the completion of a load-balancing round.
-func (t *Tracer) LBDone(at des.Time, round, moved int, duration des.Time) {
-	t.record(t.driverRing(), Event{
-		Kind: KLBDone, At: at, PE: -1, A: int64(round), B: int64(moved), Dur: duration,
-	})
-}
-
-// Checkpoint records a checkpoint capture or restore.
-func (t *Tracer) Checkpoint(at des.Time, kind string, bytes int) {
-	t.record(t.driverRing(), Event{
-		Kind: KCheckpoint, At: at, PE: -1, Entry: kind, A: int64(bytes),
-	})
-}
-
-// TramBuffer records an item buffered by TRAM.
-func (t *Tracer) TramBuffer(at des.Time, pe, depth int) {
-	t.record(pe, Event{Kind: KTramBuffer, At: at, PE: pe, A: int64(depth)})
-}
-
-// Fault records one fault-injection or recovery event.
-func (t *Tracer) Fault(at des.Time, kind string, pe int) {
-	ringIdx := t.driverRing()
-	if pe >= 0 && pe < len(t.rings)-1 {
-		ringIdx = pe
-	}
-	t.record(ringIdx, Event{Kind: KFault, At: at, PE: pe, Entry: kind})
-}
-
-// TramFlush records an aggregated batch leaving a PE.
-func (t *Tracer) TramFlush(at des.Time, pe, items int, timed bool) {
-	e := Event{Kind: KTramFlush, At: at, PE: pe, A: int64(items)}
-	if timed {
-		e.B = 1
-	}
-	t.record(pe, e)
-}
-
-// ---- des.TraceSink ----
-
-// PhaseStart records the pop of a sharded engine event.
-func (t *Tracer) PhaseStart(shard int, at des.Time) {
-	t.record(t.shardRing(shard), Event{Kind: KPhaseStart, At: at, PE: shard})
-}
-
-// PhaseDone records the completion of a sharded event's commit.
-func (t *Tracer) PhaseDone(shard int, at des.Time) {
-	t.record(t.shardRing(shard), Event{Kind: KPhaseCommit, At: at, PE: shard})
-}
-
-// shardRing stores a shard's pipeline events alongside the PEs; shard ids
-// never exceed the PE count (a shard is a node).
-func (t *Tracer) shardRing(shard int) int {
-	if shard >= 0 && shard < len(t.rings)-1 {
-		return shard
-	}
-	return t.driverRing()
-}
-
-// ---- des.SpecSink (optimistic backend; gated by Options.SpecEvents) ----
-
-// SpecLaunch records a shard starting to execute an event speculatively.
-func (t *Tracer) SpecLaunch(shard int, at des.Time) {
-	if !t.opts.SpecEvents {
-		return
-	}
-	t.record(t.shardRing(shard), Event{Kind: KSpecLaunch, At: at, PE: shard})
-}
-
-// SpecCommit records a speculation surviving to its pop and committing.
-func (t *Tracer) SpecCommit(shard int, at des.Time) {
-	if !t.opts.SpecEvents {
-		return
-	}
-	t.record(t.shardRing(shard), Event{Kind: KSpecCommit, At: at, PE: shard})
-}
-
-// SpecRollback records a straggler squashing a shard's speculation.
-func (t *Tracer) SpecRollback(shard int, at des.Time) {
-	if !t.opts.SpecEvents {
-		return
-	}
-	t.record(t.shardRing(shard), Event{Kind: KSpecRollback, At: at, PE: shard})
-}
-
-// idxString renders an element index, empty for PE handlers (array "").
-func idxString(array string, idx charm.Index) string {
-	if array == "" {
-		return ""
-	}
-	return idx.String()
-}

@@ -59,16 +59,16 @@ func TestTracerRecordsEcho(t *testing.T) {
 			t.Fatalf("event %d has ID %d, want %d", i, e.ID, i+1)
 		}
 	}
-	counts := map[Kind]int{}
+	counts := map[charm.Kind]int{}
 	for _, e := range events {
 		counts[e.Kind]++
 	}
 	// 11 pings (driver send + 10 forwards) => 11 sends, recvs, executions.
-	if counts[KMsgSend] != 11 || counts[KMsgRecv] != 11 {
-		t.Errorf("send/recv = %d/%d, want 11/11", counts[KMsgSend], counts[KMsgRecv])
+	if counts[charm.KMsgSend] != 11 || counts[charm.KMsgRecv] != 11 {
+		t.Errorf("send/recv = %d/%d, want 11/11", counts[charm.KMsgSend], counts[charm.KMsgRecv])
 	}
-	if counts[KEntryBegin] != 11 || counts[KEntryEnd] != 11 {
-		t.Errorf("begin/end = %d/%d, want 11/11", counts[KEntryBegin], counts[KEntryEnd])
+	if counts[charm.KEntryBegin] != 11 || counts[charm.KEntryEnd] != 11 {
+		t.Errorf("begin/end = %d/%d, want 11/11", counts[charm.KEntryBegin], counts[charm.KEntryEnd])
 	}
 	if tr.Dropped() != 0 {
 		t.Errorf("dropped %d events with ample ring space", tr.Dropped())
@@ -76,15 +76,15 @@ func TestTracerRecordsEcho(t *testing.T) {
 
 	// Causality: every recv references an earlier send; every caused
 	// begin references a send.
-	at := map[uint64]Kind{}
+	at := map[uint64]charm.Kind{}
 	for _, e := range events {
 		at[e.ID] = e.Kind
 	}
 	for _, e := range events {
-		if e.Kind == KMsgRecv && at[e.Ref] != KMsgSend {
+		if e.Kind == charm.KMsgRecv && at[e.Ref] != charm.KMsgSend {
 			t.Fatalf("recv #%d references %d (kind %v), want a send", e.ID, e.Ref, at[e.Ref])
 		}
-		if e.Kind == KEntryBegin && e.Ref != 0 && at[e.Ref] != KMsgSend {
+		if e.Kind == charm.KEntryBegin && e.Ref != 0 && at[e.Ref] != charm.KMsgSend {
 			t.Fatalf("begin #%d references %d (kind %v), want a send", e.ID, e.Ref, at[e.Ref])
 		}
 	}
@@ -168,7 +168,7 @@ func TestEngineEventsRecorded(t *testing.T) {
 
 	var phases int
 	for _, e := range tr.Events() {
-		if e.Kind == KPhaseStart {
+		if e.Kind == charm.KPhaseStart {
 			phases++
 		}
 	}

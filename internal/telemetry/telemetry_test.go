@@ -14,16 +14,16 @@ import (
 	"charmgo/internal/apps/leanmd"
 	"charmgo/internal/apps/pdes"
 	"charmgo/internal/apps/stencil"
-	"charmgo/internal/charm"
 	"charmgo/internal/chaos"
+	"charmgo/internal/charm"
 	"charmgo/internal/des"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
+	"charmgo/internal/projections"
 	"charmgo/internal/telemetry"
-	"charmgo/internal/trace"
 )
 
-// digestedRun mirrors the determinism suite's run digest — full trace +
+// digestedRun mirrors the determinism suite's run digest — full event log +
 // event count + runtime stats + app summary — optionally with telemetry
 // attached. Telemetry must not perturb any of it.
 func digestedRun(t *testing.T, withTelemetry bool, mk func() machine.Config, run func(rt *charm.Runtime) string) string {
@@ -33,16 +33,19 @@ func digestedRun(t *testing.T, withTelemetry bool, mk func() machine.Config, run
 		tel := telemetry.Attach(rt, telemetry.Options{FlightDir: t.TempDir()})
 		defer tel.Final()
 	}
-	tr := trace.New(rt, 0.05)
-	tr.Start()
+	tr := projections.Attach(rt, projections.Options{})
 	summary := run(rt)
 
 	h := sha256.New()
 	fmt.Fprintf(h, "summary %s\n", summary)
 	fmt.Fprintf(h, "events %d\n", rt.Engine().Executed())
 	fmt.Fprintf(h, "stats %+v\n", rt.Stats)
-	if err := tr.WriteJSON(h); err != nil {
-		t.Fatalf("writing trace: %v", err)
+	events := tr.Events()
+	if len(events) == 0 || tr.Dropped() != 0 {
+		t.Fatalf("event log incomplete: %d events held, %d dropped", len(events), tr.Dropped())
+	}
+	if err := projections.WriteLog(h, events); err != nil {
+		t.Fatalf("writing event log: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -249,10 +249,10 @@ func (c *Client) route(ctx *charm.Ctx, it item) {
 	pb.bufs[pi] = append(pb.bufs[pi], it)
 	if h := c.rt.Trace(); h != nil {
 		// Capture the virtual time before deferring: elapsed keeps
-		// advancing during the handler, and the hook must see the same
+		// advancing during the handler, and the record must carry the same
 		// timestamp on both backends.
 		at, depth := ctx.Now(), len(pb.bufs[pi])
-		ctx.Defer(func() { h.TramBuffer(at, me, depth) })
+		ctx.Defer(func() { h.Emit(charm.Event{Kind: charm.KTramBuffer, At: at, PE: me, A: int64(depth)}) })
 	}
 	if len(pb.bufs[pi]) >= c.opts.BufItems {
 		ctx.Defer(func() { c.Stats.FullFlushes++ })
@@ -287,7 +287,13 @@ func (c *Client) sendBatch(ctx *charm.Ctx, to int, items []item, timed bool) {
 	ctx.Defer(func() { c.Stats.MsgsSent++ })
 	if h := c.rt.Trace(); h != nil {
 		at, n, pe := ctx.Now(), len(items), ctx.MyPE()
-		ctx.Defer(func() { h.TramFlush(at, pe, n, timed) })
+		ctx.Defer(func() {
+			ev := charm.Event{Kind: charm.KTramFlush, At: at, PE: pe, A: int64(n)}
+			if timed {
+				ev.B = 1
+			}
+			h.Emit(ev)
+		})
 	}
 	size := 48 + len(items)*c.opts.ItemBytes
 	ctx.SendPE(to, c.peh, batch{items: items}, &charm.SendOpts{Bytes: size})

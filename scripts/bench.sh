@@ -28,11 +28,6 @@
 #   scripts/bench.sh --optsim --smoke  # small config, no file written
 #   scripts/bench.sh --optsim --sweep  # fixed K=1/4/16 vs adaptive sweep,
 #                                      # no file written (EXPERIMENTS.md table)
-#   scripts/bench.sh --telemetry       # telemetry-layer overhead (attached vs
-#                                      # detached on all three backends),
-#                                      # rewrites BENCH_telemetry.json; exits
-#                                      # nonzero if telemetry perturbs a digest
-#   scripts/bench.sh --telemetry --smoke  # small config, no file written
 #   scripts/bench.sh --ft       # fault-tolerance bench: replication-degree
 #                               # sweep (R=1..3) plus evacuation-vs-rollback
 #                               # cost per app, rewrites BENCH_ft.json; exits
@@ -46,7 +41,6 @@ scale=0
 gate=0
 optsim=0
 sweep=0
-telemetry=0
 ft=0
 workers=8
 while [ $# -gt 0 ]; do
@@ -56,14 +50,13 @@ while [ $# -gt 0 ]; do
 	--gate) gate=1 ;;
 	--optsim) optsim=1 ;;
 	--sweep) sweep=1 ;;
-	--telemetry) telemetry=1 ;;
 	--ft) ft=1 ;;
 	--workers)
 		shift
 		workers="$1"
 		;;
 	*)
-		echo "usage: scripts/bench.sh [--smoke] [--scale] [--gate] [--optsim [--sweep]] [--telemetry] [--ft] [--workers N]" >&2
+		echo "usage: scripts/bench.sh [--smoke] [--scale] [--gate] [--optsim [--sweep]] [--ft] [--workers N]" >&2
 		exit 2
 		;;
 	esac
@@ -72,13 +65,6 @@ done
 
 if [ "$ft" = 1 ]; then
 	exec go run ./cmd/chaos -ft -out BENCH_ft.json
-fi
-
-if [ "$telemetry" = 1 ]; then
-	if [ "$smoke" = 1 ]; then
-		exec go run ./cmd/parsimbench -telbench -smoke -workers "$workers"
-	fi
-	exec go run ./cmd/parsimbench -telbench -out BENCH_telemetry.json -workers "$workers"
 fi
 
 if [ "$optsim" = 1 ]; then

@@ -30,9 +30,10 @@ go test -count=1 -run 'Alloc' ./internal/charm/ ./internal/parsim/ ./internal/de
 # workers are spread over — for the optimistic engine that covers
 # speculation, rollback, and the commit pipeline. The projections suite
 # holds the event-log flavor of the same guarantee: byte-identical traces
-# across backends. The engine's own suite rides the same loop: its phase
-# handoff is a lock-free claim protocol whose failure mode at one thread is
-# a hang, not a wrong digest, and the default thread count never shows it.
+# across backends, pinned to their recorded sha256 (TestLogPinCrossBackend).
+# The engine's own suite rides the same loop: its phase handoff is a
+# lock-free claim protocol whose failure mode at one thread is a hang, not
+# a wrong digest, and the default thread count never shows it.
 for procs in 1 2 8; do
 	GOMAXPROCS=$procs go test -race -count=1 -run 'CrossBackend' ./internal/apps/determinism/ ./internal/projections/
 	GOMAXPROCS=$procs go test -race -count=1 ./internal/parsim/
@@ -45,10 +46,6 @@ done
 for procs in 1 8; do
 	GOMAXPROCS=$procs go test -race -count=1 -run 'TelemetryNeutral' ./internal/telemetry/
 done
-
-# Telemetry overhead, for the PR record: attached vs detached wall time and
-# the same digest-identity claim from the bench side.
-scripts/bench.sh --telemetry --smoke
 
 scripts/bench.sh --smoke
 # Time Warp smoke: three-backend PHOLD at low lookahead; exits nonzero if
@@ -74,10 +71,6 @@ CHARMGO_FIGS_FULL=1 go test -count=1 -timeout 40m -run TestFigureCrossBackend ./
 # BENCH_scale.json. Memory metrics are host-independent and fail the gate
 # at >20% over budget; events/sec only warns (it depends on the host).
 scripts/bench.sh --gate
-
-# Tracing overhead: the same LeanMD run untraced vs fully traced, recorded
-# for the PR record. The untraced path must stay a nil check.
-go run ./cmd/projections -selfbench -smoke -out BENCH_projections.json
 
 # Chaos soak: every campaign app survives its injected crashes with final
 # values and state digests byte-identical to the failure-free run, on all
