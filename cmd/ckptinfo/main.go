@@ -7,12 +7,13 @@
 // (default 1, the classic buddy ring) — each PE's holder set, the bytes it
 // keeps resident for others, and the bytes streamed back if it fails —
 // plus a degree-sweep table of the R-vs-memory tradeoff; with
-// -plan <file> it reads a chaos fault plan (the "plan" object of
-// BENCH_chaos.json, or a hand-written one) and prints the blast radius of
-// every planned crash — which PE dies, who can restore it, how many of its
-// holders are themselves under fire elsewhere in the plan, and how many
-// checkpoint bytes that restore streams — so an operator can judge a
-// campaign (and pick a replication degree) before running it.
+// -plan <file> it reads a chaos fault plan (a "plan" object of cmd/chaos's
+// report — internal/chaos/testdata/campaign.json holds three — or a
+// hand-written one) and prints the blast radius of every planned crash —
+// which PE dies, who can restore it, how many of its holders are themselves
+// under fire elsewhere in the plan, and how many checkpoint bytes that
+// restore streams — so an operator can judge a campaign (and pick a
+// replication degree) before running it.
 package main
 
 import (

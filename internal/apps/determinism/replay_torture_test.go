@@ -103,16 +103,34 @@ func assertReplayTorture(t *testing.T, name string, intervals []int, mk func() m
 	}
 }
 
+// pholdSmokeGolden is what the optimistic engine decides on TestPDESReplayTorture's
+// input at snapshot interval k. What it launches and rolls back does not
+// depend on the interval; what it images, avoids, logs and replays does.
+func pholdSmokeGolden(k int) counters {
+	return counters{
+		events: 191389,
+		engine: parsim.Stats{Launched: 93203, Committed: 93197, RolledBack: 6, Inline: 94871, Global: 3321, MaxInFlight: 8, MaxGVTLag: 8.520000000001443e-06},
+		saves: map[int]charm.SpecSaveStats{
+			1: {Snapshots: 91044, SnapshotBytes: 9410872, SnapshotsAvoided: 3, Restores: 6,
+				Retired: 91044, SnapInterval: 1},
+			4: {Snapshots: 29451, SnapshotBytes: 3047384, SnapshotsAvoided: 61596, Restores: 6, Replays: 11,
+				LoggedDeliveries: 88302, Retired: 29405, SnapInterval: 4},
+			16: {Snapshots: 7908, SnapshotBytes: 820312, SnapshotsAvoided: 83139, Restores: 6, Replays: 52,
+				LoggedDeliveries: 118312, Retired: 7857, SnapInterval: 16},
+			0: {Snapshots: 2188, SnapshotBytes: 227288, SnapshotsAvoided: 88859, Restores: 6, Replays: 108,
+				LoggedDeliveries: 133342, Retired: 2130, SnapInterval: 64, Adaptive: true},
+		}[k],
+	}
+}
+
 // TestPDESReplayTorture is the rollback-cascade workhorse: PHOLD at low
 // lookahead without TRAM (so LPs declare PureHandlers and keep sparse
 // images) speculates far past the conservative frontier and takes real
 // straggler rollbacks, each of which restores a retained image and
-// coast-forwards the committed deliveries logged since.
+// coast-forwards the committed deliveries logged since. Its check holds
+// every speculation and state-saving counter to pholdSmokeGolden.
 func TestPDESReplayTorture(t *testing.T) {
-	cfg := pdes.Config{
-		LPs: 64, EventsPerLP: 8, TargetEvents: 8000, Seed: 42,
-		Lookahead: 0.05, MeanDelay: 4.0,
-	}
+	cfg := lowAlphaPHOLD(64, 8000)
 	assertReplayTorture(t, "pdes", snapIntervals,
 		func() machine.Config { return machine.Testbed(8) },
 		func(rt *charm.Runtime) string {
@@ -121,7 +139,9 @@ func TestPDESReplayTorture(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fmt.Sprintf("committed=%d windows=%d maxvt=%v", res.Committed, res.Windows, res.MaxVT)
-		}, true, nil)
+		}, true, func(t *testing.T, k int, rt *charm.Runtime) {
+			countersOf(rt).check(t, pholdSmokeGolden(k))
+		})
 }
 
 // TestLeanMDReplayTorture exercises sparse imaging under migration: LB

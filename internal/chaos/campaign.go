@@ -57,8 +57,16 @@ func specFor(app string) (appSpec, error) {
 	case "pdes":
 		return appSpec{numPEs: 32, run: runPDES}, nil
 	}
-	return appSpec{}, fmt.Errorf("chaos: unknown app %q (want leanmd, stencil, or pdes)", app)
+	return appSpec{}, &UsageError{fmt.Sprintf("unknown app %q (want leanmd, stencil, or pdes)", app)}
 }
+
+// UsageError reports a campaign argument outside its accepted range. A
+// report must not describe a run that did not happen (ckpt.Mem clamps an
+// oversized replication degree silently), so RunCampaignOpts refuses such
+// arguments before running anything and cmd/chaos exits 2 on them.
+type UsageError struct{ msg string }
+
+func (e *UsageError) Error() string { return "chaos: " + e.msg }
 
 func newRuntime(cfg machine.Config, backend string) *charm.Runtime {
 	cfg.Backend = backend
@@ -233,7 +241,10 @@ type BenchBackend struct {
 	RestartFromScratch float64 `json:"restart_from_scratch"`
 }
 
-// Bench is the BENCH_chaos.json payload for one application.
+// Bench is one application's entry in the campaign report that cmd/chaos
+// writes. The default report (every app, 3 crashes, seed 42) is committed
+// as testdata/campaign.json, and the SurvivesCrashes tests compare theirs
+// with it byte for byte.
 type Bench struct {
 	App     string `json:"app"`
 	Seed    int64  `json:"seed"`
@@ -275,11 +286,23 @@ func RunCampaign(app string, crashes int, seed int64) (*Bench, error) {
 // failures ride along with the crashes (delivered early enough that a
 // checkpoint cut falls inside the prediction window, so they are
 // absorbed by evacuation), and replication sets the checkpoint
-// replication degree R (0: the default, 1).
+// replication degree R (0: the default, 1). An unknown app, a negative
+// count or a degree the machine cannot hold is a *UsageError.
 func RunCampaignOpts(app string, crashes, warns int, seed int64, replication int) (*Bench, error) {
 	spec, err := specFor(app)
 	if err != nil {
 		return nil, err
+	}
+	// ckpt.Mem keeps at most one copy on every other PE.
+	maxR := spec.numPEs - 1
+	switch {
+	case crashes < 0:
+		return nil, &UsageError{fmt.Sprintf("%d crashes out of range (want >= 0)", crashes)}
+	case warns < 0:
+		return nil, &UsageError{fmt.Sprintf("%d warns out of range (want >= 0)", warns)}
+	case replication < 0 || replication > maxR:
+		return nil, &UsageError{fmt.Sprintf("replication degree %d out of range (want 0 = the default of 1, or 1..%d on %s's %d PEs)",
+			replication, maxR, app, spec.numPEs)}
 	}
 	ro := runOpts{replication: replication}
 	probe, err := spec.run("sequential", nil, seed, ro)

@@ -1,8 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"charmgo/internal/apps/leanmd"
@@ -57,16 +62,88 @@ func assertCampaign(t *testing.T, app string, crashes int, seed int64) *Bench {
 	return b
 }
 
-func TestLeanMDSurvivesCrashes(t *testing.T) {
-	assertCampaign(t, "leanmd", 3, 42)
+// reportJSON renders a report the way cmd/chaos -out writes it.
+func reportJSON(t *testing.T, report any) []byte {
+	t.Helper()
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
 }
 
-func TestStencilSurvivesCrashes(t *testing.T) {
-	assertCampaign(t, "stencil", 3, 42)
+// assertGolden requires got to be testdata/name byte for byte. The reports
+// are deterministic — every time in them is virtual — so a difference is a
+// change to a fault plan, a recovery cost or a state digest: a model change,
+// to be explained and regenerated with the cmd/chaos command given.
+func assertGolden(t *testing.T, name, regenerate string, got []byte) {
+	t.Helper()
+	want := golden(t, name)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gl)-1 && i < len(wl)-1 && gl[i] == wl[i] {
+		i++
+	}
+	t.Errorf("report is not testdata/%s (%d vs %d bytes), first at line %d; if the change is meant, regenerate with %s\n  got  %s\n  want %s",
+		name, len(got), len(want), i+1, regenerate, gl[i], wl[i])
 }
 
-func TestPDESSurvivesCrashes(t *testing.T) {
-	assertCampaign(t, "pdes", 3, 42)
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// assertSurvivesCrashes runs the campaign whose report is committed: three
+// crashes, seed 42. testdata/campaign.json holds all of Apps() and each test
+// computes one entry, so it puts its own in the recorded report's place and
+// requires the rendering to be the file: between them the three tests cover
+// every byte of it.
+func assertSurvivesCrashes(t *testing.T, app string) {
+	b := assertCampaign(t, app, 3, 42)
+	var report []*Bench
+	if err := json.Unmarshal(golden(t, "campaign.json"), &report); err != nil {
+		t.Fatal(err)
+	}
+	if len(report) != len(Apps()) {
+		t.Fatalf("testdata/campaign.json holds %d apps, want %d", len(report), len(Apps()))
+	}
+	report[slices.Index(Apps(), app)] = b
+	assertGolden(t, "campaign.json", "go run ./cmd/chaos -out internal/chaos/testdata/campaign.json", reportJSON(t, report))
+}
+
+func TestLeanMDSurvivesCrashes(t *testing.T) { assertSurvivesCrashes(t, "leanmd") }
+
+func TestStencilSurvivesCrashes(t *testing.T) { assertSurvivesCrashes(t, "stencil") }
+
+func TestPDESSurvivesCrashes(t *testing.T) { assertSurvivesCrashes(t, "pdes") }
+
+// TestFTBenchGolden runs the fault-tolerance benchmark — the replication
+// sweep R = 1..3 and the evacuation-vs-rollback comparison on every app and
+// backend — and holds its report to the committed one, which records
+// digests_identical in every cell.
+func TestFTBenchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve campaigns, ~10 s")
+	}
+	rep, err := RunFTBench(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range rep.Apps {
+		for _, p := range a.Points {
+			if !p.DigestsIdentical {
+				t.Errorf("%s R=%d: digests diverge from the failure-free run", a.App, p.Replication)
+			}
+		}
+	}
+	assertGolden(t, "ft.json", "go run ./cmd/chaos -ft -out internal/chaos/testdata/ft.json", reportJSON(t, rep))
 }
 
 // TestBenchDeterminism: the same plan and seed must produce a
@@ -113,11 +190,11 @@ func TestCrashPlanDeterminism(t *testing.T) {
 
 func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
-		{Faults: []Fault{{Kind: FaultCrash, At: 1, PE: 0}}},       // detector PE
-		{Faults: []Fault{{Kind: FaultCrash, At: 1, PE: 8}}},       // out of range
-		{Faults: []Fault{{Kind: FaultDrop, At: 2, Until: 1}}},     // empty window
+		{Faults: []Fault{{Kind: FaultCrash, At: 1, PE: 0}}},         // detector PE
+		{Faults: []Fault{{Kind: FaultCrash, At: 1, PE: 8}}},         // out of range
+		{Faults: []Fault{{Kind: FaultDrop, At: 2, Until: 1}}},       // empty window
 		{Faults: []Fault{{Kind: FaultStraggler, PE: 1, Factor: 1}}}, // factor ≥ 1
-		{Faults: []Fault{{Kind: "meteor", At: 1}}},                // unknown kind
+		{Faults: []Fault{{Kind: "meteor", At: 1}}},                  // unknown kind
 	}
 	for i, p := range bad {
 		if p.Validate(8) == nil {
@@ -132,6 +209,40 @@ func TestPlanValidate(t *testing.T) {
 	}}
 	if err := ok.Validate(8); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+}
+
+// TestCampaignUsage: a campaign argument outside its range is a typed usage
+// error naming the range, not a report over a run that used something else.
+func TestCampaignUsage(t *testing.T) {
+	bad := []struct {
+		app                         string
+		crashes, warns, replication int
+		want                        string
+	}{
+		{"meteor", 1, 0, 0, "want leanmd, stencil, or pdes"},
+		{"stencil", -1, 0, 0, "-1 crashes out of range (want >= 0)"},
+		{"stencil", 1, -2, 0, "-2 warns out of range (want >= 0)"},
+		{"stencil", 1, 0, -2, "replication degree -2 out of range"},
+		{"stencil", 1, 0, 8, "1..7 on stencil's 8 PEs"},
+		{"stencil", 1, 0, 99, "1..7 on stencil's 8 PEs"},
+		{"pdes", 1, 0, 32, "1..31 on pdes's 32 PEs"},
+	}
+	for _, c := range bad {
+		b, err := RunCampaignOpts(c.app, c.crashes, c.warns, 42, c.replication)
+		var ue *UsageError
+		if b != nil || !errors.As(err, &ue) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunCampaignOpts(%q, %d, %d, 42, %d) = %v, %v; want a *UsageError containing %q",
+				c.app, c.crashes, c.warns, c.replication, b, err, c.want)
+		}
+	}
+	// The largest degree the machine holds is accepted, and reported as asked.
+	b, err := RunCampaignOpts("stencil", 1, 0, 42, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Replication != 7 {
+		t.Errorf("replication %d reported, want 7", b.Replication)
 	}
 }
 

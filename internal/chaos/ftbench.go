@@ -1,8 +1,8 @@
 package chaos
 
-// The fault-tolerance benchmark (cmd/chaos -ft, BENCH_ft.json): for each
-// campaign app it sweeps the checkpoint replication degree R and sets the
-// cost of surviving failures reactively (rollback to the last in-memory
+// The fault-tolerance benchmark (cmd/chaos -ft): for each campaign app it
+// sweeps the checkpoint replication degree R and sets the cost of
+// surviving failures reactively (rollback to the last in-memory
 // checkpoint) against surviving them proactively (evacuating a PE whose
 // failure was predicted). Every cell of the sweep re-asserts the headline
 // invariant — application results and full state digests byte-identical
@@ -51,7 +51,9 @@ type FTApp struct {
 	Absorbed     int     `json:"absorbed"`
 }
 
-// FTReport is the whole BENCH_ft.json payload.
+// FTReport is the whole report of cmd/chaos -ft. Seed 42's is committed as
+// testdata/ft.json, and TestFTBenchGolden compares RunFTBench(42) with it
+// byte for byte.
 type FTReport struct {
 	Seed    int64   `json:"seed"`
 	Degrees []int   `json:"degrees"`
