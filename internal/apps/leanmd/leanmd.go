@@ -386,38 +386,28 @@ func (a *App) fillCell(cl *cell, rng *rand.Rand) {
 	cl.Fs = make([]float64, len(cl.Xs))
 }
 
+// numNeighbours is the size of a cell's periodic neighbourhood. New rejects
+// grids under 3 cells per dimension, so the 26 offsets wrap onto 26 distinct
+// cells, none of them the cell itself.
+const numNeighbours = 26
+
 // neighbours lists the 26 periodic neighbour cells.
-func (a *App) neighbours(c [3]int) [][3]int {
+func (a *App) neighbours(c [3]int) (out [numNeighbours][3]int) {
 	dims := [3]int{a.cfg.CellsX, a.cfg.CellsY, a.cfg.CellsZ}
-	var out [][3]int
+	n := 0
 	for di := -1; di <= 1; di++ {
 		for dj := -1; dj <= 1; dj++ {
 			for dk := -1; dk <= 1; dk++ {
 				if di == 0 && dj == 0 && dk == 0 {
 					continue
 				}
-				nb := [3]int{
+				out[n] = [3]int{
 					(c[0] + di + dims[0]) % dims[0],
 					(c[1] + dj + dims[1]) % dims[1],
 					(c[2] + dk + dims[2]) % dims[2],
 				}
-				if nb == c {
-					continue // tiny grids: neighbour wraps onto self
-				}
-				out = append(out, nb)
+				n++
 			}
-		}
-	}
-	return dedup(out)
-}
-
-func dedup(in [][3]int) [][3]int {
-	seen := map[[3]int]bool{}
-	var out [][3]int
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
 		}
 	}
 	return out
@@ -526,9 +516,9 @@ func (a *App) sendPositions(c *cell, ctx *charm.Ctx) {
 	}
 }
 
-func (a *App) expectedForces(c *cell) int {
-	return 1 + len(a.neighbours([3]int{c.I, c.J, c.K}))
-}
+// expectedForces is how many force messages complete a cell's step: one per
+// neighbour pair compute plus its self-compute.
+const expectedForces = 1 + numNeighbours
 
 func (a *App) onCellForces(obj charm.Chare, ctx *charm.Ctx, msg any) {
 	c := obj.(*cell)
@@ -546,7 +536,7 @@ func (a *App) onCellForces(obj charm.Chare, ctx *charm.Ctx, msg any) {
 // buffered forces are summed in canonical compute order — never arrival
 // order — so the result is bit-identical however the messages interleave.
 func (a *App) maybeIntegrate(c *cell, ctx *charm.Ctx) {
-	if c.InSync || c.WaitMig || len(c.Recv) < a.expectedForces(c) {
+	if c.InSync || c.WaitMig || len(c.Recv) < expectedForces {
 		return
 	}
 	sort.Slice(c.Recv, func(i, j int) bool {
@@ -699,7 +689,7 @@ func (a *App) onCellAtoms(obj charm.Chare, ctx *charm.Ctx, msg any) {
 }
 
 func (a *App) maybeFinishExchange(c *cell, ctx *charm.Ctx) {
-	if !c.WaitMig || c.MigGot < len(a.neighbours([3]int{c.I, c.J, c.K})) {
+	if !c.WaitMig || c.MigGot < numNeighbours {
 		return
 	}
 	c.WaitMig = false

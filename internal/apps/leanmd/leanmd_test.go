@@ -240,3 +240,49 @@ func TestTopoAwareMappingReducesStepTime(t *testing.T) {
 		t.Fatalf("topology-aware map did not help: topo %v vs hash %v", topo, hash)
 	}
 }
+
+// The neighbourhood is a constant 26: every grid New accepts has at least 3
+// cells per dimension, so the 26 periodic offsets land on 26 distinct cells
+// and never wrap onto the cell itself. The force and atom-exchange counts
+// rely on it (expectedForces, numNeighbours).
+func TestNeighboursAreDistinctCells(t *testing.T) {
+	for _, dims := range [][3]int{{3, 3, 3}, {6, 4, 3}} {
+		a := &App{cfg: Config{CellsX: dims[0], CellsY: dims[1], CellsZ: dims[2]}}
+		for i := 0; i < dims[0]; i++ {
+			for j := 0; j < dims[1]; j++ {
+				for k := 0; k < dims[2]; k++ {
+					c := [3]int{i, j, k}
+					seen := map[[3]int]bool{}
+					for _, nb := range a.neighbours(c) {
+						for d := 0; d < 3; d++ {
+							if off := (nb[d] - c[d] + dims[d]) % dims[d]; nb[d] < 0 || nb[d] >= dims[d] || (off > 1 && off != dims[d]-1) {
+								t.Fatalf("grid %v: %v is not adjacent to %v", dims, nb, c)
+							}
+						}
+						if nb == c {
+							t.Fatalf("grid %v: cell %v is its own neighbour", dims, c)
+						}
+						seen[nb] = true
+					}
+					if len(seen) != numNeighbours {
+						t.Fatalf("grid %v: cell %v has %d distinct neighbours, want %d", dims, c, len(seen), numNeighbours)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The force-count check runs on every force message a cell receives; it
+// must not allocate.
+func TestForceCountCheckAllocFree(t *testing.T) {
+	a := &App{cfg: small()}
+	c := &cell{I: 1, J: 1, K: 1, Recv: make([]forceMsg, expectedForces-1)}
+	if n := testing.AllocsPerRun(100, func() { a.maybeIntegrate(c, nil) }); n != 0 {
+		t.Fatalf("force-count check allocates %v per message, want 0", n)
+	}
+	c.WaitMig, c.MigGot = true, numNeighbours-1
+	if n := testing.AllocsPerRun(100, func() { a.maybeFinishExchange(c, nil) }); n != 0 {
+		t.Fatalf("atom-exchange count check allocates %v per message, want 0", n)
+	}
+}

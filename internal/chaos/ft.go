@@ -17,9 +17,13 @@ import (
 // faster than it can be healed.
 var ErrRetryBudgetExhausted = errors.New("chaos: recovery restart budget exhausted")
 
-// DefaultReplacementBoot is the modeled cost of wiring a hot standby
-// process into a fully evacuated PE's slot when a predicted failure lands.
-const DefaultReplacementBoot des.Time = 1e-4
+// replacementBoot is the modeled cost of wiring a hot standby process into a
+// fully evacuated PE's slot when a predicted failure lands.
+const replacementBoot des.Time = 1e-4
+
+// evacModel prices proactive evacuation: the malleable layer's shrink/expand
+// cost model.
+var evacModel = malleable.DefaultCostModel()
 
 // Options configures the fault-tolerance controller.
 type Options struct {
@@ -39,17 +43,6 @@ type Options struct {
 	// overlapping failures converge at R times the checkpoint memory and
 	// stream cost.
 	Replication int
-	// MaxRecoveryRestarts caps how many times an in-flight restore may be
-	// restarted by further failures before the campaign is declared
-	// unrecoverable (ErrRetryBudgetExhausted). Zero means 2R+2.
-	MaxRecoveryRestarts int
-	// ReplacementBoot is the modeled stall of wiring a standby process
-	// into a fully evacuated PE's slot when its predicted failure lands.
-	// Zero means DefaultReplacementBoot; negative means free.
-	ReplacementBoot des.Time
-	// EvacModel prices proactive evacuation (nil: the malleable layer's
-	// default shrink/expand cost model).
-	EvacModel *malleable.CostModel
 	// Restart replays the checkpoint cut's kick after a rollback. Nil
 	// falls back to re-enqueueing every AtSync element's resume entry —
 	// correct for applications checkpointing at LB resume points.
@@ -142,19 +135,18 @@ type warnState struct {
 //
 //   - overlapping failures: the heartbeat keeps observing during recovery;
 //     a crash landing mid-restore restarts the restore against the
-//     surviving replica set (capped by MaxRecoveryRestarts), so cascades
+//     surviving replica set (capped at maxRestarts), so cascades
 //     of up to R overlapping crashes converge;
 //   - predicted failures: a warn fault marks its PE doomed; at the next
 //     quiescent cut every chare is migrated off it and its replica slots
 //     are retargeted, so the crash lands on an empty PE and costs zero
 //     rollback.
 type Controller struct {
-	rt        *charm.Runtime
-	mem       *ckpt.Mem
-	opts      Options
-	det       *detector
-	inj       *injector
-	evacModel malleable.CostModel
+	rt   *charm.Runtime
+	mem  *ckpt.Mem
+	opts Options
+	det  *detector
+	inj  *injector
 
 	locSnap    *charm.LocCacheSnapshot
 	ckptDigest string
@@ -188,11 +180,7 @@ func Enable(rt *charm.Runtime, plan Plan, opts Options) (*Controller, error) {
 	if err := plan.Validate(rt.NumPEs()); err != nil {
 		return nil, err
 	}
-	c := &Controller{rt: rt, mem: ckpt.NewMem(rt), opts: opts,
-		crashAt: map[int]float64{}, evacModel: malleable.DefaultCostModel()}
-	if opts.EvacModel != nil {
-		c.evacModel = *opts.EvacModel
-	}
+	c := &Controller{rt: rt, mem: ckpt.NewMem(rt), opts: opts, crashAt: map[int]float64{}}
 	if opts.Replication > 0 {
 		c.mem.SetDegree(opts.Replication)
 	}
@@ -244,22 +232,10 @@ func (c *Controller) Survived() int {
 // match.
 func (c *Controller) PendingDisturbance() bool { return len(c.warns) > 0 }
 
-func (c *Controller) maxRestarts() int {
-	if c.opts.MaxRecoveryRestarts > 0 {
-		return c.opts.MaxRecoveryRestarts
-	}
-	return 2*c.mem.Degree() + 2
-}
-
-func (c *Controller) bootCost() des.Time {
-	if c.opts.ReplacementBoot < 0 {
-		return 0
-	}
-	if c.opts.ReplacementBoot == 0 {
-		return DefaultReplacementBoot
-	}
-	return c.opts.ReplacementBoot
-}
+// maxRestarts caps how many times an in-flight restore may be restarted by
+// further failures before the campaign is declared unrecoverable
+// (ErrRetryBudgetExhausted): 2R+2.
+func (c *Controller) maxRestarts() int { return 2*c.mem.Degree() + 2 }
 
 func (c *Controller) anyDead() bool {
 	for pe := 0; pe < c.rt.NumPEs(); pe++ {
@@ -357,7 +333,7 @@ func (c *Controller) evacuateDueWarns() des.Time {
 		if len(dests) == 0 {
 			continue // no live target; the prediction will land as a crash
 		}
-		moves, bytes, dur := malleable.EvacuatePE(c.rt, w.f.PE, dests, c.evacModel)
+		moves, bytes, dur := malleable.EvacuatePE(c.rt, w.f.PE, dests, evacModel)
 		w.moves = moves
 		w.evacuated = true
 		w.lbRound = c.rt.LBRounds()
@@ -396,7 +372,7 @@ func (c *Controller) healAbsorbed() des.Time {
 			}
 			start := c.rt.MaxBusy()
 			_, bytes := c.rt.ApplyMigrations(w.moves)
-			dur := c.evacModel.EvacuationCost(bytes)
+			dur := evacModel.EvacuationCost(bytes)
 			c.rt.StallActivePEs(start + dur)
 			total += dur
 		}
@@ -452,10 +428,9 @@ func (c *Controller) warnLands(f Fault) {
 	c.mem.NoteFailure(f.PE)
 	w.rec.LandedAt = float64(rt.Now())
 	if w.evacuated && !c.recovering && !rt.PEDead(f.PE) && rt.ElementsOn(f.PE) == 0 {
-		boot := c.bootCost()
-		rt.StallActivePEs(rt.MaxBusy() + boot)
+		rt.StallActivePEs(rt.MaxBusy() + replacementBoot)
 		w.rec.Absorbed = true
-		w.rec.BootCost = float64(boot)
+		w.rec.BootCost = float64(replacementBoot)
 		rt.Metrics().Counter("chaos.crashes_absorbed").Inc()
 		if h := rt.Trace(); h != nil {
 			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultCrash)})

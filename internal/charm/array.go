@@ -137,7 +137,6 @@ func (rt *Runtime) DeclareArray(name string, factory func() Chare, handlers []Ha
 	rt.arrayNames[name] = a
 	for _, p := range rt.pes {
 		p.byArr = append(p.byArr, 0)
-		p.locDense = append(p.locDense, nil)
 	}
 	return a
 }
@@ -149,11 +148,12 @@ func (a *Array) lin(idx Index) int {
 	if idx.Kind != a.linKind {
 		return -1
 	}
-	i, j, k := idx.I(), idx.J(), idx.K()
-	if uint(i) >= uint(a.linDims[0]) || uint(j) >= uint(a.linDims[1]) || uint(k) >= uint(a.linDims[2]) {
+	// Coordinates are stored as uint64(int64(i)): a negative one compares huge.
+	d := &a.linDims
+	if idx.A >= uint64(d[0]) || idx.B >= uint64(d[1]) || idx.C >= uint64(d[2]) {
 		return -1
 	}
-	return (i*a.linDims[1]+j)*a.linDims[2] + k
+	return (int(idx.A)*d[1]+int(idx.B))*d[2] + int(idx.C)
 }
 
 // ArrayByName looks up a declared array.
@@ -184,12 +184,12 @@ func (a *Array) NewElement() Chare { return a.factory() }
 func (a *Array) Insert(idx Index, obj Chare) {
 	rt := a.rt
 	pe := rt.homePE(elemKey{array: a.id, idx: idx})
-	rt.insertElement(a, idx, obj, pe, false)
+	rt.insertElement(a, idx, obj, pe)
 }
 
 // InsertOn creates an element on an explicit PE.
 func (a *Array) InsertOn(idx Index, obj Chare, pe int) {
-	a.rt.insertElement(a, idx, obj, pe, false)
+	a.rt.insertElement(a, idx, obj, pe)
 }
 
 // Get returns the element's state, or nil if it does not exist. This is a
@@ -240,7 +240,9 @@ func (a *Array) Broadcast(ep EP, payload any) {
 }
 
 // Replace swaps an existing element's state for obj and re-homes it on pe.
-// The fault-tolerance layer uses it to roll elements back to a checkpoint.
+// The fault-tolerance layer uses it to roll elements back to a checkpoint:
+// obj is the instance it just unpacked, so the move needs no PUP round trip
+// of its own.
 func (a *Array) Replace(idx Index, obj Chare, pe int) {
 	el, ok := a.elems[idx]
 	if !ok {
@@ -250,7 +252,7 @@ func (a *Array) Replace(idx Index, obj Chare, pe int) {
 	// The retained speculation image (if any) describes the replaced state.
 	a.rt.dropSave(el)
 	if el.pe != pe {
-		a.rt.moveElement(el, pe, false)
+		a.rt.rehome(el, pe)
 	}
 }
 
@@ -264,7 +266,7 @@ func (a *Array) Remove(idx Index) {
 
 // insertElement registers a new element on pe. Commit/global context: it
 // mutates the global location tables.
-func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int, dynamic bool) {
+func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int) {
 	key := elemKey{array: a.id, idx: idx}
 	eid := rt.eidOf(key)
 	if rt.elemTab[eid] != nil {
@@ -293,7 +295,6 @@ func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int, dynamic
 			rt.transmit(m, home, pe, rt.eng.Now())
 		}
 	}
-	_ = dynamic
 }
 
 // removeElement destroys an element. Its eid stays minted (stable for the
@@ -343,26 +344,18 @@ func (a *Array) rebuildRanks() {
 	a.ranksDirty = false
 }
 
+// migrationEnvelope is the modeled header a migrating element travels with,
+// on top of its PUP bytes.
+const migrationEnvelope = 64
+
 // moveElement migrates el to toPE, charging PUP serialization and transfer
-// costs when charge is true.
-func (rt *Runtime) moveElement(el *element, toPE int, charge bool) {
+// costs when charge is true. It is the only code that sizes or packs a
+// migrating object, and returns the modeled size of the transfer — the bytes
+// of the one pack it makes plus the envelope (0 when el is already there).
+func (rt *Runtime) moveElement(el *element, toPE int, charge bool) int {
 	from := el.pe
 	if from == toPE {
-		return
-	}
-	size := pup.Size(el.obj) + 64
-	if charge {
-		// Serialize out, transfer, deserialize in.
-		cfg := rt.mach.Config()
-		pupCost := des.Time(float64(size) * 2e-10 * cfg.BaseFreqGHz)
-		src := rt.pes[from]
-		t := rt.eng.Now()
-		if src.busy > t {
-			src.busy = src.busy + pupCost
-		} else {
-			src.busy = t + pupCost
-		}
-		rt.mach.PE(from).BusyTime += pupCost
+		return 0
 	}
 	// A migration repacks the object into a fresh instance; the retained
 	// speculation image (and its replay log) no longer matches it.
@@ -372,6 +365,7 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) {
 	// The pack buffer is pooled: at 256k-element rebalances the per-move
 	// allocation would otherwise dominate the LB step's heap churn.
 	data := pup.PackTo(pup.GetBuffer(), el.obj)
+	size := len(data) + migrationEnvelope
 	fresh := rt.arrays[el.key.array].NewElement()
 	err := pup.Unpack(data, fresh)
 	pup.PutBuffer(data)
@@ -379,7 +373,26 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) {
 		panic(fmt.Sprintf("charm: migration pup of %v failed: %v", el.key, err))
 	}
 	el.obj = fresh
+	if charge {
+		// Serialize out, transfer, deserialize in.
+		pupCost := des.Time(float64(size) * 2e-10 * rt.mach.Config().BaseFreqGHz)
+		src := rt.pes[from]
+		if now := rt.eng.Now(); src.busy < now {
+			src.busy = now
+		}
+		src.busy += pupCost
+		rt.mach.PE(from).BusyTime += pupCost
+	}
+	rt.rehome(el, toPE)
+	return size
+}
 
+// rehome moves el's runtime record from its PE to toPE — directories, the
+// home PE's location truth, the migration counter and trace record — leaving
+// el.obj as it is. moveElement calls it with the repacked object; Replace
+// with the one it was handed.
+func (rt *Runtime) rehome(el *element, toPE int) {
+	from := el.pe
 	srcPE := rt.pes[from]
 	delete(srcPE.elems, el.key)
 	srcPE.removeSorted(el)
@@ -400,6 +413,42 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) {
 		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: from,
 			Arr: rt.arrays[el.key.array].name, Idx: el.key.idx.String(), A: int64(from), B: int64(toPE)})
 	}
+}
+
+// migFilter says which destinations a migration list may use.
+type migFilter uint8
+
+const (
+	toAnyPE    migFilter = iota // the caller chose the destinations (evacuation, shrink)
+	toActivePE                  // active and not evacuating
+	toLivePE                    // active, not evacuating, and not crashed
+)
+
+// applyMigrations is the one loop that applies a migration list through the
+// normal PUP path (moveElement). It skips elements that no longer exist and
+// moves already in place, plus the destinations the filter refuses, and
+// returns what its callers price the moves with: how many were applied, their
+// total modeled bytes, and the longest single transfer.
+func (rt *Runtime) applyMigrations(migs []Migration, f migFilter) (moved int, bytes int64, maxXfer des.Time) {
+	for _, mg := range migs {
+		el, ok := mg.Array.elems[mg.Idx]
+		if !ok || mg.ToPE == el.pe {
+			continue
+		}
+		if f != toAnyPE && (mg.ToPE >= rt.activePEs || rt.pes[mg.ToPE].evac || f == toLivePE && rt.pes[mg.ToPE].dead) {
+			continue
+		}
+		from := el.pe
+		size := rt.moveElement(el, mg.ToPE, false)
+		xfer := rt.mach.NetDelay(from, mg.ToPE, size) +
+			rt.mach.SendOverhead(from) + rt.mach.RecvOverhead(mg.ToPE)
+		if xfer > maxXfer {
+			maxXfer = xfer
+		}
+		bytes += int64(size)
+		moved++
+	}
+	return moved, bytes, maxXfer
 }
 
 // CompactElementTable renumbers the location tables densely over the live
@@ -435,10 +484,7 @@ func (rt *Runtime) CompactElementTable() bool {
 		}
 	}
 	for _, p := range rt.pes {
-		p.locCache = nil
-		for i := range p.locDense {
-			p.locDense[i] = nil
-		}
+		p.loc.reset()
 	}
 	rt.tableEpoch++
 	return true

@@ -129,24 +129,13 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 		// current element population may differ from the original run's.
 		return
 	}
-	// Local deliveries: one scheduler message per element, pooled and
-	// pre-stamped with the destination (the element cannot move between
-	// this enqueue and its execution on the same PE's queue).
+	// Local deliveries: one scheduler message per element.
 	pe := rt.pes[p]
 	for _, el := range pe.sorted {
 		if el.key.array != bm.arr {
 			continue
 		}
-		m := getMsg()
-		m.dest = el.key
-		m.destPE = -1
-		m.destEID = el.eid
-		m.el = el
-		m.ep = bm.ep
-		m.payload = bm.payload
-		m.prio = bm.prio
-		m.size = bm.size
-		m.srcPE = p
+		m := localMsg(el, bm.ep, bm.payload, bm.prio, bm.size)
 		if ctx.fx == nil {
 			rt.inflight++
 			rt.enqueue(m, p)

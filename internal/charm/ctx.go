@@ -530,7 +530,7 @@ func (c *Ctx) Insert(arr *Array, idx Index, obj Chare) {
 	}
 	rt, pe := c.rt, c.pe
 	c.deferStruct(func() {
-		rt.insertElement(arr, idx, obj, pe, true)
+		rt.insertElement(arr, idx, obj, pe)
 		if haveGen {
 			if el, ok := rt.pes[pe].elems[elemKey{array: arr.id, idx: idx}]; ok {
 				el.redGen = gen

@@ -73,11 +73,11 @@ func TestDenseResolveMatchesMapPath(t *testing.T) {
 	rt, arr := newDenseRT(t, []int{16}, 0)
 	p := rt.pes[3] // not the home of anything; pure hint consumer
 	key := elemKey{array: arr.id, idx: Idx1(7)}
-	rt.cacheLoc(p, key, locEnt{pe: 2, eid: 11})
-	if p.locDense[arr.id] == nil {
+	p.loc.put(arr, key, locEnt{pe: 2, eid: 11})
+	if p.loc.locDense[arr.id] == nil {
 		t.Fatal("hint for bounded array did not land in the dense table")
 	}
-	if len(p.locCache) != 0 {
+	if len(p.loc.locCache) != 0 {
 		t.Fatal("hint for bounded array leaked into the map")
 	}
 	pe, eid := rt.resolveEID(3, key)
@@ -101,7 +101,7 @@ func TestDenseResolveAllocs(t *testing.T) {
 	rt, arr := newDenseRT(t, []int{64}, 64)
 	p := rt.pes[3]
 	for i := 0; i < 64; i++ {
-		rt.cacheLoc(p, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
+		p.loc.put(arr, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
 	}
 	key := elemKey{array: arr.id, idx: Idx1(33)}
 	var sink int32
@@ -126,7 +126,7 @@ func benchResolve(b *testing.B, bounds []int) {
 	const n = 4096
 	p := rt.pes[3]
 	for i := 0; i < n; i++ {
-		rt.cacheLoc(p, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
+		p.loc.put(arr, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
 	}
 	keys := make([]elemKey, n)
 	for i := range keys {
@@ -146,4 +146,3 @@ func benchResolve(b *testing.B, bounds []int) {
 // loads.
 func BenchmarkResolveDense(b *testing.B) { benchResolve(b, []int{4096}) }
 func BenchmarkResolveMap(b *testing.B)   { benchResolve(b, nil) }
-

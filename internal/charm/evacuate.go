@@ -10,10 +10,6 @@ package charm
 // predicted failure lands, so its death costs no rollback: a standby
 // process takes over its slot and the run continues in the same epoch.
 
-import (
-	"charmgo/internal/pup"
-)
-
 // SetPEEvacuating marks pe as evacuating ahead of a predicted failure (or,
 // with false, clears the mark). While set, load-balancing strategies do
 // not see pe as a placement target and migrations onto it are refused.
@@ -34,22 +30,18 @@ func (rt *Runtime) ElementsOn(pe int) int { return len(rt.pes[pe].sorted) }
 // same invariant the checkpoint layer relies on — so the moves are a pure
 // relocation, invisible to message routing beyond stale-hint forwarding.
 //
-// It returns the applied moves (ToPE is the destination each element
-// landed on) and the total PUP payload bytes, for the caller's cost model.
+// It returns the moves (ToPE is the destination each element landed on) and
+// the total modeled bytes, for the caller's cost model.
 func (rt *Runtime) EvacuatePE(pe int, dests []int) (moves []Migration, bytes int64) {
 	if len(dests) == 0 {
 		return nil, 0
 	}
-	// moveElement mutates p.sorted; walk a copy.
-	els := append([]*element(nil), rt.pes[pe].sorted...)
-	for i, el := range els {
-		to := dests[i%len(dests)]
-		bytes += int64(pup.Size(el.obj)) + 64
+	for i, el := range rt.pes[pe].sorted {
 		moves = append(moves, Migration{
-			Array: rt.arrays[el.key.array], Idx: el.key.idx, ToPE: to,
+			Array: rt.arrays[el.key.array], Idx: el.key.idx, ToPE: dests[i%len(dests)],
 		})
-		rt.moveElement(el, to, false)
 	}
+	_, bytes, _ = rt.applyMigrations(moves, toAnyPE)
 	return moves, bytes
 }
 
@@ -60,15 +52,6 @@ func (rt *Runtime) EvacuatePE(pe int, dests []int) (moves []Migration, bytes int
 // replaced PE when no load-balancing round has re-placed them. Quiescent
 // commit/global-event context, like EvacuatePE.
 func (rt *Runtime) ApplyMigrations(migs []Migration) (moved int, bytes int64) {
-	for _, mg := range migs {
-		el, ok := mg.Array.elems[mg.Idx]
-		if !ok || el.pe == mg.ToPE || mg.ToPE >= rt.activePEs ||
-			rt.pes[mg.ToPE].dead || rt.pes[mg.ToPE].evac {
-			continue
-		}
-		bytes += int64(pup.Size(el.obj)) + 64
-		rt.moveElement(el, mg.ToPE, false)
-		moved++
-	}
+	moved, bytes, _ = rt.applyMigrations(migs, toLivePE)
 	return moved, bytes
 }

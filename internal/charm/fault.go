@@ -100,72 +100,40 @@ func (rt *Runtime) dropInjected(m *message, dst int, t des.Time) {
 	rt.checkQD()
 }
 
-// LocCacheSnapshot is an opaque copy of every PE's location cache, taken at
+// LocCacheSnapshot is an opaque copy of every PE's location hints, taken at
 // checkpoint time and restored at rollback. Restoring (rather than
 // clearing) matters for exact replay: the failure-free run proceeds past
 // the cut with warm caches, so a rolled-back run must resume with the same
 // cache contents or its messages route — and therefore arrive — in a
 // different order.
 type LocCacheSnapshot struct {
-	caches []map[elemKey]locEnt
-	dense  [][][]locEnt // [pe][array] flat hint tables (nil = absent)
+	tables []locTable // by PE
 	// tableEpoch records the element-table numbering the cached eids refer
 	// to; restoring across a CompactElementTable would stamp messages with
 	// remapped ids, so Restore refuses it.
 	tableEpoch uint64
 }
 
-// SnapshotLocCaches deep-copies every PE's location cache (both the hash
-// maps and the dense per-array hint tables).
+// SnapshotLocCaches deep-copies every PE's location hints.
 func (rt *Runtime) SnapshotLocCaches() *LocCacheSnapshot {
-	s := &LocCacheSnapshot{
-		caches:     make([]map[elemKey]locEnt, len(rt.pes)),
-		dense:      make([][][]locEnt, len(rt.pes)),
-		tableEpoch: rt.tableEpoch,
-	}
+	s := &LocCacheSnapshot{tables: make([]locTable, len(rt.pes)), tableEpoch: rt.tableEpoch}
 	for i, p := range rt.pes {
-		for aid, t := range p.locDense {
-			if t == nil {
-				continue
-			}
-			if s.dense[i] == nil {
-				s.dense[i] = make([][]locEnt, len(p.locDense))
-			}
-			s.dense[i][aid] = append([]locEnt(nil), t...)
-		}
-		if len(p.locCache) == 0 {
-			continue
-		}
-		c := make(map[elemKey]locEnt, len(p.locCache))
-		for k, v := range p.locCache { //charmvet:ordered (map copy, order-insensitive)
-			c[k] = v
-		}
-		s.caches[i] = c
+		s.tables[i] = p.loc.clone()
 	}
 	return s
 }
 
-// RestoreLocCaches replaces every PE's location cache with the snapshot's
-// contents (fresh empty caches when s is nil).
+// RestoreLocCaches replaces every PE's location hints with a copy of the
+// snapshot's (empty tables when s is nil).
 func (rt *Runtime) RestoreLocCaches(s *LocCacheSnapshot) {
 	if s != nil && s.tableEpoch != rt.tableEpoch {
 		panic("charm: RestoreLocCaches across an element-table compaction")
 	}
 	for i, p := range rt.pes {
-		var c map[elemKey]locEnt
-		if s != nil && i < len(s.caches) && s.caches[i] != nil {
-			c = make(map[elemKey]locEnt, len(s.caches[i]))
-			for k, v := range s.caches[i] { //charmvet:ordered (map copy, order-insensitive)
-				c[k] = v
-			}
-		}
-		p.locCache = c
-		for aid := range p.locDense {
-			var t []locEnt
-			if s != nil && i < len(s.dense) && s.dense[i] != nil && aid < len(s.dense[i]) && s.dense[i][aid] != nil {
-				t = append([]locEnt(nil), s.dense[i][aid]...)
-			}
-			p.locDense[aid] = t
+		if s == nil {
+			p.loc.reset()
+		} else {
+			p.loc = s.tables[i].clone()
 		}
 	}
 }
@@ -210,10 +178,7 @@ func (rt *Runtime) RecoverReset() {
 			// reduction rings are empty, making generation reuse safe).
 			el.atSync = false
 			el.redGen = 0
-			el.load = 0
-			el.msgsSent = 0
-			el.bytesSent = 0
-			el.comm = nil
+			rt.resetMeters(el)
 			// Retained speculation images predate the checkpoint restore.
 			rt.dropSave(el)
 		}
@@ -224,31 +189,10 @@ func (rt *Runtime) RecoverReset() {
 }
 
 // ResumeRestoredElements re-enqueues ResumeFromSync for every element of
-// every AtSync array, replaying exactly the enqueue loop of a
-// load-balancing resume — the cut the checkpoint was taken at. The caller
-// must first stall every PE to a common horizon so the replayed deliveries
-// start from a uniform state.
-func (rt *Runtime) ResumeRestoredElements() {
-	for p := 0; p < rt.activePEs; p++ {
-		pe := rt.pes[p]
-		for _, el := range pe.sorted {
-			arr := rt.arrays[el.key.array]
-			if !arr.opts.UsesAtSync {
-				continue
-			}
-			rt.inflight++
-			m := getMsg()
-			m.dest = el.key
-			m.destPE = -1
-			m.destEID = el.eid
-			m.el = el
-			m.ep = arr.opts.ResumeEP
-			m.srcPE = p
-			m.size = 16
-			rt.enqueue(m, p)
-		}
-	}
-}
+// every AtSync array — the load-balancing resume (resumeFromSync) of the cut
+// the checkpoint was taken at. The caller must first stall every PE to a
+// common horizon so the replayed deliveries start from a uniform state.
+func (rt *Runtime) ResumeRestoredElements() { rt.resumeFromSync(true) }
 
 // atEpoch schedules a global event that self-cancels if a rollback happens
 // first: work scheduled under one epoch must not leak into the next.

@@ -107,80 +107,83 @@ func (rt *Runtime) StallActivePEs(t des.Time) {
 	}
 }
 
-// Rebalance runs the installed strategy immediately from driver context,
-// outside the AtSync protocol — the RTS-triggered balancing used by
-// shrink/expand and the cloud experiments. It returns the report and the
-// modeled duration, which has already been applied as a global stall.
-func (rt *Runtime) Rebalance() LBReport {
+// balance is the part of a load-balancing round its two entry points share:
+// the instrumented view at instant start, the strategy's decision and its
+// modeled cost, and the migrations. It returns the round's report with
+// Duration left for the caller — the entry points differ in whether the
+// closing barrier counts — plus the decision time and the span of the
+// transfer phase (the max cost of any single move: they proceed in parallel
+// across PEs).
+func (rt *Runtime) balance(start des.Time) (rep LBReport, decision, maxXfer des.Time) {
 	objs, pes := rt.LBView()
-	start := rt.MaxBusy()
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KLBStart, At: start, PE: -1, A: int64(rt.lbCount), B: int64(len(objs))})
 	}
-	decision := 0.0
 	var migs []Migration
 	if rt.balancer != nil {
 		migs = rt.balancer.Balance(objs, pes)
 		if cm, ok := rt.balancer.(StrategyCostModeler); ok {
-			decision = cm.DecisionCost(len(objs), len(pes))
+			decision = des.Time(cm.DecisionCost(len(objs), len(pes)))
 		} else {
 			n := float64(len(objs))
-			decision = 2e-4 + 2e-7*n*float64(log2ceil(len(objs)+1))
+			decision = des.Time(2e-4 + 2e-7*n*float64(log2ceil(len(objs)+1)))
 		}
 	}
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KLBDecision, At: start + des.Time(decision), PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
+		rt.trace.Emit(Event{Kind: KLBDecision, At: start + decision, PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
 	}
-	maxXfer := des.Time(0)
-	moved := 0
-	for _, mg := range migs {
-		el, ok := mg.Array.elems[mg.Idx]
-		if !ok || mg.ToPE == el.pe || mg.ToPE >= rt.activePEs || rt.pes[mg.ToPE].evac {
-			continue
-		}
-		size := pup.Size(el.obj) + 64
-		xfer := rt.mach.NetDelay(el.pe, mg.ToPE, size) +
-			rt.mach.SendOverhead(el.pe) + rt.mach.RecvOverhead(mg.ToPE)
-		if xfer > maxXfer {
-			maxXfer = xfer
-		}
-		rt.moveElement(el, mg.ToPE, false)
-		moved++
-	}
-	dur := des.Time(decision) + maxXfer + rt.barrierLatency()
-	rt.StallActivePEs(start + dur)
-	rep := rt.summarize(objs, pes, start, dur, moved)
+	// An LB round may still place onto a crashed PE nobody has detected yet.
+	moved, _, maxXfer := rt.applyMigrations(migs, toActivePE)
+	return rt.summarize(objs, pes, start, moved), decision, maxXfer
+}
+
+// endRound records a completed round: the trace record and the counters.
+func (rt *Runtime) endRound(at, dur des.Time, moved int) {
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KLBDone, At: start + dur, PE: -1, A: int64(rt.lbCount), B: int64(moved), Dur: dur})
+		rt.trace.Emit(Event{Kind: KLBDone, At: at, PE: -1, A: int64(rt.lbCount), B: int64(moved), Dur: dur})
 	}
 	rt.lbCount++
 	rt.Stats.LBInvocations++
 	rt.metrics.Counter("lb.rounds").Inc()
 	rt.metrics.Counter("lb.migrations").Add(uint64(moved))
-	for p := 0; p < rt.activePEs; p++ {
-		for _, el := range rt.pes[p].sorted {
-			el.load = 0
-			el.comm = nil
-			// Commit-context meter reset: a retained speculation image holds
-			// the pre-reset meters, which replay cannot reconstruct.
-			rt.invalidateSave(el)
-		}
-	}
+}
+
+// Rebalance runs the installed strategy immediately from driver context,
+// outside the AtSync protocol — the RTS-triggered balancing used by
+// shrink/expand and the cloud experiments. The round starts when the slowest
+// PE drains and its modeled duration, closing barrier included, is applied
+// inline as a global stall.
+func (rt *Runtime) Rebalance() LBReport {
+	start := rt.MaxBusy()
+	rep, decision, maxXfer := rt.balance(start)
+	rep.Duration = decision + maxXfer + rt.barrierLatency()
+	end := start + rep.Duration
+	rt.StallActivePEs(end)
+	rt.endRound(end, rep.Duration, rep.NumMoved)
+	rt.ResetLoadStats()
 	if rt.lbListener != nil {
 		rt.lbListener(rep)
 	}
 	return rep
 }
 
+// resetMeters opens a new LB database window for el (§III-A): the measured
+// load and the send counters read "since the last round" on every path. A
+// commit-context reset, so a retained speculation image — which holds the
+// pre-reset meters, and replay cannot reconstruct them — is invalidated.
+func (rt *Runtime) resetMeters(el *element) {
+	el.load = 0
+	el.msgsSent = 0
+	el.bytesSent = 0
+	el.comm = nil
+	rt.invalidateSave(el)
+}
+
 // ResetLoadStats zeroes the per-object instrumentation window.
 func (rt *Runtime) ResetLoadStats() {
 	for _, p := range rt.pes {
 		for _, el := range p.sorted {
-			el.load = 0
-			el.msgsSent = 0
-			el.bytesSent = 0
-			el.comm = nil
-			rt.invalidateSave(el) // see the post-LB reset loop
+			rt.resetMeters(el)
 		}
 	}
 }
@@ -219,7 +222,7 @@ func (rt *Runtime) LBView() ([]LBObject, []LBPE) {
 				Idx:    el.key.idx,
 				PE:     p,
 				Load:   float64(el.load) * 1e-15,
-				Bytes:  pup.Size(el.obj) + 64,
+				Bytes:  pup.Size(el.obj) + migrationEnvelope,
 				Pos:    el.pos,
 				HasPos: el.hasPos,
 				Msgs:   el.msgsSent,
@@ -258,68 +261,24 @@ func (rt *Runtime) LBView() ([]LBObject, []LBPE) {
 	return objs, pes
 }
 
-// runLB executes one AtSync load-balancing round: gather the instrumented
-// view, run the strategy, migrate, and resume every element.
+// runLB executes one AtSync load-balancing round at the barrier's instant:
+// balance now, and schedule the resume for when the decision, the transfers
+// and a closing barrier have passed.
 func (rt *Runtime) runLB() {
-	objs, pes := rt.LBView()
 	start := rt.eng.Now()
-	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KLBStart, At: start, PE: -1, A: int64(rt.lbCount), B: int64(len(objs))})
-	}
-
-	var migs []Migration
-	decision := 0.0
-	if rt.balancer != nil {
-		migs = rt.balancer.Balance(objs, pes)
-		if cm, ok := rt.balancer.(StrategyCostModeler); ok {
-			decision = cm.DecisionCost(len(objs), len(pes))
-		} else {
-			n := float64(len(objs))
-			decision = 2e-4 + 2e-7*n*float64(log2ceil(len(objs)+1))
-		}
-	}
-	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KLBDecision, At: start + des.Time(decision), PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
-	}
-
-	// Apply migrations; the span of the transfer phase is the max cost of
-	// any single move (they proceed in parallel across PEs).
-	maxXfer := des.Time(0)
-	moved := 0
-	for _, mg := range migs {
-		el, ok := mg.Array.elems[mg.Idx]
-		if !ok || mg.ToPE == el.pe || mg.ToPE >= rt.activePEs || rt.pes[mg.ToPE].evac {
-			continue
-		}
-		size := pup.Size(el.obj) + 64
-		xfer := rt.mach.NetDelay(el.pe, mg.ToPE, size) +
-			rt.mach.SendOverhead(el.pe) + rt.mach.RecvOverhead(mg.ToPE)
-		if xfer > maxXfer {
-			maxXfer = xfer
-		}
-		rt.moveElement(el, mg.ToPE, false)
-		moved++
-	}
-
-	report := rt.summarize(objs, pes, start, des.Time(decision)+maxXfer, moved)
-
-	resumeAt := start + des.Time(decision) + maxXfer + rt.barrierLatency()
+	rep, decision, maxXfer := rt.balance(start)
+	rep.Duration = decision + maxXfer
+	resumeAt := start + decision + maxXfer + rt.barrierLatency()
 	rt.atEpoch(resumeAt, func() {
 		rt.lbInProgress = false
-		if rt.trace != nil {
-			rt.trace.Emit(Event{Kind: KLBDone, At: resumeAt, PE: -1, A: int64(rt.lbCount), B: int64(moved), Dur: resumeAt - start})
-		}
-		rt.lbCount++
-		rt.Stats.LBInvocations++
-		rt.metrics.Counter("lb.rounds").Inc()
-		rt.metrics.Counter("lb.migrations").Add(uint64(moved))
+		rt.endRound(resumeAt, resumeAt-start, rep.NumMoved)
 		// The listener is part of the round, so it must fire before the
 		// resume hook: the in-memory checkpoint scheme snapshots at the
 		// hook (see SetLBResumeHook), and observer state mutated after its
 		// own cut would be rolled back without ever being replayed —
 		// losing one observation per recovery.
 		if rt.lbListener != nil {
-			rt.lbListener(report)
+			rt.lbListener(rep)
 		}
 		// The post-migration, pre-resume instant is a quiescent cut: the
 		// in-memory checkpoint scheme snapshots here (see SetLBResumeHook).
@@ -328,37 +287,35 @@ func (rt *Runtime) runLB() {
 				rt.StallActivePEs(resumeAt + stall)
 			}
 		}
-		// Reset instrumentation for the next interval and resume.
-		for p := 0; p < rt.activePEs; p++ {
-			pe := rt.pes[p]
-			for _, el := range pe.sorted {
-				arr := rt.arrays[el.key.array]
-				if !arr.opts.UsesAtSync || !el.atSync {
-					continue
-				}
-				el.atSync = false
-				rt.lbArrived--
-				el.load = 0
-				el.msgsSent = 0
-				el.bytesSent = 0
-				el.comm = nil
-				rt.invalidateSave(el) // see the post-LB reset loop
-				rt.inflight++
-				m := getMsg()
-				m.dest = el.key
-				m.destPE = -1
-				m.destEID = el.eid
-				m.el = el
-				m.ep = arr.opts.ResumeEP
-				m.srcPE = p
-				m.size = 16
-				rt.enqueue(m, p)
-			}
-		}
+		rt.resumeFromSync(false)
 	})
 }
 
-func (rt *Runtime) summarize(objs []LBObject, pes []LBPE, start, dur des.Time, moved int) LBReport {
+// resumeFromSync delivers ResumeFromSync (the array's ResumeEP) to the AtSync
+// elements waiting at the barrier, opening each one's next instrumentation
+// window — or, with all set, to every AtSync element: the replay of this
+// same cut after a checkpoint restore, where RecoverReset already cleared
+// the barrier.
+func (rt *Runtime) resumeFromSync(all bool) {
+	for p := 0; p < rt.activePEs; p++ {
+		for _, el := range rt.pes[p].sorted {
+			arr := rt.arrays[el.key.array]
+			if !arr.opts.UsesAtSync || !(all || el.atSync) {
+				continue
+			}
+			if el.atSync {
+				el.atSync = false
+				rt.lbArrived--
+			}
+			rt.resetMeters(el)
+			rt.inflight++
+			rt.enqueue(localMsg(el, arr.opts.ResumeEP, nil, prioDefault, 16), p)
+		}
+	}
+}
+
+// summarize builds the round's report (Duration is the caller's to fill in).
+func (rt *Runtime) summarize(objs []LBObject, pes []LBPE, start des.Time, moved int) LBReport {
 	// pes may be a strict subset of the active PEs (evacuating PEs are
 	// excluded as targets) while objs may still sit on an excluded PE, so
 	// the per-PE tables are sized by id, not by len(pes). An excluded
@@ -415,7 +372,6 @@ func (rt *Runtime) summarize(objs []LBObject, pes []LBPE, start, dur des.Time, m
 	return LBReport{
 		Round:       rt.lbCount,
 		Time:        start,
-		Duration:    dur,
 		NumObjs:     len(objs),
 		NumMoved:    moved,
 		MaxLoad:     maxL,

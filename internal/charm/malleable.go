@@ -9,32 +9,31 @@ package charm
 // The timing of the shrink/expand protocol (evacuation transfers, process
 // restart, reconnection) is modeled by internal/malleable; this method is
 // the instantaneous reconfiguration primitive it builds on.
-func (rt *Runtime) SetActivePEs(n int) {
+//
+// It returns the modeled bytes of the elements a shrink evacuated (0 on
+// expand), for the caller's cost model.
+func (rt *Runtime) SetActivePEs(n int) (evacBytes int64) {
 	if n < 1 || n > len(rt.pes) {
 		panic("charm: active PE count out of range")
 	}
 	old := rt.activePEs
 	rt.activePEs = n
-	if n < old {
-		// Evacuate chares from the removed PEs (§III-D: "evacuate chares
-		// from nodes which would be removed").
-		for p := n; p < old; p++ {
-			pe := rt.pes[p]
-			for len(pe.sorted) > 0 {
-				el := pe.sorted[0]
-				rt.moveElement(el, rt.homePE(el.key), false)
-			}
+	// Evacuate chares from the removed PEs (§III-D: "evacuate chares from
+	// nodes which would be removed") to their homes under the new PE count.
+	var evac []Migration
+	for p := n; p < old; p++ {
+		for _, el := range rt.pes[p].sorted {
+			evac = append(evac, Migration{Array: rt.arrays[el.key.array], Idx: el.key.idx, ToPE: rt.homePE(el.key)})
 		}
 	}
+	_, evacBytes, _ = rt.applyMigrations(evac, toAnyPE)
 	for _, pe := range rt.pes {
-		clear(pe.locCache)
-		for i := range pe.locDense {
-			pe.locDense[i] = nil
-		}
+		pe.loc.reset()
 	}
 	// A reconfiguration is a natural quiescent cut for long-running AMR or
 	// shrink/expand jobs; compact the location tables opportunistically so
 	// eids destroyed before the cut stop occupying slab slots. A no-op when
 	// messages are still in flight.
 	rt.CompactElementTable()
+	return evacBytes
 }

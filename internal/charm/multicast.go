@@ -64,6 +64,11 @@ func (rt *Runtime) mcastHandler(ctx *Ctx, msg any) {
 	p := rt.pes[ctx.pe]
 	for _, idx := range m.idxs {
 		key := elemKey{array: m.arr, idx: idx}
+		if el, ok := p.elems[key]; ok {
+			rt.enqueue(localMsg(el, m.ep, m.payload, m.prio, m.size), ctx.pe)
+			continue
+		}
+		// Stale location: hand the single copy to the location manager.
 		em := getMsg()
 		em.dest = key
 		em.destPE = -1
@@ -72,13 +77,6 @@ func (rt *Runtime) mcastHandler(ctx *Ctx, msg any) {
 		em.prio = m.prio
 		em.size = m.size
 		em.srcPE = ctx.pe
-		if el, ok := p.elems[key]; ok {
-			em.destEID = el.eid
-			em.el = el
-			rt.enqueue(em, ctx.pe)
-			continue
-		}
-		// Stale location: hand the single copy to the location manager.
 		rt.transmit(em, ctx.pe, rt.homePE(key), ctx.Now())
 	}
 }

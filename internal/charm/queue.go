@@ -76,6 +76,24 @@ func getMsg() *message {
 	return m
 }
 
+// localMsg mints a scheduler message for an element the caller holds a
+// pointer to, sent from the element's own PE: pre-stamped with the
+// destination, so delivery never consults the location manager (the element
+// cannot move between the enqueue and its execution on the same PE's queue).
+func localMsg(el *element, ep EP, payload any, prio int64, size int) *message {
+	m := getMsg()
+	m.dest = el.key
+	m.destPE = -1
+	m.destEID = el.eid
+	m.el = el
+	m.ep = ep
+	m.payload = payload
+	m.prio = prio
+	m.size = size
+	m.srcPE = el.pe
+	return m
+}
+
 // putMsg recycles a message at its terminal point, dropping payload and
 // element references so the pool never pins application state.
 func putMsg(m *message) {

@@ -118,16 +118,8 @@ type peState struct {
 	sorted []*element // deterministic iteration order
 	byArr  []int      // live element count per array id
 
-	// locCache holds remote-location hints keyed by element key; the value
-	// carries both the guessed PE and the element's dense id so a cache
-	// hit stamps the message for map-free routing at every later hop.
-	// Allocated lazily on the first hint.
-	locCache map[elemKey]locEnt
-	// locDense is the flat-table form of locCache, one table per array id
-	// for arrays with declared Bounds small enough to store flat (entries
-	// with pe < 0 are empty). Allocated lazily per (PE, array) on the
-	// first hint; shard-local exactly like locCache.
-	locDense [][]locEnt
+	// loc holds the PE's remote-location hints (see locTable).
+	loc locTable
 
 	// resLog collects the location-resolution answer of every array send
 	// made by the in-flight phase (see Ctx.resolveFor). A logged delivery
@@ -143,13 +135,6 @@ type peState struct {
 	// load balancing stops placing objects on it until the prediction
 	// resolves. Unlike dead, an evacuating PE keeps executing.
 	evac bool
-}
-
-// locEnt is one location-cache entry: the last known PE of an element and
-// its dense element id.
-type locEnt struct {
-	pe  int32
-	eid int32
 }
 
 func (p *peState) insertSorted(el *element) {
@@ -373,13 +358,10 @@ func (rt *Runtime) eidOf(k elemKey) int32 {
 // tests).
 func (rt *Runtime) Engine() des.Engine { return rt.eng }
 
-// shardOf maps a PE to its engine shard (its node): intra-node interactions
+// ShardOf maps a PE to its engine shard (its node): intra-node interactions
 // may be instantaneous, so a node is the smallest unit the parallel backend
-// can execute independently.
-func (rt *Runtime) shardOf(pe int) int { return rt.peShard[pe] }
-
-// ShardOf maps a PE to its engine shard (its node). The chaos failure
-// detector uses it to schedule zero-cost control events on a PE's shard.
+// can execute independently. The chaos failure detector uses it to schedule
+// zero-cost control events on a PE's shard.
 func (rt *Runtime) ShardOf(pe int) int { return rt.peShard[pe] }
 
 // Machine returns the machine the runtime executes on.
@@ -494,51 +476,11 @@ func (rt *Runtime) resolveEID(srcPE int, k elemKey) (int, int32) {
 	if el, ok := p.elems[k]; ok {
 		return el.pe, el.eid // local delivery
 	}
-	if t := p.locDense[k.array]; t != nil {
-		// Bounded array with a dense hint table on this PE: in-bounds keys
-		// live only here (cacheLoc never spills them to the map), so a miss
-		// is authoritative.
-		if off := rt.arrays[k.array].lin(k.idx); off >= 0 {
-			if ent := t[off]; ent.pe >= 0 && int(ent.pe) < rt.activePEs {
-				return int(ent.pe), ent.eid
-			}
-			return rt.homePE(k), -1
-		}
-	}
-	if ent, ok := p.locCache[k]; ok && int(ent.pe) < rt.activePEs {
+	// A hint naming a PE the job has since shrunk away from reads as a miss.
+	if ent, ok := p.loc.get(rt.arrays[k.array], &k); ok && int(ent.pe) < rt.activePEs {
 		return int(ent.pe), ent.eid
 	}
 	return rt.homePE(k), -1
-}
-
-// denseLocCap bounds the per-(PE, array) dense hint tables: beyond this
-// many slots the memory trade (8 bytes per possible index per PE) stops
-// paying for the map lookups it removes, and hints fall back to the map.
-const denseLocCap = 1 << 16
-
-// cacheLoc stores a location hint on p — in the array's flat table when it
-// is bounded and small enough, else the hash map. Shard-local phase
-// context (the hint-arrival event runs on p's shard).
-func (rt *Runtime) cacheLoc(p *peState, key elemKey, ent locEnt) {
-	a := rt.arrays[key.array]
-	if a.linCap > 0 && a.linCap <= denseLocCap {
-		if off := a.lin(key.idx); off >= 0 {
-			t := p.locDense[key.array]
-			if t == nil {
-				t = make([]locEnt, a.linCap)
-				for i := range t {
-					t[i].pe = -1
-				}
-				p.locDense[key.array] = t
-			}
-			t[off] = ent
-			return
-		}
-	}
-	if p.locCache == nil {
-		p.locCache = map[elemKey]locEnt{}
-	}
-	p.locCache[key] = ent
 }
 
 // resolve is resolveEID for callers that only want the PE guess.
@@ -565,7 +507,7 @@ func (rt *Runtime) transmit(m *message, src, dst int, t des.Time) {
 		extra = delay
 	}
 	arrival := rt.mach.Transmit(src, dst, m.size, t) + extra
-	rt.eng.AtShardCommit(rt.shardOf(dst), arrival, rt.arriveFn, m, int64(dst))
+	rt.eng.AtShardCommit(rt.ShardOf(dst), arrival, rt.arriveFn, m, int64(dst))
 }
 
 // arriveCommit is the preallocated commit body of every network arrival.
@@ -638,17 +580,19 @@ func (rt *Runtime) updateLocCache(srcPE int, key elemKey, ownerPE, homePE int, e
 	at := rt.eng.Now() + rt.mach.NetDelay(homePE, srcPE, 24)
 	epoch, tep := rt.epoch, rt.tableEpoch
 	ent := locEnt{pe: int32(ownerPE), eid: eid}
-	rt.eng.AtShard(rt.shardOf(srcPE), at, func() func() {
+	rt.eng.AtShard(rt.ShardOf(srcPE), at, func() func() {
 		// Epoch reads from a phase are race-free: rollbacks bump the epoch —
 		// and compaction the table epoch — only inside global events, which
 		// never overlap a phase. A hint minted under an older table numbering
 		// must die rather than poison the cache with a remapped eid.
 		if rt.epoch == epoch && rt.tableEpoch == tep {
+			// The hint-arrival event runs on srcPE's shard: the write is
+			// shard-local, and a speculated one is undone from what it replaced.
 			p := rt.pes[srcPE]
+			prev, had := p.loc.put(rt.arrays[key.array], key, ent)
 			if sp := rt.specFor(srcPE); sp != nil {
-				sp.noteLocCache(rt, p, key)
+				sp.cacheP, sp.cacheKey, sp.cacheEnt, sp.cacheHad = p, key, prev, had
 			}
-			rt.cacheLoc(p, key, ent)
 		}
 		return nil
 	})
@@ -682,7 +626,7 @@ func (rt *Runtime) pump(p *peState) {
 		t = p.busy
 	}
 	p.pumpAt = t
-	rt.eng.AtShardFn(rt.shardOf(p.id), t, rt.pumpFn, p, int64(rt.epoch))
+	rt.eng.AtShardFn(rt.ShardOf(p.id), t, rt.pumpFn, p, int64(rt.epoch))
 }
 
 // pumpPhase is the phase body of every PE dequeue event. b carries the
@@ -897,7 +841,7 @@ func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 		panic(fmt.Sprintf("charm: ExecuteOnPE with negative delay %v", delay))
 	}
 	epoch := rt.epoch
-	rt.eng.AtShard(rt.shardOf(pe), rt.eng.Now()+delay, func() func() {
+	rt.eng.AtShard(rt.ShardOf(pe), rt.eng.Now()+delay, func() func() {
 		return func() {
 			if rt.epoch != epoch {
 				return // flush timer armed before a rollback

@@ -52,31 +52,42 @@ func TestRebalanceReportsAndResets(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		arr.InsertOn(Idx1(i), &counter{}, 0) // everything on PE 0
 	}
+	// One element that sends, so the window's send counters are nonzero.
+	relay := rt.DeclareArray("relay", func() Chare { return &counter{} }, []Handler{
+		func(obj Chare, ctx *Ctx, msg any) { ctx.Send(arr, Idx1(0), epBump, int64(1)) },
+	}, ArrayOpts{Migratable: true})
+	relay.InsertOn(Idx1(0), &counter{}, 0)
 	rt.Boot(func(ctx *Ctx) {
 		for i := 0; i < 12; i++ {
 			ctx.Send(arr, Idx1(i), epBump, int64(1))
 		}
+		ctx.Send(relay, Idx1(0), 0, nil)
 	})
 	rt.Run()
+	objs, _ := rt.LBView()
+	if o := objs[len(objs)-1]; o.Array != relay || o.Msgs != 1 || o.SentB == 0 {
+		t.Fatalf("relay's window before the round: %+v, want 1 message sent", o)
+	}
 	rt.SetBalancer(&moveStrategy{})
 	var got LBReport
 	rt.OnLB(func(r LBReport) { got = r })
 	rep := rt.Rebalance()
-	if rep.NumObjs != 12 {
-		t.Fatalf("report objs %d, want 12", rep.NumObjs)
+	if rep.NumObjs != 13 {
+		t.Fatalf("report objs %d, want 13", rep.NumObjs)
 	}
-	if got.NumObjs != 12 {
+	if got.NumObjs != 13 {
 		t.Fatal("listener not invoked")
 	}
 	// moveStrategy sends everything to PE 0 where it already is: no moves.
 	if rep.NumMoved != 0 {
 		t.Fatalf("moved %d, want 0", rep.NumMoved)
 	}
-	// Load stats were reset by the rebalance.
-	objs, _ := rt.LBView()
+	// The rebalance opened a new LB database window: load and send counters
+	// read "since the last round", as they do after an AtSync round.
+	objs, _ = rt.LBView()
 	for _, o := range objs {
-		if o.Load != 0 {
-			t.Fatalf("load not reset: %+v", o)
+		if o.Load != 0 || o.Msgs != 0 || o.SentB != 0 {
+			t.Fatalf("window not reset: %+v", o)
 		}
 	}
 }

@@ -183,17 +183,12 @@ type shardSpec struct {
 	freshBytes  uint64
 	skipped     uint64
 
-	// Location-cache undo (updateLocCache's phase body). cacheDense marks
-	// a write to the array's flat hint table (cacheOff its slot, cacheNil
-	// "the table itself was created by this speculation"); otherwise the
-	// map fields apply.
-	cacheP     *peState
-	cacheKey   elemKey
-	cacheEnt   locEnt
-	cacheOff   int
-	cacheDense bool
-	cacheHad   bool
-	cacheNil   bool
+	// Location-hint undo (updateLocCache's phase body): the key written on
+	// cacheP, the entry it replaced, and whether there was one.
+	cacheP   *peState
+	cacheKey elemKey
+	cacheEnt locEnt
+	cacheHad bool
 }
 
 // Saving-interval and window-tuning model constants.
@@ -348,8 +343,7 @@ func (sc *specController) close(sp *shardSpec) {
 		sp.pendM, sp.pendEl, sp.pendCtx = nil, nil, nil
 	}
 	if sp.cacheP != nil {
-		sp.cacheP = nil
-		sp.cacheDense, sp.cacheHad, sp.cacheNil = false, false, false
+		sp.cacheP, sp.cacheHad = nil, false
 	}
 }
 
@@ -399,17 +393,10 @@ func (sc *specController) RollbackSpec(s int) {
 	// Location-cache hint (mutually exclusive with a dequeue log — a
 	// speculation is a single phase — but guarded independently anyway).
 	if sp.cacheP != nil {
-		switch {
-		case sp.cacheDense && sp.cacheNil:
-			sp.cacheP.locDense[sp.cacheKey.array] = nil
-		case sp.cacheDense:
-			sp.cacheP.locDense[sp.cacheKey.array][sp.cacheOff] = sp.cacheEnt
-		case sp.cacheNil:
-			sp.cacheP.locCache = nil
-		case sp.cacheHad:
-			sp.cacheP.locCache[sp.cacheKey] = sp.cacheEnt
-		default:
-			delete(sp.cacheP.locCache, sp.cacheKey)
+		if a := sc.rt.arrays[sp.cacheKey.array]; sp.cacheHad {
+			sp.cacheP.loc.put(a, sp.cacheKey, sp.cacheEnt)
+		} else {
+			sp.cacheP.loc.del(a, sp.cacheKey)
 		}
 	}
 
@@ -454,32 +441,6 @@ func (sp *shardSpec) noteDequeue(p *peState) {
 	sp.pumpAt = p.pumpAt
 	sp.spare = p.ctxSpare
 	sp.pendM, sp.pendEl, sp.pendCtx, sp.pendAt = p.pendM, p.pendEl, p.pendCtx, p.pendAt
-}
-
-// noteLocCache records the previous state of the location-cache slot the
-// hint write (rt.cacheLoc) is about to overwrite — the flat-table slot for
-// small bounded arrays, the map entry otherwise, mirroring cacheLoc's own
-// dispatch. Phase context, on whichever goroutine claimed the phase.
-func (sp *shardSpec) noteLocCache(rt *Runtime, p *peState, key elemKey) {
-	sp.cacheP = p
-	sp.cacheKey = key
-	a := rt.arrays[key.array]
-	if a.linCap > 0 && a.linCap <= denseLocCap {
-		if off := a.lin(key.idx); off >= 0 {
-			sp.cacheDense = true
-			sp.cacheOff = off
-			if t := p.locDense[key.array]; t != nil {
-				sp.cacheEnt = t[off]
-			} else {
-				sp.cacheNil = true
-			}
-			return
-		}
-	}
-	sp.cacheNil = p.locCache == nil
-	if !sp.cacheNil {
-		sp.cacheEnt, sp.cacheHad = p.locCache[key]
-	}
 }
 
 // touchElem guarantees el is restorable if this speculation rolls back.
@@ -752,15 +713,6 @@ func (sc *specController) tune() {
 }
 
 var _ parsim.Controller = (*specController)(nil)
-
-// SpecSnapshotStats reports how many chare images the optimistic backend
-// has packed and their total PUP bytes (zero on other backends).
-func (rt *Runtime) SpecSnapshotStats() (snapshots, bytes uint64) {
-	if rt.spec == nil {
-		return 0, 0
-	}
-	return rt.spec.snapshots, rt.spec.snapshotBytes
-}
 
 // SpecSaveStats is the state-saving profile of an optimistic run: images
 // packed vs skipped, rollback restores and coast-forward re-executions, how

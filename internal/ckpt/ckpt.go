@@ -82,24 +82,34 @@ func Capture(rt *charm.Runtime) *Snapshot {
 	return s
 }
 
+// rebuild is the step disk restart and in-memory recovery share: for every
+// element image in s, a factory-fresh object of the named array with the
+// image unpacked into it, handed to place. op names the caller in errors.
+func rebuild(rt *charm.Runtime, s *Snapshot, op string, place func(arr *charm.Array, es *ElemSnap, obj charm.Chare)) error {
+	for _, as := range s.Arrays {
+		arr := rt.ArrayByName(as.Name)
+		if arr == nil {
+			return fmt.Errorf("ckpt: %s: array %q not declared", op, as.Name)
+		}
+		for i := range as.Elems {
+			es := &as.Elems[i]
+			obj := arr.NewElement()
+			if err := pup.Unpack(es.Data, obj); err != nil {
+				return fmt.Errorf("ckpt: %s %s%v: %w", op, as.Name, es.Idx, err)
+			}
+			place(arr, es, obj)
+		}
+	}
+	return nil
+}
+
 // Restore repopulates a freshly declared runtime from a snapshot: each
 // element is recreated via its array's factory and inserted at its home on
 // the new runtime's (possibly different) PE count.
 func Restore(rt *charm.Runtime, s *Snapshot) error {
-	for _, as := range s.Arrays {
-		arr := rt.ArrayByName(as.Name)
-		if arr == nil {
-			return fmt.Errorf("ckpt: restore: array %q not declared", as.Name)
-		}
-		for _, es := range as.Elems {
-			obj := arr.NewElement()
-			if err := pup.Unpack(es.Data, obj); err != nil {
-				return fmt.Errorf("ckpt: restore %s%v: %w", as.Name, es.Idx, err)
-			}
-			arr.Insert(es.Idx, obj)
-		}
-	}
-	return nil
+	return rebuild(rt, s, "restore", func(arr *charm.Array, es *ElemSnap, obj charm.Chare) {
+		arr.Insert(es.Idx, obj)
+	})
 }
 
 // TotalBytes returns the checkpoint's payload size.

@@ -237,14 +237,6 @@ func TestRestartTimeGrowsWithPEsCheckpointShrinks(t *testing.T) {
 	}
 }
 
-func TestBuddyMapping(t *testing.T) {
-	rt, _ := buildRT(4, 4)
-	m := NewMem(rt)
-	if m.Buddy(0) != 1 || m.Buddy(3) != 0 {
-		t.Fatalf("buddy ring broken: %d %d", m.Buddy(0), m.Buddy(3))
-	}
-}
-
 func TestLoadRejectsCorruptFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {

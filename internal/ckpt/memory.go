@@ -7,7 +7,6 @@ import (
 
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
-	"charmgo/internal/pup"
 )
 
 // Typed recovery errors. Callers (the chaos controller, application
@@ -30,21 +29,11 @@ var (
 	ErrAllReplicasLost = errors.New("ckpt: every replica of the failed PE's checkpoint shard is lost")
 )
 
-// ErrBuddyFailed is the degree-1 name of ErrAllReplicasLost, kept so
-// existing errors.Is call sites keep matching: with a single remote copy,
-// "the buddy died too" and "all replicas are lost" are the same event.
-var ErrBuddyFailed = ErrAllReplicasLost
-
-// BuddyOf is the classic double in-memory scheme's buddy mapping as a
-// pure function: the first ring successor. It equals ReplicasOf(pe, n,
-// 1)[0] and is shared with operator tooling (cmd/ckptinfo) so the printed
-// map is the one the restore path actually uses.
-func BuddyOf(pe, numPEs int) int { return (pe + 1) % numPEs }
-
-// ReplicasOf is the degree-r generalization of BuddyOf: the deterministic
-// replica holder set of pe's checkpoint shard is its next r ring
-// successors. r is clamped to numPEs-1 (a PE never holds its own remote
-// copy).
+// ReplicasOf is the replica mapping as a pure function: the deterministic
+// holder set of pe's checkpoint shard is its next r ring successors (r = 1
+// is the classic double scheme's buddy). r is clamped to numPEs-1 (a PE
+// never holds its own remote copy). Operator tooling (cmd/ckptinfo) shares
+// it so the printed map is the one the restore path actually uses.
 func ReplicasOf(pe, numPEs, r int) []int {
 	if numPEs <= 1 || r <= 0 {
 		return nil
@@ -193,16 +182,6 @@ func (m *Mem) Doom(pe int, doomed bool) {
 // physical reality.
 func (m *Mem) NoteFailure(pe int) { m.lost[pe] = true }
 
-// Buddy returns the first (nearest) holder of pe's shard — the classic
-// buddy. After a checkpoint it reads the recorded holder table (which may
-// skip doomed PEs); before any checkpoint it is the default ring mapping.
-func (m *Mem) Buddy(pe int) int {
-	if m.holders != nil && pe < len(m.holders) && len(m.holders[pe]) > 0 {
-		return m.holders[pe][0]
-	}
-	return BuddyOf(pe, m.rt.NumPEs())
-}
-
 // Holders returns pe's shard holder set as of the last checkpoint (nil
 // before the first).
 func (m *Mem) Holders(pe int) []int {
@@ -338,27 +317,24 @@ func (m *Mem) StartRecovery(plan *RecoveryPlan) (des.Time, error) {
 
 	// Roll every element back to the checkpoint, placing it on its
 	// checkpoint-time PE (replacements inherit the failed PEs' ids).
-	for _, as := range m.snap.Arrays {
-		arr := m.rt.ArrayByName(as.Name)
-		if arr == nil {
-			m.recovering = false
-			return 0, fmt.Errorf("ckpt: recover: array %q not declared", as.Name)
+	err := rebuild(m.rt, m.snap, "recover", func(arr *charm.Array, es *ElemSnap, obj charm.Chare) {
+		if arr.Get(es.Idx) != nil {
+			arr.Replace(es.Idx, obj, es.PE)
+		} else {
+			arr.InsertOn(es.Idx, obj, es.PE)
 		}
-		inSnap := map[charm.Index]bool{}
+	})
+	if err != nil {
+		m.recovering = false
+		return 0, err
+	}
+	// Elements created after the checkpoint are rolled away.
+	for _, as := range m.snap.Arrays {
+		inSnap := make(map[charm.Index]bool, len(as.Elems))
 		for _, es := range as.Elems {
 			inSnap[es.Idx] = true
-			obj := arr.NewElement()
-			if err := pup.Unpack(es.Data, obj); err != nil {
-				m.recovering = false
-				return 0, fmt.Errorf("ckpt: recover %s%v: %w", as.Name, es.Idx, err)
-			}
-			if arr.Get(es.Idx) != nil {
-				arr.Replace(es.Idx, obj, es.PE)
-			} else {
-				arr.InsertOn(es.Idx, obj, es.PE)
-			}
 		}
-		// Elements created after the checkpoint are rolled away.
+		arr := m.rt.ArrayByName(as.Name)
 		for _, idx := range arr.Keys() {
 			if !inSnap[idx] {
 				arr.Remove(idx)

