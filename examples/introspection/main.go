@@ -21,9 +21,7 @@ import (
 
 func main() {
 	rt := charmgo.NewRuntime(charmgo.NewMachine(machine.Testbed(8)))
-	// The ring is sized to the run (~42k events per PE) so the timeline
-	// starts at t=0 on every PE.
-	tr := projections.Attach(rt, projections.Options{RingCap: 1 << 16})
+	tr := projections.Attach(rt, projections.Options{})
 
 	cfg := leanmd.Config{
 		CellsX: 4, CellsY: 4, CellsZ: 4, AtomsPerCell: 27,

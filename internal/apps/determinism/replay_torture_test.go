@@ -35,9 +35,7 @@ var snapIntervals = []int{1, 4, 16, 0}
 func torturedRun(t *testing.T, mk func() machine.Config, run func(rt *charm.Runtime) string) (string, *charm.Runtime) {
 	t.Helper()
 	rt := charm.New(machine.New(mk()))
-	// Each ring holds the busiest PE of the suite's largest run (50,386
-	// events in TestPDESReplayTorture), so the digest covers every event.
-	tr := projections.Attach(rt, projections.Options{RingCap: 1 << 16})
+	tr := projections.Attach(rt, projections.Options{})
 	summary := run(rt)
 
 	h := sha256.New()

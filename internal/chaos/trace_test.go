@@ -30,7 +30,7 @@ func TestTraceSubKinds(t *testing.T) {
 	}}
 
 	rt := newRuntime(machine.Testbed(8), "sequential")
-	tr := projections.Attach(rt, projections.Options{RingCap: 1 << 16})
+	tr := projections.Attach(rt, projections.Options{})
 	rt.SetBalancer(lb.Greedy{})
 	app, err := leanmd.New(rt, leanmd.Config{
 		CellsX: 3, CellsY: 3, CellsZ: 3,

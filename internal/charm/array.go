@@ -411,7 +411,7 @@ func (rt *Runtime) rehome(el *element, toPE int) {
 	rt.Stats.Migrations++
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: from,
-			Arr: rt.arrays[el.key.array].name, Idx: el.key.idx.String(), A: int64(from), B: int64(toPE)})
+			Arr: rt.arrays[el.key.array].name, Idx: el.traceIdx(), A: int64(from), B: int64(toPE)})
 	}
 }
 

@@ -51,6 +51,11 @@ type element struct {
 	// stamped with a pointer to it re-route through the location manager.
 	eid  int32
 	dead bool
+	// atSync: the element has called AtSync and awaits ResumeFromSync.
+	// hasPos: pos below is set. (The flags share a word so that idxStr
+	// leaves the struct in its 176-byte allocation class.)
+	atSync bool
+	hasPos bool
 	// redRank is the element's rank in the array's canonical index order,
 	// used to place reduction contributions without sorting; -1 until the
 	// array's rank table has been built (see Array.rebuildRanks).
@@ -66,10 +71,13 @@ type element struct {
 	bytesSent uint64
 	comm      map[elemKey]uint64 // bytes per destination (TrackComm arrays)
 	pos       [3]float64
-	hasPos    bool
 
-	atSync bool   // element has called AtSync and awaits ResumeFromSync
 	redGen uint64 // reduction generation counter
+
+	// idxStr is key.idx rendered for the trace, kept from the element's
+	// first traced event on. Written in commit or global context only; a
+	// cache of the key, so it is neither PUP'd nor part of StateDigest.
+	idxStr string
 
 	// save is the element's retained PUP image plus the replay log of
 	// committed deliveries since it was packed (infrequent state saving,
@@ -78,6 +86,14 @@ type element struct {
 	// invalidateSave, dropSave) ever touch it, and the engine orders those.
 	// A pointer, so an element that is never speculated costs one word.
 	save *elemSave
+}
+
+// traceIdx returns the element's rendered index (see idxStr).
+func (el *element) traceIdx() string {
+	if el.idxStr == "" {
+		el.idxStr = el.key.idx.String()
+	}
+	return el.idxStr
 }
 
 type peState struct {
@@ -300,8 +316,8 @@ func New(m *machine.Machine) *Runtime {
 		if err := cfg.ValidateSpeculation(); err != nil {
 			panic("charm: " + err.Error()) // as for the backend name: CLIs validate at the flag
 		}
-		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval, des.Time(cfg.OptimisticWindow))
-		popts.Window, popts.Controller = rt.spec.baseWindow, rt.spec
+		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval)
+		popts.Controller = rt.spec
 		rt.parallel = true
 	}
 	if rt.parallel {
@@ -767,7 +783,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 				// the same log positions on both backends.
 				arr := rt.arrays[m.dest.array]
 				ev := Event{Kind: KEntryBegin, At: at, PE: p.id, Ref: m.traceID,
-					Arr: arr.name, Entry: arr.EntryName(m.ep), Idx: m.dest.idx.String()}
+					Arr: arr.name, Entry: arr.EntryName(m.ep), Idx: el.traceIdx()}
 				rt.trace.Emit(ev)
 				ev.Kind, ev.At = KEntryEnd, at+ctx.elapsed
 				rt.trace.Emit(ev)

@@ -241,9 +241,8 @@ type specController struct {
 	replayCtx Ctx
 
 	// ---- adaptive saving interval + optimism window (driver-owned) ----
-	fixedK     int // Config.SnapInterval: >=1 pins K and disables tuning
-	k          int // current interval
-	baseWindow des.Time
+	fixedK     int    // Config.SnapInterval: >=1 pins K and disables tuning
+	k          int    // current interval
 	dCommits   uint64 // CommitSpec calls
 	dRollbacks uint64 // RollbackSpec calls
 	dImgCount  uint64 // committed fresh images (cost-model S numeratorship)
@@ -257,13 +256,12 @@ type specController struct {
 	winPt *ctrlpoint.Point // optimism-window scale, in windowScaleOne-ths
 }
 
-func newSpecController(rt *Runtime, shards, fixedK int, window des.Time) *specController {
+func newSpecController(rt *Runtime, shards, fixedK int) *specController {
 	sc := &specController{
-		rt:         rt,
-		shards:     make([]shardSpec, shards),
-		fixedK:     fixedK,
-		k:          fixedK,
-		baseWindow: window,
+		rt:     rt,
+		shards: make([]shardSpec, shards),
+		fixedK: fixedK,
+		k:      fixedK,
 	}
 	if sc.k <= 0 {
 		sc.k = defaultSnapInterval
@@ -697,16 +695,13 @@ func (sc *specController) tune() {
 	}
 	sc.k = kStar
 
-	// Window throttling: scale the configured window — or, when optimism
-	// is unbounded, the observed maximum GVT lag — by the control point.
-	// At the point's maximum the window stays wide open (the seed
+	// Window throttling: scale the observed maximum GVT lag by the control
+	// point. At the point's maximum the window stays wide open (the seed
 	// behavior); rollback storms walk it down.
 	v := sc.winPt.Value()
 	switch {
-	case sc.baseWindow > 0:
-		sc.eng.SetWindow(sc.baseWindow * des.Time(v) / windowScaleOne)
 	case v >= sc.winPt.Max:
-		sc.eng.SetWindow(0) // unbounded, as configured
+		sc.eng.SetWindow(0) // unbounded
 	case es.MaxGVTLag > 0:
 		sc.eng.SetWindow(es.MaxGVTLag * des.Time(v) / windowScaleOne)
 	}

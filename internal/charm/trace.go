@@ -104,9 +104,9 @@ const (
 )
 
 // Event is one record of the trace. The recorder assigns IDs from a single
-// monotone counter in emission order, so sorting a trace by ID
-// reconstructs the exact global order of the run. All timestamps are
-// virtual.
+// monotone counter in emission order and keeps its log in that order, so a
+// trace read front to back is the exact global order of the run, its IDs
+// ascending without a gap. All timestamps are virtual.
 type Event struct {
 	ID    uint64   `json:"id"`
 	Kind  Kind     `json:"k"`

@@ -110,20 +110,15 @@ type Config struct {
 	// ParallelWorkers caps the parallel backends' worker goroutines;
 	// 0 means GOMAXPROCS.
 	ParallelWorkers int
-	// OptimisticWindow, when positive, bounds how far (in virtual seconds)
-	// past the commit frontier the optimistic backend may speculate. Zero
-	// means unbounded optimism. A finite window trades exposed parallelism
-	// for rollback risk on workloads whose cross-shard messages land close
-	// to the frontier.
-	OptimisticWindow float64
 	// SnapInterval controls the optimistic backend's infrequent state
 	// saving: an element is PUP-imaged only every SnapInterval-th
 	// speculated execution, and a rollback coast-forwards from the last
 	// image by replaying the committed deliveries in between. 0 (the
 	// default) picks the interval adaptively from a snapshot-cost /
 	// replay-cost model driven by the observed rollback rate, and also
-	// lets the control-point system steer OptimisticWindow; 1 restores
-	// eager per-execution snapshots; K>=2 fixes the interval at K.
+	// lets the control-point system narrow the optimism window (unbounded
+	// otherwise) under rollback storms; 1 restores eager per-execution
+	// snapshots; K>=2 fixes the interval at K.
 	SnapInterval int
 
 	Thermal ThermalParams
@@ -171,14 +166,10 @@ func ParseBackend(name string) (string, error) {
 // ValidateSpeculation reports the optimistic backend's settings that lie
 // outside their accepted range. Like a backend name, whatever takes them
 // from a user checks them here, so a negative value is a usage error at the
-// flag — not a silent "adaptive" or "unbounded", and not a panic out of
-// charm.New.
+// flag — not a silent "adaptive", and not a panic out of charm.New.
 func (c Config) ValidateSpeculation() error {
 	if c.SnapInterval < 0 {
 		return fmt.Errorf("snap interval %d out of range (want 0 = adaptive, 1 = eager, or K >= 2)", c.SnapInterval)
-	}
-	if !(c.OptimisticWindow >= 0) { // negative or NaN
-		return fmt.Errorf("optimistic window %v out of range (want 0 = unbounded, or a positive number of virtual seconds)", c.OptimisticWindow)
 	}
 	return nil
 }

@@ -386,19 +386,16 @@ func TestParseBackend(t *testing.T) {
 func TestValidateSpeculation(t *testing.T) {
 	for _, tc := range []struct {
 		k    int
-		w    float64
 		want string // a fragment of the error, "" for accepted
 	}{
-		{0, 0, ""},
-		{1, 0, ""},
-		{64, 2.5e-6, ""},
-		{-3, 0, "snap interval -3 out of range (want 0 = adaptive, 1 = eager, or K >= 2)"},
-		{0, -1e-6, "optimistic window -1e-06 out of range (want 0 = unbounded"},
-		{0, math.NaN(), "optimistic window NaN out of range"},
+		{0, ""},
+		{1, ""},
+		{64, ""},
+		{-3, "snap interval -3 out of range (want 0 = adaptive, 1 = eager, or K >= 2)"},
 	} {
-		err := Config{SnapInterval: tc.k, OptimisticWindow: tc.w}.ValidateSpeculation()
+		err := Config{SnapInterval: tc.k}.ValidateSpeculation()
 		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("SnapInterval %d, OptimisticWindow %v: error %v, want %q", tc.k, tc.w, err, tc.want)
+			t.Errorf("SnapInterval %d: error %v, want %q", tc.k, err, tc.want)
 		}
 	}
 }

@@ -18,25 +18,38 @@ type EntryStat struct {
 	Max   des.Time // longest single execution
 }
 
+// openEntries pairs begins with ends: per PE, a stack of what each open
+// KEntryBegin pushed. A KEntryEnd closes its PE's innermost open execution;
+// executions on one PE never interleave.
+type openEntries[T any] map[int][]T
+
+func (o openEntries[T]) push(pe int, v T) { o[pe] = append(o[pe], v) }
+
+// pop reports false for an end whose begin is older than the log.
+func (o openEntries[T]) pop(pe int) (v T, ok bool) {
+	st := o[pe]
+	if len(st) == 0 {
+		return v, false
+	}
+	o[pe] = st[:len(st)-1]
+	return st[len(st)-1], true
+}
+
 // Profile aggregates entry-method executions per entry name, sorted by
 // total time (heaviest first; ties by name).
 func Profile(events []Event) []EntryStat {
 	names := []string{}
 	stats := map[string]*EntryStat{}
-	// Per-PE stack of open begins: an EntryEnd closes its PE's innermost
-	// open execution. Executions on one PE never interleave.
-	open := map[int][]Event{}
+	open := openEntries[Event]{}
 	for _, e := range events {
 		switch e.Kind {
 		case charm.KEntryBegin:
-			open[e.PE] = append(open[e.PE], e)
+			open.push(e.PE, e)
 		case charm.KEntryEnd:
-			st := open[e.PE]
-			if len(st) == 0 {
+			b, ok := open.pop(e.PE)
+			if !ok {
 				continue
 			}
-			b := st[len(st)-1]
-			open[e.PE] = st[:len(st)-1]
 			name := b.Name()
 			s, ok := stats[name]
 			if !ok {
@@ -100,7 +113,7 @@ func MessageLatency(events []Event) LatencyHist {
 		case charm.KMsgRecv:
 			t0, ok := sendAt[e.Ref]
 			if !ok {
-				continue // send dropped from its ring
+				continue // send older than the log
 			}
 			lat := e.At - t0
 			h.Count++
@@ -150,7 +163,7 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 	// message triggers at most one execution.
 	var all []*exec
 	bySend := map[uint64]*exec{}
-	open := map[int][]*exec{}
+	open := openEntries[*exec]{}
 	// best[s] = heaviest work accumulated strictly before send s was
 	// stamped; parent[s] backlinks the chain. Send IDs only grow along a
 	// causal chain (Ref < ID), so one pass in ID order is a valid DP.
@@ -162,17 +175,14 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 		case charm.KEntryBegin:
 			x := &exec{begin: e.At, end: -1, cause: e.Ref, name: e.Name()}
 			all = append(all, x)
-			open[e.PE] = append(open[e.PE], x)
+			open.push(e.PE, x)
 			if e.Ref != 0 {
 				bySend[e.Ref] = x
 			}
 		case charm.KEntryEnd:
-			st := open[e.PE]
-			if len(st) == 0 {
-				continue
+			if x, ok := open.pop(e.PE); ok {
+				x.end = e.At
 			}
-			st[len(st)-1].end = e.At
-			open[e.PE] = st[:len(st)-1]
 		case charm.KMsgSend:
 			// Work before this send = work up the chain + compute spent
 			// inside the emitting execution before the send was stamped.

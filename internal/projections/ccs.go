@@ -58,10 +58,7 @@ func InstallCCS(s *ccs.Server, t *Tracer) {
 			}
 		case "events":
 			events := t.Events()
-			if len(events) > n {
-				events = events[len(events)-n:]
-			}
-			for _, e := range events {
+			for _, e := range events[max(0, len(events)-n):] {
 				fmt.Fprintf(&b, "#%d t=%.9fs pe=%d %s %s ref=%d\n",
 					e.ID, float64(e.At), e.PE, e.Kind, e.Name(), e.Ref)
 			}

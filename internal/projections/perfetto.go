@@ -98,20 +98,18 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	}
 
 	// Body: pair begins with ends per PE, render the rest directly.
-	open := map[int][]Event{}
+	open := openEntries[Event]{}
 	for _, e := range events {
 		var te traceEvent
 		switch e.Kind {
 		case charm.KEntryBegin:
-			open[e.PE] = append(open[e.PE], e)
+			open.push(e.PE, e)
 			continue
 		case charm.KEntryEnd:
-			st := open[e.PE]
-			if len(st) == 0 {
+			b, ok := open.pop(e.PE)
+			if !ok {
 				continue
 			}
-			b := st[len(st)-1]
-			open[e.PE] = st[:len(st)-1]
 			dur := us(e.At - b.At)
 			te = traceEvent{Ph: "X", Pid: pidPEs, Tid: e.PE, Ts: us(b.At), Dur: &dur,
 				Name: b.Name(), Args: map[string]any{"cause": b.Ref}}

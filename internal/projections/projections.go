@@ -1,8 +1,6 @@
 package projections
 
 import (
-	"sort"
-
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
 	"charmgo/internal/projections/metrics"
@@ -10,10 +8,6 @@ import (
 
 // Options configures a Tracer.
 type Options struct {
-	// RingCap bounds each per-PE event ring; the oldest events are
-	// dropped when a ring overflows (the drop count is reported by
-	// Dropped). Default 1<<15 events per ring.
-	RingCap int
 	// EngineEvents also records the engine's phase-start/commit pipeline
 	// events (needed for the phase-parallelism timeline). Off by default:
 	// they roughly double the event volume.
@@ -22,51 +16,28 @@ type Options struct {
 	// lifecycle (launch/commit/rollback per shard). Off by default: spec
 	// events exist only on the optimistic backend, so recording them
 	// breaks the byte-identity of a trace against the other backends —
-	// they are for studying the Time Warp engine itself. Requires
+	// they are for studying the Time Warp engine itself. Implies
 	// EngineEvents (the sink installation is shared). Within one backend
 	// the launch/rollback decisions are driver-deterministic, so traces
 	// remain bit-reproducible run to run.
 	SpecEvents bool
 }
 
-// ring is a bounded circular event buffer.
-type ring struct {
-	buf     []Event
-	next    int // write cursor
-	full    bool
-	dropped uint64
-}
+// logCap is the log's capacity in events, whatever the machine's width:
+// 1 Mi records ≈ 112 MiB, allocated once in Attach.
+const logCap = 1 << 20
 
-func (r *ring) add(e Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, e)
-		return
-	}
-	// Overwrite the oldest event.
-	r.full = true
-	r.dropped++
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-// events returns the ring's contents oldest-first.
-func (r *ring) events() []Event {
-	if !r.full {
-		return r.buf
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Tracer records runtime and engine events into per-PE rings. It is the
-// runtime's charm.TraceSink and the engine's des.TraceSink; both call it
-// only from driver or commit context, so the tracer needs no locks and a
-// single monotone ID counter is deterministic.
+// Tracer records runtime and engine events into one log, a ring in the
+// order they were emitted. It is the runtime's charm.TraceSink and the
+// engine's des.TraceSink; both call it only from driver or commit context,
+// so the tracer needs no locks and a single monotone ID counter is
+// deterministic. A run that emits more than the log holds keeps the newest
+// logCap events of the whole run (not of each PE): every reader sees one
+// horizon, and a kept receive has lost its send only if the send is older
+// than everything kept.
 type Tracer struct {
 	rt     *charm.Runtime
-	rings  []ring // one per physical PE, plus one driver ring at the end
+	log    []Event // event ID sits at log[(ID-1)%cap(log)] while it is kept
 	nextID uint64
 	opts   Options
 }
@@ -75,16 +46,9 @@ type Tracer struct {
 // engine). Attach before Run. Attaching schedules nothing: a traced run
 // drains exactly when the untraced one does.
 func Attach(rt *charm.Runtime, opts Options) *Tracer {
-	if opts.RingCap == 0 {
-		opts.RingCap = 1 << 15
-	}
-	t := &Tracer{rt: rt, opts: opts}
-	t.rings = make([]ring, rt.MaxPEs()+1)
-	for i := range t.rings {
-		t.rings[i].buf = make([]Event, 0, opts.RingCap)
-	}
+	t := &Tracer{rt: rt, opts: opts, log: make([]Event, 0, logCap)}
 	var engine des.TraceSink
-	if opts.EngineEvents {
+	if opts.EngineEvents || opts.SpecEvents {
 		engine = t
 	}
 	rt.SetTrace(t, engine)
@@ -95,16 +59,16 @@ func Attach(rt *charm.Runtime, opts Options) *Tracer {
 // events remain readable.
 func (t *Tracer) Detach() { t.rt.SetTrace(nil, nil) }
 
-// Emit records one event — in its PE's ring, or the driver ring when it has
-// no PE affinity — and returns the ID it assigned.
+// Emit appends one event to the log, over the oldest one once the log is
+// full, and returns the ID it assigned.
 func (t *Tracer) Emit(e Event) uint64 {
 	t.nextID++
 	e.ID = t.nextID
-	r := len(t.rings) - 1
-	if e.PE >= 0 && e.PE < r {
-		r = e.PE
+	if len(t.log) < cap(t.log) {
+		t.log = append(t.log, e)
+	} else {
+		t.log[(e.ID-1)%uint64(len(t.log))] = e
 	}
-	t.rings[r].add(e)
 	return e.ID
 }
 
@@ -117,9 +81,8 @@ var phaseKinds = [...]charm.Kind{
 	des.SpecRollback: charm.KSpecRollback,
 }
 
-// Phase records one engine pipeline event alongside the PEs' (a shard is a
-// node, so shard ids never exceed the PE count); the speculation kinds only
-// with Options.SpecEvents.
+// Phase records one engine pipeline event (PE = shard); the speculation
+// kinds only with Options.SpecEvents.
 func (t *Tracer) Phase(kind des.PhaseKind, shard int, at des.Time) {
 	if kind >= des.SpecLaunch && !t.opts.SpecEvents {
 		return
@@ -127,24 +90,22 @@ func (t *Tracer) Phase(kind des.PhaseKind, shard int, at des.Time) {
 	t.Emit(Event{Kind: phaseKinds[kind], At: at, PE: shard})
 }
 
-// Events returns every recorded event in global emission order (by ID).
+// Events returns the kept events in emission order: ascending, contiguous
+// IDs ending at Recorded(). Until the log wraps that is the log itself (no
+// copy; clipped, so appending to the result cannot write into the log).
 func (t *Tracer) Events() []Event {
-	var out []Event
-	for i := range t.rings {
-		out = append(out, t.rings[i].events()...)
+	n := len(t.log)
+	if t.nextID <= uint64(n) {
+		return t.log[:n:n]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	oldest := int(t.nextID % uint64(n))
+	out := make([]Event, 0, n)
+	out = append(out, t.log[oldest:]...)
+	return append(out, t.log[:oldest]...)
 }
 
-// Dropped returns how many events ring overflow discarded.
-func (t *Tracer) Dropped() uint64 {
-	var n uint64
-	for i := range t.rings {
-		n += t.rings[i].dropped
-	}
-	return n
-}
+// Dropped returns how many events the log has overwritten.
+func (t *Tracer) Dropped() uint64 { return t.nextID - uint64(len(t.log)) }
 
 // Recorded returns how many events were assigned IDs (kept + dropped).
 func (t *Tracer) Recorded() uint64 { return t.nextID }

@@ -2,9 +2,13 @@ package projections
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"charmgo/internal/ccs"
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
 	"charmgo/internal/machine"
@@ -90,23 +94,130 @@ func TestTracerRecordsEcho(t *testing.T) {
 	}
 }
 
+// The log keeps the newest events of the run, in the order they were written:
+// after n emits into a ring of c slots Events() is exactly IDs (n-c, n]. And
+// every PE shares that one horizon: PE 0 runs an entry every tick and PE 1
+// every eighth, so evicting per PE would leave PE 1's events reaching eight
+// times further back and PE 0 reading idle there.
 func TestRingOverflowDropsOldest(t *testing.T) {
-	rt := testRuntime(t, 2)
-	tr := Attach(rt, Options{RingCap: 8})
-	runEcho(rt, 50)
-
-	if tr.Dropped() == 0 {
-		t.Fatal("expected drops with an 8-event ring")
-	}
-	events := tr.Events()
-	// Order must survive eviction.
-	for i := 1; i < len(events); i++ {
-		if events[i].ID <= events[i-1].ID {
-			t.Fatalf("events out of order after eviction: %d then %d", events[i-1].ID, events[i].ID)
+	const c, tick = 64, des.Time(1) / 1024
+	for _, emits := range []uint64{c / 2, c, c + 2, 1000} {
+		tr := Attach(testRuntime(t, 2), Options{})
+		tr.log = make([]Event, 0, c) // a small ring; Attach's holds logCap
+		for step := 0; tr.Recorded() < emits; step++ {
+			for pe := 0; pe < 2 && (pe == 0 || step%8 == 0); pe++ {
+				at := des.Time(step) * tick
+				tr.Emit(Event{Kind: charm.KEntryBegin, At: at, PE: pe, Arr: "a"})
+				tr.Emit(Event{Kind: charm.KEntryEnd, At: at + tick/2, PE: pe, Arr: "a"})
+			}
+		}
+		n, kept := tr.Recorded(), min(tr.Recorded(), c)
+		events := tr.Events()
+		if uint64(len(events)) != kept || tr.Dropped() != n-kept {
+			t.Fatalf("n=%d: %d events held, %d dropped; want %d and %d", n, len(events), tr.Dropped(), kept, n-kept)
+		}
+		for i, e := range events {
+			if want := n - kept + uint64(i) + 1; e.ID != want {
+				t.Fatalf("n=%d: event %d has ID %d, want %d", n, i, e.ID, want)
+			}
+		}
+		// PE 0 is busy half of every tick: in each whole two-tick window
+		// between the horizon and the end, its utilization is exactly 0.5.
+		u := ComputeUtilization(events, 2, 2*tick)
+		if s := u.Samples[0]; n > kept && !(s.At-u.Interval <= events[0].At && events[0].At < s.At) {
+			t.Fatalf("n=%d: table starts at window (%v, %v], the log at %v", n, s.At-u.Interval, s.At, events[0].At)
+		}
+		for w := 1; w < len(u.Samples)-1; w++ {
+			if got := u.Samples[w].Util[0]; got != 0.5 {
+				t.Errorf("n=%d: PE 0 utilization %v in window %d of %d, want 0.5", n, got, w, len(u.Samples))
+			}
 		}
 	}
-	if tr.Recorded() != events[len(events)-1].ID {
-		t.Errorf("Recorded()=%d, last ID %d", tr.Recorded(), events[len(events)-1].ID)
+}
+
+// Reading an unwrapped log copies nothing, and the slice it hands out cannot
+// reach the log's spare capacity: a caller's append and the recorder's next
+// event do not land in the same slot.
+func TestEventsNoAllocNoAlias(t *testing.T) {
+	rt := testRuntime(t, 2)
+	tr := Attach(rt, Options{})
+	runEcho(rt, 10)
+	if avg := testing.AllocsPerRun(100, func() { _ = tr.Events() }); avg != 0 {
+		t.Errorf("Events() on an unwrapped log allocates %v times a call", avg)
+	}
+	held := len(tr.Events())
+	mine := append(tr.Events(), Event{Entry: "mine"})
+	tr.Emit(Event{Kind: charm.KFault, Entry: "theirs"})
+	if got := mine[held].Entry; got != "mine" {
+		t.Errorf("the recorder wrote %q into a caller's slice", got)
+	}
+	if events := tr.Events(); len(events) != held+1 || events[held].Entry != "theirs" {
+		t.Errorf("after an append to an earlier result, Events() holds %d events, want %d ending in the emitted one", len(events), held+1)
+	}
+}
+
+// The log is one allocation of one size: attaching to a 16,384-PE machine
+// costs the heap what attaching to a 16-PE one does.
+func TestAttachHeapIndependentOfWidth(t *testing.T) {
+	grow := func(pes int) int64 {
+		rt := testRuntime(t, pes)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := Attach(rt, Options{})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	narrow, wide := grow(16), grow(16384)
+	if d := wide - narrow; d < -1<<20 || d > 1<<20 {
+		t.Fatalf("Attach grew the heap by %d bytes on 16 PEs and %d on 16,384", narrow, wide)
+	}
+}
+
+// The live "events N" query is the tail of the log.
+func TestCCSEventsTail(t *testing.T) {
+	rt := testRuntime(t, 2)
+	tr := Attach(rt, Options{})
+	runEcho(rt, 50)
+	srv := ccs.NewServer(rt)
+	InstallCCS(srv, tr)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	reply := make(chan string, 1)
+	go func() {
+		c, err := ccs.Dial(addr)
+		if err != nil {
+			reply <- err.Error()
+			return
+		}
+		defer c.Close()
+		out, err := c.Call("trace", "events 20")
+		if err != nil {
+			out = err.Error()
+		}
+		reply <- out
+	}()
+	var out string
+	for out == "" { // the test goroutine is the simulation goroutine: it pumps
+		srv.Pump()
+		select {
+		case out = <-reply:
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 20 {
+		t.Fatalf("events 20 returned %d lines:\n%s", len(lines), out)
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf("#%d ", tr.Recorded()-19+uint64(i)); !strings.HasPrefix(line, want) {
+			t.Errorf("line %d is %q, want it to start %q", i, line, want)
+		}
 	}
 }
 

@@ -37,9 +37,7 @@ func (t *Tracer) Utilization(interval des.Time) Utilization {
 // busy time across the windows it spans. Every window is numPEs wide
 // whatever the active PE count was (an evacuated PE reads as idle); the last
 // window may be partial, so per PE Σ Util×Interval is exactly the traced busy
-// time. Rings drop per PE: after an overflow the table starts where the
-// least busy PE's ring does, and busier PEs read as idle before their own
-// oldest event.
+// time.
 func ComputeUtilization(events []Event, numPEs int, interval des.Time) Utilization {
 	u := Utilization{Interval: interval, NumPEs: numPEs}
 	first, last := des.Forever, des.Time(-1)
@@ -74,7 +72,7 @@ func ComputeUtilization(events []Event, numPEs int, interval des.Time) Utilizati
 		case charm.KEntryEnd:
 			b := open[e.PE]
 			if b < 0 {
-				continue // begin dropped from its ring
+				continue // begin older than the log
 			}
 			open[e.PE] = -1
 			for w := window(b); w <= window(e.At); w++ {

@@ -267,7 +267,7 @@ func TestUtilizationJSON(t *testing.T) {
 }
 
 // An entry is split across the windows it spans, not booked to the one it
-// ends in; a log whose begin was dropped from its ring, or that stops
+// ends in; a log whose begin is older than it, or that stops
 // mid-entry, books nothing for the unmatched half.
 func TestUtilizationApportions(t *testing.T) {
 	u := ComputeUtilization([]Event{

@@ -34,7 +34,7 @@ go test -race -timeout 20m ./...
 # The allocation pins and the per-event heap budgets assert nothing under
 # -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
 # full-size counter goldens are skipped under it: run both once without.
-go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/
+go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/
 # bench/ is its own module, invisible to the ./... above. Its smoke suite is
 # what catches a renamed engine gauge or a cross-backend digest break in the
 # repository benchmark (BENCHMARK.json).
