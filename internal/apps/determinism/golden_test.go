@@ -190,9 +190,9 @@ func TestStencilScaleAllocBudget(t *testing.T) {
 		events                        uint64
 		allocs, steady, bytes, liveMB float64
 	}{
-		{1024, 64, 512, 4, 135171, 1.559, 1.289, 194, 14.3},
-		{8192, 128, 512, 2, 292865, 1.885, 1.281, 240, 40.3},
-		{65536, 256, 1024, 2, 1241089, 1.972, 1.302, 255, 190},
+		{1024, 64, 512, 4, 135171, 1.528, 1.289, 177.3, 12.9},
+		{8192, 128, 512, 2, 292865, 1.772, 1.281, 202.3, 32.9},
+		{65536, 256, 1024, 2, 1241089, 1.760, 1.302, 206.5, 148.1},
 	}
 	for _, r := range rows {
 		t.Run(fmt.Sprintf("pes=%d", r.pes), func(t *testing.T) {

@@ -174,6 +174,7 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		// the error latch publishes through Defer.
 		PureHandlers: true,
 		ResumeEP:     epResume,
+		Bounds:       []int{cfg.Chares, cfg.Chares}, // dense 2-D grid: flat location tables
 		// 2-D block mapping: contiguous tiles of chares share a PE so
 		// most ghost exchanges stay node-local (the standard stencil
 		// mapping; the RTS is free to migrate away from it later).

@@ -340,3 +340,67 @@ func TestDropInjection(t *testing.T) {
 		t.Fatalf("drop counts differ across identical runs: %d vs %d", d1, d2)
 	}
 }
+
+// TestMulticastRerouteSurvivesCrash: a multicast bundle that lands on a PE its
+// member has migrated away from is re-sent, one message per member, through
+// the location manager — a second way onto the wire beside Runtime.send. The
+// re-route must carry the recovery epoch like any other message: when it did
+// not, every one made after the first rollback was discarded on arrival as
+// pre-rollback traffic with its quiescence count still held, the compute never
+// got its positions, and the heartbeat chain kept the engine alive forever.
+// No campaign turns UseMulticast on, so this is the input that reaches it:
+// LB every 2 steps scatters the computes behind the cells' hints, and one
+// crash puts the run in epoch 1. A global event at a virtual deadline far past
+// the failure-free end turns the hang into a failure.
+func TestMulticastRerouteSurvivesCrash(t *testing.T) {
+	run := func(backend string, plan *Plan) (energy []float64, survived int) {
+		t.Helper()
+		rt := newRuntime(machine.Vesta(16), backend)
+		rt.SetBalancer(lb.Greedy{})
+		app, err := leanmd.New(rt, leanmd.Config{
+			CellsX: 3, CellsY: 3, CellsZ: 3, AtomsPerCell: 12, Gaussian: 6,
+			Steps: 8, LBPeriod: 2, MigratePeriod: 4, Seed: 1, UseMulticast: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ctrl *Controller
+		if plan != nil {
+			saved := 0
+			ctrl, err = Enable(rt, *plan, Options{
+				CheckpointEveryRounds: 1,
+				OnCheckpoint:          func() { saved = app.Steps() },
+				OnRollback:            func() { app.TruncateResult(saved) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Engine().At(1, func() { // the failure-free run ends at 1.8 ms, the crashed one at 8.4
+			t.Errorf("%s: still running at t=1s: %s", backend, rt.Diagnose())
+			rt.Engine().Stop()
+		})
+		res, err := app.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if ctrl != nil {
+			if ctrl.Err() != nil {
+				t.Fatalf("%s: controller: %v", backend, ctrl.Err())
+			}
+			survived = ctrl.Survived()
+		}
+		return res.Energy, survived
+	}
+	clean, _ := run("sequential", nil)
+	plan := CrashPlan(1, 1, 16, 0.0016, 0.0020)
+	for _, backend := range []string{"sequential", "parallel", "optimistic"} {
+		energy, survived := run(backend, &plan)
+		if survived != 1 {
+			t.Errorf("%s: survived %d of 1 crashes", backend, survived)
+		}
+		if !floatsEqual(energy, clean) {
+			t.Errorf("%s: energy trajectory differs from the failure-free run:\n%v\n%v", backend, energy, clean)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			arr.InsertOn(Idx1(i), &counter{}, i)
 		}
-		fanEls := []*element{rt.pes[0].elems[elemKey{arr.id, Idx1(0)}], rt.pes[1].elems[elemKey{arr.id, Idx1(1)}]}
+		fanEls := []*element{arr.lookup(Idx1(0)), arr.lookup(Idx1(1))}
 		inject := func() {
 			for i, el := range fanEls {
 				el.redGen = 0 // every contribution joins generation 0
@@ -172,7 +172,7 @@ func TestResolveAllocFree(t *testing.T) {
 	}
 	i := 0
 	if n := testing.AllocsPerRun(2000, func() {
-		_ = rt.resolve(0, keys[i%len(keys)])
+		_, _ = rt.resolveEID(0, keys[i%len(keys)])
 		i++
 	}); n > 0 {
 		t.Fatalf("resolve allocates %.2f per lookup, want 0", n)

@@ -32,11 +32,15 @@ type ArrayOpts struct {
 	EntryNames []string
 	// Bounds declares a dense rectangular index space: with Bounds of
 	// length d (1–3), every index is Idx1/Idx2/Idx3 with coordinate i in
-	// [0, Bounds[i]). Declaring bounds lets the location manager replace
-	// its per-key hash maps with flat per-array tables — one array load
-	// instead of a map lookup on the send-side resolve and the eid mint
-	// paths. Indices outside the bounds (or arrays without Bounds, like
-	// AMR's bitvector octree) keep using the map path.
+	// [0, Bounds[i]). In-bounds indices are then stored in flat per-array
+	// tables instead of hash maps — the storage, not a cache over one: an
+	// array load on the send-side resolve and the eid paths. The element
+	// directory's table is 4 B per possible index, allocated at declaration
+	// (boxes beyond 4 Mi indices ignore Bounds); a PE's hint table is 8 B
+	// per possible index, allocated at that PE's first hint for the array
+	// and only for boxes within denseLocCap, so a run that never forwards
+	// allocates none. Indices outside the bounds (or arrays without Bounds,
+	// like AMR's bitvector octree) are stored in the maps.
 	Bounds []int
 	// PureHandlers declares that every entry method of this array is a
 	// pure function of (chare state, message payload): it reads no mutable
@@ -61,8 +65,6 @@ type Array struct {
 	handlers []Handler
 	opts     ArrayOpts
 
-	elems map[Index]*element
-
 	// Reduction state (§II-C), a generation ring: redBase is the oldest
 	// generation that may still be open, redOpen[g-redBase] its run (nil
 	// once delivered). Completed head slots advance redBase, so the ring
@@ -85,12 +87,14 @@ type Array struct {
 
 	// Dense index-space support (ArrayOpts.Bounds): linKind is the index
 	// kind the bounds describe (0 when unbounded), linDims the extents
-	// normalized to three axes, linCap their product. eidTab flattens the
-	// key→eid map for in-bounds indices (-1 = unminted).
+	// normalized to three axes, linCap their product. eidTab is the element
+	// directory's key → eid table for in-bounds indices (eid+1; 0 = unminted)
+	// and live its count of live elements; the directory's methods write both.
 	linKind uint8
 	linDims [3]int
 	linCap  int
 	eidTab  []int32
+	live    int
 }
 
 // DeclareArray registers a chare array type: a factory producing empty
@@ -107,7 +111,6 @@ func (rt *Runtime) DeclareArray(name string, factory func() Chare, handlers []Ha
 		factory:    factory,
 		handlers:   handlers,
 		opts:       opts,
-		elems:      map[Index]*element{},
 		ranksDirty: true,
 	}
 	if n := len(opts.Bounds); n >= 1 && n <= 3 {
@@ -126,18 +129,12 @@ func (rt *Runtime) DeclareArray(name string, factory func() Chare, handlers []Ha
 			a.linKind, a.linCap = 0, 0
 		} else {
 			a.eidTab = make([]int32, a.linCap)
-			for i := range a.eidTab {
-				a.eidTab[i] = -1
-			}
 		}
 	} else if len(opts.Bounds) != 0 {
 		panic(fmt.Sprintf("charm: array %s declares %d-dimensional bounds; 1-3 supported", name, len(opts.Bounds)))
 	}
 	rt.arrays = append(rt.arrays, a)
 	rt.arrayNames[name] = a
-	for _, p := range rt.pes {
-		p.byArr = append(p.byArr, 0)
-	}
 	return a
 }
 
@@ -174,7 +171,7 @@ func (a *Array) EntryName(ep EP) string {
 }
 
 // Len returns the number of live elements.
-func (a *Array) Len() int { return len(a.elems) }
+func (a *Array) Len() int { return a.live }
 
 // NewElement invokes the array's factory.
 func (a *Array) NewElement() Chare { return a.factory() }
@@ -196,7 +193,7 @@ func (a *Array) InsertOn(idx Index, obj Chare, pe int) {
 // simulation-level accessor (checkpointing, verification); application
 // logic should communicate via entry methods.
 func (a *Array) Get(idx Index) Chare {
-	if el, ok := a.elems[idx]; ok {
+	if el := a.lookup(idx); el != nil {
 		return el.obj
 	}
 	return nil
@@ -204,17 +201,29 @@ func (a *Array) Get(idx Index) Chare {
 
 // PEOf returns the PE currently hosting idx, or -1.
 func (a *Array) PEOf(idx Index) int {
-	if el, ok := a.elems[idx]; ok {
+	if el := a.lookup(idx); el != nil {
 		return el.pe
 	}
 	return -1
 }
 
+// lookup returns the live element at idx, or nil. Commit/global context,
+// like every read of the element directory but peState.find.
+func (a *Array) lookup(idx Index) *element {
+	k := elemKey{array: a.id, idx: idx}
+	if id := a.rt.dir.eid(a, &k); id >= 0 {
+		return a.rt.dir.elems[id]
+	}
+	return nil
+}
+
 // Keys returns all live indices in deterministic sorted order.
 func (a *Array) Keys() []Index {
-	keys := make([]Index, 0, len(a.elems))
-	for idx := range a.elems {
-		keys = append(keys, idx)
+	keys := make([]Index, 0, a.live)
+	for _, el := range a.rt.dir.elems {
+		if el != nil && el.key.array == a.id {
+			keys = append(keys, el.key.idx)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	return keys
@@ -244,8 +253,8 @@ func (a *Array) Broadcast(ep EP, payload any) {
 // obj is the instance it just unpacked, so the move needs no PUP round trip
 // of its own.
 func (a *Array) Replace(idx Index, obj Chare, pe int) {
-	el, ok := a.elems[idx]
-	if !ok {
+	el := a.lookup(idx)
+	if el == nil {
 		panic("charm: Replace of missing element " + idx.String())
 	}
 	el.obj = obj
@@ -259,31 +268,22 @@ func (a *Array) Replace(idx Index, obj Chare, pe int) {
 // Remove destroys an element from driver context (checkpoint rollback of a
 // post-snapshot insertion).
 func (a *Array) Remove(idx Index) {
-	if el, ok := a.elems[idx]; ok {
+	if el := a.lookup(idx); el != nil {
 		a.rt.removeElement(el)
 	}
 }
 
-// insertElement registers a new element on pe. Commit/global context: it
-// mutates the global location tables.
-func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int) {
+// insertElement registers a new element on pe and returns its record.
+// Commit/global context: it mutates the element directory.
+func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int) *element {
 	key := elemKey{array: a.id, idx: idx}
-	eid := rt.eidOf(key)
-	if rt.elemTab[eid] != nil {
+	eid := rt.dir.eidOf(a, &key)
+	if rt.dir.elems[eid] != nil {
 		panic("charm: duplicate insert of " + key.String())
 	}
 	a.populationChanging()
 	el := &element{key: key, obj: obj, pe: pe, eid: eid, redRank: -1}
-	a.elems[idx] = el
-	rt.elemTab[eid] = el
-	rt.owner[eid] = int32(pe)
-	p := rt.pes[pe]
-	if p.elems == nil {
-		p.elems = map[elemKey]*element{}
-	}
-	p.elems[key] = el
-	p.insertSorted(el)
-	p.byArr[a.id]++
+	rt.dir.insert(a, el, rt.pes[pe])
 	if a.opts.UsesAtSync {
 		rt.lbTotal++
 	}
@@ -295,23 +295,18 @@ func (rt *Runtime) insertElement(a *Array, idx Index, obj Chare, pe int) {
 			rt.transmit(m, home, pe, rt.eng.Now())
 		}
 	}
+	return el
 }
 
 // removeElement destroys an element. Its eid stays minted (stable for the
-// key's lifetime), but the table slots empty so the location manager buffers
+// key's lifetime), but no longer live, so the location manager buffers
 // messages for it again.
 func (rt *Runtime) removeElement(el *element) {
 	a := rt.arrays[el.key.array]
 	a.populationChanging()
 	rt.dropSave(el)
-	delete(a.elems, el.key.idx)
-	rt.elemTab[el.eid] = nil
-	rt.owner[el.eid] = -1
+	rt.dir.remove(a, el, rt.pes[el.pe])
 	el.dead = true
-	p := rt.pes[el.pe]
-	delete(p.elems, el.key)
-	p.removeSorted(el)
-	p.byArr[a.id]--
 	if a.opts.UsesAtSync {
 		rt.lbTotal--
 		if el.atSync {
@@ -339,7 +334,7 @@ func (a *Array) populationChanging() {
 func (a *Array) rebuildRanks() {
 	a.rankKeys = a.Keys()
 	for r, idx := range a.rankKeys {
-		a.elems[idx].redRank = int32(r)
+		a.lookup(idx).redRank = int32(r)
 	}
 	a.ranksDirty = false
 }
@@ -387,27 +382,15 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) int {
 	return size
 }
 
-// rehome moves el's runtime record from its PE to toPE — directories, the
-// home PE's location truth, the migration counter and trace record — leaving
-// el.obj as it is. moveElement calls it with the repacked object; Replace
-// with the one it was handed.
+// rehome moves el's runtime record from its PE to toPE — the two PEs' slices
+// and el.pe, which is the location truth its home answers with (§II-D) — and
+// counts and traces the migration, leaving el.obj as it is. moveElement calls
+// it with the repacked object; Replace with the one it was handed.
 func (rt *Runtime) rehome(el *element, toPE int) {
 	from := el.pe
-	srcPE := rt.pes[from]
-	delete(srcPE.elems, el.key)
-	srcPE.removeSorted(el)
-	srcPE.byArr[el.key.array]--
-
+	rt.pes[from].removeSorted(el)
 	el.pe = toPE
-	dst := rt.pes[toPE]
-	if dst.elems == nil {
-		dst.elems = map[elemKey]*element{}
-	}
-	dst.elems[el.key] = el
-	dst.insertSorted(el)
-	dst.byArr[el.key.array]++
-
-	rt.owner[el.eid] = int32(toPE) // home PE updated during migration (§II-D)
+	rt.pes[toPE].insertSorted(el)
 	rt.Stats.Migrations++
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: from,
@@ -431,8 +414,8 @@ const (
 // total modeled bytes, and the longest single transfer.
 func (rt *Runtime) applyMigrations(migs []Migration, f migFilter) (moved int, bytes int64, maxXfer des.Time) {
 	for _, mg := range migs {
-		el, ok := mg.Array.elems[mg.Idx]
-		if !ok || mg.ToPE == el.pe {
+		el := mg.Array.lookup(mg.Idx)
+		if el == nil || mg.ToPE == el.pe {
 			continue
 		}
 		if f != toAnyPE && (mg.ToPE >= rt.activePEs || rt.pes[mg.ToPE].evac || f == toLivePE && rt.pes[mg.ToPE].dead) {
@@ -463,26 +446,7 @@ func (rt *Runtime) CompactElementTable() bool {
 	if rt.inflight != 0 || len(rt.pending) != 0 {
 		return false
 	}
-	live := 0
-	for _, a := range rt.arrays {
-		live += len(a.elems)
-	}
-	rt.keyEID = make(map[elemKey]int32, live)
-	rt.elemTab = make([]*element, 0, live)
-	rt.owner = make([]int32, 0, live)
-	for _, a := range rt.arrays {
-		// Dense eid tables lazily refill from the new numbering via eidOf.
-		for i := range a.eidTab {
-			a.eidTab[i] = -1
-		}
-		for _, idx := range a.Keys() {
-			el := a.elems[idx]
-			el.eid = int32(len(rt.elemTab))
-			rt.keyEID[el.key] = el.eid
-			rt.elemTab = append(rt.elemTab, el)
-			rt.owner = append(rt.owner, int32(el.pe))
-		}
-	}
+	rt.dir.compact(rt.arrays)
 	for _, p := range rt.pes {
 		p.loc.reset()
 	}

@@ -410,7 +410,7 @@ func TestMessagesFollowMigratedElement(t *testing.T) {
 	rt.Run()
 	// Migrate behind the location caches' back, then send again from a
 	// third PE that has a stale/absent cache entry.
-	el := arr.elems[Idx1(5)]
+	el := arr.lookup(Idx1(5))
 	rt.moveElement(el, dst, false)
 	rt.Boot(func(ctx *Ctx) {
 		ctx.Send(arr, Idx1(5), epBump, int64(10))

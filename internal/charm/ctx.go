@@ -327,7 +327,7 @@ func (c *Ctx) resolveFor(dest elemKey) int {
 		c.resIdx++
 		return dst
 	}
-	dst := c.rt.resolve(c.pe, dest)
+	dst, _ := c.rt.resolveEID(c.pe, dest)
 	if c.phase && c.rt.spec != nil {
 		p := c.rt.pes[c.pe]
 		p.resLog = append(p.resLog, int32(dst))
@@ -418,8 +418,8 @@ func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
 // element is not on this PE.
 func (c *Ctx) LocalInvoke(arr *Array, idx Index, ep EP, payload any) {
 	key := elemKey{array: arr.id, idx: idx}
-	el, ok := c.rt.pes[c.pe].elems[key]
-	if !ok {
+	el := c.rt.pes[c.pe].find(&key)
+	if el == nil {
 		panic("charm: LocalInvoke on non-local element " + key.String())
 	}
 	if c.rt.spec != nil && el != c.elem {
@@ -530,11 +530,8 @@ func (c *Ctx) Insert(arr *Array, idx Index, obj Chare) {
 	}
 	rt, pe := c.rt, c.pe
 	c.deferStruct(func() {
-		rt.insertElement(arr, idx, obj, pe)
-		if haveGen {
-			if el, ok := rt.pes[pe].elems[elemKey{array: arr.id, idx: idx}]; ok {
-				el.redGen = gen
-			}
+		if el := rt.insertElement(arr, idx, obj, pe); haveGen {
+			el.redGen = gen
 		}
 	})
 }
@@ -550,8 +547,8 @@ func (c *Ctx) Destroy(arr *Array, idx Index) {
 		return
 	}
 	key := elemKey{array: arr.id, idx: idx}
-	el, ok := c.rt.pes[c.pe].elems[key]
-	if !ok {
+	el := c.rt.pes[c.pe].find(&key)
+	if el == nil {
 		panic("charm: Destroy of non-local element " + key.String())
 	}
 	rt := c.rt

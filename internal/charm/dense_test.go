@@ -56,17 +56,6 @@ func TestDenseLinMapping(t *testing.T) {
 	}
 }
 
-func TestDenseEidMatchesMap(t *testing.T) {
-	// The dense eid table must hand out exactly the ids the key map holds.
-	rt, arr := newDenseRT(t, []int{32}, 32)
-	for i := 0; i < 32; i++ {
-		k := elemKey{array: arr.id, idx: Idx1(i)}
-		if got, want := rt.eidOf(k), rt.keyEID[k]; got != want {
-			t.Fatalf("eidOf(%d) = %d, map says %d", i, got, want)
-		}
-	}
-}
-
 func TestDenseResolveMatchesMapPath(t *testing.T) {
 	// A hint stored for a bounded array must resolve identically to the
 	// same hint stored in the map (unbounded array).
@@ -92,31 +81,36 @@ func TestDenseResolveMatchesMapPath(t *testing.T) {
 	}
 }
 
-// TestDenseResolveAllocs is the regression guard for the flat tables: once
-// warm, the send-side resolve and the commit-side eid lookup must not
-// allocate. A map would pass this too — the benchmarks below show the
-// latency win — but the guard keeps refactors from reintroducing per-send
-// garbage (e.g. boxing the key).
+// TestDenseResolveAllocs is the regression guard for the send path's two
+// lookups: once warm, the send-side resolve and the commit-side eid lookup
+// must not allocate, in either storage form. A map passes this too — the
+// benchmarks below show the flat tables' latency win — but the guard keeps
+// refactors from reintroducing per-send garbage (e.g. boxing the key).
 func TestDenseResolveAllocs(t *testing.T) {
-	rt, arr := newDenseRT(t, []int{64}, 64)
-	p := rt.pes[3]
-	for i := 0; i < 64; i++ {
-		p.loc.put(arr, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
+	for _, row := range []struct {
+		name   string
+		bounds []int
+	}{{"dense", []int{64}}, {"map", nil}} {
+		rt, arr := newDenseRT(t, row.bounds, 64)
+		p := rt.pes[3]
+		for i := 0; i < 64; i++ {
+			p.loc.put(arr, elemKey{array: arr.id, idx: Idx1(i)}, locEnt{pe: int32(i % 4), eid: int32(i)})
+		}
+		key := elemKey{array: arr.id, idx: Idx1(33)}
+		var sink int32
+		if n := testing.AllocsPerRun(200, func() {
+			_, eid := rt.resolveEID(3, key)
+			sink = eid
+		}); n != 0 {
+			t.Errorf("resolveEID allocates %v per call on the %s path", n, row.name)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			sink = rt.dir.eidOf(arr, &key)
+		}); n != 0 {
+			t.Errorf("eidOf allocates %v per call on the %s path", n, row.name)
+		}
+		_ = sink
 	}
-	key := elemKey{array: arr.id, idx: Idx1(33)}
-	var sink int32
-	if n := testing.AllocsPerRun(200, func() {
-		_, eid := rt.resolveEID(3, key)
-		sink = eid
-	}); n != 0 {
-		t.Errorf("resolveEID allocates %v per call on the dense path", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		sink = rt.eidOf(key)
-	}); n != 0 {
-		t.Errorf("eidOf allocates %v per call on the dense path", n)
-	}
-	_ = sink
 }
 
 func benchResolve(b *testing.B, bounds []int) {

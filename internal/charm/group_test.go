@@ -180,7 +180,7 @@ func TestMulticastFollowsMigratedElements(t *testing.T) {
 	}
 	// Scramble locations behind the sender's cache.
 	for i := 0; i < 8; i++ {
-		if el, ok := arr.elems[Idx1(i)]; ok {
+		if el := arr.lookup(Idx1(i)); el != nil {
 			rt.moveElement(el, (el.pe+2)%4, false)
 		}
 	}

@@ -358,7 +358,7 @@ func (rt *Runtime) summarize(objs []LBObject, pes []LBPE, start des.Time, moved 
 	post := make([]float64, maxID+1)
 	for _, o := range objs {
 		pe := o.PE
-		if el, ok := o.Array.elems[o.Idx]; ok {
+		if el := o.Array.lookup(o.Idx); el != nil {
 			pe = el.pe
 		}
 		post[pe] += o.Load

@@ -30,7 +30,7 @@ func (c *Ctx) Multicast(arr *Array, idxs []Index, ep EP, payload any, opts *Send
 	// Group targets by the sender's best knowledge of their location.
 	byPE := map[int][]Index{}
 	for _, idx := range idxs {
-		// Through resolveFor, not resolve: coast-forward replay must regroup
+		// Through resolveFor, not resolveEID: coast-forward replay must regroup
 		// the section exactly as the original execution did even after the
 		// location caches learned newer hints (see speculation.go).
 		pe := c.resolveFor(elemKey{array: arr.id, idx: idx})
@@ -64,7 +64,7 @@ func (rt *Runtime) mcastHandler(ctx *Ctx, msg any) {
 	p := rt.pes[ctx.pe]
 	for _, idx := range m.idxs {
 		key := elemKey{array: m.arr, idx: idx}
-		if el, ok := p.elems[key]; ok {
+		if el := p.find(&key); el != nil {
 			rt.enqueue(localMsg(el, m.ep, m.payload, m.prio, m.size), ctx.pe)
 			continue
 		}

@@ -25,7 +25,7 @@ type message struct {
 	srcPE   int
 	seq     uint64 // FIFO tie-break within a priority level
 	hops    int    // location-manager forwarding hops taken so far
-	epoch   uint64 // recovery epoch at send; stale messages die on arrival
+	epoch   uint64 // recovery epoch at transmit; stale messages die on arrival
 
 	// Tracing (internal/projections): traceID is the send event's ID
 	// (0 = untraced), cause the ID of the send that triggered the sending

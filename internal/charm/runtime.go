@@ -2,7 +2,6 @@ package charm
 
 import (
 	"fmt"
-	"sort"
 
 	"charmgo/internal/des"
 	"charmgo/internal/machine"
@@ -124,15 +123,10 @@ type peState struct {
 	// pumpAt is the time of the scheduled dequeue event, or -1 when none.
 	pumpAt des.Time
 
-	// elems is the PE's shard-local element directory. Phase-context code
-	// (resolve, LocalInvoke, runOne's staleness fallback) may read only
-	// this map, never the runtime's global tables: on the parallel backend
-	// a phase runs concurrently with other shards' commits, and only
-	// same-shard commits and global events ever mutate a PE's state.
-	// Allocated lazily — an idle PE costs a nil map.
-	elems  map[elemKey]*element
-	sorted []*element // deterministic iteration order
-	byArr  []int      // live element count per array id
+	// sorted holds the elements living on this PE in (array, index) order:
+	// searched for keyed lookups (find), walked for ordered ones. The one
+	// part of the element directory a phase may read (see directory).
+	sorted []*element
 
 	// loc holds the PE's remote-location hints (see locTable).
 	loc locTable
@@ -151,28 +145,6 @@ type peState struct {
 	// load balancing stops placing objects on it until the prediction
 	// resolves. Unlike dead, an evacuating PE keeps executing.
 	evac bool
-}
-
-func (p *peState) insertSorted(el *element) {
-	i := sort.Search(len(p.sorted), func(i int) bool {
-		e := p.sorted[i]
-		if e.key.array != el.key.array {
-			return e.key.array > el.key.array
-		}
-		return !e.key.idx.Less(el.key.idx)
-	})
-	p.sorted = append(p.sorted, nil)
-	copy(p.sorted[i+1:], p.sorted[i:])
-	p.sorted[i] = el
-}
-
-func (p *peState) removeSorted(el *element) {
-	for i, e := range p.sorted {
-		if e == el {
-			p.sorted = append(p.sorted[:i], p.sorted[i+1:]...)
-			return
-		}
-	}
 }
 
 // Runtime is the adaptive RTS: it owns the machine, the event engine, the
@@ -197,18 +169,10 @@ type Runtime struct {
 	peHandlers     []PEHandler
 	peHandlerNames []string
 
-	// Location authority (§II-D), slab-indexed: every element key ever
-	// inserted gets a dense, stable element id (eid) minting an entry in
-	// the flat tables. elemTab[eid] is the live element (nil after
-	// destruction); owner[eid] is the home PE's location truth (-1 when no
-	// live element); pending buffers messages for not-yet-created elements
-	// at their home, keyed by eid. keyEID is consulted once per message
-	// lifetime at most — senders stamp eids from their caches, and every
-	// later hop indexes the flat tables. All four structures are commit/
-	// global state: phases must not read them (see peState.elems).
-	keyEID  map[elemKey]int32
-	elemTab []*element
-	owner   []int32
+	// Location authority (§II-D): dir answers where element k is (see
+	// directory); pending buffers messages for not-yet-created elements at
+	// their home, keyed by eid. Commit/global state: phases read neither.
+	dir     directory
 	pending map[int32][]*message
 	// tableEpoch counts CompactElementTable calls; location-cache
 	// snapshots record it so a snapshot can never resurrect eids from a
@@ -252,8 +216,8 @@ type Runtime struct {
 	metrics *metrics.Registry
 
 	// Fault injection and rollback recovery (internal/chaos). epoch counts
-	// rollbacks: messages are stamped at send and discarded on arrival when
-	// stale. filter intercepts every transmit (drops, delay spikes).
+	// rollbacks: messages are stamped in transmit and discarded on arrival
+	// when stale. filter intercepts every transmit (drops, delay spikes).
 	// lbResumeHook fires at each LB resume point — the quiescent cut where
 	// in-memory checkpoints are taken.
 	epoch        uint64
@@ -286,7 +250,7 @@ func New(m *machine.Machine) *Runtime {
 	rt := &Runtime{
 		mach:       m,
 		arrayNames: map[string]*Array{},
-		keyEID:     map[elemKey]int32{},
+		dir:        directory{hash: map[elemKey]int32{}},
 		pending:    map[int32][]*message{},
 		activePEs:  m.NumPEs(),
 		metrics:    metrics.NewRegistry(),
@@ -343,31 +307,6 @@ func New(m *machine.Machine) *Runtime {
 		rt.peShard[i] = i / cfg.PEsPerNode
 	}
 	return rt
-}
-
-// eidOf returns the dense element id for key k, minting a table entry on
-// first sight. Commit/global context only. Arrays with declared Bounds
-// answer from a flat table; the key map stays authoritative (compaction
-// rebuilds it), with the table as a cache over it.
-func (rt *Runtime) eidOf(k elemKey) int32 {
-	a := rt.arrays[k.array]
-	off := a.lin(k.idx)
-	if off >= 0 {
-		if id := a.eidTab[off]; id >= 0 {
-			return id
-		}
-	}
-	id, ok := rt.keyEID[k]
-	if !ok {
-		id = int32(len(rt.elemTab))
-		rt.keyEID[k] = id
-		rt.elemTab = append(rt.elemTab, nil)
-		rt.owner = append(rt.owner, -1)
-	}
-	if off >= 0 {
-		a.eidTab[off] = id
-	}
-	return id
 }
 
 // Engine exposes the event engine (for timers, the power controller, and
@@ -466,7 +405,6 @@ const (
 func (rt *Runtime) send(m *message, t des.Time) {
 	rt.Stats.MsgsSent++
 	rt.Stats.BytesSent += uint64(m.size)
-	m.epoch = rt.epoch
 	if m.destPE < 0 {
 		rt.inflight++ // element-targeted app message: QD-counted
 		dst, eid := rt.resolveEID(m.srcPE, m.dest)
@@ -489,7 +427,7 @@ func (rt *Runtime) send(m *message, t des.Time) {
 // sender's shard-local state, so it is safe from phase context.
 func (rt *Runtime) resolveEID(srcPE int, k elemKey) (int, int32) {
 	p := rt.pes[srcPE]
-	if el, ok := p.elems[k]; ok {
+	if el := p.find(&k); el != nil {
 		return el.pe, el.eid // local delivery
 	}
 	// A hint naming a PE the job has since shrunk away from reads as a miss.
@@ -499,18 +437,16 @@ func (rt *Runtime) resolveEID(srcPE int, k elemKey) (int, int32) {
 	return rt.homePE(k), -1
 }
 
-// resolve is resolveEID for callers that only want the PE guess.
-func (rt *Runtime) resolve(srcPE int, k elemKey) int {
-	pe, _ := rt.resolveEID(srcPE, k)
-	return pe
-}
-
 // transmit moves m from PE src to PE dst over the network and enqueues it.
 // Arrival is a commit-only sharded event on the destination's node (arrive
 // touches the location manager and quiescence state); the body is the
 // preallocated rt.arriveFn, so the steady-state send path schedules without
-// allocating.
+// allocating. The epoch is stamped here, where a message meets the wire, so
+// no way onto it can skip the stamp. A caller that is not sending a fresh
+// message holds one arrive just checked, or one out of a queue or buffer that
+// a rollback drains, and for those the stamp rewrites the value it finds.
 func (rt *Runtime) transmit(m *message, src, dst int, t des.Time) {
+	m.epoch = rt.epoch
 	var extra des.Time
 	if rt.filter != nil {
 		// Fault injection: transmits happen in commit order — identical
@@ -552,13 +488,14 @@ func (rt *Runtime) arrive(m *message, dst int) {
 		return
 	}
 	// Resolve the dense id at most once per message lifetime: messages
-	// stamped by a sender's cache or an earlier hop skip the key map.
+	// stamped by a sender's cache or an earlier hop skip the key tables.
 	eid := m.destEID
 	if eid < 0 {
-		eid = rt.eidOf(m.dest)
+		eid = rt.dir.eidOf(rt.arrays[m.dest.array], &m.dest)
 		m.destEID = eid
 	}
-	if el := rt.elemTab[eid]; el != nil && el.pe == dst {
+	el := rt.dir.elems[eid]
+	if el != nil && el.pe == dst {
 		m.el = el // stamp for map-free execution on the fast path
 		rt.enqueue(m, dst)
 		return
@@ -572,13 +509,13 @@ func (rt *Runtime) arrive(m *message, dst int) {
 		rt.transmit(m, dst, home, rt.eng.Now())
 		return
 	}
-	if ownerPE := rt.owner[eid]; ownerPE >= 0 {
+	if el != nil {
 		// Home forwards to the owner and updates the sender's cache so
 		// future sends go direct.
 		m.hops++
 		rt.Stats.MsgsForwarded++
-		rt.updateLocCache(m.srcPE, m.dest, int(ownerPE), dst, eid)
-		rt.transmit(m, dst, int(ownerPE), rt.eng.Now())
+		rt.updateLocCache(m.srcPE, m.dest, el.pe, dst, eid)
+		rt.transmit(m, dst, el.pe, rt.eng.Now())
 		return
 	}
 	// Element does not exist yet: buffer at home until insertion.
@@ -720,8 +657,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	// (a destroy+reinsert of the same key lands there under a new record).
 	el := m.el
 	if el == nil || el.dead || el.pe != p.id {
-		var ok bool
-		if el, ok = p.elems[m.dest]; !ok {
+		if el = p.find(&m.dest); el == nil {
 			// The element migrated away between enqueue and execution:
 			// re-route through the location manager. The message stays
 			// in flight, so quiescence counters are untouched.
@@ -878,7 +814,8 @@ func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 // (location cache, falling back to the home PE) — what a sender knows
 // without querying.
 func (rt *Runtime) ProbablePE(arr *Array, idx Index, fromPE int) int {
-	return rt.resolve(fromPE, elemKey{array: arr.id, idx: idx})
+	pe, _ := rt.resolveEID(fromPE, elemKey{array: arr.id, idx: idx})
+	return pe
 }
 
 // barrierLatency models an optimized tree barrier/reduction over the active
@@ -937,7 +874,11 @@ func (rt *Runtime) Diagnose() string {
 		s += fmt.Sprintf("; %d armed quiescence detections", n)
 	}
 	if n := len(rt.pending); n > 0 {
-		s += fmt.Sprintf("; %d messages buffered for uncreated elements", n)
+		msgs := 0
+		for _, buffered := range rt.pending { //charmvet:ordered (a sum, order-insensitive)
+			msgs += len(buffered)
+		}
+		s += fmt.Sprintf("; %d messages buffered for %d uncreated elements", msgs, n)
 	}
 	return s
 }

@@ -278,7 +278,7 @@ func TestPropertyDeliveryUnderMigration(t *testing.T) {
 				// Move a few random elements behind the senders' backs.
 				for k := 0; k < 4; k++ {
 					idx := Idx1(rng.Intn(elems))
-					if el, ok := arr.elems[idx]; ok {
+					if el := arr.lookup(idx); el != nil {
 						rt.moveElement(el, rng.Intn(8), false)
 					}
 				}
@@ -353,11 +353,22 @@ func TestDiagnose(t *testing.T) {
 	})
 	rt.Run()
 	s := rt.Diagnose()
-	if !strings.Contains(s, "buffered for uncreated elements") {
+	if !strings.Contains(s, "1 messages buffered for 1 uncreated elements") {
 		t.Fatalf("diagnose misses pending buffer: %s", s)
 	}
 	if !strings.Contains(s, "1 msgs in flight") {
 		t.Fatalf("diagnose misses in-flight count: %s", s)
+	}
+	// Messages and keys are counted apart: two more for the same key, one
+	// for another.
+	rt.Boot(func(ctx *Ctx) {
+		ctx.Send(arr, Idx1(99), epBump, int64(1))
+		ctx.Send(arr, Idx1(99), epBump, int64(1))
+		ctx.Send(arr, Idx1(98), epBump, int64(1))
+	})
+	rt.Run()
+	if s := rt.Diagnose(); !strings.Contains(s, "4 messages buffered for 2 uncreated elements") {
+		t.Fatalf("diagnose miscounts the pending buffer: %s", s)
 	}
 }
 

@@ -18,7 +18,7 @@ func specRounds(t *testing.T) (rt *Runtime, els []*element, round func()) {
 	arr := declCounters(rt, ArrayOpts{PureHandlers: true, Migratable: true})
 	for i := 0; i < 4; i++ {
 		arr.InsertOn(Idx1(i), &counter{}, i)
-		els = append(els, rt.pes[i].elems[elemKey{arr.id, Idx1(i)}])
+		els = append(els, arr.lookup(Idx1(i)))
 	}
 	inject := func() {
 		for i, el := range els {

@@ -2,10 +2,11 @@
 # check.sh — the full local gate, and everything in it is a build, a vet or a
 # go test: build, go vet, charmvet (determinism & PUP-completeness rules, see
 # DESIGN.md "Determinism rules"), the test suite under the race detector, the
-# allocation pins and budgets once without it, the benchmark module's own
-# suite, the cross-backend equivalence tests and the engine's suite at several
-# GOMAXPROCS values, the telemetry-neutrality gate, the full figure registry
-# on both engines, and the 60-seed multi-failure soak. CI runs exactly this.
+# allocation pins and budgets once without it, one iteration of every
+# in-package benchmark, the benchmark module's own suite, the cross-backend
+# equivalence tests and the engine's suite at several GOMAXPROCS values, the
+# telemetry-neutrality gate, the full figure registry on both engines, and the
+# 60-seed multi-failure soak. CI runs exactly this.
 #
 # Nothing here measures (bench/ does: bash bench/run.sh) and nothing here
 # writes inside the repository: run on a clean checkout, it ends with
@@ -35,6 +36,10 @@ go test -race -timeout 20m ./...
 # -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
 # full-size counter goldens are skipped under it: run both once without.
 go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/
+# The in-package benchmarks are otherwise only compiled (go vet): one
+# iteration of each, so one that panics or no longer sets up fails here. A
+# smoke, not a measurement — its output is discarded.
+go test -run '^$' -bench . -benchtime 1x ./internal/charm/ ./internal/des/ ./internal/parsim/ ./internal/pup/ > /dev/null
 # bench/ is its own module, invisible to the ./... above. Its smoke suite is
 # what catches a renamed engine gauge or a cross-backend digest break in the
 # repository benchmark (BENCHMARK.json).
