@@ -79,9 +79,8 @@ func client(addr, cmd, args string) {
 func serve(addr string, pes, objs int, telemetryAddr string) {
 	rt := charm.New(machine.New(machine.Stampede(pes)))
 	rt.SetBalancer(lb.Greedy{})
-	var tel *telemetry.Telemetry
 	if telemetryAddr != "" {
-		tel = telemetry.Attach(rt, telemetry.Options{})
+		tel := telemetry.Attach(rt, telemetry.Options{})
 		defer tel.DumpOnPanic()
 		tsrv, err := telemetry.Serve(telemetryAddr, tel)
 		if err != nil {
@@ -167,8 +166,5 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 	fmt.Printf("steerable job on %s (%d PEs, %d chares); commands: pes shrink expand stats timeline trace ckpt stop\n",
 		bound, rt.NumPEs(), arr.Len())
 	srv.Drive(0.05, func() bool { return stopped && rt.Engine().Pending() == 0 })
-	if tel != nil {
-		tel.Final()
-	}
 	fmt.Printf("job stopped at t=%.2fs (virtual)\n", float64(rt.Now()))
 }

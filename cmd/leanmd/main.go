@@ -41,9 +41,8 @@ func main() {
 	flag.Parse()
 
 	rt := charm.New(machine.New(pickMachine(*mach, *pes)))
-	var tel *telemetry.Telemetry
 	if *telemetryAddr != "" {
-		tel = telemetry.Attach(rt, telemetry.Options{})
+		tel := telemetry.Attach(rt, telemetry.Options{})
 		defer tel.DumpOnPanic()
 		srv, err := telemetry.Serve(*telemetryAddr, tel)
 		if err != nil {
@@ -99,9 +98,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if tel != nil {
-		tel.Final()
 	}
 	ts := res.StepTimes()
 	fmt.Printf("atoms=%d steps=%d PEs=%d machine=%s\n", res.Atoms, len(ts), rt.NumPEs(), *mach)

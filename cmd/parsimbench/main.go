@@ -111,52 +111,21 @@ func pholdWorkload(smoke bool) workload {
 	}
 }
 
-// telemetrySession pairs an attached probe with its HTTP server so the
-// cleanup is a plain method rather than a func() literal — charmvet's
-// indirect-call resolution is signature-keyed, and a func() closure here
-// would alias unrelated func() callbacks (e.g. chaos Restart hooks) in
-// the call graph.
-type telemetrySession struct {
-	tel *telemetry.Telemetry
-	srv *telemetry.Server
-}
-
-// finish publishes the final snapshot and closes the server; nil-safe so
-// callers can defer it unconditionally.
-func (s *telemetrySession) finish() {
-	if s == nil {
-		return
-	}
-	s.tel.Final()
-	s.srv.Close()
-}
-
-// serveTelemetry attaches telemetry and its HTTP endpoint to one run's runtime
-// (rebound per run, so the address shows the run in progress); nil if no addr.
-func serveTelemetry(rt *charm.Runtime, addr string, stderr io.Writer) (*telemetrySession, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	tel := telemetry.Attach(rt, telemetry.Options{})
-	srv, err := telemetry.Serve(addr, tel)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stderr, "parsimbench: telemetry on http://%s\n", srv.Addr())
-	return &telemetrySession{tel: tel, srv: srv}, nil
-}
-
 // measure runs w on r's backend and fills r in: the one place that builds a
 // runtime, times Run and reads the allocator's counters around it.
 func measure(w workload, r *row, telemetryAddr string, stderr io.Writer) error {
 	mc := machine.Testbed(w.pes)
 	mc.Backend, mc.SnapInterval = r.Backend, r.SnapInterval
 	rt := charm.New(machine.New(mc))
-	sess, err := serveTelemetry(rt, telemetryAddr, stderr)
-	if err != nil {
-		return err
+	if telemetryAddr != "" {
+		// Rebound per run, so the address shows the run in progress.
+		srv, err := telemetry.Serve(telemetryAddr, telemetry.Attach(rt, telemetry.Options{}))
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Fprintf(stderr, "parsimbench: telemetry on http://%s\n", srv.Addr())
 	}
-	defer sess.finish()
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -166,7 +166,6 @@ type Controller struct {
 	warns   []*warnState
 	err     error
 	crashAt map[int]float64
-	obs     Observer
 
 	// Records lists every completed recovery, in completion order; Evacs
 	// every resolved fault prediction, in landing order.
@@ -346,9 +345,6 @@ func (c *Controller) evacuateDueWarns() des.Time {
 		if h := c.rt.Trace(); h != nil {
 			h.Emit(charm.Event{Kind: charm.KFault, At: c.rt.Now(), PE: w.f.PE, Entry: string(charm.FaultEvacuate)})
 		}
-		if c.obs != nil {
-			c.obs.Evacuated(w.f.PE, c.rt.Now())
-		}
 	}
 	return total
 }
@@ -492,9 +488,6 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 		if h := rt.Trace(); h != nil {
 			h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
 		}
-		if c.obs != nil {
-			c.obs.FailureDetected(pe, at)
-		}
 		if c.restarts > c.maxRestarts() {
 			c.unrecoverable(fmt.Errorf(
 				"chaos: PE %d failed during recovery of PEs %v: %w (budget %d)",
@@ -514,9 +507,6 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 	rt.Metrics().Counter("chaos.detections").Inc()
 	if h := rt.Trace(); h != nil {
 		h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
-	}
-	if c.obs != nil {
-		c.obs.FailureDetected(pe, at)
 	}
 	c.scheduleRestore(at)
 }
@@ -619,9 +609,6 @@ func (c *Controller) finishRecovery(resumedAt float64) {
 			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: pe, Entry: string(charm.FaultRecover)})
 		}
 	}
-	if c.obs != nil {
-		c.obs.Recovered(rec.PE, rt.Now())
-	}
 	// The detector chain never stopped observing; nothing to re-arm.
 	if c.opts.Restart != nil {
 		c.opts.Restart()
@@ -632,16 +619,12 @@ func (c *Controller) finishRecovery(resumedAt float64) {
 
 // unrecoverable latches a terminal, typed recovery error: the campaign
 // cannot be healed (all replicas lost, no checkpoint, or the restart
-// budget exhausted). Observers get a last look — the telemetry layer
-// dumps the flight recorder here — before the engine stops.
+// budget exhausted).
 func (c *Controller) unrecoverable(err error) {
 	if c.err != nil {
 		return
 	}
 	c.rt.Metrics().Counter("chaos.unrecoverable").Inc()
-	if c.obs != nil {
-		c.obs.Unrecoverable(c.rt.Now(), err)
-	}
 	c.fail(err)
 }
 

@@ -310,32 +310,34 @@ func (h *Histogram) cumulative() []Bucket {
 	return out
 }
 
-// Snapshot evaluates every metric and returns flat samples sorted by name.
-// Timers flatten to .count/.sum_ns/.max_ns samples and histograms to
-// .count/.sum, so scalar consumers (the text summary, figure tables) need
-// no bucket awareness.
+// Flatten turns an export into flat samples in the export's order: a timer
+// becomes .count/.sum_ns/.max_ns and a histogram .count/.sum, so scalar
+// consumers (the text summary, figure tables, /events deltas) need no
+// bucket awareness.
+func Flatten(ms []Metric) []Sample {
+	out := make([]Sample, 0, len(ms)+8)
+	for _, m := range ms {
+		switch m.Kind {
+		case KindTimer:
+			out = append(out,
+				Sample{Name: m.Name + ".count", Value: float64(m.Count)},
+				Sample{Name: m.Name + ".sum_ns", Value: m.Sum},
+				Sample{Name: m.Name + ".max_ns", Value: m.Max})
+		case KindHistogram:
+			out = append(out,
+				Sample{Name: m.Name + ".count", Value: float64(m.Count)},
+				Sample{Name: m.Name + ".sum", Value: m.Sum})
+		default:
+			out = append(out, Sample{Name: m.Name, Value: m.Value})
+		}
+	}
+	return out
+}
+
+// Snapshot evaluates every metric and returns its flat samples sorted by
+// name.
 func (r *Registry) Snapshot() []Sample {
-	r.mu.RLock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.funcs)+3*len(r.timers)+2*len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, Sample{Name: name, Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Sample{Name: name, Value: g.Value()})
-	}
-	for name, fn := range r.funcs {
-		out = append(out, Sample{Name: name, Value: fn()})
-	}
-	for name, t := range r.timers {
-		out = append(out, Sample{Name: name + ".count", Value: float64(t.Count())})
-		out = append(out, Sample{Name: name + ".sum_ns", Value: float64(t.SumNs())})
-		out = append(out, Sample{Name: name + ".max_ns", Value: float64(t.MaxNs())})
-	}
-	for name, h := range r.hists {
-		out = append(out, Sample{Name: name + ".count", Value: float64(h.Count())})
-		out = append(out, Sample{Name: name + ".sum", Value: float64(h.Sum())})
-	}
-	r.mu.RUnlock()
+	out := Flatten(r.Export())
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

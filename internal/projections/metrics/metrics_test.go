@@ -47,6 +47,49 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsFlattenedExport holds one metric of each kind and pins the
+// names, values and order Snapshot's readers (bench/trace.go,
+// cmd/projections, WriteText) look up, and that Flatten keeps the export's
+// order with each metric's samples adjacent.
+func TestSnapshotIsFlattenedExport(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(3)
+	r.Gauge("g").Set(2.5)
+	r.GaugeFunc("f", func() float64 { return 9 })
+	r.Timer("t").ObserveNs(100)
+	r.Timer("t").ObserveNs(300)
+	r.Histogram("h").Observe(5)
+	r.Histogram("h").Observe(7)
+
+	equal := func(got, want []Sample) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	sorted := []Sample{
+		{"c", 3}, {"f", 9}, {"g", 2.5},
+		{"h.count", 2}, {"h.sum", 12},
+		{"t.count", 2}, {"t.max_ns", 300}, {"t.sum_ns", 400},
+	}
+	if got := r.Snapshot(); !equal(got, sorted) {
+		t.Errorf("Snapshot = %+v\nwant %+v", got, sorted)
+	}
+	exportOrder := []Sample{
+		{"c", 3}, {"f", 9}, {"g", 2.5},
+		{"h.count", 2}, {"h.sum", 12},
+		{"t.count", 2}, {"t.sum_ns", 400}, {"t.max_ns", 300},
+	}
+	if got := Flatten(r.Export()); !equal(got, exportOrder) {
+		t.Errorf("Flatten(Export) = %+v\nwant %+v", got, exportOrder)
+	}
+}
+
 func TestGaugeFuncLastWins(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("x", func() float64 { return 1 })

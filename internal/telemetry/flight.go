@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,14 @@ import (
 	"charmgo/internal/des"
 )
 
-// FlightEntry is one recorded engine decision. Seq is a global record
-// sequence (total order across shards), WallNs the wall stamp from the
-// owning Telemetry's clock, VT the virtual time of the decision.
+// flightCap is the flight recorder's capacity in entries (≈ 0.3 MB),
+// whatever the machine's width.
+const flightCap = 4096
+
+// FlightEntry is one recorded engine decision. Seq is the record's position
+// in the one global order, WallNs the wall stamp from the owning Telemetry's
+// clock, VT the virtual time of the decision, Shard the shard that made it
+// (-1 for the driver).
 type FlightEntry struct {
 	Seq    uint64  `json:"seq"`
 	WallNs int64   `json:"wall_ns"`
@@ -25,8 +29,8 @@ type FlightEntry struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// FlightDump is the JSON artifact a Dump writes: the drained rings merged
-// into one seq-ordered history.
+// FlightDump is the JSON artifact a Dump writes: the retained history in
+// seq order.
 type FlightDump struct {
 	Reason    string        `json:"reason"`
 	WrittenAt string        `json:"written_at"`
@@ -35,57 +39,34 @@ type FlightDump struct {
 	Entries   []FlightEntry `json:"entries"`
 }
 
-// Recorder is the crash flight recorder: a fixed-size ring of recent
-// engine decisions per shard (plus one ring for driver-level records,
-// shard -1), dumped to a timestamped JSON artifact on panic, chaos
-// detection, or a rollback storm. Rings are bounded, so a 128k-PE run
-// carries the same memory cost per shard as a toy one.
+// Recorder is the crash flight recorder: one fixed-size ring of the most
+// recent engine decisions in the order they were noted, dumped to a
+// timestamped JSON artifact on panic. The record with sequence number s
+// lives in ring[s%flightCap], so reading it back is two copies, no merge.
 //
 // Note may be called from driver or commit context while Dump runs from a
-// panicking goroutine, so the rings are mutex-protected; the lock is
+// panicking goroutine, so the ring is mutex-protected; the lock is
 // uncontended in normal operation.
 type Recorder struct {
-	mu    sync.Mutex
-	seq   uint64
-	size  int
-	rings [][]FlightEntry // rings[0] = driver (-1), rings[s+1] = shard s
-	fill  []uint64        // total records ever written per ring
-	dir   string
-	clock func() int64
-	dumps atomic.Uint32
+	mu     sync.Mutex
+	seq    uint64 // records ever written
+	ring   []FlightEntry
+	shards int
+	dir    string
+	clock  func() int64
+	dumps  atomic.Uint32
 }
 
-// newRecorder sizes one ring per shard plus the driver ring.
-func newRecorder(shards, size int, dir string, clock func() int64) *Recorder {
-	if shards < 1 {
-		shards = 1
-	}
-	r := &Recorder{
-		size:  size,
-		rings: make([][]FlightEntry, shards+1),
-		fill:  make([]uint64, shards+1),
-		dir:   dir,
-		clock: clock,
-	}
-	for i := range r.rings {
-		r.rings[i] = make([]FlightEntry, size)
-	}
-	return r
+func newRecorder(shards int, dir string, clock func() int64) *Recorder {
+	return &Recorder{ring: make([]FlightEntry, flightCap), shards: shards, dir: dir, clock: clock}
 }
 
-// Note appends one record to shard's ring (shard -1 and out-of-range
-// shards land in the driver ring), overwriting the oldest when full.
+// Note appends one record, overwriting the oldest when the ring is full.
 func (r *Recorder) Note(shard int, kind string, vt des.Time, detail string) {
-	idx := shard + 1
-	if idx < 1 || idx >= len(r.rings) {
-		idx = 0
-	}
 	wall := r.clock()
 	r.mu.Lock()
-	e := FlightEntry{Seq: r.seq, WallNs: wall, VT: float64(vt), Shard: shard, Kind: kind, Detail: detail}
+	r.ring[r.seq%flightCap] = FlightEntry{Seq: r.seq, WallNs: wall, VT: float64(vt), Shard: shard, Kind: kind, Detail: detail}
 	r.seq++
-	r.rings[idx][r.fill[idx]%uint64(r.size)] = e
-	r.fill[idx]++
 	r.mu.Unlock()
 }
 
@@ -99,24 +80,17 @@ func (r *Recorder) Seq() uint64 {
 // Dumps returns how many dump artifacts have been written.
 func (r *Recorder) Dumps() uint32 { return r.dumps.Load() }
 
-// Snapshot returns every retained record, oldest first in global seq
-// order.
+// Snapshot returns a copy of every retained record, oldest first.
 func (r *Recorder) Snapshot() []FlightEntry {
 	r.mu.Lock()
-	var out []FlightEntry
-	for i, ring := range r.rings {
-		n := r.fill[i]
-		kept := uint64(r.size)
-		if n < kept {
-			kept = n
-		}
-		for k := n - kept; k < n; k++ {
-			out = append(out, ring[k%uint64(r.size)])
-		}
+	defer r.mu.Unlock()
+	if r.seq <= flightCap {
+		return append([]FlightEntry(nil), r.ring[:r.seq]...)
 	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	head := r.seq % flightCap
+	out := make([]FlightEntry, 0, flightCap)
+	out = append(out, r.ring[head:]...)
+	return append(out, r.ring[:head]...)
 }
 
 // Dump writes the retained history to a timestamped JSON artifact named
@@ -131,8 +105,8 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	doc := FlightDump{
 		Reason:    reason,
 		WrittenAt: stamp,
-		Shards:    len(r.rings) - 1,
-		RingSize:  r.size,
+		Shards:    r.shards,
+		RingSize:  flightCap,
 		Entries:   r.Snapshot(),
 	}
 	path := filepath.Join(r.dir, fmt.Sprintf("flightrec-%s-%d-%s.json", reason, n, stamp))

@@ -1,12 +1,12 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"time"
 
 	"charmgo/internal/projections/metrics"
@@ -21,29 +21,25 @@ import (
 //	/events       streaming NDJSON of metric deltas, one line per publication
 //	/debug/pprof  net/http/pprof (heap, goroutine, CPU profile, trace)
 //
-// Handlers read an immutable *Publication swapped in by the driver's
-// publish pump; /events polls the publication version rather than
-// blocking on a channel, keeping the package free of select on any path.
+// Handlers load the immutable *Publication the driver's publish pump last
+// stored in t.pub; /events polls its Seq rather than blocking on a
+// channel, keeping the package free of select on any path.
 type Server struct {
+	t   *Telemetry
 	ln  net.Listener
 	srv *http.Server
-
-	mu  sync.Mutex
-	cur *Publication
-	ver uint64
 }
 
 // Serve starts the introspection server on addr (e.g. ":8080", or
-// "127.0.0.1:0" to pick a free port — read it back with Addr). It
-// registers itself with t so every publication reaches the handlers, and
-// forces an immediate publication so the endpoints have data before the
-// first throttled publish.
+// "127.0.0.1:0" to pick a free port — read it back with Addr), and forces
+// an immediate publication so the endpoints have data before the first
+// throttled publish. Close it after Run.
 func Serve(addr string, t *Telemetry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln}
+	s := &Server{t: t, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/status", s.handleStatus)
@@ -55,8 +51,7 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
-	t.server.Store(s)
-	t.publishNow()
+	t.publish(t.rt.Now(), true, t.WallNow())
 	//charmvet:spawn (HTTP accept loop; never schedules or executes events)
 	go s.srv.Serve(ln)
 	return s, nil
@@ -65,24 +60,18 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the listener and in-flight handlers.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// publish installs a new publication for the handlers. Called by the
-// driver's publish pump; handlers never see a half-written publication
-// because the pointer swap is under the mutex.
-func (s *Server) publish(p *Publication) {
-	s.mu.Lock()
-	s.cur = p
-	s.ver++
-	s.mu.Unlock()
-}
-
-// last returns the current publication and its version.
-func (s *Server) last() (*Publication, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur, s.ver
+// Close ends the session: it publishes the final not-running observation
+// (Telemetry.Final), gives open /events streams a moment to deliver it and
+// end on their own, then stops the listener and whatever is still in
+// flight. Call from the driving goroutine after Run.
+func (s *Server) Close() error {
+	s.t.Final()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if s.srv.Shutdown(ctx) == nil {
+		return nil
+	}
+	return s.srv.Close()
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -99,7 +88,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	p, _ := s.last()
+	p := s.t.pub.Load()
 	if p == nil {
 		http.Error(w, "no publication yet", http.StatusServiceUnavailable)
 		return
@@ -111,7 +100,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	p, _ := s.last()
+	p := s.t.pub.Load()
 	if p == nil {
 		http.Error(w, "no publication yet", http.StatusServiceUnavailable)
 		return
@@ -137,9 +126,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var sent uint64
 	ctx := r.Context()
 	for ctx.Err() == nil {
-		p, ver := s.last()
-		if p != nil && ver != sent {
-			sent = ver
+		if p := s.t.pub.Load(); p != nil && p.Seq != sent {
+			sent = p.Seq
 			line := eventLine{
 				Seq:    p.Seq,
 				WallMs: float64(p.WallNs) / 1e6,

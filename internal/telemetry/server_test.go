@@ -12,29 +12,66 @@ import (
 
 	"charmgo/internal/apps/stencil"
 	"charmgo/internal/charm"
+	"charmgo/internal/des"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
 	"charmgo/internal/telemetry"
 )
 
+// midRunStatus is a des.Probe placed between the engine and telemetry. It
+// passes every call on and, at each event where telemetry may have published
+// (it reads its clock every 1024th), GETs /status from the driving goroutine
+// — the only place a publication of a run that lasts milliseconds can be
+// read before the next replaces it — keeping the largest gvt_lag a running
+// status showed.
+type midRunStatus struct {
+	*telemetry.Telemetry
+	t      *testing.T
+	url    string
+	n      int
+	maxLag float64
+}
+
+func (p *midRunStatus) EventExecuted(shard int, at des.Time, pending int) {
+	p.Telemetry.EventExecuted(shard, at, pending)
+	if p.n++; p.n&1023 != 0 {
+		return
+	}
+	var st telemetry.Status
+	getJSON(p.t, p.url, &st)
+	if st.Running {
+		p.maxLag = max(p.maxLag, st.GVTLag)
+	}
+}
+
 // TestServerEndpoints runs a stencil job with the introspection server up,
 // polls /events concurrently with the run, and checks /status, /metrics,
-// and the stream contents after the final publication.
+// and the stream contents after the final publication. The optimistic case
+// pins /status's gvt_lag: speculation runs ahead of the commit frontier
+// mid-run and has nothing in flight once the run is over.
 func TestServerEndpoints(t *testing.T) {
+	for _, backend := range []string{"parallel", "optimistic"} {
+		t.Run(backend, func(t *testing.T) { testServerEndpoints(t, backend) })
+	}
+}
+
+func testServerEndpoints(t *testing.T, backend string) {
 	cfg := machine.Testbed(8)
-	cfg.Backend = "parallel"
+	cfg.Backend = backend
 	rt := charm.New(machine.New(cfg))
 	rt.SetBalancer(lb.Greedy{})
-	tel := telemetry.Attach(rt, telemetry.Options{
-		PublishInterval: time.Millisecond, // publish eagerly so the stream sees mid-run deltas
-		FlightDir:       t.TempDir(),
-	})
+	tel := telemetry.Attach(rt, telemetry.Options{FlightDir: t.TempDir()})
 	srv, err := telemetry.Serve("127.0.0.1:0", tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
+	mid := &midRunStatus{Telemetry: tel, t: t, url: base + "/status"}
+	rt.Engine().(des.ProbeSetter).SetProbe(mid)
+	// A publication is due once the interval has passed since Attach, so the
+	// run's first 1024th event makes one.
+	time.Sleep(telemetry.PublishInterval)
 
 	// Stream /events while the run progresses; the final not-running
 	// publication ends the stream, so the reader goroutine terminates on
@@ -72,9 +109,16 @@ func TestServerEndpoints(t *testing.T) {
 	if st.Running {
 		t.Errorf("/status running = true after Final")
 	}
-	if st.Backend != "parallel" {
-		t.Errorf("/status backend = %q, want parallel", st.Backend)
+	if st.Backend != backend {
+		t.Errorf("/status backend = %q, want %s", st.Backend, backend)
 	}
+	if st.GVTLag != 0 {
+		t.Errorf("/status gvt_lag = %v after the run, want 0 (nothing in flight)", st.GVTLag)
+	}
+	if speculates := backend == "optimistic"; (mid.maxLag > 0) != speculates {
+		t.Errorf("/status gvt_lag reached %v mid-run on the %s backend", mid.maxLag, backend)
+	}
+	t.Logf("mid-run gvt_lag max %v over %d events", mid.maxLag, mid.n)
 	if st.Executed == 0 || st.MsgsSent == 0 {
 		t.Errorf("/status shows no work: %+v", st)
 	}

@@ -2,7 +2,9 @@
 // profiles the three des.Engine backends and the charm runtime in *wall*
 // time (where projections profiles the simulated machine in *virtual*
 // time), serves the results over a live HTTP introspection endpoint, and
-// keeps a crash flight recorder of recent engine decisions.
+// keeps a crash flight recorder of recent engine decisions. It is three
+// things: a clock (WallNow), a throttled publication of the runtime's
+// metrics.Registry (publish), and one bounded ring (Recorder).
 //
 // # The side-band rule
 //
@@ -31,18 +33,10 @@
 //	SpecLaunched    optimistic launches + GVT lag (wall.spec_launches,
 //	                wall.gvt_lag_vns histogram, virtual nanoseconds)
 //	SpecRolledBack  rollback count and wall cost (wall.rollbacks,
-//	                wall.rollback_wait_ns); feeds the rollback-storm
-//	                flight-recorder trigger
+//	                wall.rollback_wait_ns)
 //
-// chaos.Observer (failure path → telemetry, commit context):
-//
-//	FailureDetected stamps detection, dumps the flight recorder
-//	Recovered       observes detection→recovery wall time
-//	                (wall.chaos_recovery_ns); covers restarted restores
-//	                too (the stamp is the first detection of the set)
-//	Evacuated       notes the proactive evacuation in the flight recorder
-//	Unrecoverable   terminal recovery failure: dumps the flight recorder
-//	                one last time before the engine stops
+// Failure milestones are not hooked here: they are KFault records in the
+// event log and chaos.Controller.Records.
 //
 // charm message pool: rts.msg_pool_gets / rts.msg_pool_outstanding gauge
 // funcs over charm.PoolStats (event-pool occupancy).
@@ -53,46 +47,31 @@
 package telemetry
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
-	"charmgo/internal/chaos"
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
 	"charmgo/internal/projections/metrics"
 )
 
-// maxStormDumps bounds rollback-storm flight-recorder artifacts per run.
-const maxStormDumps = 3
+// publishInterval is the wall-clock period between metric publications.
+// Publications happen from driver context at event boundaries, so an idle
+// engine publishes nothing until its next event.
+const publishInterval = int64(250 * time.Millisecond)
 
 // Options configures an attachment.
 type Options struct {
-	// PublishInterval is the wall-clock period between metric
-	// publications to the HTTP server (default 250ms). Publications
-	// happen from driver context at event boundaries, so an idle engine
-	// publishes nothing until its next event.
-	PublishInterval time.Duration
-	// FlightSize is the per-shard flight-recorder ring capacity
-	// (default 256 entries).
-	FlightSize int
 	// FlightDir is the directory flight-recorder dumps are written to
 	// (default the working directory).
 	FlightDir string
-	// StormThreshold dumps the flight recorder when this many
-	// consecutive rollbacks strike without an intervening committed
-	// speculation — a rollback storm. Zero disables the trigger.
-	StormThreshold int
 }
 
 // Telemetry is one attached observability instance: the des.Probe the
-// engines report to, the chaos.Observer the failure path reports to, and
-// the publication pump the HTTP server reads from.
+// engines report to and the publication pump the HTTP server reads from.
 type Telemetry struct {
-	rt       *charm.Runtime
-	reg      *metrics.Registry
-	base     time.Time
-	interval int64 // publish interval, ns
+	rt   *charm.Runtime
+	base time.Time
 
 	// Hot-path metric handles, resolved once at Attach.
 	events       *metrics.Counter
@@ -100,7 +79,6 @@ type Telemetry struct {
 	specPhaseNs  *metrics.Timer
 	stallNs      *metrics.Timer
 	rollbackNs   *metrics.Timer
-	recoveryNs   *metrics.Timer
 	windowStalls *metrics.Counter
 	specLaunches *metrics.Counter
 	rollbacks    *metrics.Counter
@@ -116,15 +94,12 @@ type Telemetry struct {
 	lastPub int64
 	prevPub map[string]float64
 
-	flight         *Recorder
-	stormThreshold int
-	storm          int
-	stormDumped    bool
-	stormDumps     int
-	detectNs       int64
+	flight *Recorder
 
-	server atomic.Pointer[Server]
-	pub    atomic.Pointer[Publication]
+	// pub is the latest publication: stored by the driver's publish pump,
+	// loaded by the HTTP handlers, which therefore never touch runtime
+	// state or see a half-written publication.
+	pub atomic.Pointer[Publication]
 }
 
 // Status is the /status document: what the runtime is doing right now,
@@ -174,56 +149,37 @@ type Publication struct {
 // enables message-pool accounting, creates the flight recorder, and
 // installs itself as the engine's probe (on engines that accept one — the
 // reference heap engine does not, and loses only wall profiling).
-// Call before Run; combine with Serve for the HTTP endpoints and
-// WatchChaos for failure timing.
+// Call before Run; combine with Serve for the HTTP endpoints.
 func Attach(rt *charm.Runtime, opts Options) *Telemetry {
-	if opts.PublishInterval <= 0 {
-		opts.PublishInterval = 250 * time.Millisecond
-	}
-	if opts.FlightSize <= 0 {
-		opts.FlightSize = 256
-	}
 	reg := rt.Metrics()
 	t := &Telemetry{
-		rt:  rt,
-		reg: reg,
+		rt: rt,
 		//charmvet:telemetry (wall-clock epoch for all interval math; never enters simulation state)
-		base:           time.Now(),
-		interval:       opts.PublishInterval.Nanoseconds(),
-		events:         reg.Counter("wall.events"),
-		phaseNs:        reg.Timer("wall.phase_ns"),
-		specPhaseNs:    reg.Timer("wall.spec_phase_ns"),
-		stallNs:        reg.Timer("wall.driver_stall_ns"),
-		rollbackNs:     reg.Timer("wall.rollback_wait_ns"),
-		recoveryNs:     reg.Timer("wall.chaos_recovery_ns"),
-		windowStalls:   reg.Counter("wall.window_stalls"),
-		specLaunches:   reg.Counter("wall.spec_launches"),
-		rollbacks:      reg.Counter("wall.rollbacks"),
-		publishes:      reg.Counter("wall.publishes"),
-		phaseHist:      reg.Histogram("wall.phase_latency_ns"),
-		gvtLagHist:     reg.Histogram("wall.gvt_lag_vns"),
-		queueDepth:     reg.Histogram("wall.queue_depth"),
-		prevPub:        map[string]float64{},
-		stormThreshold: opts.StormThreshold,
+		base:         time.Now(),
+		events:       reg.Counter("wall.events"),
+		phaseNs:      reg.Timer("wall.phase_ns"),
+		specPhaseNs:  reg.Timer("wall.spec_phase_ns"),
+		stallNs:      reg.Timer("wall.driver_stall_ns"),
+		rollbackNs:   reg.Timer("wall.rollback_wait_ns"),
+		windowStalls: reg.Counter("wall.window_stalls"),
+		specLaunches: reg.Counter("wall.spec_launches"),
+		rollbacks:    reg.Counter("wall.rollbacks"),
+		publishes:    reg.Counter("wall.publishes"),
+		phaseHist:    reg.Histogram("wall.phase_latency_ns"),
+		gvtLagHist:   reg.Histogram("wall.gvt_lag_vns"),
+		queueDepth:   reg.Histogram("wall.queue_depth"),
+		prevPub:      map[string]float64{},
 	}
 	t.pool = charm.EnablePoolStats()
 	reg.GaugeFunc("rts.msg_pool_gets", func() float64 { return float64(t.pool.Gets.Load()) })
 	reg.GaugeFunc("rts.msg_pool_outstanding", func() float64 { return float64(t.pool.Outstanding()) })
 	reg.GaugeFunc("rts.events_pending", func() float64 { return float64(rt.Engine().Pending()) })
-	t.flight = newRecorder(rt.Machine().NumNodes(), opts.FlightSize, opts.FlightDir, t.WallNow)
+	t.flight = newRecorder(rt.Machine().NumNodes(), opts.FlightDir, t.WallNow)
 	if ps, ok := rt.Engine().(des.ProbeSetter); ok {
 		ps.SetProbe(t)
 	}
 	return t
 }
-
-// WatchChaos installs this telemetry as the fault controller's observer,
-// timing detection→recovery and dumping the flight recorder at detection.
-func (t *Telemetry) WatchChaos(c *chaos.Controller) { c.SetObserver(t) }
-
-// Registry returns the metric registry telemetry writes into (the
-// runtime's own).
-func (t *Telemetry) Registry() *metrics.Registry { return t.reg }
 
 // Flight returns the flight recorder.
 func (t *Telemetry) Flight() *Recorder { return t.flight }
@@ -246,7 +202,7 @@ func (t *Telemetry) EventExecuted(shard int, at des.Time, pending int) {
 	}
 	t.queueDepth.Observe(uint64(pending))
 	now := t.WallNow()
-	if now-t.lastPub >= t.interval {
+	if now-t.lastPub >= publishInterval {
 		t.lastPub = now
 		t.publish(at, true, now)
 	}
@@ -256,9 +212,6 @@ func (t *Telemetry) EventExecuted(shard int, at des.Time, pending int) {
 func (t *Telemetry) PhaseWall(shard int, at des.Time, wallNs, stallNs int64, speculative bool) {
 	if speculative {
 		t.specPhaseNs.ObserveNs(wallNs)
-		// A committed speculation ends any rollback run.
-		t.storm = 0
-		t.stormDumped = false
 	} else {
 		t.phaseNs.ObserveNs(wallNs)
 	}
@@ -280,73 +233,26 @@ func (t *Telemetry) SpecLaunched(shard int, at des.Time, gvtLag des.Time) {
 }
 
 // SpecRolledBack implements des.Probe: a straggler (or cancel/exit)
-// undid shard's speculation. Crossing the storm threshold dumps the
-// flight recorder once per storm.
+// undid shard's speculation.
 func (t *Telemetry) SpecRolledBack(shard int, at des.Time, waitNs int64) {
 	t.rollbacks.Inc()
 	t.rollbackNs.ObserveNs(waitNs)
 	t.flight.Note(shard, "rollback", at, "straggler")
-	t.storm++
-	// One dump per storm, and at most maxStormDumps per run: the artifact
-	// is a postmortem, not a stream — a run-long storm would otherwise
-	// write a dump per rollback burst.
-	if t.stormThreshold > 0 && t.storm >= t.stormThreshold &&
-		!t.stormDumped && t.stormDumps < maxStormDumps {
-		t.stormDumped = true
-		t.stormDumps++
-		t.flight.Dump("rollback-storm")
-	}
-}
-
-// FailureDetected implements chaos.Observer: stamp the detection and dump
-// the flight recorder while the pre-crash decision history is still in
-// the ring.
-func (t *Telemetry) FailureDetected(pe int, at des.Time) {
-	t.detectNs = t.WallNow()
-	t.flight.Note(-1, "heartbeat_miss", at, "pe="+strconv.Itoa(pe))
-	t.flight.Dump("chaos-detect")
-}
-
-// Recovered implements chaos.Observer.
-func (t *Telemetry) Recovered(pe int, at des.Time) {
-	t.recoveryNs.ObserveNs(t.WallNow() - t.detectNs)
-	t.flight.Note(-1, "recovered", at, "pe="+strconv.Itoa(pe))
-}
-
-// Evacuated implements chaos.Observer: a fault prediction emptied a PE at
-// a quiescent cut.
-func (t *Telemetry) Evacuated(pe int, at des.Time) {
-	t.flight.Note(-1, "evacuated", at, "pe="+strconv.Itoa(pe))
-}
-
-// Unrecoverable implements chaos.Observer: recovery gave up (all replicas
-// of some shard lost, or the restore-restart budget exhausted). Dump the
-// flight recorder — the decision history leading into the unsurvivable
-// cascade is the postmortem.
-func (t *Telemetry) Unrecoverable(at des.Time, err error) {
-	t.flight.Note(-1, "unrecoverable", at, err.Error())
-	t.flight.Dump("chaos-unrecoverable")
 }
 
 // Final publishes a last observation marked not-running. Call after Run
-// so /status and /metrics reflect the finished state.
+// so /status and /metrics reflect the finished state; Server.Close does.
 func (t *Telemetry) Final() {
 	t.publish(t.rt.Now(), false, t.WallNow())
 }
 
-// publishNow forces an immediate publication (Serve calls it so the
-// endpoints have data before the first throttled publish).
-func (t *Telemetry) publishNow() {
-	t.publish(t.rt.Now(), true, t.WallNow())
-}
-
-// publish evaluates the registry and status from driver context and hands
-// the immutable publication to the server. GaugeFuncs read live runtime
+// publish evaluates the registry and status from driver context and stores
+// the immutable publication for the handlers. GaugeFuncs read live runtime
 // state, which is why this never runs from the HTTP goroutine.
 func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 	t.publishes.Inc()
-	ms := t.reg.Export()
-	flat := flatten(ms)
+	ms := t.rt.Metrics().Export()
+	flat := metrics.Flatten(ms)
 	deltas := make([]metrics.Sample, 0, 16)
 	next := make(map[string]float64, len(flat))
 	for _, s := range flat {
@@ -365,6 +271,7 @@ func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 		Pending:    t.rt.Engine().Pending(),
 		MsgsSent:   t.rt.Stats.MsgsSent,
 		Rollbacks:  t.rollbacks.Value(),
+		GVTLag:     next["optsim.gvt_lag"], // registered by the optimistic engine only
 		PoolInUse:  t.pool.Outstanding(),
 		WallMs:     float64(wallNs) / 1e6,
 		Running:    running,
@@ -392,30 +299,4 @@ func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 		Deltas:  deltas,
 	}
 	t.pub.Store(pub)
-	if srv := t.server.Load(); srv != nil {
-		srv.publish(pub)
-	}
-}
-
-// Last returns the most recent publication, or nil before the first.
-func (t *Telemetry) Last() *Publication { return t.pub.Load() }
-
-// flatten mirrors Registry.Snapshot's flattening over an already-taken
-// export, so deltas need no second GaugeFunc evaluation.
-func flatten(ms []metrics.Metric) []metrics.Sample {
-	out := make([]metrics.Sample, 0, len(ms)+8)
-	for _, m := range ms {
-		switch m.Kind {
-		case metrics.KindTimer:
-			out = append(out, metrics.Sample{Name: m.Name + ".count", Value: float64(m.Count)})
-			out = append(out, metrics.Sample{Name: m.Name + ".sum_ns", Value: m.Sum})
-			out = append(out, metrics.Sample{Name: m.Name + ".max_ns", Value: m.Max})
-		case metrics.KindHistogram:
-			out = append(out, metrics.Sample{Name: m.Name + ".count", Value: float64(m.Count)})
-			out = append(out, metrics.Sample{Name: m.Name + ".sum", Value: m.Sum})
-		default:
-			out = append(out, metrics.Sample{Name: m.Name, Value: m.Value})
-		}
-	}
-	return out
 }

@@ -8,13 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"testing"
-	"time"
 
 	"charmgo/internal/apps/leanmd"
 	"charmgo/internal/apps/pdes"
 	"charmgo/internal/apps/stencil"
-	"charmgo/internal/chaos"
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
 	"charmgo/internal/lb"
@@ -163,8 +162,7 @@ func TestProbePathAllocFree(t *testing.T) {
 	}
 
 	tel := telemetry.Attach(rt, telemetry.Options{
-		PublishInterval: time.Hour, // keep the publish pump out of the loop
-		FlightDir:       t.TempDir(),
+		FlightDir: t.TempDir(),
 	})
 	_ = tel
 	if per := measure(eng); per > 0.05 {
@@ -172,45 +170,76 @@ func TestProbePathAllocFree(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderWraparound overfills the one ring from several shards
+// and the driver: what is kept is exactly the newest FlightCap records, in
+// the order they were noted, and a Dump racing Notes is still a parseable,
+// seq-ordered history (the -race run is what checks the locking).
 func TestFlightRecorderWraparound(t *testing.T) {
 	rt := charm.New(machine.New(machine.Testbed(4)))
-	tel := telemetry.Attach(rt, telemetry.Options{FlightSize: 4, FlightDir: t.TempDir()})
+	tel := telemetry.Attach(rt, telemetry.Options{FlightDir: t.TempDir()})
 	rec := tel.Flight()
 
-	for i := 0; i < 10; i++ {
-		rec.Note(0, "spec_launch", des.Time(float64(i)), "")
+	const extra = 37
+	shardOf := func(i int) int { return i%5 - 1 } // the driver (-1) and shards 0..3
+	for i := 0; i < telemetry.FlightCap+extra; i++ {
+		rec.Note(shardOf(i), "spec_launch", des.Time(float64(i)), "")
 	}
-	for i := 0; i < 3; i++ {
-		rec.Note(-1, "window_stall", des.Time(float64(100+i)), "")
-	}
-	if rec.Seq() != 13 {
-		t.Fatalf("Seq = %d, want 13", rec.Seq())
+	if rec.Seq() != telemetry.FlightCap+extra {
+		t.Fatalf("Seq = %d, want %d", rec.Seq(), telemetry.FlightCap+extra)
 	}
 	snap := rec.Snapshot()
-	// Shard 0's ring keeps the newest 4 of 10; the driver ring all 3.
-	if len(snap) != 7 {
-		t.Fatalf("retained %d entries, want 7 (4 shard + 3 driver)", len(snap))
+	if len(snap) != telemetry.FlightCap {
+		t.Fatalf("retained %d entries, want the ring's %d", len(snap), telemetry.FlightCap)
 	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Seq <= snap[i-1].Seq {
-			t.Fatalf("snapshot not seq-ordered at %d: %d after %d", i, snap[i].Seq, snap[i-1].Seq)
+	for k, e := range snap {
+		i := extra + k
+		if e.Seq != uint64(i) || e.VT != float64(i) || e.Shard != shardOf(i) {
+			t.Fatalf("snapshot[%d] = %+v, want seq/vt %d from shard %d", k, e, i, shardOf(i))
 		}
-	}
-	var shard0 []telemetry.FlightEntry
-	for _, e := range snap {
-		if e.Shard == 0 {
-			shard0 = append(shard0, e)
-		}
-	}
-	if len(shard0) != 4 || shard0[0].VT != 6 || shard0[3].VT != 9 {
-		t.Fatalf("shard 0 ring kept %v, want VT 6..9", shard0)
 	}
 
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			rec.Note(shardOf(i), "rollback", des.Time(float64(i)), "concurrent")
+		}
+	}()
 	path, err := rec.Dump("test")
+	<-done
 	if err != nil {
 		t.Fatalf("dump: %v", err)
 	}
-	assertParseableDump(t, path, "test", 7)
+	doc := assertParseableDump(t, path, "test", telemetry.FlightCap)
+	for i := 1; i < len(doc.Entries); i++ {
+		if doc.Entries[i].Seq != doc.Entries[i-1].Seq+1 {
+			t.Fatalf("dump not in seq order at %d: %d after %d", i, doc.Entries[i].Seq, doc.Entries[i-1].Seq)
+		}
+	}
+}
+
+// TestAttachAllocIndependentOfWidth holds Attach to a fixed cost: the ring
+// is one allocation of FlightCap entries, not one per node, so watching the
+// 16 Ki-PE machine costs what watching a 16-PE one does.
+func TestAttachAllocIndependentOfWidth(t *testing.T) {
+	attachBytes := func(pes int) int64 {
+		rt := charm.New(machine.New(machine.Testbed(pes)))
+		opts := telemetry.Options{FlightDir: t.TempDir()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tel := telemetry.Attach(rt, opts)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tel)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	narrow, wide := attachBytes(16), attachBytes(16384)
+	t.Logf("Attach allocates %d bytes at 16 PEs, %d at 16384", narrow, wide)
+	if wide > 1<<20 {
+		t.Errorf("Attach on 16384 PEs allocated %d bytes, want <= 1 MiB", wide)
+	}
+	if d := wide - narrow; d > 64<<10 || d < -64<<10 {
+		t.Errorf("Attach allocated %d bytes at 16 PEs but %d at 16384; want them within 64 KiB", narrow, wide)
+	}
 }
 
 // assertParseableDump decodes a flight-recorder artifact and sanity-checks
@@ -242,119 +271,6 @@ func findDump(t *testing.T, dir, reason string) string {
 		t.Fatalf("no flightrec-%s dump in %s (err=%v)", reason, dir, err)
 	}
 	return matches[0]
-}
-
-// TestChaosDetectionDump kills a PE mid-run with telemetry watching the
-// fault controller: detection must dump the flight recorder (with the
-// pre-crash decision history still in the ring) and recovery must land in
-// the wall.chaos_recovery_ns timer.
-func TestChaosDetectionDump(t *testing.T) {
-	runLeanMD := func(dir string, plan *chaos.Plan) (tel *telemetry.Telemetry, elapsed float64) {
-		cfg := machine.Testbed(8)
-		rt := charm.New(machine.New(cfg))
-		rt.SetBalancer(lb.Greedy{})
-		app, err := leanmd.New(rt, leanmd.Config{
-			CellsX: 3, CellsY: 3, CellsZ: 3,
-			AtomsPerCell: 20, Steps: 18, LBPeriod: 3,
-			Gaussian: 0.35, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dir != "" {
-			tel = telemetry.Attach(rt, telemetry.Options{FlightDir: dir})
-		}
-		if plan != nil {
-			saved := 0
-			ctrl, err := chaos.Enable(rt, *plan, chaos.Options{
-				CheckpointEveryRounds: 1,
-				HeartbeatPeriod:       2e-4,
-				HeartbeatTimeout:      1.5e-4,
-				OnCheckpoint:          func() { saved = app.Steps() },
-				OnRollback:            func() { app.TruncateResult(saved) },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tel != nil {
-				tel.WatchChaos(ctrl)
-			}
-			defer func() {
-				if ctrl.Err() != nil {
-					t.Fatalf("recovery failed: %v", ctrl.Err())
-				}
-				if ctrl.Survived() != 1 {
-					t.Fatalf("survived %d crashes, want 1", ctrl.Survived())
-				}
-			}()
-		}
-		res, err := app.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tel, float64(res.Elapsed)
-	}
-
-	_, elapsed := runLeanMD("", nil) // probe run to position the crash
-	plan := chaos.CrashPlan(7, 1, 8, 0.45*elapsed, 0.95*elapsed)
-
-	dir := t.TempDir()
-	tel, _ := runLeanMD(dir, &plan)
-
-	if d := tel.Flight().Dumps(); d < 1 {
-		t.Fatalf("flight dumps = %d, want >= 1", d)
-	}
-	doc := assertParseableDump(t, findDump(t, dir, "chaos-detect"), "chaos-detect", 1)
-	miss := false
-	for _, e := range doc.Entries {
-		if e.Kind == "heartbeat_miss" {
-			miss = true
-		}
-	}
-	if !miss {
-		t.Errorf("chaos-detect dump holds no heartbeat_miss entry")
-	}
-	tel.Final()
-	if got := tel.Registry().Timer("wall.chaos_recovery_ns").Count(); got != 1 {
-		t.Errorf("wall.chaos_recovery_ns count = %d, want 1", got)
-	}
-}
-
-// TestRollbackStormDump drives the optimistic backend with the storm
-// threshold at its floor: the first rollback is a "storm" and must produce
-// a parseable dump. The PDES workload reliably speculates across LP
-// boundaries and takes stragglers.
-func TestRollbackStormDump(t *testing.T) {
-	dir := t.TempDir()
-	cfg := machine.Testbed(16)
-	cfg.Backend = "optimistic"
-	rt := charm.New(machine.New(cfg))
-	rt.SetBalancer(lb.Greedy{})
-	tel := telemetry.Attach(rt, telemetry.Options{FlightDir: dir, StormThreshold: 1})
-	if _, err := pdes.Run(rt, pdes.Config{
-		LPs: 64, EventsPerLP: 8, TargetEvents: 4000, Seed: 42,
-		UseTram: true, LBPeriodWindows: 4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tel.Final()
-	rolls := tel.Registry().Counter("wall.rollbacks").Value()
-	if rolls == 0 {
-		t.Skip("optimistic run took no rollbacks; storm trigger unexercised")
-	}
-	if d := tel.Flight().Dumps(); d < 1 {
-		t.Fatalf("rollbacks=%d but flight dumps = %d, want >= 1", rolls, d)
-	}
-	doc := assertParseableDump(t, findDump(t, dir, "rollback-storm"), "rollback-storm", 1)
-	found := false
-	for _, e := range doc.Entries {
-		if e.Kind == "rollback" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("rollback-storm dump holds no rollback entry")
-	}
 }
 
 // TestPanicDump re-execs the test binary, crashes the helper run inside a

@@ -35,7 +35,7 @@ go test -race -timeout 20m ./...
 # The allocation pins and the per-event heap budgets assert nothing under
 # -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
 # full-size counter goldens are skipped under it: run both once without.
-go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/
+go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/
 # The in-package benchmarks are otherwise only compiled (go vet): one
 # iteration of each, so one that panics or no longer sets up fails here. A
 # smoke, not a measurement — its output is discarded.
