@@ -4,9 +4,9 @@
 //	go run ./cmd/charmvet ./...
 //
 // It prints one line per violation (file:line:col: [analyzer] message) and
-// exits nonzero when any are found. The same suite runs in CI through
-// TestCharmvetClean, so the CLI is for local iteration: run it after
-// touching event-producing code or a Pup method.
+// exits 1 when any are found, 2 on a usage or load error. The same suite
+// runs in CI through TestCharmvetClean, so the CLI is for local iteration:
+// run it after touching event-producing code or a Pup method.
 //
 // Flags:
 //
@@ -14,43 +14,44 @@
 //	-why              print each finding's root→sink call chain, one hop
 //	                  per line, instead of the inline (via ...) suffix
 //	-json             machine-readable output: a JSON array of findings
-//	-baseline FILE    suppress findings recorded in FILE; only new
-//	                  findings count toward the exit status
-//	-update-baseline  rewrite the -baseline file (default
-//	                  charmvet.baseline) from the current findings
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"charmgo/internal/analysis"
 )
 
-func main() {
-	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
-		why       = flag.Bool("why", false, "print full call chains, one hop per line")
-		names     = flag.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-		baseline  = flag.String("baseline", "", "baseline file of known findings to suppress")
-		updateB   = flag.Bool("update-baseline", false, "rewrite the baseline file from current findings")
-		baseDeflt = "charmvet.baseline"
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: charmvet [flags] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Analyzers:\n")
-		for _, a := range analysis.DefaultSuite().Analyzers {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(os.Stderr, "\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+func run(args []string, stdout, stderr io.Writer) int {
 	suite := analysis.DefaultSuite()
+	fs := flag.NewFlagSet("charmvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
+	why := fs.Bool("why", false, "print full call chains, one hop per line")
+	names := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: charmvet [flags] [packages]\n\nAnalyzers:\n")
+		for _, a := range suite.Analyzers {
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
+		}
+		fmt.Fprintf(stderr, "\nFlags:\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
 	if *names != "" {
 		byName := map[string]*analysis.Analyzer{}
 		for _, a := range suite.Analyzers {
@@ -58,89 +59,51 @@ func main() {
 		}
 		var picked []*analysis.Analyzer
 		for _, name := range strings.Split(*names, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
+			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "charmvet: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "charmvet: unknown analyzer %q\n", name)
+				return 2
 			}
 			picked = append(picked, a)
 		}
 		suite.Analyzers = picked
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.Load(".", fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	findings := suite.Run(pkgs)
 
-	if *updateB {
-		file := *baseline
-		if file == "" {
-			file = baseDeflt
-		}
-		if err := os.WriteFile(file, []byte(analysis.FormatBaseline(findings)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "charmvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "charmvet: wrote %d finding(s) to %s\n", len(findings), file)
-		return
-	}
-
-	suppressed := 0
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "charmvet:", err)
-			os.Exit(2)
-		}
-		base, err := analysis.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "charmvet:", err)
-			os.Exit(2)
-		}
-		findings, suppressed = analysis.FilterBaseline(findings, base)
-	}
-
 	switch {
 	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
 			findings = []analysis.Finding{}
 		}
 		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "charmvet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "charmvet:", err)
+			return 2
 		}
 	case *why:
 		for _, f := range findings {
-			// The chain is shown hop by hop below; drop its inline form.
-			if i := strings.Index(f.Message, " (via "); i >= 0 {
-				f.Message = f.Message[:i]
-			}
-			fmt.Println(f)
-			for i, hop := range f.Chain {
-				fmt.Printf("    %s%s\n", strings.Repeat("  ", i), hop)
+			chain := f.Chain
+			f.Chain = nil // shown hop by hop below, not inline
+			fmt.Fprintln(stdout, f)
+			for i, hop := range chain {
+				fmt.Fprintf(stdout, "    %s%s\n", strings.Repeat("  ", i), hop)
 			}
 		}
 	default:
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "charmvet: %d baseline finding(s) suppressed\n", suppressed)
-	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "charmvet: %d violation(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "charmvet: %d violation(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }

@@ -14,9 +14,10 @@
 //   - retaincheck: no pooled object (*charm.Ctx, runtime messages) stored
 //     into state that outlives the handler invocation
 //
-//   - phasepure: parsim's two-phase discipline — phase-side handler code
-//     must route global effects through Ctx.Defer, and commit closures
-//     must not read phase-side chare state
+//   - phasepure: parsim's two-phase discipline and the optimistic
+//     backend's rollback contract — phase-side code must route global
+//     effects through Ctx.Defer and must not write //pup:skip fields,
+//     and commit closures must not read phase-side chare state
 //
 //   - pupcheck: every field of a chare struct is covered by its Pup
 //     method, descending one level into embedded and named struct fields
@@ -24,20 +25,16 @@
 //   - poolcheck: no use of a pooled object after it is released to its
 //     pool (intra-procedural, runs everywhere)
 //
-//   - specstate: phase-side code must not write //pup:skip fields of
-//     Pup-bearing types — a Time Warp rollback rebuilds the chare
-//     factory-fresh, so such writes are reset instead of restored
-//
 // The suite is stdlib-only (go/parser, go/ast, go/types); imports are
 // resolved from compiler export data via `go list -export`, with module
 // packages type-checked from source in one shared type universe so the
 // call graph can resolve cross-package calls exactly. It runs as a CLI
-// (cmd/charmvet, with -json/-why/-baseline) and as a tier-1 test
-// (TestCharmvetClean), so a violation reintroduced anywhere fails
-// `go test ./...`.
+// (cmd/charmvet, with -json/-why) and as a tier-1 test (TestCharmvetClean),
+// so a violation reintroduced anywhere fails `go test ./...`.
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -56,8 +53,14 @@ type Finding struct {
 	Chain []string `json:"chain,omitempty"`
 }
 
+// String renders the finding on one line, with its chain inline as
+// " (via root -> ... -> sink)" unless the sink is itself the root.
 func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+	s := fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+	if len(f.Chain) > 1 {
+		s += " (via " + strings.Join(f.Chain, " -> ") + ")"
+	}
+	return s
 }
 
 // Analyzer is one checker of the suite.
@@ -78,7 +81,7 @@ type Pass struct {
 	Path     string
 	Graph    *Graph
 
-	waivers  map[string]map[fileLine]bool // waiver name -> waived file:line
+	dirs     directives
 	findings *[]Finding
 }
 
@@ -97,11 +100,6 @@ func (p *Pass) ReportChainf(pos token.Pos, chain []string, format string, args .
 	})
 }
 
-// TypeOf returns the type of e, or nil when unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	return p.Info.TypeOf(e)
-}
-
 // pkgNodes returns the call-graph nodes whose bodies live in this pass's
 // package, in deterministic graph order.
 func (p *Pass) pkgNodes() []*Node {
@@ -114,9 +112,10 @@ func (p *Pass) pkgNodes() []*Node {
 	return nodes
 }
 
-// Waiver directives. A directive comment waives the statement on its own
-// line or on the line directly below, mirroring //nolint and //go:
-// placement conventions.
+// Waiver directives. A directive that follows code on its line covers that
+// line; a directive alone on its line covers the line below. One comment
+// may carry several //-separated directives (`//pup:skip //charmvet:specstate
+// (why)`); the run ends at the first segment that is not a directive.
 const (
 	// WaiverOrdered marks a map iteration whose order the author has made
 	// harmless (sorted afterwards, or provably order-insensitive).
@@ -148,26 +147,23 @@ const (
 	// release helper that the caller knows is a no-op on this path).
 	WaiverPooled = "charmvet:pooled"
 	// WaiverRetain marks a deliberate store of a pooled object into
-	// longer-lived state — the pool implementations themselves, and
-	// runtime structures whose lifecycle provably returns the object
-	// before reuse.
+	// longer-lived state — the pools themselves, and runtime structures
+	// whose lifecycle provably returns the object before reuse.
 	WaiverRetain = "charmvet:retain"
 	// WaiverPhase marks a deliberate phase-side write to shared state —
 	// state that is PE-local by construction, or sequential-backend-only
 	// paths.
 	WaiverPhase = "charmvet:phase"
-	// WaiverSpecState marks a //pup:skip field (declaration placement) or a
-	// single write to one (write-site placement) as safe under Time Warp
-	// rollback: the factory reset is equivalent to restoring it, or the
-	// owning app is pinned to the non-speculative backends.
+	// WaiverSpecState marks a //pup:skip field (at its declaration) or a
+	// single write to one (at the write) as safe under Time Warp rollback:
+	// the factory reset is equivalent to restoring it, or the owning app is
+	// pinned to the non-speculative backends.
 	WaiverSpecState = "charmvet:specstate"
 )
 
-// Waived reports whether a directive comment covers the line of pos: on
-// that same line, or on the line immediately above.
+// Waived reports whether a directive covers the line of pos.
 func (p *Pass) Waived(name string, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	return p.waivers[name][fileLine{position.Filename, position.Line}]
+	return p.dirs.covers(name, p.Fset.Position(pos))
 }
 
 type fileLine = struct {
@@ -175,36 +171,36 @@ type fileLine = struct {
 	line int
 }
 
-func buildWaivers(fset *token.FileSet, files []*ast.File) map[string]map[fileLine]bool {
-	w := map[string]map[fileLine]bool{}
-	add := func(name, file string, line int) {
-		if w[name] == nil {
-			w[name] = map[fileLine]bool{}
-		}
-		w[name][fileLine{file, line}] = true
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				for _, name := range []string{
-					WaiverOrdered, WaiverWallclock, WaiverSpawn, WaiverParsim,
-					WaiverTelemetry, WaiverPupSkip, WaiverPooled, WaiverRetain,
-					WaiverPhase, WaiverSpecState,
-				} {
-					if text == name || strings.HasPrefix(text, name+" ") {
-						pos := fset.Position(c.Pos())
-						// Waive the directive's own line and the next one,
-						// so both trailing and preceding placement work.
-						add(name, pos.Filename, pos.Line)
-						add(name, pos.Filename, pos.Line+1)
-					}
+// directives is one package's directive index: name -> covered lines.
+type directives map[string]map[fileLine]bool
+
+func (d directives) covers(name string, pos token.Position) bool {
+	return d[name][fileLine{pos.Filename, pos.Line}]
+}
+
+// index adds the directives in f's comments, under the placement rule
+// documented on the Waiver constants. src is f's source.
+func (d directives) index(fset *token.FileSet, f *ast.File, src []byte) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			pos := fset.Position(c.Pos())
+			at := fileLine{pos.Filename, pos.Line}
+			lineStart := bytes.LastIndexByte(src[:pos.Offset], '\n') + 1
+			if len(bytes.TrimSpace(src[lineStart:pos.Offset])) == 0 {
+				at.line++ // alone on its line
+			}
+			for _, seg := range strings.Split(c.Text, "//")[1:] {
+				name, _, _ := strings.Cut(strings.TrimSpace(seg), " ")
+				if !strings.HasPrefix(name, "charmvet:") && name != WaiverPupSkip {
+					break
 				}
+				if d[name] == nil {
+					d[name] = map[fileLine]bool{}
+				}
+				d[name][at] = true
 			}
 		}
 	}
-	return w
 }
 
 // Suite is a set of analyzers run over the whole module at once.
@@ -222,7 +218,7 @@ type Suite struct {
 // pupcheck run everywhere their trigger shapes appear.
 func DefaultSuite() *Suite {
 	return &Suite{
-		Analyzers: []*Analyzer{DetTaint, RetainCheck, PhasePure, PupCheck, PoolCheck, SpecState},
+		Analyzers: []*Analyzer{DetTaint, RetainCheck, PhasePure, PupCheck, PoolCheck},
 		Exclude:   []string{"charmgo/internal/analysis/fixtures"},
 	}
 }
@@ -253,15 +249,18 @@ func (s *Suite) Run(pkgs []*Package) []Finding {
 	return findings
 }
 
-// SortFindings orders findings by file, line, then analyzer.
+// SortFindings orders findings by file, line, column, then analyzer.
 func SortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool {
+	sort.SliceStable(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
 		}
 		return a.Analyzer < b.Analyzer
 	})
@@ -280,7 +279,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package, graph *Graph, findings *[]Finding) {
 		Info:     pkg.Info,
 		Path:     pkg.Path,
 		Graph:    graph,
-		waivers:  buildWaivers(pkg.Fset, pkg.Files),
+		dirs:     pkg.dirs,
 		findings: findings,
 	}
 	a.Run(pass)

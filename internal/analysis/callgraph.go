@@ -115,7 +115,7 @@ type Graph struct {
 
 	reach      map[*Node]reachEdge // lazy: full reachability from all roots
 	phaseReach map[*Node]reachEdge // lazy: phase-context reachability
-	skipFields map[*types.Var]bool // lazy: //pup:skip fields (specstate)
+	skipFields map[*types.Var]bool // lazy: //pup:skip fields (phasepure Rule C)
 }
 
 type staticSite struct {
@@ -138,12 +138,6 @@ type ifaceSite struct {
 	name   string
 	sig    *types.Signature
 }
-
-// NodeOf returns the graph node of a declared function, or nil.
-func (g *Graph) NodeOf(fn *types.Func) *Node { return g.byFn[fn] }
-
-// LitNode returns the graph node of a function literal, or nil.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.byLit[lit] }
 
 // NewGraph builds the call graph over pkgs. excludeRoots lists import-path
 // prefixes whose functions are never marked as roots (test fixtures full of
@@ -269,7 +263,7 @@ func (g *Graph) walkBody(n *Node) {
 	selOwned := map[*ast.Ident]bool{}
 	inspectShallow(n.body(), func(x ast.Node) bool {
 		if c, ok := x.(*ast.CallExpr); ok {
-			callPos[unparen(c.Fun)] = true
+			callPos[ast.Unparen(c.Fun)] = true
 		}
 		if s, ok := x.(*ast.SelectorExpr); ok {
 			selOwned[s.Sel] = true
@@ -347,7 +341,7 @@ func inspectShallow(tree ast.Node, f func(ast.Node) bool) {
 // resolveCall classifies one call site and records the edge (or defers it).
 func (g *Graph) resolveCall(n *Node, call *ast.CallExpr) {
 	info := n.Pkg.Info
-	fun := unparen(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	switch fun := fun.(type) {
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
@@ -446,7 +440,7 @@ func (g *Graph) scanFuncBindings() map[*types.Var]*funcBinding {
 	// lhsVar returns the function-typed variable an assignment target
 	// names, or nil for blank, non-ident, or non-function targets.
 	lhsVar := func(info *types.Info, e ast.Expr) *types.Var {
-		id, ok := unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return nil
 		}
@@ -470,7 +464,7 @@ func (g *Graph) scanFuncBindings() map[*types.Var]*funcBinding {
 		// invoke as, or nil when the value's origin is not a direct
 		// function reference (call results, conversions, other variables).
 		bindTarget := func(rhs ast.Expr) *Node {
-			switch rhs := unparen(rhs).(type) {
+			switch rhs := ast.Unparen(rhs).(type) {
 			case *ast.FuncLit:
 				return g.byLit[rhs]
 			case *ast.Ident:
@@ -695,7 +689,7 @@ func (g *Graph) markRoots(excludeRoots []string) {
 }
 
 func (g *Graph) markFuncArg(n *Node, arg ast.Expr, kind RootKind) {
-	switch arg := unparen(arg).(type) {
+	switch arg := ast.Unparen(arg).(type) {
 	case *ast.FuncLit:
 		if child := g.byLit[arg]; child != nil && child.Root == "" {
 			child.Root = kind
@@ -719,7 +713,7 @@ func (g *Graph) markFuncArg(n *Node, arg ast.Expr, kind RootKind) {
 // arguments to run later as events: Ctx.Defer/emit (commit closures) and
 // the engine's At/After family (timer and event bodies).
 func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
@@ -835,6 +829,7 @@ func isBootSig(sig *types.Signature) bool {
 	return p.Len() == 1 && sig.Results().Len() == 0 && isCtxPtr(p.At(0).Type())
 }
 
+// isDesTime reports whether t is des.Time (name-based, like isCtxPtr).
 func isDesTime(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -869,7 +864,6 @@ func isCommitFnSig(sig *types.Signature) bool {
 	return desFnParams(sig) && sig.Results().Len() == 0
 }
 
-// isPupMethod matches the PupCheck shape: method Pup(*pup.Pup).
 // isInitFunc reports whether fn is a package init function (no receiver,
 // niladic, named init — unreferenceable by user code, run at load).
 func isInitFunc(fn *types.Func) bool {
@@ -880,6 +874,7 @@ func isInitFunc(fn *types.Func) bool {
 	return ok && sig.Recv() == nil && sig.Params().Len() == 0 && sig.Results().Len() == 0
 }
 
+// isPupMethod matches the PupCheck shape: method Pup(*pup.Pup).
 func isPupMethod(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
 	if sig.Recv() == nil || fn.Name() != "Pup" {
@@ -889,16 +884,6 @@ func isPupMethod(fn *types.Func) bool {
 }
 
 // ---- helpers ----
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
 
 // shortFuncName trims the module prefix from a function's full name:
 // "(charmgo/internal/apps/pdes.*App).onEvent" -> "(pdes.*App).onEvent".

@@ -20,7 +20,7 @@ func TestCharmvetClean(t *testing.T) {
 	suite := analysis.DefaultSuite()
 	want := map[string]bool{
 		"dettaint": true, "retaincheck": true, "phasepure": true,
-		"pupcheck": true, "poolcheck": true, "specstate": true,
+		"pupcheck": true, "poolcheck": true,
 	}
 	for _, a := range suite.Analyzers {
 		delete(want, a.Name)

@@ -12,7 +12,7 @@ import (
 // reachable from an analysis root, and through which calls?" Reachability is
 // a deterministic BFS from all roots at once, recording for every reached
 // node the edge it was discovered through. Walking the parent pointers back
-// yields the shortest entry-method→sink call chain for the finding message.
+// yields the shortest entry-method→sink call chain a finding carries.
 //
 // The taint "lattice" is deliberately thin: each source kind (wall clock,
 // map range, …) is detected in the body of one node, and a node is tainted
@@ -94,15 +94,6 @@ func (g *Graph) Chain(reach map[*Node]reachEdge, n *Node) []string {
 		chain = append(chain, name)
 	}
 	return chain
-}
-
-// chainSuffix renders a chain for inline finding messages: nothing when the
-// sink is itself the root, otherwise " (via root -> ... -> sink)".
-func chainSuffix(chain []string) string {
-	if len(chain) <= 1 {
-		return ""
-	}
-	return " (via " + strings.Join(chain, " -> ") + ")"
 }
 
 // PhaseReach computes (once) reachability restricted to phase-side code:

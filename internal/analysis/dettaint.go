@@ -85,12 +85,12 @@ func runDetTaint(pass *Pass) {
 			case *ast.CallExpr:
 				pass.checkSourceCall(x, chain, telemetryPkg, n.Body)
 			case *ast.RangeStmt:
-				pass.checkMapRange(x, n.enclosingBlock(), chain)
+				pass.checkMapRange(x, n.Body, chain)
 			case *ast.GoStmt:
 				pass.checkGo(x, chain, parsimPkg)
 			case *ast.SelectStmt:
 				if !pass.Waived(WaiverSpawn, x.Pos()) {
-					pass.ReportChainf(x.Pos(), chain, "select depends on goroutine scheduling on an event path; use the event engine or annotate //charmvet:spawn%s", chainSuffix(chain))
+					pass.ReportChainf(x.Pos(), chain, "select depends on goroutine scheduling on an event path; use the event engine or annotate //charmvet:spawn")
 				}
 			}
 			return true
@@ -128,17 +128,13 @@ func runDetTaint(pass *Pass) {
 	}
 }
 
-// enclosingBlock returns the block the collect-then-sort idiom searches
-// for the later sort call: the node's own body.
-func (n *Node) enclosingBlock() *ast.BlockStmt { return n.Body }
-
 // checkSourceCall flags wall-clock and global-rand calls. telemetryPkg and
 // body scope the //charmvet:telemetry waiver: the waiver is honored only
 // inside telemetry packages, and only when the read's value stays out of
 // des.Time-typed expressions in the enclosing function (body is nil for
 // package-level initializers, where no flow check applies).
 func (p *Pass) checkSourceCall(call *ast.CallExpr, chain []string, telemetryPkg bool, body *ast.BlockStmt) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -155,16 +151,16 @@ func (p *Pass) checkSourceCall(call *ast.CallExpr, chain []string, telemetryPkg 
 		if p.Waived(WaiverTelemetry, call.Pos()) {
 			switch {
 			case !telemetryPkg:
-				p.ReportChainf(call.Pos(), chain, "charmvet:telemetry waiver is only honored inside the telemetry layer; time.%s reads the wall clock on an event path%s", name, chainSuffix(chain))
+				p.ReportChainf(call.Pos(), chain, "charmvet:telemetry waiver is only honored inside the telemetry layer; time.%s reads the wall clock on an event path", name)
 			case body != nil && p.flowsIntoSimTime(body, call):
-				p.ReportChainf(call.Pos(), chain, "time.%s is waived by charmvet:telemetry but its value flows into simulated time (des.Time); wall stamps must stay side-band%s", name, chainSuffix(chain))
+				p.ReportChainf(call.Pos(), chain, "time.%s is waived by charmvet:telemetry but its value flows into simulated time (des.Time); wall stamps must stay side-band", name)
 			}
 			return
 		}
-		p.ReportChainf(call.Pos(), chain, "time.%s reads the wall clock on an event path; use virtual time (des.Engine) or annotate //charmvet:wallclock%s", name, chainSuffix(chain))
+		p.ReportChainf(call.Pos(), chain, "time.%s reads the wall clock on an event path; use virtual time (des.Engine) or annotate //charmvet:wallclock", name)
 	case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !globalRandExempt[name]:
 		if !p.Waived(WaiverWallclock, call.Pos()) {
-			p.ReportChainf(call.Pos(), chain, "rand.%s draws from the global math/rand source on an event path; use a seeded *rand.Rand (rand.New(rand.NewSource(seed))) or annotate //charmvet:wallclock%s", name, chainSuffix(chain))
+			p.ReportChainf(call.Pos(), chain, "rand.%s draws from the global math/rand source on an event path; use a seeded *rand.Rand (rand.New(rand.NewSource(seed))) or annotate //charmvet:wallclock", name)
 		}
 	}
 }
@@ -177,14 +173,14 @@ func (p *Pass) checkGo(stmt *ast.GoStmt, chain []string, parsimPkg bool) {
 		if parsimPkg {
 			return
 		}
-		p.ReportChainf(stmt.Pos(), chain, "charmvet:parsim waiver is only honored inside the parsim engine; go statement spawns a goroutine on an event path%s", chainSuffix(chain))
+		p.ReportChainf(stmt.Pos(), chain, "charmvet:parsim waiver is only honored inside the parsim engine; go statement spawns a goroutine on an event path")
 		return
 	}
-	p.ReportChainf(stmt.Pos(), chain, "go statement spawns a goroutine on an event path; schedule an event instead or annotate //charmvet:spawn%s", chainSuffix(chain))
+	p.ReportChainf(stmt.Pos(), chain, "go statement spawns a goroutine on an event path; schedule an event instead or annotate //charmvet:spawn")
 }
 
 func (p *Pass) checkMapRange(rng *ast.RangeStmt, enclosing *ast.BlockStmt, chain []string) {
-	t := p.TypeOf(rng.X)
+	t := p.Info.TypeOf(rng.X)
 	if t == nil {
 		return
 	}
@@ -202,8 +198,8 @@ func (p *Pass) checkMapRange(rng *ast.RangeStmt, enclosing *ast.BlockStmt, chain
 			return
 		}
 	}
-	p.ReportChainf(rng.Pos(), chain, "iteration over map %s has nondeterministic order on an event path; sort the keys first or annotate //charmvet:ordered%s",
-		types.ExprString(rng.X), chainSuffix(chain))
+	p.ReportChainf(rng.Pos(), chain, "iteration over map %s has nondeterministic order on an event path; sort the keys first or annotate //charmvet:ordered",
+		types.ExprString(rng.X))
 }
 
 // appendTargets returns the printed left-hand sides when every statement in
@@ -281,7 +277,7 @@ func (p *Pass) flowsIntoSimTime(body *ast.BlockStmt, call *ast.CallExpr) bool {
 		stack = append(stack, n)
 		if n == ast.Node(call) {
 			for _, anc := range stack {
-				if e, ok := anc.(ast.Expr); ok && isSimTime(p.TypeOf(e)) {
+				if e, ok := anc.(ast.Expr); ok && isDesTime(p.Info.TypeOf(e)) {
 					found = true
 				}
 			}
@@ -289,22 +285,6 @@ func (p *Pass) flowsIntoSimTime(body *ast.BlockStmt, call *ast.CallExpr) bool {
 		return !found
 	})
 	return found
-}
-
-// isSimTime reports whether t is des.Time (matched by name and package
-// suffix so the check holds for the module's des package wherever the
-// module root sits).
-func isSimTime(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Time" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "internal/des")
 }
 
 // packageOf resolves e to an imported package's path when e names a

@@ -31,7 +31,7 @@ var bootClock = stdtime.Now() // want `time.Now`
 func use(fns ...any) {}
 
 func register() {
-	use(onTick, onMerge, onSpawn, onRecover)
+	use(onTick, onMerge, onSpawn, onRecover, onStamp)
 }
 
 // onTick's own body is source-free: the wall-clock read hides two calls
@@ -186,4 +186,12 @@ func (s *snap) Pup(p *pup.Pup) {
 		_ = k
 		_ = v
 	}
+}
+
+// onStamp pins the waiver placement rule: a directive that follows code
+// covers its own line only, so the unwaived read directly below it is
+// still a finding.
+func onStamp(obj any, ctx *charm.Ctx, msg any) {
+	_ = stdtime.Now() //charmvet:wallclock (fixture: this line only)
+	_ = stdtime.Now() // want `time.Now`
 }

@@ -1,7 +1,7 @@
 // Package specstate is a charmvet test fixture. Each `// want` comment
-// marks an expected specstate finding on its line; the package is
+// marks an expected phasepure finding on its line; the package is
 // excluded from the real suite and exists only for the analyzer unit
-// tests. The rule: phase-side code must not write //pup:skip fields of a
+// tests. Rule C: phase-side code must not write //pup:skip fields of a
 // Pup-bearing type — on the optimistic backend a rollback unpacks the
 // chare's PUP snapshot into a factory-fresh object, so a skip field comes
 // back reset, not restored.
@@ -71,8 +71,8 @@ func onWaived(obj any, ctx *charm.Ctx, msg any) {
 func onCommit(obj any, ctx *charm.Ctx, msg any) {
 	c := obj.(*cell)
 	// A commit closure runs only for speculations that survive to their
-	// pop, so a skip-field write there needs no undo: out of scope.
-	ctx.Defer(func() { c.hits = 0 })
+	// pop, so a skip-field write there needs no undo: not Rule C's concern.
+	ctx.Defer(func() { c.hits = 0 }) // want `commit closure reads chare state c`
 }
 
 // orphanScribble is unreachable from any entry point: no finding.
@@ -112,7 +112,7 @@ func onEvacuate(obj any, ctx *charm.Ctx, msg any) {
 
 	// Clearing the scratch at commit needs no undo: only surviving
 	// speculations commit.
-	ctx.Defer(func() { m.deparr = nil; m.pending = 0 })
+	ctx.Defer(func() { m.deparr = nil; m.pending = 0 }) // want `commit closure reads chare state m` want `commit closure reads chare state m`
 }
 
 // rearm mirrors optimistic-mode runtime code that holds the engine by its

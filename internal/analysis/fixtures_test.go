@@ -33,10 +33,10 @@ var loadFixtures = sync.OnceValues(func() (*fixtureWorld, error) {
 })
 
 // checkFixture runs one analyzer over its fixture package and compares the
-// findings against the fixture's `// want `backquoted-substring`` marks:
-// every finding must land on a marked line and match its substring, and
-// every mark must be hit — so each fixture proves both the positive and
-// the negative cases.
+// findings against the fixture's want marks (want, then a backquoted
+// substring; one comment may hold several): every finding must land on a
+// marked line and match its substring, and every mark must be hit — so
+// each fixture proves both the positive and the negative cases.
 func checkFixture(t *testing.T, a *analysis.Analyzer, path string) []analysis.Finding {
 	t.Helper()
 	w, err := loadFixtures()
@@ -57,21 +57,23 @@ func checkFixture(t *testing.T, a *analysis.Analyzer, path string) []analysis.Fi
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				i := strings.Index(text, "want `")
-				if i < 0 {
-					continue
-				}
-				rest := text[i+len("want `"):]
-				j := strings.Index(rest, "`")
-				if j < 0 {
-					t.Fatalf("%s: unterminated want mark %q", pkg.Fset.Position(c.Pos()), text)
-				}
 				pos := pkg.Fset.Position(c.Pos())
-				marks = append(marks, &mark{
-					key:  fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
-					want: rest[:j],
-				})
+				for text := c.Text; ; {
+					i := strings.Index(text, "want `")
+					if i < 0 {
+						break
+					}
+					rest := text[i+len("want `"):]
+					j := strings.Index(rest, "`")
+					if j < 0 {
+						t.Fatalf("%s: unterminated want mark %q", pos, c.Text)
+					}
+					marks = append(marks, &mark{
+						key:  fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
+						want: rest[:j],
+					})
+					text = rest[j+1:]
+				}
 			}
 		}
 	}
@@ -137,8 +139,11 @@ func TestPoolCheck(t *testing.T) {
 	checkFixture(t, analysis.PoolCheck, "charmgo/internal/analysis/fixtures/poolcheck")
 }
 
+// TestSpecState drives phasepure's Rule C (speculative-phase writes to
+// //pup:skip fields) over its own fixture; the fixture's commit closures
+// also carry Rule B marks, since the same analyzer checks both.
 func TestSpecState(t *testing.T) {
-	checkFixture(t, analysis.SpecState, "charmgo/internal/analysis/fixtures/specstate")
+	checkFixture(t, analysis.PhasePure, "charmgo/internal/analysis/fixtures/specstate")
 }
 
 // TestDettaintDeepWallclock is the acceptance case for reachability: the

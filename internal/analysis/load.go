@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	dirs directives
 }
 
 // listedPkg mirrors the fields of `go list -json` the loader consumes.
@@ -107,11 +109,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, t := range targets {
 		var files []*ast.File
+		dirs := directives{}
 		for _, name := range t.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+			path := filepath.Join(t.Dir, name)
+			src, err := os.ReadFile(path)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %v", err)
 			}
+			f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("analysis: %v", err)
+			}
+			dirs.index(fset, f, src)
 			files = append(files, f)
 		}
 		info := &types.Info{
@@ -132,6 +141,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Files: files,
 			Types: tpkg,
 			Info:  info,
+			dirs:  dirs,
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })

@@ -11,31 +11,45 @@ import (
 // the same conservative window run concurrently, each touching only its own
 // chare's state and buffering global effects through Ctx (Send, Defer);
 // at *commit*, the buffered effects replay sequentially in virtual-time
-// order. Two statically checkable rules follow:
+// order. On the optimistic backend the phase is also speculative: before a
+// handler mutates a chare the runtime PUP-packs it, and a rollback unpacks
+// that image into a *factory-fresh* element (internal/charm/speculation.go).
+// Three statically checkable rules follow:
 //
 //   - Rule A — phase-side code must not write package-level variables.
 //     A direct global write from an entry method (or any helper it calls)
 //     races with the other phase workers and, even when "benign", makes
 //     the parallel backend diverge from the sequential one. Route the
-//     write through ctx.Defer.
+//     write through ctx.Defer. Waiver: //charmvet:phase.
 //
 //   - Rule B — commit closures must not read the chare. A closure handed
 //     to ctx.Defer from an entry method runs at commit time, after other
 //     events of the window may have advanced the chare's state; reading
 //     `obj` (or an alias like `l := obj.(*LP)`) from inside it observes a
 //     different state than the sequential engine would. Capture the
-//     needed values into locals before deferring.
+//     needed values into locals before deferring. Waiver: //charmvet:phase.
 //
-// Phase-side code is computed from the call graph: every function
-// reachable from an entry-method or PE-handler root without crossing into
-// a commit/scheduled closure or into the runtime's own packages
-// (charm/des/parsim — they are the mechanism this discipline protects, and
-// their internals run under the engine's own locks and orderings).
-// Deliberate exceptions — state that is PE-local by construction, or
-// sequential-backend-only paths — carry //charmvet:phase.
+//   - Rule C — phase-side code must not write a //pup:skip field of a type
+//     with a Pup method. A rollback brings such a field back holding
+//     whatever the factory gives it while the pup'd state rewinds, so a
+//     field that carries state across handlers (an outstanding-reply
+//     count, a half-filled scratch buffer) re-runs against a chare that
+//     never existed. Waiver: //charmvet:specstate at the write for that
+//     write, or at the field's declaration for every write (a cache whose
+//     reset only forces a recompute, an idempotent rebind, an app pinned
+//     to the non-speculative backends).
+//
+// Rules A and C share one walk over the direct write shapes `x = v`,
+// `x.f = v`, `x[i] = v` and `x++`; mutation through a call or a pointer
+// copied out first is not tracked (DESIGN.md §11). Phase-side code is
+// computed from the call graph: every function reachable from an
+// entry-method or PE-handler root without crossing into a commit/scheduled
+// closure or into the runtime's own packages (charm/des/parsim — they are
+// the mechanism this discipline protects, and their internals run under
+// the engine's own locks and orderings).
 var PhasePure = &Analyzer{
 	Name: "phasepure",
-	Doc:  "checks parsim's two-phase discipline: no phase-side global writes, no chare reads in commit closures",
+	Doc:  "checks parsim's two-phase discipline: no phase-side global or //pup:skip writes, no chare reads in commit closures",
 	Run:  runPhasePure,
 }
 
@@ -45,7 +59,17 @@ func runPhasePure(pass *Pass) {
 	for _, n := range pass.pkgNodes() {
 		if _, ok := reach[n]; ok {
 			chain := g.Chain(reach, n)
-			pass.checkPhaseWrites(n, chain)
+			inspectShallow(n.body(), func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						pass.flagPhaseWrite(lhs, chain)
+					}
+				case *ast.IncDecStmt:
+					pass.flagPhaseWrite(x.X, chain)
+				}
+				return true
+			})
 		}
 		if n.Root == RootEntry {
 			pass.checkCommitClosures(n)
@@ -53,59 +77,77 @@ func runPhasePure(pass *Pass) {
 	}
 }
 
-// checkPhaseWrites enforces Rule A on one phase-side function body.
-func (p *Pass) checkPhaseWrites(n *Node, chain []string) {
-	inspectShallow(n.body(), func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				p.flagGlobalWrite(lhs, chain)
-			}
-		case *ast.IncDecStmt:
-			p.flagGlobalWrite(x.X, chain)
-		}
-		return true
-	})
-}
-
-// flagGlobalWrite reports lhs when it resolves to (a path rooted at) a
-// package-level variable. Writes through pointers held in globals are not
-// tracked (conservatism, DESIGN.md §11); the bare `global = v`,
-// `global.field = v`, `global[i] = v`, and `global++` shapes are.
-func (p *Pass) flagGlobalWrite(lhs ast.Expr, chain []string) {
-	base := lhs
+// flagPhaseWrite walks lhs from the outside in, reporting Rule C when the
+// path crosses a //pup:skip field (the outermost one) and Rule A when it
+// is rooted at a package-level variable.
+func (p *Pass) flagPhaseWrite(lhs ast.Expr, chain []string) {
+	var skipped *types.Var
+	base := ast.Unparen(lhs)
+walk:
 	for {
-		switch b := unparen(base).(type) {
+		switch b := base.(type) {
 		case *ast.SelectorExpr:
 			// pkg.Var: the selector's X names a package, not a value.
 			if _, isPkg := p.packageOf(b.X); isPkg {
 				base = b.Sel
-				continue
+				break walk
 			}
-			base = b.X
-			continue
+			if s := p.Info.Selections[b]; skipped == nil && s != nil && s.Kind() == types.FieldVal {
+				if f, ok := s.Obj().(*types.Var); ok && p.Graph.pupSkipFields()[f] {
+					skipped = f
+				}
+			}
+			base = ast.Unparen(b.X)
 		case *ast.IndexExpr:
-			base = b.X
-			continue
+			base = ast.Unparen(b.X)
 		case *ast.StarExpr:
-			base = b.X
-			continue
+			base = ast.Unparen(b.X)
+		default:
+			break walk
 		}
-		break
 	}
-	id, ok := unparen(base).(*ast.Ident)
+	if skipped != nil && !p.Waived(WaiverSpecState, lhs.Pos()) {
+		p.ReportChainf(lhs.Pos(), chain, "speculative-phase write to non-pup'd field %s; a Time Warp rollback rebuilds the chare factory-fresh, so this write is reset rather than restored — pup the field, defer the write through ctx.Defer, or annotate //charmvet:specstate",
+			skipped.Name())
+	}
+	id, ok := base.(*ast.Ident)
 	if !ok {
 		return
 	}
 	v, ok := p.Info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
+	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || p.Waived(WaiverPhase, lhs.Pos()) {
 		return
 	}
-	if p.Waived(WaiverPhase, lhs.Pos()) {
-		return
+	p.ReportChainf(lhs.Pos(), chain, "phase-side write to package-level variable %s; concurrent phase workers race on it — defer the write through ctx.Defer or annotate //charmvet:phase",
+		id.Name)
+}
+
+// pupSkipFields collects, module-wide and once per graph, the //pup:skip
+// fields of every type with a Pup method, minus those whose declaration
+// also carries //charmvet:specstate. A Pup method sits in its receiver's
+// package, so that package's directive index answers for the fields.
+func (g *Graph) pupSkipFields() map[*types.Var]bool {
+	if g.skipFields != nil {
+		return g.skipFields
 	}
-	p.ReportChainf(lhs.Pos(), chain, "phase-side write to package-level variable %s; concurrent phase workers race on it — defer the write through ctx.Defer or annotate //charmvet:phase%s",
-		id.Name, chainSuffix(chain))
+	g.skipFields = map[*types.Var]bool{}
+	for _, n := range g.Nodes {
+		if n.Fn == nil || !isPupMethod(n.Fn) {
+			continue
+		}
+		st := recvStructOf(n.Fn.Type().(*types.Signature).Recv().Type())
+		if st == nil {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			at := n.Pkg.Fset.Position(f.Pos())
+			if n.Pkg.dirs.covers(WaiverPupSkip, at) && !n.Pkg.dirs.covers(WaiverSpecState, at) {
+				g.skipFields[f] = true
+			}
+		}
+	}
+	return g.skipFields
 }
 
 // checkCommitClosures enforces Rule B on one entry-method root: find the
@@ -125,7 +167,7 @@ func (p *Pass) checkCommitClosures(n *Node) {
 			return true
 		}
 		for _, arg := range call.Args {
-			lit, ok := unparen(arg).(*ast.FuncLit)
+			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 			if !ok {
 				continue
 			}
@@ -211,7 +253,7 @@ func refShaped(t types.Type) bool {
 // builds a fresh value (a callee returning an interior pointer is the
 // conservatism documented in DESIGN.md §11).
 func (p *Pass) aliasExpr(e ast.Expr, vars map[*types.Var]bool) bool {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		v, ok := p.Info.Uses[e].(*types.Var)
 		return ok && vars[v]

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // PoolCheck flags uses of a pooled object after it has been released back
@@ -60,32 +61,11 @@ func releasedArg(stmt ast.Stmt) *ast.Ident {
 
 func hasReleasePrefix(name string) bool {
 	for _, pre := range releasePrefixes {
-		if len(name) >= len(pre) && equalFold(name[:len(pre)], pre) {
+		if len(name) >= len(pre) && strings.EqualFold(name[:len(pre)], pre) {
 			return true
 		}
 	}
 	return false
-}
-
-// equalFold compares ASCII strings case-insensitively (avoids importing
-// strings for two call sites).
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 func runPoolCheck(pass *Pass) {

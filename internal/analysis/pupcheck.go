@@ -44,10 +44,10 @@ func (p *Pass) checkPupMethod(fn *ast.FuncDecl) {
 	if fn.Name.Name != "Pup" || fn.Recv == nil || len(fn.Recv.List) != 1 {
 		return
 	}
-	if fn.Type.Params == nil || len(fn.Type.Params.List) != 1 || !isPupPtr(p, fn.Type.Params.List[0].Type) {
+	if fn.Type.Params == nil || len(fn.Type.Params.List) != 1 || !isPtrToNamed(p.Info.TypeOf(fn.Type.Params.List[0].Type), "pup", "Pup") {
 		return
 	}
-	st := receiverStruct(p, fn.Recv.List[0].Type)
+	st := recvStructOf(p.Info.TypeOf(fn.Recv.List[0].Type))
 	if st == nil {
 		return
 	}
@@ -182,35 +182,5 @@ func recvStructOf(t types.Type) *types.Struct {
 		return nil
 	}
 	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-// isPupPtr reports whether t denotes *pup.Pup (a pointer to a type named
-// Pup declared in a package named pup — the real framework in the runtime,
-// a stub in fixtures).
-func isPupPtr(p *Pass, t ast.Expr) bool {
-	ptr, ok := p.TypeOf(t).(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Pup" && obj.Pkg() != nil && obj.Pkg().Name() == "pup"
-}
-
-// receiverStruct resolves the receiver type expression to its struct
-// definition, or nil when the receiver is not a (pointer to a) struct.
-func receiverStruct(p *Pass, t ast.Expr) *types.Struct {
-	typ := p.TypeOf(t)
-	if ptr, ok := typ.(*types.Pointer); ok {
-		typ = ptr.Elem()
-	}
-	if typ == nil {
-		return nil
-	}
-	st, _ := typ.Underlying().(*types.Struct)
 	return st
 }

@@ -76,7 +76,7 @@ func (p *Pass) checkRetainNode(n *Node) {
 				p.flagPooledIdent(rhs, "stored into %s, which outlives the handler invocation", types.ExprString(lhs))
 			}
 		case *ast.CallExpr:
-			if id, ok := unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && p.Info.Uses[id] != nil {
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && p.Info.Uses[id] != nil {
 				if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
 					for _, arg := range x.Args[min(1, len(x.Args)):] {
 						p.flagPooledIdent(arg, "appended to a slice, which outlives the handler invocation")
@@ -101,7 +101,7 @@ func (p *Pass) checkRetainNode(n *Node) {
 
 // flagPooledIdent flags e when it is a bare identifier of pooled type.
 func (p *Pass) flagPooledIdent(e ast.Expr, format string, args ...any) {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return
 	}
@@ -123,7 +123,7 @@ func (p *Pass) checkClosureArgs(n *Node, call *ast.CallExpr) {
 		return // Defer/emit closures run and are dropped within the delivery
 	}
 	for _, arg := range call.Args {
-		lit, ok := unparen(arg).(*ast.FuncLit)
+		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 		if !ok {
 			continue
 		}
@@ -159,7 +159,7 @@ func (p *Pass) flagPooledCaptures(lit *ast.FuncLit, how string) {
 // the enclosing function: a field of any object, an element behind an
 // index or dereference, or a package-level variable.
 func escapingLHS(p *Pass, lhs ast.Expr) bool {
-	switch lhs := unparen(lhs).(type) {
+	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
 		// Selecting a field (on anything — receiver, global, local struct
 		// pointer) stores beyond the local frame in every case that

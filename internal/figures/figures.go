@@ -208,19 +208,25 @@ func Fig05ShrinkExpand(w io.Writer) error {
 		// steps never coincide with the reconfiguration steps).
 		LBPeriod: 6,
 	}
+	// StepHook cannot return an error: keep the first and report it after
+	// the run.
+	var hookErr error
 	cfg.StepHook = func(step int) {
+		var err error
 		switch step {
 		case 40:
-			if err := mgr.Reconfigure(128); err != nil {
-				panic(err)
-			}
+			err = mgr.Reconfigure(128)
 		case 80:
-			if err := mgr.Reconfigure(256); err != nil {
-				panic(err)
-			}
+			err = mgr.Reconfigure(256)
+		}
+		if hookErr == nil {
+			hookErr = err
 		}
 	}
 	res, err := leanmd.Run(rt, cfg)
+	if err == nil {
+		err = hookErr
+	}
 	if err != nil {
 		return err
 	}
@@ -290,19 +296,19 @@ func Fig07Interop(w io.Writer) error {
 	pts, err := sweep(len(pesList), func(i int) (point, error) {
 		p := pesList[i]
 		keys := totalKeys / p
-		run := func(algo sorting.Algo) *sorting.Result {
-			rt := newRuntime(machine.Testbed(p))
-			res, err := sorting.Run(rt, sorting.Config{
+		run := func(algo sorting.Algo) (*sorting.Result, error) {
+			return sorting.Run(newRuntime(machine.Testbed(p)), sorting.Config{
 				Ranks: p, KeysPerRank: keys, Algo: algo, Seed: 7,
 				ComputePerKey: 2e-6,
 			})
-			if err != nil {
-				panic(err)
-			}
-			return res
+		}
+		ms, err := run(sorting.MergeTree)
+		if err != nil {
+			return point{}, err
 		}
 		// HistSort goes via the §III-G interop interface.
-		return point{ms: run(sorting.MergeTree), hs: run(sorting.HistSortCharm)}, nil
+		hs, err := run(sorting.HistSortCharm)
+		return point{ms: ms, hs: hs}, err
 	})
 	if err != nil {
 		return err
@@ -323,7 +329,7 @@ func Fig07Interop(w io.Writer) error {
 // Fig08AMRScaling reproduces the left panel of Fig 8: AMR3D strong
 // scaling with and without the distributed load balancer.
 func Fig08AMRScaling(w io.Writer) error {
-	run := func(pes int, balance bool) float64 {
+	run := func(pes int, balance bool) (float64, error) {
 		rt := newRuntime(machine.Vesta(pes))
 		if balance {
 			rt.SetBalancer(lb.Distributed{Seed: 11})
@@ -334,19 +340,23 @@ func Fig08AMRScaling(w io.Writer) error {
 			PerCellWork: 200e-9,
 		})
 		if err != nil {
-			panic(err)
+			return 0, err
 		}
 		ts := res.StepTimes()
 		sum := 0.0
 		for _, v := range ts[len(ts)-4:] {
 			sum += v
 		}
-		return sum / 4
+		return sum / 4, nil
 	}
 	pesList := []int{16, 32, 64, 128, 256}
 	type point struct{ no, with float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
-		return point{no: run(pesList[i], false), with: run(pesList[i], true)}, nil
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
+		if p.no, err = run(pesList[i], false); err != nil {
+			return p, err
+		}
+		p.with, err = run(pesList[i], true)
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -404,7 +414,7 @@ func Fig08AMRCheckpoint(w io.Writer) error {
 // arriving mid-run, with and without heterogeneity-aware LB.
 func Fig16CloudStencil(w io.Writer) error {
 	const iters = 200
-	run := func(withLB bool) *stencil.Result {
+	run := func(withLB bool) (*stencil.Result, error) {
 		rt := newRuntime(machine.Cloud(32))
 		lbPeriod := 0
 		if withLB {
@@ -417,30 +427,22 @@ func Fig16CloudStencil(w io.Writer) error {
 			PerPointWork: 60e-9,
 		})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		// Estimate the iteration-100 time from a few warm iterations is
 		// unnecessary: inject at a fixed virtual time chosen inside the
 		// run (≈ iteration 100 of the unperturbed run).
-		probe := func() float64 {
-			rt2 := newRuntime(machine.Cloud(32))
-			r, err := stencil.Run(rt2, stencil.Config{GridN: 576, Chares: 16,
-				Iters: 10, PerPointWork: 60e-9})
-			if err != nil {
-				panic(err)
-			}
-			return float64(r.Elapsed) / 10
-		}
-		at := probe() * 100
-		cloud.InterfereNode(rt, 0, des.Time(at), -1, 0.6)
-		res, err := app.Run()
+		probe, err := stencil.Run(newRuntime(machine.Cloud(32)), stencil.Config{GridN: 576, Chares: 16,
+			Iters: 10, PerPointWork: 60e-9})
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		return res
+		at := float64(probe.Elapsed) / 10 * 100
+		cloud.InterfereNode(rt, 0, des.Time(at), -1, 0.6)
+		return app.Run()
 	}
 	mainRuns, err := sweep(2, func(i int) (*stencil.Result, error) {
-		return run(i == 1), nil
+		return run(i == 1)
 	})
 	if err != nil {
 		return err
@@ -454,23 +456,19 @@ func Fig16CloudStencil(w io.Writer) error {
 	}
 
 	// §IV-F.1: 1 chare/process vs 8 chares/process on 32 VMs.
-	over := func(chares int) float64 {
-		rt := newRuntime(machine.Cloud(32))
-		res, err := stencil.Run(rt, stencil.Config{GridN: 576, Chares: chares,
+	// 36 blocks ≈ 1 per VM (32 VMs); 256 blocks = 8 per VM.
+	overRuns, err := sweep(2, func(i int) (float64, error) {
+		res, err := stencil.Run(newRuntime(machine.Cloud(32)), stencil.Config{GridN: 576, Chares: []int{6, 16}[i],
 			Iters: 10, PerPointWork: 60e-9})
 		if err != nil {
-			panic(err)
+			return 0, err
 		}
 		ts := res.IterTimes()
 		sum := 0.0
 		for _, v := range ts[2:] {
 			sum += v
 		}
-		return sum / float64(len(ts)-2)
-	}
-	// 36 blocks ≈ 1 per VM (32 VMs); 256 blocks = 8 per VM.
-	overRuns, err := sweep(2, func(i int) (float64, error) {
-		return over([]int{6, 16}[i]), nil
+		return sum / float64(len(ts)-2), nil
 	})
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"charmgo/internal/charm"
 	"charmgo/internal/ckpt"
 	"charmgo/internal/cloud"
 	"charmgo/internal/lb"
@@ -15,8 +16,13 @@ import (
 	"charmgo/internal/apps/pdes"
 )
 
-// leanmdSteady returns the mean of the last k per-step times.
-func leanmdSteady(res *leanmd.Result, k int) float64 {
+// leanmdSteady runs LeanMD on rt and returns the mean of the last k
+// per-step times.
+func leanmdSteady(rt *charm.Runtime, cfg leanmd.Config, k int) (float64, error) {
+	res, err := leanmd.Run(rt, cfg)
+	if err != nil {
+		return 0, err
+	}
 	ts := res.StepTimes()
 	if len(ts) < k {
 		k = len(ts)
@@ -25,7 +31,7 @@ func leanmdSteady(res *leanmd.Result, k int) float64 {
 	for _, v := range ts[len(ts)-k:] {
 		sum += v
 	}
-	return sum / float64(k)
+	return sum / float64(k), nil
 }
 
 // ---- Fig 9 ----
@@ -34,7 +40,7 @@ func leanmdSteady(res *leanmd.Result, k int) float64 {
 // without the hierarchical load balancer on a BG/Q model (the paper's
 // 2.8M-atom system scaled down ~100×, Gaussian-skewed for imbalance).
 func Fig09LeanMDScaling(w io.Writer) error {
-	run := func(pes int, balance bool) float64 {
+	run := func(pes int, balance bool) (float64, error) {
 		rt := newRuntime(machine.Vesta(pes))
 		cfg := leanmd.Config{
 			CellsX: 6, CellsY: 6, CellsZ: 6,
@@ -45,16 +51,16 @@ func Fig09LeanMDScaling(w io.Writer) error {
 			rt.SetBalancer(lb.Hybrid{})
 			cfg.LBPeriod = 5
 		}
-		res, err := leanmd.Run(rt, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return leanmdSteady(res, 3)
+		return leanmdSteady(rt, cfg, 3)
 	}
 	pesList := []int{32, 64, 128, 256, 512, 1024}
 	type point struct{ no, with float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
-		return point{no: run(pesList[i], false), with: run(pesList[i], true)}, nil
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
+		if p.no, err = run(pesList[i], false); err != nil {
+			return p, err
+		}
+		p.with, err = run(pesList[i], true)
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -77,34 +83,30 @@ func Fig09LeanMDScaling(w io.Writer) error {
 func Fig10LeanMDCheckpoint(w io.Writer) error {
 	tw := table(w)
 	fmt.Fprintln(tw, "PEs\tbig_ckpt_s\tbig_restart_s\tsmall_ckpt_s\tsmall_restart_s")
-	measure := func(pes, cellSide int) (float64, float64) {
+	measure := func(pes, cellSide int) (ck, rs float64, err error) {
 		rt := newRuntime(machine.Vesta(pes))
-		app, err := leanmd.New(rt, leanmd.Config{
+		if _, err := leanmd.New(rt, leanmd.Config{
 			CellsX: cellSide, CellsY: cellSide, CellsZ: cellSide,
 			AtomsPerCell: 27, Steps: 1, Seed: 6,
-		})
-		if err != nil {
-			panic(err)
+		}); err != nil {
+			return 0, 0, err
 		}
-		_ = app
 		m := ckpt.NewMem(rt)
 		tm := ckpt.DefaultModel(pes)
 		tm.Base = 3e-4
 		m.SetModel(tm)
-		ck := float64(m.Checkpoint())
-		rs, err := m.FailAndRecover(1)
-		if err != nil {
-			panic(err)
-		}
-		return ck, float64(rs)
+		ck = float64(m.Checkpoint())
+		recovered, err := m.FailAndRecover(1)
+		return ck, float64(recovered), err
 	}
 	pesList := []int{256, 512, 1024, 2048, 4096}
 	type point struct{ bc, br, sc, sr float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
-		var p point
-		p.bc, p.br = measure(pesList[i], 20) // "2.8M-atom" stand-in: 216k atoms
-		p.sc, p.sr = measure(pesList[i], 16) // "1.6M-atom" stand-in: 110k atoms
-		return p, nil
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
+		if p.bc, p.br, err = measure(pesList[i], 20); err != nil { // "2.8M-atom" stand-in: 216k atoms
+			return p, err
+		}
+		p.sc, p.sr, err = measure(pesList[i], 16) // "1.6M-atom" stand-in: 110k atoms
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -121,22 +123,22 @@ func Fig10LeanMDCheckpoint(w io.Writer) error {
 // dynamics engine on the Titan XK7 and Jaguar XT5 machine models (the
 // 100M-atom benchmark scaled down ~7000×).
 func Fig11NAMDScaling(w io.Writer) error {
-	run := func(cfgMachine machine.Config) float64 {
+	run := func(cfgMachine machine.Config) (float64, error) {
 		rt := newRuntime(cfgMachine)
 		rt.SetBalancer(lb.Hybrid{})
-		res, err := leanmd.Run(rt, leanmd.Config{
+		return leanmdSteady(rt, leanmd.Config{
 			CellsX: 8, CellsY: 8, CellsZ: 8, AtomsPerCell: 27,
 			Gaussian: 3, Steps: 6, LBPeriod: 3, Seed: 7, MigratePeriod: 100,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return leanmdSteady(res, 3)
+		}, 3)
 	}
 	pesList := []int{32, 64, 128, 256, 512}
 	type point struct{ t, j float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
-		return point{t: run(machine.Titan(pesList[i])), j: run(machine.Jaguar(pesList[i]))}, nil
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
+		if p.t, err = run(machine.Titan(pesList[i])); err != nil {
+			return p, err
+		}
+		p.j, err = run(machine.Jaguar(pesList[i]))
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -156,7 +158,7 @@ func Fig11NAMDScaling(w io.Writer) error {
 // with one piece per PE ("500m_NO"), on a Cray XE6 model.
 func Fig12BarnesHut(w io.Writer) error {
 	center := [3]float64{0.30, 0.34, 0.62}
-	run := func(pes, depth int, balance bool) float64 {
+	run := func(pes, depth int, balance bool) (float64, error) {
 		rt := newRuntime(machine.BlueWaters(pes))
 		cfg := barnes.Config{
 			Particles: 48000, Depth: depth, Steps: 3, Seed: 8, Center: center,
@@ -167,10 +169,9 @@ func Fig12BarnesHut(w io.Writer) error {
 		}
 		res, err := barnes.Run(rt, cfg)
 		if err != nil {
-			panic(err)
+			return 0, err
 		}
-		m := res.MeanPhases()
-		return m.Total
+		return res.MeanPhases().Total, nil
 	}
 	// Depth for ~1 piece/PE vs 8 pieces/PE.
 	noDepth := func(pes int) int {
@@ -185,14 +186,17 @@ func Fig12BarnesHut(w io.Writer) error {
 	}
 	pesList := []int{8, 64, 512}
 	type point struct{ no, plain, balanced float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
 		pes := pesList[i]
 		nd := noDepth(pes)
-		return point{
-			no:       run(pes, nd, false),
-			plain:    run(pes, nd+1, false),
-			balanced: run(pes, nd+1, true),
-		}, nil
+		if p.no, err = run(pes, nd, false); err != nil {
+			return p, err
+		}
+		if p.plain, err = run(pes, nd+1, false); err != nil {
+			return p, err
+		}
+		p.balanced, err = run(pes, nd+1, true)
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -254,29 +258,33 @@ func Fig14Lulesh(w io.Writer) error {
 		c.TorusDims = nil
 		return c
 	}
-	run := func(pes, rankSide, elemSide int, native bool, lbPeriod int) float64 {
-		rt := newRuntime(hopper8(pes))
-		res, err := lulesh.Run(rt, lulesh.Config{
+	run := func(pes, rankSide, elemSide int, native bool, lbPeriod int) (float64, error) {
+		res, err := lulesh.Run(newRuntime(hopper8(pes)), lulesh.Config{
 			RankSide: rankSide, ElemSide: elemSide, Iters: iters,
 			Native: native, LBPeriod: lbPeriod, Seed: 10,
 			Regions: 4, RegionSpread: 0.3,
 		})
 		if err != nil {
-			panic(err)
+			return 0, err
 		}
-		return res.Elapsed
+		return res.Elapsed, nil
 	}
 	cubic := []int{2, 3, 4} // cubic PE counts: 8, 27, 64
 	type point struct{ mpi, v1, v8, v8lb float64 }
-	cubicPts, err := sweep(len(cubic), func(i int) (point, error) {
+	cubicPts, err := sweep(len(cubic), func(i int) (p point, err error) {
 		c := cubic[i]
 		pes := c * c * c
-		return point{
-			mpi:  run(pes, c, 24, true, 0),
-			v1:   run(pes, c, 24, false, 0),
-			v8:   run(pes, 2*c, 12, false, 0),
-			v8lb: run(pes, 2*c, 12, false, 2),
-		}, nil
+		if p.mpi, err = run(pes, c, 24, true, 0); err != nil {
+			return p, err
+		}
+		if p.v1, err = run(pes, c, 24, false, 0); err != nil {
+			return p, err
+		}
+		if p.v8, err = run(pes, 2*c, 12, false, 0); err != nil {
+			return p, err
+		}
+		p.v8lb, err = run(pes, 2*c, 12, false, 2)
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -286,7 +294,7 @@ func Fig14Lulesh(w io.Writer) error {
 	// run there at all.
 	nonCubic := []int{12, 48}
 	nonCubicPts, err := sweep(len(nonCubic), func(i int) (float64, error) {
-		return run(nonCubic[i], 6, 12, false, 0), nil // 216 ranks
+		return run(nonCubic[i], 6, 12, false, 0) // 216 ranks
 	})
 	if err != nil {
 		return err
@@ -348,21 +356,25 @@ func Fig15bPholdTram(w io.Writer) error {
 		}
 	}
 	type point struct{ direct, tram float64 }
-	pts, err := sweep(len(cfgs), func(i int) (point, error) {
+	pts, err := sweep(len(cfgs), func(i int) (_ point, err error) {
 		pes, epl := cfgs[i].pes, cfgs[i].epl
 		lps := pes * 64
-		rate := func(useTram bool) float64 {
-			rt := newRuntime(machine.Stampede(pes))
-			res, err := pdes.Run(rt, pdes.Config{
+		rate := func(useTram bool) (float64, error) {
+			res, err := pdes.Run(newRuntime(machine.Stampede(pes)), pdes.Config{
 				LPs: lps, EventsPerLP: epl, TargetEvents: lps * epl * 2,
 				UseTram: useTram, Seed: 12,
 			})
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
-			return res.EventRate
+			return res.EventRate, nil
 		}
-		return point{direct: rate(false), tram: rate(true)}, nil
+		var p point
+		if p.direct, err = rate(false); err != nil {
+			return p, err
+		}
+		p.tram, err = rate(true)
+		return p, err
 	})
 	if err != nil {
 		return err
@@ -381,7 +393,7 @@ func Fig15bPholdTram(w io.Writer) error {
 // where one node runs at 0.7× — without LB, with heterogeneity-aware LB,
 // and on the homogeneous cluster for reference.
 func Fig17CloudLeanMD(w io.Writer) error {
-	run := func(pes int, hetero, balance bool) float64 {
+	run := func(pes int, hetero, balance bool) (float64, error) {
 		rt := newRuntime(machine.Cloud(pes))
 		if hetero {
 			cloud.SlowNode(rt, 0, 0.7)
@@ -395,21 +407,20 @@ func Fig17CloudLeanMD(w io.Writer) error {
 			rt.SetBalancer(lb.Refine{Tolerance: 1.05})
 			cfg.LBPeriod = 10
 		}
-		res, err := leanmd.Run(rt, cfg)
-		if err != nil {
-			panic(err)
-		}
-		return leanmdSteady(res, 8)
+		return leanmdSteady(rt, cfg, 8)
 	}
 	pesList := []int{32, 64, 128, 256}
 	type point struct{ heteroNo, heteroLB, homoLB float64 }
-	pts, err := sweep(len(pesList), func(i int) (point, error) {
+	pts, err := sweep(len(pesList), func(i int) (p point, err error) {
 		pes := pesList[i]
-		return point{
-			heteroNo: run(pes, true, false),
-			heteroLB: run(pes, true, true),
-			homoLB:   run(pes, false, true),
-		}, nil
+		if p.heteroNo, err = run(pes, true, false); err != nil {
+			return p, err
+		}
+		if p.heteroLB, err = run(pes, true, true); err != nil {
+			return p, err
+		}
+		p.homoLB, err = run(pes, false, true)
+		return p, err
 	})
 	if err != nil {
 		return err

@@ -56,8 +56,9 @@ func sweep[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, errors.Join(errs...)
 }
 
-// runPoint evaluates one sweep point, converting a panic (figure run
-// helpers panic on app errors) into a labeled error.
+// runPoint evaluates one sweep point and labels its error. Figure helpers
+// return app errors; the recover is the guard for the runtime's own
+// panics, which become a labeled error too.
 func runPoint[T any](i int, fn func(i int) (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {

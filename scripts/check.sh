@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # check.sh — the full local gate, and everything in it is a build, a vet or a
-# go test: build, go vet, charmvet (determinism & PUP-completeness rules, see
-# DESIGN.md "Determinism rules"), the test suite under the race detector, the
+# go test: build, go vet, the test suite under the race detector (charmvet's
+# determinism & PUP-completeness rules ride it as TestCharmvetClean, see
+# DESIGN.md "Determinism rules"; its CLI is tested in cmd/charmvet), the
 # allocation pins and budgets once without it, one iteration of every
 # in-package benchmark, the benchmark module's own suite, the cross-backend
 # equivalence tests and the engine's suite at several GOMAXPROCS values, the
@@ -24,10 +25,6 @@ porcelain_before="$(git status --porcelain)"
 
 go build ./...
 go vet ./...
-# The committed baseline is empty; the flag is exercised here so the
-# suppression path cannot rot. The -json run smokes the machine output.
-go run ./cmd/charmvet -baseline charmvet.baseline ./...
-go run ./cmd/charmvet -json ./... > /dev/null
 # The timeout is for internal/chaos: ~6 min under the detector on 2 vCPUs (its
 # FT golden alone is twelve campaigns on three backends), too near go test's
 # 10 m default.
