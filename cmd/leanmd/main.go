@@ -132,12 +132,12 @@ func main() {
 		}
 		if *perfetto != "" {
 			writeEvents(*perfetto, func(w io.Writer) error {
-				return projections.WritePerfetto(w, events.Events())
+				return projections.WritePerfetto(w, events.Events(), events.Names())
 			}, "perfetto trace")
 		}
 		if *eventsOut != "" {
 			writeEvents(*eventsOut, func(w io.Writer) error {
-				return projections.WriteLog(w, events.Events())
+				return projections.WriteLog(w, events.Events(), events.Names())
 			}, "event log")
 		}
 	}

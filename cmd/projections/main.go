@@ -7,9 +7,13 @@
 //
 //	projections -app leanmd -perfetto out.json     trace a run, export
 //	projections -in run.log                        analyze a saved log
+//
+// It exits 2 on a usage error, before running anything, and 1 when a run
+// or a file fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,81 +27,101 @@ import (
 	"charmgo/internal/projections"
 )
 
-func main() {
-	app := flag.String("app", "leanmd", "app to trace: leanmd, pdes")
-	pes := flag.Int("pes", 16, "processing elements")
-	backend := flag.String("backend", "sequential", "engine backend: "+machine.BackendNames())
-	scale := flag.Int("scale", 1, "problem-size multiplier")
-	top := flag.Int("top", 10, "profile rows to print")
-	perfetto := flag.String("perfetto", "", "write Chrome trace-event JSON here (load at ui.perfetto.dev)")
-	logOut := flag.String("log", "", "write the raw event log (JSON lines) here")
-	in := flag.String("in", "", "analyze a saved event log instead of running an app")
-	flag.Parse()
-	if _, err := machine.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// apps are the runs -app names, each scaled by -scale. The two default runs'
+// logs are pinned by internal/projections' TestLogPinCrossBackend.
+var apps = map[string]func(rt *charm.Runtime, scale int) error{
+	"leanmd": func(rt *charm.Runtime, scale int) error {
+		_, err := leanmd.Run(rt, leanmd.Config{
+			CellsX: 3 * scale, CellsY: 3, CellsZ: 3,
+			AtomsPerCell: 20, Steps: 8, Seed: 42,
+			LBPeriod: 3, Gaussian: 0.35,
+		})
+		return err
+	},
+	"pdes": func(rt *charm.Runtime, scale int) error {
+		_, err := pdes.Run(rt, pdes.Config{
+			LPs: 64 * scale, EventsPerLP: 8, TargetEvents: 4000 * scale,
+			Seed: 42, UseTram: true, LBPeriodWindows: 4,
+		})
+		return err
+	},
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("projections", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "leanmd", "app to trace: leanmd, pdes")
+	pes := fs.Int("pes", 16, "processing elements")
+	backend := fs.String("backend", "sequential", "engine backend: "+machine.BackendNames())
+	scale := fs.Int("scale", 1, "problem-size multiplier")
+	top := fs.Int("top", 10, "profile rows to print")
+	perfetto := fs.String("perfetto", "", "write Chrome trace-event JSON here (load at ui.perfetto.dev)")
+	logOut := fs.String("log", "", "write the raw event log (JSON lines) here")
+	in := fs.String("in", "", "analyze a saved event log instead of running an app")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	_, err := machine.ParseBackend(*backend)
+	switch {
+	case err != nil:
+	case apps[*app] == nil:
+		err = fmt.Errorf("unknown app %q (want leanmd or pdes)", *app)
+	case *pes < 1:
+		err = fmt.Errorf("-pes %d out of range (want >= 1)", *pes)
+	case *scale < 1:
+		err = fmt.Errorf("-scale %d out of range (want >= 1)", *scale)
+	case *top < 1:
+		err = fmt.Errorf("-top %d out of range (want >= 1)", *top)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "projections:", err)
+		return 2
 	}
 
 	if *in != "" {
-		analyzeFile(*in, *top, *perfetto)
+		err = analyzeFile(stdout, *in, *top, *perfetto)
 	} else {
-		traceRun(*app, *pes, *backend, *scale, *top, *perfetto, *logOut)
+		err = traceRun(stdout, *app, *pes, *backend, *scale, *top, *perfetto, *logOut)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "projections:", err)
+		return 1
+	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-// runApp executes the selected app, traced, on a fresh runtime. The two
-// default runs' logs are pinned by internal/projections' TestLogPinCrossBackend.
-func runApp(app string, pes, scale int, backend string) (*charm.Runtime, *projections.Tracer) {
+func traceRun(stdout io.Writer, app string, pes int, backend string, scale, top int, perfetto, logOut string) error {
 	mcfg := machine.Testbed(pes)
 	mcfg.Backend = backend
 	rt := charm.New(machine.New(mcfg))
 	tr := projections.Attach(rt, projections.Options{EngineEvents: true})
 	rt.SetBalancer(lb.Greedy{})
-	switch app {
-	case "leanmd":
-		cfg := leanmd.Config{
-			CellsX: 3 * scale, CellsY: 3, CellsZ: 3,
-			AtomsPerCell: 20, Steps: 8, Seed: 42,
-			LBPeriod: 3, Gaussian: 0.35,
-		}
-		if _, err := leanmd.Run(rt, cfg); err != nil {
-			fatal(err)
-		}
-	case "pdes":
-		cfg := pdes.Config{
-			LPs: 64 * scale, EventsPerLP: 8, TargetEvents: 4000 * scale,
-			Seed: 42, UseTram: true, LBPeriodWindows: 4,
-		}
-		if _, err := pdes.Run(rt, cfg); err != nil {
-			fatal(err)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown app %q (want leanmd or pdes)\n", app)
-		os.Exit(2)
+	if err := apps[app](rt, scale); err != nil {
+		return err
 	}
-	return rt, tr
-}
-
-func traceRun(app string, pes int, backend string, scale, top int, perfetto, logOut string) {
-	rt, tr := runApp(app, pes, scale, backend)
-	if err := tr.WriteSummary(os.Stdout, top); err != nil {
-		fatal(err)
+	if err := tr.WriteSummary(stdout, top); err != nil {
+		return err
 	}
-	writeSpecSummary(os.Stdout, rt)
-	events := tr.Events()
+	writeSpecSummary(stdout, rt)
+	events, names := tr.Events(), tr.Names()
 	if perfetto != "" {
-		writeTo(perfetto, func(f *os.File) error { return projections.WritePerfetto(f, events) })
-		fmt.Printf("\nperfetto trace: %d events to %s\n", len(events), perfetto)
+		if err := writeTo(perfetto, func(w io.Writer) error { return projections.WritePerfetto(w, events, names) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nperfetto trace: %d events to %s\n", len(events), perfetto)
 	}
 	if logOut != "" {
-		writeTo(logOut, func(f *os.File) error { return projections.WriteLog(f, events) })
-		fmt.Printf("event log: %d events to %s\n", len(events), logOut)
+		if err := writeTo(logOut, func(w io.Writer) error { return projections.WriteLog(w, events, names) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "event log: %d events to %s\n", len(events), logOut)
 	}
+	return nil
 }
 
 // writeSpecSummary appends the Time Warp section to the text summary: the
@@ -130,35 +154,36 @@ func writeSpecSummary(w io.Writer, rt *charm.Runtime) {
 		vals["optsim.snap_interval"], vals["optsim.window"])
 }
 
-func analyzeFile(path string, top int, perfetto string) {
+func analyzeFile(stdout io.Writer, path string, top int, perfetto string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
-	events, err := projections.ReadLog(f)
+	events, names, err := projections.ReadLog(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := projections.WriteSummaryEvents(os.Stdout, events, top); err != nil {
-		fatal(err)
+	if err := projections.WriteSummaryEvents(stdout, events, names, top); err != nil {
+		return err
 	}
 	if perfetto != "" {
-		writeTo(perfetto, func(f *os.File) error { return projections.WritePerfetto(f, events) })
-		fmt.Printf("\nperfetto trace: %d events to %s\n", len(events), perfetto)
+		if err := writeTo(perfetto, func(w io.Writer) error { return projections.WritePerfetto(w, events, names) }); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nperfetto trace: %d events to %s\n", len(events), perfetto)
 	}
+	return nil
 }
 
-func writeTo(path string, fn func(*os.File) error) {
+func writeTo(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := fn(f); err != nil {
 		f.Close()
-		fatal(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
+	return f.Close()
 }

@@ -46,7 +46,7 @@ func torturedRun(t *testing.T, mk func() machine.Config, run func(rt *charm.Runt
 	if len(events) == 0 || tr.Dropped() != 0 {
 		t.Fatalf("event log incomplete: %d events held, %d dropped", len(events), tr.Dropped())
 	}
-	if err := projections.WriteLog(h, events); err != nil {
+	if err := projections.WriteLog(h, events, tr.Names()); err != nil {
 		t.Fatalf("writing event log: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), rt

@@ -343,7 +343,7 @@ func (c *Controller) evacuateDueWarns() des.Time {
 		total += dur
 		c.rt.Metrics().Counter("chaos.evacuations").Inc()
 		if h := c.rt.Trace(); h != nil {
-			h.Emit(charm.Event{Kind: charm.KFault, At: c.rt.Now(), PE: w.f.PE, Entry: string(charm.FaultEvacuate)})
+			h.Emit(charm.Event{Kind: charm.KFault, At: c.rt.Now(), PE: int32(w.f.PE), Entry: c.rt.Names().Intern(string(charm.FaultEvacuate))})
 		}
 	}
 	return total
@@ -392,7 +392,7 @@ func (c *Controller) warnDelivered(f Fault) {
 	rt.SetPEEvacuating(f.PE, true)
 	rt.Metrics().Counter("chaos.warnings").Inc()
 	if h := rt.Trace(); h != nil {
-		h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultWarn)})
+		h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: int32(f.PE), Entry: rt.Names().Intern(string(charm.FaultWarn))})
 	}
 }
 
@@ -429,8 +429,8 @@ func (c *Controller) warnLands(f Fault) {
 		w.rec.BootCost = float64(replacementBoot)
 		rt.Metrics().Counter("chaos.crashes_absorbed").Inc()
 		if h := rt.Trace(); h != nil {
-			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultCrash)})
-			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultReplace)})
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: int32(f.PE), Entry: rt.Names().Intern(string(charm.FaultCrash))})
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: int32(f.PE), Entry: rt.Names().Intern(string(charm.FaultReplace))})
 		}
 	} else if !rt.PEDead(f.PE) {
 		c.noteCrash(f.PE)
@@ -486,7 +486,7 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 		c.restarts++
 		rt.Metrics().Counter("chaos.nested_recoveries").Inc()
 		if h := rt.Trace(); h != nil {
-			h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
+			h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: int32(pe), Entry: rt.Names().Intern(string(charm.FaultDetect))})
 		}
 		if c.restarts > c.maxRestarts() {
 			c.unrecoverable(fmt.Errorf(
@@ -506,7 +506,7 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 	c.firstDetectedAt = float64(at)
 	rt.Metrics().Counter("chaos.detections").Inc()
 	if h := rt.Trace(); h != nil {
-		h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: pe, Entry: string(charm.FaultDetect)})
+		h.Emit(charm.Event{Kind: charm.KFault, At: at, PE: int32(pe), Entry: rt.Names().Intern(string(charm.FaultDetect))})
 	}
 	c.scheduleRestore(at)
 }
@@ -606,7 +606,7 @@ func (c *Controller) finishRecovery(resumedAt float64) {
 	rt.Metrics().Counter("chaos.recoveries").Inc()
 	if h := rt.Trace(); h != nil {
 		for _, pe := range rec.PEs {
-			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: pe, Entry: string(charm.FaultRecover)})
+			h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: int32(pe), Entry: rt.Names().Intern(string(charm.FaultRecover))})
 		}
 	}
 	// The detector chain never stopped observing; nothing to re-arm.

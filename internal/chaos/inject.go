@@ -65,7 +65,7 @@ func (inj *injector) arm() {
 				}
 				mach.SetInterference(f.PE, f.Factor)
 				if h := rt.Trace(); h != nil {
-					h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: f.PE, Entry: string(charm.FaultStraggler)})
+					h.Emit(charm.Event{Kind: charm.KFault, At: rt.Now(), PE: int32(f.PE), Entry: rt.Names().Intern(string(charm.FaultStraggler))})
 				}
 			})
 			eng.At(des.Time(f.Until), func() {

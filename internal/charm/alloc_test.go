@@ -1,10 +1,13 @@
 package charm
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"charmgo/internal/machine"
 	"charmgo/internal/parsim"
@@ -155,6 +158,89 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 		if img, ret, logged := now.Snapshots-saves.Snapshots, now.Retired-saves.Retired, now.LoggedDeliveries-saves.LoggedDeliveries; img < 100 || ret < 100 || logged < 3*100 {
 			t.Fatalf("measured rounds packed %d images, retired %d and logged %d deliveries: want the saves cycling (>= 100, 100, 300)", img, ret, logged)
 		}
+	}
+}
+
+// lastEvent is a trace sink that keeps the latest record.
+type lastEvent struct{ e Event }
+
+func (l *lastEvent) Emit(e Event) uint64 { l.e = e; return 0 }
+
+// TestTracedDeliveryAllocFree pins a traced delivery to an array declared
+// without EntryNames at zero allocations once its element's index has been
+// minted: the record names the entry by an id minted at declaration, not by
+// a string formatted per delivery.
+func TestTracedDeliveryAllocFree(t *testing.T) {
+	rt := testRT(2)
+	sink := &lastEvent{}
+	rt.SetTrace(sink, nil)
+	arr := rt.DeclareArray("sink", func() Chare { return &counter{} }, []Handler{func(Chare, *Ctx, any) {}}, ArrayOpts{})
+	arr.InsertOn(Idx1(0), &counter{}, 0)
+	key := arr.lookup(Idx1(0)).key
+	inject := func() {
+		m := getMsg()
+		m.dest, m.destPE, m.ep, m.size, m.srcPE = key, -1, 0, 64, 0
+		rt.send(m, rt.eng.Now())
+	}
+	round := func() {
+		rt.eng.After(0, inject)
+		rt.eng.Run()
+	}
+	for i := 0; i < 64; i++ { // warm the pools, the calendar and the index's id
+		round()
+	}
+	if n := testing.AllocsPerRun(200, round); n > 0 && !raceEnabled {
+		t.Errorf("%.0f allocations per traced delivery, want 0", n)
+	}
+	if e, names := sink.e, rt.Names(); e.Kind != KEntryEnd || names.Subject(e) != "sink.ep0" || names.Name(e.Idx) != Idx1(0).String() {
+		t.Errorf("last record %+v names %q index %q, want the end of sink.ep0 on %v", e, names.Subject(e), names.Name(e.Idx), Idx1(0))
+	}
+}
+
+// TestEventRecordAlloc pins the trace record's shape: 64 bytes and no field
+// the collector scans, so the recorder's log of them is one pointer-free
+// allocation.
+func TestEventRecordAlloc(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 64 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 64", n)
+	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Interface, reflect.Map, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the record must hold no pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		}
+	}
+	walk(reflect.TypeOf(Event{}), "Event")
+}
+
+// A record's Arr id has 16 bits: an array past MaxArrays fails with an
+// *ArrayLimitError where it is declared, rather than wrap onto another id.
+func TestDeclareArrayPastLimit(t *testing.T) {
+	rt := testRT(1)
+	for len(rt.names.arrs) < MaxArrays {
+		if _, err := rt.names.AddArray("filler"); err != nil {
+			t.Fatalf("array id %d: %v", len(rt.names.arrs)+1, err)
+		}
+	}
+	err := func() (err error) {
+		defer func() { err, _ = recover().(error) }()
+		declCounters(rt, ArrayOpts{})
+		return nil
+	}()
+	var lim *ArrayLimitError
+	if !errors.As(err, &lim) || lim.Name != "counters" {
+		t.Fatalf("DeclareArray past the limit: %v, want an *ArrayLimitError naming the array", err)
+	}
+	if len(rt.Arrays()) != 0 {
+		t.Fatalf("the refused array was registered: %d arrays", len(rt.Arrays()))
 	}
 }
 

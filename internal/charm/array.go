@@ -65,6 +65,11 @@ type Array struct {
 	handlers []Handler
 	opts     ArrayOpts
 
+	// traceName and entryNames are the ids of the array's name and of each
+	// entry method's name in the runtime's trace name table.
+	traceName  uint16
+	entryNames []uint32
+
 	// Reduction state (§II-C), a generation ring: redBase is the oldest
 	// generation that may still be open, redOpen[g-redBase] its run (nil
 	// once delivered). Completed head slots advance redBase, so the ring
@@ -99,7 +104,8 @@ type Array struct {
 
 // DeclareArray registers a chare array type: a factory producing empty
 // elements (for migration and restart) and the entry-method table. EP
-// values index into handlers.
+// values index into handlers. It panics on a duplicate name, malformed
+// bounds, or an *ArrayLimitError past MaxArrays arrays.
 func (rt *Runtime) DeclareArray(name string, factory func() Chare, handlers []Handler, opts ArrayOpts) *Array {
 	if _, dup := rt.arrayNames[name]; dup {
 		panic("charm: duplicate array name " + name)
@@ -133,6 +139,18 @@ func (rt *Runtime) DeclareArray(name string, factory func() Chare, handlers []Ha
 	} else if len(opts.Bounds) != 0 {
 		panic(fmt.Sprintf("charm: array %s declares %d-dimensional bounds; 1-3 supported", name, len(opts.Bounds)))
 	}
+	var err error
+	if a.traceName, err = rt.names.AddArray(name); err != nil {
+		panic(err)
+	}
+	a.entryNames = make([]uint32, len(handlers))
+	for ep := range handlers {
+		if ep < len(opts.EntryNames) && opts.EntryNames[ep] != "" {
+			a.entryNames[ep] = rt.names.Intern(opts.EntryNames[ep])
+		} else {
+			a.entryNames[ep] = rt.names.Intern(fmt.Sprintf("ep%d", ep))
+		}
+	}
 	rt.arrays = append(rt.arrays, a)
 	rt.arrayNames[name] = a
 	return a
@@ -161,14 +179,6 @@ func (rt *Runtime) Arrays() []*Array { return rt.arrays }
 
 // Name returns the array's name.
 func (a *Array) Name() string { return a.name }
-
-// EntryName returns the trace name of entry method ep.
-func (a *Array) EntryName(ep EP) string {
-	if int(ep) < len(a.opts.EntryNames) && a.opts.EntryNames[ep] != "" {
-		return a.opts.EntryNames[ep]
-	}
-	return fmt.Sprintf("ep%d", ep)
-}
 
 // Len returns the number of live elements.
 func (a *Array) Len() int { return a.live }
@@ -393,8 +403,8 @@ func (rt *Runtime) rehome(el *element, toPE int) {
 	rt.pes[toPE].insertSorted(el)
 	rt.Stats.Migrations++
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: from,
-			Arr: rt.arrays[el.key.array].name, Idx: el.traceIdx(), A: int64(from), B: int64(toPE)})
+		rt.trace.Emit(Event{Kind: KMigration, At: rt.eng.Now(), PE: int32(from),
+			Arr: rt.arrays[el.key.array].traceName, Idx: el.traceIdx(&rt.names), A: int64(from), B: int64(toPE)})
 	}
 }
 

@@ -71,7 +71,7 @@ func (rt *Runtime) CrashPE(pe int) {
 	p.q = nil
 	rt.mach.ResetNIC(pe)
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: pe, Entry: string(FaultCrash)})
+		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: int32(pe), Entry: rt.names.Intern(string(FaultCrash))})
 	}
 	rt.checkQD()
 }
@@ -95,7 +95,7 @@ func (rt *Runtime) dropInjected(m *message, dst int, t des.Time) {
 	rt.Stats.MsgsDropped++
 	putMsg(m)
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KFault, At: t, PE: dst, Entry: string(FaultDrop)})
+		rt.trace.Emit(Event{Kind: KFault, At: t, PE: int32(dst), Entry: rt.names.Intern(string(FaultDrop))})
 	}
 	rt.checkQD()
 }
@@ -184,7 +184,7 @@ func (rt *Runtime) RecoverReset() {
 		}
 	}
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: -1, Entry: string(FaultRollback)})
+		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: -1, Entry: rt.names.Intern(string(FaultRollback))})
 	}
 }
 

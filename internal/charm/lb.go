@@ -130,7 +130,7 @@ func (rt *Runtime) balance(start des.Time) (rep LBReport, decision, maxXfer des.
 		}
 	}
 	if rt.trace != nil {
-		rt.trace.Emit(Event{Kind: KLBDecision, At: start + decision, PE: -1, Entry: rt.strategyName(), A: int64(len(migs))})
+		rt.trace.Emit(Event{Kind: KLBDecision, At: start + decision, PE: -1, Entry: rt.names.Intern(rt.strategyName()), A: int64(len(migs))})
 	}
 	// An LB round may still place onto a crashed PE nobody has detected yet.
 	moved, _, maxXfer := rt.applyMigrations(migs, toActivePE)

@@ -51,14 +51,18 @@ type element struct {
 	eid  int32
 	dead bool
 	// atSync: the element has called AtSync and awaits ResumeFromSync.
-	// hasPos: pos below is set. (The flags share a word so that idxStr
-	// leaves the struct in its 176-byte allocation class.)
+	// hasPos: pos below is set.
 	atSync bool
 	hasPos bool
 	// redRank is the element's rank in the array's canonical index order,
 	// used to place reduction contributions without sorting; -1 until the
 	// array's rank table has been built (see Array.rebuildRanks).
 	redRank int32
+	// idxName is key.idx's id in the trace name table, minted at the
+	// element's first traced event (0 until then). Written in commit or
+	// global context only; a cache of the key, so it is neither PUP'd nor
+	// part of StateDigest.
+	idxName uint32
 
 	// Instrumentation (the automatic load database of §III-A). Load is
 	// kept in integer femtoseconds (see Ctx.chargeLoad) so the measured
@@ -73,11 +77,6 @@ type element struct {
 
 	redGen uint64 // reduction generation counter
 
-	// idxStr is key.idx rendered for the trace, kept from the element's
-	// first traced event on. Written in commit or global context only; a
-	// cache of the key, so it is neither PUP'd nor part of StateDigest.
-	idxStr string
-
 	// save is the element's retained PUP image plus the replay log of
 	// committed deliveries since it was packed (infrequent state saving,
 	// see speculation.go). Owned by the element's own shard: only the
@@ -87,12 +86,13 @@ type element struct {
 	save *elemSave
 }
 
-// traceIdx returns the element's rendered index (see idxStr).
-func (el *element) traceIdx() string {
-	if el.idxStr == "" {
-		el.idxStr = el.key.idx.String()
+// traceIdx returns the id of the element's rendered index in names (see
+// idxName).
+func (el *element) traceIdx(names *Names) uint32 {
+	if el.idxName == 0 {
+		el.idxName = names.add(el.key.idx.String())
 	}
-	return el.idxStr
+	return el.idxName
 }
 
 type peState struct {
@@ -167,7 +167,7 @@ type Runtime struct {
 	arrays         []*Array
 	arrayNames     map[string]*Array
 	peHandlers     []PEHandler
-	peHandlerNames []string
+	peHandlerEntry []uint32 // each handler's trace name id
 
 	// Location authority (§II-D): dir answers where element k is (see
 	// directory); pending buffers messages for not-yet-created elements at
@@ -211,8 +211,10 @@ type Runtime struct {
 	Stats  RuntimeStats
 
 	// Observability (internal/projections): a nil trace is the untraced
-	// fast path; metrics is always present.
+	// fast path; names is the trace's name table, minted into whether or
+	// not a recorder is installed; metrics is always present.
 	trace   TraceSink
+	names   Names
 	metrics *metrics.Registry
 
 	// Fault injection and rollback recovery (internal/chaos). epoch counts
@@ -352,12 +354,9 @@ func (rt *Runtime) DeclarePEHandler(h PEHandler) PEH {
 // DeclareNamedPEHandler registers a PE-level handler under a trace name.
 func (rt *Runtime) DeclareNamedPEHandler(name string, h PEHandler) PEH {
 	rt.peHandlers = append(rt.peHandlers, h)
-	rt.peHandlerNames = append(rt.peHandlerNames, name)
+	rt.peHandlerEntry = append(rt.peHandlerEntry, rt.names.Intern(name))
 	return PEH(len(rt.peHandlers) - 1)
 }
-
-// PEHandlerName returns the trace name of a registered PE handler.
-func (rt *Runtime) PEHandlerName(h PEH) string { return rt.peHandlerNames[h] }
 
 // Boot runs fn as the main chare on PE 0 at the current virtual time,
 // before or during execution.
@@ -410,13 +409,13 @@ func (rt *Runtime) send(m *message, t des.Time) {
 		dst, eid := rt.resolveEID(m.srcPE, m.dest)
 		m.destEID = eid
 		if rt.trace != nil {
-			m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(dst), B: int64(m.size)})
+			m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: int32(m.srcPE), Ref: m.cause, A: int64(dst), B: int64(m.size)})
 		}
 		rt.transmit(m, m.srcPE, dst, t)
 		return
 	}
 	if rt.trace != nil {
-		m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(m.destPE), B: int64(m.size)})
+		m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: int32(m.srcPE), Ref: m.cause, A: int64(m.destPE), B: int64(m.size)})
 	}
 	rt.transmit(m, m.srcPE, m.destPE, t)
 }
@@ -558,7 +557,7 @@ func (rt *Runtime) enqueue(m *message, dst int) {
 		return
 	}
 	if rt.trace != nil && m.traceID != 0 {
-		rt.trace.Emit(Event{Kind: KMsgRecv, At: rt.eng.Now(), PE: dst, Ref: m.traceID, A: int64(m.hops)})
+		rt.trace.Emit(Event{Kind: KMsgRecv, At: rt.eng.Now(), PE: int32(dst), Ref: m.traceID, A: int64(m.hops)})
 	}
 	p := rt.pes[dst]
 	m.seq = p.seq
@@ -635,11 +634,11 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 				ctx.cause = m.traceID
 				ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, m.srcPE)
 				if rt.trace != nil {
-					rt.trace.Emit(Event{Kind: KEntryBegin, At: at, PE: p.id, Ref: m.traceID, Entry: rt.peHandlerNames[m.ep]})
+					rt.trace.Emit(Event{Kind: KEntryBegin, At: at, PE: int32(p.id), Ref: m.traceID, Entry: rt.peHandlerEntry[m.ep]})
 				}
 				rt.peHandlers[m.ep](ctx, m.payload)
 				if rt.trace != nil {
-					rt.trace.Emit(Event{Kind: KEntryEnd, At: at + ctx.elapsed, PE: p.id, Ref: m.traceID, Entry: rt.peHandlerNames[m.ep]})
+					rt.trace.Emit(Event{Kind: KEntryEnd, At: at + ctx.elapsed, PE: int32(p.id), Ref: m.traceID, Entry: rt.peHandlerEntry[m.ep]})
 				}
 				rt.finishExec(ctx, nil)
 				putMsg(m)
@@ -718,8 +717,8 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 				// sequential backend, replayed here on the parallel one) hold
 				// the same log positions on both backends.
 				arr := rt.arrays[m.dest.array]
-				ev := Event{Kind: KEntryBegin, At: at, PE: p.id, Ref: m.traceID,
-					Arr: arr.name, Entry: arr.EntryName(m.ep), Idx: el.traceIdx()}
+				ev := Event{Kind: KEntryBegin, At: at, PE: int32(p.id), Ref: m.traceID,
+					Arr: arr.traceName, Entry: arr.entryNames[m.ep], Idx: el.traceIdx(&rt.names)}
 				rt.trace.Emit(ev)
 				ev.Kind, ev.At = KEntryEnd, at+ctx.elapsed
 				rt.trace.Emit(ev)

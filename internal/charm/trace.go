@@ -2,6 +2,7 @@ package charm
 
 import (
 	"fmt"
+	"math"
 
 	"charmgo/internal/des"
 	"charmgo/internal/projections/metrics"
@@ -18,7 +19,7 @@ const (
 	// send's ID, A = hops.
 	KMsgRecv
 	// KEntryBegin / KEntryEnd bracket one entry-method execution:
-	// Arr/Entry/Idx name it (Arr and Idx are empty for PE-level handlers,
+	// Arr/Entry/Idx name it (Arr and Idx are 0 for PE-level handlers,
 	// whose name is in Entry), Ref is the triggering send's ID.
 	KEntryBegin
 	KEntryEnd
@@ -77,7 +78,7 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind%d", k)
 }
 
-// FaultKind is the Entry of a KFault event.
+// FaultKind is the name a KFault event's Entry stands for.
 type FaultKind string
 
 // The fault-injection and recovery events the runtime and internal/chaos
@@ -95,7 +96,7 @@ const (
 	FaultRecover   FaultKind = "recover"
 )
 
-// CheckpointKind is the Entry of a KCheckpoint event.
+// CheckpointKind is the name a KCheckpoint event's Entry stands for.
 type CheckpointKind string
 
 const (
@@ -107,31 +108,114 @@ const (
 // monotone counter in emission order and keeps its log in that order, so a
 // trace read front to back is the exact global order of the run, its IDs
 // ascending without a gap. All timestamps are virtual.
+//
+// The record is 64 bytes and holds no pointer: its names are ids into the
+// trace's Names table, so a log of them is memory the collector never scans.
 type Event struct {
-	ID    uint64   `json:"id"`
-	Kind  Kind     `json:"k"`
-	At    des.Time `json:"t"`
-	PE    int      `json:"pe"`            // -1 for driver-context events
-	Ref   uint64   `json:"ref,omitempty"` // causal link (see Kind docs)
-	Arr   string   `json:"arr,omitempty"` // chare array name
-	Entry string   `json:"ep,omitempty"`  // entry/handler/strategy/sub-kind name
-	Idx   string   `json:"idx,omitempty"` // element index, rendered
-	A     int64    `json:"a,omitempty"`   // kind-specific
-	B     int64    `json:"b,omitempty"`   // kind-specific
-	Dur   des.Time `json:"dur,omitempty"` // kind-specific span
+	ID    uint64
+	At    des.Time
+	Ref   uint64   // causal link (see Kind docs)
+	A     int64    // kind-specific
+	B     int64    // kind-specific
+	Dur   des.Time // kind-specific span
+	PE    int32    // -1 for driver-context events
+	Arr   uint16   // chare array name
+	Kind  Kind
+	Entry uint32 // entry/handler/strategy/sub-kind name
+	Idx   uint32 // element index, rendered
 }
 
-// Name renders the event's subject: "array.entry" for entry events, the
-// bare entry/kind token otherwise.
-func (e Event) Name() string {
-	if e.Arr != "" {
-		return e.Arr + "." + e.Entry
+// MaxArrays is how many array names a record's Arr id tells apart.
+const MaxArrays = math.MaxUint16
+
+// ArrayLimitError is what Names.AddArray returns, and DeclareArray panics
+// with, for an array past the MaxArrays a trace can name.
+type ArrayLimitError struct{ Name string }
+
+func (e *ArrayLimitError) Error() string {
+	return fmt.Sprintf("charm: array %q: a trace names at most %d arrays", e.Name, MaxArrays)
+}
+
+// Names is a trace's name table: the strings its records' Arr, Entry and Idx
+// ids stand for, id 0 being the empty name. A runtime owns one (Runtime.Names)
+// and is its one writer, in declaration, commit and driver context, so an
+// emitter never looks a name up: array and entry names are minted at
+// declaration, an element's index at its first traced event, and only the
+// rare names — fault and checkpoint sub-kinds, the LB strategy — go through
+// Intern's map. Consumers resolve ids through the table; a nil table
+// resolves every id to the empty name.
+type Names struct {
+	arrs []string          // array id-1 → name
+	strs []string          // entry or index id-1 → name
+	ids  map[string]uint32 // Intern's index into strs
+}
+
+// Array returns the name array id a stands for.
+func (n *Names) Array(a uint16) string {
+	if n == nil || a == 0 {
+		return ""
 	}
-	if e.Entry != "" {
-		return e.Entry
+	return n.arrs[a-1]
+}
+
+// Name returns the entry or index name id stands for.
+func (n *Names) Name(id uint32) string {
+	if n == nil || id == 0 {
+		return ""
+	}
+	return n.strs[id-1]
+}
+
+// Subject renders e's subject: "array.entry" for an element's entry
+// events, the bare entry or sub-kind name otherwise, else the kind's token.
+func (n *Names) Subject(e Event) string {
+	if e.Arr != 0 {
+		return n.Array(e.Arr) + "." + n.Name(e.Entry)
+	}
+	if e.Entry != 0 {
+		return n.Name(e.Entry)
 	}
 	return e.Kind.String()
 }
+
+// AddArray mints the next array id for name ("" is 0), or fails past
+// MaxArrays rather than wrap.
+func (n *Names) AddArray(name string) (uint16, error) {
+	if name == "" {
+		return 0, nil
+	}
+	if len(n.arrs) == MaxArrays {
+		return 0, &ArrayLimitError{Name: name}
+	}
+	n.arrs = append(n.arrs, name)
+	return uint16(len(n.arrs)), nil
+}
+
+// Intern returns the id of entry or sub-kind name s ("" is 0), minting it
+// on first use.
+func (n *Names) Intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if id, ok := n.ids[s]; ok {
+		return id
+	}
+	if n.ids == nil {
+		n.ids = map[string]uint32{}
+	}
+	id := n.add(s)
+	n.ids[s] = id
+	return id
+}
+
+// add mints an id for s without looking it up: one per element index.
+func (n *Names) add(s string) uint32 {
+	n.strs = append(n.strs, s)
+	return uint32(len(n.strs))
+}
+
+// Names returns the runtime's trace name table.
+func (rt *Runtime) Names() *Names { return &rt.names }
 
 // TraceSink is the runtime-side virtual-time tracing interface: the runtime
 // and the libraries on it (TRAM, checkpointing, chaos) fill an Event at

@@ -77,7 +77,7 @@ func Capture(rt *charm.Runtime) *Snapshot {
 	rt.Metrics().Counter("ckpt.bytes").Add(uint64(s.TotalBytes()))
 	if h := rt.Trace(); h != nil {
 		h.Emit(charm.Event{Kind: charm.KCheckpoint, At: rt.Now(), PE: -1,
-			Entry: string(charm.CheckpointCapture), A: s.TotalBytes()})
+			Entry: rt.Names().Intern(string(charm.CheckpointCapture)), A: s.TotalBytes()})
 	}
 	return s
 }

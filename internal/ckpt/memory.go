@@ -312,7 +312,7 @@ func (m *Mem) StartRecovery(plan *RecoveryPlan) (des.Time, error) {
 	m.rt.Metrics().Counter("ckpt.mem_restarts").Inc()
 	if h := m.rt.Trace(); h != nil {
 		h.Emit(charm.Event{Kind: charm.KCheckpoint, At: m.rt.Now(), PE: -1,
-			Entry: string(charm.CheckpointRestore), A: m.snap.TotalBytes()})
+			Entry: m.rt.Names().Intern(string(charm.CheckpointRestore)), A: m.snap.TotalBytes()})
 	}
 
 	// Roll every element back to the checkpoint, placing it on its

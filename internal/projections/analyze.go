@@ -21,12 +21,12 @@ type EntryStat struct {
 // openEntries pairs begins with ends: per PE, a stack of what each open
 // KEntryBegin pushed. A KEntryEnd closes its PE's innermost open execution;
 // executions on one PE never interleave.
-type openEntries[T any] map[int][]T
+type openEntries[T any] map[int32][]T
 
-func (o openEntries[T]) push(pe int, v T) { o[pe] = append(o[pe], v) }
+func (o openEntries[T]) push(pe int32, v T) { o[pe] = append(o[pe], v) }
 
 // pop reports false for an end whose begin is older than the log.
-func (o openEntries[T]) pop(pe int) (v T, ok bool) {
+func (o openEntries[T]) pop(pe int32) (v T, ok bool) {
 	st := o[pe]
 	if len(st) == 0 {
 		return v, false
@@ -35,11 +35,33 @@ func (o openEntries[T]) pop(pe int) (v T, ok bool) {
 	return st[len(st)-1], true
 }
 
-// Profile aggregates entry-method executions per entry name, sorted by
-// total time (heaviest first; ties by name).
-func Profile(events []Event) []EntryStat {
-	names := []string{}
-	stats := map[string]*EntryStat{}
+// table is the analyses' optional names argument: the table the records'
+// ids resolve through (Tracer.Names, or ReadLog's). They aggregate by id, so
+// only the names they report depend on it; without one those are empty.
+func table(names []*charm.Names) *charm.Names {
+	if len(names) == 0 {
+		return nil
+	}
+	return names[0]
+}
+
+// entryKey identifies an entry method by its ids.
+type entryKey struct {
+	arr   uint16
+	entry uint32
+}
+
+// name renders the entry as Names.Subject renders its executions.
+func (k entryKey) name(tab *charm.Names) string {
+	return tab.Subject(Event{Kind: charm.KEntryBegin, Arr: k.arr, Entry: k.entry})
+}
+
+// Profile aggregates entry-method executions per entry, sorted by total
+// time (heaviest first; ties by name).
+func Profile(events []Event, names ...*charm.Names) []EntryStat {
+	tab := table(names)
+	rows := map[entryKey]int{} // index into out
+	var out []EntryStat
 	open := openEntries[Event]{}
 	for _, e := range events {
 		switch e.Kind {
@@ -50,13 +72,14 @@ func Profile(events []Event) []EntryStat {
 			if !ok {
 				continue
 			}
-			name := b.Name()
-			s, ok := stats[name]
+			k := entryKey{b.Arr, b.Entry}
+			i, ok := rows[k]
 			if !ok {
-				s = &EntryStat{Name: name}
-				stats[name] = s
-				names = append(names, name)
+				i = len(out)
+				rows[k] = i
+				out = append(out, EntryStat{Name: k.name(tab)})
 			}
+			s := &out[i]
 			d := e.At - b.At
 			s.Calls++
 			s.Time += d
@@ -64,10 +87,6 @@ func Profile(events []Event) []EntryStat {
 				s.Max = d
 			}
 		}
-	}
-	out := make([]EntryStat, 0, len(names))
-	for _, n := range names {
-		out = append(out, *stats[n])
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {
@@ -152,11 +171,11 @@ const maxPathEntries = 64
 
 // ComputeCriticalPath extracts the critical path from a trace. Events must
 // be in ID order (as returned by Tracer.Events and ReadLog).
-func ComputeCriticalPath(events []Event) CriticalPath {
+func ComputeCriticalPath(events []Event, names ...*charm.Names) CriticalPath {
 	type exec struct {
 		begin, end des.Time
 		cause      uint64 // send that triggered it (0 for roots)
-		name       string
+		entry      entryKey
 	}
 	// all collects executions in trace order (the deterministic tie-break);
 	// bySend indexes the non-root ones by their triggering send — one
@@ -173,7 +192,7 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 	for _, e := range events {
 		switch e.Kind {
 		case charm.KEntryBegin:
-			x := &exec{begin: e.At, end: -1, cause: e.Ref, name: e.Name()}
+			x := &exec{begin: e.At, end: -1, cause: e.Ref, entry: entryKey{e.Arr, e.Entry}}
 			all = append(all, x)
 			open.push(e.PE, x)
 			if e.Ref != 0 {
@@ -216,7 +235,8 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 	// execution that emitted send s is the one triggered by s's own cause
 	// (parent[s]); a parent of 0 means the sender was the driver or a root
 	// execution, where the chain ends.
-	names := []string{tailExec.name}
+	tab := table(names)
+	path := []string{tailExec.entry.name(tab)}
 	first := tailExec.begin
 	cp.Hops = 1
 	for s := tailExec.cause; s != 0; {
@@ -228,20 +248,20 @@ func ComputeCriticalPath(events []Event) CriticalPath {
 		if !ok {
 			break
 		}
-		names = append(names, x.name)
+		path = append(path, x.entry.name(tab))
 		first = x.begin
 		cp.Hops++
 		s = ps
 	}
 	cp.Span = tailExec.end - first
 	// Reverse to root-first and cap.
-	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
-		names[i], names[j] = names[j], names[i]
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
 	}
-	if len(names) > maxPathEntries {
-		names = names[len(names)-maxPathEntries:]
+	if len(path) > maxPathEntries {
+		path = path[len(path)-maxPathEntries:]
 	}
-	cp.Entries = names
+	cp.Entries = path
 	return cp
 }
 
@@ -262,7 +282,7 @@ func ComputePhaseParallelism(events []Event, window des.Time) []PhaseBucket {
 	}
 	var out []PhaseBucket
 	var cur *PhaseBucket
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for _, e := range events {
 		if e.Kind != charm.KPhaseStart {
 			continue
@@ -271,7 +291,7 @@ func ComputePhaseParallelism(events []Event, window des.Time) []PhaseBucket {
 		if cur == nil || t0 > cur.T0 {
 			out = append(out, PhaseBucket{T0: t0})
 			cur = &out[len(out)-1]
-			seen = map[int]bool{}
+			seen = map[int32]bool{}
 		}
 		cur.Events++
 		if !seen[e.PE] {
@@ -287,15 +307,16 @@ func ComputePhaseParallelism(events []Event, window des.Time) []PhaseBucket {
 // metrics snapshot.
 func (t *Tracer) WriteSummary(w io.Writer, topK int) error {
 	events := t.Events()
-	return writeSummary(w, events, t.Recorded(), t.Dropped(), topK, t)
+	return writeSummary(w, events, t.Names(), t.Recorded(), t.Dropped(), topK, t)
 }
 
-// WriteSummaryEvents renders the same report from a loaded trace file.
-func WriteSummaryEvents(w io.Writer, events []Event, topK int) error {
-	return writeSummary(w, events, uint64(len(events)), 0, topK, nil)
+// WriteSummaryEvents renders the same report from a loaded trace file and
+// the table ReadLog returned with it.
+func WriteSummaryEvents(w io.Writer, events []Event, names *charm.Names, topK int) error {
+	return writeSummary(w, events, names, uint64(len(events)), 0, topK, nil)
 }
 
-func writeSummary(w io.Writer, events []Event, recorded, dropped uint64, topK int, t *Tracer) error {
+func writeSummary(w io.Writer, events []Event, names *charm.Names, recorded, dropped uint64, topK int, t *Tracer) error {
 	if topK <= 0 {
 		topK = 10
 	}
@@ -308,7 +329,7 @@ func writeSummary(w io.Writer, events []Event, recorded, dropped uint64, topK in
 	fmt.Fprintf(w, "=== projections summary ===\n")
 	fmt.Fprintf(w, "events: %d recorded, %d dropped, horizon %.6fs\n", recorded, dropped, float64(last))
 
-	prof := Profile(events)
+	prof := Profile(events, names)
 	fmt.Fprintf(w, "\n--- usage profile (top %d of %d entries) ---\n", min(topK, len(prof)), len(prof))
 	fmt.Fprintf(w, "%-36s %10s %14s %14s %14s\n", "entry", "calls", "total(s)", "mean(s)", "max(s)")
 	for i, s := range prof {
@@ -334,7 +355,7 @@ func writeSummary(w io.Writer, events []Event, recorded, dropped uint64, topK in
 		fmt.Fprintf(w, "%-16s %d\n", label, b.Count)
 	}
 
-	cp := ComputeCriticalPath(events)
+	cp := ComputeCriticalPath(events, names)
 	fmt.Fprintf(w, "\n--- critical path ---\n")
 	fmt.Fprintf(w, "work %.9fs over %d executions (span %.9fs)\n",
 		float64(cp.Work), cp.Hops, float64(cp.Span))

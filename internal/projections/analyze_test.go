@@ -21,20 +21,24 @@ import (
 //	#8 end    pe1 t=20µs a.y
 //	#9 begin  pe0 t=1µs  b.z    ref=0 (uncaused, concurrent)
 //	#10 end   pe0 t=3µs  b.z
-func synthetic() []Event {
+func synthetic() ([]Event, *charm.Names) {
 	us := func(n float64) des.Time { return des.Time(n * 1e-6) }
+	names := &charm.Names{}
+	a, _ := names.AddArray("a")
+	b, _ := names.AddArray("b")
+	x, y, z := names.Intern("x"), names.Intern("y"), names.Intern("z")
 	return []Event{
 		{ID: 1, Kind: charm.KMsgSend, At: 0, PE: 0, A: 0, B: 64},
 		{ID: 2, Kind: charm.KMsgRecv, At: 0, PE: 0, Ref: 1},
-		{ID: 3, Kind: charm.KEntryBegin, At: 0, PE: 0, Arr: "a", Entry: "x", Ref: 1},
+		{ID: 3, Kind: charm.KEntryBegin, At: 0, PE: 0, Arr: a, Entry: x, Ref: 1},
 		{ID: 4, Kind: charm.KMsgSend, At: us(6), PE: 0, A: 1, B: 64, Ref: 1},
-		{ID: 5, Kind: charm.KEntryEnd, At: us(10), PE: 0, Arr: "a", Entry: "x", Ref: 1},
+		{ID: 5, Kind: charm.KEntryEnd, At: us(10), PE: 0, Arr: a, Entry: x, Ref: 1},
 		{ID: 6, Kind: charm.KMsgRecv, At: us(12), PE: 1, Ref: 4},
-		{ID: 7, Kind: charm.KEntryBegin, At: us(12), PE: 1, Arr: "a", Entry: "y", Ref: 4},
-		{ID: 8, Kind: charm.KEntryEnd, At: us(20), PE: 1, Arr: "a", Entry: "y", Ref: 4},
-		{ID: 9, Kind: charm.KEntryBegin, At: us(1), PE: 0, Arr: "b", Entry: "z"},
-		{ID: 10, Kind: charm.KEntryEnd, At: us(3), PE: 0, Arr: "b", Entry: "z"},
-	}
+		{ID: 7, Kind: charm.KEntryBegin, At: us(12), PE: 1, Arr: a, Entry: y, Ref: 4},
+		{ID: 8, Kind: charm.KEntryEnd, At: us(20), PE: 1, Arr: a, Entry: y, Ref: 4},
+		{ID: 9, Kind: charm.KEntryBegin, At: us(1), PE: 0, Arr: b, Entry: z},
+		{ID: 10, Kind: charm.KEntryEnd, At: us(3), PE: 0, Arr: b, Entry: z},
+	}, names
 }
 
 func approx(a, b des.Time) bool {
@@ -63,13 +67,15 @@ func TestProfile(t *testing.T) {
 func TestProfileNestedPEHandlers(t *testing.T) {
 	// b.z runs nested inside a.x on the same PE (LIFO pairing).
 	us := func(n float64) des.Time { return des.Time(n * 1e-6) }
+	names := &charm.Names{}
+	outer, inner := names.Intern("outer"), names.Intern("inner")
 	events := []Event{
-		{ID: 1, Kind: charm.KEntryBegin, At: 0, PE: 0, Entry: "outer"},
-		{ID: 2, Kind: charm.KEntryBegin, At: us(2), PE: 0, Entry: "inner"},
-		{ID: 3, Kind: charm.KEntryEnd, At: us(4), PE: 0, Entry: "inner"},
-		{ID: 4, Kind: charm.KEntryEnd, At: us(10), PE: 0, Entry: "outer"},
+		{ID: 1, Kind: charm.KEntryBegin, At: 0, PE: 0, Entry: outer},
+		{ID: 2, Kind: charm.KEntryBegin, At: us(2), PE: 0, Entry: inner},
+		{ID: 3, Kind: charm.KEntryEnd, At: us(4), PE: 0, Entry: inner},
+		{ID: 4, Kind: charm.KEntryEnd, At: us(10), PE: 0, Entry: outer},
 	}
-	prof := Profile(events)
+	prof := Profile(events, names)
 	if len(prof) != 2 {
 		t.Fatalf("got %d rows, want 2", len(prof))
 	}
@@ -82,7 +88,8 @@ func TestProfileNestedPEHandlers(t *testing.T) {
 }
 
 func TestMessageLatency(t *testing.T) {
-	h := MessageLatency(synthetic())
+	events, _ := synthetic()
+	h := MessageLatency(events)
 	if h.Count != 2 {
 		t.Fatalf("count = %d, want 2 (send #1 -> recv #2, send #4 -> recv #6)", h.Count)
 	}

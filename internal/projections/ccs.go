@@ -40,7 +40,7 @@ func InstallCCS(s *ccs.Server, t *Tracer) {
 				return "", err
 			}
 		case "profile":
-			prof := Profile(t.Events())
+			prof := Profile(t.Events(), t.Names())
 			for i, s := range prof {
 				if i >= n {
 					break
@@ -49,7 +49,7 @@ func InstallCCS(s *ccs.Server, t *Tracer) {
 					s.Name, s.Calls, float64(s.Time), float64(s.Max))
 			}
 		case "critical":
-			cp := ComputeCriticalPath(t.Events())
+			cp := ComputeCriticalPath(t.Events(), t.Names())
 			fmt.Fprintf(&b, "work=%.9fs hops=%d span=%.9fs\n",
 				float64(cp.Work), cp.Hops, float64(cp.Span))
 		case "metrics":
@@ -60,7 +60,7 @@ func InstallCCS(s *ccs.Server, t *Tracer) {
 			events := t.Events()
 			for _, e := range events[max(0, len(events)-n):] {
 				fmt.Fprintf(&b, "#%d t=%.9fs pe=%d %s %s ref=%d\n",
-					e.ID, float64(e.At), e.PE, e.Kind, e.Name(), e.Ref)
+					e.ID, float64(e.At), e.PE, e.Kind, t.Names().Subject(e), e.Ref)
 			}
 		default:
 			return "", fmt.Errorf("trace: unknown query %q (want summary|profile|critical|metrics|events)", cmd)

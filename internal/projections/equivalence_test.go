@@ -35,7 +35,7 @@ func tracedRun(t *testing.T, mk func() machine.Config, backend string, run func(
 		t.Fatalf("%s backend dropped %d events: the run outgrew the log, so the comparison is not total", backend, tr.Dropped())
 	}
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, tr.Events()); err != nil {
+	if err := WriteLog(&buf, tr.Events(), tr.Names()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -113,7 +113,7 @@ func TestSpecEventsRecorded(t *testing.T) {
 			t.Fatalf("dropped %d events", tr.Dropped())
 		}
 		var buf bytes.Buffer
-		if err := WriteLog(&buf, tr.Events()); err != nil {
+		if err := WriteLog(&buf, tr.Events(), tr.Names()); err != nil {
 			t.Fatal(err)
 		}
 		var launches, commits, rollbacks int

@@ -28,7 +28,7 @@ const (
 type traceEvent struct {
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
+	Tid  int32          `json:"tid"`
 	Ts   float64        `json:"ts"`
 	Dur  *float64       `json:"dur,omitempty"`
 	Name string         `json:"name"`
@@ -39,8 +39,10 @@ type traceEvent struct {
 func us(t des.Time) float64 { return float64(t) * 1e6 }
 
 // WritePerfetto renders a trace as Chrome trace-event JSON loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing.
-func WritePerfetto(w io.Writer, events []Event) error {
+// Perfetto (ui.perfetto.dev) or chrome://tracing, its ids resolved through
+// names (see Profile).
+func WritePerfetto(w io.Writer, events []Event, names ...*charm.Names) error {
+	tab := table(names)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
@@ -66,8 +68,8 @@ func WritePerfetto(w io.Writer, events []Event) error {
 		Args: map[string]any{"name": "RTS driver"}}); err != nil {
 		return err
 	}
-	seenPE := map[int]bool{}
-	seenShard := map[int]bool{}
+	seenPE := map[int32]bool{}
+	seenShard := map[int32]bool{}
 	namedEngine := false
 	for _, e := range events {
 		switch e.Kind {
@@ -112,13 +114,13 @@ func WritePerfetto(w io.Writer, events []Event) error {
 			}
 			dur := us(e.At - b.At)
 			te = traceEvent{Ph: "X", Pid: pidPEs, Tid: e.PE, Ts: us(b.At), Dur: &dur,
-				Name: b.Name(), Args: map[string]any{"cause": b.Ref}}
-			if b.Idx != "" {
-				te.Args["idx"] = b.Idx
+				Name: tab.Subject(b), Args: map[string]any{"cause": b.Ref}}
+			if idx := tab.Name(b.Idx); idx != "" {
+				te.Args["idx"] = idx
 			}
 		case charm.KMigration:
 			te = traceEvent{Ph: "i", Pid: pidPEs, Tid: e.PE, Ts: us(e.At), S: "p",
-				Name: fmt.Sprintf("migrate %s%s -> PE %d", e.Arr, e.Idx, e.B)}
+				Name: fmt.Sprintf("migrate %s%s -> PE %d", tab.Array(e.Arr), tab.Name(e.Idx), e.B)}
 		case charm.KTramFlush:
 			kind := "full"
 			if e.B != 0 {
@@ -131,20 +133,20 @@ func WritePerfetto(w io.Writer, events []Event) error {
 				Name: fmt.Sprintf("LB round %d start (%d objs)", e.A, e.B)}
 		case charm.KLBDecision:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
-				Name: fmt.Sprintf("LB decision %s (%d migrations)", e.Entry, e.A)}
+				Name: fmt.Sprintf("LB decision %s (%d migrations)", tab.Name(e.Entry), e.A)}
 		case charm.KLBDone:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
 				Name: fmt.Sprintf("LB round %d done (%d moved)", e.A, e.B)}
 		case charm.KCheckpoint:
 			te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
-				Name: fmt.Sprintf("checkpoint %s (%d bytes)", e.Entry, e.A)}
+				Name: fmt.Sprintf("checkpoint %s (%d bytes)", tab.Name(e.Entry), e.A)}
 		case charm.KFault:
 			if e.PE >= 0 {
 				te = traceEvent{Ph: "i", Pid: pidPEs, Tid: e.PE, Ts: us(e.At), S: "p",
-					Name: fmt.Sprintf("fault: %s PE %d", e.Entry, e.PE)}
+					Name: fmt.Sprintf("fault: %s PE %d", tab.Name(e.Entry), e.PE)}
 			} else {
 				te = traceEvent{Ph: "i", Pid: pidDriver, Ts: us(e.At), S: "g",
-					Name: "fault: " + e.Entry}
+					Name: "fault: " + tab.Name(e.Entry)}
 			}
 		case charm.KPhaseStart:
 			te = traceEvent{Ph: "i", Pid: pidEngine, Tid: e.PE, Ts: us(e.At), S: "t",

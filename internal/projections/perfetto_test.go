@@ -16,7 +16,7 @@ func TestPerfettoSchemaShape(t *testing.T) {
 	runEcho(rt, 10)
 
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, tr.Events()); err != nil {
+	if err := WritePerfetto(&buf, tr.Events(), tr.Names()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,7 @@ type Options struct {
 }
 
 // logCap is the log's capacity in events, whatever the machine's width:
-// 1 Mi records ≈ 112 MiB, allocated once in Attach.
+// 1 Mi records of 64 B = 64 MiB, allocated once in Attach.
 const logCap = 1 << 20
 
 // Tracer records runtime and engine events into one log, a ring in the
@@ -87,7 +87,7 @@ func (t *Tracer) Phase(kind des.PhaseKind, shard int, at des.Time) {
 	if kind >= des.SpecLaunch && !t.opts.SpecEvents {
 		return
 	}
-	t.Emit(Event{Kind: phaseKinds[kind], At: at, PE: shard})
+	t.Emit(Event{Kind: phaseKinds[kind], At: at, PE: int32(shard)})
 }
 
 // Events returns the kept events in emission order: ascending, contiguous
@@ -109,6 +109,9 @@ func (t *Tracer) Dropped() uint64 { return t.nextID - uint64(len(t.log)) }
 
 // Recorded returns how many events were assigned IDs (kept + dropped).
 func (t *Tracer) Recorded() uint64 { return t.nextID }
+
+// Names returns the table the traced runtime's ids resolve through.
+func (t *Tracer) Names() *charm.Names { return t.rt.Names() }
 
 // Metrics returns the traced runtime's registry.
 func (t *Tracer) Metrics() *metrics.Registry { return t.rt.Metrics() }

@@ -105,10 +105,10 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 		tr := Attach(testRuntime(t, 2), Options{})
 		tr.log = make([]Event, 0, c) // a small ring; Attach's holds logCap
 		for step := 0; tr.Recorded() < emits; step++ {
-			for pe := 0; pe < 2 && (pe == 0 || step%8 == 0); pe++ {
+			for pe := int32(0); pe < 2 && (pe == 0 || step%8 == 0); pe++ {
 				at := des.Time(step) * tick
-				tr.Emit(Event{Kind: charm.KEntryBegin, At: at, PE: pe, Arr: "a"})
-				tr.Emit(Event{Kind: charm.KEntryEnd, At: at + tick/2, PE: pe, Arr: "a"})
+				tr.Emit(Event{Kind: charm.KEntryBegin, At: at, PE: pe, Arr: 1})
+				tr.Emit(Event{Kind: charm.KEntryEnd, At: at + tick/2, PE: pe, Arr: 1})
 			}
 		}
 		n, kept := tr.Recorded(), min(tr.Recorded(), c)
@@ -145,19 +145,21 @@ func TestEventsNoAllocNoAlias(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { _ = tr.Events() }); avg != 0 {
 		t.Errorf("Events() on an unwrapped log allocates %v times a call", avg)
 	}
+	const mineID, theirsID = 1 << 30, 1<<30 + 1
 	held := len(tr.Events())
-	mine := append(tr.Events(), Event{Entry: "mine"})
-	tr.Emit(Event{Kind: charm.KFault, Entry: "theirs"})
-	if got := mine[held].Entry; got != "mine" {
-		t.Errorf("the recorder wrote %q into a caller's slice", got)
+	mine := append(tr.Events(), Event{Entry: mineID})
+	tr.Emit(Event{Kind: charm.KFault, Entry: theirsID})
+	if got := mine[held].Entry; got != mineID {
+		t.Errorf("the recorder wrote entry %d into a caller's slice", got)
 	}
-	if events := tr.Events(); len(events) != held+1 || events[held].Entry != "theirs" {
+	if events := tr.Events(); len(events) != held+1 || events[held].Entry != theirsID {
 		t.Errorf("after an append to an earlier result, Events() holds %d events, want %d ending in the emitted one", len(events), held+1)
 	}
 }
 
 // The log is one allocation of one size: attaching to a 16,384-PE machine
-// costs the heap what attaching to a 16-PE one does.
+// costs the heap what attaching to a 16-PE one does, and that is the 64 MiB
+// log and little else.
 func TestAttachHeapIndependentOfWidth(t *testing.T) {
 	grow := func(pes int) int64 {
 		rt := testRuntime(t, pes)
@@ -172,6 +174,9 @@ func TestAttachHeapIndependentOfWidth(t *testing.T) {
 	narrow, wide := grow(16), grow(16384)
 	if d := wide - narrow; d < -1<<20 || d > 1<<20 {
 		t.Fatalf("Attach grew the heap by %d bytes on 16 PEs and %d on 16,384", narrow, wide)
+	}
+	if ceil := int64(64<<20 + 1<<20); narrow > ceil || wide > ceil {
+		t.Fatalf("Attach grew the heap by %d bytes on 16 PEs and %d on 16,384, over %d", narrow, wide, ceil)
 	}
 }
 
@@ -221,26 +226,33 @@ func TestCCSEventsTail(t *testing.T) {
 	}
 }
 
+// ReadLog interns a log's names into a fresh table whose ids differ from the
+// runtime's; written back out through it, the log is the same bytes.
 func TestWriteReadLogRoundTrip(t *testing.T) {
 	rt := testRuntime(t, 2)
 	tr := Attach(rt, Options{})
 	runEcho(rt, 5)
 
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, tr.Events()); err != nil {
+	var first, second bytes.Buffer
+	if err := WriteLog(&first, tr.Events(), tr.Names()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLog(&buf)
+	back, names, err := ReadLog(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := tr.Events()
-	if len(back) != len(orig) {
-		t.Fatalf("round trip: %d events, want %d", len(back), len(orig))
+	if len(back) != len(tr.Events()) {
+		t.Fatalf("round trip: %d events, want %d", len(back), len(tr.Events()))
 	}
-	for i := range back {
-		if back[i] != orig[i] {
-			t.Fatalf("event %d differs after round trip:\n  %+v\n  %+v", i, back[i], orig[i])
+	if err := WriteLog(&second, back, names); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("WriteLog(ReadLog(log)) differs from log at byte %d", firstDiff(first.Bytes(), second.Bytes()))
+	}
+	for i, e := range back {
+		if orig := tr.Events()[i]; e.Kind == charm.KEntryBegin && e.Entry == orig.Entry {
+			t.Fatalf("event %d: ReadLog's table reused the runtime's entry id %d", i, e.Entry)
 		}
 	}
 }

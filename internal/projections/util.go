@@ -60,25 +60,26 @@ func ComputeUtilization(events []Event, numPEs int, interval des.Time) Utilizati
 		open[p] = -1
 	}
 	for _, e := range events {
-		if e.PE < 0 || e.PE >= numPEs {
+		pe := int(e.PE)
+		if pe < 0 || pe >= numPEs {
 			continue
 		}
 		switch e.Kind {
 		case charm.KEntryBegin:
-			open[e.PE] = e.At
-			if e.Arr != "" {
+			open[pe] = e.At
+			if e.Arr != 0 {
 				u.Samples[window(e.At)-w0].Msgs++
 			}
 		case charm.KEntryEnd:
-			b := open[e.PE]
+			b := open[pe]
 			if b < 0 {
 				continue // begin older than the log
 			}
-			open[e.PE] = -1
+			open[pe] = -1
 			for w := window(b); w <= window(e.At); w++ {
 				lo, hi := max(b, des.Time(w)*interval), min(e.At, des.Time(w+1)*interval)
 				if hi > lo { // a window edge can round an ulp past its neighbour
-					u.Samples[w-w0].Util[e.PE] += float64((hi - lo) / interval)
+					u.Samples[w-w0].Util[pe] += float64((hi - lo) / interval)
 				}
 			}
 		}

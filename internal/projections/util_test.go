@@ -272,9 +272,9 @@ func TestUtilizationJSON(t *testing.T) {
 func TestUtilizationApportions(t *testing.T) {
 	u := ComputeUtilization([]Event{
 		{ID: 1, Kind: charm.KEntryEnd, At: 0.005, PE: 1},
-		{ID: 2, Kind: charm.KEntryBegin, At: 0.01, PE: 0, Arr: "a"},
-		{ID: 3, Kind: charm.KEntryEnd, At: 0.06, PE: 0, Arr: "a"},
-		{ID: 4, Kind: charm.KEntryBegin, At: 0.07, PE: 1, Arr: "a"},
+		{ID: 2, Kind: charm.KEntryBegin, At: 0.01, PE: 0, Arr: 1},
+		{ID: 3, Kind: charm.KEntryEnd, At: 0.06, PE: 0, Arr: 1},
+		{ID: 4, Kind: charm.KEntryBegin, At: 0.07, PE: 1, Arr: 1},
 	}, 2, des.Time(0.02))
 	if len(u.Samples) != 4 {
 		t.Fatalf("%d windows, want 4: %+v", len(u.Samples), u)

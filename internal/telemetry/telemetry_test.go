@@ -43,7 +43,7 @@ func digestedRun(t *testing.T, withTelemetry bool, mk func() machine.Config, run
 	if len(events) == 0 || tr.Dropped() != 0 {
 		t.Fatalf("event log incomplete: %d events held, %d dropped", len(events), tr.Dropped())
 	}
-	if err := projections.WriteLog(h, events); err != nil {
+	if err := projections.WriteLog(h, events, tr.Names()); err != nil {
 		t.Fatalf("writing event log: %v", err)
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -252,7 +252,7 @@ func (c *Client) route(ctx *charm.Ctx, it item) {
 		// advancing during the handler, and the record must carry the same
 		// timestamp on both backends.
 		at, depth := ctx.Now(), len(pb.bufs[pi])
-		ctx.Defer(func() { h.Emit(charm.Event{Kind: charm.KTramBuffer, At: at, PE: me, A: int64(depth)}) })
+		ctx.Defer(func() { h.Emit(charm.Event{Kind: charm.KTramBuffer, At: at, PE: int32(me), A: int64(depth)}) })
 	}
 	if len(pb.bufs[pi]) >= c.opts.BufItems {
 		ctx.Defer(func() { c.Stats.FullFlushes++ })
@@ -288,7 +288,7 @@ func (c *Client) sendBatch(ctx *charm.Ctx, to int, items []item, timed bool) {
 	if h := c.rt.Trace(); h != nil {
 		at, n, pe := ctx.Now(), len(items), ctx.MyPE()
 		ctx.Defer(func() {
-			ev := charm.Event{Kind: charm.KTramFlush, At: at, PE: pe, A: int64(n)}
+			ev := charm.Event{Kind: charm.KTramFlush, At: at, PE: int32(pe), A: int64(n)}
 			if timed {
 				ev.B = 1
 			}
