@@ -10,9 +10,9 @@ import (
 // determinism-critical payload — survive migration byte-for-byte.
 func TestPupRoundTrip(t *testing.T) {
 	puptest.CheckEqual(t, &lp{
-		ID:   5,
-		Q:    tsHeap{1.5, 2.25, 9.75},
-		Exec: 123,
+		ID:    5,
+		Q:     tsHeap{1.5, 2.25, 9.75},
+		Exec:  123,
 		RngLo: 0xdeadbeef, RngHi: 0x1234,
 	})
 }

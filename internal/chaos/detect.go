@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+
 	"charmgo/internal/des"
 )
 
@@ -12,22 +14,43 @@ const (
 	DefaultHeartbeatTimeout des.Time = 1.5e-3
 )
 
+// hbBytes is the modeled size of a ping and of its ack.
+const hbBytes = 16
+
 // detector is a virtual-time heartbeat failure detector hosted on PE 0
-// (plans never crash PE 0). Each round it pings every other PE with a
-// shard-local probe; a live PE's commit schedules an ack back; a global
-// deadline event then reports the first PE that failed to ack.
+// (plans never crash PE 0). Each round pings every other PE with a
+// commit-only sharded event; a global deadline event then reports the
+// first PE whose ack did not land before it. The ack itself is not an
+// event: a live PE's ping commit computes when its ack would land and
+// records whether that is strictly before the deadline (were the ack an
+// event, it would be scheduled after the deadline and pop after it on a
+// tie).
 //
-// No wall clock is consulted anywhere: pings, acks, and deadlines are all
-// virtual-time events with latencies from the machine model, so detection
-// is deterministic and identical on all three backends. The control messages
-// themselves are modeled as zero-cost (they do not occupy PE compute
-// time) — the idealization a dedicated monitoring thread would justify.
+// No wall clock is consulted anywhere: pings and deadlines are virtual-time
+// events and the ack's flight is the machine model's latency, so detection
+// is deterministic and identical on all three backends. Both are scheduled
+// from global events, where no phase is in flight on any backend, so they
+// need no horizon clamp. The control messages themselves are modeled as
+// zero-cost (they do not occupy PE compute time) — the idealization a
+// dedicated monitoring thread would justify.
 type detector struct {
 	ctrl    *Controller
 	period  des.Time
 	timeout des.Time
 	alpha   des.Time
-	rounds  int
+	// tickFn and pingFn are d.tick and d.ping, bound once so a round
+	// allocates only its own record.
+	tickFn func()
+	pingFn des.CommitFn
+}
+
+// round is one heartbeat round: the epoch it was sent in, the instant its
+// deadline fires, and per PE whether that PE's ack lands before it. A round
+// that straddles a rollback is abandoned: its deadline no-ops on the epoch.
+type round struct {
+	epoch    uint64
+	deadline des.Time
+	acked    []bool
 }
 
 func newDetector(c *Controller, period, timeout des.Time) *detector {
@@ -37,75 +60,83 @@ func newDetector(c *Controller, period, timeout des.Time) *detector {
 	if timeout <= 0 {
 		timeout = DefaultHeartbeatTimeout
 	}
-	return &detector{ctrl: c, period: period, timeout: timeout,
+	d := &detector{ctrl: c, period: period, timeout: timeout,
 		alpha: des.Time(c.rt.Machine().Config().Alpha)}
+	d.tickFn, d.pingFn = d.tick, d.ping
+	return d
 }
 
-// globalAt schedules a global event no earlier than the engine's safe
-// horizon. From a shard commit at tc the target tc+2α already clears the
-// parallel backend's scheduling window, so the clamp is a safety net, and
-// EngineHorizon is deterministic, so both backends agree on the instant.
-func (d *detector) globalAt(t des.Time, fn func()) {
-	if hz := des.EngineHorizon(d.ctrl.rt.Engine()); hz > t {
-		t = hz
+// pingDelay and ackDelay are the flights of a ping to pe and of its ack
+// back to PE 0.
+func (d *detector) pingDelay(pe int) des.Time {
+	return maxTime(d.ctrl.rt.Machine().NetDelay(0, pe, hbBytes), d.alpha)
+}
+
+func (d *detector) ackDelay(pe int) des.Time {
+	return maxTime(d.ctrl.rt.Machine().NetDelay(pe, 0, hbBytes), 2*d.alpha)
+}
+
+// checkTimeout rejects a timeout a live PE's ack cannot beat: the deadline
+// would report that PE, find it alive and stop looking, so a dead PE later
+// in the round would never be reported and the run would never end.
+func (d *detector) checkTimeout() error {
+	var slowest des.Time
+	for pe := 1; pe < d.ctrl.rt.NumPEs(); pe++ {
+		slowest = maxTime(slowest, d.pingDelay(pe)+d.ackDelay(pe))
 	}
-	d.ctrl.rt.Engine().At(t, fn)
+	if d.timeout <= slowest {
+		return fmt.Errorf("chaos: heartbeat timeout %v s does not exceed the slowest ping+ack round trip %v s", d.timeout, slowest)
+	}
+	return nil
 }
 
 // start arms the first round one period into the run.
 func (d *detector) start() {
-	d.ctrl.rt.Engine().At(d.period, d.tick)
+	d.ctrl.rt.Engine().At(d.period, d.tickFn)
 }
 
 // tick runs one heartbeat round and schedules the next. The chain is
 // persistent: it keeps observing through recoveries, which is what lets
 // a crash landing mid-restore be detected and folded into the in-flight
 // recovery instead of going unnoticed until the application resumes.
-// The round's ack vector and epoch are captured per tick, so acks from a
-// round that straddles a rollback write into an abandoned slice and its
-// deadline no-ops on the epoch check.
 func (d *detector) tick() {
 	rt := d.ctrl.rt
 	if rt.Exited() || d.ctrl.err != nil {
 		return // chain ends; the engine may drain
 	}
-	d.rounds++
 	eng := rt.Engine()
-	mach := rt.Machine()
 	now := rt.Now()
 	n := rt.NumPEs()
-	acks := make([]bool, n)
-	epoch := rt.Epoch()
-
-	const hbBytes = 16
+	r := &round{epoch: rt.Epoch(), deadline: now + d.timeout, acked: make([]bool, n)}
 	for pe := 1; pe < n; pe++ {
-		pe := pe
-		pingAt := now + maxTime(mach.NetDelay(0, pe, hbBytes), d.alpha)
-		eng.AtShard(rt.ShardOf(pe), pingAt, func() func() {
-			return func() {
-				// A dead PE never acks; that silence is the signal.
-				if rt.PEDead(pe) || d.ctrl.err != nil {
-					return
-				}
-				ackAt := rt.Now() + maxTime(mach.NetDelay(pe, 0, hbBytes), 2*d.alpha)
-				d.globalAt(ackAt, func() { acks[pe] = true })
-			}
-		})
+		eng.AtShardCommit(rt.ShardOf(pe), now+d.pingDelay(pe), d.pingFn, r, int64(pe))
 	}
+	eng.At(r.deadline, func() { d.expire(r) })
+	eng.At(now+d.period, d.tickFn)
+}
 
-	d.globalAt(now+d.timeout, func() {
-		if d.ctrl.err != nil || rt.Exited() || rt.Epoch() != epoch {
+// ping is a ping's arrival at PE b of round a. A dead PE never acks; that
+// silence is the signal.
+func (d *detector) ping(a any, b int64, at des.Time) {
+	r, pe := a.(*round), int(b)
+	if d.ctrl.rt.PEDead(pe) || d.ctrl.err != nil {
+		return
+	}
+	r.acked[pe] = at+d.ackDelay(pe) < r.deadline
+}
+
+// expire is a round's deadline: the first PE without an ack is reported.
+func (d *detector) expire(r *round) {
+	rt := d.ctrl.rt
+	if d.ctrl.err != nil || rt.Exited() || rt.Epoch() != r.epoch {
+		return
+	}
+	for pe := 1; pe < len(r.acked); pe++ {
+		if !r.acked[pe] {
+			d.ctrl.failureDetected(pe, rt.Now())
 			return
 		}
-		for pe := 1; pe < n; pe++ {
-			if !acks[pe] {
-				d.ctrl.failureDetected(pe, rt.Now())
-				return
-			}
-		}
-	})
-
-	eng.At(now+d.period, d.tick)
+	}
 }
 
 func maxTime(a, b des.Time) des.Time {

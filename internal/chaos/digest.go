@@ -1,35 +1,18 @@
 package chaos
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-
 	"charmgo/internal/charm"
-	"charmgo/internal/pup"
+	"charmgo/internal/ckpt"
 )
 
-// StateDigest fingerprints the full application state: every element of
-// every declared array, PUP-serialized, together with its placement.
-// Arrays iterate in declaration order and elements in sorted index order,
-// so the digest is deterministic across backends and runs.
+// StateDigest fingerprints the live application state: the digest of the
+// cut ckpt.Image would take now (every element of every declared array,
+// PUP-serialized, with its placement; see Snapshot.Digest). A checkpoint
+// stores its own cut's digest, so the two are equal right after
+// CheckpointNow.
 //
-// The digest deliberately covers placement (PEOf) but no timestamps:
-// recovery is a rigid time-shift of the failure-free execution, so values
-// and placement must match bit-for-bit while virtual clocks may not.
-//
-// The controller uses it twice: after a restore, to prove the rollback
-// actually re-materialized the checkpointed bytes (recovery is enacted,
-// not modeled), and at end of run, to prove a crashed run converged to
-// the failure-free state.
-func StateDigest(rt *charm.Runtime) string {
-	h := sha256.New()
-	for _, arr := range rt.Arrays() {
-		fmt.Fprintf(h, "[%s]", arr.Name())
-		for _, idx := range arr.Keys() {
-			fmt.Fprintf(h, "|%v@%d:", idx, arr.PEOf(idx))
-			h.Write(pup.Pack(arr.Get(idx)))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
+// The controller re-packs live state with it twice: after a restore, to
+// prove the rollback actually re-materialized the checkpointed bytes
+// (recovery is enacted, not modeled), and at end of run, to prove a crashed
+// run converged to the failure-free state.
+func StateDigest(rt *charm.Runtime) string { return ckpt.Image(rt).Digest() }

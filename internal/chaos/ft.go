@@ -112,7 +112,6 @@ type EvacRecord struct {
 // warnState tracks one delivered fault prediction until it resolves.
 type warnState struct {
 	f         Fault
-	warnedAt  float64
 	evacuated bool
 	landed    bool
 	rec       EvacRecord
@@ -150,7 +149,6 @@ type Controller struct {
 
 	locSnap    *charm.LocCacheSnapshot
 	ckptDigest string
-	haveCkpt   bool
 
 	// One recovery in flight at a time; nested failures extend it.
 	recovering      bool
@@ -185,14 +183,20 @@ func Enable(rt *charm.Runtime, plan Plan, opts Options) (*Controller, error) {
 	}
 	c.inj = newInjector(c, plan)
 	c.det = newDetector(c, opts.HeartbeatPeriod, opts.HeartbeatTimeout)
-	rt.SetLBResumeHook(c.onLBResume)
-	c.inj.arm()
 	// The heartbeat chain keeps the engine alive until the app exits, so
 	// it is only armed when the plan can actually kill someone; a
 	// drop-only plan that stalls the app should drain and be diagnosed,
 	// not heartbeat forever. Warns count: an unevacuated prediction
 	// degrades to a crash that must be detected.
-	if plan.Crashes()+plan.Warns() > 0 {
+	armed := plan.Crashes()+plan.Warns() > 0
+	if armed {
+		if err := c.det.checkTimeout(); err != nil {
+			return nil, err
+		}
+	}
+	rt.SetLBResumeHook(c.onLBResume)
+	c.inj.arm()
+	if armed {
 		c.det.start()
 	}
 	return c, nil
@@ -221,15 +225,6 @@ func (c *Controller) Survived() int {
 	}
 	return n
 }
-
-// PendingDisturbance reports whether a fault prediction is still
-// perturbing placement at the current instant: a warn delivered but not
-// yet resolved, or an absorbed crash whose evacuees have not been
-// re-placed (by a balancer round or migrated back at a quiescent cut).
-// While true, the run's placement — and therefore its state digest — may
-// legitimately differ from a failure-free run's; final values still
-// match.
-func (c *Controller) PendingDisturbance() bool { return len(c.warns) > 0 }
 
 // maxRestarts caps how many times an in-flight restore may be restarted by
 // further failures before the campaign is declared unrecoverable
@@ -283,8 +278,7 @@ func (c *Controller) CheckpointNow() des.Time {
 	if c.opts.OnCheckpoint != nil {
 		c.opts.OnCheckpoint()
 	}
-	c.ckptDigest = StateDigest(c.rt)
-	c.haveCkpt = true
+	c.ckptDigest = c.mem.Snapshot().Digest()
 	c.rt.StallActivePEs(c.rt.MaxBusy() + dur)
 	return dur + extra
 }
@@ -386,8 +380,7 @@ func (c *Controller) warnDelivered(f Fault) {
 	if c.err != nil || rt.Exited() || rt.PEDead(f.PE) || rt.PEEvacuating(f.PE) {
 		return
 	}
-	c.warns = append(c.warns, &warnState{f: f, warnedAt: float64(rt.Now()),
-		rec: EvacRecord{PE: f.PE, WarnedAt: float64(rt.Now())}})
+	c.warns = append(c.warns, &warnState{f: f, rec: EvacRecord{PE: f.PE, WarnedAt: float64(rt.Now())}})
 	c.mem.Doom(f.PE, true)
 	rt.SetPEEvacuating(f.PE, true)
 	rt.Metrics().Counter("chaos.warnings").Inc()
@@ -517,7 +510,7 @@ func (c *Controller) failureDetected(pe int, at des.Time) {
 func (c *Controller) scheduleRestore(at des.Time) {
 	c.recGen++
 	gen := c.recGen
-	c.det.globalAt(at+2*c.det.alpha, func() {
+	c.rt.Engine().At(at+2*c.det.alpha, func() {
 		if gen != c.recGen || c.err != nil {
 			return
 		}
@@ -534,7 +527,7 @@ func (c *Controller) scheduleRestore(at des.Time) {
 // retires the superseded kick.
 func (c *Controller) beginRestore() {
 	rt := c.rt
-	if !c.haveCkpt {
+	if !c.mem.HasCheckpoint() {
 		c.unrecoverable(fmt.Errorf("chaos: cannot recover PEs %v: %w",
 			c.failed, ckpt.ErrNoCheckpoint))
 		return

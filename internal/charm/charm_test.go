@@ -569,6 +569,33 @@ func TestIndexHashSpreads(t *testing.T) {
 	}
 }
 
+// TestIndexString pins the rendering traces, panics and checkpoint digests
+// share: the fmt forms "[%d,...]", "bv[%0*b/%d]" and "idx{%d,%d,%d,%d}".
+func TestIndexString(t *testing.T) {
+	root := BitVec(0, 0)
+	for _, c := range []struct {
+		ix   Index
+		want string
+	}{
+		{Idx1(-3), "[-3]"},
+		{Idx2(4, -5), "[4,-5]"},
+		{Idx3(4, 5, 6), "[4,5,6]"},
+		{Idx6(1, 2, 3, 1000, 0, 7), "[1,2,3|1000,0,7]"},
+		{root, "bv[root]"},
+		{root.Child(0), "bv[000/1]"},
+		{root.Child(1).Child(0), "bv[001000/2]"},
+		{root.Child(5).Child(3), "bv[101011/2]"},
+		{Index{Kind: KindName, A: 1 << 63, B: 2, C: 3}, "idx{6,9223372036854775808,2,3}"},
+	} {
+		if got := c.ix.String(); got != c.want {
+			t.Errorf("%#v renders %q, want %q", c.ix, got, c.want)
+		}
+		if got := string(c.ix.AppendTo([]byte("x"))); got != "x"+c.want {
+			t.Errorf("%#v appends %q, want %q", c.ix, got, "x"+c.want)
+		}
+	}
+}
+
 func TestShrinkActivePEs(t *testing.T) {
 	rt := testRT(8)
 	arr := declCounters(rt, ArrayOpts{})

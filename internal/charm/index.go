@@ -11,8 +11,8 @@
 package charm
 
 import (
-	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // Index identifies an element within a chare array. It is a comparable
@@ -173,24 +173,52 @@ func (ix Index) Less(o Index) bool {
 	return ix.C < o.C
 }
 
-func (ix Index) String() string {
+func (ix Index) String() string { return string(ix.AppendTo(nil)) }
+
+// AppendTo appends the index as String renders it — "[i,j]", "bv[011/1]" —
+// without boxing a coordinate, which is how a checkpoint digest renders
+// every element's index.
+func (ix Index) AppendTo(b []byte) []byte {
 	switch ix.Kind {
 	case Kind1D:
-		return fmt.Sprintf("[%d]", ix.I())
+		return append(appendInts(append(b, '['), ix.I()), ']')
 	case Kind2D:
-		return fmt.Sprintf("[%d,%d]", ix.I(), ix.J())
+		return append(appendInts(append(b, '['), ix.I(), ix.J()), ']')
 	case Kind3D:
-		return fmt.Sprintf("[%d,%d,%d]", ix.I(), ix.J(), ix.K())
+		return append(appendInts(append(b, '['), ix.I(), ix.J(), ix.K()), ']')
 	case Kind6D:
 		d := ix.Dims6()
-		return fmt.Sprintf("[%d,%d,%d|%d,%d,%d]", d[0], d[1], d[2], d[3], d[4], d[5])
+		b = append(appendInts(append(b, '['), d[0], d[1], d[2]), '|')
+		return append(appendInts(b, d[3], d[4], d[5]), ']')
 	case KindBitVec:
-		if ix.Depth() == 0 {
-			return "bv[root]"
+		d := ix.Depth()
+		if d == 0 {
+			return append(b, "bv[root]"...)
 		}
-		return fmt.Sprintf("bv[%0*b/%d]", 3*ix.Depth(), reverseOctants(ix.A, ix.Depth()), ix.Depth())
+		v := reverseOctants(ix.A, d)
+		b = append(b, "bv["...)
+		for w := bits.Len64(v | 1); w < 3*d; w++ { // zero-pad to 3 digits a level
+			b = append(b, '0')
+		}
+		b = strconv.AppendUint(b, v, 2)
+		return append(appendInts(append(b, '/'), d), ']')
 	}
-	return fmt.Sprintf("idx{%d,%d,%d,%d}", ix.Kind, ix.A, ix.B, ix.C)
+	b = strconv.AppendUint(append(b, "idx{"...), uint64(ix.Kind), 10)
+	for _, v := range [3]uint64{ix.A, ix.B, ix.C} {
+		b = strconv.AppendUint(append(b, ','), v, 10)
+	}
+	return append(b, '}')
+}
+
+// appendInts appends vs in decimal, comma-separated.
+func appendInts(b []byte, vs ...int) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 func reverseOctants(v uint64, depth int) uint64 {

@@ -9,9 +9,12 @@
 package ckpt
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
@@ -58,9 +61,11 @@ func (s *Snapshot) Pup(p *pup.Pup) {
 	pup.Slice(p, &s.Arrays, func(p *pup.Pup, a *ArraySnap) { a.Pup(p) })
 }
 
-// Capture serializes every element of every declared array through its Pup
-// method (CkStartCheckpoint's data-gathering step).
-func Capture(rt *charm.Runtime) *Snapshot {
+// Image is the one traversal of a runtime's state: every element of every
+// declared array, in declaration order and then sorted index order,
+// serialized through its Pup method with its current PE. It counts and
+// traces nothing; Capture is Image plus that accounting.
+func Image(rt *charm.Runtime) *Snapshot {
 	s := &Snapshot{TakenAt: float64(rt.Now()), NumPEs: rt.NumPEs()}
 	for _, arr := range rt.Arrays() {
 		as := ArraySnap{Name: arr.Name()}
@@ -73,6 +78,34 @@ func Capture(rt *charm.Runtime) *Snapshot {
 		}
 		s.Arrays = append(s.Arrays, as)
 	}
+	return s
+}
+
+// Digest fingerprints the cut: a sha256 over "[name]" per array, then
+// "|<idx>@<pe>:" and the element's bytes per element. It covers placement
+// but no timestamp — recovery is a rigid time-shift of the failure-free
+// run, so values and placement must match bit for bit while clocks may not.
+func (s *Snapshot) Digest() string {
+	h := sha256.New()
+	var b []byte
+	for _, as := range s.Arrays {
+		b = append(append(append(b[:0], '['), as.Name...), ']')
+		h.Write(b)
+		for i := range as.Elems {
+			es := &as.Elems[i]
+			b = es.Idx.AppendTo(append(b[:0], '|'))
+			b = append(strconv.AppendInt(append(b, '@'), int64(es.PE), 10), ':')
+			h.Write(b)
+			h.Write(es.Data)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Capture serializes every element of every declared array through its Pup
+// method (CkStartCheckpoint's data-gathering step).
+func Capture(rt *charm.Runtime) *Snapshot {
+	s := Image(rt)
 	rt.Metrics().Counter("ckpt.captures").Inc()
 	rt.Metrics().Counter("ckpt.bytes").Add(uint64(s.TotalBytes()))
 	if h := rt.Trace(); h != nil {

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
-# check.sh — the full local gate, and everything in it is a build, a vet or a
-# go test: build, go vet, the test suite under the race detector (charmvet's
-# determinism & PUP-completeness rules ride it as TestCharmvetClean, see
-# DESIGN.md "Determinism rules"; its CLI is tested in cmd/charmvet), the
-# allocation pins and budgets once without it, one iteration of every
-# in-package benchmark, the benchmark module's own suite, the cross-backend
-# equivalence tests and the engine's suite at several GOMAXPROCS values, the
-# telemetry-neutrality gate, the full figure registry on both engines, and the
-# 60-seed multi-failure soak. CI runs exactly this.
+# check.sh — the full local gate, and everything in it is a format check, a
+# build, a vet or a go test: gofmt, build, go vet, the test suite under the
+# race detector (charmvet's determinism & PUP-completeness rules ride it as
+# TestCharmvetClean, see DESIGN.md "Determinism rules"; its CLI is tested in
+# cmd/charmvet), the allocation pins and budgets once without it, one
+# iteration of every in-package benchmark, the benchmark module's own suite,
+# the cross-backend equivalence tests and the engine's suite at several
+# GOMAXPROCS values, the telemetry-neutrality gate, the full figure registry
+# on both engines, and the 60-seed multi-failure soak. CI runs exactly this.
 #
 # Nothing here measures (bench/ does: bash bench/run.sh) and nothing here
 # writes inside the repository: run on a clean checkout, it ends with
@@ -23,6 +23,8 @@ cd "$(dirname "$0")/.."
 # coming in is what it must look like going out.
 porcelain_before="$(git status --porcelain)"
 
+# Every Go file, bench/ included, is gofmt-clean.
+test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 # The timeout is for internal/chaos: ~6 min under the detector on 2 vCPUs (its
@@ -32,7 +34,7 @@ go test -race -timeout 20m ./...
 # The allocation pins and the per-event heap budgets assert nothing under
 # -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
 # full-size counter goldens are skipped under it: run both once without.
-go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/
+go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/ ./internal/chaos/
 # The in-package benchmarks are otherwise only compiled (go vet): one
 # iteration of each, so one that panics or no longer sets up fails here. A
 # smoke, not a measurement — its output is discarded.
