@@ -14,10 +14,11 @@
 package leanmd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"charmgo/internal/charm"
 	"charmgo/internal/des"
@@ -539,14 +540,13 @@ func (a *App) maybeIntegrate(c *cell, ctx *charm.Ctx) {
 	if c.InSync || c.WaitMig || len(c.Recv) < expectedForces {
 		return
 	}
-	sort.Slice(c.Recv, func(i, j int) bool {
-		si, sj := &c.Recv[i].Src, &c.Recv[j].Src
-		for d := 0; d < 6; d++ {
-			if si[d] != sj[d] {
-				return si[d] < sj[d]
+	slices.SortFunc(c.Recv, func(a, b forceMsg) int {
+		for d := range a.Src {
+			if r := cmp.Compare(a.Src[d], b.Src[d]); r != 0 {
+				return r
 			}
 		}
-		return false
+		return 0
 	})
 	var peAcc float64
 	for _, f := range c.Recv {

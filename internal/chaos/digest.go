@@ -6,7 +6,7 @@ import (
 )
 
 // StateDigest fingerprints the live application state: the digest of the
-// cut ckpt.Image would take now (every element of every declared array,
+// cut a checkpoint would take now (every element of every declared array,
 // PUP-serialized, with its placement; see Snapshot.Digest). A checkpoint
 // stores its own cut's digest, so the two are equal right after
 // CheckpointNow.
@@ -15,4 +15,4 @@ import (
 // prove the rollback actually re-materialized the checkpointed bytes
 // (recovery is enacted, not modeled), and at end of run, to prove a crashed
 // run converged to the failure-free state.
-func StateDigest(rt *charm.Runtime) string { return ckpt.Image(rt).Digest() }
+func StateDigest(rt *charm.Runtime) string { return ckpt.ImageDigest(rt) }

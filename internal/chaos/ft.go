@@ -274,7 +274,7 @@ func (c *Controller) CheckpointNow() des.Time {
 	extra := c.healAbsorbed()
 	extra += c.evacuateDueWarns()
 	dur := c.mem.Checkpoint()
-	c.locSnap = c.rt.SnapshotLocCaches()
+	c.locSnap = c.rt.SnapshotLocCaches(c.locSnap)
 	if c.opts.OnCheckpoint != nil {
 		c.opts.OnCheckpoint()
 	}

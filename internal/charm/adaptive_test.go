@@ -1,8 +1,10 @@
 package charm
 
 import (
+	"bytes"
 	"testing"
 
+	"charmgo/internal/des"
 	"charmgo/internal/pup"
 )
 
@@ -50,12 +52,24 @@ func (spread) Balance(objs []LBObject, pes []LBPE) []Migration {
 	return migs
 }
 
-// TestMigrationTraversals pins how many times a migrating object is walked:
-// moveElement makes the one pack (PackTo sizes, then packs) and the one
-// unpack, and every caller prices the move from that pack's length. An LB
-// round adds the view's sizing pass; Replace re-homes the object it was
+// hooked is spread that also runs fn when it decides: right after the view,
+// while the round's decision and transfers are still to elapse.
+type hooked struct{ fn func() }
+
+func (hooked) Name() string { return "next-pe, hooked" }
+func (h hooked) Balance(objs []LBObject, pes []LBPE) []Migration {
+	h.fn()
+	return spread{}.Balance(objs, pes)
+}
+
+// TestMigrationTraversals pins how many times a migrating object is walked,
+// with no sizing pass anywhere: an LB round's view packs each object once
+// into the image arena and moveElement unpacks that image; the doors with
+// no view pack once and unpack once; Replace re-homes the object it was
 // handed with no PUP traversal at all. Every move, by every door, still
-// bumps Stats.Migrations and emits its KMigration record.
+// bumps Stats.Migrations and emits its KMigration record. After an AtSync
+// round the checkpoint-time image of an element that has not run since is
+// the view's, packed by nobody; one sent a message in between packs once.
 func TestMigrationTraversals(t *testing.T) {
 	const n = 8
 	setup := func(opts ArrayOpts) (*Runtime, *Array, *tally, *migCount) {
@@ -75,8 +89,8 @@ func TestMigrationTraversals(t *testing.T) {
 	}
 	check := func(name string, rt *Runtime, arr *Array, tl *tally, mc *migCount, moved int, want tally) {
 		t.Helper()
-		if tl.size > want.size || tl.pack != want.pack || tl.unpack != want.unpack {
-			t.Errorf("%s: %d sizing + %d packing + %d unpacking traversals for %d moves, want <= %d + %d + %d",
+		if tl.size != want.size || tl.pack != want.pack || tl.unpack != want.unpack {
+			t.Errorf("%s: %d sizing + %d packing + %d unpacking traversals for %d moves, want %d + %d + %d",
 				name, tl.size, tl.pack, tl.unpack, moved, want.size, want.pack, want.unpack)
 		}
 		if int(rt.Stats.Migrations) != moved || mc.n != moved {
@@ -89,14 +103,14 @@ func TestMigrationTraversals(t *testing.T) {
 		}
 	}
 
-	// An LB round through either entry point: the view sizes every object
-	// once, the move sizes (inside PackTo), packs and unpacks once.
+	// An LB round through either entry point: the view packs every object
+	// once and the move unpacks that image.
 	rt, arr, tl, mc := setup(ArrayOpts{Migratable: true})
 	rt.SetBalancer(spread{})
 	if rep := rt.Rebalance(); rep.NumMoved != n {
 		t.Fatalf("Rebalance moved %d, want %d", rep.NumMoved, n)
 	}
-	check("Rebalance", rt, arr, tl, mc, n, tally{2 * n, n, n})
+	check("Rebalance", rt, arr, tl, mc, n, tally{0, n, n})
 
 	rt, arr, tl, mc = setup(ArrayOpts{UsesAtSync: true, ResumeEP: epResume})
 	rt.SetBalancer(spread{})
@@ -105,15 +119,39 @@ func TestMigrationTraversals(t *testing.T) {
 	if rt.LBRounds() != 1 {
 		t.Fatalf("AtSync run completed %d LB rounds, want 1", rt.LBRounds())
 	}
-	check("AtSync round", rt, arr, tl, mc, n, tally{2 * n, n, n})
+	check("AtSync round", rt, arr, tl, mc, n, tally{0, n, n})
 
-	// The doors with no view: one sizing (PackTo's), one pack, one unpack.
+	// The checkpoint after an AtSync round: the resume hook images every
+	// element (as ckpt's cut does) after element 0 was sent a message
+	// between the round's view and the cut. Only element 0 is packed.
+	rt, arr, tl, mc = setup(ArrayOpts{UsesAtSync: true, ResumeEP: epResume})
+	arr.handlers[epRecord] = func(obj Chare, ctx *Ctx, msg any) {}
+	rt.SetBalancer(hooked{func() { arr.Send(Idx1(0), epRecord, nil) }})
+	var cut tally
+	rt.SetLBResumeHook(func(int) des.Time {
+		*tl = tally{}
+		for i := 0; i < n; i++ {
+			img := arr.AppendImage(nil, Idx1(i))
+			if want := pup.Pack(arr.Get(Idx1(i))); !bytes.Equal(img, want) {
+				t.Errorf("cut image of element %d is % x, its state packs to % x", i, img, want)
+			}
+		}
+		cut = tally{pack: tl.pack - n} // the n packs of the check itself
+		return 0
+	})
+	arr.Broadcast(epBump, nil)
+	rt.Run()
+	if cut != (tally{pack: 1}) {
+		t.Errorf("cut after an AtSync round: %d sizing + %d packing + %d unpacking, want 0 + 1 + 0", cut.size, cut.pack, cut.unpack)
+	}
+
+	// The doors with no view: one pack, one unpack.
 	rt, arr, tl, mc = setup(ArrayOpts{})
 	moves, bytes := rt.EvacuatePE(2, []int{0, 1})
 	if len(moves) != n/2 || bytes != int64(n/2)*(8+migrationEnvelope) {
 		t.Fatalf("EvacuatePE: %d moves, %d bytes", len(moves), bytes)
 	}
-	check("EvacuatePE", rt, arr, tl, mc, n/2, tally{n / 2, n / 2, n / 2})
+	check("EvacuatePE", rt, arr, tl, mc, n/2, tally{0, n / 2, n / 2})
 
 	rt, arr, tl, mc = setup(ArrayOpts{})
 	var migs []Migration
@@ -123,13 +161,13 @@ func TestMigrationTraversals(t *testing.T) {
 	if moved, bytes := rt.ApplyMigrations(migs); moved != n || bytes != n*(8+migrationEnvelope) {
 		t.Fatalf("ApplyMigrations: %d moved, %d bytes", moved, bytes)
 	}
-	check("ApplyMigrations", rt, arr, tl, mc, n, tally{n, n, n})
+	check("ApplyMigrations", rt, arr, tl, mc, n, tally{0, n, n})
 
 	rt, arr, tl, mc = setup(ArrayOpts{})
 	if bytes := rt.SetActivePEs(2); bytes != n*(8+migrationEnvelope) {
 		t.Fatalf("shrink evacuated %d bytes, want %d", bytes, n*(8+migrationEnvelope))
 	}
-	check("shrink", rt, arr, tl, mc, n, tally{n, n, n})
+	check("shrink", rt, arr, tl, mc, n, tally{0, n, n})
 
 	// Replace onto another PE keeps the instance it was handed.
 	rt, arr, tl, mc = setup(ArrayOpts{})
@@ -141,6 +179,50 @@ func TestMigrationTraversals(t *testing.T) {
 		}
 	}
 	check("Replace", rt, arr, tl, mc, n, tally{})
+}
+
+// TestImageDirtyRule: after a view has packed every element's image, each
+// way the runtime hands obj out or replaces it marks the image dirty, so
+// AppendImage returns the element's state as it is now. Element 0 is
+// changed through Get, 1 by Replace, 2 by its own delivery, 3 through a
+// LocalInvoke from element 4's delivery; 4 and 5 keep the view's bytes.
+func TestImageDirtyRule(t *testing.T) {
+	const n = 6
+	rt := testRT(2)
+	tl := &tally{}
+	var arr *Array
+	handlers := []Handler{
+		epBump:   func(obj Chare, ctx *Ctx, msg any) { obj.(*probe).N += 100 },
+		epRecord: func(obj Chare, ctx *Ctx, msg any) { ctx.LocalInvoke(arr, Idx1(3), epBump, nil) },
+	}
+	arr = rt.DeclareArray("probes", func() Chare { return &probe{t: tl} }, handlers, ArrayOpts{Migratable: true})
+	for i := 0; i < n; i++ {
+		arr.InsertOn(Idx1(i), &probe{N: int64(i), t: tl}, 0)
+	}
+	live := func(i int) []byte { return pup.Pack(arr.lookup(Idx1(i)).obj) } // lookup: no hand-out
+	rt.LBView()
+	tl.pack = 0
+	for i := 0; i < n; i++ {
+		if img := arr.AppendImage(nil, Idx1(i)); !bytes.Equal(img, live(i)) {
+			t.Fatalf("element %d: image % x right after the view, live state % x", i, img, live(i))
+		}
+	}
+	if tl.pack != n {
+		t.Fatalf("imaging %d clean elements packed %d times, want 0 (the %d counted are the oracle's)", n, tl.pack-n, n)
+	}
+	arr.Get(Idx1(0)).(*probe).N = 10
+	arr.Replace(Idx1(1), &probe{N: 11, t: tl}, 0)
+	arr.Send(Idx1(2), epBump, nil)
+	arr.Send(Idx1(4), epRecord, nil)
+	rt.Run()
+	for i, want := range []int64{10, 11, 102, 103, 4, 5} {
+		if got := arr.lookup(Idx1(i)).obj.(*probe).N; got != want {
+			t.Fatalf("element %d: N=%d, want %d", i, got, want)
+		}
+		if img := arr.AppendImage(nil, Idx1(i)); !bytes.Equal(img, live(i)) {
+			t.Errorf("element %d: AppendImage returned % x, its live state packs to % x", i, img, live(i))
+		}
+	}
 }
 
 // TestApplyMigrationFilters walks the one apply loop's validity checks: every
@@ -241,15 +323,30 @@ func TestLocTable(t *testing.T) {
 		if !had || prev != first {
 			t.Fatalf("%s: put returned (%v, %v), want the previous entry %v", c.name, prev, had, first)
 		}
-		// clone is deep: writes to either side do not show on the other.
-		cl := tab.clone()
+		// save then load is a deep copy: writes to either side do not show
+		// on the other.
+		var d locDump
+		d.save(&tab)
 		tab.put(c.a, k, locEnt{pe: 3, eid: 33})
+		var cl locTable
+		cl.load(&d)
 		if got, ok := cl.get(c.a, &k); !ok || got != second {
-			t.Fatalf("%s: clone reads (%v, %v) after the original changed, want %v", c.name, got, ok, second)
+			t.Fatalf("%s: loaded copy reads (%v, %v) after the original changed, want %v", c.name, got, ok, second)
 		}
 		cl.del(c.a, k)
 		if got, ok := tab.get(c.a, &k); !ok || got.pe != 3 {
-			t.Fatalf("%s: original reads (%v, %v) after the clone changed", c.name, got, ok)
+			t.Fatalf("%s: original reads (%v, %v) after the copy changed", c.name, got, ok)
+		}
+		// A second save into the same dump replaces what it held.
+		stale := elemKey{array: c.a.id, idx: Idx1(5)}
+		cl.put(c.a, stale, locEnt{pe: 1, eid: 11})
+		d.save(&cl)
+		cl.load(&d)
+		if _, ok := cl.get(c.a, &k); ok {
+			t.Fatalf("%s: reloaded dump still holds the hint deleted before the second save", c.name)
+		}
+		if got, ok := cl.get(c.a, &stale); !ok || got.pe != 1 {
+			t.Fatalf("%s: reloaded dump reads (%v, %v) for the hint put before the second save", c.name, got, ok)
 		}
 		// Undo as speculation does: re-put what put returned, or del.
 		tab.put(c.a, k, prev)

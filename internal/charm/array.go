@@ -2,7 +2,7 @@ package charm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"charmgo/internal/des"
 	"charmgo/internal/pup"
@@ -200,13 +200,38 @@ func (a *Array) InsertOn(idx Index, obj Chare, pe int) {
 }
 
 // Get returns the element's state, or nil if it does not exist. This is a
-// simulation-level accessor (checkpointing, verification); application
-// logic should communicate via entry methods.
+// simulation-level accessor (verification, drivers); application logic
+// should communicate via entry methods. The caller may mutate what it gets,
+// so the element's image goes dirty; AppendImage reads state without that.
 func (a *Array) Get(idx Index) Chare {
 	if el := a.lookup(idx); el != nil {
+		el.dirty()
 		return el.obj
 	}
 	return nil
+}
+
+// ImageLen returns the length of the PUP bytes AppendImage would append for
+// idx: its clean image's, or a sizing traversal's. It panics if idx is not
+// live.
+func (a *Array) ImageLen(idx Index) int {
+	el := a.mustLookup(idx, "ImageLen")
+	if img, ok := a.rt.image(el); ok {
+		return len(img)
+	}
+	return pup.Size(el.obj)
+}
+
+// AppendImage appends the PUP bytes of the element at idx to dst: a copy of
+// its image when that is clean (the element has not run or been handed out
+// since the last LBView packed it), a fresh pack otherwise. The checkpoint
+// cut reads state through it. It panics if idx is not live.
+func (a *Array) AppendImage(dst []byte, idx Index) []byte {
+	el := a.mustLookup(idx, "AppendImage")
+	if img, ok := a.rt.image(el); ok {
+		return append(dst, img...)
+	}
+	return pup.Append(dst, el.obj)
 }
 
 // PEOf returns the PE currently hosting idx, or -1.
@@ -227,6 +252,15 @@ func (a *Array) lookup(idx Index) *element {
 	return nil
 }
 
+// mustLookup is lookup for callers that require idx to be live.
+func (a *Array) mustLookup(idx Index, op string) *element {
+	el := a.lookup(idx)
+	if el == nil {
+		panic("charm: " + op + " of missing element " + idx.String())
+	}
+	return el
+}
+
 // Keys returns all live indices in deterministic sorted order.
 func (a *Array) Keys() []Index {
 	keys := make([]Index, 0, a.live)
@@ -235,7 +269,7 @@ func (a *Array) Keys() []Index {
 			keys = append(keys, el.key.idx)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, cmpIndex)
 	return keys
 }
 
@@ -263,11 +297,9 @@ func (a *Array) Broadcast(ep EP, payload any) {
 // obj is the instance it just unpacked, so the move needs no PUP round trip
 // of its own.
 func (a *Array) Replace(idx Index, obj Chare, pe int) {
-	el := a.lookup(idx)
-	if el == nil {
-		panic("charm: Replace of missing element " + idx.String())
-	}
+	el := a.mustLookup(idx, "Replace")
 	el.obj = obj
+	el.dirty()
 	// The retained speculation image (if any) describes the replaced state.
 	a.rt.dropSave(el)
 	if el.pe != pe {
@@ -354,9 +386,11 @@ func (a *Array) rebuildRanks() {
 const migrationEnvelope = 64
 
 // moveElement migrates el to toPE, charging PUP serialization and transfer
-// costs when charge is true. It is the only code that sizes or packs a
-// migrating object, and returns the modeled size of the transfer — the bytes
-// of the one pack it makes plus the envelope (0 when el is already there).
+// costs when charge is true. It returns the modeled size of the transfer —
+// the object's PUP bytes plus the envelope (0 when el is already there). A
+// clean image (see element.imgOff) is unpacked as it stands, and stays
+// clean: the fresh instance is built from exactly those bytes. Otherwise
+// the object is packed once, into a pooled buffer.
 func (rt *Runtime) moveElement(el *element, toPE int, charge bool) int {
 	from := el.pe
 	if from == toPE {
@@ -367,13 +401,16 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) int {
 	rt.dropSave(el)
 	// Re-home the state. In a real machine the object is packed and
 	// unpacked; we exercise the same PUP path to keep Pup methods honest.
-	// The pack buffer is pooled: at 256k-element rebalances the per-move
-	// allocation would otherwise dominate the LB step's heap churn.
-	data := pup.PackTo(pup.GetBuffer(), el.obj)
+	data, clean := rt.image(el)
+	if !clean {
+		data = pup.PackTo(pup.GetBuffer(), el.obj)
+	}
 	size := len(data) + migrationEnvelope
 	fresh := rt.arrays[el.key.array].NewElement()
 	err := pup.Unpack(data, fresh)
-	pup.PutBuffer(data)
+	if !clean {
+		pup.PutBuffer(data)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("charm: migration pup of %v failed: %v", el.key, err))
 	}

@@ -450,6 +450,7 @@ func (c *Ctx) LocalInvoke(arr *Array, idx Index, ep EP, payload any) {
 	sub.cause = c.cause
 	sub.replay = c.replay
 	sub.res, sub.resIdx = c.res, c.resIdx
+	el.dirty()
 	arr.handlers[ep](el.obj, sub, payload)
 	c.fx = sub.fx // pick up a deferStruct upgrade so the caller buffers too
 	c.elapsed += sub.elapsed
@@ -496,10 +497,13 @@ func (c *Ctx) AtSync() {
 		return
 	}
 	el.atSync = true
-	c.emit(func() {
-		c.rt.lbArrived++
-		c.rt.maybeStartLB()
-	})
+	c.emit(c.rt.atSyncFn)
+}
+
+// arriveAtSync counts one element in at the AtSync barrier (rt.atSyncFn).
+func (rt *Runtime) arriveAtSync() {
+	rt.lbArrived++
+	rt.maybeStartLB()
 }
 
 // Migrate requests migration of the executing element to a specific PE

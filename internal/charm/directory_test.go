@@ -351,7 +351,7 @@ func TestCompactElementTable(t *testing.T) {
 			t.Fatalf("%s: buffered message not delivered on insert: N=%d", a.name, c.N)
 		}
 	}
-	snap := rt.SnapshotLocCaches()
+	snap := rt.SnapshotLocCaches(nil)
 	// A hint already on its way when the numbering changes.
 	late := unbounded.lookup(Idx1(1))
 	rt.updateLocCache(2, late.key, late.pe, rt.homePE(late.key), late.eid)

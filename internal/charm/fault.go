@@ -18,6 +18,8 @@ package charm
 // every computed value (reductions, residuals, energies) is bit-identical.
 
 import (
+	"slices"
+
 	"charmgo/internal/des"
 )
 
@@ -107,20 +109,26 @@ func (rt *Runtime) dropInjected(m *message, dst int, t des.Time) {
 // cache contents or its messages route — and therefore arrive — in a
 // different order.
 type LocCacheSnapshot struct {
-	tables []locTable // by PE
+	tables []locDump // by PE
 	// tableEpoch records the element-table numbering the cached eids refer
 	// to; restoring across a CompactElementTable would stamp messages with
 	// remapped ids, so Restore refuses it.
 	tableEpoch uint64
 }
 
-// SnapshotLocCaches deep-copies every PE's location hints.
-func (rt *Runtime) SnapshotLocCaches() *LocCacheSnapshot {
-	s := &LocCacheSnapshot{tables: make([]locTable, len(rt.pes)), tableEpoch: rt.tableEpoch}
-	for i, p := range rt.pes {
-		s.tables[i] = p.loc.clone()
+// SnapshotLocCaches deep-copies every PE's location hints. into, when not
+// nil, is an earlier snapshot its caller is done with: its tables are
+// refilled and it is returned, instead of a fresh copy.
+func (rt *Runtime) SnapshotLocCaches(into *LocCacheSnapshot) *LocCacheSnapshot {
+	if into == nil {
+		into = &LocCacheSnapshot{}
 	}
-	return s
+	into.tableEpoch = rt.tableEpoch
+	into.tables = slices.Grow(into.tables[:0], len(rt.pes))[:len(rt.pes)]
+	for i, p := range rt.pes {
+		into.tables[i].save(&p.loc)
+	}
+	return into
 }
 
 // RestoreLocCaches replaces every PE's location hints with a copy of the
@@ -133,7 +141,7 @@ func (rt *Runtime) RestoreLocCaches(s *LocCacheSnapshot) {
 		if s == nil {
 			p.loc.reset()
 		} else {
-			p.loc = s.tables[i].clone()
+			p.loc.load(&s.tables[i])
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package charm
 
 import (
+	"cmp"
 	"math/bits"
 	"strconv"
 )
@@ -160,17 +161,20 @@ func mix(h uint64) uint64 {
 
 // Less imposes a deterministic total order on indices, used wherever the
 // runtime iterates over elements (checkpointing, LB views).
-func (ix Index) Less(o Index) bool {
-	if ix.Kind != o.Kind {
-		return ix.Kind < o.Kind
+func (ix Index) Less(o Index) bool { return cmpIndex(ix, o) < 0 }
+
+// cmpIndex is Less as a three-way comparison, for slices.SortFunc.
+func cmpIndex(a, b Index) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if ix.A != o.A {
-		return ix.A < o.A
+	if c := cmp.Compare(a.A, b.A); c != 0 {
+		return c
 	}
-	if ix.B != o.B {
-		return ix.B < o.B
+	if c := cmp.Compare(a.B, b.B); c != 0 {
+		return c
 	}
-	return ix.C < o.C
+	return cmp.Compare(a.C, b.C)
 }
 
 func (ix Index) String() string { return string(ix.AppendTo(nil)) }

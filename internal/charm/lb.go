@@ -1,7 +1,8 @@
 package charm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"charmgo/internal/des"
 	"charmgo/internal/pup"
@@ -49,7 +50,8 @@ type Migration struct {
 }
 
 // Strategy computes a new object mapping; implementations live in
-// internal/lb.
+// internal/lb. The runtime reuses objs' storage in its next round, so a
+// strategy must not keep it past Balance.
 type Strategy interface {
 	Name() string
 	Balance(objs []LBObject, pes []LBPE) []Migration
@@ -115,7 +117,8 @@ func (rt *Runtime) StallActivePEs(t des.Time) {
 // transfer phase (the max cost of any single move: they proceed in parallel
 // across PEs).
 func (rt *Runtime) balance(start des.Time) (rep LBReport, decision, maxXfer des.Time) {
-	objs, pes := rt.LBView()
+	rt.viewObjs, rt.viewEdges = rt.view(rt.viewObjs[:0], rt.viewEdges[:0])
+	objs, pes := rt.viewObjs, rt.viewPEs()
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KLBStart, At: start, PE: -1, A: int64(rt.lbCount), B: int64(len(objs))})
 	}
@@ -208,44 +211,82 @@ func (rt *Runtime) maybeStartLB() {
 	rt.atEpoch(t, rt.runLB)
 }
 
-// LBView builds the strategy's view of the current objects and PEs.
+// LBView builds the strategy's view of the current objects and PEs. It
+// refills the image arena: each migratable object is packed once, and that
+// image prices it here (Bytes), moves it in this round's migrations and
+// stands in the checkpoint cut that follows, for as long as it stays clean.
 func (rt *Runtime) LBView() ([]LBObject, []LBPE) {
-	var objs []LBObject
+	objs, _ := rt.view(nil, nil)
+	return objs, rt.viewPEs()
+}
+
+// view is LBView's object half, appending to objs and edges (the backing of
+// every object's Comm); an LB round passes the previous round's, which its
+// strategy is done with.
+func (rt *Runtime) view(objs []LBObject, edges []CommEdge) ([]LBObject, []CommEdge) {
+	// Count first, so objs and edges grow at most once, exactly.
+	nObjs, nEdges := 0, 0
 	for p := 0; p < rt.activePEs; p++ {
 		for _, el := range rt.pes[p].sorted {
-			arr := rt.arrays[el.key.array]
-			if !arr.opts.UsesAtSync && !arr.opts.Migratable {
+			if rt.inView(el) {
+				nObjs++
+				nEdges += len(el.comm)
+			}
+		}
+	}
+	objs = slices.Grow(objs, nObjs)
+	edges = slices.Grow(edges, nEdges)
+	if rt.imageGen++; rt.imageGen == 0 {
+		rt.imageGen = 1
+	}
+	rt.images = rt.images[:0]
+	for p := 0; p < rt.activePEs; p++ {
+		for _, el := range rt.pes[p].sorted {
+			if !rt.inView(el) {
 				continue
 			}
+			off := len(rt.images)
+			rt.images = pup.Append(rt.images, el.obj)
+			el.imgOff, el.imgLen, el.imgGen = uint32(off), uint32(len(rt.images)-off), rt.imageGen
 			o := LBObject{
-				Array:  arr,
+				Array:  rt.arrays[el.key.array],
 				Idx:    el.key.idx,
 				PE:     p,
 				Load:   float64(el.load) * 1e-15,
-				Bytes:  pup.Size(el.obj) + migrationEnvelope,
+				Bytes:  int(el.imgLen) + migrationEnvelope,
 				Pos:    el.pos,
 				HasPos: el.hasPos,
 				Msgs:   el.msgsSent,
 				SentB:  el.bytesSent,
 			}
 			if len(el.comm) > 0 {
-				for dst, bytes := range el.comm {
-					o.Comm = append(o.Comm, CommEdge{
+				first := len(edges)
+				for dst, bytes := range el.comm { //charmvet:ordered (collected into edges, then sorted below)
+					edges = append(edges, CommEdge{
 						ToArray: rt.arrays[dst.array],
 						ToIdx:   dst.idx,
 						Bytes:   bytes,
 					})
 				}
-				sort.Slice(o.Comm, func(i, j int) bool {
-					if o.Comm[i].Bytes != o.Comm[j].Bytes {
-						return o.Comm[i].Bytes > o.Comm[j].Bytes
+				o.Comm = edges[first:len(edges):len(edges)]
+				slices.SortFunc(o.Comm, func(a, b CommEdge) int {
+					if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+						return c
 					}
-					return o.Comm[i].ToIdx.Less(o.Comm[j].ToIdx)
+					if c := cmpIndex(a.ToIdx, b.ToIdx); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.ToArray.id, b.ToArray.id)
 				})
 			}
 			objs = append(objs, o)
 		}
 	}
+	return objs, edges
+}
+
+// viewPEs is LBView's PE half.
+func (rt *Runtime) viewPEs() []LBPE {
 	// Evacuating PEs (predicted failures, internal/chaos) are excluded
 	// from the strategy's placement targets: objects still ON one are
 	// listed (so a stateless strategy re-places them), but nothing new
@@ -258,7 +299,7 @@ func (rt *Runtime) LBView() ([]LBObject, []LBPE) {
 		}
 		pes = append(pes, LBPE{ID: p, Speed: rt.mach.PE(p).Speed(base)})
 	}
-	return objs, pes
+	return pes
 }
 
 // runLB executes one AtSync load-balancing round at the barrier's instant:
@@ -289,6 +330,12 @@ func (rt *Runtime) runLB() {
 		}
 		rt.resumeFromSync(false)
 	})
+}
+
+// inView reports whether el is one of the objects a strategy places.
+func (rt *Runtime) inView(el *element) bool {
+	opts := &rt.arrays[el.key.array].opts
+	return opts.UsesAtSync || opts.Migratable
 }
 
 // resumeFromSync delivers ResumeFromSync (the array's ResumeEP) to the AtSync

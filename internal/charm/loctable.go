@@ -1,5 +1,7 @@
 package charm
 
+import "slices"
+
 // locEnt is one location hint: the last known PE of an element and its dense
 // element id, so a hit stamps the message for map-free routing at every later
 // hop.
@@ -79,25 +81,53 @@ func (t *locTable) del(a *Array, k elemKey) {
 	delete(t.locCache, k)
 }
 
-// clone returns a deep copy. Empty forms copy as nil.
-func (t *locTable) clone() locTable {
-	var c locTable
-	if len(t.locCache) > 0 {
-		c.locCache = make(map[elemKey]locEnt, len(t.locCache))
-		for k, v := range t.locCache { //charmvet:ordered (map copy, order-insensitive)
-			c.locCache[k] = v
-		}
+// locDump is a locTable saved for a later load: the map form as a flat list
+// of its entries (a checkpoint never looks a hint up, and a list refills in
+// place where a map would regrow), the flat form as copies.
+type locDump struct {
+	pairs []locPair
+	dense [][]locEnt // by array id
+}
+
+type locPair struct {
+	k elemKey
+	e locEnt
+}
+
+// save overwrites d with t's hints, reusing d's storage.
+func (d *locDump) save(t *locTable) {
+	d.pairs = slices.Grow(d.pairs[:0], len(t.locCache))
+	for k, e := range t.locCache { //charmvet:ordered (load rebuilds a map: the order is never observed)
+		d.pairs = append(d.pairs, locPair{k, e})
 	}
-	for aid, d := range t.locDense {
-		if d == nil {
+	d.dense = slices.Grow(d.dense[:0], len(t.locDense))[:len(t.locDense)]
+	for aid, dt := range t.locDense {
+		if dt == nil {
+			d.dense[aid] = nil
 			continue
 		}
-		if c.locDense == nil {
-			c.locDense = make([][]locEnt, len(t.locDense))
-		}
-		c.locDense[aid] = append([]locEnt(nil), d...)
+		d.dense[aid] = append(d.dense[aid][:0], dt...)
 	}
-	return c
+}
+
+// load replaces t's hints with a deep copy of d's. Empty forms load as nil.
+func (t *locTable) load(d *locDump) {
+	*t = locTable{}
+	if len(d.pairs) > 0 {
+		t.locCache = make(map[elemKey]locEnt, len(d.pairs))
+		for _, p := range d.pairs {
+			t.locCache[p.k] = p.e
+		}
+	}
+	for aid, dd := range d.dense {
+		if dd == nil {
+			continue
+		}
+		if t.locDense == nil {
+			t.locDense = make([][]locEnt, len(d.dense))
+		}
+		t.locDense[aid] = slices.Clone(dd)
+	}
 }
 
 // reset drops every hint and the storage behind them.

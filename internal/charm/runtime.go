@@ -63,6 +63,11 @@ type element struct {
 	// global context only; a cache of the key, so it is neither PUP'd nor
 	// part of StateDigest.
 	idxName uint32
+	// imgOff and imgLen locate the element's image — its PUP bytes as of
+	// the last LBView — in rt.images. The image is clean while imgGen
+	// equals rt.imageGen: every hand-out or replacement of obj zeroes
+	// imgGen (see dirty), and the next LBView repacks the element.
+	imgOff, imgLen, imgGen uint32
 
 	// Instrumentation (the automatic load database of §III-A). Load is
 	// kept in integer femtoseconds (see Ctx.chargeLoad) so the measured
@@ -84,6 +89,19 @@ type element struct {
 	// invalidateSave, dropSave) ever touch it, and the engine orders those.
 	// A pointer, so an element that is never speculated costs one word.
 	save *elemSave
+}
+
+// dirty marks el's image stale: obj is about to be handed out (a handler,
+// Array.Get) or has been replaced.
+func (el *element) dirty() { el.imgGen = 0 }
+
+// image returns el's image in the arena and whether it is clean.
+func (rt *Runtime) image(el *element) ([]byte, bool) {
+	if el.imgGen != rt.imageGen {
+		return nil, false
+	}
+	end := el.imgOff + el.imgLen
+	return rt.images[el.imgOff:end:end], true
 }
 
 // traceIdx returns the id of the element's rendered index in names (see
@@ -184,6 +202,19 @@ type Runtime struct {
 	// send path schedules without allocating a closure per event.
 	arriveFn des.CommitFn
 	pumpFn   des.PhaseFn
+	// atSyncFn is AtSync's barrier arrival, buffered as a plain effect.
+	atSyncFn func()
+
+	// The image arena (see element.imgOff): every migratable element's
+	// PUP bytes, packed once per LBView and shared by that round's view,
+	// migrations and checkpoint cut. imageGen counts the refills and is never
+	// 0, the generation of a dirty element.
+	images   []byte
+	imageGen uint32
+	// viewObjs and viewEdges are the last LB round's view, reused by the
+	// next (see balance).
+	viewObjs  []LBObject
+	viewEdges []CommEdge
 
 	// In-flight application messages, for quiescence detection.
 	inflight int
@@ -256,9 +287,11 @@ func New(m *machine.Machine) *Runtime {
 		pending:    map[int32][]*message{},
 		activePEs:  m.NumPEs(),
 		metrics:    metrics.NewRegistry(),
+		imageGen:   1, // no element is clean before the first LBView
 	}
 	rt.arriveFn = rt.arriveCommit
 	rt.pumpFn = rt.pumpPhase
+	rt.atSyncFn = rt.arriveAtSync
 	rt.bcastPEH = rt.DeclareNamedPEHandler("rts:bcast", rt.bcastHandler)
 	rt.funcPEH = rt.DeclareNamedPEHandler("rts:func", rt.funcHandler)
 	rt.mcastPEH = rt.DeclareNamedPEHandler("rts:mcast", rt.mcastHandler)
@@ -691,6 +724,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	ctx.chargeLoadWork(rt.mach.Config().RecvOverheadLocal)
 	arr := rt.arrays[m.dest.array]
 	handler := arr.handlers[m.ep]
+	el.dirty()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -477,7 +477,7 @@ func (el *element) packImage() *elemSave {
 		sv = &elemSave{}
 		el.save = sv
 	}
-	sv.img = pup.PackTo(sv.img[:0], el.obj)
+	sv.img = pup.PackTo(sv.img, el.obj)
 	sv.msgsSent, sv.bytesSent = el.msgsSent, el.bytesSent
 	sv.pos, sv.hasPos = el.pos, el.hasPos
 	sv.atSync, sv.redGen = el.atSync, el.redGen
@@ -507,6 +507,7 @@ func (sc *specController) restoreImage(el *element, sv *elemSave) {
 		panic(fmt.Sprintf("charm: rollback pup of %v failed: %v", el.key, err))
 	}
 	el.obj = fresh
+	el.dirty()
 	el.msgsSent, el.bytesSent = sv.msgsSent, sv.bytesSent
 	el.pos, el.hasPos = sv.pos, sv.hasPos
 	el.atSync, el.redGen = sv.atSync, sv.redGen

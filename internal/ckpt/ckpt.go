@@ -12,8 +12,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 
 	"charmgo/internal/charm"
@@ -41,6 +43,9 @@ func (e *ElemSnap) Pup(p *pup.Pup) {
 type ArraySnap struct {
 	Name  string
 	Elems []ElemSnap
+	// arena backs every Elems[i].Data of a cut, so the next cut taken into
+	// this snapshot (Mem recycles them) reuses it.
+	arena []byte //pup:skip //charmvet:specstate (storage behind Data, not chare state; a snapshot is never part of a speculative phase)
 }
 
 func (a *ArraySnap) Pup(p *pup.Pup) {
@@ -61,22 +66,34 @@ func (s *Snapshot) Pup(p *pup.Pup) {
 	pup.Slice(p, &s.Arrays, func(p *pup.Pup, a *ArraySnap) { a.Pup(p) })
 }
 
-// Image is the one traversal of a runtime's state: every element of every
-// declared array, in declaration order and then sorted index order,
-// serialized through its Pup method with its current PE. It counts and
-// traces nothing; Capture is Image plus that accounting.
-func Image(rt *charm.Runtime) *Snapshot {
-	s := &Snapshot{TakenAt: float64(rt.Now()), NumPEs: rt.NumPEs()}
-	for _, arr := range rt.Arrays() {
-		as := ArraySnap{Name: arr.Name()}
-		for _, idx := range arr.Keys() {
-			as.Elems = append(as.Elems, ElemSnap{
-				Idx:  idx,
-				PE:   arr.PEOf(idx),
-				Data: pup.Pack(arr.Get(idx)),
-			})
+// imageInto is the one traversal of a runtime's state, written into s and
+// reusing its slices and arenas: every element of every declared array, in
+// declaration order and then sorted index order, with its PUP bytes
+// (charm.Array.AppendImage: the LB round's clean image where there is one)
+// and its current PE. It counts and traces nothing; Capture adds that.
+func imageInto(rt *charm.Runtime, s *Snapshot) *Snapshot {
+	s.TakenAt, s.NumPEs = float64(rt.Now()), rt.NumPEs()
+	arrs := rt.Arrays()
+	s.Arrays = slices.Grow(s.Arrays[:0], len(arrs))[:len(arrs)]
+	for i, arr := range arrs {
+		as := &s.Arrays[i]
+		as.Name = arr.Name()
+		keys := arr.Keys()
+		as.Elems = slices.Grow(as.Elems[:0], len(keys))[:len(keys)]
+		n := 0
+		for _, idx := range keys {
+			n += arr.ImageLen(idx)
 		}
-		s.Arrays = append(s.Arrays, as)
+		buf := slices.Grow(as.arena[:0], n)
+		for j, idx := range keys {
+			off := len(buf)
+			buf = arr.AppendImage(buf, idx)
+			as.Elems[j] = ElemSnap{Idx: idx, PE: arr.PEOf(idx), Data: buf[off:len(buf):len(buf)]}
+		}
+		if len(buf) != n {
+			panic(fmt.Sprintf("ckpt: %s sized to %d bytes but imaged to %d (unstable Pup method?)", as.Name, n, len(buf)))
+		}
+		as.arena = buf
 	}
 	return s
 }
@@ -86,26 +103,58 @@ func Image(rt *charm.Runtime) *Snapshot {
 // but no timestamp — recovery is a rigid time-shift of the failure-free
 // run, so values and placement must match bit for bit while clocks may not.
 func (s *Snapshot) Digest() string {
-	h := sha256.New()
-	var b []byte
+	d := digest{h: sha256.New()}
 	for _, as := range s.Arrays {
-		b = append(append(append(b[:0], '['), as.Name...), ']')
-		h.Write(b)
+		d.array(as.Name)
 		for i := range as.Elems {
 			es := &as.Elems[i]
-			b = es.Idx.AppendTo(append(b[:0], '|'))
-			b = append(strconv.AppendInt(append(b, '@'), int64(es.PE), 10), ':')
-			h.Write(b)
-			h.Write(es.Data)
+			d.elem(es.Idx, es.PE, es.Data)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// ImageDigest is the Digest of the cut Capture would take now, hashed as
+// each element is imaged into one reused buffer: no snapshot is built.
+func ImageDigest(rt *charm.Runtime) string {
+	d := digest{h: sha256.New()}
+	var buf []byte
+	for _, arr := range rt.Arrays() {
+		d.array(arr.Name())
+		for _, idx := range arr.Keys() {
+			buf = arr.AppendImage(buf[:0], idx)
+			d.elem(idx, arr.PEOf(idx), buf)
+		}
+	}
+	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// digest is Digest's stream: h and a scratch buffer for the separators.
+type digest struct {
+	h hash.Hash
+	b []byte
+}
+
+func (d *digest) array(name string) {
+	d.b = append(append(append(d.b[:0], '['), name...), ']')
+	d.h.Write(d.b)
+}
+
+func (d *digest) elem(idx charm.Index, pe int, data []byte) {
+	d.b = idx.AppendTo(append(d.b[:0], '|'))
+	d.b = append(strconv.AppendInt(append(d.b, '@'), int64(pe), 10), ':')
+	d.h.Write(d.b)
+	d.h.Write(data)
 }
 
 // Capture serializes every element of every declared array through its Pup
-// method (CkStartCheckpoint's data-gathering step).
-func Capture(rt *charm.Runtime) *Snapshot {
-	s := Image(rt)
+// method (CkStartCheckpoint's data-gathering step), counting and tracing
+// the cut.
+func Capture(rt *charm.Runtime) *Snapshot { return captureInto(rt, &Snapshot{}) }
+
+// captureInto is Capture writing into s (see imageInto).
+func captureInto(rt *charm.Runtime, s *Snapshot) *Snapshot {
+	imageInto(rt, s)
 	rt.Metrics().Counter("ckpt.captures").Inc()
 	rt.Metrics().Counter("ckpt.bytes").Add(uint64(s.TotalBytes()))
 	if h := rt.Trace(); h != nil {

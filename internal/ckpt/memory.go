@@ -123,6 +123,7 @@ type Mem struct {
 	degree int // R: remote copies per PE (>=1)
 
 	snap    *Snapshot // the logical content of the distributed checkpoints
+	spare   *Snapshot // the one snap replaced: storage for the next cut
 	holders [][]int   // per PE, the shard's holder set at the last checkpoint
 	lost    map[int]bool
 	doomed  map[int]bool
@@ -197,7 +198,12 @@ func (m *Mem) Holders(pe int) []int {
 // barrier. A successful checkpoint re-establishes full redundancy: the
 // lost-copy ledger is cleared.
 func (m *Mem) Checkpoint() des.Time {
-	m.snap = Capture(m.rt)
+	into := m.spare
+	if into == nil {
+		into = &Snapshot{}
+	}
+	m.spare = m.snap
+	m.snap = captureInto(m.rt, into)
 	m.Checkpoints++
 	m.rt.Metrics().Counter("ckpt.mem_checkpoints").Inc()
 	n := m.rt.NumPEs()
@@ -225,7 +231,8 @@ func (m *Mem) HasCheckpoint() bool { return m.snap != nil }
 func (m *Mem) Recovering() (bool, []int) { return m.recovering, m.failedPEs }
 
 // Snapshot returns the current checkpoint content (nil before the first
-// Checkpoint). Read-only: tools such as cmd/ckptinfo inspect it.
+// Checkpoint). Read-only: tools such as cmd/ckptinfo inspect it. It stays
+// valid until the second Checkpoint after it, which reuses its storage.
 func (m *Mem) Snapshot() *Snapshot { return m.snap }
 
 // PlanRecovery chooses, for each failed PE, the nearest holder whose copy
@@ -318,7 +325,7 @@ func (m *Mem) StartRecovery(plan *RecoveryPlan) (des.Time, error) {
 	// Roll every element back to the checkpoint, placing it on its
 	// checkpoint-time PE (replacements inherit the failed PEs' ids).
 	err := rebuild(m.rt, m.snap, "recover", func(arr *charm.Array, es *ElemSnap, obj charm.Chare) {
-		if arr.Get(es.Idx) != nil {
+		if arr.PEOf(es.Idx) >= 0 {
 			arr.Replace(es.Idx, obj, es.PE)
 		} else {
 			arr.InsertOn(es.Idx, obj, es.PE)
@@ -328,15 +335,16 @@ func (m *Mem) StartRecovery(plan *RecoveryPlan) (des.Time, error) {
 		m.recovering = false
 		return 0, err
 	}
-	// Elements created after the checkpoint are rolled away.
+	// Elements created after the checkpoint are rolled away: a live key
+	// the cut does not hold. Both lists are in sorted index order.
 	for _, as := range m.snap.Arrays {
-		inSnap := make(map[charm.Index]bool, len(as.Elems))
-		for _, es := range as.Elems {
-			inSnap[es.Idx] = true
-		}
 		arr := m.rt.ArrayByName(as.Name)
+		i := 0
 		for _, idx := range arr.Keys() {
-			if !inSnap[idx] {
+			for i < len(as.Elems) && as.Elems[i].Idx.Less(idx) {
+				i++
+			}
+			if i == len(as.Elems) || as.Elems[i].Idx != idx {
 				arr.Remove(idx)
 			}
 		}

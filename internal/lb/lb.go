@@ -273,9 +273,19 @@ func indexOf(pes []charm.LBPE, id int) int {
 	return 0
 }
 
-// diff converts an assignment vector into the minimal migration list.
+// diff converts an assignment vector into the minimal migration list, in
+// one exact allocation.
 func diff(objs []charm.LBObject, dest []int) []charm.Migration {
-	var migs []charm.Migration
+	n := 0
+	for i, o := range objs {
+		if dest[i] != o.PE {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	migs := make([]charm.Migration, 0, n)
 	for i, o := range objs {
 		if dest[i] != o.PE {
 			migs = append(migs, charm.Migration{Array: o.Array, Idx: o.Idx, ToPE: dest[i]})

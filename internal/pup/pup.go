@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -52,6 +52,9 @@ type Pup struct {
 	mode Mode
 	buf  []byte
 	off  int
+	// grow: a packing cursor appends, growing buf as it goes (Append,
+	// PackTo), instead of filling a buffer sized up front (NewPacker).
+	grow bool
 }
 
 // NewSizer returns a Pup that measures.
@@ -85,7 +88,17 @@ func (p *Pup) need(n int) []byte {
 		return nil
 	case Packing:
 		if p.off+n > len(p.buf) {
-			panic(fmt.Sprintf("pup: packing overflow at %d+%d of %d", p.off, n, len(p.buf)))
+			if !p.grow {
+				panic(fmt.Sprintf("pup: packing overflow at %d+%d of %d", p.off, n, len(p.buf)))
+			}
+			if p.off+n > cap(p.buf) {
+				// Double, rather than append's 1.25x for large slices: an
+				// arena packed from empty allocates about twice its size.
+				nb := make([]byte, p.off, max(2*cap(p.buf), p.off+n, 64))
+				copy(nb, p.buf[:p.off])
+				p.buf = nb
+			}
+			p.buf = p.buf[:p.off+n]
 		}
 	case Unpacking:
 		if p.off+n > len(p.buf) {
@@ -288,7 +301,8 @@ func Slice[T any](p *Pup, v *[]T, elem func(*Pup, *T)) {
 }
 
 // cursorPool recycles Pup cursors: Size sits on the runtime's per-send
-// message-sizing path, where a fresh cursor per call is pure garbage.
+// message-sizing path and Unpack on every migration, where a fresh cursor
+// per call is pure garbage.
 var cursorPool = sync.Pool{New: func() any { return new(Pup) }}
 
 // Size measures the serialized size of obj.
@@ -297,36 +311,32 @@ func Size(obj Pupable) int {
 	*s = Pup{mode: Sizing}
 	obj.Pup(s)
 	n := s.off
-	s.buf = nil
 	cursorPool.Put(s)
 	return n
 }
 
-// Pack serializes obj into a fresh buffer.
+// Pack serializes obj into a fresh buffer of exactly its size.
 func Pack(obj Pupable) []byte {
-	return PackTo(nil, obj)
+	return Append(make([]byte, 0, Size(obj)), obj)
 }
 
 // PackTo serializes obj into buf, reusing its capacity and growing it as
 // needed; it returns the packed bytes. Pair with GetBuffer/PutBuffer to
 // recycle pack buffers across migrations and checkpoints.
 func PackTo(buf []byte, obj Pupable) []byte {
-	n := Size(obj)
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
+	return Append(buf[:0], obj)
+}
+
+// Append serializes obj onto the end of dst in one packing traversal,
+// growing dst as needed, and returns the extended slice.
+func Append(dst []byte, obj Pupable) []byte {
 	pk := cursorPool.Get().(*Pup)
-	*pk = Pup{mode: Packing, buf: buf}
+	*pk = Pup{mode: Packing, buf: dst, off: len(dst), grow: true}
 	obj.Pup(pk)
-	off := pk.off
+	dst = pk.buf[:pk.off]
 	pk.buf = nil
 	cursorPool.Put(pk)
-	if off != n {
-		panic(fmt.Sprintf("pup: sizing/packing disagreement: %d vs %d (unstable Pup method?)", off, n))
-	}
-	return buf
+	return dst
 }
 
 // bufPool recycles pack buffers (as *[]byte to keep Put allocation-free in
@@ -355,15 +365,18 @@ func PutBuffer(b []byte) {
 // Unpack restores obj from data, returning an error if the Pup method does
 // not consume the buffer exactly.
 func Unpack(data []byte, obj Pupable) (err error) {
+	up := cursorPool.Get().(*Pup)
+	*up = Pup{mode: Unpacking, buf: data}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pup: unpack: %v", r)
 		}
+		up.buf = nil
+		cursorPool.Put(up)
 	}()
-	up := NewUnpacker(data)
 	obj.Pup(up)
-	if up.Bytes() != len(data) {
-		return fmt.Errorf("pup: unpack consumed %d of %d bytes", up.Bytes(), len(data))
+	if up.off != len(data) {
+		return fmt.Errorf("pup: unpack consumed %d of %d bytes", up.off, len(data))
 	}
 	return nil
 }
@@ -400,7 +413,15 @@ func Map[K comparable, V any](p *Pup, m *map[K]V, keyLess func(a, b K) bool,
 	for k := range *m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	slices.SortFunc(keys, func(a, b K) int {
+		if keyLess(a, b) {
+			return -1
+		}
+		if keyLess(b, a) {
+			return 1
+		}
+		return 0
+	})
 	for _, k := range keys {
 		v := (*m)[k]
 		pupK(p, &k)

@@ -16,7 +16,8 @@ import (
 )
 
 // RoundTrip drives obj through all three traversal modes: it sizes and
-// packs obj (pup.Pack panics on any sizing/packing disagreement), unpacks
+// packs obj, requiring the two to agree (packing appends as it goes, so
+// nothing else catches a Pup method that sizes differently), unpacks
 // the bytes into a freshly allocated instance of the same type, and
 // verifies the restored instance re-serializes to identical bytes. Fields
 // deliberately outside the Pup contract (//pup:skip) do not participate,
@@ -61,6 +62,9 @@ func cycle(obj pup.Pupable) (buf []byte, fresh pup.Pupable, err error) {
 		}
 	}()
 	buf = pup.Pack(obj)
+	if n := pup.Size(obj); n != len(buf) {
+		return nil, nil, fmt.Errorf("puptest: %T: sizes to %d bytes but packs to %d (unstable Pup method?)", obj, n, len(buf))
+	}
 	fresh = reflect.New(rv.Type().Elem()).Interface().(pup.Pupable)
 	if err := pup.Unpack(buf, fresh); err != nil {
 		return nil, nil, fmt.Errorf("puptest: %T: %v", obj, err)

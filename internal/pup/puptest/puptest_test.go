@@ -79,3 +79,22 @@ func TestRoundTripRejectsNonPointer(t *testing.T) {
 		t.Fatal("want error for nil pointer")
 	}
 }
+
+// padder sizes one word more than it packs: packing and unpacking agree, so
+// only the explicit sizing check can expose it.
+type padder struct{ A int }
+
+func (d *padder) Pup(p *pup.Pup) {
+	p.Int(&d.A)
+	if p.IsSizing() {
+		var pad int
+		p.Int(&pad)
+	}
+}
+
+func TestRoundTripCatchesSizingDisagreement(t *testing.T) {
+	err := RoundTrip(&padder{A: 3})
+	if err == nil || !strings.Contains(err.Error(), "sizes to 16 bytes but packs to 8") {
+		t.Fatalf("want a sizing/packing disagreement, got %v", err)
+	}
+}
