@@ -1,9 +1,13 @@
 // Command leanmd runs the LeanMD molecular-dynamics mini-app on a chosen
 // virtual machine, optionally with load balancing, in-memory
 // checkpointing, a simulated PE failure, or a mid-run shrink/expand.
+//
+// It exits 2 on a usage error, before running anything, and 1 when the run
+// or a file fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,37 +24,73 @@ import (
 	"charmgo/internal/apps/leanmd"
 )
 
-func main() {
-	pes := flag.Int("pes", 64, "processing elements")
-	cells := flag.Int("cells", 6, "cells per dimension")
-	atoms := flag.Int("atoms", 27, "atoms per cell (capped at the safe density)")
-	steps := flag.Int("steps", 20, "simulation steps")
-	gaussian := flag.Float64("gaussian", 0, "atom concentration (0 = uniform)")
-	balancer := flag.String("lb", "", "load balancer: greedy, refine, hybrid, distributed, orb")
-	lbPeriod := flag.Int("lb-period", 5, "AtSync period in steps")
-	memCkpt := flag.Int("ckpt-step", 0, "take an in-memory checkpoint at this step (0 = off)")
-	failStep := flag.Int("fail-step", 0, "kill PE 1 at this step and recover (0 = off)")
-	shrinkTo := flag.Int("shrink-to", 0, "shrink to this PE count at the midpoint (0 = off)")
-	mach := flag.String("machine", "vesta", "machine: vesta, bluewaters, stampede, hopper, cloud")
-	multicast := flag.Bool("multicast", false, "send cell positions via section multicast")
-	traceOut := flag.String("trace", "", "write a utilization trace (JSON) to this file")
-	perfetto := flag.String("perfetto", "", "record an event trace and write Chrome trace-event JSON here")
-	eventsOut := flag.String("events", "", "record an event trace and write the raw event log here")
-	profile := flag.Bool("profile", false, "record an event trace and print the projections summary")
-	telemetryAddr := flag.String("telemetry", "", "serve live introspection (/status, /metrics, /events, pprof) on this address, e.g. :8080")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	rt := charm.New(machine.New(pickMachine(*mach, *pes)))
+// run is main with its arguments and streams passed in: it returns 2 on a
+// usage error, before running anything, and 1 when the run or a file fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("leanmd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pes := fs.Int("pes", 64, "processing elements")
+	cells := fs.Int("cells", 6, "cells per dimension")
+	atoms := fs.Int("atoms", 27, "atoms per cell (capped at the safe density)")
+	steps := fs.Int("steps", 20, "simulation steps")
+	gaussian := fs.Float64("gaussian", 0, "atom concentration (0 = uniform)")
+	balancer := fs.String("lb", "", "load balancer: greedy, refine, hybrid, distributed, orb")
+	lbPeriod := fs.Int("lb-period", 5, "AtSync period in steps")
+	memCkpt := fs.Int("ckpt-step", 0, "take an in-memory checkpoint at this step (0 = off)")
+	failStep := fs.Int("fail-step", 0, "kill PE 1 at this step and recover (0 = off)")
+	shrinkTo := fs.Int("shrink-to", 0, "shrink to this PE count at the midpoint (0 = off)")
+	mach := fs.String("machine", "vesta", "machine: vesta, bluewaters, stampede, hopper, cloud")
+	multicast := fs.Bool("multicast", false, "send cell positions via section multicast")
+	traceOut := fs.String("trace", "", "write a utilization trace (JSON) to this file")
+	perfetto := fs.String("perfetto", "", "record an event trace and write Chrome trace-event JSON here")
+	eventsOut := fs.String("events", "", "record an event trace and write the raw event log here")
+	profile := fs.Bool("profile", false, "record an event trace and print the projections summary")
+	telemetryAddr := fs.String("telemetry", "", "serve live introspection (/status, /metrics, /events, pprof) on this address, e.g. :8080")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"pes", *pes, 1}, {"cells", *cells, 3}, {"atoms", *atoms, 1}, {"steps", *steps, 1}, {"lb-period", *lbPeriod, 1},
+		{"ckpt-step", *memCkpt, 0}, {"fail-step", *failStep, 0}, {"shrink-to", *shrinkTo, 0}} {
+		if f.v < f.min {
+			fmt.Fprintf(stderr, "leanmd: -%s %d out of range (want >= %d)\n", f.name, f.v, f.min)
+			return 2
+		}
+	}
+	newMachine := machines[*mach]
+	strategy, knownLB := strategies[*balancer]
+	var err error
+	switch {
+	case newMachine == nil:
+		err = fmt.Errorf("unknown machine %q", *mach)
+	case !knownLB:
+		err = fmt.Errorf("unknown balancer %q", *balancer)
+	case *failStep > 0 && (*memCkpt == 0 || *memCkpt > *failStep):
+		err = fmt.Errorf("-fail-step %d needs a -ckpt-step at or before it", *failStep)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "leanmd:", err)
+		return 2
+	}
+
+	rt := charm.New(machine.New(newMachine(*pes)))
 	if *telemetryAddr != "" {
 		tel := telemetry.Attach(rt, telemetry.Options{})
 		defer tel.DumpOnPanic()
 		srv, err := telemetry.Serve(*telemetryAddr, tel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Printf("telemetry: http://%s\n", srv.Addr())
+		fmt.Fprintf(stdout, "telemetry: http://%s\n", srv.Addr())
 	}
 	cfg := leanmd.Config{
 		CellsX: *cells, CellsY: *cells, CellsZ: *cells,
@@ -61,122 +101,97 @@ func main() {
 	if engine := *perfetto != "" || *eventsOut != "" || *profile; engine || *traceOut != "" {
 		events = projections.Attach(rt, projections.Options{EngineEvents: engine})
 	}
-	if s := pickStrategy(*balancer); s != nil {
-		rt.SetBalancer(s)
+	if strategy != nil {
+		rt.SetBalancer(strategy)
 		cfg.LBPeriod = *lbPeriod
 	}
 	var mem *ckpt.Mem
 	mgr := malleable.NewManager(rt)
+	// StepHook cannot return an error: keep them and report them after the
+	// run.
+	var hookErr error
 	cfg.StepHook = func(step int) {
 		if *memCkpt > 0 && step == *memCkpt {
 			mem = ckpt.NewMem(rt)
 			d := mem.Checkpoint()
-			fmt.Printf("step %d: in-memory checkpoint took %.1f ms (virtual)\n", step, float64(d)*1e3)
+			fmt.Fprintf(stdout, "step %d: in-memory checkpoint took %.1f ms (virtual)\n", step, float64(d)*1e3)
 		}
 		if *failStep > 0 && step == *failStep {
-			if mem == nil {
-				fmt.Fprintln(os.Stderr, "fail-step needs an earlier ckpt-step")
-				os.Exit(2)
-			}
 			d, err := mem.FailAndRecover(1)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				hookErr = errors.Join(hookErr, err)
+				return
 			}
-			fmt.Printf("step %d: PE 1 failed; recovery took %.1f ms (virtual)\n", step, float64(d)*1e3)
+			fmt.Fprintf(stdout, "step %d: PE 1 failed; recovery took %.1f ms (virtual)\n", step, float64(d)*1e3)
 		}
 		if *shrinkTo > 0 && step == *steps/2 {
 			if err := mgr.Reconfigure(*shrinkTo); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				hookErr = errors.Join(hookErr, err)
+				return
 			}
-			fmt.Printf("step %d: shrunk to %d PEs\n", step, *shrinkTo)
+			fmt.Fprintf(stdout, "step %d: shrunk to %d PEs\n", step, *shrinkTo)
 		}
 	}
 
 	res, err := leanmd.Run(rt, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err = errors.Join(err, hookErr); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	ts := res.StepTimes()
-	fmt.Printf("atoms=%d steps=%d PEs=%d machine=%s\n", res.Atoms, len(ts), rt.NumPEs(), *mach)
+	fmt.Fprintf(stdout, "atoms=%d steps=%d PEs=%d machine=%s\n", res.Atoms, len(ts), rt.NumPEs(), *mach)
 	for i, t := range ts {
-		fmt.Printf("step %3d  %.4f s  energy %.3f\n", i, t, res.Energy[i])
+		fmt.Fprintf(stdout, "step %3d  %.4f s  energy %.3f\n", i, t, res.Energy[i])
 	}
-	fmt.Printf("total virtual time: %.4f s; migrations: %d; LB rounds: %d\n",
+	fmt.Fprintf(stdout, "total virtual time: %.4f s; migrations: %d; LB rounds: %d\n",
 		float64(res.Elapsed), rt.Stats.Migrations, rt.LBRounds())
-	if events != nil {
-		if *profile {
-			fmt.Println()
-			if err := events.WriteSummary(os.Stdout, 10); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		writeEvents := func(path string, fn func(io.Writer) error, what string) {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := fn(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s: %d events to %s\n", what, events.Recorded(), path)
-		}
-		if *traceOut != "" {
-			writeEvents(*traceOut, events.Utilization(1e-4).WriteJSON, "utilization trace")
-		}
-		if *perfetto != "" {
-			writeEvents(*perfetto, func(w io.Writer) error {
-				return projections.WritePerfetto(w, events.Events(), events.Names())
-			}, "perfetto trace")
-		}
-		if *eventsOut != "" {
-			writeEvents(*eventsOut, func(w io.Writer) error {
-				return projections.WriteLog(w, events.Events(), events.Names())
-			}, "event log")
+	if events == nil {
+		return 0
+	}
+	if *profile {
+		fmt.Fprintln(stdout)
+		if err := events.WriteSummary(stdout, 10); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	for _, out := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{*traceOut, "utilization trace", func(w io.Writer) error { return events.Utilization(1e-4).WriteJSON(w) }},
+		{*perfetto, "perfetto trace", func(w io.Writer) error { return projections.WritePerfetto(w, events.Events(), events.Names()) }},
+		{*eventsOut, "event log", func(w io.Writer) error { return projections.WriteLog(w, events.Events(), events.Names()) }},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if err := writeFile(out.path, out.write); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%s: %d events to %s\n", out.what, events.Recorded(), out.path)
+	}
+	return 0
 }
 
-func pickMachine(name string, pes int) machine.Config {
-	switch name {
-	case "vesta":
-		return machine.Vesta(pes)
-	case "bluewaters":
-		return machine.BlueWaters(pes)
-	case "stampede":
-		return machine.Stampede(pes)
-	case "hopper":
-		return machine.Hopper(pes)
-	case "cloud":
-		return machine.Cloud(pes)
+// writeFile creates path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "unknown machine %q\n", name)
-	os.Exit(2)
-	return machine.Config{}
+	return errors.Join(write(f), f.Close())
 }
 
-func pickStrategy(name string) charm.Strategy {
-	switch name {
-	case "":
-		return nil
-	case "greedy":
-		return lb.Greedy{}
-	case "refine":
-		return lb.Refine{}
-	case "hybrid":
-		return lb.Hybrid{}
-	case "distributed":
-		return lb.Distributed{Seed: 1}
-	case "orb":
-		return lb.ORB{}
+// machines and strategies are the -machine and -lb names.
+var (
+	machines = map[string]func(pes int) machine.Config{
+		"vesta": machine.Vesta, "bluewaters": machine.BlueWaters, "stampede": machine.Stampede,
+		"hopper": machine.Hopper, "cloud": machine.Cloud,
 	}
-	fmt.Fprintf(os.Stderr, "unknown balancer %q\n", name)
-	os.Exit(2)
-	return nil
-}
+	strategies = map[string]charm.Strategy{
+		"": nil, "greedy": lb.Greedy{}, "refine": lb.Refine{}, "hybrid": lb.Hybrid{},
+		"distributed": lb.Distributed{Seed: 1}, "orb": lb.ORB{},
+	}
+)

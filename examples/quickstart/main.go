@@ -68,7 +68,7 @@ func main() {
 
 	// Kick the token around the ring three times, then gather stats.
 	ring.Send(charmgo.Idx1(0), epToken, 3*ringSize)
-	rt.Engine().After(1.0, func() {
+	rt.Engine().At(rt.Now()+1.0, func() {
 		ring.Broadcast(epStats, nil)
 	})
 

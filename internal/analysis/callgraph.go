@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -709,9 +710,20 @@ func (g *Graph) markFuncArg(n *Node, arg ast.Expr, kind RootKind) {
 	}
 }
 
+// schedulers names the methods that schedule their function-valued
+// arguments to run later as event bodies, by the package names their
+// receivers are declared in: the engine contract's three forms, and the
+// runtime's two timers.
+var schedulers = []struct {
+	pkgs, methods []string
+}{
+	{[]string{"des", "parsim"}, []string{"At", "AtShardFn", "AtShardCommit"}},
+	{[]string{"charm"}, []string{"ExecuteOnPE", "atEpoch"}},
+}
+
 // scheduleCallKind reports whether call schedules its function-valued
 // arguments to run later as events: Ctx.Defer/emit (commit closures) and
-// the engine's At/After family (timer and event bodies).
+// the schedulers (timer and event bodies).
 func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -722,17 +734,11 @@ func scheduleCallKind(info *types.Info, call *ast.CallExpr) (RootKind, bool) {
 		return "", false
 	}
 	name := sel.Sel.Name
-	switch name {
-	case "Defer", "emit":
-		if isCtxPtr(recv) {
-			return RootCommit, true
-		}
-	case "At", "After", "AtShard", "AtShardFn", "AtShardCommit", "RunAt":
-		if typeInPkgNamed(recv, "des", "parsim") {
-			return RootSchedule, true
-		}
-	case "ExecuteOnPE", "atEpoch", "AtEpoch":
-		if typeInPkgNamed(recv, "charm") {
+	if (name == "Defer" || name == "emit") && isCtxPtr(recv) {
+		return RootCommit, true
+	}
+	for _, s := range schedulers {
+		if slices.Contains(s.methods, name) && typeInPkgNamed(recv, s.pkgs...) {
 			return RootSchedule, true
 		}
 	}

@@ -211,8 +211,13 @@ type App struct {
 // New creates the LP array and the initial PHOLD event population.
 func New(rt *charm.Runtime, cfg Config) (*App, error) {
 	cfg = cfg.withDefaults()
-	if cfg.LPs < 1 {
+	switch {
+	case cfg.LPs < 1:
 		return nil, fmt.Errorf("pdes: need LPs")
+	case cfg.EventsPerLP < 1:
+		return nil, fmt.Errorf("pdes: EventsPerLP %d out of range (want >= 1)", cfg.EventsPerLP)
+	case cfg.TargetEvents < 0:
+		return nil, fmt.Errorf("pdes: TargetEvents %d out of range (want >= 0)", cfg.TargetEvents)
 	}
 	a := &App{rt: rt, cfg: cfg, res: &Result{}}
 	a.onWindowCB = charm.CallbackFunc(0, a.onWindow)

@@ -12,6 +12,20 @@ func newRT(pes int) *charm.Runtime {
 	return charm.New(machine.New(machine.Stampede(pes)))
 }
 
+// TestNewRejectsBadSizes: a negative population or target is an error, not
+// a run that commits nothing (zero still means the default).
+func TestNewRejectsBadSizes(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{LPs: 8, EventsPerLP: -1},
+		{LPs: 8, TargetEvents: -5},
+	} {
+		if _, err := New(newRT(2), cfg); err == nil {
+			t.Errorf("New(%+v) accepted it", cfg)
+		}
+	}
+}
+
 func TestPholdRuns(t *testing.T) {
 	rt := newRT(16)
 	res, err := Run(rt, Config{LPs: 64, EventsPerLP: 8, TargetEvents: 2000, Seed: 1})

@@ -129,7 +129,7 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 			}
 		}
 		round := func() {
-			rt.eng.After(0, inject)
+			rt.eng.At(rt.eng.Now(), inject)
 			rt.eng.Run()
 		}
 		round()
@@ -183,7 +183,7 @@ func TestTracedDeliveryAllocFree(t *testing.T) {
 		rt.send(m, rt.eng.Now())
 	}
 	round := func() {
-		rt.eng.After(0, inject)
+		rt.eng.At(rt.eng.Now(), inject)
 		rt.eng.Run()
 	}
 	for i := 0; i < 64; i++ { // warm the pools, the calendar and the index's id
@@ -219,6 +219,49 @@ func TestEventRecordAlloc(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Event{}), "Event")
+}
+
+// TestLocationHintAllocs: a location hint from the home PE back to a sender
+// is one allocation of at most 64 B, its locHint record; the event body is
+// the runtime's preallocated hintFn, so no closure rides along, and landing
+// the hint in an existing table allocates nothing.
+func TestLocationHintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if n := unsafe.Sizeof(locHint{}); n > 64 {
+		t.Errorf("unsafe.Sizeof(locHint{}) = %d, want <= 64", n)
+	}
+	rt := testRT(2)
+	arr := declCounters(rt, ArrayOpts{})
+	arr.InsertOn(Idx1(0), &counter{}, 1)
+	el := arr.lookup(Idx1(0))
+	hint := func() {
+		rt.updateLocCache(0, el.key, el.pe, 1, el.eid)
+		rt.eng.Run()
+	}
+	// Warm up: PE 0's first hint makes its table, and the calendar's
+	// buckets grow as the clock walks through them.
+	for i := 0; i < 8192; i++ {
+		hint()
+	}
+	if ent, ok := rt.pes[0].loc.get(arr, &el.key); !ok || int(ent.pe) != el.pe {
+		t.Fatalf("PE 0's hint for %v = %+v, %v; want PE %d", el.key, ent, ok, el.pe)
+	}
+	const hints = 1000
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hints; i++ {
+		hint()
+	}
+	runtime.ReadMemStats(&after)
+	objs := float64(after.Mallocs-before.Mallocs) / hints
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / hints
+	t.Logf("%.2f allocations, %.1f B per hint", objs, bytes)
+	if objs > 1 || bytes > 64 {
+		t.Fatalf("a hint costs %.2f allocations and %.1f B, want 1 of at most 64 B", objs, bytes)
+	}
 }
 
 // A record's Arr id has 16 bits: an array past MaxArrays fails with an

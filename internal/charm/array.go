@@ -183,8 +183,16 @@ func (a *Array) Name() string { return a.name }
 // Len returns the number of live elements.
 func (a *Array) Len() int { return a.live }
 
-// NewElement invokes the array's factory.
-func (a *Array) NewElement() Chare { return a.factory() }
+// Unpack returns a factory-fresh element object with data, PUP bytes of
+// one of the array's elements, unpacked into it. Migration, rollback and
+// checkpoint restart all restore state through it.
+func (a *Array) Unpack(data []byte) (Chare, error) {
+	obj := a.factory()
+	if err := pup.Unpack(data, obj); err != nil {
+		return nil, fmt.Errorf("unpacking a %s element: %w", a.name, err)
+	}
+	return obj, nil
+}
 
 // Insert creates an element at its home PE (bulk construction before or
 // during the run). Use Ctx.Insert for dynamic insertion on a specific PE.
@@ -406,13 +414,12 @@ func (rt *Runtime) moveElement(el *element, toPE int, charge bool) int {
 		data = pup.PackTo(pup.GetBuffer(), el.obj)
 	}
 	size := len(data) + migrationEnvelope
-	fresh := rt.arrays[el.key.array].NewElement()
-	err := pup.Unpack(data, fresh)
+	fresh, err := rt.arrays[el.key.array].Unpack(data)
 	if !clean {
 		pup.PutBuffer(data)
 	}
 	if err != nil {
-		panic(fmt.Sprintf("charm: migration pup of %v failed: %v", el.key, err))
+		panic(fmt.Sprintf("charm: migration of %v: %v", el.key, err))
 	}
 	el.obj = fresh
 	if charge {

@@ -433,7 +433,7 @@ func TestDynamicInsertBuffersEarlyMessages(t *testing.T) {
 		// Send to an element that does not exist yet.
 		ctx.Send(arr, Idx1(99), epBump, int64(42))
 	})
-	rt.Engine().After(0.001, func() {
+	rt.Engine().At(rt.Now()+0.001, func() {
 		arr.Insert(Idx1(99), &counter{})
 	})
 	rt.Run()

@@ -197,11 +197,13 @@ type Runtime struct {
 	// pre-compaction numbering.
 	tableEpoch uint64
 
-	// Preallocated event bodies for the two hot scheduling paths (message
-	// arrival, PE pump): method values created once so the steady-state
-	// send path schedules without allocating a closure per event.
+	// Preallocated event bodies (message arrival, PE pump, location hint,
+	// ExecuteOnPE's enqueue): method values created once, so no sharded
+	// event allocates a closure.
 	arriveFn des.CommitFn
 	pumpFn   des.PhaseFn
+	hintFn   des.PhaseFn
+	execFn   des.CommitFn
 	// atSyncFn is AtSync's barrier arrival, buffered as a plain effect.
 	atSyncFn func()
 
@@ -291,6 +293,8 @@ func New(m *machine.Machine) *Runtime {
 	}
 	rt.arriveFn = rt.arriveCommit
 	rt.pumpFn = rt.pumpPhase
+	rt.hintFn = rt.hintPhase
+	rt.execFn = rt.execCommit
 	rt.atSyncFn = rt.arriveAtSync
 	rt.bcastPEH = rt.DeclareNamedPEHandler("rts:bcast", rt.bcastHandler)
 	rt.funcPEH = rt.DeclareNamedPEHandler("rts:func", rt.funcHandler)
@@ -555,32 +559,44 @@ func (rt *Runtime) arrive(m *message, dst int) {
 	rt.pending[eid] = append(rt.pending[eid], m)
 }
 
+// locHint is one location hint in flight from a home PE to a sender: the
+// entry to cache for key, and the epochs it was minted under.
+type locHint struct {
+	key               elemKey
+	ent               locEnt
+	epoch, tableEpoch uint64
+}
+
 // updateLocCache ships the owner hint from the home PE back to the sender
 // as a zero-cost control event that lands after the home→sender network
 // latency. An instantaneous cross-PE cache write would let information
 // travel faster than the network's minimum latency — unphysical, and fatal
 // to the parallel backend's lookahead reasoning — so the hint arrives like
-// any other message and the cache stays strictly shard-local state.
+// any other message and the cache stays strictly shard-local state. The
+// body is the preallocated rt.hintFn, the sender in the integer argument.
 func (rt *Runtime) updateLocCache(srcPE int, key elemKey, ownerPE, homePE int, eid int32) {
 	at := rt.eng.Now() + rt.mach.NetDelay(homePE, srcPE, 24)
-	epoch, tep := rt.epoch, rt.tableEpoch
-	ent := locEnt{pe: int32(ownerPE), eid: eid}
-	rt.eng.AtShard(rt.ShardOf(srcPE), at, func() func() {
-		// Epoch reads from a phase are race-free: rollbacks bump the epoch —
-		// and compaction the table epoch — only inside global events, which
-		// never overlap a phase. A hint minted under an older table numbering
-		// must die rather than poison the cache with a remapped eid.
-		if rt.epoch == epoch && rt.tableEpoch == tep {
-			// The hint-arrival event runs on srcPE's shard: the write is
-			// shard-local, and a speculated one is undone from what it replaced.
-			p := rt.pes[srcPE]
-			prev, had := p.loc.put(rt.arrays[key.array], key, ent)
-			if sp := rt.specFor(srcPE); sp != nil {
-				sp.cacheP, sp.cacheKey, sp.cacheEnt, sp.cacheHad = p, key, prev, had
-			}
+	h := &locHint{key: key, ent: locEnt{pe: int32(ownerPE), eid: eid}, epoch: rt.epoch, tableEpoch: rt.tableEpoch}
+	rt.eng.AtShardFn(rt.ShardOf(srcPE), at, rt.hintFn, h, int64(srcPE))
+}
+
+// hintPhase is the phase body of every location-hint arrival (a *locHint
+// for PE b). Epoch reads from a phase are race-free: rollbacks bump the
+// epoch — and compaction the table epoch — only inside global events, which
+// never overlap a phase. A hint minted under an older table numbering must
+// die rather than poison the cache with a remapped eid.
+func (rt *Runtime) hintPhase(a any, b int64, _ des.Time) func() {
+	h, pe := a.(*locHint), int(b)
+	if rt.epoch == h.epoch && rt.tableEpoch == h.tableEpoch {
+		// The event runs on pe's shard: the write is shard-local, and a
+		// speculated one is undone from what it replaced.
+		p := rt.pes[pe]
+		prev, had := p.loc.put(rt.arrays[h.key.array], h.key, h.ent)
+		if sp := rt.specFor(pe); sp != nil {
+			sp.cacheP, sp.cacheKey, sp.cacheEnt, sp.cacheHad = p, h.key, prev, had
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // enqueue places m in dst's scheduler queue and pumps the PE.
@@ -820,27 +836,30 @@ func (rt *Runtime) DecInflight(n int) {
 
 // ExecuteOnPE schedules fn to run on PE pe after delay, as a normal
 // scheduler message (it queues behind the PE's current work). Transport
-// libraries use it for flush timers.
+// libraries use it for flush timers. The message is built here and enqueued
+// by a commit-only event whose body is the preallocated rt.execFn, with the
+// epoch at arming time in the integer argument. A negative delay schedules
+// into the past, which the engine refuses with a panic.
 func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
-	if delay < 0 {
-		panic(fmt.Sprintf("charm: ExecuteOnPE with negative delay %v", delay))
+	m := getMsg()
+	m.destPE = pe
+	m.ep = EP(rt.funcPEH)
+	m.payload = funcMsg{fn: func(ctx *Ctx, _ any) { fn(ctx) }}
+	m.prio = prioControl
+	m.size = 16
+	m.srcPE = pe
+	rt.eng.AtShardCommit(rt.ShardOf(pe), rt.eng.Now()+delay, rt.execFn, m, int64(rt.epoch))
+}
+
+// execCommit is the commit body of every ExecuteOnPE event: it enqueues the
+// message a (a *message) unless a rollback since arming (epoch b) voided it.
+func (rt *Runtime) execCommit(a any, b int64, _ des.Time) {
+	m := a.(*message)
+	if rt.epoch != uint64(b) {
+		putMsg(m) // a flush timer armed before a rollback
+		return
 	}
-	epoch := rt.epoch
-	rt.eng.AtShard(rt.ShardOf(pe), rt.eng.Now()+delay, func() func() {
-		return func() {
-			if rt.epoch != epoch {
-				return // flush timer armed before a rollback
-			}
-			m := getMsg()
-			m.destPE = pe
-			m.ep = EP(rt.funcPEH)
-			m.payload = funcMsg{fn: func(ctx *Ctx, _ any) { fn(ctx) }}
-			m.prio = prioControl
-			m.size = 16
-			m.srcPE = pe
-			rt.enqueue(m, pe)
-		}
-	})
+	rt.enqueue(m, m.destPE)
 }
 
 // ProbablePE returns fromPE's best guess of where element idx of arr lives

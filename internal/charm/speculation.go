@@ -502,9 +502,9 @@ func (el *element) packImage() *elemSave {
 // map deeply, into el's own map — the save persists past this rollback,
 // and replay mutates el.comm).
 func (sc *specController) restoreImage(el *element, sv *elemSave) {
-	fresh := sc.rt.arrays[el.key.array].NewElement()
-	if err := pup.Unpack(sv.img, fresh); err != nil {
-		panic(fmt.Sprintf("charm: rollback pup of %v failed: %v", el.key, err))
+	fresh, err := sc.rt.arrays[el.key.array].Unpack(sv.img)
+	if err != nil {
+		panic(fmt.Sprintf("charm: rollback of %v: %v", el.key, err))
 	}
 	el.obj = fresh
 	el.dirty()

@@ -29,7 +29,7 @@ func specRounds(t *testing.T) (rt *Runtime, els []*element, round func()) {
 		}
 	}
 	return rt, els, func() {
-		rt.eng.After(0, inject)
+		rt.eng.At(rt.eng.Now(), inject)
 		rt.eng.Run()
 	}
 }

@@ -175,9 +175,9 @@ func rebuild(rt *charm.Runtime, s *Snapshot, op string, place func(arr *charm.Ar
 		}
 		for i := range as.Elems {
 			es := &as.Elems[i]
-			obj := arr.NewElement()
-			if err := pup.Unpack(es.Data, obj); err != nil {
-				return fmt.Errorf("ckpt: %s %s%v: %w", op, as.Name, es.Idx, err)
+			obj, err := arr.Unpack(es.Data)
+			if err != nil {
+				return fmt.Errorf("ckpt: %s %v: %w", op, es.Idx, err)
 			}
 			place(arr, es, obj)
 		}

@@ -77,10 +77,9 @@ func toFS(t Time) uint64 {
 // the key fields the store assigns. Global events (Fn) carry Shard -1.
 type Event struct {
 	At    Time
-	Fn    func()        // global body
-	Sfn   func() func() // sharded two-phase body (closure form)
-	Pfn   PhaseFn       // sharded two-phase body (preallocated form)
-	Cfn   CommitFn      // sharded commit-only body
+	Fn    func()   // global body
+	Pfn   PhaseFn  // sharded two-phase body
+	Cfn   CommitFn // sharded commit-only body
 	A     any
 	B     int64
 	Seq   uint64 // scheduling sequence number, assigned by the store
@@ -88,12 +87,7 @@ type Event struct {
 }
 
 // Phase runs a two-phase body's phase and returns its commit closure.
-func (ev *Event) Phase() func() {
-	if ev.Pfn != nil {
-		return ev.Pfn(ev.A, ev.B, ev.At)
-	}
-	return ev.Sfn()
-}
+func (ev *Event) Phase() func() { return ev.Pfn(ev.A, ev.B, ev.At) }
 
 // Exec runs the whole event on the calling goroutine, the way the
 // single-threaded engines do: a global body bare; a sharded one — a
@@ -107,16 +101,9 @@ func (ev *Event) Exec(sink TraceSink) {
 	if sink != nil {
 		sink.Phase(PhaseStart, int(ev.Shard), ev.At)
 	}
-	var commit func()
-	switch {
-	case ev.Cfn != nil:
+	if ev.Cfn != nil {
 		ev.Cfn(ev.A, ev.B, ev.At)
-	case ev.Pfn != nil:
-		commit = ev.Pfn(ev.A, ev.B, ev.At)
-	default:
-		commit = ev.Sfn()
-	}
-	if commit != nil {
+	} else if commit := ev.Phase(); commit != nil {
 		commit()
 	}
 	if sink != nil {
@@ -141,7 +128,7 @@ type slot struct {
 func (s *slot) key(id int32) Ent { return Ent{At: s.At, Seq: s.Seq, ID: id, Shard: s.Shard} }
 
 // drop releases the body of an event that left the queue.
-func (s *slot) drop() { s.Fn, s.Sfn, s.Pfn, s.Cfn, s.A = nil, nil, nil, nil, nil }
+func (s *slot) drop() { s.Fn, s.Pfn, s.Cfn, s.A = nil, nil, nil, nil }
 
 // Ent is an event's sort key plus slot id, copied out of the slab so
 // sorting and sifting touch a compact contiguous array. An Ent stays valid

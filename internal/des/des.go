@@ -17,6 +17,12 @@
 // reference for differential order tests and for measuring the calendar's
 // speedup. All satisfy the Engine interface and produce identical event
 // orders.
+//
+// An event has one of three bodies, which is all the runtime schedules: a
+// global closure (At), a preallocated two-phase body (AtShardFn) and a
+// preallocated commit-only body (AtShardCommit). Each scheduling call takes
+// the next sequence number, so events at equal timestamps pop in the order
+// they were scheduled.
 package des
 
 import "math"
@@ -28,11 +34,11 @@ type Time float64
 const Forever Time = Time(math.MaxFloat64)
 
 // PhaseFn is a preallocated two-phase event body. Engines call it at pop
-// with the event's payload pair and timestamp; like the closure form it may
-// touch only shard-local state and returns a commit closure (or nil) that
-// runs with global state exclusively held. Schedulers pass a long-lived
-// function value (typically a method value created once at startup) so the
-// hot send path schedules without allocating a closure per event.
+// with the event's payload pair and timestamp; it may touch only
+// shard-local state and returns a commit closure (or nil) that runs with
+// global state exclusively held. Schedulers pass a long-lived function
+// value (typically a method value created once at startup), so scheduling
+// a sharded event never allocates a closure.
 type PhaseFn func(a any, b int64, at Time) func()
 
 // CommitFn is a preallocated commit-only event body: the whole event runs
@@ -55,21 +61,16 @@ type Engine interface {
 	// At schedules fn to run at absolute virtual time t as a global event:
 	// fn may touch any simulation state, so a parallel engine runs it alone.
 	At(t Time, fn func()) Handle
-	// AtShard schedules a two-phase event bound to a shard (a virtual
-	// node). The phase function fn may touch only shard-local state and
-	// must not call back into the engine; it returns a commit closure (or
-	// nil) that the engine runs with global state exclusively held, in
-	// exact (timestamp, sequence) order. A sequential engine runs phase
-	// and commit back to back.
-	AtShard(shard int, t Time, fn func() func()) Handle
-	// AtShardFn is AtShard without the per-event closure: fn is a
-	// long-lived PhaseFn invoked with (a, b, t) at pop.
+	// AtShardFn schedules a two-phase event bound to a shard (a virtual
+	// node). The phase, fn invoked with (a, b, t) at pop, may touch only
+	// shard-local state and must not call back into the engine; it returns
+	// a commit closure (or nil) that the engine runs with global state
+	// exclusively held, in exact (timestamp, sequence) order. A sequential
+	// engine runs phase and commit back to back.
 	AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle
 	// AtShardCommit schedules a sharded event whose entire body runs at
-	// commit position, again without a per-event closure.
+	// commit position.
 	AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle
-	// After schedules fn to run d seconds from now as a global event.
-	After(d Time, fn func()) Handle
 	// Cancel removes a scheduled event. Cancelling an already-fired or
 	// already-cancelled event is a no-op.
 	Cancel(h Handle)
@@ -80,28 +81,6 @@ type Engine interface {
 	// RunUntil executes events with timestamps <= t, then advances the
 	// clock to t (if it is ahead of the last event).
 	RunUntil(t Time)
-}
-
-// HorizonReporter is implemented by engines that can report a safe
-// scheduling horizon for *global* events: the earliest timestamp at which a
-// new global event is guaranteed not to precede any phase the engine has
-// already handed to a worker and cannot take back. The sequential engine's
-// horizon is simply Now(), and so is the parallel engine's in optimistic
-// mode (it rolls such phases back); in conservative mode it is the
-// high-water timestamp of the in-flight phases. Fault-recovery code uses
-// this to schedule a rollback — a global event — from inside an event
-// commit without tripping the conservative lookahead guard.
-type HorizonReporter interface {
-	GlobalHorizon() Time
-}
-
-// EngineHorizon returns e's global-event scheduling horizon, falling back
-// to Now() for engines that do not report one.
-func EngineHorizon(e Engine) Time {
-	if hr, ok := e.(HorizonReporter); ok {
-		return hr.GlobalHorizon()
-	}
-	return e.Now()
 }
 
 // PhaseKind names a point in an engine's execution pipeline.

@@ -66,10 +66,6 @@ func (e *Heap) Now() Time { return e.now }
 // Pending returns the number of scheduled, uncancelled events.
 func (e *Heap) Pending() int { return len(e.heap) }
 
-// GlobalHorizon returns the current time: the heap engine never has work in
-// flight.
-func (e *Heap) GlobalHorizon() Time { return e.now }
-
 // Executed counts events that have run.
 func (e *Heap) Executed() uint64 { return e.executed }
 
@@ -91,12 +87,8 @@ func (e *Heap) At(t Time, fn func()) Handle {
 	return e.add(Event{At: t, Fn: fn, Shard: -1})
 }
 
-// AtShard schedules a two-phase event; phase and commit run back to back.
-func (e *Heap) AtShard(shard int, t Time, fn func() func()) Handle {
-	return e.add(Event{At: t, Sfn: fn, Shard: int32(shard)})
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn.
+// AtShardFn schedules a two-phase event from a preallocated PhaseFn; phase
+// and commit run back to back.
 func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
 	return e.add(Event{At: t, Pfn: fn, A: a, B: b, Shard: int32(shard)})
 }
@@ -105,14 +97,6 @@ func (e *Heap) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
 // CommitFn.
 func (e *Heap) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle {
 	return e.add(Event{At: t, Cfn: fn, A: a, B: b, Shard: int32(shard)})
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Heap) After(d Time, fn func()) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or

@@ -26,11 +26,6 @@ func (e *Sequential) Now() Time { return e.now }
 // Pending returns the number of scheduled, uncancelled events.
 func (e *Sequential) Pending() int { return e.cal.Len() }
 
-// GlobalHorizon returns the earliest time a global event may be scheduled
-// without reordering work already underway. The sequential engine never has
-// work in flight, so its horizon is the current time.
-func (e *Sequential) GlobalHorizon() Time { return e.now }
-
 // Executed counts events that have run.
 func (e *Sequential) Executed() uint64 { return e.executed }
 
@@ -60,16 +55,9 @@ func (e *Sequential) At(t Time, fn func()) Handle {
 	return h
 }
 
-// AtShard schedules a two-phase event; the sequential engine ignores the
-// shard and runs phase and commit back to back, which makes the sharded
-// path behaviourally identical to a plain At.
-func (e *Sequential) AtShard(shard int, t Time, fn func() func()) Handle {
-	ev, h := e.add(t, shard)
-	ev.Sfn = fn
-	return h
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn.
+// AtShardFn schedules a two-phase event from a preallocated PhaseFn; the
+// sequential engine ignores the shard and runs phase and commit back to
+// back, which makes the sharded path behaviourally identical to a plain At.
 func (e *Sequential) AtShardFn(shard int, t Time, fn PhaseFn, a any, b int64) Handle {
 	ev, h := e.add(t, shard)
 	ev.Pfn, ev.A, ev.B = fn, a, b
@@ -82,14 +70,6 @@ func (e *Sequential) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int6
 	ev, h := e.add(t, shard)
 	ev.Cfn, ev.A, ev.B = fn, a, b
 	return h
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Sequential) After(d Time, fn func()) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or

@@ -44,7 +44,10 @@ func TestPipelineAllocFree(t *testing.T) {
 	const shards, workers = 16, 4
 	const window = 2e-6
 	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
-		e := New(Options{Shards: shards, Workers: workers, Lookahead: window, Window: window, Controller: ctrl})
+		e := New(Options{Shards: shards, Workers: workers, Lookahead: window, Controller: ctrl})
+		if ctrl != nil {
+			e.SetWindow(window)
+		}
 		for i := 0; i < shards; i++ {
 			s := &noopShard{id: i, eng: e}
 			s.phase, s.commit = s.onPhase, s.onCommit

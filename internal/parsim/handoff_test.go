@@ -103,7 +103,10 @@ func TestHandoffExactlyOnce(t *testing.T) {
 func TestLaunchCostFollowsChanges(t *testing.T) {
 	const shards, live, window = 512, 4, 2e-6
 	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
-		e := New(Options{Shards: shards, Workers: 2, Lookahead: window, Window: window, Controller: ctrl})
+		e := New(Options{Shards: shards, Workers: 2, Lookahead: window, Controller: ctrl})
+		if ctrl != nil {
+			e.SetWindow(window)
+		}
 		for i := 0; i < live; i++ {
 			s := &noopShard{id: i * (shards / live), eng: e}
 			s.phase, s.commit = s.onPhase, s.onCommit

@@ -81,10 +81,10 @@
 // launched before returning, so post-run machine state is the sequential
 // engine's.
 //
-// The modes differ in exactly six places, each keyed on "controller
+// The modes differ in exactly five places, each keyed on "controller
 // present": the window source, the straggler response, the Controller and
-// speculation sink/probe callbacks, run exit, GlobalHorizon, and the gauge
-// family RegisterMetrics registers.
+// speculation sink/probe callbacks, run exit, and the gauge family
+// RegisterMetrics registers.
 //
 // # Discipline
 //
@@ -118,11 +118,6 @@ type Options struct {
 	// disables early launches (every event runs inline — correct but
 	// serial). Ignored in optimistic mode.
 	Lookahead des.Time
-	// Window bounds optimism: speculations launch only within
-	// [top, top+Window) of the calendar head. Zero means unbounded. A
-	// finite window trades exposed parallelism for rollback risk. Ignored
-	// in conservative mode.
-	Window des.Time
 	// Controller, when non-nil, selects optimistic mode and undoes
 	// misspeculated phases.
 	Controller Controller
@@ -314,7 +309,7 @@ func New(opts Options) *Engine {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	if e.ctrl != nil {
-		e.SetWindow(opts.Window)
+		e.window = des.Forever // unbounded until SetWindow bounds it
 	}
 	if e.window > 0 && len(e.flights) > 1 { // otherwise nothing can ever overlap
 		e.minima = make([]des.EntHeap, len(e.flights)+1)
@@ -323,8 +318,10 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// SetWindow replaces the optimism window (0 = unbounded); optimistic mode
-// only — the conservative window is the lookahead. Driver-context only:
+// SetWindow bounds optimism: speculations launch only within [top, top+w)
+// of the calendar head, and w = 0 (the default) is unbounded. A finite window
+// trades exposed parallelism for rollback risk. Optimistic mode only — the
+// conservative window is the lookahead. Driver-context only:
 // launch eligibility reads the window fresh on every pop, so the change
 // takes effect deterministically at the next launch decision — callers
 // adjusting it from commit closures or Controller callbacks (which run on
@@ -412,20 +409,6 @@ func (e *Engine) reach() des.Time {
 	return t
 }
 
-// GlobalHorizon returns the earliest timestamp at which a global event may
-// be scheduled without preceding an in-flight phase. Conservatively that is
-// the high-water timestamp of the launched phases. Optimistic execution
-// makes every instant safe — a global below a speculation is a straggler,
-// not a violation — so the horizon is Now(), exactly the sequential
-// engine's answer, which keeps fault-recovery timing (chaos schedules its
-// rollbacks at the horizon) bit-identical across those backends.
-func (e *Engine) GlobalHorizon() des.Time {
-	if e.ctrl != nil {
-		return e.now
-	}
-	return e.reach()
-}
-
 // straggler checks a new event at t against shard s's in-flight phase. A
 // same-timestamp arrival is not a straggler: its larger sequence number
 // orders it after the phase.
@@ -492,15 +475,8 @@ func (e *Engine) At(t des.Time, fn func()) des.Handle {
 	return h
 }
 
-// AtShard schedules a two-phase event on a shard.
-func (e *Engine) AtShard(shard int, t des.Time, fn func() func()) des.Handle {
-	ev, h := e.atShard(shard, t, true)
-	ev.Sfn = fn
-	return h
-}
-
-// AtShardFn schedules a two-phase event from a preallocated PhaseFn. It is
-// launchable exactly like the closure form.
+// AtShardFn schedules a two-phase event from a preallocated PhaseFn. Its
+// phase is launchable.
 func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
 	ev, h := e.atShard(shard, t, true)
 	ev.Pfn, ev.A, ev.B = fn, a, b
@@ -516,14 +492,6 @@ func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b 
 	ev, h := e.atShard(shard, t, false)
 	ev.Cfn, ev.A, ev.B = fn, a, b
 	return h
-}
-
-// After schedules fn to run d seconds from now as a global event.
-func (e *Engine) After(d des.Time, fn func()) des.Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("parsim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Cancel removes a scheduled event; an already-fired or already-cancelled

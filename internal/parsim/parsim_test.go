@@ -64,6 +64,16 @@ func bothModes(t *testing.T, shards, workers int, f func(t *testing.T, e *Engine
 	})
 }
 
+// closurePhase is the PhaseFn behind atShard: the phase is the closure
+// riding in the event's payload.
+func closurePhase(a any, _ int64, _ des.Time) func() { return a.(func() func())() }
+
+// atShard schedules fn as a two-phase event through e.AtShardFn, so a test
+// writes its phase and commit inline.
+func atShard(e des.Engine, shard int, t des.Time, fn func() func()) des.Handle {
+	return e.AtShardFn(shard, t, closurePhase, fn, 0)
+}
+
 func wantOrder[T comparable](t *testing.T, got, want []T) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -84,7 +94,7 @@ func TestCommitOrderMatchesSequential(t *testing.T) {
 		var order []int
 		for i := 0; i < 4; i++ {
 			i := i
-			e.AtShard(i, 0.1+0.01*des.Time(i), func() func() {
+			atShard(e, i, 0.1+0.01*des.Time(i), func() func() {
 				return func() { order = append(order, i) }
 			})
 		}
@@ -103,7 +113,7 @@ func TestCommitOrderMatchesSequential(t *testing.T) {
 func TestPhasesRunConcurrently(t *testing.T) {
 	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
 		peerStarted := make(chan struct{})
-		e.AtShard(0, 0.100, func() func() {
+		atShard(e, 0, 0.100, func() func() {
 			select {
 			case <-peerStarted: // the launched phase ran while we were running
 			case <-time.After(5 * time.Second):
@@ -111,7 +121,7 @@ func TestPhasesRunConcurrently(t *testing.T) {
 			}
 			return nil
 		})
-		e.AtShard(1, 0.101, func() func() {
+		atShard(e, 1, 0.101, func() func() {
 			close(peerStarted)
 			return nil
 		})
@@ -126,7 +136,7 @@ func TestPhasesRunConcurrently(t *testing.T) {
 func TestSpeculatesPastAnyWindow(t *testing.T) {
 	e, _ := mkOptimistic(2, 2)
 	peerStarted := make(chan struct{})
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		select {
 		case <-peerStarted: // the speculated far-future phase already ran
 		case <-time.After(5 * time.Second):
@@ -134,7 +144,7 @@ func TestSpeculatesPastAnyWindow(t *testing.T) {
 		}
 		return nil
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		close(peerStarted)
 		return nil
 	})
@@ -144,21 +154,25 @@ func TestSpeculatesPastAnyWindow(t *testing.T) {
 	}
 
 	ce := mkConservative(2, 2)
-	ce.AtShard(0, 0.1, func() func() { return nil })
-	ce.AtShard(1, 5.0, func() func() { return nil })
+	atShard(ce, 0, 0.1, func() func() { return nil })
+	atShard(ce, 1, 5.0, func() func() { return nil })
 	ce.Run()
 	if ce.stats.Launched != 0 {
 		t.Fatalf("conservative engine launched %d phases past its 1.0 lookahead", ce.stats.Launched)
 	}
 }
 
-// TestWindowBoundsOptimism: with a finite Window the far-future phase is
+// TestWindowBoundsOptimism: with a finite window the far-future phase is
 // not speculated; Window() reports what SetWindow set, with 0 — not the
 // internal sentinel — meaning unbounded.
 func TestWindowBoundsOptimism(t *testing.T) {
-	e := New(Options{Shards: 2, Workers: 2, Window: 1.0, Controller: newSliceCtrl(2)})
-	e.AtShard(0, 0.1, func() func() { return nil })
-	e.AtShard(1, 5.0, func() func() { return nil })
+	e, _ := mkOptimistic(2, 2)
+	if e.Window() != 0 {
+		t.Fatalf("Window() = %v on a new optimistic engine, want 0 (unbounded)", e.Window())
+	}
+	e.SetWindow(1.0)
+	atShard(e, 0, 0.1, func() func() { return nil })
+	atShard(e, 1, 5.0, func() func() { return nil })
 	e.Run()
 	if e.stats.Launched != 0 {
 		t.Fatalf("launched %d speculations past a 1.0 window", e.stats.Launched)
@@ -170,8 +184,8 @@ func TestWindowBoundsOptimism(t *testing.T) {
 	if e.Window() != 0 {
 		t.Fatalf("Window() = %v after SetWindow(0), want 0 (unbounded)", e.Window())
 	}
-	e.AtShard(0, 5.1, func() func() { return nil })
-	e.AtShard(1, 9.0, func() func() { return nil })
+	atShard(e, 0, 5.1, func() func() { return nil })
+	atShard(e, 1, 9.0, func() func() { return nil })
 	e.Run()
 	if e.stats.Launched != 1 {
 		t.Fatalf("launched %d speculations with the window lifted, want 1", e.stats.Launched)
@@ -188,15 +202,15 @@ func TestWindowBoundsOptimism(t *testing.T) {
 func TestSpawnedContinuationsRunInOrder(t *testing.T) {
 	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
 		var order []string
-		e.AtShard(0, 0.10, func() func() {
+		atShard(e, 0, 0.10, func() func() {
 			return func() {
 				order = append(order, "A")
-				e.AtShard(0, 0.11, func() func() {
+				atShard(e, 0, 0.11, func() func() {
 					return func() { order = append(order, "A'") }
 				})
 			}
 		})
-		e.AtShard(1, 0.12, func() func() {
+		atShard(e, 1, 0.12, func() func() {
 			return func() { order = append(order, "B") }
 		})
 		e.Run()
@@ -223,14 +237,14 @@ func expectPanic(t *testing.T, e *Engine, why string) {
 // was wrong; the conservative engine must fail loudly instead of diverging.
 func TestScheduleBeforeInFlightPhasePanics(t *testing.T) {
 	e := mkConservative(2, 2)
-	e.AtShard(0, 0.10, func() func() {
+	atShard(e, 0, 0.10, func() func() {
 		return func() {
 			// Shard 1's event at 0.11 is in flight; scheduling below it
 			// violates the lookahead promise.
-			e.AtShard(1, 0.105, func() func() { return nil })
+			atShard(e, 1, 0.105, func() func() { return nil })
 		}
 	})
-	e.AtShard(1, 0.11, func() func() { return nil })
+	atShard(e, 1, 0.11, func() func() { return nil })
 	expectPanic(t, e, "scheduling before an in-flight phase")
 }
 
@@ -239,12 +253,12 @@ func TestScheduleBeforeInFlightPhasePanics(t *testing.T) {
 // scheduled below a launched phase.
 func TestGlobalScheduleBeforeInFlightPhasePanics(t *testing.T) {
 	e := mkConservative(2, 2)
-	e.AtShard(0, 0.10, func() func() {
+	atShard(e, 0, 0.10, func() func() {
 		return func() {
 			e.At(0.105, func() {})
 		}
 	})
-	e.AtShard(1, 0.11, func() func() { return nil })
+	atShard(e, 1, 0.11, func() func() { return nil })
 	expectPanic(t, e, "scheduling a global below an in-flight phase")
 }
 
@@ -257,16 +271,16 @@ func TestStragglerRollback(t *testing.T) {
 	e, c := mkOptimistic(2, 2)
 	c.state[1] = 10
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(1, 1.0, func() func() {
+			atShard(e, 1, 1.0, func() func() {
 				c.state[1] += 5
 				return func() { order = append(order, fmt.Sprintf("S=%d", c.state[1])) }
 			})
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { order = append(order, fmt.Sprintf("B=%d", c.state[1])) }
 	})
@@ -288,15 +302,15 @@ func TestStragglerRollback(t *testing.T) {
 func TestSameTimestampIsNotAStraggler(t *testing.T) {
 	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
 		var order []string
-		e.AtShard(0, 0.1, func() func() {
+		atShard(e, 0, 0.1, func() func() {
 			return func() {
 				order = append(order, "A")
-				e.AtShard(1, 0.5, func() func() {
+				atShard(e, 1, 0.5, func() func() {
 					return func() { order = append(order, "C") }
 				})
 			}
 		})
-		e.AtShard(1, 0.5, func() func() {
+		atShard(e, 1, 0.5, func() func() {
 			return func() { order = append(order, "B") }
 		})
 		e.Run()
@@ -312,14 +326,14 @@ func TestSameTimestampIsNotAStraggler(t *testing.T) {
 func TestGlobalEventsRunSolo(t *testing.T) {
 	bothModes(t, 4, 4, func(t *testing.T, e *Engine, c *sliceCtrl) {
 		var order []string
-		e.AtShard(0, 0.10, func() func() { return func() { order = append(order, "s0") } })
+		atShard(e, 0, 0.10, func() func() { return func() { order = append(order, "s0") } })
 		e.At(0.105, func() {
 			if e.inFlight != 0 {
 				t.Errorf("global event popped with %d phases in flight", e.inFlight)
 			}
 			order = append(order, "g")
 		})
-		e.AtShard(1, 0.11, func() func() { return func() { order = append(order, "s1") } })
+		atShard(e, 1, 0.11, func() func() { return func() { order = append(order, "s1") } })
 		e.Run()
 		wantOrder(t, order, []string{"s0", "g", "s1"})
 	})
@@ -331,17 +345,17 @@ func TestGlobalEventsRunSolo(t *testing.T) {
 func TestGlobalStragglerRollsBackLaterSpeculations(t *testing.T) {
 	e, c := mkOptimistic(3, 3)
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
 			e.At(1.0, func() { order = append(order, "g") })
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { order = append(order, "B") }
 	})
-	e.AtShard(2, 6.0, func() func() {
+	atShard(e, 2, 6.0, func() func() {
 		c.state[2]++
 		return func() { order = append(order, "C") }
 	})
@@ -360,9 +374,9 @@ func TestGlobalStragglerRollsBackLaterSpeculations(t *testing.T) {
 // event sits behind its shard's minimum, so it is never in flight.
 func TestCancelPendingEvent(t *testing.T) {
 	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
-		e.AtShard(1, 1.5, func() func() { return nil })
-		h := e.AtShard(1, 2.0, func() func() { t.Error("cancelled event still ran"); return nil })
-		e.AtShard(0, 0.1, func() func() {
+		atShard(e, 1, 1.5, func() func() { return nil })
+		h := atShard(e, 1, 2.0, func() func() { t.Error("cancelled event still ran"); return nil })
+		atShard(e, 0, 0.1, func() func() {
 			return func() { e.Cancel(h) }
 		})
 		e.Run()
@@ -377,8 +391,8 @@ func TestCancelPendingEvent(t *testing.T) {
 // phase is in flight is a lookahead violation.
 func TestCancelInFlightPanics(t *testing.T) {
 	e := mkConservative(2, 2)
-	h := e.AtShard(1, 0.101, func() func() { return nil })
-	e.AtShard(0, 0.1, func() func() {
+	h := atShard(e, 1, 0.101, func() func() { return nil })
+	atShard(e, 0, 0.1, func() func() {
 		return func() { e.Cancel(h) }
 	})
 	expectPanic(t, e, "cancelling an in-flight event")
@@ -389,11 +403,11 @@ func TestCancelInFlightPanics(t *testing.T) {
 // never commits.
 func TestCancelInFlightRollsBack(t *testing.T) {
 	e, c := mkOptimistic(2, 2)
-	h := e.AtShard(1, 5.0, func() func() {
+	h := atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { t.Error("cancelled event's commit ran") }
 	})
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() { e.Cancel(h) }
 	})
 	e.Run()
@@ -415,7 +429,7 @@ func TestRunUntil(t *testing.T) {
 		var ran []des.Time
 		for _, at := range []des.Time{0.1, 0.2, 0.9} {
 			at := at
-			e.AtShard(int(at*10)%2, at, func() func() {
+			atShard(e, int(at*10)%2, at, func() func() {
 				return func() { ran = append(ran, at) }
 			})
 		}
@@ -445,13 +459,13 @@ func TestStopWithholdsUncommittedPhases(t *testing.T) {
 	e := mkConservative(2, 2)
 	var committed []int
 	var phases atomic.Int64
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			committed = append(committed, 0)
 			e.Stop()
 		}
 	})
-	e.AtShard(1, 0.1001, func() func() {
+	atShard(e, 1, 0.1001, func() func() {
 		phases.Add(1)
 		return func() { committed = append(committed, 1) }
 	})
@@ -470,13 +484,13 @@ func TestStopWithholdsUncommittedPhases(t *testing.T) {
 func TestStopRollsBackInFlight(t *testing.T) {
 	e, c := mkOptimistic(2, 2)
 	var committed []int
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			committed = append(committed, 0)
 			e.Stop()
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		c.state[1]++
 		return func() { committed = append(committed, 1) }
 	})
@@ -499,7 +513,7 @@ func TestPhasePanicPropagatesDeterministically(t *testing.T) {
 	bothModes(t, 4, 4, func(t *testing.T, e *Engine, c *sliceCtrl) {
 		for i := 0; i < 4; i++ {
 			i := i
-			e.AtShard(i, 0.1+0.001*des.Time(i), func() func() {
+			atShard(e, i, 0.1+0.001*des.Time(i), func() func() {
 				if i >= 1 {
 					panic(i)
 				}
@@ -523,15 +537,15 @@ func TestStragglerDiscardsSpeculativePanic(t *testing.T) {
 	e, c := mkOptimistic(2, 2)
 	var attempts atomic.Int64
 	var order []string
-	e.AtShard(0, 0.1, func() func() {
+	atShard(e, 0, 0.1, func() func() {
 		return func() {
 			order = append(order, "A")
-			e.AtShard(1, 1.0, func() func() {
+			atShard(e, 1, 1.0, func() func() {
 				return func() { order = append(order, "S") }
 			})
 		}
 	})
-	e.AtShard(1, 5.0, func() func() {
+	atShard(e, 1, 5.0, func() func() {
 		if attempts.Add(1) == 1 {
 			panic("speculative execution saw pre-straggler state")
 		}
@@ -545,28 +559,6 @@ func TestStragglerDiscardsSpeculativePanic(t *testing.T) {
 	if c.rolledBack != 1 {
 		t.Fatalf("rolled back %d, want 1", c.rolledBack)
 	}
-}
-
-// TestGlobalHorizonIsNow: the optimistic engine's safe horizon for global
-// events is the commit frontier itself, matching the sequential engine — a
-// global below an in-flight speculation is a straggler, not a violation.
-// The conservative engine's is the high-water mark of its launched phases.
-func TestGlobalHorizonIsNow(t *testing.T) {
-	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
-		var horizon des.Time = -1
-		e.AtShard(0, 0.25, func() func() {
-			return func() { horizon = des.EngineHorizon(e) }
-		})
-		e.AtShard(1, 0.75, func() func() { return nil })
-		e.Run()
-		want := des.Time(0.75)
-		if c != nil {
-			want = 0.25
-		}
-		if horizon != want {
-			t.Fatalf("horizon %v with a phase at 0.75 in flight at now=0.25, want %v", horizon, want)
-		}
-	})
 }
 
 // TestCancelAfterFireIsNoOp: Cancel of an already-fired handle is a no-op
@@ -591,10 +583,10 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 			e := tc.e
 			fired := 0
 			body := func() func() { return func() { fired++ } }
-			hs := []des.Handle{e.AtShard(0, 0.1, body), e.AtShard(1, 0.2, body)}
+			hs := []des.Handle{atShard(e, 0, 0.1, body), atShard(e, 1, 0.2, body)}
 			// A third event keeps shard 1 speculating after its first
 			// phase pops, so a misdirected rollback would have a victim.
-			e.AtShard(0, 0.3, func() func() {
+			atShard(e, 0, 0.3, func() func() {
 				return func() {
 					for _, h := range hs {
 						if !h.Cancelled() {
@@ -604,7 +596,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 					}
 				}
 			})
-			e.AtShard(1, 0.4, body)
+			atShard(e, 1, 0.4, body)
 			e.Run()
 			if fired != 3 || e.Pending() != 0 {
 				t.Fatalf("fired %d pending %d after cancelling fired handles, want 3 and 0", fired, e.Pending())
@@ -612,7 +604,7 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 			// Recycle the fired events' storage, then cancel the stale
 			// handles again: the new tenants must survive.
 			for i := 0; i < 4; i++ {
-				e.AtShard(i%2, 1.0+des.Time(i), body)
+				atShard(e, i%2, 1.0+des.Time(i), body)
 			}
 			for _, h := range hs {
 				e.Cancel(h)
@@ -655,7 +647,7 @@ func TestRearmAcrossCalendarSaturation(t *testing.T) {
 			tick = func() {
 				fired = append(fired, e.Now())
 				if len(fired) < 5 {
-					e.After(0.05, tick)
+					e.At(e.Now()+0.05, tick)
 				}
 			}
 			e.At(18446.70, tick)
@@ -680,7 +672,7 @@ type tortureCfg struct {
 	// least that far ahead, and restricts cancels to events that cannot be
 	// in flight — the discipline the conservative mode demands.
 	lookahead des.Time
-	forms     bool     // rotate AtShard / AtShardFn / AtShardCommit bodies
+	forms     bool     // rotate closure-phase / PhaseFn / CommitFn bodies
 	cancels   bool     // cancel pending, in-flight and already-fired handles
 	slice     des.Time // > 0: drive with RunUntil slices this wide, not Run
 	// Hooks: phase runs inside every state mutation (on whichever goroutine
@@ -791,7 +783,7 @@ func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([
 		var h des.Handle
 		switch form {
 		case 0:
-			h = e.AtShard(shard, t, func() func() {
+			h = atShard(e, shard, t, func() func() {
 				v := phase(shard)
 				return func() { commit(shard, t, v) }
 			})
@@ -828,7 +820,7 @@ const tortureLookahead = 1e-3
 // events whose commits continually schedule into the past of deep
 // speculations (or, in the lookahead-respecting variant, right at the
 // conservative window's edge), cancel handles in every lifecycle state,
-// mix all three sharded body forms, and cut the run into RunUntil slices
+// mix the sharded body forms, and cut the run into RunUntil slices
 // must produce a commit log — order, timestamps, and rolled-back-and-
 // restored shard state — byte-equal to the des.Heap oracle's on the
 // sequential engine and on the parallel engine in both modes, on several

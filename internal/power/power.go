@@ -106,7 +106,7 @@ func (c *Controller) Start() {
 func (c *Controller) Stop() { c.stopped = true }
 
 func (c *Controller) tickLater() {
-	c.rt.Engine().After(c.SamplePeriod, c.tick)
+	c.rt.Engine().At(c.rt.Now()+c.SamplePeriod, c.tick)
 }
 
 func (c *Controller) tick() {
