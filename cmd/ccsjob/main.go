@@ -9,13 +9,20 @@
 // Handlers: pes, shrink <n>, expand <n>, stats, timeline, trace [query],
 // ckpt <path>,
 // stop.
+//
+// It exits 2 on a usage error, before listening or connecting, and 1 when
+// the network or a command fails.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 
 	"charmgo/internal/ccs"
 	"charmgo/internal/charm"
@@ -40,43 +47,66 @@ func (w *worker) Pup(p *pup.Pup) {
 	p.Float64(&w.Work)
 }
 
-func main() {
-	listen := flag.String("listen", "", "serve a steerable job on this address")
-	connect := flag.String("connect", "", "send one command to a running job")
-	cmd := flag.String("cmd", "stats", "client command")
-	args := flag.String("args", "", "client command arguments")
-	pes := flag.Int("pes", 64, "server: processing elements")
-	objs := flag.Int("objs", 256, "server: worker chares")
-	telemetryAddr := flag.String("telemetry", "", "server: serve live introspection (/status, /metrics, /events, pprof) on this address")
-	flag.Parse()
+// commands are the server's handlers, as its banner lists them.
+var commands = []string{"pes", "shrink", "expand", "stats", "timeline", "trace", "ckpt", "stop"}
 
-	switch {
-	case *connect != "":
-		client(*connect, *cmd, *args)
-	case *listen != "":
-		serve(*listen, *pes, *objs, *telemetryAddr)
-	default:
-		fmt.Fprintln(os.Stderr, "need -listen or -connect; see -help")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ccsjob", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "", "serve a steerable job on this address")
+	connect := fs.String("connect", "", "send one command to a running job")
+	cmd := fs.String("cmd", "stats", "client command: "+strings.Join(commands, ", "))
+	cmdArgs := fs.String("args", "", "client command arguments")
+	pes := fs.Int("pes", 64, "server: processing elements")
+	objs := fs.Int("objs", 256, "server: worker chares")
+	telemetryAddr := fs.String("telemetry", "", "server: serve live introspection (/status, /metrics, /events, pprof) on this address")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	var err error
+	switch {
+	case *pes < 1:
+		err = fmt.Errorf("-pes %d out of range (want >= 1)", *pes)
+	case *objs < 1:
+		err = fmt.Errorf("-objs %d out of range (want >= 1)", *objs)
+	case (*listen == "") == (*connect == ""):
+		err = errors.New("need one of -listen or -connect; see -help")
+	case *connect != "" && !slices.Contains(commands, *cmd):
+		err = fmt.Errorf("unknown command %q (want one of %s)", *cmd, strings.Join(commands, ", "))
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ccsjob:", err)
+		return 2
+	}
+	if *connect != "" {
+		return client(*connect, *cmd, *cmdArgs, stdout, stderr)
+	}
+	return serve(*listen, *pes, *objs, *telemetryAddr, stdout, stderr)
 }
 
-func client(addr, cmd, args string) {
+func client(addr, cmd, args string, stdout, stderr io.Writer) int {
 	c, err := ccs.Dial(addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer c.Close()
 	result, err := c.Call(cmd, args)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
-	fmt.Println(result)
+	fmt.Fprintln(stdout, result)
+	return 0
 }
 
-func serve(addr string, pes, objs int, telemetryAddr string) {
+func serve(addr string, pes, objs int, telemetryAddr string, stdout, stderr io.Writer) int {
 	rt := charm.New(machine.New(machine.Stampede(pes)))
 	rt.SetBalancer(lb.Greedy{})
 	if telemetryAddr != "" {
@@ -84,11 +114,11 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 		defer tel.DumpOnPanic()
 		tsrv, err := telemetry.Serve(telemetryAddr, tel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer tsrv.Close()
-		fmt.Printf("telemetry: http://%s\n", tsrv.Addr())
+		fmt.Fprintf(stdout, "telemetry: http://%s\n", tsrv.Addr())
 	}
 	events := projections.Attach(rt, projections.Options{})
 
@@ -159,12 +189,13 @@ func serve(addr string, pes, objs int, telemetryAddr string) {
 
 	bound, err := srv.Listen(addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	defer srv.Close()
-	fmt.Printf("steerable job on %s (%d PEs, %d chares); commands: pes shrink expand stats timeline trace ckpt stop\n",
-		bound, rt.NumPEs(), arr.Len())
+	fmt.Fprintf(stdout, "steerable job on %s (%d PEs, %d chares); commands: %s\n",
+		bound, rt.NumPEs(), arr.Len(), strings.Join(commands, " "))
 	srv.Drive(0.05, func() bool { return stopped && rt.Engine().Pending() == 0 })
-	fmt.Printf("job stopped at t=%.2fs (virtual)\n", float64(rt.Now()))
+	fmt.Fprintf(stdout, "job stopped at t=%.2fs (virtual)\n", float64(rt.Now()))
+	return 0
 }

@@ -14,12 +14,17 @@
 // under fire elsewhere in the plan, and how many checkpoint bytes that
 // restore streams — so an operator can judge a campaign (and pick a
 // replication degree) before running it.
+//
+// It exits 2 on a usage error, before reading anything, and 1 when a file
+// cannot be read or does not fit.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -27,30 +32,40 @@ import (
 	"charmgo/internal/ckpt"
 )
 
-func main() {
-	perPE := flag.Bool("pe", false, "show the per-PE byte distribution")
-	buddies := flag.Bool("buddies", false, "show the in-memory checkpoint replica map and restore volumes")
-	degree := flag.Int("R", 1, "replication degree for -buddies and -plan views")
-	planFile := flag.String("plan", "", "chaos plan JSON: show each planned crash's blast radius")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ckptinfo [-pe] [-buddies] [-R degree] [-plan plan.json] <checkpoint-file>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ckptinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	perPE := fs.Bool("pe", false, "show the per-PE byte distribution")
+	buddies := fs.Bool("buddies", false, "show the in-memory checkpoint replica map and restore volumes")
+	degree := fs.Int("R", 1, "replication degree for -buddies and -plan views")
+	planFile := fs.String("plan", "", "chaos plan JSON: show each planned crash's blast radius")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ckptinfo [-pe] [-buddies] [-R degree] [-plan plan.json] <checkpoint-file>")
+		return 2
 	}
 	if *degree < 1 {
-		fmt.Fprintln(os.Stderr, "ckptinfo: -R must be >= 1")
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ckptinfo: -R %d out of range (want >= 1)\n", *degree)
+		return 2
 	}
-	snap, err := ckpt.Load(flag.Arg(0))
+	snap, err := ckpt.Load(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("checkpoint of a %d-PE run taken at t=%.4fs (virtual)\n", snap.NumPEs, snap.TakenAt)
-	fmt.Printf("total payload: %d bytes across %d arrays\n\n", snap.TotalBytes(), len(snap.Arrays))
+	fmt.Fprintf(stdout, "checkpoint of a %d-PE run taken at t=%.4fs (virtual)\n", snap.NumPEs, snap.TakenAt)
+	fmt.Fprintf(stdout, "total payload: %d bytes across %d arrays\n\n", snap.TotalBytes(), len(snap.Arrays))
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "array\telements\tbytes\tavg_bytes/elem")
 	for _, a := range snap.Arrays {
 		var bytes int
@@ -77,8 +92,8 @@ func main() {
 					resident[h] += per[pe]
 				}
 			}
-			fmt.Printf("\nin-memory replica map at degree R=%d\n", *degree)
-			tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			fmt.Fprintf(stdout, "\nin-memory replica map at degree R=%d\n", *degree)
+			tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "PE\tholders\tbytes_resident\tbytes_restored_on_failure")
 			for pe := 0; pe < snap.NumPEs; pe++ {
 				fmt.Fprintf(tw, "%d\t%v\t%d\t%d\n",
@@ -90,8 +105,8 @@ func main() {
 			// resident bytes and checkpoint time, and what it buys — the
 			// number of simultaneous failures every PE provably survives.
 			tm := ckpt.DefaultModel(snap.NumPEs)
-			fmt.Println("\ndegree sweep (survives = simultaneous ring-neighbor failures tolerated):")
-			tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			fmt.Fprintln(stdout, "\ndegree sweep (survives = simultaneous ring-neighbor failures tolerated):")
+			tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "R\tworst_pe_bytes\ttotal_bytes\tckpt_time_s\tsurvives")
 			for r := 1; r <= 3; r++ {
 				worst, total := ckpt.ReplicaMemoryBytes(snap, snap.NumPEs, r)
@@ -103,17 +118,17 @@ func main() {
 		if *planFile != "" {
 			data, err := os.ReadFile(*planFile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			var plan chaos.Plan
 			if err := json.Unmarshal(data, &plan); err != nil {
-				fmt.Fprintf(os.Stderr, "ckptinfo: parsing %s: %v\n", *planFile, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "ckptinfo: parsing %s: %v\n", *planFile, err)
+				return 1
 			}
 			if err := plan.Validate(snap.NumPEs); err != nil {
-				fmt.Fprintf(os.Stderr, "ckptinfo: plan does not fit this %d-PE checkpoint: %v\n", snap.NumPEs, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "ckptinfo: plan does not fit this %d-PE checkpoint: %v\n", snap.NumPEs, err)
+				return 1
 			}
 			// A crash is only unrecoverable when the failed PE AND all R of
 			// its holders are down in the same recovery window, so the
@@ -127,9 +142,9 @@ func main() {
 					crashed[f.PE] = true
 				}
 			}
-			fmt.Printf("\nplan seed %d: %d faults, %d crashes, %d warns; replica degree R=%d\n",
+			fmt.Fprintf(stdout, "\nplan seed %d: %d faults, %d crashes, %d warns; replica degree R=%d\n",
 				plan.Seed, len(plan.Faults), plan.Crashes(), plan.Warns(), *degree)
-			tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(tw, "t_virtual\tkind\tpe\tholders\tholders_under_fire\tbytes_streamed")
 			worstOverlap := 0
 			for _, f := range plan.Faults {
@@ -151,10 +166,10 @@ func main() {
 			}
 			tw.Flush()
 			if worstOverlap >= *degree {
-				fmt.Printf("WARNING: a crash PE has all %d holders under fire; if those failures overlap one recovery window the checkpoint is lost — consider -R %d or higher\n",
+				fmt.Fprintf(stdout, "WARNING: a crash PE has all %d holders under fire; if those failures overlap one recovery window the checkpoint is lost — consider -R %d or higher\n",
 					*degree, worstOverlap+1)
 			} else {
-				fmt.Printf("every crash keeps at least %d live holder(s) even under full plan overlap\n",
+				fmt.Fprintf(stdout, "every crash keeps at least %d live holder(s) even under full plan overlap\n",
 					*degree-worstOverlap)
 			}
 		}
@@ -173,8 +188,8 @@ func main() {
 				}
 			}
 		}
-		fmt.Println()
-		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(stdout)
+		tw = tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "PE\telements\tbytes")
 		for pe := 0; pe <= maxPE; pe++ {
 			if counts[pe] == 0 {
@@ -184,4 +199,5 @@ func main() {
 		}
 		tw.Flush()
 	}
+	return 0
 }

@@ -15,6 +15,7 @@ import (
 
 	"charmgo/internal/charm"
 	"charmgo/internal/ckpt"
+	"charmgo/internal/des"
 	"charmgo/internal/lb"
 	"charmgo/internal/machine"
 	"charmgo/internal/malleable"
@@ -38,8 +39,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gaussian := fs.Float64("gaussian", 0, "atom concentration (0 = uniform)")
 	balancer := fs.String("lb", "", "load balancer: greedy, refine, hybrid, distributed, orb")
 	lbPeriod := fs.Int("lb-period", 5, "AtSync period in steps")
-	memCkpt := fs.Int("ckpt-step", 0, "take an in-memory checkpoint at this step (0 = off)")
-	failStep := fs.Int("fail-step", 0, "kill PE 1 at this step and recover (0 = off)")
+	memCkpt := fs.Int("ckpt-step", 0, "take an in-memory checkpoint at this load-balancing step (0 = off)")
+	failStep := fs.Int("fail-step", 0, "kill PE 1 after this step and recover from the checkpoint (0 = off)")
 	shrinkTo := fs.Int("shrink-to", 0, "shrink to this PE count at the midpoint (0 = off)")
 	mach := fs.String("machine", "vesta", "machine: vesta, bluewaters, stampede, hopper, cloud")
 	multicast := fs.Bool("multicast", false, "send cell positions via section multicast")
@@ -72,8 +73,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = fmt.Errorf("unknown machine %q", *mach)
 	case !knownLB:
 		err = fmt.Errorf("unknown balancer %q", *balancer)
-	case *failStep > 0 && (*memCkpt == 0 || *memCkpt > *failStep):
-		err = fmt.Errorf("-fail-step %d needs a -ckpt-step at or before it", *failStep)
+	case *failStep > 0 && (*memCkpt == 0 || *memCkpt >= *failStep):
+		err = fmt.Errorf("-fail-step %d needs a -ckpt-step before it", *failStep)
+	case *failStep > 0 && *pes < 2:
+		err = errors.New("-fail-step fails PE 1, so it needs -pes >= 2")
+	case *failStep > 0 && *shrinkTo > 0:
+		err = errors.New("-fail-step and -shrink-to do not combine: a reconfiguration invalidates the checkpoint")
+	case *memCkpt > 0 && (strategy == nil || *memCkpt%*lbPeriod != 0):
+		// The load-balancing resume is the quiescent cut a checkpoint needs.
+		err = fmt.Errorf("-ckpt-step %d is not a load-balancing step (needs -lb and a multiple of -lb-period %d)", *memCkpt, *lbPeriod)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "leanmd:", err)
@@ -105,24 +113,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rt.SetBalancer(strategy)
 		cfg.LBPeriod = *lbPeriod
 	}
-	var mem *ckpt.Mem
 	mgr := malleable.NewManager(rt)
+	ft := &recovery{rt: rt, stdout: stdout}
 	// StepHook cannot return an error: keep them and report them after the
 	// run.
 	var hookErr error
 	cfg.StepHook = func(step int) {
-		if *memCkpt > 0 && step == *memCkpt {
-			mem = ckpt.NewMem(rt)
-			d := mem.Checkpoint()
-			fmt.Fprintf(stdout, "step %d: in-memory checkpoint took %.1f ms (virtual)\n", step, float64(d)*1e3)
-		}
-		if *failStep > 0 && step == *failStep {
-			d, err := mem.FailAndRecover(1)
-			if err != nil {
-				hookErr = errors.Join(hookErr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "step %d: PE 1 failed; recovery took %.1f ms (virtual)\n", step, float64(d)*1e3)
+		// Once only: the replay after the rollback reaches the step again.
+		if *failStep > 0 && step == *failStep && !ft.failed {
+			ft.failed = true
+			// A crash lands in a global event (charm.Runtime.CrashPE).
+			rt.Engine().At(rt.Now(), func() {
+				if err := ft.failAndRecover(step); err != nil {
+					hookErr = errors.Join(hookErr, err)
+					rt.Engine().Stop()
+				}
+			})
 		}
 		if *shrinkTo > 0 && step == *steps/2 {
 			if err := mgr.Reconfigure(*shrinkTo); err != nil {
@@ -133,7 +139,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res, err := leanmd.Run(rt, cfg)
+	app, err := leanmd.New(rt, cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	ft.app = app
+	if *memCkpt > 0 {
+		ft.mem = ckpt.NewMem(rt)
+		rt.SetLBResumeHook(func(int) des.Time {
+			if app.Steps() != *memCkpt {
+				return 0
+			}
+			return ft.checkpoint()
+		})
+	}
+	res, err := app.Run()
 	if err = errors.Join(err, hookErr); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -173,6 +194,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s: %d events to %s\n", out.what, events.Recorded(), out.path)
 	}
 	return 0
+}
+
+// recovery is this command's half of the in-memory checkpoint scheme: a
+// checkpoint at a load-balancing resume (a quiescent cut), paired with the
+// step count and location caches of that cut, and a rollback to it when PE 1
+// fails.
+type recovery struct {
+	rt     *charm.Runtime
+	app    *leanmd.App
+	stdout io.Writer
+	mem    *ckpt.Mem
+	locs   *charm.LocCacheSnapshot
+	steps  int // steps completed at the cut
+	failed bool
+}
+
+// checkpoint takes the checkpoint and returns its modeled duration, for
+// which the resume stalls every PE.
+func (r *recovery) checkpoint() des.Time {
+	d := r.mem.Checkpoint()
+	r.locs = r.rt.SnapshotLocCaches(r.locs)
+	r.steps = r.app.Steps()
+	fmt.Fprintf(r.stdout, "step %d: in-memory checkpoint took %.1f ms (virtual)\n", r.steps, float64(d)*1e3)
+	return d
+}
+
+// failAndRecover kills PE 1 and rolls every element, the location caches
+// and the step count back to the checkpoint, then replays the cut's resume
+// once the modeled restart has passed. It runs in a global event.
+func (r *recovery) failAndRecover(step int) error {
+	rt := r.rt
+	rt.CrashPE(1)
+	r.mem.NoteFailure(1)
+	rt.RecoverReset()
+	d, err := r.mem.FailAndRecover(1)
+	if err != nil {
+		return err
+	}
+	rt.RestoreLocCaches(r.locs)
+	r.app.TruncateResult(r.steps)
+	kick := rt.MaxBusy() + d
+	rt.StallActivePEs(kick)
+	rt.Engine().At(kick, rt.ResumeRestoredElements)
+	fmt.Fprintf(r.stdout, "step %d: PE 1 failed; recovery took %.1f ms (virtual)\n", step, float64(d)*1e3)
+	return nil
 }
 
 // writeFile creates path and writes it with write.

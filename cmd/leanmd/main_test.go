@@ -23,6 +23,11 @@ func TestUsageErrors(t *testing.T) {
 		{"negative ckpt step", []string{"-ckpt-step", "-1"}, "-ckpt-step -1 out of range"},
 		{"fail without checkpoint", []string{"-fail-step", "3"}, "-fail-step 3 needs a -ckpt-step"},
 		{"checkpoint after failure", []string{"-ckpt-step", "4", "-fail-step", "3"}, "-fail-step 3 needs a -ckpt-step"},
+		{"checkpoint at failure", []string{"-lb", "greedy", "-ckpt-step", "5", "-fail-step", "5"}, "-fail-step 5 needs a -ckpt-step before it"},
+		{"failure on one PE", []string{"-pes", "1", "-lb", "greedy", "-ckpt-step", "5", "-fail-step", "6"}, "-fail-step fails PE 1, so it needs -pes >= 2"},
+		{"failure and shrink", []string{"-lb", "greedy", "-ckpt-step", "5", "-fail-step", "6", "-shrink-to", "8"}, "-fail-step and -shrink-to do not combine"},
+		{"checkpoint without balancer", []string{"-ckpt-step", "5"}, "-ckpt-step 5 is not a load-balancing step"},
+		{"checkpoint off a balancing step", []string{"-lb", "greedy", "-lb-period", "2", "-ckpt-step", "3"}, "-ckpt-step 3 is not a load-balancing step"},
 		{"unknown machine", []string{"-machine", "nosuch"}, `unknown machine "nosuch"`},
 		{"unknown balancer", []string{"-lb", "nosuch"}, `unknown balancer "nosuch"`},
 		{"unknown flag", []string{"-nosuch"}, "flag provided but not defined: -nosuch"},
@@ -50,13 +55,42 @@ func TestUsageErrors(t *testing.T) {
 // checkpoint line.
 func TestSmallRun(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	args := []string{"-pes", "16", "-cells", "3", "-steps", "4", "-lb", "greedy", "-lb-period", "2", "-ckpt-step", "1"}
+	args := []string{"-pes", "16", "-cells", "3", "-steps", "4", "-lb", "greedy", "-lb-period", "2", "-ckpt-step", "2"}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	for _, want := range []string{"step 1: in-memory checkpoint", "steps=4 PEs=16", "LB rounds: "} {
+	for _, want := range []string{"step 2: in-memory checkpoint", "steps=4 PEs=16", "LB rounds: "} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("output does not contain %q:\n%s", want, stdout.String())
 		}
+	}
+}
+
+// TestSurvivesFailure is README's "survive a PE failure" command, scaled
+// down: PE 1 fails after the checkpoint, every element rolls back to it, and
+// the run ends with the energies of the same run without the failure.
+func TestSurvivesFailure(t *testing.T) {
+	energies := func(args ...string) ([]string, string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append([]string{"-pes", "16", "-cells", "3", "-steps", "8", "-lb", "greedy", "-lb-period", "2", "-ckpt-step", "2"}, args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		var out []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if i := strings.Index(line, "energy "); i >= 0 {
+				out = append(out, line[i:])
+			}
+		}
+		return out, stdout.String()
+	}
+	want, _ := energies()
+	got, out := energies("-fail-step", "5")
+	if !strings.Contains(out, "step 5: PE 1 failed; recovery took") {
+		t.Errorf("no recovery line:\n%s", out)
+	}
+	if len(want) != 8 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("energies after recovery\n%s\nwant the failure-free run's\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -249,6 +249,10 @@ func TestLocationHintAllocs(t *testing.T) {
 		t.Fatalf("PE 0's hint for %v = %+v, %v; want PE %d", el.key, ent, ok, el.pe)
 	}
 	const hints = 1000
+	// One P for the window: a goroutine that moves to another P mid-window
+	// makes that P's allocation cache count a whole span of 64-byte slots
+	// (≈ 5 KB) at once.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

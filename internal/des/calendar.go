@@ -3,33 +3,43 @@ package des
 import (
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // Calendar is the production event store: every engine except the reference
 // Heap keeps its pending events here (Sequential directly, internal/parsim
-// under its launch pipeline). It is designed so the steady-state
-// schedule→pop cycle allocates nothing:
+// under its launch pipeline). Every store in it grows by fixed-size pieces
+// it never copies, and recycles them, so the steady-state schedule→pop cycle
+// allocates nothing and growing to a larger pending set allocates only the
+// new pieces:
 //
-//   - Events live in a slab ([]slot) recycled through an intrusive free
-//     list; a Handle is a (slot index, generation) pair, so minting one
-//     does not allocate and a recycled slot safely invalidates old handles.
+//   - Events live in a slab of 16 KiB pages, recycled through an intrusive
+//     free list. A slot id is (page, offset), so a slot never moves: an
+//     Event pointer stays valid while its event is queued. A Handle is a
+//     (slot id, generation) pair, so minting one does not allocate and a
+//     recycled slot safely invalidates old handles.
 //   - The pending set is a calendar queue keyed on virtual femtoseconds.
 //     A span of fixed-width buckets covers the near future; events beyond
 //     the span wait in an overflow list ("far") that reseeds — and retunes
 //     the bucket width to the population's spread — each time the span
-//     drains. Pushes into a future bucket are O(1) appends; a bucket is
-//     sorted once when it opens; events landing in the already-open bucket
-//     go through a small binary heap. Exact (timestamp, sequence)
-//     comparisons decide order everywhere, so femtosecond truncation
-//     collisions are harmless and the pop order is bit-identical to the
-//     reference binary-heap engine's.
+//     drains. A bucket and the far list keep their first ids inline and
+//     the rest in a chain of 512-byte id chunks drawn from one
+//     calendar-owned free list: a push is O(1), and a chunk goes back to
+//     the free list once its ids are read. A bucket is sorted
+//     once when it opens, into a drain run sized once for it; events
+//     landing in the already-open bucket go through a small binary heap.
+//     Exact (timestamp, sequence) comparisons decide order everywhere, so
+//     femtosecond truncation collisions are harmless and the pop order is
+//     bit-identical to the reference binary-heap engine's.
 //
 // The zero value is not usable; call Init.
 type Calendar struct {
 	seq   uint64
-	slots []slot
+	pages []*page
+	fill  int   // slots minted from the last page
 	free  int32 // free-list head, -1 when empty
 	count int   // scheduled, uncancelled events
+	dead  int   // cancelled events not yet reclaimed
 
 	// buckets[cur] is open: its contents were sorted into drain when it
 	// opened, and later arrivals for its time range sit in curHeap.
@@ -39,16 +49,19 @@ type Calendar struct {
 	openEnd  uint64 // fs one past the open bucket's range
 	spanEnd  uint64 // fs one past the last bucket's range
 	cur      int    // open bucket index (-1 right after a reseed)
-	buckets  [][]int32
+	buckets  [calBuckets]chain
 	// occ has one bit per ring bucket, set while the bucket holds filed
 	// events: a sparse ring (PHOLD fills ~2% of it) is crossed a word at a
 	// time instead of a bucket at a time.
 	occ      [calBuckets / 64]uint64
 	ring     int // events in buckets[cur+1:] (including cancelled)
+	far      chain
+	farMin   uint64 // fs range of the far list (cancelled entries included)
+	farMax   uint64
+	spare    *chunk // free chunks, linked through next
 	drain    []Ent
 	drainPos int
 	curHeap  EntHeap
-	far      []int32
 }
 
 const (
@@ -59,7 +72,39 @@ const (
 	defaultWidthFS = uint64(1e9)
 	// maxWidthFS keeps span arithmetic (bucket count × width) overflow-free.
 	maxWidthFS = uint64(1) << 62 / calBuckets
+
+	// A page holds as many slots as fit in 16 KiB, one of the allocator's
+	// size classes, so a page wastes less than one slot. A slot id is
+	// page<<pageShift | offset; offsets past pageSlots are never minted.
+	pageSlots = 16 << 10 / int(unsafe.Sizeof(slot{}))
+	pageShift = 8
+	// chunkIDs fills a chunk to 512 bytes with its link; inlineIDs fills a
+	// chain to 32.
+	chunkIDs  = 126
+	inlineIDs = 4
 )
+
+// A page must hold its slots within the id's offset field.
+var _ [1<<pageShift - pageSlots]struct{}
+
+type page [pageSlots]slot
+
+// chunk is one link of an id chain.
+type chunk struct {
+	next *chunk
+	ids  [chunkIDs]int32
+}
+
+// chain is a bucket's (or the far list's) ids, n of them: the first
+// inlineIDs in inl, the rest in chunks. head holds the last fill ids pushed
+// and every chunk behind it is full. The inline ids keep a sparse ring (one
+// or two events a bucket, as PHOLD's) off the chunk free list.
+type chain struct {
+	head *chunk
+	n    int32
+	fill int32
+	inl  [inlineIDs]int32
+}
 
 // toFS converts a timestamp to femtoseconds, saturating (Forever and
 // anything else past the uint64 range map to the maximum key). The
@@ -206,54 +251,68 @@ func (hp *EntHeap) Pop() Ent {
 // Init readies an empty calendar.
 func (c *Calendar) Init() {
 	*c = Calendar{
+		fill:    pageSlots, // no page yet: the first mint adds one
 		free:    -1,
 		width:   defaultWidthFS,
 		openEnd: defaultWidthFS,
 		spanEnd: calBuckets * defaultWidthFS,
-		buckets: make([][]int32, calBuckets),
+		farMin:  ^uint64(0),
 	}
 }
 
 // Len returns the number of scheduled, uncancelled events.
 func (c *Calendar) Len() int { return c.count }
 
+// slot returns the storage of slot id.
+func (c *Calendar) slot(id int32) *slot {
+	return &c.pages[id>>pageShift][id&(1<<pageShift-1)]
+}
+
 // live reports whether the packed handle id refers to a still-scheduled
 // event.
 func (c *Calendar) live(id uint64) bool {
-	idx := int(id >> 32)
-	return idx < len(c.slots) && c.slots[idx].gen == uint32(id) && c.slots[idx].state == slotQueued
+	s := c.slot(int32(id >> 32))
+	return s.gen == uint32(id) && s.state == slotQueued
 }
 
 // Queued reports whether the event k was minted for is still scheduled: its
 // slot has been neither popped, cancelled, nor recycled for a later event.
 func (c *Calendar) Queued(k Ent) bool {
-	s := &c.slots[k.ID]
+	s := c.slot(k.ID)
 	return s.state == slotQueued && s.Seq == k.Seq
 }
 
-// Event returns the stored event behind a queued key. The pointer is valid
-// only until the next Add.
-func (c *Calendar) Event(k Ent) *Event { return &c.slots[k.ID].Event }
+// Event returns the stored event behind a queued key. The pointer stays
+// valid while the event is queued.
+func (c *Calendar) Event(k Ent) *Event { return &c.slot(k.ID).Event }
 
 // Handle returns the cancellation handle of the event behind a queued key.
-func (c *Calendar) Handle(k Ent) Handle {
-	return Handle{cal: c, id: uint64(k.ID)<<32 | uint64(c.slots[k.ID].gen)}
+func (c *Calendar) Handle(k Ent) Handle { return c.handle(k.ID, c.slot(k.ID)) }
+
+func (c *Calendar) handle(id int32, s *slot) Handle {
+	return Handle{cal: c, id: uint64(id)<<32 | uint64(s.gen)}
 }
 
 // Add schedules an event at t on shard (-1 for a global event), stamping it
 // with the next sequence number. The caller sets exactly one body form on
-// the returned event — in place, so scheduling never copies an Event — before
-// touching the calendar again.
+// the returned event — in place, so scheduling never copies an Event —
+// before the calendar can pop it.
 func (c *Calendar) Add(t Time, shard int32) (*Event, Ent) {
-	var id int32
-	if c.free >= 0 {
-		id = c.free
-		c.free = c.slots[id].next
+	s, k := c.add(t, shard)
+	return &s.Event, k
+}
+
+// add is Add returning the slot, so Sequential mints the handle without
+// looking the slot up again.
+func (c *Calendar) add(t Time, shard int32) (*slot, Ent) {
+	id := c.free
+	var s *slot
+	if id >= 0 {
+		s = c.slot(id)
+		c.free = s.next
 	} else {
-		c.slots = append(c.slots, slot{})
-		id = int32(len(c.slots) - 1)
+		id, s = c.mint()
 	}
-	s := &c.slots[id]
 	s.At, s.Seq, s.Shard = t, c.seq, shard
 	c.seq++
 	s.state = slotQueued
@@ -264,9 +323,58 @@ func (c *Calendar) Add(t Time, shard int32) (*Event, Ent) {
 	if fs := toFS(t); fs < c.openEnd || c.openEnd == ^uint64(0) {
 		c.curHeap.Push(k)
 	} else if !c.file(id, fs) {
-		c.far = append(c.far, id)
+		c.toFar(id, fs)
 	}
-	return &s.Event, k
+	return s, k
+}
+
+// mint takes a never-used slot, adding a page when the last one is full.
+func (c *Calendar) mint() (int32, *slot) {
+	if c.fill == pageSlots {
+		c.pages = append(c.pages, new(page))
+		c.fill = 0
+	}
+	p := len(c.pages) - 1
+	s := &c.pages[p][c.fill]
+	id := int32(p<<pageShift | c.fill)
+	c.fill++
+	return id, s
+}
+
+// push appends id to chain l, taking a chunk from the free list (or a new
+// one) when l's inline ids and head chunk are full.
+func (c *Calendar) push(l *chain, id int32) {
+	if l.n < inlineIDs {
+		l.inl[l.n] = id
+	} else {
+		if l.head == nil || l.fill == chunkIDs {
+			c.link(l)
+		}
+		l.head.ids[l.fill] = id
+		l.fill++
+	}
+	l.n++
+}
+
+// link puts a chunk from the free list (or a new one) at the head of l.
+func (c *Calendar) link(l *chain) {
+	ch := c.spare
+	if ch != nil {
+		c.spare = ch.next
+	} else {
+		ch = new(chunk)
+	}
+	ch.next = l.head
+	l.head, l.fill = ch, 0
+}
+
+// recycle returns a chunk whose ids have been read to the free list and
+// returns the chunk that followed it.
+func (c *Calendar) recycle(ch *chunk) *chunk {
+	next := ch.next
+	ch.next = c.spare
+	c.spare = ch
+	return next
 }
 
 // file appends a slot to the ring bucket covering fs, or reports false when
@@ -276,11 +384,17 @@ func (c *Calendar) file(id int32, fs uint64) bool {
 	if fs >= c.spanEnd && c.spanEnd != ^uint64(0) {
 		return false
 	}
-	b := min(int((fs-c.spanBase)/c.width), len(c.buckets)-1)
-	c.buckets[b] = append(c.buckets[b], id)
+	b := min(int((fs-c.spanBase)/c.width), calBuckets-1)
+	c.push(&c.buckets[b], id)
 	c.occ[b>>6] |= 1 << (b & 63)
 	c.ring++
 	return true
+}
+
+// toFar adds a slot past the span to the far list.
+func (c *Calendar) toFar(id int32, fs uint64) {
+	c.push(&c.far, id)
+	c.farMin, c.farMax = min(c.farMin, fs), max(c.farMax, fs)
 }
 
 // Cancel removes h's event if it is still scheduled and returns its key;
@@ -291,36 +405,57 @@ func (c *Calendar) Cancel(h Handle) (Ent, bool) {
 		return Ent{}, false
 	}
 	id := int32(h.id >> 32)
-	s := &c.slots[id]
+	s := c.slot(id)
 	k := s.key(id)
 	s.drop()
 	s.state = slotCancelled
 	s.gen++
 	c.count--
+	c.dead++
 	return k, true
 }
 
-// reclaim returns a popped or drained cancelled slot to the free list.
-func (c *Calendar) reclaim(id int32) {
-	s := &c.slots[id]
+// release returns slot id, whose event left the queue, to the free list.
+func (c *Calendar) release(id int32, s *slot) {
 	s.state = slotFree
 	s.next = c.free
 	c.free = id
 }
 
-// openBucket sorts a bucket's live contents into the drain run.
-func (c *Calendar) openBucket(ids []int32) {
-	c.drain = c.drain[:0]
+// reap releases a cancelled slot whose queue position drained.
+func (c *Calendar) reap(id int32, s *slot) {
+	c.dead--
+	c.release(id, s)
+}
+
+// openBucket sorts a bucket's live contents into the drain run and empties
+// the bucket.
+func (c *Calendar) openBucket(l *chain) {
+	c.drain = slices.Grow(c.drain[:0], int(l.n))
 	c.drainPos = 0
-	for _, id := range ids {
-		s := &c.slots[id]
-		if s.state == slotCancelled {
-			c.reclaim(id)
-			continue
-		}
-		c.drain = append(c.drain, s.key(id))
+	for _, id := range l.inl[:min(l.n, inlineIDs)] {
+		c.enter(id)
 	}
-	slices.SortFunc(c.drain, entCmp)
+	for ch, m := l.head, l.fill; ch != nil; ch, m = c.recycle(ch), chunkIDs {
+		for _, id := range ch.ids[:m] {
+			c.enter(id)
+		}
+	}
+	l.head, l.n = nil, 0
+	if len(c.drain) > 1 {
+		slices.SortFunc(c.drain, entCmp)
+	}
+}
+
+// enter appends a filed event's key to the drain run, or reaps it if it was
+// cancelled.
+func (c *Calendar) enter(id int32) {
+	s := c.slot(id)
+	if s.state == slotCancelled {
+		c.reap(id, s)
+		return
+	}
+	c.drain = append(c.drain, s.key(id))
 }
 
 // advanceBucket moves to the next occupied ring bucket and opens it.
@@ -341,58 +476,55 @@ func (c *Calendar) advanceBucket() {
 	c.cur = w<<6 + bits.TrailingZeros64(word)
 	c.occ[w] &^= 1 << (c.cur & 63)
 	c.openEnd = c.spanBase + uint64(c.cur+1)*c.width
-	if c.cur == len(c.buckets)-1 || c.openEnd < c.spanBase {
+	if c.cur == calBuckets-1 || c.openEnd < c.spanBase {
 		// The tail bucket's range runs to the span end (which may be
 		// saturated — see file), not just one width past its start; and a
 		// bucket whose end wraps past 2^64 fs is the tail in all but index
 		// (nothing can be filed after it), so it saturates the same way.
 		c.openEnd = c.spanEnd
 	}
-	ids := c.buckets[c.cur]
-	c.ring -= len(ids)
-	c.buckets[c.cur] = ids[:0]
-	c.openBucket(ids)
+	l := &c.buckets[c.cur]
+	c.ring -= int(l.n)
+	c.openBucket(l)
 }
 
 // reseed rebuilds the span around the far population once the current span
 // has fully drained, retuning the bucket width so the population spreads
-// across the buckets.
+// across the buckets. The population's range counts cancelled entries too:
+// they can only widen the span, never reorder it.
 func (c *Calendar) reseed() {
-	// Pass 1: drop cancelled entries, find the population's fs range.
-	live := c.far[:0]
-	minFS, maxFS := ^uint64(0), uint64(0)
-	for _, id := range c.far {
-		s := &c.slots[id]
-		if s.state == slotCancelled {
-			c.reclaim(id)
-			continue
-		}
-		fs := toFS(s.At)
-		minFS = min(minFS, fs)
-		maxFS = max(maxFS, fs)
-		live = append(live, id)
-	}
-	c.far = live
-	if len(live) == 0 {
-		return
-	}
-	c.width = min((maxFS-minFS)/uint64(len(c.buckets))+1, maxWidthFS)
-	c.spanBase = minFS
-	c.spanEnd = minFS + uint64(len(c.buckets))*c.width
-	if c.spanEnd < minFS { // saturate on wraparound
+	c.width = min((c.farMax-c.farMin)/calBuckets+1, maxWidthFS)
+	c.spanBase = c.farMin
+	c.spanEnd = c.farMin + calBuckets*c.width
+	if c.spanEnd < c.farMin { // saturate on wraparound
 		c.spanEnd = ^uint64(0)
 	}
 	c.cur = -1
 	c.openEnd = c.spanBase
-	// Pass 2: distribute what the new span covers; the rest stays far.
-	rest := c.far[:0]
-	for _, id := range c.far {
-		if !c.file(id, toFS(c.slots[id].At)) {
-			rest = append(rest, id)
+	// Reclaim the cancelled, distribute what the new span covers, and keep
+	// the rest far. A chunk is recycled only after its ids are read, so the
+	// pushes here reuse the chunks just emptied.
+	old := c.far
+	c.far, c.farMin, c.farMax = chain{}, ^uint64(0), 0
+	for _, id := range old.inl[:min(old.n, inlineIDs)] {
+		c.refile(id)
+	}
+	for ch, m := old.head, old.fill; ch != nil; ch, m = c.recycle(ch), chunkIDs {
+		for _, id := range ch.ids[:m] {
+			c.refile(id)
 		}
 	}
-	c.far = rest
-	c.advanceBucket()
+}
+
+// refile files a far event into the span, keeps it far, or reaps it if it
+// was cancelled.
+func (c *Calendar) refile(id int32) {
+	s := c.slot(id)
+	if s.state == slotCancelled {
+		c.reap(id, s)
+	} else if fs := toFS(s.At); !c.file(id, fs) {
+		c.toFar(id, fs)
+	}
 }
 
 // Peek normalizes the calendar until a head event is visible and returns
@@ -406,12 +538,25 @@ func (c *Calendar) Peek() (Ent, bool) {
 // false: the drain run).
 func (c *Calendar) peek() (k Ent, inHeap, ok bool) {
 	for {
-		for c.drainPos < len(c.drain) && c.slots[c.drain[c.drainPos].ID].state == slotCancelled {
-			c.reclaim(c.drain[c.drainPos].ID)
+		// Cancelled heads are reaped here; with none outstanding there is
+		// nothing to look up.
+		for c.dead > 0 && c.drainPos < len(c.drain) {
+			id := c.drain[c.drainPos].ID
+			s := c.slot(id)
+			if s.state != slotCancelled {
+				break
+			}
+			c.reap(id, s)
 			c.drainPos++
 		}
-		for len(c.curHeap) > 0 && c.slots[c.curHeap[0].ID].state == slotCancelled {
-			c.reclaim(c.curHeap.Pop().ID)
+		for c.dead > 0 && len(c.curHeap) > 0 {
+			id := c.curHeap[0].ID
+			s := c.slot(id)
+			if s.state != slotCancelled {
+				break
+			}
+			c.reap(id, s)
+			c.curHeap.Pop()
 		}
 		hasD := c.drainPos < len(c.drain)
 		hasH := len(c.curHeap) > 0
@@ -422,7 +567,7 @@ func (c *Calendar) peek() (k Ent, inHeap, ok bool) {
 			return c.curHeap[0], true, true
 		case c.ring > 0:
 			c.advanceBucket()
-		case len(c.far) > 0:
+		case c.far.n > 0:
 			c.reseed()
 		default:
 			return Ent{}, false, false
@@ -442,11 +587,11 @@ func (c *Calendar) Pop(ev *Event) bool {
 	} else {
 		c.drainPos++
 	}
-	s := &c.slots[k.ID]
+	s := c.slot(k.ID)
 	*ev = s.Event
 	s.drop()
 	s.gen++
 	c.count--
-	c.reclaim(k.ID)
+	c.release(k.ID, s)
 	return true
 }

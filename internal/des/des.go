@@ -7,7 +7,7 @@
 // bit-for-bit reproducible.
 //
 // Three engines exist over two event stores. Calendar (this package) is the
-// production store: a slab of events drained through a calendar queue.
+// production store: a paged slab of events drained through a calendar queue.
 // Sequential (this package) executes every event from it on the calling
 // goroutine; internal/parsim runs event phases on worker goroutines from the
 // same store, in a conservative mode (launches bounded by the machine's

@@ -44,8 +44,8 @@ func (e *Sequential) add(t Time, shard int) (*Event, Handle) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
 	}
-	ev, k := e.cal.Add(t, int32(shard))
-	return ev, e.cal.Handle(k)
+	s, k := e.cal.add(t, int32(shard))
+	return &s.Event, e.cal.handle(k.ID, s)
 }
 
 // At schedules fn to run at absolute virtual time t.

@@ -3,8 +3,9 @@
 # build, a vet or a go test: gofmt, build, go vet, the test suite under the
 # race detector (charmvet's determinism & PUP-completeness rules ride it as
 # TestCharmvetClean, see DESIGN.md "Determinism rules"; its CLI is tested in
-# cmd/charmvet), the allocation pins and budgets once without it, one
-# iteration of every in-package benchmark, the benchmark module's own suite,
+# cmd/charmvet), the allocation pins and budgets once without it, a
+# fixed-iteration smoke of the event-store fuzz target, one iteration of
+# every in-package benchmark, the benchmark module's own suite,
 # the cross-backend equivalence tests and the engine's suite at several
 # GOMAXPROCS values, the telemetry-neutrality gate, the full figure registry
 # on both engines, and the 60-seed multi-failure soak. CI runs exactly this.
@@ -35,6 +36,10 @@ go test -race -timeout 20m ./...
 # -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
 # full-size counter goldens are skipped under it: run both once without.
 go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/ ./internal/chaos/
+# The event store against the reference heap engine: its seed corpus
+# (internal/des/testdata/fuzz) and then a fixed number of fuzzed programs. A
+# smoke, not a search: a failing input would be written under testdata/.
+go test -run '^$' -fuzz '^FuzzCalendarMatchesHeap$' -fuzztime 5000x ./internal/des/
 # The in-package benchmarks are otherwise only compiled (go vet): one
 # iteration of each, so one that panics or no longer sets up fails here. A
 # smoke, not a measurement — its output is discarded.
