@@ -1,8 +1,9 @@
 // Package retaincheck is a charmvet test fixture. Each `// want` comment
 // marks an expected retaincheck finding on its line; the package is
 // excluded from the real suite and exists only for the analyzer unit
-// tests. The pooled type under test is the real *charm.Ctx — valid only
-// for the delivery it was issued for, recycled immediately after.
+// tests. The pooled types under test are the real *charm.Ctx — valid only
+// for the delivery it was issued for, recycled immediately after — and the
+// real *charm.Vec, a SendVec message whose Data() is the message's storage.
 package retaincheck
 
 import "charmgo/internal/charm"
@@ -22,7 +23,7 @@ type pair struct {
 
 func use(fns ...any) {}
 
-func register() { use(onKeep, onOK) }
+func register() { use(onKeep, onOK, onVec) }
 
 func onKeep(obj any, ctx *charm.Ctx, msg any) {
 	k := obj.(*keeper)
@@ -54,4 +55,42 @@ func onOK(obj any, ctx *charm.Ctx, msg any) {
 	// A deliberate retention site carries the waiver.
 	//charmvet:retain (fixture: deliberate)
 	leakedCtx = ctx
+}
+
+type hoard struct {
+	vec  *charm.Vec
+	data []float64
+	all  [][]float64
+}
+
+type edge struct {
+	d []float64
+}
+
+func sum(d []float64) (s float64) {
+	for _, x := range d {
+		s += x
+	}
+	return s
+}
+
+func onVec(obj any, ctx *charm.Ctx, msg any) {
+	h := obj.(*hoard)
+	v := msg.(*charm.Vec)
+	h.vec = v // want `v stored into h.vec`
+
+	h.data = v.Data() // want `v.Data() stored into h.data`
+
+	h.all = append(h.all, v.Data()) // want `v.Data() appended to a slice`
+
+	_ = edge{d: v.Data()} // want `v.Data() placed in a composite literal`
+
+	later(func() { _ = sum(v.Data()) }) // want `captured by a closure passed to later`
+
+	// Copying the values out, reading them, and passing the slice down the
+	// same invocation keep nothing.
+	h.data = append(h.data[:0], v.Data()...)
+	_ = sum(v.Data())
+	_ = v.Tag()
+	ctx.Defer(func() { _ = sum(v.Data()) })
 }

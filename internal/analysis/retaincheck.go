@@ -7,24 +7,28 @@ import (
 )
 
 // RetainCheck flags pooled runtime objects stored into state that outlives
-// the handler invocation. The zero-alloc delivery path (PR 5) recycles
-// *charm.Ctx and *charm.message aggressively: a Ctx is valid only for the
-// duration of the entry-method invocation it was issued for, and a message
-// is reused as soon as its delivery commits. A reference squirreled away in
-// a chare field, a global, a slice, or a closure that runs later therefore
-// observes — or corrupts — another event's state. Nothing crashes; the
+// the handler invocation. The zero-alloc delivery path recycles *charm.Ctx
+// and *charm.message aggressively: a Ctx is valid only for the duration of
+// the entry-method invocation it was issued for, and a message is reused as
+// soon as its delivery commits. A *charm.Vec is a SendVec message itself,
+// and the slice its Data() returns is that message's own storage. A
+// reference squirreled away in a chare field, a global, a slice, or a
+// closure that runs later therefore observes — or corrupts — another
+// event's state. Nothing crashes; the
 // simulation just stops being deterministic. This generalizes poolcheck
 // (use-after-release inside one block) to escape: release-then-use across
 // events.
 //
-// A store is flagged when a bare identifier of pooled type appears
+// A store is flagged when a bare identifier of pooled type — or v.Data()
+// on a *charm.Vec v — appears
 //
 //   - on the right of an assignment whose left side escapes the function:
 //     a field selector, an index or dereference expression, or a
 //     package-level variable;
 //
 //   - as an argument to append, or as an element of a composite literal
-//     (both build longer-lived structures);
+//     (both build longer-lived structures) — except v.Data()... spread
+//     into append, which copies the values;
 //
 //   - captured by a function literal that itself escapes: passed to any
 //     call other than Ctx.Defer / Ctx.emit (whose closures the runtime
@@ -43,11 +47,13 @@ var RetainCheck = &Analyzer{
 }
 
 // pooledType reports whether t is one of the runtime's pooled reference
-// types: *charm.Ctx or *charm.message (name-based, so fixtures using a
-// stub charm package qualify).
+// types: *charm.Ctx, *charm.message or *charm.Vec (name-based, so fixtures
+// using a stub charm package qualify).
 func pooledType(t types.Type) bool {
-	return isCtxPtr(t) || isPtrToNamed(t, "charm", "message")
+	return isCtxPtr(t) || isPtrToNamed(t, "charm", "message") || isVecPtr(t)
 }
+
+func isVecPtr(t types.Type) bool { return isPtrToNamed(t, "charm", "Vec") }
 
 func runRetainCheck(pass *Pass) {
 	for _, n := range pass.pkgNodes() {
@@ -78,7 +84,10 @@ func (p *Pass) checkRetainNode(n *Node) {
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && p.Info.Uses[id] != nil {
 				if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
-					for _, arg := range x.Args[min(1, len(x.Args)):] {
+					for i, arg := range x.Args[min(1, len(x.Args)):] {
+						if x.Ellipsis.IsValid() && i == len(x.Args)-2 {
+							continue // append(dst, v.Data()...) copies the values
+						}
 						p.flagPooledIdent(arg, "appended to a slice, which outlives the handler invocation")
 					}
 				}
@@ -99,21 +108,29 @@ func (p *Pass) checkRetainNode(n *Node) {
 	})
 }
 
-// flagPooledIdent flags e when it is a bare identifier of pooled type.
+// flagPooledIdent flags e when it is a bare identifier of pooled type, or
+// v.Data() on a *charm.Vec v.
 func (p *Pass) flagPooledIdent(e ast.Expr, format string, args ...any) {
-	id, ok := ast.Unparen(e).(*ast.Ident)
+	e = ast.Unparen(e)
+	what := ""
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 0 {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Data" {
+			e, what = sel.X, ".Data()"
+		}
+	}
+	id, ok := e.(*ast.Ident)
 	if !ok {
 		return
 	}
 	v, ok := p.Info.Uses[id].(*types.Var)
-	if !ok || !pooledType(v.Type()) {
+	if !ok || !pooledType(v.Type()) || (what != "" && !isVecPtr(v.Type())) {
 		return
 	}
 	if p.Waived(WaiverRetain, id.Pos()) {
 		return
 	}
-	p.Reportf(id.Pos(), "pooled %s %s %s; the runtime recycles it after this delivery — copy what you need or annotate //charmvet:retain",
-		typeShort(v.Type()), id.Name, applyFormat(format, args))
+	p.Reportf(id.Pos(), "pooled %s %s%s %s; the runtime recycles it after this delivery — copy what you need or annotate //charmvet:retain",
+		typeShort(v.Type()), id.Name, what, applyFormat(format, args))
 }
 
 // checkClosureArgs flags function-literal call arguments that capture a

@@ -241,6 +241,9 @@ type App struct {
 	err      error
 	// box is the periodic domain size per dimension.
 	box [3]float64
+	// stepDone is the energy reduction's callback, built once: building it
+	// per contribution costs a method-value closure per cell and step.
+	stepDone charm.Callback
 }
 
 // New builds the cell and compute arrays and populates atoms.
@@ -253,6 +256,7 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("leanmd: periodic neighbours need >= 3 cells per dimension")
 	}
 	a := &App{rt: rt, cfg: cfg, res: &Result{}}
+	a.stepDone = charm.CallbackFunc(0, a.onStepDone)
 	a.box = [3]float64{
 		float64(cfg.CellsX) * cutoff,
 		float64(cfg.CellsY) * cutoff,
@@ -555,7 +559,10 @@ func (a *App) maybeIntegrate(c *cell, ctx *charm.Ctx) {
 		}
 		peAcc += f.PE
 	}
-	c.Recv = nil
+	// Emptied, not dropped, so the next step refills the same 27 entries
+	// (nil and empty PUP alike).
+	clear(c.Recv)
+	c.Recv = c.Recv[:0]
 	// Velocity-Verlet (kick-drift-kick): complete the previous half-kick
 	// with the freshly computed forces, measure kinetic energy at the
 	// full step, half-kick again, and drift.
@@ -577,7 +584,7 @@ func (a *App) maybeIntegrate(c *cell, ctx *charm.Ctx) {
 		c.Fs[i] = 0
 	}
 	c.Step++
-	ctx.Contribute(energy, charm.SumF64, charm.CallbackFunc(0, a.onStepDone))
+	ctx.Contribute(energy, charm.SumF64, a.stepDone)
 
 	if c.Step >= a.cfg.Steps {
 		return

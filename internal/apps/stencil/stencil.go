@@ -86,6 +86,10 @@ const (
 	epResume
 )
 
+// ghostMsg is an early ghost edge a block holds until its iteration: a
+// copy of the edge, since the message that carried it is recycled when
+// the handler returns. On the wire an edge is a charm.Vec tagged
+// Iter<<2 | Side.
 type ghostMsg struct {
 	Side int // 0=from left, 1=from right, 2=from above, 3=from below
 	Iter int
@@ -100,7 +104,7 @@ type block struct {
 	Cur    []float64 // (B+2)^2 with ghost ring
 	New    []float64
 	Got    int
-	Buffer []ghostMsg // early ghosts (next iteration, or pre-start)
+	Buffer []ghostMsg // early ghosts (next iteration, or pre-start); entries are reused
 	InSync bool
 	// Started flips on the start broadcast; ghosts can overtake it.
 	Started bool
@@ -153,6 +157,10 @@ type App struct {
 	arr *charm.Array
 	res *Result
 	err error
+	// iterDone is the residual reduction's callback, built once: building
+	// it per contribution costs a method-value closure per block and
+	// iteration.
+	iterDone charm.Callback
 }
 
 // New declares the block array on the runtime.
@@ -162,6 +170,10 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("stencil: grid %d not divisible by %d chares", cfg.GridN, cfg.Chares)
 	}
 	app := &App{rt: rt, cfg: cfg, res: &Result{}}
+	app.iterDone = charm.CallbackFunc(0, app.onIterDone)
+	// The PE grid for the declared PE count, found once; HomeMap searches
+	// again only when the active count differs (after SetActivePEs).
+	px0, py0 := peGrid(rt.NumPEs())
 	handlers := []charm.Handler{
 		epStart:  app.onStart,
 		epGhost:  app.onGhost,
@@ -179,14 +191,10 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		// most ghost exchanges stay node-local (the standard stencil
 		// mapping; the RTS is free to migrate away from it later).
 		HomeMap: func(idx charm.Index, numPEs int) int {
-			px := 1
-			for px*px < numPEs {
-				px++
+			px, py := px0, py0
+			if px*py != numPEs {
+				px, py = peGrid(numPEs)
 			}
-			for numPEs%px != 0 {
-				px--
-			}
-			py := numPEs / px
 			ti := idx.I() * px / cfg.Chares
 			tj := idx.J() * py / cfg.Chares
 			return ti*py + tj
@@ -231,6 +239,19 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 		}
 	}
 	return app, nil
+}
+
+// peGrid factors numPEs into the px × py PE grid the home map tiles blocks
+// over: px is the smallest divisor of numPEs at or above its square root.
+func peGrid(numPEs int) (px, py int) {
+	px = 1
+	for px*px < numPEs {
+		px++
+	}
+	for numPEs%px != 0 {
+		px--
+	}
+	return px, numPEs / px
 }
 
 func (a *App) factory() charm.Chare { return &block{app: a} }
@@ -286,77 +307,74 @@ func (a *App) onStart(obj charm.Chare, ctx *charm.Ctx, msg any) {
 	a.advance(b, ctx)
 }
 
-// sendGhosts ships the block's boundary values for iteration b.Iter.
+// sendGhosts ships the block's boundary values for iteration b.Iter. Each
+// edge is read straight out of Cur — a column at stride B+2, a row at
+// stride 1 — into the message's own storage.
 func (a *App) sendGhosts(b *block, ctx *charm.Ctx) {
 	bsz := b.B
-	bytes := bsz*8 + 32
-	send := func(di, dj, side int, data []float64) {
-		ctx.SendOpt(a.arr, charm.Idx2(b.BI+di, b.BJ+dj), epGhost,
-			ghostMsg{Side: side, Iter: b.Iter, Data: data}, &charm.SendOpts{Bytes: bytes})
+	opts := &charm.SendOpts{Bytes: bsz*8 + 32}
+	send := func(di, dj, side, first, stride int) {
+		ctx.SendVec(a.arr, charm.Idx2(b.BI+di, b.BJ+dj), epGhost, b.Iter<<2|side,
+			b.Cur[first:], bsz, stride, opts)
 	}
 	if b.BI > 0 {
-		col := make([]float64, bsz)
-		for y := 1; y <= bsz; y++ {
-			col[y-1] = b.at(1, y)
-		}
-		send(-1, 0, 1, col) // arrives at left neighbour as its "from right"
+		send(-1, 0, 1, bsz+3, bsz+2) // column x=1 arrives at the left neighbour as its "from right"
 	}
 	if b.BI < b.NB-1 {
-		col := make([]float64, bsz)
-		for y := 1; y <= bsz; y++ {
-			col[y-1] = b.at(bsz, y)
-		}
-		send(+1, 0, 0, col)
+		send(+1, 0, 0, bsz+2+bsz, bsz+2) // column x=bsz
 	}
 	if b.BJ > 0 {
-		row := make([]float64, bsz)
-		for x := 1; x <= bsz; x++ {
-			row[x-1] = b.at(x, 1)
-		}
-		send(0, -1, 3, row)
+		send(0, -1, 3, bsz+3, 1) // row y=1
 	}
 	if b.BJ < b.NB-1 {
-		row := make([]float64, bsz)
-		for x := 1; x <= bsz; x++ {
-			row[x-1] = b.at(x, bsz)
-		}
-		send(0, +1, 2, row)
+		send(0, +1, 2, bsz*(bsz+2)+1, 1) // row y=bsz
 	}
 }
 
 func (a *App) onGhost(obj charm.Chare, ctx *charm.Ctx, msg any) {
 	b := obj.(*block)
 	b.app = a
-	g := msg.(ghostMsg)
-	if !b.Started || g.Iter != b.Iter {
+	v := msg.(*charm.Vec)
+	side, iter := v.Tag()&3, v.Tag()>>2
+	if !b.Started || iter != b.Iter {
 		// The block has not started yet, or a fast neighbour is one
-		// iteration ahead; hold the ghost.
-		b.Buffer = append(b.Buffer, g)
+		// iteration ahead; hold a copy of the ghost, reusing the storage
+		// of an entry consumed earlier.
+		n := len(b.Buffer)
+		if n < cap(b.Buffer) {
+			b.Buffer = b.Buffer[:n+1]
+		} else {
+			b.Buffer = append(b.Buffer, ghostMsg{})
+		}
+		g := &b.Buffer[n]
+		g.Side, g.Iter = side, iter
+		g.Data = append(g.Data[:0], v.Data()...)
 		return
 	}
-	a.applyGhost(b, g)
+	a.applyGhost(b, side, v.Data())
 	b.Got++
 	a.maybeCompute(b, ctx)
 }
 
-func (a *App) applyGhost(b *block, g ghostMsg) {
+// applyGhost writes one ghost edge into the block's ghost ring.
+func (a *App) applyGhost(b *block, side int, data []float64) {
 	bsz := b.B
-	switch g.Side {
+	switch side {
 	case 0: // from left neighbour: fill x=0 ghost column
 		for y := 1; y <= bsz; y++ {
-			b.set(0, y, g.Data[y-1])
+			b.set(0, y, data[y-1])
 		}
 	case 1:
 		for y := 1; y <= bsz; y++ {
-			b.set(bsz+1, y, g.Data[y-1])
+			b.set(bsz+1, y, data[y-1])
 		}
 	case 2:
 		for x := 1; x <= bsz; x++ {
-			b.set(x, 0, g.Data[x-1])
+			b.set(x, 0, data[x-1])
 		}
 	case 3:
 		for x := 1; x <= bsz; x++ {
-			b.set(x, bsz+1, g.Data[x-1])
+			b.set(x, bsz+1, data[x-1])
 		}
 	}
 }
@@ -386,7 +404,7 @@ func (a *App) maybeCompute(b *block, ctx *charm.Ctx) {
 
 	b.Iter++
 	b.Got = 0
-	ctx.Contribute(residual, charm.SumF64, charm.CallbackFunc(0, a.onIterDone))
+	ctx.Contribute(residual, charm.SumF64, a.iterDone)
 
 	if b.Iter >= a.cfg.Iters {
 		return // done; the final reduction ends the run
@@ -403,9 +421,12 @@ func (a *App) maybeCompute(b *block, ctx *charm.Ctx) {
 func (a *App) advance(b *block, ctx *charm.Ctx) {
 	a.sendGhosts(b, ctx)
 	if len(b.Buffer) > 0 {
+		// Emptied, not dropped: the entries keep their Data for the next
+		// early ghosts. Nothing below appends to Buffer before the loop ends.
 		buf := b.Buffer
-		b.Buffer = nil
-		for _, g := range buf {
+		b.Buffer = b.Buffer[:0]
+		for i := range buf {
+			g := &buf[i]
 			if g.Iter != b.Iter {
 				err := fmt.Errorf("stencil: block (%d,%d) buffered ghost for iter %d at iter %d",
 					b.BI, b.BJ, g.Iter, b.Iter)
@@ -413,7 +434,7 @@ func (a *App) advance(b *block, ctx *charm.Ctx) {
 				ctx.Exit()
 				return
 			}
-			a.applyGhost(b, g)
+			a.applyGhost(b, g.Side, g.Data)
 			b.Got++
 		}
 	}

@@ -124,7 +124,7 @@ func TestBufferedEffectsAllocFree(t *testing.T) {
 			for i, el := range fanEls {
 				el.redGen = 0 // every contribution joins generation 0
 				m := getMsg()
-				m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, epFan, 64, i
+				m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, int32(epFan), 64, int32(i)
 				rt.send(m, rt.eng.Now()) // simultaneous, so the two overlap
 			}
 		}

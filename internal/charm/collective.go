@@ -90,7 +90,7 @@ type bcastMsg struct {
 	arr     int
 	ep      EP
 	payload any
-	size    int
+	size    int32
 	prio    int64
 }
 
@@ -107,7 +107,7 @@ func (c *Ctx) Broadcast(arr *Array, ep EP, payload any, opts *SendOpts) {
 		c.rt.bcastFanout(c, bm)
 		return
 	}
-	c.SendPE(0, c.rt.bcastPEH, bm, &SendOpts{Bytes: size, Prio: prioControl})
+	c.SendPE(0, c.rt.bcastPEH, bm, &SendOpts{Bytes: int(size), Prio: prioControl})
 }
 
 func (rt *Runtime) bcastHandler(ctx *Ctx, msg any) {
@@ -120,7 +120,7 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 	p := ctx.pe
 	for _, child := range []int{2*p + 1, 2*p + 2} {
 		if child < rt.activePEs {
-			ctx.SendPE(child, rt.bcastPEH, bm, &SendOpts{Bytes: bm.size, Prio: prioControl})
+			ctx.SendPE(child, rt.bcastPEH, bm, &SendOpts{Bytes: int(bm.size), Prio: prioControl})
 		}
 	}
 	if ctx.replay {

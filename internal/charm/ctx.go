@@ -3,6 +3,7 @@ package charm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"charmgo/internal/des"
 	"charmgo/internal/pup"
@@ -296,14 +297,34 @@ type SendOpts struct {
 	Prio int64
 }
 
-func (c *Ctx) msgSize(payload any, opts *SendOpts) int {
+// msgSize is the funnel every payload entering a send passes through
+// (Send, SendOpt, SendPE, Broadcast, Multicast, and so TRAM's batches): it
+// returns the modeled wire size, and it refuses a *Vec.
+func (c *Ctx) msgSize(payload any, opts *SendOpts) int32 {
+	refuseVec(payload)
 	if opts != nil && opts.Bytes > 0 {
-		return opts.Bytes
+		return wireSize(opts.Bytes)
 	}
 	if p, ok := payload.(pup.Pupable); ok {
-		return pup.Size(p) + 32
+		return wireSize(pup.Size(p) + 32)
 	}
 	return 64
+}
+
+// refuseVec panics on a *Vec payload: a Vec is its own message and dies
+// with it when its handler returns, before any later delivery.
+func refuseVec(payload any) {
+	if _, ok := payload.(*Vec); ok {
+		panic("charm: a *Vec cannot be a send's payload: it is recycled with its message when its handler returns (copy Data() instead)")
+	}
+}
+
+// wireSize checks that a modeled size fits the message's int32 field.
+func wireSize(bytes int) int32 {
+	if bytes > math.MaxInt32 {
+		panic(fmt.Sprintf("charm: modeled message size %d B does not fit in int32", bytes))
+	}
+	return int32(bytes)
 }
 
 // Send invokes entry method ep on element idx of arr asynchronously: the
@@ -337,7 +358,46 @@ func (c *Ctx) resolveFor(dest elemKey) int {
 
 // SendOpt is Send with explicit size/priority options.
 func (c *Ctx) SendOpt(arr *Array, idx Index, ep EP, payload any, opts *SendOpts) {
-	size := c.msgSize(payload, opts)
+	if m := c.elemMsg(arr, idx, ep, c.msgSize(payload, opts), opts); m != nil {
+		m.payload = payload
+		c.post(m)
+	}
+}
+
+// SendVec is SendOpt with a message-owned payload, Charm++'s varsize
+// message: it copies n values of src, read at the given stride (src[0],
+// src[stride], …), into the pooled message's own storage, so a steady-state
+// send allocates nothing. The handler receives a *Vec — the message itself —
+// whose Tag() is tag and whose Data() holds the values until the handler
+// returns. The modeled size is opts.Bytes when set, else 8n + 32.
+func (c *Ctx) SendVec(arr *Array, idx Index, ep EP, tag int, src []float64, n, stride int, opts *SendOpts) {
+	bytes := 8*n + 32
+	if opts != nil && opts.Bytes > 0 {
+		bytes = opts.Bytes
+	}
+	m := c.elemMsg(arr, idx, ep, wireSize(bytes), opts)
+	if m == nil {
+		return
+	}
+	v := slices.Grow(m.vec[:0], n)[:n]
+	if stride == 1 {
+		copy(v, src[:n])
+	} else {
+		for i := range v {
+			v[i] = src[i*stride]
+		}
+	}
+	m.vec, m.tag = v, int32(tag)
+	m.payload = (*Vec)(m)
+	c.post(m)
+}
+
+// elemMsg is the one body of SendOpt and SendVec: it charges the send to
+// the clock, the load meter and the element's send meters, and returns the
+// addressed message for the caller to fill and post — or nil in
+// coast-forward replay, where the send went out when the delivery
+// originally committed.
+func (c *Ctx) elemMsg(arr *Array, idx Index, ep EP, size int32, opts *SendOpts) *message {
 	var prio int64
 	if opts != nil {
 		prio = opts.Prio
@@ -360,23 +420,27 @@ func (c *Ctx) SendOpt(arr *Array, idx Index, ep EP, payload any, opts *SendOpts)
 		}
 	}
 	if c.replay {
-		// Effect-suppressed: the send went out when the delivery originally
-		// committed. The clock and meter charges above reconstruct Now().
-		return
+		// Effect-suppressed: the clock and meter charges above reconstruct
+		// Now().
+		return nil
 	}
 	m := getMsg()
 	m.dest = dest
 	m.destPE = -1
-	m.ep = ep
-	m.payload = payload
+	m.ep = int32(ep)
 	m.prio = prio
 	m.size = size
-	m.srcPE = c.pe
+	m.srcPE = int32(c.pe)
 	m.cause = c.cause
+	return m
+}
+
+// post sends a filled message at the execution's current moment: at once
+// in immediate mode — the steady-state send path, allocation-free (pooled
+// message, no effect record) — or through the PE's effect buffer.
+func (c *Ctx) post(m *message) {
 	at := c.Now()
 	if c.fx == nil {
-		// Immediate mode: the steady-state send path runs allocation-free
-		// (pooled message, no effect record).
 		c.rt.send(m, at)
 		return
 	}
@@ -394,22 +458,17 @@ func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
 	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, pe)
 	c.chargeLoadWork(c.rt.mach.Config().SendOverheadLocal)
 	if c.replay {
-		return // see SendOpt: charge the clock, suppress the effect
+		return // see elemMsg: charge the clock, suppress the effect
 	}
 	m := getMsg()
-	m.destPE = pe
-	m.ep = EP(h)
+	m.destPE = int32(pe)
+	m.ep = int32(h)
 	m.payload = payload
 	m.prio = prio
 	m.size = size
-	m.srcPE = c.pe
+	m.srcPE = int32(c.pe)
 	m.cause = c.cause
-	at := c.Now()
-	if c.fx == nil {
-		c.rt.send(m, at)
-		return
-	}
-	c.fx.send(m, at)
+	c.post(m)
 }
 
 // LocalInvoke runs an entry method on a local element synchronously within

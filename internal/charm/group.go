@@ -23,7 +23,7 @@ type groupMsg struct {
 type groupBcast struct {
 	ep      EP
 	payload any
-	size    int
+	size    int32
 }
 
 // DeclareGroup registers a group: factory builds the member for each PE.
@@ -56,7 +56,7 @@ func (g *Group) dispatch(ctx *Ctx, msg any) {
 		p := ctx.pe
 		for _, child := range []int{2*p + 1, 2*p + 2} {
 			if child < g.rt.activePEs {
-				ctx.SendPE(child, g.peh, m, &SendOpts{Bytes: m.size, Prio: prioControl})
+				ctx.SendPE(child, g.peh, m, &SendOpts{Bytes: int(m.size), Prio: prioControl})
 			}
 		}
 		g.handlers[m.ep](g.elems[p], ctx, m.payload)
@@ -67,6 +67,7 @@ func (g *Group) dispatch(ctx *Ctx, msg any) {
 
 // SendGroup invokes an entry method on the group member of the given PE.
 func (c *Ctx) SendGroup(g *Group, pe int, ep EP, payload any, opts *SendOpts) {
+	refuseVec(payload) // SendPE sizes the wrapper, not the payload
 	c.SendPE(pe, g.peh, groupMsg{ep: ep, payload: payload}, opts)
 }
 
@@ -81,7 +82,7 @@ func (c *Ctx) BroadcastGroup(g *Group, ep EP, payload any, opts *SendOpts) {
 		g.dispatch(c, m)
 		return
 	}
-	c.SendPE(0, g.peh, m, &SendOpts{Bytes: size, Prio: prioControl})
+	c.SendPE(0, g.peh, m, &SendOpts{Bytes: int(size), Prio: prioControl})
 }
 
 // BroadcastGroup invokes ep on every member from driver context.

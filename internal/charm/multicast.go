@@ -8,7 +8,7 @@ type multicastMsg struct {
 	ep      EP
 	idxs    []Index
 	payload any
-	size    int
+	size    int32
 	prio    int64
 }
 
@@ -50,7 +50,7 @@ func (c *Ctx) Multicast(arr *Array, idxs []Index, ep EP, payload any, opts *Send
 		c.SendPE(pe, c.rt.mcastPEH, multicastMsg{
 			arr: arr.id, ep: ep, idxs: group, payload: payload,
 			size: size, prio: prio,
-		}, &SendOpts{Bytes: size + 16*len(group), Prio: prio})
+		}, &SendOpts{Bytes: int(size) + 16*len(group), Prio: prio})
 		// Each element in the section is one logical application message.
 		n := len(group)
 		c.emit(func() { c.rt.inflight += n })
@@ -72,11 +72,11 @@ func (rt *Runtime) mcastHandler(ctx *Ctx, msg any) {
 		em := getMsg()
 		em.dest = key
 		em.destPE = -1
-		em.ep = m.ep
+		em.ep = int32(m.ep)
 		em.payload = m.payload
 		em.prio = m.prio
 		em.size = m.size
-		em.srcPE = ctx.pe
+		em.srcPE = int32(ctx.pe)
 		rt.transmit(em, ctx.pe, rt.homePE(key), ctx.Now())
 	}
 }

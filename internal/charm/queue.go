@@ -9,30 +9,58 @@ import (
 //
 // Messages are pool-recycled: the runtime owns every *message it mints via
 // getMsg and returns it with putMsg at exactly one terminal point — the end
-// of the delivery commit, a discard/drop, a stale-epoch arrival, or a
-// queue/pending drain during fault recovery. Forwarding paths keep the
-// message alive; nothing outside the runtime may retain one past its
-// handler invocation.
+// of the delivery commit, a discard/drop, a stale-epoch arrival, the
+// retirement of an optimistic replay log, or a queue/pending drain during
+// fault recovery. Forwarding paths keep the message alive; nothing outside
+// the runtime may retain one past its handler invocation.
+//
+// A SendVec message owns its payload, like a Charm++ varsize message: vec
+// holds the sent values and payload is the message itself, viewed as a
+// *Vec. The data therefore lives exactly as long as the message — through
+// forwarding, home-PE buffering and replay — and putMsg keeps vec's
+// capacity (up to maxPooledVec values) for the next send. The scalar fields
+// are int32 so that the slice and the tag still fit the 160-byte size
+// class (TestMessageSizeClass).
 type message struct {
-	dest    elemKey  // element target (when pe < 0 is not used)
-	destPE  int      // PE target for PE-level handlers; -1 for element target
-	destEID int32    // dense element id of dest, -1 until resolved
+	dest    elemKey  // element target (when destPE < 0)
 	el      *element // destination element, stamped at enqueue (fast delivery)
-	ep      EP
 	payload any
-	prio    int64 // lower value = higher priority (Charm++ convention)
-	size    int   // modeled bytes on the wire
-	srcPE   int
-	seq     uint64 // FIFO tie-break within a priority level
-	hops    int    // location-manager forwarding hops taken so far
-	epoch   uint64 // recovery epoch at transmit; stale messages die on arrival
+	vec     []float64 // SendVec payload values; capacity survives putMsg
+	prio    int64     // lower value = higher priority (Charm++ convention)
+	seq     uint64    // FIFO tie-break within a priority level
+	epoch   uint64    // recovery epoch at transmit; stale messages die on arrival
 
 	// Tracing (internal/projections): traceID is the send event's ID
 	// (0 = untraced), cause the ID of the send that triggered the sending
 	// execution.
 	traceID uint64
 	cause   uint64
+
+	destPE  int32 // PE target for PE-level handlers; -1 for element target
+	destEID int32 // dense element id of dest, -1 until resolved
+	ep      int32
+	size    int32 // modeled bytes on the wire
+	srcPE   int32
+	hops    int32 // location-manager forwarding hops taken so far
+	tag     int32 // SendVec tag
 }
+
+// maxPooledVec caps the payload capacity (in float64s, 4 KiB) a recycled
+// message keeps, so one huge send is not pinned by the pool.
+const maxPooledVec = 512
+
+// Vec is the payload of a SendVec delivery: a view of the message that
+// carried it, not a copy. It is valid only until the handler returns — the
+// runtime then recycles the message and its values with it — so a handler
+// that needs the values later copies Data(), and a *Vec can never be the
+// payload of another send (msgSize panics).
+type Vec message
+
+// Tag returns the tag the sender passed to SendVec.
+func (v *Vec) Tag() int { return int(v.tag) }
+
+// Data returns the sent values. The slice is the message's own storage.
+func (v *Vec) Data() []float64 { return v.vec }
 
 var msgPool = sync.Pool{New: func() any { return new(message) }}
 
@@ -80,27 +108,32 @@ func getMsg() *message {
 // pointer to, sent from the element's own PE: pre-stamped with the
 // destination, so delivery never consults the location manager (the element
 // cannot move between the enqueue and its execution on the same PE's queue).
-func localMsg(el *element, ep EP, payload any, prio int64, size int) *message {
+func localMsg(el *element, ep EP, payload any, prio int64, size int32) *message {
 	m := getMsg()
 	m.dest = el.key
 	m.destPE = -1
 	m.destEID = el.eid
 	m.el = el
-	m.ep = ep
+	m.ep = int32(ep)
 	m.payload = payload
 	m.prio = prio
 	m.size = size
-	m.srcPE = el.pe
+	m.srcPE = int32(el.pe)
 	return m
 }
 
 // putMsg recycles a message at its terminal point, dropping payload and
-// element references so the pool never pins application state.
+// element references so the pool never pins application state. The vector
+// capacity stays with the message unless it is above maxPooledVec.
 func putMsg(m *message) {
 	if ps := poolStats.Load(); ps != nil {
 		ps.Puts.Add(1)
 	}
+	vec := m.vec
 	*m = message{}
+	if cap(vec) <= maxPooledVec {
+		m.vec = vec[:0]
+	}
 	msgPool.Put(m)
 }
 

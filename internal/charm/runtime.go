@@ -443,18 +443,18 @@ func (rt *Runtime) send(m *message, t des.Time) {
 	rt.Stats.BytesSent += uint64(m.size)
 	if m.destPE < 0 {
 		rt.inflight++ // element-targeted app message: QD-counted
-		dst, eid := rt.resolveEID(m.srcPE, m.dest)
+		dst, eid := rt.resolveEID(int(m.srcPE), m.dest)
 		m.destEID = eid
 		if rt.trace != nil {
-			m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: int32(m.srcPE), Ref: m.cause, A: int64(dst), B: int64(m.size)})
+			m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(dst), B: int64(m.size)})
 		}
-		rt.transmit(m, m.srcPE, dst, t)
+		rt.transmit(m, int(m.srcPE), dst, t)
 		return
 	}
 	if rt.trace != nil {
-		m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: int32(m.srcPE), Ref: m.cause, A: int64(m.destPE), B: int64(m.size)})
+		m.traceID = rt.trace.Emit(Event{Kind: KMsgSend, At: t, PE: m.srcPE, Ref: m.cause, A: int64(m.destPE), B: int64(m.size)})
 	}
-	rt.transmit(m, m.srcPE, m.destPE, t)
+	rt.transmit(m, int(m.srcPE), int(m.destPE), t)
 }
 
 // resolveEID consults the sender's location knowledge — local directory,
@@ -487,14 +487,14 @@ func (rt *Runtime) transmit(m *message, src, dst int, t des.Time) {
 	if rt.filter != nil {
 		// Fault injection: transmits happen in commit order — identical
 		// across backends — so a seeded filter reproduces exactly.
-		drop, delay := rt.filter.OnTransmit(src, dst, m.size, t)
+		drop, delay := rt.filter.OnTransmit(src, dst, int(m.size), t)
 		if drop {
 			rt.dropInjected(m, dst, t)
 			return
 		}
 		extra = delay
 	}
-	arrival := rt.mach.Transmit(src, dst, m.size, t) + extra
+	arrival := rt.mach.Transmit(src, dst, int(m.size), t) + extra
 	rt.eng.AtShardCommit(rt.ShardOf(dst), arrival, rt.arriveFn, m, int64(dst))
 }
 
@@ -550,7 +550,7 @@ func (rt *Runtime) arrive(m *message, dst int) {
 		// future sends go direct.
 		m.hops++
 		rt.Stats.MsgsForwarded++
-		rt.updateLocCache(m.srcPE, m.dest, el.pe, dst, eid)
+		rt.updateLocCache(int(m.srcPE), m.dest, el.pe, dst, eid)
 		rt.transmit(m, dst, el.pe, rt.eng.Now())
 		return
 	}
@@ -681,7 +681,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 				p.pendM = nil
 				ctx := p.takeCtx(rt, nil, rt.eng.Now())
 				ctx.cause = m.traceID
-				ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, m.srcPE)
+				ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, int(m.srcPE))
 				if rt.trace != nil {
 					rt.trace.Emit(Event{Kind: KEntryBegin, At: at, PE: int32(p.id), Ref: m.traceID, Entry: rt.peHandlerEntry[m.ep]})
 				}
@@ -736,7 +736,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	// element's own behavior, never of where its peers currently live, or
 	// greedy placement cannot re-converge to the failure-free mapping after
 	// a disturbance (see Ctx.chargeLoadWork).
-	ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, m.srcPE)
+	ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, int(m.srcPE))
 	ctx.chargeLoadWork(rt.mach.Config().RecvOverheadLocal)
 	arr := rt.arrays[m.dest.array]
 	handler := arr.handlers[m.ep]
@@ -842,12 +842,12 @@ func (rt *Runtime) DecInflight(n int) {
 // into the past, which the engine refuses with a panic.
 func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 	m := getMsg()
-	m.destPE = pe
-	m.ep = EP(rt.funcPEH)
+	m.destPE = int32(pe)
+	m.ep = int32(rt.funcPEH)
 	m.payload = funcMsg{fn: func(ctx *Ctx, _ any) { fn(ctx) }}
 	m.prio = prioControl
 	m.size = 16
-	m.srcPE = pe
+	m.srcPE = int32(pe)
 	rt.eng.AtShardCommit(rt.ShardOf(pe), rt.eng.Now()+delay, rt.execFn, m, int64(rt.epoch))
 }
 
@@ -859,7 +859,7 @@ func (rt *Runtime) execCommit(a any, b int64, _ des.Time) {
 		putMsg(m) // a flush timer armed before a rollback
 		return
 	}
-	rt.enqueue(m, m.destPE)
+	rt.enqueue(m, int(m.destPE))
 }
 
 // ProbablePE returns fromPE's best guess of where element idx of arr lives

@@ -550,7 +550,7 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 			cause: rec.m.traceID,
 			res:   sv.resolves[:rec.resEnd], resIdx: resStart,
 		}
-		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, rec.m.srcPE)
+		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, int(rec.m.srcPE))
 		ctx.chargeLoadWork(cfg.RecvOverheadLocal)
 		arr.handlers[rec.m.ep](el.obj, ctx, rec.m.payload)
 		fx.discard()

@@ -23,7 +23,7 @@ func specRounds(t *testing.T) (rt *Runtime, els []*element, round func()) {
 	inject := func() {
 		for i, el := range els {
 			m := getMsg()
-			m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, epBump, 64, i
+			m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, int32(epBump), 64, int32(i)
 			m.payload = int64(1)
 			rt.send(m, rt.eng.Now())
 		}

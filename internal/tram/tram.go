@@ -212,8 +212,12 @@ func (c *Client) newPEBuffers(pe int) *peBuffers {
 // Submit hands one fine-grained item to TRAM from within an entry method
 // or PE handler executing on ctx's PE. The item is counted as in-flight
 // application work until final delivery, so quiescence detection covers
-// TRAM traffic.
+// TRAM traffic. A *charm.Vec is refused: it dies with its message when the
+// submitting handler returns, long before the item is delivered.
 func (c *Client) Submit(ctx *charm.Ctx, idx charm.Index, payload any) {
+	if _, ok := payload.(*charm.Vec); ok {
+		panic("tram: a *charm.Vec cannot be submitted: it is recycled with its message when its handler returns (copy Data() instead)")
+	}
 	// Stats and the quiescence counter are global state: deferred so the
 	// parallel backend can run submitting handlers concurrently.
 	ctx.Defer(func() {

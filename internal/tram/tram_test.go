@@ -1,6 +1,8 @@
 package tram
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,4 +239,25 @@ func TestThreeDimensionalGrid(t *testing.T) {
 	if got := len(c.Peers(13)); got != 6 {
 		t.Fatalf("centre PE has %d peers, want 6", got)
 	}
+}
+
+// TestSubmitRefusesVec checks that a handler cannot hand its *charm.Vec to
+// TRAM: the item would be delivered after the message holding its values
+// was recycled.
+func TestSubmitRefusesVec(t *testing.T) {
+	rt, arr, c := setup(4, 4, Options{})
+	relay := rt.DeclareArray("relays", func() charm.Chare { return &sink{} }, []charm.Handler{
+		func(_ charm.Chare, ctx *charm.Ctx, msg any) { c.Submit(ctx, charm.Idx1(1), msg) },
+	}, charm.ArrayOpts{})
+	relay.Insert(charm.Idx1(0), &sink{})
+	rt.Boot(func(ctx *charm.Ctx) { ctx.SendVec(relay, charm.Idx1(0), 0, 0, []float64{1, 2}, 2, 1, nil) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "tram: a *charm.Vec cannot be submitted") {
+			t.Fatalf("Submit of a *charm.Vec: panic %v", r)
+		}
+		if got := arr.Get(charm.Idx1(1)).(*sink).Got; len(got) != 0 {
+			t.Fatalf("the refused item was delivered: %v", got)
+		}
+	}()
+	rt.Run()
 }
