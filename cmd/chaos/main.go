@@ -21,11 +21,14 @@
 // holder down with it mid-recovery and the run must still converge.
 //
 // -ft runs the fault-tolerance benchmark instead: a replication-degree
-// sweep plus an evacuation-vs-rollback cost comparison per app.
+// sweep plus an evacuation-vs-rollback cost comparison per app. The sweep
+// fixes its own apps, faults and degrees, so -app, -crashes, -warns and -R
+// are refused with it.
 //
 // Exit status: 0 when every run survived with identical digests, 1 when one
-// did not or a run failed, 2 when an argument is out of range (nothing is
-// run or written).
+// did not or a run failed, 2 on a usage error — an argument out of range, a
+// stray positional argument, a campaign flag given with -ft (nothing is run
+// or written).
 //
 // Usage:
 //
@@ -40,60 +43,87 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"charmgo/internal/chaos"
 )
 
-func main() {
-	app := flag.String("app", "all", "campaign app: leanmd, stencil, pdes, or all")
-	crashes := flag.Int("crashes", 3, "number of PE crashes to inject per run")
-	warns := flag.Int("warns", 0, "number of predicted failures (warn faults) to inject per run")
-	degree := flag.Int("R", 0, "checkpoint replication degree (0 = layer default of 1)")
-	ft := flag.Bool("ft", false, "run the fault-tolerance benchmark (replication sweep + evacuation vs rollback) instead of a single campaign")
-	seed := flag.Int64("seed", 42, "plan seed: same seed, same faults, same report")
-	out := flag.String("out", "", "write the JSON report to this file (default: stdout only)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams passed in.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "all", "campaign app: leanmd, stencil, pdes, or all")
+	crashes := fs.Int("crashes", 3, "number of PE crashes to inject per run")
+	warns := fs.Int("warns", 0, "number of predicted failures (warn faults) to inject per run")
+	degree := fs.Int("R", 0, "checkpoint replication degree (0 = layer default of 1)")
+	ft := fs.Bool("ft", false, "run the fault-tolerance benchmark (replication sweep + evacuation vs rollback) instead of a single campaign")
+	seed := fs.Int64("seed", 42, "plan seed: same seed, same faults, same report")
+	out := fs.String("out", "", "write the JSON report to this file (default: stdout only)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintf(stderr, "chaos: unexpected argument %q; usage: chaos [-app name] [-crashes n] [-warns n] [-R degree] [-seed s] [-out file] | chaos -ft [-seed s] [-out file]\n", fs.Arg(0))
+		return 2
+	}
 
 	var report any
 	var ok bool
 	var err error
 	if *ft {
-		report, ok, err = runFT(*seed)
+		refused := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "app", "crashes", "warns", "R":
+				refused = f.Name
+			}
+		})
+		if refused != "" {
+			fmt.Fprintf(stderr, "chaos: -%s is not used by -ft (its sweep fixes apps, faults and degrees)\n", refused)
+			return 2
+		}
+		report, ok, err = runFT(stdout, *seed)
 	} else {
-		report, ok, err = runCampaigns(*app, *crashes, *warns, *seed, *degree)
+		report, ok, err = runCampaigns(stdout, *app, *crashes, *warns, *seed, *degree)
 	}
 	if err == nil {
-		err = emit(report, *out)
+		err = emit(stdout, report, *out)
 	}
 	var usage *chaos.UsageError
 	switch {
 	case errors.As(err, &usage):
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	case err != nil:
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "chaos:", err)
+		return 1
 	case !ok:
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // emit writes the report to out, or to stdout when out is empty.
-func emit(report any, out string) error {
+func emit(stdout io.Writer, report any, out string) error {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if out == "" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Println("wrote", out)
+	fmt.Fprintln(stdout, "wrote", out)
 	return nil
 }
 
@@ -106,7 +136,7 @@ func status(ok bool) string {
 
 // runCampaigns runs one campaign per app and prints a line per backend; ok
 // reports whether every run survived every fault with matching digests.
-func runCampaigns(app string, crashes, warns int, seed int64, degree int) ([]*chaos.Bench, bool, error) {
+func runCampaigns(stdout io.Writer, app string, crashes, warns int, seed int64, degree int) ([]*chaos.Bench, bool, error) {
 	apps := chaos.Apps()
 	if app != "all" {
 		apps = []string{app}
@@ -122,13 +152,13 @@ func runCampaigns(app string, crashes, warns int, seed int64, degree int) ([]*ch
 		for _, r := range b.Results {
 			survived := r.ValuesMatch && r.DigestMatch && r.Survived == crashes+warns
 			ok = ok && survived
-			fmt.Printf("%-8s %-10s survived %d/%d (absorbed %d)  values_match=%-5v digest_match=%-5v  det %.0fµs  rec %.0fµs  restore %.0fµs vs scratch %.0fµs  [%s]\n",
+			fmt.Fprintf(stdout, "%-8s %-10s survived %d/%d (absorbed %d)  values_match=%-5v digest_match=%-5v  det %.0fµs  rec %.0fµs  restore %.0fµs vs scratch %.0fµs  [%s]\n",
 				a, r.Backend, r.Survived, crashes+warns, r.Absorbed, r.ValuesMatch, r.DigestMatch,
 				r.MeanDetectionLatency*1e6, r.MeanRecoveryTime*1e6,
 				r.TotalRestartCost*1e6, r.RestartFromScratch*1e6, status(survived))
 		}
 		if !b.CrossBackendMatch {
-			fmt.Printf("%-8s cross-backend digests DIVERGE\n", a)
+			fmt.Fprintf(stdout, "%-8s cross-backend digests DIVERGE\n", a)
 			ok = false
 		}
 	}
@@ -137,7 +167,7 @@ func runCampaigns(app string, crashes, warns int, seed int64, degree int) ([]*ch
 
 // runFT runs the replication sweep and prints a line per cell; ok reports
 // whether every cell's digests matched the failure-free run.
-func runFT(seed int64) (*chaos.FTReport, bool, error) {
+func runFT(stdout io.Writer, seed int64) (*chaos.FTReport, bool, error) {
 	rep, err := chaos.RunFTBench(seed)
 	if err != nil {
 		return nil, false, fmt.Errorf("-ft: %w", err)
@@ -146,12 +176,12 @@ func runFT(seed int64) (*chaos.FTReport, bool, error) {
 	for _, a := range rep.Apps {
 		for _, p := range a.Points {
 			ok = ok && p.DigestsIdentical
-			fmt.Printf("%-8s R=%d  elapsed %.0fµs (clean %.0fµs, overhead %.1f%%)  det %.0fµs  rec %.0fµs  fallbacks %d  digests_identical=%-5v [%s]\n",
+			fmt.Fprintf(stdout, "%-8s R=%d  elapsed %.0fµs (clean %.0fµs, overhead %.1f%%)  det %.0fµs  rec %.0fµs  fallbacks %d  digests_identical=%-5v [%s]\n",
 				a.App, p.Replication, p.ChaosElapsed*1e6, a.CleanElapsed*1e6,
 				p.CheckpointOverhead*100, p.MeanDetectionLatency*1e6,
 				p.MeanRecoveryTime*1e6, p.Fallbacks, p.DigestsIdentical, status(p.DigestsIdentical))
 		}
-		fmt.Printf("%-8s evacuation (R=%d): absorbed %d/%d predicted, evac cost %.0fµs vs rollback %.0fµs\n",
+		fmt.Fprintf(stdout, "%-8s evacuation (R=%d): absorbed %d/%d predicted, evac cost %.0fµs vs rollback %.0fµs\n",
 			a.App, a.BaselineR, a.Absorbed, a.Warns, a.EvacCost*1e6, a.RollbackCost*1e6)
 	}
 	return rep, ok, nil

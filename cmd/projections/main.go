@@ -150,8 +150,7 @@ func writeSpecSummary(w io.Writer, rt *charm.Runtime) {
 	fmt.Fprintf(w, "  snapshots avoided %.0f  replayed deliveries %.0f  saves retired %.0f, invalidated %.0f\n",
 		vals["optsim.snapshots_avoided"], vals["optsim.replays"],
 		vals["optsim.save_retired"], vals["optsim.save_invalidations"])
-	fmt.Fprintf(w, "  snap interval K=%.0f  optimism window %.3g vs\n",
-		vals["optsim.snap_interval"], vals["optsim.window"])
+	fmt.Fprintf(w, "  snap interval K=%.0f\n", vals["optsim.snap_interval"])
 }
 
 func analyzeFile(stdout io.Writer, path string, top int, perfetto string) error {

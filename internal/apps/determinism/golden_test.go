@@ -131,9 +131,9 @@ func TestCountersGolden(t *testing.T) {
 		}},
 		{"phold-full", true, 16, "optimistic", pholdRun(lowAlphaPHOLD(256, 200000)), counters{
 			events: 4779122,
-			engine: parsim.Stats{Launched: 3404116, Committed: 3403901, RolledBack: 215, Inline: 1352365, Global: 22856, MaxInFlight: 15, MaxGVTLag: 1.1319999999981345e-05},
-			saves: charm.SpecSaveStats{Snapshots: 62023, SnapshotBytes: 6455000, SnapshotsAvoided: 3311107, Restores: 215, Replays: 6548,
-				LoggedDeliveries: 3900138, Retired: 61776, SnapInterval: 64, Adaptive: true, Window: 1.8394999999969686e-05},
+			engine: parsim.Stats{Launched: 3407456, Committed: 3407152, RolledBack: 304, Inline: 1349114, Global: 22856, MaxInFlight: 15, MaxGVTLag: 1.13200000000091e-05},
+			saves: charm.SpecSaveStats{Snapshots: 62047, SnapshotBytes: 6457464, SnapshotsAvoided: 3314422, Restores: 304, Replays: 9547,
+				LoggedDeliveries: 3901617, Retired: 61800, SnapInterval: 64, Adaptive: true},
 		}},
 	}
 	prev := runtime.GOMAXPROCS(8)

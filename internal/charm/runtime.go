@@ -328,7 +328,6 @@ func New(m *machine.Machine) *Runtime {
 		pe.RegisterMetrics(rt.metrics)
 		rt.eng = pe
 		if rt.spec != nil {
-			rt.spec.eng = pe
 			rt.spec.registerMetrics(rt.metrics)
 		}
 	}

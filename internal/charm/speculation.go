@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"charmgo/internal/ctrlpoint"
 	"charmgo/internal/des"
 	"charmgo/internal/parsim"
 	"charmgo/internal/projections/metrics"
@@ -34,9 +33,8 @@ import (
 // deterministically re-executes the logged committed handlers in an
 // effect-suppressed replay mode (Ctx.replay) before discarding the
 // speculated phase. The saving interval K adapts online from the observed
-// rollback rate and image size (see tune), bounded by a ctrlpoint control
-// point that also throttles the engine's optimism window under rollback
-// storms.
+// rollback rate and image size (see tune); the engine's optimism window is
+// unbounded.
 
 // elemSave is one element's state-saving storage: the retained image of its
 // committed state plus the replay log of committed deliveries executed since
@@ -191,7 +189,7 @@ type shardSpec struct {
 	cacheHad bool
 }
 
-// Saving-interval and window-tuning model constants.
+// Saving-interval model constants.
 const (
 	// defaultSnapInterval seeds the adaptive interval before the first
 	// tuning period has gathered statistics.
@@ -200,15 +198,12 @@ const (
 	// re-execute stops being worth the bytes the skipped images save.
 	maxSnapInterval = 64
 	// tunePeriod is how many speculation outcomes (commits + rollbacks)
-	// pass between recomputations of K and the window.
+	// pass between recomputations of K.
 	tunePeriod = 1024
 	// replayCostBytes prices re-executing one logged delivery during
 	// coast-forward, in image-byte equivalents, for the cost model's
 	// snapshot-bytes-vs-replay-work trade.
 	replayCostBytes = 64.0
-	// windowScaleOne is the window control point's neutral denominator:
-	// effective window = reference * value / windowScaleOne.
-	windowScaleOne = 16
 )
 
 // specController implements parsim.Controller over the runtime's shard
@@ -222,7 +217,6 @@ const (
 // driver folds that in when it closes the speculation.
 type specController struct {
 	rt     *Runtime
-	eng    *parsim.Engine
 	shards []shardSpec
 
 	// Driver-owned counters feeding the optsim.* metrics family (commit
@@ -240,7 +234,7 @@ type specController struct {
 	// deliveries in, reset per record.
 	replayCtx Ctx
 
-	// ---- adaptive saving interval + optimism window (driver-owned) ----
+	// ---- adaptive saving interval (driver-owned) ----
 	fixedK     int    // Config.SnapInterval: >=1 pins K and disables tuning
 	k          int    // current interval
 	dCommits   uint64 // CommitSpec calls
@@ -248,12 +242,6 @@ type specController struct {
 	dImgCount  uint64 // committed fresh images (cost-model S numeratorship)
 	dImgBytes  uint64
 	tuneTick   uint64
-	lastRB     uint64 // engine counters at the last tuning period
-	lastInline uint64
-
-	sys   *ctrlpoint.System
-	kCap  *ctrlpoint.Point // hill-climbed upper bound on the model's K
-	winPt *ctrlpoint.Point // optimism-window scale, in windowScaleOne-ths
 }
 
 func newSpecController(rt *Runtime, shards, fixedK int) *specController {
@@ -265,13 +253,6 @@ func newSpecController(rt *Runtime, shards, fixedK int) *specController {
 	}
 	if sc.k <= 0 {
 		sc.k = defaultSnapInterval
-		// Adaptive mode: the control system owns the interval cap and the
-		// window scale. Raising the cap is classic larger-grain (fewer,
-		// cheaper-amortized images but longer replay chains); raising the
-		// window exposes more overlap at more rollback risk.
-		sc.sys = ctrlpoint.NewSystem()
-		sc.kCap = sc.sys.Register("optsim.snap_interval_cap", 2, maxSnapInterval, maxSnapInterval, ctrlpoint.EffectLargerGrain)
-		sc.winPt = sc.sys.Register("optsim.window_scale", 1, 2*windowScaleOne, 2*windowScaleOne, ctrlpoint.EffectMoreOverlap)
 	}
 	return sc
 }
@@ -285,7 +266,6 @@ func (sc *specController) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("optsim.save_retired", func() float64 { return float64(sc.retired) })
 	reg.GaugeFunc("optsim.save_invalidations", func() float64 { return float64(sc.invalidations) })
 	reg.GaugeFunc("optsim.snap_interval", func() float64 { return float64(sc.curK()) })
-	reg.GaugeFunc("optsim.window", func() float64 { return float64(sc.eng.Window()) })
 }
 
 // curK is the saving interval in force: the committed log of an element
@@ -348,7 +328,7 @@ func (sc *specController) close(sp *shardSpec) {
 // tick counts one speculation outcome and retunes once per tunePeriod.
 // Small enough to inline: 1023 calls in 1024 are a counter bump.
 func (sc *specController) tick() {
-	if sc.sys == nil {
+	if sc.fixedK > 0 {
 		return // fixed interval: nothing adapts
 	}
 	if sc.tuneTick++; sc.tuneTick%tunePeriod == 0 {
@@ -662,59 +642,38 @@ func (rt *Runtime) dropSave(el *element) {
 	}
 }
 
-// tune recomputes the saving interval and the optimism window; tick calls it
-// once per tuning period. Driver context; every input — the driver-owned outcome
-// counters and the engine's Stats — is deterministic in commit order, so
-// the adaptive decisions (and therefore snapshot counts, launch decisions,
-// and Stats) are identical run to run.
+// tune recomputes the saving interval; tick calls it once per tuning
+// period. Driver context; every input is a driver-owned outcome counter,
+// deterministic in commit order, so the interval (and therefore snapshot
+// counts and Stats) is identical run to run.
+//
+// Rönngren–Ayani: with saving cost S (average image bytes), per-event replay
+// cost R, and rollback probability r per committed delivery, the expected
+// overhead per event C(K) = S/K + r·R·(K-1)/2 is minimized at
+// K* = sqrt(2S/(rR)), clamped to [1, maxSnapInterval].
 func (sc *specController) tune() {
-	// Feed the control system one observation (lower = better): rollbacks
-	// weighted against inline pops this period. Too much optimism shows up
-	// as rollbacks; too little shows up as events the launcher never dared
-	// to speculate (inline pops), i.e. lost overlap.
-	es := sc.eng.EngineStats()
-	dRB := es.RolledBack - sc.lastRB
-	dIn := es.Inline - sc.lastInline
-	sc.lastRB, sc.lastInline = es.RolledBack, es.Inline
-	sc.sys.Observe(float64(4*dRB + dIn))
-
-	// Rönngren–Ayani: with saving cost S (average image bytes), per-event
-	// replay cost R, and rollback probability r per committed delivery, the
-	// expected overhead per event C(K) = S/K + r·R·(K-1)/2 is minimized at
-	// K* = sqrt(2S/(rR)). The control point caps the model's answer.
 	S := 256.0
 	if sc.dImgCount > 0 {
 		S = float64(sc.dImgBytes) / float64(sc.dImgCount)
 	}
 	r := float64(sc.dRollbacks+1) / float64(sc.dCommits+sc.dRollbacks+2)
-	kStar := int(math.Round(math.Sqrt(2 * S / (r * replayCostBytes))))
-	if kc := sc.kCap.Value(); kStar > kc {
-		kStar = kc
+	k := int(math.Round(math.Sqrt(2 * S / (r * replayCostBytes))))
+	if k > maxSnapInterval {
+		k = maxSnapInterval
 	}
-	if kStar < 1 {
-		kStar = 1
+	if k < 1 {
+		k = 1
 	}
-	sc.k = kStar
-
-	// Window throttling: scale the observed maximum GVT lag by the control
-	// point. At the point's maximum the window stays wide open (the seed
-	// behavior); rollback storms walk it down.
-	v := sc.winPt.Value()
-	switch {
-	case v >= sc.winPt.Max:
-		sc.eng.SetWindow(0) // unbounded
-	case es.MaxGVTLag > 0:
-		sc.eng.SetWindow(es.MaxGVTLag * des.Time(v) / windowScaleOne)
-	}
+	sc.k = k
 }
 
 var _ parsim.Controller = (*specController)(nil)
 
 // SpecSaveStats is the state-saving profile of an optimistic run: images
 // packed vs skipped, rollback restores and coast-forward re-executions, how
-// the images' intervals ended, and the adaptive policy's current interval
-// and window. The image counts cover closed speculations (all of them once
-// Run returns).
+// the images' intervals ended, and the adaptive policy's current interval.
+// The image counts cover closed speculations (all of them once Run
+// returns).
 type SpecSaveStats struct {
 	Snapshots        uint64
 	SnapshotBytes    uint64
@@ -731,7 +690,6 @@ type SpecSaveStats struct {
 	Invalidations uint64
 	SnapInterval  int
 	Adaptive      bool
-	Window        float64
 }
 
 // SpecSaveStats reports the optimistic backend's state-saving counters
@@ -752,6 +710,5 @@ func (rt *Runtime) SpecSaveStats() SpecSaveStats {
 		Invalidations:    sc.invalidations,
 		SnapInterval:     sc.curK(),
 		Adaptive:         sc.fixedK <= 0,
-		Window:           float64(sc.eng.Window()),
 	}
 }

@@ -138,3 +138,43 @@ func TestReplayTripwireNamesMeter(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveKFollowsModel drives the adaptive saving interval with
+// synthetic driver counters: K is the Rönngren–Ayani answer
+// round(sqrt(2S/(rR))) clamped to [1, maxSnapInterval], recomputed only at a
+// tuning-period boundary, and a fixed SnapInterval never retunes.
+func TestAdaptiveKFollowsModel(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		commits, rollbacks uint64
+		imgCount, imgBytes uint64
+		want               int
+	}{
+		{"S=256 r=0.5", 1022, 1022, 4, 1024, 4},
+		{"no rollbacks", 1 << 20, 0, 4, 1024, maxSnapInterval},
+		{"tiny S, r near 1", 0, 1 << 20, 1, 1, 1},
+	} {
+		sc := newSpecController(nil, 1, 0)
+		sc.dCommits, sc.dRollbacks = c.commits, c.rollbacks
+		sc.dImgCount, sc.dImgBytes = c.imgCount, c.imgBytes
+		for i := 1; i < tunePeriod; i++ {
+			sc.tick()
+		}
+		if sc.curK() != defaultSnapInterval {
+			t.Fatalf("%s: K = %d before the period ended, want the initial %d", c.name, sc.curK(), defaultSnapInterval)
+		}
+		sc.tick()
+		if sc.curK() != c.want {
+			t.Errorf("%s: K = %d, want %d", c.name, sc.curK(), c.want)
+		}
+	}
+
+	sc := newSpecController(nil, 1, 4)
+	sc.dCommits = 1 << 20
+	for i := 0; i < 3*tunePeriod; i++ {
+		sc.tick()
+	}
+	if sc.curK() != 4 || sc.k != 4 {
+		t.Fatalf("fixed SnapInterval 4 retuned: curK %d, k %d", sc.curK(), sc.k)
+	}
+}

@@ -115,10 +115,8 @@ type Config struct {
 	// speculated execution, and a rollback coast-forwards from the last
 	// image by replaying the committed deliveries in between. 0 (the
 	// default) picks the interval adaptively from a snapshot-cost /
-	// replay-cost model driven by the observed rollback rate, and also
-	// lets the control-point system narrow the optimism window (unbounded
-	// otherwise) under rollback storms; 1 restores eager per-execution
-	// snapshots; K>=2 fixes the interval at K.
+	// replay-cost model driven by the observed rollback rate; 1 restores
+	// eager per-execution snapshots; K>=2 fixes the interval at K.
 	SnapInterval int
 
 	Thermal ThermalParams

@@ -35,19 +35,17 @@ func (s *noopShard) onCommit() { s.eng.AtShardFn(s.id, s.at+1e-6, s.phase, nil, 
 // events live in the slab-backed des.Calendar, handles are index+generation
 // values, and a launch reuses its shard's flight record — posting and
 // claiming are atomic stores on it. The 16 chains are staggered by 10 ns and
-// step by 1 µs inside a 2 µs window, so every pop has the other shards'
+// step by 1 µs, inside the conservative mode's 2 µs lookahead and the
+// optimistic mode's unbounded window, so every pop has the other shards'
 // phases launched. What remains is per run, not per event, and there is no
 // channel in it any more: a RunUntil allocates only the helper goroutines
 // it starts, at most Workers of them — and none here once the warm-up has
 // timed these empty phases and shut the grain gate.
 func TestPipelineAllocFree(t *testing.T) {
 	const shards, workers = 16, 4
-	const window = 2e-6
+	const lookahead = 2e-6
 	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
-		e := New(Options{Shards: shards, Workers: workers, Lookahead: window, Controller: ctrl})
-		if ctrl != nil {
-			e.SetWindow(window)
-		}
+		e := New(Options{Shards: shards, Workers: workers, Lookahead: lookahead, Controller: ctrl})
 		for i := 0; i < shards; i++ {
 			s := &noopShard{id: i, eng: e}
 			s.phase, s.commit = s.onPhase, s.onCommit

@@ -99,14 +99,12 @@ func TestHandoffExactlyOnce(t *testing.T) {
 // what changed rather than to the shard count: with 4 live event chains on
 // a 512-shard engine, every pop rebuilds exactly one cached candidate (the
 // popped event's own heap) and pushes rebuild none, where the scan used to
-// consult all 512 heaps and the slab before every pop.
+// consult all 512 heaps and the slab before every pop. The conservative
+// mode launches within its 2 µs lookahead, the optimistic mode without bound.
 func TestLaunchCostFollowsChanges(t *testing.T) {
-	const shards, live, window = 512, 4, 2e-6
+	const shards, live, lookahead = 512, 4, 2e-6
 	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
-		e := New(Options{Shards: shards, Workers: 2, Lookahead: window, Controller: ctrl})
-		if ctrl != nil {
-			e.SetWindow(window)
-		}
+		e := New(Options{Shards: shards, Workers: 2, Lookahead: lookahead, Controller: ctrl})
 		for i := 0; i < live; i++ {
 			s := &noopShard{id: i * (shards / live), eng: e}
 			s.phase, s.commit = s.onPhase, s.onCommit

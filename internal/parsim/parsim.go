@@ -65,9 +65,8 @@
 // launched phase before returning and leave the commits cached on their
 // shards; they apply when a later Run pops the event.
 //
-// Optimistic (a Controller is installed): Time Warp. W is the optimism
-// window (unbounded by default, adjustable through SetWindow), so shards
-// speculate arbitrarily far past the head, and a straggler rolls the
+// Optimistic (a Controller is installed): Time Warp. W is unbounded, so
+// shards speculate arbitrarily far past the head, and a straggler rolls the
 // affected shard back: the engine finishes the phase (running it first if
 // it was still only posted, so the Controller always sees a phase that
 // ran), discards its withheld commit closure, and asks the Controller to
@@ -309,39 +308,13 @@ func New(opts Options) *Engine {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
 	if e.ctrl != nil {
-		e.window = des.Forever // unbounded until SetWindow bounds it
+		e.window = des.Forever // optimism is unbounded
 	}
 	if e.window > 0 && len(e.flights) > 1 { // otherwise nothing can ever overlap
 		e.minima = make([]des.EntHeap, len(e.flights)+1)
 		e.cand = make([]candidate, len(e.flights)+1)
 	}
 	return e
-}
-
-// SetWindow bounds optimism: speculations launch only within [top, top+w)
-// of the calendar head, and w = 0 (the default) is unbounded. A finite window
-// trades exposed parallelism for rollback risk. Optimistic mode only — the
-// conservative window is the lookahead. Driver-context only:
-// launch eligibility reads the window fresh on every pop, so the change
-// takes effect deterministically at the next launch decision — callers
-// adjusting it from commit closures or Controller callbacks (which run on
-// the driving goroutine) keep runs bit-identical across worker counts.
-func (e *Engine) SetWindow(w des.Time) {
-	if e.ctrl == nil {
-		panic("parsim: SetWindow on a conservative engine")
-	}
-	if w <= 0 {
-		w = des.Forever
-	}
-	e.window = w
-}
-
-// Window reports the current launch window (0 = unbounded).
-func (e *Engine) Window() des.Time {
-	if e.window == des.Forever {
-		return 0
-	}
-	return e.window
 }
 
 // SetTraceSink installs (or, with nil, removes) the engine's phase-event

@@ -162,39 +162,6 @@ func TestSpeculatesPastAnyWindow(t *testing.T) {
 	}
 }
 
-// TestWindowBoundsOptimism: with a finite window the far-future phase is
-// not speculated; Window() reports what SetWindow set, with 0 — not the
-// internal sentinel — meaning unbounded.
-func TestWindowBoundsOptimism(t *testing.T) {
-	e, _ := mkOptimistic(2, 2)
-	if e.Window() != 0 {
-		t.Fatalf("Window() = %v on a new optimistic engine, want 0 (unbounded)", e.Window())
-	}
-	e.SetWindow(1.0)
-	atShard(e, 0, 0.1, func() func() { return nil })
-	atShard(e, 1, 5.0, func() func() { return nil })
-	e.Run()
-	if e.stats.Launched != 0 {
-		t.Fatalf("launched %d speculations past a 1.0 window", e.stats.Launched)
-	}
-	if e.Window() != 1.0 {
-		t.Fatalf("Window() = %v, want 1.0", e.Window())
-	}
-	e.SetWindow(0)
-	if e.Window() != 0 {
-		t.Fatalf("Window() = %v after SetWindow(0), want 0 (unbounded)", e.Window())
-	}
-	atShard(e, 0, 5.1, func() func() { return nil })
-	atShard(e, 1, 9.0, func() func() { return nil })
-	e.Run()
-	if e.stats.Launched != 1 {
-		t.Fatalf("launched %d speculations with the window lifted, want 1", e.stats.Launched)
-	}
-	if ce := mkConservative(2, 2); ce.Window() != 1.0 {
-		t.Fatalf("conservative Window() = %v, want the 1.0 lookahead", ce.Window())
-	}
-}
-
 // TestSpawnedContinuationsRunInOrder: a commit spawns a same-shard
 // continuation whose timestamp precedes an event whose phase may already
 // be in flight. The sequential order A(0.10), A'(0.11), B(0.12) must be

@@ -123,15 +123,14 @@ type Status struct {
 	// actually packed vs skipped by infrequent saving, coast-forward
 	// replay executions, how the images' intervals ended (retired on
 	// schedule vs invalidated early by migration, load balancing or a
-	// multi-element execution), and the live adaptive settings.
-	Snapshots        uint64  `json:"snapshots,omitempty"`
-	SnapshotsAvoided uint64  `json:"snapshots_avoided,omitempty"`
-	Replays          uint64  `json:"replays,omitempty"`
-	SavesRetired     uint64  `json:"save_retired,omitempty"`
-	SavesInvalidated uint64  `json:"save_invalidations,omitempty"`
-	SnapInterval     int     `json:"snap_interval,omitempty"`
-	SnapAdaptive     bool    `json:"snap_adaptive,omitempty"`
-	WindowSec        float64 `json:"optimism_window_sec,omitempty"`
+	// multi-element execution), and the live saving interval.
+	Snapshots        uint64 `json:"snapshots,omitempty"`
+	SnapshotsAvoided uint64 `json:"snapshots_avoided,omitempty"`
+	Replays          uint64 `json:"replays,omitempty"`
+	SavesRetired     uint64 `json:"save_retired,omitempty"`
+	SavesInvalidated uint64 `json:"save_invalidations,omitempty"`
+	SnapInterval     int    `json:"snap_interval,omitempty"`
+	SnapAdaptive     bool   `json:"snap_adaptive,omitempty"`
 }
 
 // Publication is one published observation: the typed metric export, the
@@ -289,7 +288,6 @@ func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 		st.SavesInvalidated = saves.Invalidations
 		st.SnapInterval = saves.SnapInterval
 		st.SnapAdaptive = saves.Adaptive
-		st.WindowSec = saves.Window
 	}
 	pub := &Publication{
 		Seq:     t.publishes.Value(),
