@@ -2,6 +2,7 @@ package parsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,15 +100,35 @@ func TestHandoffExactlyOnce(t *testing.T) {
 // what changed rather than to the shard count: with 4 live event chains on
 // a 512-shard engine, every pop rebuilds exactly one cached candidate (the
 // popped event's own heap) and pushes rebuild none, where the scan used to
-// consult all 512 heaps and the slab before every pop. The conservative
-// mode launches within its 2 µs lookahead, the optimistic mode without bound.
+// consult all 512 heaps and the slab before every pop; and the launch pass,
+// which visits the set bits of the ready mask, finds at most the 4 chains
+// there after every commit, where it used to compare all 512 cached
+// candidates. The mask is checked exact at each commit: a shard's bit is set
+// iff its candidate has a phase and is not launched. The conservative mode
+// launches within its 2 µs lookahead, the optimistic mode without bound.
 func TestLaunchCostFollowsChanges(t *testing.T) {
 	const shards, live, lookahead = 512, 4, 2e-6
 	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
 		e := New(Options{Shards: shards, Workers: 2, Lookahead: lookahead, Controller: ctrl})
+		maxReady, wrong := 0, 0 // most ready shards a launch pass could start from; bits out of step
 		for i := 0; i < live; i++ {
 			s := &noopShard{id: i * (shards / live), eng: e}
-			s.phase, s.commit = s.onPhase, s.onCommit
+			s.phase = s.onPhase
+			s.commit = func() {
+				s.onCommit()
+				ready := 0
+				for _, m := range e.ready {
+					ready += bits.OnesCount64(m)
+				}
+				maxReady = max(maxReady, ready)
+				for q := range e.flights {
+					c := e.cand[q]
+					want := c.ok && e.cal.Event(c.Ent).Cfn == nil && !e.flights[q].active
+					if got := e.ready[q>>6]>>(q&63)&1 == 1; got != want {
+						wrong++
+					}
+				}
+			}
 			e.AtShardFn(s.id, des.Time(i)*1e-8, s.phase, nil, 0)
 		}
 		e.RunUntil(1e-3)
@@ -118,6 +139,55 @@ func TestLaunchCostFollowsChanges(t *testing.T) {
 		if e.recomputes > e.Executed() {
 			t.Fatalf("optimistic=%v: %d candidate recomputations for %d pops on %d shards, want at most one per pop",
 				ctrl != nil, e.recomputes, e.Executed(), shards)
+		}
+		if maxReady == 0 || maxReady > live || wrong != 0 {
+			t.Fatalf("optimistic=%v: up to %d of %d shards ready for a launch pass, %d ready bits out of step; want between 1 and the %d live chains, none out of step",
+				ctrl != nil, maxReady, shards, wrong, live)
+		}
+	}
+}
+
+// TestShutGatePostsNothing holds the grain gate shut through a warm-up and
+// a long stretch of 16 overlapping chains, in both modes: every launch then
+// stays a key in its shard's flight. Nothing is posted, so no flight ever
+// leaves phaseDone and no helper is woken, and the driver runs every
+// launched phase itself.
+func TestShutGatePostsNothing(t *testing.T) {
+	const shards, lookahead = 16, 2e-6
+	for _, ctrl := range []Controller{nil, newSliceCtrl(shards)} {
+		e := New(Options{Shards: shards, Workers: 4, Lookahead: lookahead, Controller: ctrl})
+		shutGate(e)
+		left := 0 // flights seen outside phaseDone
+		for i := 0; i < shards; i++ {
+			s := &noopShard{id: i, eng: e}
+			s.phase = s.onPhase
+			s.commit = func() {
+				// Commits run on the driver. An estimate reset to 1 ns
+				// before every sample moves at most a quarter of the way to
+				// grainCapNs, so even a preempted phase cannot open the gate.
+				e.grainNs = 1
+				for f := range e.flights {
+					if e.flights[f].state.Load() != phaseDone {
+						left++
+					}
+				}
+				s.onCommit()
+			}
+			e.AtShardFn(i, des.Time(i)*1e-8, s.phase, nil, 0)
+		}
+		e.RunUntil(64e-6) // warm-up: 64 events per shard, past the gate's first samples
+		e.RunUntil(e.Now() + 1e-3)
+		st, hs := e.EngineStats(), e.HandoffStats()
+		if st.Launched < e.Executed()/2 {
+			t.Fatalf("optimistic=%v: %d of %d events launched; the chains no longer overlap", ctrl != nil, st.Launched, e.Executed())
+		}
+		if !e.gateShut.Load() || hs.Wakes != 0 || left != 0 {
+			t.Fatalf("optimistic=%v: gate shut=%v, %d wakes, %d flights seen outside phaseDone; want a shut gate to post nothing",
+				ctrl != nil, e.gateShut.Load(), hs.Wakes, left)
+		}
+		if hs.HelperRan != 0 || hs.DriverRan != st.Launched {
+			t.Fatalf("optimistic=%v: driver ran %d and helpers %d of %d launches, want the driver all of them",
+				ctrl != nil, hs.DriverRan, hs.HelperRan, st.Launched)
 		}
 	}
 }

@@ -20,10 +20,14 @@
 // commit-only body, and does not follow the earliest pending global event.
 // At most one phase per shard is ever launched, so the launched body, its
 // claim state and its result live in one reusable record per shard:
-// executors never touch the slab, and the steady-state schedule → launch →
-// pop → commit cycle allocates nothing. The pop then proceeds exactly like
-// the sequential engine: set the clock, run the commit (first finishing the
-// phase if nobody has) or, for events never launched, the whole body inline.
+// helpers never touch the slab, and the steady-state schedule → launch →
+// pop → commit cycle allocates nothing. The pass before a pop visits only
+// the shards whose cached candidate is launchable — a bitmask kept exact
+// wherever that flips — so its cost follows the live shards, not the shard
+// count, and it still visits them in ascending shard order. The pop then
+// proceeds exactly like the sequential engine: set the clock, run the
+// commit (first finishing the phase if nobody has) or, for events never
+// launched, the whole body inline.
 // A global event may touch every shard; the launch rule and the straggler
 // check below guarantee it pops with nothing launched.
 //
@@ -35,25 +39,34 @@
 //
 // # Who runs a launched phase
 //
-// A launch only *posts* the phase: an atomic state on the shard's record
-// goes posted → running → done, and whoever moves it to running by
-// compare-and-swap executes the phase. The driver claims a still-posted
-// phase itself the moment it needs the result, so the worst case is the
-// one-executor path, never a wait for somebody to get scheduled. Helper
-// goroutines (at most Options.Workers, started on demand, gone when Run
-// returns) claim posted phases from the far end — latest timestamp first,
-// the ones the driver needs last — and park when there is nothing to take.
+// Launching is a deterministic decision; *posting* is placement, and the
+// grain gate decides it. The driver times every grainSampleEvery-th phase
+// it runs itself and keeps a moving average; while that average is below
+// handoffCostNs — a phase cheaper than moving it to another core and back —
+// the gate is shut and a launch only records the candidate's key in the
+// shard's flight. Such an unposted flight is run by the driver at its pop,
+// straight from the popped event, exactly like an inline event: no copy, no
+// atomic and no wake. Three things need an unposted phase's result before
+// its pop, and run it from the slab where it still sits: a rollback,
+// conservative run exit, and Cancel (before the calendar drops the body).
 //
-// Whether a launch wakes a helper is decided by the grain gate: the driver
-// times every grainSampleEvery-th phase it runs itself and keeps a moving
-// average; while that average is below handoffCostNs — a phase cheaper than
-// moving it to another core and back — helpers stay parked and launches
-// wake nobody. This is the one place the engine reads a clock, and the
-// reading decides only *placement*: which phases are launched, the counters
-// in Stats, the commit order and every Controller, sink and probe call are
-// the same whichever goroutine runs a phase, so runs stay bit-identical
-// across hosts, worker counts and timing. HandoffStats reports the
-// timing-dependent side.
+// While the gate is open a launch posts the phase: it copies the event into
+// the flight, and an atomic state on the record goes posted → running →
+// done; whoever moves it to running by compare-and-swap executes the phase.
+// A flight launched while the gate was shut stays unposted when it opens:
+// at most one phase per shard misses the overlap, once per flip. The driver claims a still-posted phase itself the moment it needs the
+// result, so the worst case is the one-executor path, never a wait for
+// somebody to get scheduled. Helper goroutines (at most Options.Workers,
+// started on demand, gone when Run returns) claim posted phases from the
+// far end — latest timestamp first, the ones the driver needs last — and
+// park when there is nothing to take.
+//
+// The gate is the one place the engine reads a clock, and the reading
+// decides only *placement*: which phases are launched, the counters in
+// Stats, the commit order and every Controller, sink and probe call are the
+// same whichever goroutine runs a phase, or whether it was ever posted, so
+// runs stay bit-identical across hosts, worker counts and timing.
+// HandoffStats reports the timing-dependent side.
 //
 // # Two modes
 //
@@ -68,8 +81,8 @@
 // Optimistic (a Controller is installed): Time Warp. W is unbounded, so
 // shards speculate arbitrarily far past the head, and a straggler rolls the
 // affected shard back: the engine finishes the phase (running it first if
-// it was still only posted, so the Controller always sees a phase that
-// ran), discards its withheld commit closure, and asks the Controller to
+// it was unposted or still only posted, so the Controller always sees a
+// phase that ran), discards its withheld commit closure, and asks the Controller to
 // undo the phase's shard-local mutations. Every globally visible effect of
 // a phase is buffered in the commit closure, which never ran, so cancelling
 // a speculation needs no anti-messages; the event stays scheduled and runs
@@ -95,6 +108,7 @@ package parsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -124,11 +138,11 @@ type Options struct {
 
 // Controller undoes speculative phase execution (charm's speculation
 // controller implements it). All three methods are called from the driving
-// goroutine. BeginSpec(s) runs before the phase is posted (whoever claims
-// it observes BeginSpec's writes through the claim's atomic edge);
-// CommitSpec(s) runs after the speculated event's commit closure at its pop;
-// RollbackSpec(s) runs after the phase has finished, when a straggler
-// invalidated it.
+// goroutine. BeginSpec(s) runs at launch, before the phase is posted
+// (whoever claims it observes BeginSpec's writes through the claim's atomic
+// edge); CommitSpec(s) runs after the speculated event's commit closure at
+// its pop; RollbackSpec(s) runs after the phase has finished, when a
+// straggler invalidated it.
 type Controller interface {
 	BeginSpec(shard int)
 	CommitSpec(shard int)
@@ -139,9 +153,10 @@ type Controller interface {
 // running owns the record until it stores done. The stores and swaps are the
 // engine's only cross-goroutine edges: post publishes the event copy (and
 // everything the driver did before it — the shard's previous commit,
-// BeginSpec) to the claimant, done publishes the result back.
+// BeginSpec) to the claimant, done publishes the result back. An unposted
+// flight never leaves phaseDone.
 const (
-	phaseDone    uint32 = iota // at rest: no launch outstanding, or its result is final
+	phaseDone    uint32 = iota // at rest: nothing posted, or its result is final
 	phasePosted                // launched, not yet claimed
 	phaseRunning               // claimed: the phase is executing
 )
@@ -154,36 +169,36 @@ type flight struct {
 	// postAt is ev.At's bit pattern, readable without owning the record:
 	// helpers rank posted flights by it (timestamps are non-negative, so
 	// the bit patterns order like the floats).
-	postAt   atomic.Uint64
-	ev       des.Event // the launched event, copied out of the slab
-	active   bool      // launched, not yet popped or rolled back (driver-only)
-	commit   func()    // phase result, written by the claimant
-	pval     any       // captured phase panic (nil if none), re-raised at pop
-	launchNs int64     // wall stamp at launch, 0 unless a probe is installed
+	postAt atomic.Uint64
+	key    des.Ent   // the launched event's calendar key (driver-only)
+	ev     des.Event // the launched event, copied out of the slab when posted
+	active bool      // launched, not yet popped or rolled back (driver-only)
+	// posted: the phase left the driver's pop — posted to the helpers, or
+	// settled early — so its result is read from commit and pval (driver-only).
+	posted   bool
+	commit   func() // phase result, written by the claimant
+	pval     any    // captured phase panic (nil if none), re-raised at pop
+	launchNs int64  // wall stamp at launch, 0 unless a probe is installed
 }
 
 // candidate caches a minima heap's earliest scheduled key, so the per-pop
-// launch scan compares timestamps instead of consulting every shard's heap
+// launch pass compares timestamps instead of consulting every shard's heap
 // and the slab.
 type candidate struct {
 	des.Ent
 	ok bool // false: nothing scheduled on this heap
-	// launchable: a shard's candidate that the scan may launch — it has a
-	// phase (not a commit-only body) and is not launched already.
-	launchable bool
 }
 
 const (
-	// handoffCostNs is the grain gate's threshold: helpers take phases only
-	// while the phases the driver times average at least this long. It is
-	// the cost of the handoff itself — posting a phase, waking a parked
-	// goroutine on another core, moving the shard's cache lines there and
-	// the result back — which is on the order of a microsecond on any
-	// current host, and which the repository benchmark measures from the
-	// application side as charm.metg50_us (0.78 µs on the benchmark host):
-	// below that grain a task spends more than half its time in the
-	// runtime. The gate sits at about twice that, so the overlap has to pay
-	// for the handoff with margin.
+	// handoffCostNs is the grain gate's threshold: launches are posted to
+	// helpers only while the phases the driver times average at least this
+	// long. It is about twice the cost of the handoff itself — copying and
+	// posting a phase, waking a parked goroutine on another core, moving the
+	// shard's cache lines there and the result back — so the overlap has to
+	// pay for the handoff with margin. BenchmarkHandoffGrain measures that
+	// cost on a 2-vCPU host: 4 µs phases ran at 2.4–4.6 µs per event with
+	// helpers taking 30–55% of them, somewhere between a 1.6× gain and
+	// none, where 64 µs phases ran at 33 µs, 1.9× faster than one executor.
 	handoffCostNs = 2000
 	// grainCapNs saturates a sample before it is averaged in, so one phase
 	// that caught a GC pause or a preemption cannot open the gate alone.
@@ -211,11 +226,14 @@ type Engine struct {
 	flights  []flight // per shard
 	inFlight int      // active flights
 
-	// minima drives the launch scan: one lazy-deletion heap of calendar keys
+	// minima drives the launch pass: one lazy-deletion heap of calendar keys
 	// per shard, plus a last one for the pending global events, and cand,
-	// each heap's current minimum. Nil when the engine can never launch.
+	// each heap's current minimum. ready has bit q set while cand[q] is
+	// launchable: a shard's candidate with a phase (not a commit-only body)
+	// that is not launched already. Nil when the engine can never launch.
 	minima     []des.EntHeap
 	cand       []candidate
+	ready      []uint64
 	recomputes uint64 // cand entries rebuilt from their heap (tests pin its growth)
 
 	// Helper goroutines, alive only while Run/RunUntil executes. mu guards
@@ -280,10 +298,10 @@ func (e *Engine) EngineStats() Stats { return e.stats }
 // on goroutine timing and the host, so it is side-band: benchmarks print it,
 // nothing gates on it and it must not reach simulation state.
 type HandoffStats struct {
-	DriverRan uint64  `json:"driver_ran"` // launched phases the driver claimed and ran itself when it needed them
+	DriverRan uint64  `json:"driver_ran"` // launched phases the driver ran itself: unposted ones at their pop or settle, posted ones it claimed when it needed them
 	HelperRan uint64  `json:"helper_ran"` // launched phases a helper ran
 	Blocked   uint64  `json:"blocked"`    // times the driver needed a phase that was mid-run on a helper, and waited
-	Wakes     uint64  `json:"wakes"`      // helpers started or signalled by a launch
+	Wakes     uint64  `json:"wakes"`      // helpers started or signalled by a post
 	GrainNs   float64 `json:"grain_ns"`   // the gate's estimate of a driver-run phase's duration (0: none timed yet; saturates at grainCapNs)
 }
 
@@ -313,6 +331,7 @@ func New(opts Options) *Engine {
 	if e.window > 0 && len(e.flights) > 1 { // otherwise nothing can ever overlap
 		e.minima = make([]des.EntHeap, len(e.flights)+1)
 		e.cand = make([]candidate, len(e.flights)+1)
+		e.ready = make([]uint64, (len(e.flights)+1+63)/64)
 	}
 	return e
 }
@@ -375,8 +394,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) reach() des.Time {
 	t := e.now
 	for s := range e.flights {
-		if f := &e.flights[s]; f.active && f.ev.At > t {
-			t = f.ev.At
+		if f := &e.flights[s]; f.active && f.key.At > t {
+			t = f.key.At
 		}
 	}
 	return t
@@ -387,7 +406,7 @@ func (e *Engine) reach() des.Time {
 // orders it after the phase.
 func (e *Engine) straggler(s int, t des.Time, from int) {
 	f := &e.flights[s]
-	if !f.active || t >= f.ev.At {
+	if !f.active || t >= f.key.At {
 		return
 	}
 	if e.ctrl == nil {
@@ -396,7 +415,7 @@ func (e *Engine) straggler(s int, t des.Time, from int) {
 			what = fmt.Sprintf("shard %d event", from)
 		}
 		panic(fmt.Sprintf("parsim: lookahead violation: %s scheduled at t=%v before shard %d's in-flight phase at t=%v",
-			what, t, s, f.ev.At))
+			what, t, s, f.key.At))
 	}
 	e.rollback(s)
 }
@@ -426,7 +445,8 @@ func (e *Engine) schedule(shard int, t des.Time, phase bool) (*des.Event, des.Ha
 		// other leaves the cached one standing. (A straggler's victim has
 		// been rolled back above, so its candidate is launchable again.)
 		if c := &e.cand[q]; !c.ok || k.Before(c.Ent) {
-			*c = candidate{Ent: k, ok: true, launchable: phase}
+			*c = candidate{Ent: k, ok: true}
+			e.markReady(q, phase)
 		}
 	}
 	return ev, e.cal.Handle(k)
@@ -458,7 +478,7 @@ func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64
 
 // AtShardCommit schedules a sharded event whose entire body runs at commit
 // position on the driver. It participates in shard ordering (the launch
-// scan will not run a later same-shard phase past it, and it is checked as
+// pass will not run a later same-shard phase past it, and it is checked as
 // a straggler) but is never launched: its body may touch global state,
 // exactly like any commit.
 func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
@@ -470,8 +490,19 @@ func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b 
 // Cancel removes a scheduled event; an already-fired or already-cancelled
 // one is a no-op. Cancelling an event whose phase is in flight is a
 // straggler like any other: a lookahead violation conservatively, a
-// rollback optimistically.
+// rollback optimistically — settled before the calendar drops the body,
+// which an unposted flight's phase still runs from. Nothing in the runtime
+// cancels, so finding the flight is a pass over the shards.
 func (e *Engine) Cancel(h des.Handle) {
+	for s := 0; e.inFlight > 0 && s < len(e.flights); s++ {
+		if f := &e.flights[s]; f.active && e.cal.Handle(f.key) == h {
+			if e.ctrl == nil {
+				panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
+			}
+			e.rollback(s)
+			break
+		}
+	}
 	k, ok := e.cal.Cancel(h)
 	if !ok {
 		return
@@ -479,12 +510,6 @@ func (e *Engine) Cancel(h des.Handle) {
 	q := len(e.flights)
 	if k.Shard >= 0 {
 		q = int(k.Shard)
-		if f := &e.flights[q]; f.active && f.ev.Seq == k.Seq {
-			if e.ctrl == nil {
-				panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
-			}
-			e.rollback(q)
-		}
 	}
 	// Only the cancellation of a heap's minimum changes its candidate; any
 	// other entry is dropped lazily when it surfaces.
@@ -561,17 +586,31 @@ func (e *Engine) step() {
 	}
 	f := &e.flights[shard]
 	launched := f.active
+	if launched && f.key.Seq != ev.Seq {
+		panic("parsim: internal: shard event popped past its in-flight phase")
+	}
+	if e.sink != nil {
+		e.sink.Phase(des.PhaseStart, shard, ev.At)
+	}
+	// An inline event and an unposted launch run the same way: the popped
+	// event's body, here. A posted launch's result is awaited.
 	var stallNs int64
-	if !launched {
+	var commit func()
+	switch {
+	case !launched:
 		e.stats.Inline++
-		e.inline(&ev)
-	} else {
-		if f.ev.Seq != ev.Seq {
-			panic("parsim: internal: shard event popped past its in-flight phase")
+		if ev.Cfn != nil {
+			ev.Cfn(ev.A, ev.B, ev.At)
+		} else {
+			commit = e.drivePhase(&ev)
 		}
-		if e.sink != nil {
-			e.sink.Phase(des.PhaseStart, shard, ev.At)
-		}
+	case !f.posted:
+		f.active = false
+		e.inFlight--
+		e.hand.DriverRan++
+		commit = e.drivePhase(&ev)
+		e.stats.Committed++
+	default:
 		stallNs = e.await(f)
 		f.active = false
 		e.inFlight--
@@ -581,21 +620,22 @@ func (e *Engine) step() {
 			// phase body before reaching its PhaseDone too.
 			panic(f.pval)
 		}
+		commit = f.commit
 		e.stats.Committed++
-		if f.commit != nil {
-			f.commit()
-		}
-		if e.ctrl != nil {
-			// Fossil collection: the commit frontier passed this
-			// speculation, so its undo state can never be needed again.
-			e.ctrl.CommitSpec(shard)
-			if e.sink != nil {
-				e.sink.Phase(des.SpecCommit, shard, ev.At)
-			}
-		}
+	}
+	if commit != nil {
+		commit()
+	}
+	if launched && e.ctrl != nil {
+		// Fossil collection: the commit frontier passed this speculation,
+		// so its undo state can never be needed again.
+		e.ctrl.CommitSpec(shard)
 		if e.sink != nil {
-			e.sink.Phase(des.PhaseDone, shard, ev.At)
+			e.sink.Phase(des.SpecCommit, shard, ev.At)
 		}
+	}
+	if e.sink != nil {
+		e.sink.Phase(des.PhaseDone, shard, ev.At)
 	}
 	if e.probe != nil {
 		if launched {
@@ -605,33 +645,16 @@ func (e *Engine) step() {
 	}
 }
 
-// inline runs a never-launched sharded event whole, as des.Event.Exec does
-// for the sequential engine, except that a phase goes through drivePhase.
-func (e *Engine) inline(ev *des.Event) {
-	shard := int(ev.Shard)
-	if e.sink != nil {
-		e.sink.Phase(des.PhaseStart, shard, ev.At)
-	}
-	if ev.Cfn != nil {
-		ev.Cfn(ev.A, ev.B, ev.At)
-	} else if commit := e.drivePhase(ev); commit != nil {
-		commit()
-	}
-	if e.sink != nil {
-		e.sink.Phase(des.PhaseDone, shard, ev.At)
-	}
-}
-
 // drivePhase runs a phase on the driving goroutine, timing every
 // grainSampleEvery-th one for the grain gate. The driver always runs some
-// phases — every calendar head, and every launched phase nobody claimed —
+// phases — every calendar head, and every launched phase no helper took —
 // so the estimate tracks the workload without a re-probe schedule.
 func (e *Engine) drivePhase(ev *des.Event) func() {
 	e.driven++
 	if e.driven%grainSampleEvery != 0 || e.minima == nil {
 		return ev.Phase()
 	}
-	//charmvet:wallclock (placement only: the reading decides whether helpers are woken, never what is launched, committed or counted)
+	//charmvet:wallclock (placement only: the reading decides whether launches are posted to helpers, never what is launched, committed or counted)
 	t0 := time.Now()
 	commit := ev.Phase()
 	//charmvet:wallclock (see above)
@@ -665,29 +688,41 @@ func (e *Engine) top(q *des.EntHeap) (des.Ent, bool) {
 func (e *Engine) recompute(q int) {
 	e.recomputes++
 	k, ok := e.top(&e.minima[q])
-	e.cand[q] = candidate{Ent: k, ok: ok,
-		launchable: ok && k.Shard >= 0 && e.cal.Event(k).Cfn == nil}
+	e.cand[q] = candidate{Ent: k, ok: ok}
+	e.markReady(q, ok && k.Shard >= 0 && e.cal.Event(k).Cfn == nil)
 }
 
-// launch posts every eligible shard candidate before head pops: inside the
-// window and the run horizon, not the head itself, not a commit-only body
-// or an already launched one, and not past the earliest pending global —
-// in ascending shard order, which is the order Controller and sinks see.
+// markReady sets or clears heap q's bit in the ready mask.
+func (e *Engine) markReady(q int, on bool) {
+	if bit := uint64(1) << (q & 63); on {
+		e.ready[q>>6] |= bit
+	} else {
+		e.ready[q>>6] &^= bit
+	}
+}
+
+// launch launches every eligible shard candidate before head pops: a ready
+// one inside the window and the run horizon, not the head itself, and not
+// past the earliest pending global — in ascending shard order, which is the
+// order Controller and sinks see.
 func (e *Engine) launch(head des.Ent, horizon des.Time) {
 	if e.minima == nil || e.cal.Len() < 2 {
 		return
 	}
 	limit := head.At + e.window
 	global := &e.cand[len(e.flights)]
-	for s := range e.flights {
-		c := &e.cand[s]
-		if !c.launchable || c.At >= limit || c.At > horizon || c.Seq == head.Seq {
-			continue
+	for w, m := range e.ready {
+		for ; m != 0; m &= m - 1 {
+			s := w<<6 | bits.TrailingZeros64(m)
+			c := &e.cand[s]
+			if c.At >= limit || c.At > horizon || c.Seq == head.Seq {
+				continue
+			}
+			if global.ok && global.Before(c.Ent) {
+				continue
+			}
+			e.launchEvent(s, c)
 		}
-		if global.ok && global.Before(c.Ent) {
-			continue
-		}
-		e.launchEvent(s, c)
 	}
 	if e.probe != nil && e.ctrl == nil && e.inFlight == 0 {
 		// The scan ran but nothing can overlap the coming pop: the
@@ -696,37 +731,42 @@ func (e *Engine) launch(head des.Ent, horizon des.Time) {
 	}
 }
 
-// launchEvent copies shard s's candidate event into its flight record and
-// posts it; with the grain gate open it also makes sure a helper is awake
-// to take it.
+// launchEvent launches shard s's candidate into its flight record, and
+// posts it if the grain gate is open; shut, the record keeps only its key.
 func (e *Engine) launchEvent(s int, c *candidate) {
-	ev := e.cal.Event(c.Ent)
-	c.launchable = false
+	e.markReady(s, false)
 	f := &e.flights[s]
-	f.ev = *ev
-	f.active = true
+	f.key, f.active, f.posted = c.Ent, true, false
 	if e.ctrl != nil {
 		e.ctrl.BeginSpec(s)
 	}
 	e.inFlight++
 	e.stats.Launched++
 	e.stats.MaxInFlight = max(e.stats.MaxInFlight, e.inFlight)
-	lag := ev.At - e.now
+	lag := c.At - e.now
 	e.stats.MaxGVTLag = max(e.stats.MaxGVTLag, lag)
 	if e.sink != nil && e.ctrl != nil {
-		e.sink.Phase(des.SpecLaunch, s, ev.At)
+		e.sink.Phase(des.SpecLaunch, s, c.At)
 	}
 	if e.probe != nil {
 		f.launchNs = e.probe.WallNow()
 		if e.ctrl != nil {
-			e.probe.SpecLaunched(s, ev.At, lag)
+			e.probe.SpecLaunched(s, c.At, lag)
 		}
 	}
-	f.postAt.Store(math.Float64bits(float64(ev.At)))
-	f.state.Store(phasePosted)
 	if !e.gateShut.Load() {
-		e.wakeHelper()
+		e.post(f)
 	}
+}
+
+// post copies a launched flight's event out of the slab, publishes it to
+// the helpers and makes sure one is awake to take it.
+func (e *Engine) post(f *flight) {
+	f.ev = *e.cal.Event(f.key)
+	f.posted = true
+	f.postAt.Store(math.Float64bits(float64(f.key.At)))
+	f.state.Store(phasePosted)
+	e.wakeHelper()
 }
 
 // wakeHelper gets one more helper looking for posted phases: a parked one
@@ -753,31 +793,46 @@ func (e *Engine) wakeHelper() {
 	e.hand.Wakes++
 }
 
-// runPhase executes a claimed flight's phase, capturing a panic so the
+// runPhase executes flight f's phase from ev, capturing a panic so the
 // driver can re-raise it in deterministic pop order (or discard it with the
 // rest of a rolled-back speculation), and publishes the result.
-func (e *Engine) runPhase(f *flight, driver bool) {
+func (e *Engine) runPhase(f *flight, ev *des.Event, driver bool) {
 	defer func() {
 		f.pval = recover()
 		f.state.Store(phaseDone)
 	}()
 	if driver {
-		f.commit = e.drivePhase(&f.ev)
+		f.commit = e.drivePhase(ev)
 	} else {
-		f.commit = f.ev.Phase()
+		f.commit = ev.Phase()
 	}
 }
 
-// await returns once f's phase has finished — running it here if nobody
-// has claimed it — and reports the wall time the driver spent blocked on a
-// helper (0 without a probe). Running the phase itself is work, not stall.
+// settle finishes a launched flight's phase ahead of its pop, and reports
+// the wall time the driver spent blocked on a helper. An unposted phase
+// runs here, from the slab, and counts as posted from now on: its result
+// waits in the record like a helper's.
+func (e *Engine) settle(f *flight) int64 {
+	if f.posted {
+		return e.await(f)
+	}
+	f.posted = true
+	e.hand.DriverRan++
+	e.runPhase(f, e.cal.Event(f.key), true)
+	return 0
+}
+
+// await returns once posted flight f's phase has finished — running it
+// here if nobody has claimed it — and reports the wall time the driver spent
+// blocked on a helper (0 without a probe). Running the phase itself is work,
+// not stall.
 func (e *Engine) await(f *flight) int64 {
 	if f.state.Load() == phaseDone {
 		return 0
 	}
 	if f.state.CompareAndSwap(phasePosted, phaseRunning) {
 		e.hand.DriverRan++
-		e.runPhase(f, true)
+		e.runPhase(f, &f.ev, true)
 		return 0
 	}
 	e.hand.Blocked++
@@ -807,17 +862,17 @@ func (e *Engine) await(f *flight) int64 {
 // its shard's candidate again, and runs again at or before its pop.
 func (e *Engine) rollback(s int) {
 	f := &e.flights[s]
-	waitNs := e.await(f)
+	waitNs := e.settle(f)
 	f.active = false
 	e.inFlight--
-	e.cand[s].launchable = true
+	e.markReady(s, true)
 	e.ctrl.RollbackSpec(s)
 	e.stats.RolledBack++
 	if e.sink != nil {
-		e.sink.Phase(des.SpecRollback, s, f.ev.At)
+		e.sink.Phase(des.SpecRollback, s, f.key.At)
 	}
 	if e.probe != nil {
-		e.probe.SpecRolledBack(s, f.ev.At, waitNs)
+		e.probe.SpecRolledBack(s, f.key.At, waitNs)
 	}
 }
 
@@ -825,7 +880,7 @@ func (e *Engine) rollback(s int) {
 func (e *Engine) helper() {
 	defer e.helperWG.Done()
 	for f := e.take(); f != nil; f = e.take() {
-		e.runPhase(f, false)
+		e.runPhase(f, &f.ev, false)
 		e.helperRan.Add(1)
 		if e.awaiting.Load() == f {
 			e.mu.Lock()
@@ -879,9 +934,10 @@ func (e *Engine) claimLatest() *flight {
 }
 
 // endRun ends a run: optimistic mode rolls back every speculation still in
-// flight; conservative mode finishes every launched phase, running the ones
-// nobody claimed, so what has executed at exit never depends on timing and
-// the commits stay cached for the next run. Then the helpers exit.
+// flight; conservative mode settles every launched phase, running the ones
+// nobody claimed or that were never posted, so what has executed at exit
+// never depends on timing and the commits stay cached for the next run.
+// Then the helpers exit.
 func (e *Engine) endRun() {
 	if e.inFlight > 0 {
 		for s := range e.flights {
@@ -890,7 +946,7 @@ func (e *Engine) endRun() {
 			} else if e.ctrl != nil {
 				e.rollback(s)
 			} else {
-				e.await(f)
+				e.settle(f)
 			}
 		}
 	}

@@ -365,29 +365,54 @@ func TestCancelInFlightPanics(t *testing.T) {
 	expectPanic(t, e, "cancelling an in-flight event")
 }
 
+// shutGate shuts e's grain gate before a run, as a warm-up of cheap phases
+// would: launches then only record their candidate and post nothing. The
+// small tests that use it never reach the gate's first sample, so it stays
+// shut for the whole run.
+func shutGate(e *Engine) { e.gateShut.Store(true) }
+
 // TestCancelInFlightRollsBack: optimistically, cancelling a speculated
 // event is an ordinary straggler: the speculation is undone and the event
-// never commits.
+// never commits. With the gate shut the speculation was never posted, so
+// the cancel itself runs its phase, from the calendar, before the calendar
+// drops the event: once, like a posted phase, and then rolls it back.
 func TestCancelInFlightRollsBack(t *testing.T) {
-	e, c := mkOptimistic(2, 2)
-	h := atShard(e, 1, 5.0, func() func() {
-		c.state[1]++
-		return func() { t.Error("cancelled event's commit ran") }
-	})
-	atShard(e, 0, 0.1, func() func() {
-		return func() { e.Cancel(h) }
-	})
-	e.Run()
-	if c.rolledBack != 1 {
-		t.Fatalf("rolled back %d, want 1", c.rolledBack)
+	for _, shut := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gateShut=%v", shut), func(t *testing.T) {
+			e, c := mkOptimistic(2, 2)
+			if shut {
+				shutGate(e)
+			}
+			var runs atomic.Int64
+			h := atShard(e, 1, 5.0, func() func() {
+				runs.Add(1)
+				c.state[1]++
+				return func() { t.Error("cancelled event's commit ran") }
+			})
+			atShard(e, 0, 0.1, func() func() {
+				return func() {
+					if f := &e.flights[1]; !f.active || f.posted == shut {
+						t.Errorf("shard 1's flight active=%v posted=%v before the cancel, want launched and posted=%v", f.active, f.posted, !shut)
+					}
+					e.Cancel(h)
+				}
+			})
+			e.Run()
+			if c.rolledBack != 1 {
+				t.Fatalf("rolled back %d, want 1", c.rolledBack)
+			}
+			if runs.Load() != 1 {
+				t.Fatalf("cancelled speculation's phase ran %d times, want exactly once", runs.Load())
+			}
+			if c.state[1] != 0 {
+				t.Fatalf("shard 1 state %d after cancelled speculation, want 0", c.state[1])
+			}
+			if e.Pending() != 0 {
+				t.Fatalf("pending %d after run, want 0", e.Pending())
+			}
+			c.balanced(t)
+		})
 	}
-	if c.state[1] != 0 {
-		t.Fatalf("shard 1 state %d after cancelled speculation, want 0", c.state[1])
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d after run, want 0", e.Pending())
-	}
-	c.balanced(t)
 }
 
 // TestRunUntil bounds launches by the horizon and advances the clock.
@@ -422,26 +447,39 @@ func TestRunUntil(t *testing.T) {
 // the next pop; conservatively an in-flight phase finishes on its worker
 // but its commit is withheld — global state stops exactly where the
 // sequential engine would — and applies if a later Run pops the event.
+//
+// With the gate shut the phase was never posted, and the Stop runs it on
+// the driver's way out: either way it has run when Run returns.
 func TestStopWithholdsUncommittedPhases(t *testing.T) {
-	e := mkConservative(2, 2)
-	var committed []int
-	var phases atomic.Int64
-	atShard(e, 0, 0.1, func() func() {
-		return func() {
-			committed = append(committed, 0)
-			e.Stop()
-		}
-	})
-	atShard(e, 1, 0.1001, func() func() {
-		phases.Add(1)
-		return func() { committed = append(committed, 1) }
-	})
-	e.Run()
-	wantOrder(t, committed, []int{0})
-	e.Run() // resuming applies the cached commit in order
-	wantOrder(t, committed, []int{0, 1})
-	if phases.Load() != 1 {
-		t.Fatalf("phase ran %d times, want once — its cached result is reused", phases.Load())
+	for _, shut := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gateShut=%v", shut), func(t *testing.T) {
+			e := mkConservative(2, 2)
+			if shut {
+				shutGate(e)
+			}
+			var committed []int
+			var phases atomic.Int64
+			atShard(e, 0, 0.1, func() func() {
+				return func() {
+					committed = append(committed, 0)
+					e.Stop()
+				}
+			})
+			atShard(e, 1, 0.1001, func() func() {
+				phases.Add(1)
+				return func() { committed = append(committed, 1) }
+			})
+			e.Run()
+			wantOrder(t, committed, []int{0})
+			if phases.Load() != 1 {
+				t.Fatalf("in-flight phase ran %d times by Stop, want once", phases.Load())
+			}
+			e.Run() // resuming applies the cached commit in order
+			wantOrder(t, committed, []int{0, 1})
+			if phases.Load() != 1 {
+				t.Fatalf("phase ran %d times, want once — its cached result is reused", phases.Load())
+			}
+		})
 	}
 }
 
