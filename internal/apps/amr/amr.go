@@ -672,7 +672,7 @@ func (a *App) maybeStep(b *block, ctx *charm.Ctx) {
 	for d := 0; d < 3; d++ {
 		b.Got[d] = 0
 	}
-	ctx.Contribute(mass, charm.SumF64, charm.CallbackFunc(0, a.onStepDone))
+	ctx.ContributeF64(mass, charm.SumF64, charm.CallbackFunc(0, a.onStepDone))
 	if b.Step >= a.stepTarget {
 		return // wait for the driver (remesh or finish)
 	}

@@ -584,7 +584,7 @@ func (a *App) maybeIntegrate(c *cell, ctx *charm.Ctx) {
 		c.Fs[i] = 0
 	}
 	c.Step++
-	ctx.Contribute(energy, charm.SumF64, a.stepDone)
+	ctx.ContributeF64(energy, charm.SumF64, a.stepDone)
 
 	if c.Step >= a.cfg.Steps {
 		return

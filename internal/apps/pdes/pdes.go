@@ -348,7 +348,7 @@ func (a *App) onReportMin(obj charm.Chare, ctx *charm.Ctx, msg any) {
 		m = l.Q[0]
 	}
 	ctx.Charge(3e-7)
-	ctx.Contribute(m, charm.MinF64, a.onWindowCB)
+	ctx.ContributeF64(m, charm.MinF64, a.onWindowCB)
 }
 
 // onWindow receives the global minimum and opens the next window.

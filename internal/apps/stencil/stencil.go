@@ -404,7 +404,7 @@ func (a *App) maybeCompute(b *block, ctx *charm.Ctx) {
 
 	b.Iter++
 	b.Got = 0
-	ctx.Contribute(residual, charm.SumF64, a.iterDone)
+	ctx.ContributeF64(residual, charm.SumF64, a.iterDone)
 
 	if b.Iter >= a.cfg.Iters {
 		return // done; the final reduction ends the run

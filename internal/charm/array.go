@@ -84,11 +84,9 @@ type Array struct {
 	rankKeys   []Index
 	ranksDirty bool
 
-	// spareVals/spareHave recycle the rank buffers of the last completed
-	// generation into the next one (cleared at stash time), so steady-state
-	// per-step reductions over large arrays allocate nothing.
-	spareVals []any
-	spareHave []bool
+	// spareRuns are completed generations' runs, their buffers cleared,
+	// waiting to open later ones (see closeRun).
+	spareRuns []*redRun
 
 	// Dense index-space support (ArrayOpts.Bounds): linKind is the index
 	// kind the bounds describe (0 when unbounded), linDims the extents

@@ -2,7 +2,8 @@ package charm
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"charmgo/internal/des"
 )
@@ -58,18 +59,41 @@ type funcMsg struct {
 type Reducer struct {
 	Name  string
 	Merge func(a, b any) any
+
+	// fold names a built-in's unboxed fold; foldBoxed (the zero value, so
+	// every user-declared reducer) folds the boxed values with Merge.
+	fold foldKind
 }
+
+// foldKind selects how a reduction run stores and folds its contributions.
+// The scalar kinds keep each contribution as a uint64 bit pattern in one
+// slot array and box only the folded result; foldSumVecF64 folds into one
+// accumulator per generation instead of a fresh slice per Merge.
+type foldKind uint8
+
+const (
+	foldBoxed foldKind = iota
+	foldSumF64
+	foldMinF64
+	foldMaxF64
+	foldSumI64
+	foldMinI64
+	foldMaxI64
+	foldAnd
+	foldOr
+	foldSumVecF64
+)
 
 // Built-in reducers.
 var (
-	SumF64 = Reducer{"sum_f64", func(a, b any) any { return a.(float64) + b.(float64) }}
-	MinF64 = Reducer{"min_f64", func(a, b any) any { return min(a.(float64), b.(float64)) }}
-	MaxF64 = Reducer{"max_f64", func(a, b any) any { return max(a.(float64), b.(float64)) }}
-	SumI64 = Reducer{"sum_i64", func(a, b any) any { return a.(int64) + b.(int64) }}
-	MinI64 = Reducer{"min_i64", func(a, b any) any { return min(a.(int64), b.(int64)) }}
-	MaxI64 = Reducer{"max_i64", func(a, b any) any { return max(a.(int64), b.(int64)) }}
-	AndB   = Reducer{"and", func(a, b any) any { return a.(bool) && b.(bool) }}
-	OrB    = Reducer{"or", func(a, b any) any { return a.(bool) || b.(bool) }}
+	SumF64 = Reducer{"sum_f64", func(a, b any) any { return a.(float64) + b.(float64) }, foldSumF64}
+	MinF64 = Reducer{"min_f64", func(a, b any) any { return min(a.(float64), b.(float64)) }, foldMinF64}
+	MaxF64 = Reducer{"max_f64", func(a, b any) any { return max(a.(float64), b.(float64)) }, foldMaxF64}
+	SumI64 = Reducer{"sum_i64", func(a, b any) any { return a.(int64) + b.(int64) }, foldSumI64}
+	MinI64 = Reducer{"min_i64", func(a, b any) any { return min(a.(int64), b.(int64)) }, foldMinI64}
+	MaxI64 = Reducer{"max_i64", func(a, b any) any { return max(a.(int64), b.(int64)) }, foldMaxI64}
+	AndB   = Reducer{"and", func(a, b any) any { return a.(bool) && b.(bool) }, foldAnd}
+	OrB    = Reducer{"or", func(a, b any) any { return a.(bool) || b.(bool) }, foldOr}
 
 	// SumVecF64 sums equal-length []float64 contributions elementwise
 	// (histogram reductions). The merge does not mutate its inputs.
@@ -81,11 +105,74 @@ var (
 			out[i] += bv[i]
 		}
 		return out
-	}}
+	}, foldSumVecF64}
 )
+
+func (k foldKind) scalar() bool { return k >= foldSumF64 && k <= foldOr }
+func (k foldKind) float() bool  { return k >= foldSumF64 && k <= foldMaxF64 }
+
+// bits unboxes a contribution to a scalar reducer into its slot encoding:
+// a float's IEEE bits, an integer's two's complement, a bool as 0 or 1.
+func (k foldKind) bits(v any, name string) uint64 {
+	switch x := v.(type) {
+	case float64:
+		if k.float() {
+			return math.Float64bits(x)
+		}
+	case int64:
+		if k >= foldSumI64 && k <= foldMaxI64 {
+			return uint64(x)
+		}
+	case bool:
+		if k == foldAnd || k == foldOr {
+			if x {
+				return 1
+			}
+			return 0
+		}
+	}
+	panic(fmt.Sprintf("charm: a %T contribution to a %s reduction", v, name))
+}
+
+// box is the inverse of bits: the one allocation a scalar run makes.
+func (k foldKind) box(b uint64) any {
+	switch {
+	case k.float():
+		return math.Float64frombits(b)
+	case k == foldAnd || k == foldOr:
+		return b != 0
+	}
+	return int64(b)
+}
+
+// merge is the unboxed twin of the built-in's Merge and applies the same
+// operation: min and max are this package's, which differ from the
+// builtins on NaN and -0, so every fold is bit-identical to the boxed one.
+func (k foldKind) merge(a, b uint64) uint64 {
+	f := math.Float64frombits
+	switch k {
+	case foldSumF64:
+		return math.Float64bits(f(a) + f(b))
+	case foldMinF64:
+		return math.Float64bits(min(f(a), f(b)))
+	case foldMaxF64:
+		return math.Float64bits(max(f(a), f(b)))
+	case foldSumI64:
+		return uint64(int64(a) + int64(b))
+	case foldMinI64:
+		return uint64(min(int64(a), int64(b)))
+	case foldMaxI64:
+		return uint64(max(int64(a), int64(b)))
+	case foldAnd:
+		return a & b
+	}
+	return a | b // foldOr
+}
 
 // ---- broadcast ----
 
+// bcastMsg describes one broadcast. It is built once, at the call, and the
+// fan-out hands the same pointer down every edge of the spanning tree.
 type bcastMsg struct {
 	arr     int
 	ep      EP
@@ -102,7 +189,7 @@ func (c *Ctx) Broadcast(arr *Array, ep EP, payload any, opts *SendOpts) {
 	if opts != nil {
 		prio = opts.Prio
 	}
-	bm := bcastMsg{arr: arr.id, ep: ep, payload: payload, size: size, prio: prio}
+	bm := &bcastMsg{arr: arr.id, ep: ep, payload: payload, size: size, prio: prio}
 	if c.pe == 0 {
 		c.rt.bcastFanout(c, bm)
 		return
@@ -111,12 +198,12 @@ func (c *Ctx) Broadcast(arr *Array, ep EP, payload any, opts *SendOpts) {
 }
 
 func (rt *Runtime) bcastHandler(ctx *Ctx, msg any) {
-	rt.bcastFanout(ctx, msg.(bcastMsg))
+	rt.bcastFanout(ctx, msg.(*bcastMsg))
 }
 
 // bcastFanout forwards the broadcast down the PE tree and delivers to local
 // elements.
-func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
+func (rt *Runtime) bcastFanout(ctx *Ctx, bm *bcastMsg) {
 	p := ctx.pe
 	for _, child := range []int{2*p + 1, 2*p + 2} {
 		if child < rt.activePEs {
@@ -162,10 +249,15 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm bcastMsg) {
 // order: floating-point merges are order-sensitive, and a rollback replay
 // is a time-shifted re-execution whose re-rounded arrival times may
 // interleave contributions differently. A run starts in ranked mode —
-// values land at vals[element rank] and the fold walks vals left to right,
-// which IS canonical index order, with no sort. If the array's population
-// changes while the run is open, the run demotes to spill mode (the old
-// append-and-sort scheme), whose sorted fold is bit-identical.
+// values land at slot [element rank] and the fold walks the slots left to
+// right, which IS canonical index order, with no sort. If the array's
+// population changes while the run is open, the run demotes to spill mode
+// (append, then sort by index at completion), whose fold is bit-identical.
+//
+// A built-in scalar reducer's run keeps its values unboxed in slots, one
+// bit pattern per rank, and boxes only the folded result; every other
+// reducer's run keeps boxed values in vals. A completed run and its
+// buffers are recycled into the array's next generation (see closeRun).
 type redRun struct {
 	expected int
 	count    int
@@ -173,32 +265,44 @@ type redRun struct {
 	cb       Callback
 
 	ranked bool
-	vals   []any  // by element rank (ranked mode)
-	have   []bool // rank slots filled (for demotion)
+	vals   []any    // by element rank: boxed reducers
+	slots  []uint64 // by element rank: scalar reducers' bit patterns
+	have   []bool   // rank slots filled (for demotion)
 
 	spill []redContrib // spill mode: sorted by index at completion
 }
 
 type redContrib struct {
-	idx Index
-	val any
+	idx  Index
+	val  any    // boxed reducers
+	bits uint64 // scalar reducers
 }
 
 // demote converts a ranked run to spill mode, keying the placed values back
 // to indices through the array's rank table — which must still describe the
 // population the run was opened over (callers demote before mutating it).
+// The rank buffers stay with the run: completion refills them in index
+// order, and closeRun recycles them.
 func (run *redRun) demote(a *Array) {
+	scalar := run.reducer.fold.scalar()
 	for r, ok := range run.have {
-		if ok {
-			run.spill = append(run.spill, redContrib{idx: a.rankKeys[r], val: run.vals[r]})
+		if !ok {
+			continue
 		}
+		rc := redContrib{idx: a.rankKeys[r]}
+		if scalar {
+			rc.bits = run.slots[r]
+		} else {
+			rc.val = run.vals[r]
+		}
+		run.spill = append(run.spill, rc)
 	}
 	run.ranked = false
-	run.vals, run.have = nil, nil
 }
 
 // redRunFor locates generation gen's run in the array's ring, opening it on
-// first contribution. Commit context.
+// first contribution. Every later contribution must name the same reducer.
+// Commit context.
 func (a *Array) redRunFor(gen uint64, reducer Reducer, cb Callback) *redRun {
 	if gen < a.redBase {
 		panic(fmt.Sprintf("charm: contribution to completed reduction generation %d of %s", gen, a.name))
@@ -207,41 +311,73 @@ func (a *Array) redRunFor(gen uint64, reducer Reducer, cb Callback) *redRun {
 	for slot >= len(a.redOpen) {
 		a.redOpen = append(a.redOpen, nil)
 	}
-	run := a.redOpen[slot]
-	if run == nil {
-		expected := a.Len()
-		if expected == 0 {
-			panic("charm: reduction over empty array")
+	if run := a.redOpen[slot]; run != nil {
+		if run.reducer.Name != reducer.Name || run.reducer.fold != reducer.fold {
+			panic(fmt.Sprintf("charm: contribution with reducer %s to reduction generation %d of %s, opened with reducer %s",
+				reducer.Name, gen, a.name, run.reducer.Name))
 		}
-		if a.ranksDirty {
-			a.rebuildRanks()
-		}
-		run = &redRun{expected: expected, reducer: reducer, cb: cb, ranked: true}
-		if cap(a.spareVals) >= expected {
-			// Recycled from the previous completed generation, already
-			// cleared (see closeRun).
-			run.vals, run.have = a.spareVals[:expected], a.spareHave[:expected]
-			a.spareVals, a.spareHave = nil, nil
-		} else {
-			run.vals, run.have = make([]any, expected), make([]bool, expected)
-		}
-		a.redOpen[slot] = run
+		return run
 	}
+	expected := a.Len()
+	if expected == 0 {
+		panic("charm: reduction over empty array")
+	}
+	if a.ranksDirty {
+		a.rebuildRanks()
+	}
+	// A completed generation's run, if any, comes back with its buffers
+	// cleared (see closeRun), so steady-state per-step reductions over
+	// large arrays allocate nothing.
+	var run *redRun
+	if n := len(a.spareRuns); n > 0 {
+		run, a.spareRuns = a.spareRuns[n-1], a.spareRuns[:n-1]
+	} else {
+		run = &redRun{}
+	}
+	run.expected, run.reducer, run.cb, run.ranked = expected, reducer, cb, true
+	run.have = grow(run.have, expected)
+	if reducer.fold.scalar() {
+		run.slots = grow(run.slots, expected)
+	} else {
+		run.vals = grow(run.vals, expected)
+	}
+	a.redOpen[slot] = run
 	return run
 }
 
-// closeRun retires a delivered generation, advancing the ring's base past
-// completed head slots and recycling the rank buffers.
+// grow returns s resized to length n, reusing its array when it is large
+// enough. A recycled vals or have comes back cleared by closeRun; slots
+// need not be, since a run reads only the slots its contributions wrote.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// closeRun retires a delivered generation: the ring drops its completed
+// head slots (shifting down in place, so it keeps its array), and the run,
+// its buffers cleared, joins the array's spares. Once no generation is
+// open, one spare is enough for the next; the others, kept while
+// generations overlapped, are let go rather than held for the array's
+// lifetime.
 func (a *Array) closeRun(gen uint64, run *redRun) {
 	a.redOpen[gen-a.redBase] = nil
-	for len(a.redOpen) > 0 && a.redOpen[0] == nil {
-		a.redOpen = a.redOpen[1:]
-		a.redBase++
+	done := 0
+	for done < len(a.redOpen) && a.redOpen[done] == nil {
+		done++
 	}
-	if run.vals != nil {
-		clear(run.vals)
-		clear(run.have)
-		a.spareVals, a.spareHave = run.vals[:0], run.have[:0]
+	a.redOpen = a.redOpen[:copy(a.redOpen, a.redOpen[done:])]
+	a.redBase += uint64(done)
+	clear(run.vals)
+	clear(run.have)
+	clear(run.spill)
+	*run = redRun{vals: run.vals[:0], slots: run.slots[:0], have: run.have[:0], spill: run.spill[:0]}
+	a.spareRuns = append(a.spareRuns, run)
+	if len(a.redOpen) == 0 {
+		a.spareRuns[0] = run
+		clear(a.spareRuns[1:])
+		a.spareRuns = a.spareRuns[:1]
 	}
 }
 
@@ -252,12 +388,27 @@ func (a *Array) closeRun(gen uint64, run *redRun) {
 // participate in is open (dynamic insertion aligns new elements to the
 // creator's generation — see Ctx.Insert).
 func (c *Ctx) Contribute(value any, reducer Reducer, cb Callback) {
+	c.contribute(fxContrib{value: value, reducer: reducer, cb: cb})
+}
+
+// ContributeF64 is Contribute for a float64 to SumF64, MinF64 or MaxF64
+// without boxing it: the value stays a scalar from the call to the fold,
+// and only the result is boxed, once per reduction. With any other reducer
+// it is Contribute(v, reducer, cb).
+func (c *Ctx) ContributeF64(v float64, reducer Reducer, cb Callback) {
+	if !reducer.fold.float() {
+		c.Contribute(v, reducer, cb)
+		return
+	}
+	c.contribute(fxContrib{bits: math.Float64bits(v), typed: true, reducer: reducer, cb: cb})
+}
+
+func (c *Ctx) contribute(d fxContrib) {
 	el := c.elem
 	if el == nil {
 		panic("charm: Contribute outside an array element")
 	}
-	rt := c.rt
-	gen := el.redGen
+	d.el, d.gen = el, el.redGen
 	el.redGen++
 	c.Charge(2e-7) // contribution bookkeeping
 	at := c.Now()
@@ -265,21 +416,37 @@ func (c *Ctx) Contribute(value any, reducer Reducer, cb Callback) {
 	// buffered mode it is a deferred effect; the contribution's timestamp
 	// is captured now, at the virtual moment the element contributed.
 	if c.fx == nil {
-		rt.contribute(el, gen, value, reducer, cb, at)
+		c.rt.contribute(&d, at)
 		return
 	}
-	c.fx.contribute(fxContrib{el: el, gen: gen, value: value, reducer: reducer, cb: cb}, at)
+	c.fx.contribute(d, at)
 }
 
-// contribute is the commit half of Contribute.
-func (rt *Runtime) contribute(el *element, gen uint64, value any, reducer Reducer, cb Callback, at des.Time) {
+// contribute is the commit half of Contribute. A boxed contribution to a
+// scalar reducer is unboxed here, so it lands in the same slots as a typed
+// one.
+func (rt *Runtime) contribute(d *fxContrib, at des.Time) {
+	el := d.el
 	a := rt.arrays[el.key.array]
-	run := a.redRunFor(gen, reducer, cb)
-	if run.ranked {
-		run.vals[el.redRank] = value
+	run := a.redRunFor(d.gen, d.reducer, d.cb)
+	fold := run.reducer.fold
+	bits := d.bits
+	if fold.scalar() && !d.typed {
+		bits = fold.bits(d.value, run.reducer.Name)
+	}
+	switch {
+	case !run.ranked:
+		rc := redContrib{idx: el.key.idx, bits: bits}
+		if !fold.scalar() {
+			rc.val = d.value
+		}
+		run.spill = append(run.spill, rc)
+	case fold.scalar():
+		run.slots[el.redRank] = bits
 		run.have[el.redRank] = true
-	} else {
-		run.spill = append(run.spill, redContrib{idx: el.key.idx, val: value})
+	default:
+		run.vals[el.redRank] = d.value
+		run.have[el.redRank] = true
 	}
 	run.count++
 	if run.count < run.expected {
@@ -287,28 +454,65 @@ func (rt *Runtime) contribute(el *element, gen uint64, value any, reducer Reduce
 	}
 	// Complete: fold in canonical index order, then deliver the result
 	// after the combining tree's latency.
-	var result any
-	if run.ranked {
-		result = run.vals[0]
-		for _, v := range run.vals[1:] {
-			result = run.reducer.Merge(result, v)
-		}
-	} else {
-		sort.Slice(run.spill, func(i, j int) bool {
-			return run.spill[i].idx.Less(run.spill[j].idx)
-		})
-		result = run.spill[0].val
-		for _, rc := range run.spill[1:] {
-			result = run.reducer.Merge(result, rc.val)
-		}
-	}
+	result := run.result()
 	fireCB := run.cb
-	a.closeRun(gen, run)
+	a.closeRun(d.gen, run)
 	rt.atEpoch(at+rt.barrierLatency(), func() {
 		ctx := rt.newCtx(0, nil)
 		fireCB.fire(ctx, result)
 		rt.finishExec(ctx, nil)
 	})
+}
+
+// result folds a complete run in canonical index order. A spill run is
+// first sorted and copied back into the rank buffers, so both modes share
+// one fold.
+func (run *redRun) result() any {
+	fold := run.reducer.fold
+	if !run.ranked {
+		slices.SortFunc(run.spill, func(x, y redContrib) int {
+			switch {
+			case x.idx.Less(y.idx):
+				return -1
+			case y.idx.Less(x.idx):
+				return 1
+			}
+			return 0
+		})
+		run.slots, run.vals = run.slots[:0], run.vals[:0]
+		for _, rc := range run.spill {
+			if fold.scalar() {
+				run.slots = append(run.slots, rc.bits)
+			} else {
+				run.vals = append(run.vals, rc.val)
+			}
+		}
+	}
+	switch {
+	case fold.scalar():
+		acc := run.slots[0]
+		for _, b := range run.slots[1:] {
+			acc = fold.merge(acc, b)
+		}
+		return fold.box(acc)
+	case fold == foldSumVecF64:
+		// One accumulator: rank 0's copy, then each later rank added in
+		// order — SumVecF64.Merge's arithmetic without its slice per merge.
+		first := run.vals[0].([]float64)
+		acc := make([]float64, len(first))
+		copy(acc, first)
+		for _, v := range run.vals[1:] {
+			for i, x := range v.([]float64) {
+				acc[i] += x
+			}
+		}
+		return acc
+	}
+	result := run.vals[0]
+	for _, v := range run.vals[1:] {
+		result = run.reducer.Merge(result, v)
+	}
+	return result
 }
 
 func (rt *Runtime) funcHandler(ctx *Ctx, msg any) {

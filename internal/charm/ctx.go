@@ -45,11 +45,14 @@ type fxRec struct {
 	fn   func()   // fxFn
 }
 
-// fxContrib is the argument list of a buffered Contribute.
+// fxContrib is the argument list of a buffered Contribute. A typed one
+// (ContributeF64) carries its value as bits and leaves value nil.
 type fxContrib struct {
 	el      *element
 	gen     uint64
 	value   any
+	bits    uint64
+	typed   bool
 	reducer Reducer
 	cb      Callback
 }
@@ -199,8 +202,7 @@ func (c *Ctx) flushFX() {
 		case fxSend:
 			c.rt.send(r.m, r.at)
 		case fxContribute:
-			d := &fx.reds[r.red]
-			c.rt.contribute(d.el, d.gen, d.value, d.reducer, d.cb, r.at)
+			c.rt.contribute(&fx.reds[r.red], r.at)
 		default:
 			r.fn()
 		}
