@@ -2,7 +2,8 @@
 
 package determinism
 
-// raceEnabled reports a -race build: the detector makes sync.Pool drop a
-// share of its Puts, so the allocation budgets do not hold under it, and it
-// turns the full-size golden rows' seconds into minutes.
+// raceEnabled reports a -race build: it turns the full-size golden rows'
+// seconds into minutes, and the race runtime's own allocations break the
+// heap budgets (see TestStencilScaleAllocBudget and
+// TestOptimisticPHOLDAllocBudget).
 const raceEnabled = true

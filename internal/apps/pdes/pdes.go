@@ -86,7 +86,8 @@ type Result struct {
 	// EventRate is Committed / Elapsed (events per second, the Fig 15
 	// metric).
 	EventRate float64
-	// MaxVT is the highest virtual (simulation) timestamp executed.
+	// MaxVT is the simulation time the run reached: the earliest event
+	// timestamp still pending when it stopped.
 	MaxVT float64
 }
 
@@ -199,13 +200,15 @@ type App struct {
 	res  *Result
 	err  error
 
-	window    float64 // current window end
-	committed int64
+	window float64 // current window end
 
 	// onWindowCB is the window reduction's callback, built once: every
 	// LP's report_min delivery passes it to Contribute, and building it
-	// there costs a method-value closure per delivery.
+	// there costs a method-value closure per delivery. onQuietCB, the
+	// quiescence detection's callback that starts the next window
+	// calculation, is built once for the same reason.
 	onWindowCB charm.Callback
+	onQuietCB  charm.Callback
 }
 
 // New creates the LP array and the initial PHOLD event population.
@@ -221,6 +224,7 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 	}
 	a := &App{rt: rt, cfg: cfg, res: &Result{}}
 	a.onWindowCB = charm.CallbackFunc(0, a.onWindow)
+	a.onQuietCB = charm.CallbackFunc(0, func(*charm.Ctx, any) { a.askMin() })
 	handlers := []charm.Handler{
 		epExecute:   a.onExecute,
 		epEvent:     a.onEvent,
@@ -284,14 +288,25 @@ func (a *App) Run() (*Result, error) {
 	if a.err != nil {
 		return nil, a.err
 	}
-	if int(a.committed) < a.cfg.TargetEvents {
-		return nil, fmt.Errorf("pdes: committed %d of %d events", a.committed, a.cfg.TargetEvents)
+	committed := a.committed()
+	if committed < int64(a.cfg.TargetEvents) {
+		return nil, fmt.Errorf("pdes: committed %d of %d events", committed, a.cfg.TargetEvents)
 	}
-	a.res.Committed = int(a.committed)
+	a.res.Committed = int(committed)
 	if a.res.Elapsed > 0 {
-		a.res.EventRate = float64(a.committed) / float64(a.res.Elapsed)
+		a.res.EventRate = float64(committed) / float64(a.res.Elapsed)
 	}
 	return a.res, nil
+}
+
+// committed is the number of events executed so far: the sum of the LPs'
+// Exec counts. LP state is what a checkpoint restores and a speculation
+// rolls back, so the sum is always the committed count. Driver or global
+// context only (the window callback, after Run), where no phase runs.
+func (a *App) committed() int64 {
+	var n int64
+	a.lps.Each(func(c charm.Chare) { n += c.(*lp).Exec })
+	return n
 }
 
 // Run is the one-call driver.
@@ -317,27 +332,23 @@ func (a *App) askMin() {
 func (a *App) AskMin() { a.askMin() }
 
 // DriverState is the app-global driver state paired with a chare
-// checkpoint: the counters live outside the LP chares, so rollback must
-// restore them explicitly.
+// checkpoint: the window counters live outside the LP chares, so rollback
+// must restore them explicitly. (The committed count is the LPs' own state;
+// see committed.)
 type DriverState struct {
-	Committed int64
-	Window    float64
-	Windows   int
-	MaxVT     float64
+	Window  float64
+	Windows int
 }
 
 // DriverState snapshots the driver counters at a checkpoint cut.
 func (a *App) DriverState() DriverState {
-	return DriverState{Committed: a.committed, Window: a.window,
-		Windows: a.res.Windows, MaxVT: a.res.MaxVT}
+	return DriverState{Window: a.window, Windows: a.res.Windows}
 }
 
 // RestoreDriverState rolls the driver counters back to a checkpoint cut.
 func (a *App) RestoreDriverState(s DriverState) {
-	a.committed = s.Committed
 	a.window = s.Window
 	a.res.Windows = s.Windows
-	a.res.MaxVT = s.MaxVT
 }
 
 func (a *App) onReportMin(obj charm.Chare, ctx *charm.Ctx, msg any) {
@@ -354,7 +365,7 @@ func (a *App) onReportMin(obj charm.Chare, ctx *charm.Ctx, msg any) {
 // onWindow receives the global minimum and opens the next window.
 func (a *App) onWindow(ctx *charm.Ctx, result any) {
 	gmin := result.(float64)
-	if int(a.committed) >= a.cfg.TargetEvents || math.IsInf(gmin, 1) {
+	if a.committed() >= int64(a.cfg.TargetEvents) || math.IsInf(gmin, 1) {
 		a.res.MaxVT = gmin
 		ctx.Exit()
 		return
@@ -371,9 +382,7 @@ func (a *App) onWindow(ctx *charm.Ctx, result any) {
 	ctx.Broadcast(a.lps, epExecute, a.window, nil)
 	// Execution completion (including events still inside TRAM buffers)
 	// is detected by quiescence, then the next window begins.
-	a.rt.StartQD(charm.CallbackFunc(0, func(ctx *charm.Ctx, _ any) {
-		a.askMin()
-	}))
+	a.rt.StartQD(a.onQuietCB)
 }
 
 // onExecute runs every pending event below the window end, scheduling the
@@ -382,20 +391,12 @@ func (a *App) onExecute(obj charm.Chare, ctx *charm.Ctx, msg any) {
 	l := obj.(*lp)
 	l.app = a
 	w := msg.(float64)
-	// App-level aggregates (committed count, max virtual time) are shared
-	// across LPs, so the handler accumulates locally and publishes via
-	// Defer; max and sum merges are order-insensitive, so the result is
-	// identical on both backends.
-	var done int64
-	localMax := math.Inf(-1)
+	// The committed count is l.Exec, summed at the window boundary (see
+	// committed), so executing publishes nothing app-global.
 	for len(l.Q) > 0 && l.Q[0] < w {
 		ts := l.Q.pop()
-		if ts > localMax {
-			localMax = ts
-		}
 		ctx.Charge(a.cfg.EventWork)
 		l.Exec++
-		done++
 		// Successor: random LP, random future time (conservative:
 		// at least Lookahead away).
 		nts := ts + a.cfg.Lookahead + l.expo(a.cfg.MeanDelay)
@@ -410,14 +411,6 @@ func (a *App) onExecute(obj charm.Chare, ctx *charm.Ctx, msg any) {
 			ctx.SendOpt(a.lps, charm.Idx1(dst), epEvent, nts,
 				&charm.SendOpts{Bytes: 32})
 		}
-	}
-	if done > 0 {
-		ctx.Defer(func() {
-			a.committed += done
-			if localMax > a.res.MaxVT {
-				a.res.MaxVT = localMax
-			}
-		})
 	}
 }
 

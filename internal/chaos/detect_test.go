@@ -18,9 +18,6 @@ import (
 // small constant of allocations (the round record, its ack vector and the
 // deadline's closure) at 8 PEs as at 128.
 func TestHeartbeatRoundAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not asserted under -race")
-	}
 	var allocs [2]float64
 	for i, pes := range []int{8, 128} {
 		rt := charm.New(machine.New(machine.Testbed(pes)))

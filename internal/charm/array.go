@@ -217,6 +217,18 @@ func (a *Array) Get(idx Index) Chare {
 	return nil
 }
 
+// Each calls fn with the state of every live element of a, in element-id
+// order. It is for drivers and global events — a reduction's callback, a
+// window boundary — where no phase runs, and fn must only read the state:
+// unlike Get, Each leaves every image clean.
+func (a *Array) Each(fn func(Chare)) {
+	for _, el := range a.rt.dir.elems {
+		if el != nil && el.key.array == a.id {
+			fn(el.obj)
+		}
+	}
+}
+
 // ImageLen returns the length of the PUP bytes AppendImage would append for
 // idx: its clean image's, or a sizing traversal's. It panics if idx is not
 // live.

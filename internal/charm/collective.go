@@ -222,7 +222,7 @@ func (rt *Runtime) bcastFanout(ctx *Ctx, bm *bcastMsg) {
 		if el.key.array != bm.arr {
 			continue
 		}
-		m := localMsg(el, bm.ep, bm.payload, bm.prio, bm.size)
+		m := localMsg(ctx.getMsg(), el, bm.ep, bm.payload, bm.prio, bm.size)
 		if ctx.fx == nil {
 			rt.inflight++
 			rt.enqueue(m, p)
@@ -454,14 +454,8 @@ func (rt *Runtime) contribute(d *fxContrib, at des.Time) {
 	}
 	// Complete: fold in canonical index order, then deliver the result
 	// after the combining tree's latency.
-	result := run.result()
-	fireCB := run.cb
+	rt.takeDue(run.cb, run.result(), false).schedule(at + rt.barrierLatency())
 	a.closeRun(d.gen, run)
-	rt.atEpoch(at+rt.barrierLatency(), func() {
-		ctx := rt.newCtx(0, nil)
-		fireCB.fire(ctx, result)
-		rt.finishExec(ctx, nil)
-	})
 }
 
 // result folds a complete run in canonical index order. A spill run is

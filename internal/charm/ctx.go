@@ -77,11 +77,11 @@ func (fx *fxList) reset() {
 
 // discard drops the effects of an execution that will never commit (a
 // rolled-back speculation, a coast-forward replay), returning the messages
-// its sends built to the pool.
-func (fx *fxList) discard() {
+// its sends built to l, the list the execution took them from.
+func (fx *fxList) discard(l *msgList) {
 	for i := range fx.recs {
 		if r := &fx.recs[i]; r.kind == fxSend {
-			putMsg(r.m)
+			l.put(r.m)
 		}
 	}
 	fx.reset()
@@ -426,7 +426,7 @@ func (c *Ctx) elemMsg(arr *Array, idx Index, ep EP, size int32, opts *SendOpts) 
 		// Now().
 		return nil
 	}
-	m := getMsg()
+	m := c.getMsg()
 	m.dest = dest
 	m.destPE = -1
 	m.ep = int32(ep)
@@ -462,7 +462,7 @@ func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
 	if c.replay {
 		return // see elemMsg: charge the clock, suppress the effect
 	}
-	m := getMsg()
+	m := c.getMsg()
 	m.destPE = int32(pe)
 	m.ep = int32(h)
 	m.payload = payload

@@ -68,7 +68,7 @@ func (rt *Runtime) CrashPE(pe int) {
 			rt.inflight--
 		}
 		rt.Stats.MsgsDiscarded++
-		putMsg(m)
+		rt.msgs.put(m)
 	}
 	p.q = nil
 	rt.mach.ResetNIC(pe)
@@ -85,7 +85,7 @@ func (rt *Runtime) discard(m *message) {
 		rt.inflight--
 	}
 	rt.Stats.MsgsDiscarded++
-	putMsg(m)
+	rt.msgs.put(m)
 	rt.checkQD()
 }
 
@@ -95,7 +95,7 @@ func (rt *Runtime) dropInjected(m *message, dst int, t des.Time) {
 		rt.inflight--
 	}
 	rt.Stats.MsgsDropped++
-	putMsg(m)
+	rt.msgs.put(m)
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KFault, At: t, PE: int32(dst), Entry: rt.names.Intern(string(FaultDrop))})
 	}
@@ -158,7 +158,7 @@ func (rt *Runtime) RecoverReset() {
 	rt.inflight = 0
 	for eid, buffered := range rt.pending { //charmvet:ordered (drain to pool, order-insensitive)
 		for _, m := range buffered {
-			putMsg(m)
+			rt.msgs.put(m)
 		}
 		delete(rt.pending, eid)
 	}
@@ -175,7 +175,7 @@ func (rt *Runtime) RecoverReset() {
 	for _, p := range rt.pes {
 		p.dead = false
 		for _, m := range p.q {
-			putMsg(m)
+			rt.msgs.put(m)
 		}
 		p.q = nil
 		p.pumpAt = -1

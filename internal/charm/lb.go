@@ -356,7 +356,7 @@ func (rt *Runtime) resumeFromSync(all bool) {
 			}
 			rt.resetMeters(el)
 			rt.inflight++
-			rt.enqueue(localMsg(el, arr.opts.ResumeEP, nil, prioDefault, 16), p)
+			rt.enqueue(localMsg(rt.msgs.get(), el, arr.opts.ResumeEP, nil, prioDefault, 16), p)
 		}
 	}
 }

@@ -65,11 +65,11 @@ func (rt *Runtime) mcastHandler(ctx *Ctx, msg any) {
 	for _, idx := range m.idxs {
 		key := elemKey{array: m.arr, idx: idx}
 		if el := p.find(&key); el != nil {
-			rt.enqueue(localMsg(el, m.ep, m.payload, m.prio, m.size), ctx.pe)
+			rt.enqueue(localMsg(ctx.getMsg(), el, m.ep, m.payload, m.prio, m.size), ctx.pe)
 			continue
 		}
 		// Stale location: hand the single copy to the location manager.
-		em := getMsg()
+		em := ctx.getMsg()
 		em.dest = key
 		em.destPE = -1
 		em.ep = int32(m.ep)

@@ -1,23 +1,20 @@
 package charm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
 // message is one asynchronous entry-method invocation in flight or queued.
 //
-// Messages are pool-recycled: the runtime owns every *message it mints via
-// getMsg and returns it with putMsg at exactly one terminal point — the end
-// of the delivery commit, a discard/drop, a stale-epoch arrival, the
-// retirement of an optimistic replay log, or a queue/pending drain during
-// fault recovery. Forwarding paths keep the message alive; nothing outside
+// Messages are recycled through the runtime's own free lists (msgList): the
+// runtime owns every *message it mints and returns it to a list at exactly
+// one terminal point — the end of the delivery commit, a discard/drop, a
+// stale-epoch arrival, the retirement of an optimistic replay log, or a
+// queue/pending drain during fault recovery. Forwarding paths keep the message alive; nothing outside
 // the runtime may retain one past its handler invocation.
 //
 // A SendVec message owns its payload, like a Charm++ varsize message: vec
 // holds the sent values and payload is the message itself, viewed as a
 // *Vec. The data therefore lives exactly as long as the message — through
-// forwarding, home-PE buffering and replay — and putMsg keeps vec's
+// forwarding, home-PE buffering and replay — and a recycled message keeps vec's
 // capacity (up to maxPooledVec values) for the next send. The scalar fields
 // are int32 so that the slice and the tag still fit the 160-byte size
 // class (TestMessageSizeClass).
@@ -25,7 +22,7 @@ type message struct {
 	dest    elemKey  // element target (when destPE < 0)
 	el      *element // destination element, stamped at enqueue (fast delivery)
 	payload any
-	vec     []float64 // SendVec payload values; capacity survives putMsg
+	vec     []float64 // SendVec payload values; capacity survives recycling
 	prio    int64     // lower value = higher priority (Charm++ convention)
 	seq     uint64    // FIFO tie-break within a priority level
 	epoch   uint64    // recovery epoch at transmit; stale messages die on arrival
@@ -46,7 +43,7 @@ type message struct {
 }
 
 // maxPooledVec caps the payload capacity (in float64s, 4 KiB) a recycled
-// message keeps, so one huge send is not pinned by the pool.
+// message keeps, so one huge send is not pinned by a free list.
 const maxPooledVec = 512
 
 // Vec is the payload of a SendVec delivery: a view of the message that
@@ -62,54 +59,128 @@ func (v *Vec) Tag() int { return int(v.tag) }
 // Data returns the sent values. The slice is the message's own storage.
 func (v *Vec) Data() []float64 { return v.vec }
 
-var msgPool = sync.Pool{New: func() any { return new(message) }}
+// msgList is a free list of recycled messages, owned by one runtime. The
+// runtime keeps one list for its driver — every commit, global event and
+// driver call — and, on the parallel backends, one per shard, which only
+// that shard's phases take from and only its commits (and rollbacks) put
+// back into: the engine runs commit(i) before phase(i+1) and at most one
+// phase per shard, so each list has a single writer at any moment and
+// needs no synchronization. The sequential engine runs every phase on the
+// driver, so there each PE takes from the driver list.
+//
+// A list is a slice of pointers rather than a link through the message, so
+// the message keeps its size class (TestMessageSizeClass), and it never
+// preallocates: a take from an empty list mints one message.
+type msgList struct {
+	free []*message
+	// stats counts this list's traffic. A shard list's counts are folded
+	// into the driver list's at the shard's commits (see settle), so the
+	// driver list's stats are the runtime's totals.
+	stats PoolStats
+}
 
-// PoolStats counts message-pool traffic for the telemetry layer: Gets-Puts
-// is the number of live (checked-out) messages — the event-pool occupancy.
-// The counters are process-wide (the pool is), atomic (concurrent phases call
-// getMsg concurrently), and strictly side-band: nothing reads them on a
-// simulation path.
+// PoolStats counts a runtime's message traffic: Gets-Puts is the number of
+// live (checked-out) messages — the event-pool occupancy — and Fresh the
+// number of messages minted because a list was empty. The counts are a
+// deterministic function of the run: the same at any worker count.
 type PoolStats struct {
-	Gets atomic.Uint64
-	Puts atomic.Uint64
+	Gets  uint64
+	Puts  uint64
+	Fresh uint64
 }
 
 // Outstanding returns the number of currently checked-out messages.
-func (ps *PoolStats) Outstanding() int64 {
-	return int64(ps.Gets.Load()) - int64(ps.Puts.Load())
-}
+func (ps PoolStats) Outstanding() int64 { return int64(ps.Gets) - int64(ps.Puts) }
 
-// poolStats is nil until EnablePoolStats: the disabled hot path is one
-// atomic pointer load and a nil check per get/put.
-var poolStats atomic.Pointer[PoolStats]
+// PoolStats returns the runtime's message-pool counters, exact as of every
+// shard's last commit. Driver context: telemetry reads it at publication,
+// while helpers may be running phases, and touches no shard's list.
+func (rt *Runtime) PoolStats() PoolStats { return rt.msgs.stats }
 
-// EnablePoolStats turns on pool accounting (idempotent) and returns the
-// process-wide stats. telemetry.Attach calls it; once enabled it stays on.
-func EnablePoolStats() *PoolStats {
-	ps := &PoolStats{}
-	if poolStats.CompareAndSwap(nil, ps) {
-		return ps
-	}
-	return poolStats.Load()
-}
-
-// getMsg returns a zeroed message with destEID unresolved. Callers must set
+// get returns a zeroed message with destEID unresolved. Callers must set
 // destPE explicitly (-1 for element targets).
-func getMsg() *message {
-	if ps := poolStats.Load(); ps != nil {
-		ps.Gets.Add(1)
+func (l *msgList) get() *message {
+	l.stats.Gets++
+	n := len(l.free) - 1
+	if n < 0 {
+		l.stats.Fresh++
+		return &message{destEID: -1}
 	}
-	m := msgPool.Get().(*message)
+	m := l.free[n]
+	l.free[n] = nil
+	l.free = l.free[:n]
 	m.destEID = -1
 	return m
 }
 
-// localMsg mints a scheduler message for an element the caller holds a
-// pointer to, sent from the element's own PE: pre-stamped with the
+// put recycles a message at its terminal point, dropping payload and
+// element references so the list never pins application state. The vector
+// capacity stays with the message unless it is above maxPooledVec.
+func (l *msgList) put(m *message) {
+	l.stats.Puts++
+	vec := m.vec
+	*m = message{}
+	if cap(vec) <= maxPooledVec {
+		m.vec = vec[:0]
+	}
+	if n := len(l.free); n == cap(l.free) {
+		// Double: append's gentler growth for large slices would copy a
+		// list that a run's end floods with every message several times.
+		l.free = slices.Grow(l.free, n+8)
+	}
+	//charmvet:retain (this IS the pool: the free list the next send draws from)
+	l.free = append(l.free, m)
+}
+
+// msgStock bounds a shard list's drift. Sends leave from one shard and are
+// freed on another, so a shard's stock grows or drains with its traffic
+// balance: past 2*msgStock the surplus above msgStock spills to the driver
+// list, and a shard list that runs below msgStock/4 refills to msgStock from
+// it.
+const msgStock = 8
+
+// settle runs at the end of a commit or rollback on l's shard, the one
+// moment the driver may touch l: it folds the list's counts into the
+// runtime's totals and bounds its stock against the driver list.
+func (rt *Runtime) settle(l *msgList) {
+	d := &rt.msgs
+	if l == d {
+		return
+	}
+	d.stats.Gets += l.stats.Gets
+	d.stats.Puts += l.stats.Puts
+	d.stats.Fresh += l.stats.Fresh
+	l.stats = PoolStats{}
+	switch n := len(l.free); {
+	case n > 2*msgStock:
+		d.free = append(d.free, l.free[msgStock:]...)
+		clear(l.free[msgStock:])
+		l.free = l.free[:msgStock]
+	case n < msgStock/4 && len(d.free) > 0:
+		k := len(d.free) - (msgStock - n)
+		if k < 0 {
+			k = 0
+		}
+		l.free = append(l.free, d.free[k:]...)
+		clear(d.free[k:])
+		d.free = d.free[:k]
+	}
+}
+
+// getMsg takes a message for a send made by c: from its PE's list while
+// the handler runs as a phase, from the driver list in commit context.
+func (c *Ctx) getMsg() *message {
+	if c.phase {
+		return c.rt.pes[c.pe].msgs.get()
+	}
+	return c.rt.msgs.get()
+}
+
+// localMsg fills m as a scheduler message for an element the caller holds
+// a pointer to, sent from the element's own PE: pre-stamped with the
 // destination, so delivery never consults the location manager (the element
 // cannot move between the enqueue and its execution on the same PE's queue).
-func localMsg(el *element, ep EP, payload any, prio int64, size int32) *message {
-	m := getMsg()
+func localMsg(m *message, el *element, ep EP, payload any, prio int64, size int32) *message {
 	m.dest = el.key
 	m.destPE = -1
 	m.destEID = el.eid
@@ -120,21 +191,6 @@ func localMsg(el *element, ep EP, payload any, prio int64, size int32) *message 
 	m.size = size
 	m.srcPE = int32(el.pe)
 	return m
-}
-
-// putMsg recycles a message at its terminal point, dropping payload and
-// element references so the pool never pins application state. The vector
-// capacity stays with the message unless it is above maxPooledVec.
-func putMsg(m *message) {
-	if ps := poolStats.Load(); ps != nil {
-		ps.Puts.Add(1)
-	}
-	vec := m.vec
-	*m = message{}
-	if cap(vec) <= maxPooledVec {
-		m.vec = vec[:0]
-	}
-	msgPool.Put(m)
 }
 
 // msgQueue is a priority queue ordered by (prio, seq): the PE scheduler

@@ -2,6 +2,6 @@
 
 package charm
 
-// raceEnabled reports a -race build: the detector makes sync.Pool drop a
-// share of its Puts, so exact allocation pins do not hold under it.
+// raceEnabled reports a -race build. A pin guarded by it breaks only under
+// the race runtime's own allocations (a goroutine start allocates there).
 const raceEnabled = true

@@ -122,6 +122,11 @@ type peState struct {
 	// runOne takes it, the delivery commit releases it. Shard-local like
 	// p.q, so the parallel backend needs no synchronization.
 	ctxSpare *Ctx
+	// msgs is the free list this PE's phases take their sends' messages
+	// from, and its delivery commits recycle into: its shard's list on the
+	// parallel backends, the driver list on the sequential one. Single
+	// writer under the same ordering as ctxSpare (see msgList).
+	msgs *msgList
 	// fx is the PE's effect buffer: a buffered delivery's context points
 	// at it (Ctx.fx) from its phase to the end of its commit. Shard-local
 	// and reused exactly like ctxSpare.
@@ -218,9 +223,16 @@ type Runtime struct {
 	viewObjs  []LBObject
 	viewEdges []CommEdge
 
+	// The runtime's message free lists (see msgList): msgs is the driver's,
+	// shardMsgs one per shard on the parallel backends.
+	msgs      msgList
+	shardMsgs []msgList
+
 	// In-flight application messages, for quiescence detection.
 	inflight int
-	qdWatch  []*qdState
+	qdWatch  []*dueCB
+	// dueSpare recycles completion records (see dueCB).
+	dueSpare []*dueCB
 
 	// Collective state (open reductions live per array — see Array.redOpen).
 	bcastPEH PEH
@@ -338,11 +350,18 @@ func New(m *machine.Machine) *Runtime {
 	back := make([]peState, m.NumPEs())
 	rt.pes = make([]*peState, m.NumPEs())
 	rt.peShard = make([]int, m.NumPEs())
+	if rt.parallel {
+		rt.shardMsgs = make([]msgList, m.NumNodes())
+	}
 	for i := range rt.pes {
 		back[i].id = i
 		back[i].pumpAt = -1
 		rt.pes[i] = &back[i]
 		rt.peShard[i] = i / cfg.PEsPerNode
+		back[i].msgs = &rt.msgs
+		if rt.parallel {
+			back[i].msgs = &rt.shardMsgs[rt.peShard[i]]
+		}
 	}
 	return rt
 }
@@ -511,7 +530,7 @@ func (rt *Runtime) arrive(m *message, dst int) {
 		// its quiescence accounting — died with the rollback, so it is
 		// dropped without touching the inflight counter.
 		rt.Stats.MsgsDiscarded++
-		putMsg(m)
+		rt.msgs.put(m)
 		return
 	}
 	if rt.pes[dst].dead {
@@ -663,7 +682,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	}
 	m := p.q.pop()
 	if sp != nil {
-		//charmvet:retain (rollback re-pushes the popped message before anything recycles it; on commit the slot is cleared without a putMsg)
+		//charmvet:retain (rollback re-pushes the popped message before anything recycles it; on commit the slot is cleared without a recycle)
 		sp.popped = m
 	}
 
@@ -689,7 +708,8 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 					rt.trace.Emit(Event{Kind: KEntryEnd, At: at + ctx.elapsed, PE: int32(p.id), Ref: m.traceID, Entry: rt.peHandlerEntry[m.ep]})
 				}
 				rt.finishExec(ctx, nil)
-				putMsg(m)
+				p.msgs.put(m)
+				rt.settle(p.msgs)
 				rt.checkQD()
 				rt.pump(p)
 				p.releaseCtx(ctx)
@@ -774,8 +794,9 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 			}
 			rt.finishExec(ctx, el)
 			if rt.spec == nil || !rt.spec.onCommitted(el, ctx, m, at) {
-				putMsg(m)
+				p.msgs.put(m)
 			}
+			rt.settle(p.msgs)
 			rt.checkQD()
 			rt.pump(p)
 			p.releaseCtx(ctx)
@@ -840,7 +861,7 @@ func (rt *Runtime) DecInflight(n int) {
 // epoch at arming time in the integer argument. A negative delay schedules
 // into the past, which the engine refuses with a panic.
 func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
-	m := getMsg()
+	m := rt.msgs.get()
 	m.destPE = int32(pe)
 	m.ep = int32(rt.funcPEH)
 	m.payload = funcMsg{fn: func(ctx *Ctx, _ any) { fn(ctx) }}
@@ -855,7 +876,7 @@ func (rt *Runtime) ExecuteOnPE(pe int, delay des.Time, fn func(ctx *Ctx)) {
 func (rt *Runtime) execCommit(a any, b int64, _ des.Time) {
 	m := a.(*message)
 	if rt.epoch != uint64(b) {
-		putMsg(m) // a flush timer armed before a rollback
+		rt.msgs.put(m) // a flush timer armed before a rollback
 		return
 	}
 	rt.enqueue(m, int(m.destPE))

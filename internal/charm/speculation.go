@@ -44,9 +44,9 @@ import (
 // saving interval, the array is on the eager contract, a commit-context or
 // multi-element execution mutated the element outside the log's
 // single-element replay model, a load-balancing round reset its meters —
-// only marks the save not live, hands the log's messages back to msgPool at
-// that moment and truncates the log (retire), and the next touch packs into
-// the same buffers. Only a structural change — migration, evacuation,
+// only marks the save not live, hands the log's messages back to the
+// runtime's driver list at that moment and truncates the log (retire), and
+// the next touch packs into the same buffers. Only a structural change — migration, evacuation,
 // destruction, Replace, RecoverReset — releases the storage (el.save = nil),
 // so a departed element pins nothing.
 type elemSave struct {
@@ -80,7 +80,7 @@ type elemSave struct {
 // inputs that deterministically reproduce it, plus the after-values the
 // commit observed, verified after re-execution as a divergence tripwire.
 type replayRec struct {
-	//charmvet:retain (replay log: the save owns the pooled message until its interval retires and returns it via putMsg)
+	//charmvet:retain (replay log: the save owns the pooled message until its interval retires and recycles it)
 	m  *message
 	at des.Time
 
@@ -137,14 +137,14 @@ func meterDiff(got, want uint64) string {
 	return ""
 }
 
-// retire ends the save's interval: the log's messages go back to the pool
-// now — not at the next image — so an element that is never speculated
-// again holds no message or payload, and the records are unreachable from
-// this moment on. The image buffer, the log's and arena's capacity and the
+// retire ends the save's interval: the log's messages go back to l (the
+// driver list: retirement runs in commit or global context) now, not at
+// the next image, so an element that is never speculated again holds no
+// message or payload, and the records are unreachable from this moment on. The image buffer, the log's and arena's capacity and the
 // comm map stay for the next interval.
-func (sv *elemSave) retire() {
+func (sv *elemSave) retire(l *msgList) {
 	for i := range sv.log {
-		putMsg(sv.log[i].m)
+		l.put(sv.log[i].m)
 	}
 	clear(sv.log)
 	sv.log = sv.log[:0]
@@ -362,10 +362,11 @@ func (sc *specController) RollbackSpec(s int) {
 	sp.active = false
 
 	// The dropped execution's buffered effects die with it: nothing it sent
-	// entered the network, so the messages go back to the pool, and the
-	// PE's buffer is empty for the replays below and the re-execution.
+	// entered the network, so the messages go back to the list the phase
+	// took them from, and the PE's buffer is empty for the replays below and
+	// the re-execution.
 	if sp.p != nil {
-		sp.p.fx.discard()
+		sp.p.fx.discard(sp.p.msgs)
 	}
 
 	// Location-cache hint (mutually exclusive with a dequeue log — a
@@ -405,6 +406,7 @@ func (sc *specController) RollbackSpec(s int) {
 		p.pumpAt = sp.pumpAt
 		p.ctxSpare = sp.spare
 		p.pendM, p.pendEl, p.pendCtx, p.pendAt = sp.pendM, sp.pendEl, sp.pendCtx, sp.pendAt
+		sc.rt.settle(p.msgs)
 	}
 
 	sc.close(sp)
@@ -518,7 +520,8 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 	rt := sc.rt
 	arr := rt.arrays[el.key.array]
 	cfg := rt.mach.Config()
-	fx := &rt.pes[el.pe].fx
+	p := rt.pes[el.pe]
+	fx := &p.fx
 	ctx := &sc.replayCtx
 	resStart := 0
 	for i := range sv.log {
@@ -533,7 +536,7 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, int(rec.m.srcPE))
 		ctx.chargeLoadWork(cfg.RecvOverheadLocal)
 		arr.handlers[rec.m.ep](el.obj, ctx, rec.m.payload)
-		fx.discard()
+		fx.discard(p.msgs)
 		if meters := packMeters(el); ctx.resIdx != int(rec.resEnd) || ctx.elapsed != rec.elapsed || meters != rec.meters {
 			var what string
 			switch {
@@ -584,7 +587,7 @@ func (sc *specController) onCommitted(el *element, ctx *Ctx, m *message, at des.
 	// the next speculative touch packs fresh and the coast-forward chain a
 	// rollback must re-execute stays bounded at K-1 deliveries.
 	if !sc.rt.arrays[el.key.array].opts.PureHandlers || len(sv.log)+1 >= sc.curK() {
-		sv.retire()
+		sv.retire(&sc.rt.msgs)
 		sc.retired++
 		return false
 	}
@@ -600,7 +603,7 @@ func (sc *specController) onCommitted(el *element, ctx *Ctx, m *message, at des.
 	}
 	sv.resolves = append(sv.resolves, sc.rt.pes[ctx.pe].resLog...)
 	sv.log = append(sv.log, replayRec{
-		//charmvet:retain (replay log: the save owns m until its interval retires and returns it via putMsg)
+		//charmvet:retain (replay log: the save owns m until its interval retires and recycles it)
 		m:       m,
 		at:      at,
 		elapsed: ctx.elapsed,
@@ -617,7 +620,7 @@ func (sc *specController) onCommitted(el *element, ctx *Ctx, m *message, at des.
 // the element. Driver/global context.
 func (sc *specController) invalidateSave(el *element) {
 	if sv := el.save; sv != nil && sv.live {
-		sv.retire()
+		sv.retire(&sc.rt.msgs)
 		sc.invalidations++
 	}
 }

@@ -22,7 +22,7 @@ func specRounds(t *testing.T) (rt *Runtime, els []*element, round func()) {
 	}
 	inject := func() {
 		for i, el := range els {
-			m := getMsg()
+			m := rt.msgs.get()
 			m.dest, m.destPE, m.ep, m.size, m.srcPE = el.key, -1, int32(epBump), 64, int32(i)
 			m.payload = int64(1)
 			rt.send(m, rt.eng.Now())
@@ -41,9 +41,8 @@ func specRounds(t *testing.T) (rt *Runtime, els []*element, round func()) {
 // invalidation; migration and Replace release the storage.
 func TestSaveStorageLifetime(t *testing.T) {
 	rt, els, round := specRounds(t)
-	ps := EnablePoolStats()
-	base := ps.Outstanding()
-	held := func() int64 { return ps.Outstanding() - base }
+	base := rt.PoolStats().Outstanding()
+	held := func() int64 { return rt.PoolStats().Outstanding() - base }
 	idle := func(when string, sv *elemSave) {
 		t.Helper()
 		if sv.live || len(sv.log) != 0 || len(sv.resolves) != 0 {

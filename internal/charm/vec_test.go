@@ -352,8 +352,8 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 func TestMsgSizeFunnel(t *testing.T) {
 	rt := testRT(2)
 	ctx := rt.newCtx(0, nil)
-	m := getMsg()
-	defer putMsg(m)
+	m := rt.msgs.get()
+	defer rt.msgs.put(m)
 	if msg := mustPanic(t, func() { ctx.msgSize((*Vec)(m), nil) }); !strings.Contains(msg, "*Vec cannot be a send's payload") {
 		t.Errorf("resending a *Vec: panic %q", msg)
 	}
@@ -368,11 +368,12 @@ func TestMsgSizeFunnel(t *testing.T) {
 // TestPutMsgVecCap checks that a recycled message keeps a small vector's
 // capacity for the next send and lets go of a large one.
 func TestPutMsgVecCap(t *testing.T) {
+	var l msgList
 	for _, c := range []struct{ cap, kept int }{{8, 8}, {maxPooledVec, maxPooledVec}, {maxPooledVec + 1, 0}} {
-		m := getMsg()
+		m := l.get()
 		m.vec = make([]float64, c.cap)
 		m.payload = (*Vec)(m)
-		putMsg(m)
+		l.put(m)
 		if got := cap(m.vec); got != c.kept || len(m.vec) != 0 || m.payload != nil {
 			t.Errorf("cap %d: recycled message holds len %d cap %d payload %v; want len 0 cap %d, no payload", c.cap, len(m.vec), got, m.payload, c.kept)
 		}
@@ -384,9 +385,6 @@ func TestPutMsgVecCap(t *testing.T) {
 // received into a recycled message, and the steady state allocates nothing
 // per event (a fresh slice boxed with its header was two per send).
 func TestSendVecAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not asserted under -race")
-	}
 	const rounds = 20000
 	rt := testRT(2)
 	var arr *Array

@@ -47,9 +47,6 @@ func TestScheduleExecuteAllocFree(t *testing.T) {
 // a whole page), the id chunks, and a little bookkeeping: the page table and
 // the drain run. A second fill and drain of the same shape reuses all of it.
 func TestCalendarGrowthAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not asserted under -race")
-	}
 	const (
 		n         = 52869
 		pageBytes = 16 << 10 // the allocator's size class for a page

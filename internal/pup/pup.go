@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Mode selects what a traversal does.
@@ -302,16 +303,37 @@ func Slice[T any](p *Pup, v *[]T, elem func(*Pup, *T)) {
 
 // cursorPool recycles Pup cursors: Size sits on the runtime's per-send
 // message-sizing path and Unpack on every migration, where a fresh cursor
-// per call is pure garbage.
-var cursorPool = sync.Pool{New: func() any { return new(Pup) }}
+// per call is pure garbage. It is a few lock-free slots rather than a
+// sync.Pool, which a collection empties: a warmed-up pack or unpack then
+// allocates nothing whenever the collector runs, so allocation pins over
+// rounds that pack hold under any GOGC. Phases on several goroutines can
+// take cursors at once; a take that finds every slot empty allocates.
+var cursorPool [8]atomic.Pointer[Pup]
+
+func getCursor() *Pup {
+	for i := range cursorPool {
+		if p := cursorPool[i].Swap(nil); p != nil {
+			return p
+		}
+	}
+	return new(Pup)
+}
+
+func putCursor(p *Pup) {
+	for i := range cursorPool {
+		if cursorPool[i].CompareAndSwap(nil, p) {
+			return
+		}
+	}
+}
 
 // Size measures the serialized size of obj.
 func Size(obj Pupable) int {
-	s := cursorPool.Get().(*Pup)
+	s := getCursor()
 	*s = Pup{mode: Sizing}
 	obj.Pup(s)
 	n := s.off
-	cursorPool.Put(s)
+	putCursor(s)
 	return n
 }
 
@@ -330,12 +352,12 @@ func PackTo(buf []byte, obj Pupable) []byte {
 // Append serializes obj onto the end of dst in one packing traversal,
 // growing dst as needed, and returns the extended slice.
 func Append(dst []byte, obj Pupable) []byte {
-	pk := cursorPool.Get().(*Pup)
+	pk := getCursor()
 	*pk = Pup{mode: Packing, buf: dst, off: len(dst), grow: true}
 	obj.Pup(pk)
 	dst = pk.buf[:pk.off]
 	pk.buf = nil
-	cursorPool.Put(pk)
+	putCursor(pk)
 	return dst
 }
 
@@ -365,14 +387,14 @@ func PutBuffer(b []byte) {
 // Unpack restores obj from data, returning an error if the Pup method does
 // not consume the buffer exactly.
 func Unpack(data []byte, obj Pupable) (err error) {
-	up := cursorPool.Get().(*Pup)
+	up := getCursor()
 	*up = Pup{mode: Unpacking, buf: data}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pup: unpack: %v", r)
 		}
 		up.buf = nil
-		cursorPool.Put(up)
+		putCursor(up)
 	}()
 	obj.Pup(up)
 	if up.off != len(data) {

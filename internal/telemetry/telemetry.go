@@ -39,7 +39,7 @@
 // event log and chaos.Controller.Records.
 //
 // charm message pool: rts.msg_pool_gets / rts.msg_pool_outstanding gauge
-// funcs over charm.PoolStats (event-pool occupancy).
+// funcs over the runtime's charm.PoolStats (event-pool occupancy).
 //
 // Everything lands in the runtime's metrics.Registry, so the existing
 // exporters (text summary, projections) and the new Prometheus/JSON
@@ -86,8 +86,6 @@ type Telemetry struct {
 	phaseHist    *metrics.Histogram
 	gvtLagHist   *metrics.Histogram
 	queueDepth   *metrics.Histogram
-
-	pool *charm.PoolStats
 
 	// Publish throttle state, driver goroutine only.
 	n       uint64
@@ -145,7 +143,7 @@ type Publication struct {
 }
 
 // Attach wires telemetry onto a runtime: resolves the metric handles,
-// enables message-pool accounting, creates the flight recorder, and
+// registers the message-pool gauges, creates the flight recorder, and
 // installs itself as the engine's probe (on engines that accept one — the
 // reference heap engine does not, and loses only wall profiling).
 // Call before Run; combine with Serve for the HTTP endpoints.
@@ -169,9 +167,8 @@ func Attach(rt *charm.Runtime, opts Options) *Telemetry {
 		queueDepth:   reg.Histogram("wall.queue_depth"),
 		prevPub:      map[string]float64{},
 	}
-	t.pool = charm.EnablePoolStats()
-	reg.GaugeFunc("rts.msg_pool_gets", func() float64 { return float64(t.pool.Gets.Load()) })
-	reg.GaugeFunc("rts.msg_pool_outstanding", func() float64 { return float64(t.pool.Outstanding()) })
+	reg.GaugeFunc("rts.msg_pool_gets", func() float64 { return float64(rt.PoolStats().Gets) })
+	reg.GaugeFunc("rts.msg_pool_outstanding", func() float64 { return float64(rt.PoolStats().Outstanding()) })
 	reg.GaugeFunc("rts.events_pending", func() float64 { return float64(rt.Engine().Pending()) })
 	t.flight = newRecorder(rt.Machine().NumNodes(), opts.FlightDir, t.WallNow)
 	if ps, ok := rt.Engine().(des.ProbeSetter); ok {
@@ -271,7 +268,7 @@ func (t *Telemetry) publish(at des.Time, running bool, wallNs int64) {
 		MsgsSent:   t.rt.Stats.MsgsSent,
 		Rollbacks:  t.rollbacks.Value(),
 		GVTLag:     next["optsim.gvt_lag"], // registered by the optimistic engine only
-		PoolInUse:  t.pool.Outstanding(),
+		PoolInUse:  t.rt.PoolStats().Outstanding(),
 		WallMs:     float64(wallNs) / 1e6,
 		Running:    running,
 		FlightSeq:  t.flight.Seq(),

@@ -32,10 +32,18 @@ go vet ./...
 # FT golden alone is twelve campaigns on three backends), too near go test's
 # 10 m default.
 go test -race -timeout 20m ./...
-# The allocation pins and the per-event heap budgets assert nothing under
-# -race (sync.Pool drops Puts there, so they sit behind raceEnabled), and the
-# full-size counter goldens are skipped under it: run both once without.
+# The few allocation pins the race runtime's own allocations break (a helper
+# goroutine's start, the instrumented slices.Grow) sit behind raceEnabled,
+# and the full-size counter goldens are skipped under -race: run both once
+# without.
 go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/ ./internal/chaos/
+# A runtime's message traffic is the same at one worker and at eight, with
+# helpers taking phases while the driver commits: the shard free lists are
+# race-free under the detector at eight threads.
+GOMAXPROCS=8 go test -race -count=1 -run 'TestMessageAllocationDeterministic' ./internal/charm/
+# An adaptive round's allocations do not depend on when the collector runs:
+# nothing the round recycles lives in a pool a collection empties.
+GOGC=5 go test -count=1 -run 'AdaptiveRoundAllocs' ./internal/chaos/
 # The event store against the reference heap engine: its seed corpus
 # (internal/des/testdata/fuzz) and then a fixed number of fuzzed programs. A
 # smoke, not a search: a failing input would be written under testdata/.
