@@ -343,8 +343,8 @@ func TestSnapshotSkipFastPathAllocs(t *testing.T) {
 	}
 }
 
-// TestMsgQueueAllocSteadyState pins the PE scheduler queue: once the heap
-// slice has grown to its working size, push/pop cycles must not allocate
+// TestMsgQueueAllocSteadyState pins the PE scheduler queue: once the ring
+// has grown to its working size, push/pop cycles must not allocate
 // (messages themselves come from the pool).
 func TestMsgQueueAllocSteadyState(t *testing.T) {
 	var q msgQueue
@@ -355,14 +355,14 @@ func TestMsgQueueAllocSteadyState(t *testing.T) {
 	for _, m := range msgs {
 		q.push(m)
 	}
-	for len(q) > 0 {
+	for q.len() > 0 {
 		q.pop()
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		for _, m := range msgs {
 			q.push(m)
 		}
-		for len(q) > 0 {
+		for q.len() > 0 {
 			q.pop()
 		}
 	}); n > 0 {

@@ -388,7 +388,7 @@ func (a *Array) closeRun(gen uint64, run *redRun) {
 // participate in is open (dynamic insertion aligns new elements to the
 // creator's generation — see Ctx.Insert).
 func (c *Ctx) Contribute(value any, reducer Reducer, cb Callback) {
-	c.contribute(fxContrib{value: value, reducer: reducer, cb: cb})
+	c.contribute(value, 0, false, &reducer, &cb)
 }
 
 // ContributeF64 is Contribute for a float64 to SumF64, MinF64 or MaxF64
@@ -400,26 +400,34 @@ func (c *Ctx) ContributeF64(v float64, reducer Reducer, cb Callback) {
 		c.Contribute(v, reducer, cb)
 		return
 	}
-	c.contribute(fxContrib{bits: math.Float64bits(v), typed: true, reducer: reducer, cb: cb})
+	c.contribute(nil, math.Float64bits(v), true, &reducer, &cb)
 }
 
-func (c *Ctx) contribute(d fxContrib) {
+// contribute fills the contribution's record once, where it is consumed: a
+// local the commit half reads through a pointer in immediate mode, the next
+// slot of the PE's effect buffer in buffered mode.
+func (c *Ctx) contribute(value any, bits uint64, typed bool, reducer *Reducer, cb *Callback) {
 	el := c.elem
 	if el == nil {
 		panic("charm: Contribute outside an array element")
 	}
-	d.el, d.gen = el, el.redGen
+	gen := el.redGen
 	el.redGen++
 	c.Charge(2e-7) // contribution bookkeeping
 	at := c.Now()
 	// The merge touches the array's reduction ring — global state — so in
 	// buffered mode it is a deferred effect; the contribution's timestamp
 	// is captured now, at the virtual moment the element contributed.
-	if c.fx == nil {
-		c.rt.contribute(&d, at)
-		return
+	var local fxContrib
+	d := &local
+	if c.fx != nil {
+		d = c.fx.contribute(at)
 	}
-	c.fx.contribute(d, at)
+	d.el, d.gen, d.value, d.bits, d.typed = el, gen, value, bits, typed
+	d.reducer, d.cb = *reducer, *cb
+	if c.fx == nil {
+		c.rt.contribute(d, at)
+	}
 }
 
 // contribute is the commit half of Contribute. A boxed contribution to a

@@ -62,9 +62,13 @@ func (fx *fxList) send(m *message, at des.Time) {
 	fx.recs = append(fx.recs, fxRec{kind: fxSend, at: at, m: m})
 }
 
-func (fx *fxList) contribute(c fxContrib, at des.Time) {
-	fx.recs = append(fx.recs, fxRec{kind: fxContribute, at: at, red: int32(len(fx.reds))})
-	fx.reds = append(fx.reds, c)
+// contribute records a contribution made at and returns its zeroed
+// argument record for the caller to fill in place.
+func (fx *fxList) contribute(at des.Time) *fxContrib {
+	n := len(fx.reds)
+	fx.recs = append(fx.recs, fxRec{kind: fxContribute, at: at, red: int32(n)})
+	fx.reds = append(fx.reds, fxContrib{})
+	return &fx.reds[n]
 }
 
 // reset empties the buffer for the PE's next delivery, dropping every
@@ -261,23 +265,8 @@ func (c *Ctx) ChargeSeconds(d des.Time) {
 // meter is independent of message arrival order and of how charges group
 // into executions; a float meter rounds differently per grouping.
 func (c *Ctx) chargeLoad(d des.Time) {
-	sp := c.rt.mach.PE(c.pe).Speed(c.rt.mach.Config().BaseFreqGHz)
+	sp := c.rt.mach.Speed(c.pe)
 	c.loadFS += int64(math.Round(float64(d) * sp * 1e15))
-}
-
-// chargeLoadWork accrues intrinsic work (seconds on a dedicated PE at
-// base frequency) directly into the load meter, bypassing the PE speed
-// model. Used for per-message overheads: the meter takes the uniform
-// node-local floor cost — the part every message pays regardless of
-// where the peer actually lives — so measured load is a pure function of
-// the element's own behavior (its compute and its message counts) and
-// never of its current placement.
-// Placement-dependent load would make every greedy decision a function
-// of the previous one, and placement could then never re-converge to the
-// failure-free mapping after a disturbance (evacuation, shrink/expand) —
-// which is what makes post-recovery digests byte-identical.
-func (c *Ctx) chargeLoadWork(work float64) {
-	c.loadFS += int64(math.Round(work * 1e15))
 }
 
 // SetPos records the element's spatial coordinates for geometric load
@@ -408,9 +397,9 @@ func (c *Ctx) elemMsg(arr *Array, idx Index, ep EP, size int32, opts *SendOpts) 
 	dst := c.resolveFor(dest)
 	// The clock takes the locality-aware send cost (node-local delivery is
 	// cheaper), but the load meter takes the uniform node-local floor: see
-	// chargeLoadWork for why measured load must not depend on placement.
+	// Runtime.sendLoadFS for why measured load must not depend on placement.
 	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, dst)
-	c.chargeLoadWork(c.rt.mach.Config().SendOverheadLocal)
+	c.loadFS += c.rt.sendLoadFS
 	if c.elem != nil {
 		c.elem.msgsSent++
 		c.elem.bytesSent += uint64(size)
@@ -458,7 +447,7 @@ func (c *Ctx) SendPE(pe int, h PEH, payload any, opts *SendOpts) {
 	}
 	// Locality-aware clock, uniform meter: see SendOpt.
 	c.elapsed += c.rt.mach.SendOverheadTo(c.pe, pe)
-	c.chargeLoadWork(c.rt.mach.Config().SendOverheadLocal)
+	c.loadFS += c.rt.sendLoadFS
 	if c.replay {
 		return // see elemMsg: charge the clock, suppress the effect
 	}

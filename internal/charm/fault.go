@@ -63,14 +63,13 @@ func (rt *Runtime) CrashPE(pe int) {
 		return
 	}
 	p.dead = true
-	for _, m := range p.q {
+	p.q.drain(func(m *message) {
 		if m.destPE < 0 {
 			rt.inflight--
 		}
 		rt.Stats.MsgsDiscarded++
 		rt.msgs.put(m)
-	}
-	p.q = nil
+	})
 	rt.mach.ResetNIC(pe)
 	if rt.trace != nil {
 		rt.trace.Emit(Event{Kind: KFault, At: rt.eng.Now(), PE: int32(pe), Entry: rt.names.Intern(string(FaultCrash))})
@@ -174,10 +173,7 @@ func (rt *Runtime) RecoverReset() {
 	rt.mach.ResetAllNICs()
 	for _, p := range rt.pes {
 		p.dead = false
-		for _, m := range p.q {
-			rt.msgs.put(m)
-		}
-		p.q = nil
+		p.q.drain(rt.msgs.put)
 		p.pumpAt = -1
 		for _, el := range p.sorted {
 			// The checkpoint was taken at a cut where no element had called

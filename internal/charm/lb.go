@@ -292,12 +292,11 @@ func (rt *Runtime) viewPEs() []LBPE {
 	// listed (so a stateless strategy re-places them), but nothing new
 	// lands there. Strategies already tolerate non-contiguous PE ids.
 	pes := make([]LBPE, 0, rt.activePEs)
-	base := rt.mach.Config().BaseFreqGHz
 	for p := 0; p < rt.activePEs; p++ {
 		if rt.pes[p].evac {
 			continue
 		}
-		pes = append(pes, LBPE{ID: p, Speed: rt.mach.PE(p).Speed(base)})
+		pes = append(pes, LBPE{ID: p, Speed: rt.mach.Speed(p)})
 	}
 	return pes
 }

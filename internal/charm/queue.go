@@ -193,16 +193,29 @@ func localMsg(m *message, el *element, ep EP, payload any, prio int64, size int3
 	return m
 }
 
-// msgQueue is a priority queue ordered by (prio, seq): the PE scheduler
-// always picks the highest-priority (lowest value), oldest message —
-// message-driven execution.
+// msgQueue is a PE's scheduler queue, ordered by (prio, seq): the PE
+// always runs the highest-priority (lowest value), oldest message —
+// message-driven execution with prioritized messages (§IV-C).
 //
-// It is an inline binary min-heap rather than container/heap: (prio, seq)
-// is a total order (seq is unique per runtime), so the pop sequence is a
-// property of the ordering alone and identical for any correct heap —
-// swapping out container/heap (whose every comparison is an interface
-// call) cannot change scheduling.
-type msgQueue []*message
+// Charm++ keeps that order with one FIFO per priority level, so a
+// default-priority enqueue or dequeue is O(1). msgQueue gets the same costs
+// from one power-of-two ring kept sorted by insertion: pop takes the head,
+// and since seq grows with every enqueue, a message at the lowest priority
+// present goes on at the tail without shifting. A higher-priority message
+// (control traffic, barnes' -10) is placed by binary search and shifts the
+// shorter side of the ring by one slot — control messages sit at the head,
+// so they move only the few control messages already there. (prio, seq) is
+// a total order, so the pop sequence is a property of the ordering alone.
+//
+// The ring is one array per PE, never one per priority level: it grows by
+// doubling from one slot and never preallocates, so a PE that is never sent
+// to holds no array at all, and drain releases it. head and n are int32, so
+// the queue costs peState one word more than a slice.
+type msgQueue struct {
+	buf  []*message // len(buf) is 0 or a power of two
+	head int32      // index of the next message to pop
+	n    int32      // queued messages
+}
 
 func msgLess(a, b *message) bool {
 	if a.prio != b.prio {
@@ -211,51 +224,96 @@ func msgLess(a, b *message) bool {
 	return a.seq < b.seq
 }
 
-func (q *msgQueue) push(m *message) {
-	//charmvet:retain (the queue owns the message until pop; recycling happens only after delivery commits)
-	h := append(*q, m)
-	*q = h
-	// Sift the hole up instead of swapping: half the writes.
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !msgLess(m, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	//charmvet:retain (heap sift: placing the owned message into its slot)
-	h[i] = m
+// len returns the number of queued messages.
+func (q *msgQueue) len() int { return int(q.n) }
+
+// at returns the i-th message in pop order.
+func (q *msgQueue) at(i int32) *message {
+	return q.buf[(q.head+i)&int32(len(q.buf)-1)]
 }
 
-func (q *msgQueue) pop() *message {
-	h := *q
-	n := len(h) - 1
-	top := h[0]
-	m := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
+func (q *msgQueue) set(i int32, m *message) {
+	//charmvet:retain (the queue owns the message until pop; recycling happens only after delivery commits)
+	q.buf[(q.head+i)&int32(len(q.buf)-1)] = m
+}
+
+// grow doubles the ring, unrolling it so the head sits at slot 0.
+func (q *msgQueue) grow() {
+	n := 2 * len(q.buf)
 	if n == 0 {
-		return top
+		n = 1
 	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && msgLess(h[r], h[c]) {
-			c = r
-		}
-		if !msgLess(h[c], m) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+	buf := make([]*message, n)
+	for i := int32(0); i < q.n; i++ {
+		buf[i] = q.at(i)
 	}
-	//charmvet:retain (heap sift: placing the owned message into its slot)
-	h[i] = m
-	return top
+	q.buf, q.head = buf, 0
+}
+
+// push enqueues m behind every message that orders before it.
+func (q *msgQueue) push(m *message) {
+	if int(q.n) == len(q.buf) {
+		q.grow()
+	}
+	if q.n == 0 || !msgLess(m, q.at(q.n-1)) {
+		q.set(q.n, m)
+		q.n++
+		return
+	}
+	// Binary search for the first queued message m orders before.
+	lo, hi := int32(0), q.n-1
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if msgLess(m, q.at(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	q.insert(lo, m)
+}
+
+// insert places m at position i, shifting the shorter side by one slot.
+func (q *msgQueue) insert(i int32, m *message) {
+	if i < q.n-i {
+		q.head = (q.head - 1) & int32(len(q.buf)-1)
+		for j := int32(0); j < i; j++ {
+			q.set(j, q.at(j+1))
+		}
+	} else {
+		for j := q.n; j > i; j-- {
+			q.set(j, q.at(j-1))
+		}
+	}
+	q.set(i, m)
+	q.n++
+}
+
+// pop removes and returns the head: the highest-priority, oldest message.
+// The queue must not be empty.
+func (q *msgQueue) pop() *message {
+	h := q.head
+	m := q.buf[h]
+	q.buf[h] = nil
+	q.head = (h + 1) & int32(len(q.buf)-1)
+	q.n--
+	return m
+}
+
+// unpop puts back the message the last pop returned, at the head: a
+// rolled-back speculation does so before anything else is enqueued on the
+// PE, so the queue is again exactly what it was before the pop.
+func (q *msgQueue) unpop(m *message) {
+	if int(q.n) == len(q.buf) {
+		q.grow()
+	}
+	q.insert(0, m)
+}
+
+// drain hands every queued message to f in pop order and releases the ring.
+func (q *msgQueue) drain(f func(*message)) {
+	for i := int32(0); i < q.n; i++ {
+		f(q.at(i))
+	}
+	*q = msgQueue{}
 }

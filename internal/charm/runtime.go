@@ -2,6 +2,7 @@ package charm
 
 import (
 	"fmt"
+	"math"
 
 	"charmgo/internal/des"
 	"charmgo/internal/machine"
@@ -176,6 +177,20 @@ type Runtime struct {
 	eng  des.Engine
 	mach *machine.Machine
 
+	// sendLoadFS and recvLoadFS are the load meter's per-message charges in
+	// integer femtoseconds: the uniform node-local floor cost, the part every
+	// message pays regardless of where the peer actually lives, so measured
+	// load is a pure function of the element's own behavior (its compute and
+	// its message counts) and never of its current placement. Placement-
+	// dependent load would make every greedy decision a function of the
+	// previous one, and placement could then never re-converge to the
+	// failure-free mapping after a disturbance (evacuation, shrink/expand) —
+	// which is what makes post-recovery digests byte-identical. treeHop is
+	// one level of the combining tree (see barrierLatency). All three are
+	// read once from the machine's configuration in New.
+	sendLoadFS, recvLoadFS int64
+	treeHop                float64
+
 	// parallel marks the parsim backends (both modes): element-handler
 	// contexts buffer their global effects (see Ctx.fx) so handler bodies
 	// can run concurrently, and PE→shard mapping follows the node layout.
@@ -296,6 +311,9 @@ func New(m *machine.Machine) *Runtime {
 	cfg := m.Config()
 	rt := &Runtime{
 		mach:       m,
+		sendLoadFS: int64(math.Round(cfg.SendOverheadLocal * 1e15)),
+		recvLoadFS: int64(math.Round(cfg.RecvOverheadLocal * 1e15)),
+		treeHop:    cfg.Alpha + cfg.SendOverhead + cfg.RecvOverhead,
 		arrayNames: map[string]*Array{},
 		dir:        directory{hash: map[elemKey]int32{}},
 		pending:    map[int32][]*message{},
@@ -637,7 +655,7 @@ func (rt *Runtime) enqueue(m *message, dst int) {
 // event body is the preallocated rt.pumpFn; the epoch at arming time rides
 // in the event's integer argument, so the hot path allocates nothing.
 func (rt *Runtime) pump(p *peState) {
-	if p.pumpAt >= 0 || len(p.q) == 0 || p.dead {
+	if p.pumpAt >= 0 || p.q.len() == 0 || p.dead {
 		return
 	}
 	t := rt.eng.Now()
@@ -677,7 +695,7 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 		sp.noteDequeue(p)
 	}
 	p.pumpAt = -1
-	if len(p.q) == 0 {
+	if p.q.len() == 0 {
 		return nil
 	}
 	m := p.q.pop()
@@ -754,9 +772,9 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	// node-local floor: measured load must be a pure function of the
 	// element's own behavior, never of where its peers currently live, or
 	// greedy placement cannot re-converge to the failure-free mapping after
-	// a disturbance (see Ctx.chargeLoadWork).
+	// a disturbance (see Runtime.recvLoadFS).
 	ctx.elapsed = rt.mach.RecvOverheadFrom(p.id, int(m.srcPE))
-	ctx.chargeLoadWork(rt.mach.Config().RecvOverheadLocal)
+	ctx.loadFS += rt.recvLoadFS
 	arr := rt.arrays[m.dest.array]
 	handler := arr.handlers[m.ep]
 	el.dirty()
@@ -893,9 +911,7 @@ func (rt *Runtime) ProbablePE(arr *Array, idx Index, fromPE int) int {
 // barrierLatency models an optimized tree barrier/reduction over the active
 // PEs.
 func (rt *Runtime) barrierLatency() des.Time {
-	cfg := rt.mach.Config()
-	depth := log2ceil(rt.activePEs)
-	return des.Time(float64(depth) * (cfg.Alpha + cfg.SendOverhead + cfg.RecvOverhead))
+	return des.Time(float64(log2ceil(rt.activePEs)) * rt.treeHop)
 }
 
 // Diagnose summarizes the runtime's live state — queued and in-flight
@@ -905,9 +921,10 @@ func (rt *Runtime) Diagnose() string {
 	queued := 0
 	busiest, busiestPE := 0, -1
 	for _, p := range rt.pes {
-		queued += len(p.q)
-		if len(p.q) > busiest {
-			busiest, busiestPE = len(p.q), p.id
+		n := p.q.len()
+		queued += n
+		if n > busiest {
+			busiest, busiestPE = n, p.id
 		}
 	}
 	s := fmt.Sprintf("t=%.6fs: %d msgs in flight, %d queued", float64(rt.eng.Now()), rt.inflight, queued)

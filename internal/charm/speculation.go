@@ -392,8 +392,8 @@ func (sc *specController) RollbackSpec(s int) {
 		sc.restores++
 	}
 
-	// The dequeue: push the popped message back (the queue's (prio, seq)
-	// order is total, so re-pushing restores the identical pop order),
+	// The dequeue: put the popped message back at the head (nothing was
+	// enqueued since the pop, so the queue is exactly as it was before it),
 	// re-arm the pump, and return the pending-delivery slot and recycled
 	// context to their pre-phase values. The context the dropped execution
 	// used is the old spare pointer itself — the execution is dead, so
@@ -401,7 +401,7 @@ func (sc *specController) RollbackSpec(s int) {
 	if sp.p != nil {
 		p := sp.p
 		if sp.popped != nil {
-			p.q.push(sp.popped)
+			p.q.unpop(sp.popped)
 		}
 		p.pumpAt = sp.pumpAt
 		p.ctxSpare = sp.spare
@@ -519,7 +519,6 @@ func (sc *specController) restoreImage(el *element, sv *elemSave) {
 func (sc *specController) coastForward(el *element, sv *elemSave) {
 	rt := sc.rt
 	arr := rt.arrays[el.key.array]
-	cfg := rt.mach.Config()
 	p := rt.pes[el.pe]
 	fx := &p.fx
 	ctx := &sc.replayCtx
@@ -534,7 +533,7 @@ func (sc *specController) coastForward(el *element, sv *elemSave) {
 			res:   sv.resolves[:rec.resEnd], resIdx: resStart,
 		}
 		ctx.elapsed = rt.mach.RecvOverheadFrom(el.pe, int(rec.m.srcPE))
-		ctx.chargeLoadWork(cfg.RecvOverheadLocal)
+		ctx.loadFS += rt.recvLoadFS
 		arr.handlers[rec.m.ep](el.obj, ctx, rec.m.payload)
 		fx.discard(p.msgs)
 		if meters := packMeters(el); ctx.resIdx != int(rec.resEnd) || ctx.elapsed != rec.elapsed || meters != rec.meters {

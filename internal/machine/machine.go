@@ -51,6 +51,9 @@ type PE struct {
 	BusyTime des.Time
 	// lastSample is the busy time at the previous utilization sample.
 	lastSample des.Time
+	// speed caches Speed(BaseFreqGHz); every writer of the node's frequency
+	// or the PE's interference refreshes it (see Machine.resetSpeed).
+	speed float64
 }
 
 // Interference returns the fraction of the PE stolen by external load.
@@ -91,6 +94,7 @@ func New(cfg Config) *Machine {
 	m.pes = make([]*PE, cfg.NumPEs())
 	for i := range m.pes {
 		m.pes[i] = &PE{ID: i, Node: m.nodes[i/cfg.PEsPerNode]}
+		m.resetSpeed(m.pes[i])
 	}
 	m.nicFreeAt = make([]des.Time, cfg.NumNodes)
 	return m
@@ -120,6 +124,7 @@ func (m *Machine) SetInterference(pe int, frac float64) {
 		panic(fmt.Sprintf("machine: interference %v out of [0,1)", frac))
 	}
 	m.pes[pe].interference = frac
+	m.resetSpeed(m.pes[pe])
 }
 
 // Interference returns the external-load fraction currently set on PE i
@@ -171,9 +176,8 @@ func (m *Machine) SpreadCooling(lo, hi float64) {
 // SetNodeFreq pins node n to the DVFS level nearest f (or exactly f when the
 // machine has no DVFS table).
 func (m *Machine) SetNodeFreq(n int, f float64) {
-	node := m.nodes[n]
 	if len(m.cfg.DVFSLevelsGHz) == 0 {
-		node.freqGHz = f
+		m.setFreq(n, f)
 		return
 	}
 	best := m.cfg.DVFSLevelsGHz[0]
@@ -182,7 +186,7 @@ func (m *Machine) SetNodeFreq(n int, f float64) {
 			best = lv
 		}
 	}
-	node.freqGHz = best
+	m.setFreq(n, best)
 }
 
 // StepNodeFreq moves node n up (+1) or down (-1) one DVFS level and reports
@@ -206,9 +210,26 @@ func (m *Machine) StepNodeFreq(n, dir int) float64 {
 	if idx >= len(levels) {
 		idx = len(levels) - 1
 	}
-	node.freqGHz = levels[idx]
+	m.setFreq(n, levels[idx])
 	return node.freqGHz
 }
+
+// setFreq sets node n's clock and refreshes its PEs' cached speeds.
+func (m *Machine) setFreq(n int, f float64) {
+	m.nodes[n].freqGHz = f
+	per := m.cfg.PEsPerNode
+	for _, p := range m.pes[n*per : (n+1)*per] {
+		m.resetSpeed(p)
+	}
+}
+
+// resetSpeed recomputes p's cached speed from its node's clock and its
+// interference.
+func (m *Machine) resetSpeed(p *PE) { p.speed = p.Speed(m.cfg.BaseFreqGHz) }
+
+// Speed returns PE i's current speed, PE(i).Speed(BaseFreqGHz), as cached
+// at the last change of its node's clock or its interference.
+func (m *Machine) Speed(pe int) float64 { return m.pes[pe].speed }
 
 // ComputeTime converts nominal work (seconds at base frequency on a
 // dedicated PE) into the virtual duration on PE i at its current speed.
@@ -216,7 +237,7 @@ func (m *Machine) ComputeTime(pe int, work float64) des.Time {
 	if work <= 0 {
 		return 0
 	}
-	s := m.pes[pe].Speed(m.cfg.BaseFreqGHz)
+	s := m.pes[pe].speed
 	if s <= 0 {
 		s = 1e-6
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -396,6 +397,55 @@ func TestValidateSpeculation(t *testing.T) {
 		err := Config{SnapInterval: tc.k}.ValidateSpeculation()
 		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("SnapInterval %d: error %v, want %q", tc.k, err, tc.want)
+		}
+	}
+}
+
+// TestCachedSpeedMatchesSpeed holds the speed the machine caches per PE to
+// the expression it caches: after every SetNodeFreq, StepNodeFreq and
+// SetInterference, on a DVFS machine and on one without a level table,
+// ComputeTime(pe, w) is w / PE(pe).Speed(BaseFreqGHz) bit for bit on every
+// PE, and so is the load meter's Speed(pe).
+func TestCachedSpeedMatchesSpeed(t *testing.T) {
+	works := []float64{1, 3e-7, 0.123456789, 2e-6}
+	for _, cfg := range []Config{ThermalTestbed(3), Cloud(8)} {
+		m := New(cfg)
+		base := m.Config().BaseFreqGHz
+		check := func(op string) {
+			t.Helper()
+			for pe := 0; pe < m.NumPEs(); pe++ {
+				s := m.PE(pe).Speed(base)
+				if math.Float64bits(m.Speed(pe)) != math.Float64bits(s) {
+					t.Fatalf("%s after %s: PE %d caches speed %v, want %v", cfg.Name, op, pe, m.Speed(pe), s)
+				}
+				for _, w := range works {
+					if got, want := m.ComputeTime(pe, w), w/s; math.Float64bits(float64(got)) != math.Float64bits(want) {
+						t.Fatalf("%s after %s: ComputeTime(%d, %v) = %v, want %v", cfg.Name, op, pe, w, got, want)
+					}
+				}
+			}
+		}
+		check("New")
+		x := uint64(12345) // a fixed LCG: the same sequence of changes every run
+		next := func(n int) int {
+			x = x*6364136223846793005 + 1442695040888963407
+			return int(x>>33) % n
+		}
+		for i := 0; i < 200; i++ {
+			switch next(3) {
+			case 0:
+				n, f := next(m.NumNodes()), 0.8+float64(next(200))/100
+				m.SetNodeFreq(n, f)
+				check(fmt.Sprintf("SetNodeFreq(%d, %v)", n, f))
+			case 1:
+				n, dir := next(m.NumNodes()), 2*next(2)-1
+				m.StepNodeFreq(n, dir)
+				check(fmt.Sprintf("StepNodeFreq(%d, %d)", n, dir))
+			default:
+				pe, frac := next(m.NumPEs()), float64(next(90))/100
+				m.SetInterference(pe, frac)
+				check(fmt.Sprintf("SetInterference(%d, %v)", pe, frac))
+			}
 		}
 	}
 }

@@ -18,9 +18,10 @@ func spinFor(d time.Duration) {
 
 // TestHandoffExactlyOnce stresses the claim protocol: 64 shards, thousands
 // of events, both modes, several helper caps, and phase bodies whose grain
-// flips between nothing and 12 µs every few hundred executions, so the
-// gate shuts and reopens while phases are posted, claimed from both ends
-// and (optimistically) rolled back in every claim state. Whoever ran what,
+// flips between nothing and 12 µs every few hundred executions, while the
+// test shuts and reopens the gate every few hundred commits, so phases are
+// posted, claimed from both ends and (optimistically) rolled back in every
+// claim state. Whoever ran what,
 // every launch must have executed its phase exactly once, the commit log
 // and final shard state must be the sequential engine's, and the engine
 // counters must not depend on the helper cap.
@@ -50,6 +51,7 @@ func TestHandoffExactlyOnce(t *testing.T) {
 					e = New(Options{Lookahead: cfg.lookahead, Shards: shards, Workers: workers})
 				}
 				var runs atomic.Int64
+				var commits int
 				var sawShut, reopened bool
 				cfg.phase = func() {
 					if n := runs.Add(1); n/384%2 == 1 {
@@ -60,6 +62,20 @@ func TestHandoffExactlyOnce(t *testing.T) {
 					shut := e.gateShut.Load()
 					sawShut = sawShut || shut
 					reopened = reopened || sawShut && !shut
+					// Drive the gate rather than wait for the measured grain
+					// to cross it (under -race a no-op phase can time above
+					// it): shut for 384 commits, then open for 384. The
+					// estimate is pinned to an extreme at every commit, so the
+					// one sample a driven phase adds before the next commit
+					// moves it at most a quarter of the way (see shutGate).
+					commits++
+					if commits/384%2 == 0 {
+						e.grainNs = 1
+						e.gateShut.Store(true)
+					} else {
+						e.grainNs = grainCapNs
+						e.gateShut.Store(false)
+					}
 				}
 				got, _ := tortureWorkload(e, state, shards, cfg)
 				if fmt.Sprint(got) != fmt.Sprint(want) {

@@ -4,8 +4,8 @@
 # race detector (charmvet's determinism & PUP-completeness rules ride it as
 # TestCharmvetClean, see DESIGN.md "Determinism rules"; its CLI is tested in
 # cmd/charmvet), the allocation pins and budgets once without it, a
-# fixed-iteration smoke of the event-store fuzz target, one iteration of
-# every in-package benchmark, the benchmark module's own suite,
+# fixed-iteration smoke of the event-store and scheduler-queue fuzz targets,
+# one iteration of every in-package benchmark, the benchmark module's own suite,
 # the cross-backend equivalence tests and the engine's suite at several
 # GOMAXPROCS values, the telemetry-neutrality gate, the full figure registry
 # on both engines, and the 60-seed multi-failure soak. CI runs exactly this.
@@ -48,6 +48,9 @@ GOGC=5 go test -count=1 -run 'AdaptiveRoundAllocs' ./internal/chaos/
 # (internal/des/testdata/fuzz) and then a fixed number of fuzzed programs. A
 # smoke, not a search: a failing input would be written under testdata/.
 go test -run '^$' -fuzz '^FuzzCalendarMatchesHeap$' -fuzztime 5000x ./internal/des/
+# The PE scheduler's sorted ring against a scan for the minimum (prio, seq),
+# with rollback re-pushes, and its size against its peak occupancy.
+go test -run '^$' -fuzz '^FuzzMsgQueueOrder$' -fuzztime 5000x ./internal/charm/
 # The in-package benchmarks are otherwise only compiled (go vet): one
 # iteration of each, so one that panics or no longer sets up fails here. A
 # smoke, not a measurement — its output is discarded.
