@@ -95,6 +95,10 @@ type Server struct {
 	queue    chan pending
 	closed   bool
 	conns    map[net.Conn]bool
+	// replies counts the queued requests whose reply a connection has not
+	// yet written: Close waits for them before disconnecting, so a request
+	// the job answered on its way out still gets its answer.
+	replies sync.WaitGroup
 
 	// Simulation-goroutine-only state (touched by Pump/Drive, never by
 	// network goroutines).
@@ -158,14 +162,16 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops accepting, disconnects clients, and rejects queued requests.
+// Close stops accepting, rejects queued requests, lets every connection
+// write the replies it owes — answered or rejected — and then disconnects
+// the clients. Like Pump, it runs on the simulation goroutine.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed = true // no request is queued nor client accepted from here on
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -174,23 +180,35 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
 	// Reject anything still queued or deferred.
 	for _, d := range s.backlog {
 		d.p.resp <- Response{OK: false, Error: "ccs: server closed"}
 	}
 	s.backlog = nil
-	for {
+	for drained := false; !drained; {
 		select {
 		case p := <-s.queue:
 			p.resp <- Response{OK: false, Error: "ccs: server closed"}
 		default:
-			return
+			drained = true
 		}
 	}
+	// Every queued request now has its answer (serve answers even a
+	// panicking handler's), so only a peer that stopped reading can hold a
+	// reply back: the write deadline bounds that wait.
+	deadline := time.Now().Add(closeWriteGrace) //charmvet:wallclock (socket deadline, outside the simulation)
+	for _, c := range conns {
+		c.SetWriteDeadline(deadline)
+	}
+	s.replies.Wait()
+	for _, c := range conns {
+		c.Close()
+	}
 }
+
+// closeWriteGrace is how long Close lets a connection write the replies it
+// owes before giving up on a peer that does not read them.
+const closeWriteGrace = time.Second
 
 func (s *Server) acceptLoop() {
 	for {
@@ -225,15 +243,33 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		p := pending{req: req, resp: make(chan Response, 1)}
-		select {
-		case s.queue <- p:
-		default:
-			enc.Encode(Response{OK: false, Retryable: true, Error: "ccs: request queue full"})
+		if refusal, ok := s.enqueue(p); !ok {
+			enc.Encode(refusal)
 			continue
 		}
-		if err := enc.Encode(<-p.resp); err != nil {
+		err := enc.Encode(<-p.resp)
+		s.replies.Done()
+		if err != nil {
 			return
 		}
+	}
+}
+
+// enqueue hands p to the simulation goroutine, or returns the reply that
+// refuses it: the queue is full, or the server is closed. A queued request
+// counts in replies until its connection has written the answer.
+func (s *Server) enqueue(p pending) (Response, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return Response{OK: false, Error: "ccs: server closed"}, false
+	}
+	select {
+	case s.queue <- p:
+		s.replies.Add(1)
+		return Response{}, true
+	default:
+		return Response{OK: false, Retryable: true, Error: "ccs: request queue full"}, false
 	}
 }
 
@@ -271,8 +307,16 @@ func (s *Server) Pump() int {
 }
 
 // serve dispatches one request; it reports whether a reply was produced
-// (false when the request was deferred for a dead serving PE).
+// (false when the request was deferred for a dead serving PE). A handler
+// that panics still answers its request, with an error, before the panic
+// goes on: its connection is not left owing a reply that Close waits for.
 func (s *Server) serve(p pending, attempt int) bool {
+	defer func() {
+		if v := recover(); v != nil {
+			p.resp <- Response{OK: false, Error: fmt.Sprintf("ccs: handler %q panicked: %v", p.req.Handler, v)}
+			panic(v)
+		}
+	}()
 	s.mu.Lock()
 	h, ok := s.handlers[p.req.Handler]
 	s.mu.Unlock()

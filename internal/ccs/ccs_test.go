@@ -319,3 +319,114 @@ func TestCloseRejectsLateClients(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseWritesAnsweredReplies: a request the job answers just before it
+// closes the server — the way a "stop" command ends a steered job — still
+// gets its reply. Close runs on the pumping goroutine right after the
+// answer, before the connection's goroutine can have written it, so
+// closing the connections first would lose the reply every few rounds.
+func TestCloseWritesAnsweredReplies(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		rt := charm.New(machine.New(machine.Testbed(2)))
+		srv := NewServer(rt)
+		srv.Register("stop", func(string) (string, error) { return "stopping", nil })
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, 1)
+		go func() {
+			c, err := Dial(addr)
+			if err != nil {
+				got <- err
+				return
+			}
+			defer c.Close()
+			res, err := c.Call("stop", "")
+			if err == nil && res != "stopping" {
+				err = fmt.Errorf("reply %q", res)
+			}
+			got <- err
+		}()
+		for srv.Pump() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		srv.Close()
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: the answered request got %v, want its reply", round, err)
+		}
+	}
+}
+
+// closeReturns runs srv.Close and fails the test if it has not returned
+// within limit.
+func closeReturns(t *testing.T, srv *Server, limit time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("Close has not returned after %v", limit)
+	}
+}
+
+// TestClosePanickingHandler: a handler that panics answers its request
+// with an error before the panic goes on, so the Close deferred in a job's
+// main loop returns while the panic unwinds instead of waiting for a reply
+// that never comes.
+func TestClosePanickingHandler(t *testing.T) {
+	srv, _, addr := newServer(t, 2)
+	srv.Register("boom", func(string) (string, error) { panic("handler broke") })
+	got := make(chan error, 1)
+	go func() {
+		c, err := Dial(addr)
+		if err != nil {
+			got <- err
+			return
+		}
+		defer c.Close()
+		_, err = c.Call("boom", "")
+		got <- err
+	}()
+	func() {
+		defer func() {
+			if v := recover(); v != "handler broke" {
+				t.Errorf("Pump panicked with %v, want the handler's panic", v)
+			}
+			closeReturns(t, srv, 5*time.Second)
+		}()
+		for srv.Pump() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		t.Error("Pump returned past a panicking handler")
+	}()
+	if err := <-got; err == nil || !strings.Contains(err.Error(), "panicked: handler broke") {
+		t.Fatalf("the client got %v, want the handler's panic as an error", err)
+	}
+}
+
+// TestCloseUnreadingPeer: a client that stops reading cannot stall Close
+// past its write deadline, even while its connection is blocked writing a
+// reply larger than the socket buffers hold.
+func TestCloseUnreadingPeer(t *testing.T) {
+	srv, _, addr := newServer(t, 2)
+	big := strings.Repeat("x", 16<<20)
+	srv.Register("big", func(string) (string, error) { return big, nil })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.enc.Encode(Request{Handler: "big"}); err != nil {
+		t.Fatal(err)
+	}
+	for srv.Pump() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let the connection block in its write
+	closeReturns(t, srv, closeWriteGrace+5*time.Second)
+}

@@ -138,7 +138,8 @@ func (rt *Runtime) newCtxAt(pe int, el *element, at des.Time) *Ctx {
 // end of the delivery commit, under the same commit(i) ≺ phase(i+1)
 // ordering that protects p.q. Contexts are only valid during the handler
 // and its commit, so recycling cannot expose one execution's state to
-// another.
+// another. A spare is always zero (releaseCtx and a rollback's hand-back
+// clear it), so a delivery zeroes its context once.
 func (p *peState) takeCtx(rt *Runtime, el *element, at des.Time) *Ctx {
 	ctx := p.ctxSpare
 	if ctx == nil {
@@ -146,11 +147,12 @@ func (p *peState) takeCtx(rt *Runtime, el *element, at des.Time) *Ctx {
 	} else {
 		p.ctxSpare = nil
 	}
-	*ctx = Ctx{rt: rt, pe: p.id, elem: el, start: at}
+	ctx.rt, ctx.pe, ctx.elem, ctx.start = rt, p.id, el, at
 	return ctx
 }
 
-// releaseCtx recycles a delivery context at the end of its commit.
+// releaseCtx clears a delivery context at the end of its commit and
+// recycles it.
 func (p *peState) releaseCtx(ctx *Ctx) {
 	*ctx = Ctx{}
 	//charmvet:retain (this IS the pool: the spare slot the next delivery draws from)

@@ -27,13 +27,15 @@ func (l *pholdLP) Pup(p *pup.Pup) {
 // helpers take the launched phases.
 const pholdSpin = 4000
 
-// runPHOLD runs a PHOLD kernel — every event forwards itself to a random
-// LP until its hop budget is spent — and returns the runtime's message
-// counters, the replay-log messages its saves still hold, and where the
-// launched phases ran.
-func runPHOLD(t *testing.T, backend string, workers int, slow bool) (PoolStats, int64, parsim.HandoffStats) {
-	t.Helper()
-	const lps, events, hops = 32, 4, 30
+// The PHOLD kernel's size: LPs, events each LP starts with, and the hops
+// each event makes before it stops.
+const pholdLPs, pholdEvents, pholdHops = 32, 4, 30
+
+// newPHOLD builds a PHOLD kernel — every event forwards itself to a random
+// LP until its hop budget is spent — ready to run. sent, when non-nil, is
+// called by each handler after its forwarding send, with whether that send
+// went into the PE's effect buffer.
+func newPHOLD(backend string, workers int, slow bool, sent func(ctx *Ctx, buffered bool)) (*Runtime, *Array) {
 	cfg := machine.Testbed(8)
 	cfg.Backend, cfg.ParallelWorkers = backend, workers
 	rt := New(machine.New(cfg))
@@ -56,19 +58,33 @@ func runPHOLD(t *testing.T, backend string, workers int, slow bool) (PoolStats, 
 			l.Rng ^= l.Rng << 13
 			l.Rng ^= l.Rng >> 7
 			l.Rng ^= l.Rng << 17
-			ctx.Send(arr, Idx1(int(l.Rng%lps)), 0, left-1)
+			fx := &rt.pes[ctx.pe].fx
+			n := len(fx.recs)
+			ctx.Send(arr, Idx1(int(l.Rng%pholdLPs)), 0, left-1)
+			if sent != nil {
+				sent(ctx, len(fx.recs) > n)
+			}
 		},
 	}, ArrayOpts{PureHandlers: true})
-	for i := 0; i < lps; i++ {
+	for i := 0; i < pholdLPs; i++ {
 		arr.Insert(Idx1(i), &pholdLP{Rng: uint64(i)*0x9E3779B97F4A7C15 | 1})
 	}
 	rt.Boot(func(ctx *Ctx) {
-		for i := 0; i < lps*events; i++ {
-			ctx.Send(arr, Idx1(i%lps), 0, hops)
+		for i := 0; i < pholdLPs*pholdEvents; i++ {
+			ctx.Send(arr, Idx1(i%pholdLPs), 0, pholdHops)
 		}
 	})
+	return rt, arr
+}
+
+// runPHOLD runs newPHOLD's kernel and returns the runtime's message
+// counters, the replay-log messages its saves still hold, and where the
+// launched phases ran.
+func runPHOLD(t *testing.T, backend string, workers int, slow bool) (PoolStats, int64, parsim.HandoffStats) {
+	t.Helper()
+	rt, _ := newPHOLD(backend, workers, slow, nil)
 	rt.Run()
-	if got, want := rt.Stats.MsgsDelivered, uint64(lps*events*(hops+1)); got != want {
+	if got, want := rt.Stats.MsgsDelivered, uint64(pholdLPs*pholdEvents*(pholdHops+1)); got != want {
 		t.Fatalf("%s: %d deliveries, want %d", backend, got, want)
 	}
 	var logged int64

@@ -191,11 +191,13 @@ type Runtime struct {
 	sendLoadFS, recvLoadFS int64
 	treeHop                float64
 
-	// parallel marks the parsim backends (both modes): element-handler
-	// contexts buffer their global effects (see Ctx.fx) so handler bodies
-	// can run concurrently, and PE→shard mapping follows the node layout.
-	parallel bool
-	peShard  []int // PE id -> shard (node) id
+	// par is the parsim engine on the parallel backends (both modes), nil
+	// on the sequential one: element-handler contexts whose phase may run
+	// off its pop buffer their global effects (see Ctx.fx) so handler
+	// bodies can run concurrently, and PE→shard mapping follows the node
+	// layout.
+	par     *parsim.Engine
+	peShard []int // PE id -> shard (node) id
 	// spec is the optimistic backend's speculation controller (nil
 	// elsewhere): per-shard undo logs that phases record into so a
 	// straggler can roll their shard-local mutations back.
@@ -341,7 +343,6 @@ func New(m *machine.Machine) *Runtime {
 		rt.eng = des.NewEngine()
 	case "parallel":
 		popts.Lookahead = des.Time(cfg.Alpha)
-		rt.parallel = true
 	case "optimistic":
 		// Time Warp needs an undo controller: the engine rolls back a
 		// shard by asking it to restore the phase's shard-local mutations
@@ -351,12 +352,11 @@ func New(m *machine.Machine) *Runtime {
 		}
 		rt.spec = newSpecController(rt, m.NumNodes(), cfg.SnapInterval)
 		popts.Controller = rt.spec
-		rt.parallel = true
 	}
-	if rt.parallel {
-		pe := parsim.New(popts)
-		pe.RegisterMetrics(rt.metrics)
-		rt.eng = pe
+	if rt.eng == nil {
+		rt.par = parsim.New(popts)
+		rt.par.RegisterMetrics(rt.metrics)
+		rt.eng = rt.par
 		if rt.spec != nil {
 			rt.spec.registerMetrics(rt.metrics)
 		}
@@ -368,7 +368,7 @@ func New(m *machine.Machine) *Runtime {
 	back := make([]peState, m.NumPEs())
 	rt.pes = make([]*peState, m.NumPEs())
 	rt.peShard = make([]int, m.NumPEs())
-	if rt.parallel {
+	if rt.par != nil {
 		rt.shardMsgs = make([]msgList, m.NumNodes())
 	}
 	for i := range rt.pes {
@@ -377,7 +377,7 @@ func New(m *machine.Machine) *Runtime {
 		rt.pes[i] = &back[i]
 		rt.peShard[i] = i / cfg.PEsPerNode
 		back[i].msgs = &rt.msgs
-		if rt.parallel {
+		if rt.par != nil {
 			back[i].msgs = &rt.shardMsgs[rt.peShard[i]]
 		}
 	}
@@ -763,7 +763,11 @@ func (rt *Runtime) runOne(p *peState, at des.Time) func() {
 	}
 	ctx := p.takeCtx(rt, el, at)
 	ctx.phase = true
-	if rt.parallel {
+	if rt.par != nil && !rt.par.AtPop(rt.peShard[p.id]) {
+		// The phase may run off its pop — on a helper, or settled ahead of
+		// it — so its global effects wait for the commit. One the driver
+		// runs at its own pop is in commit position and applies them
+		// directly, as on the sequential engine.
 		ctx.fx = &p.fx
 	}
 	ctx.cause = m.traceID

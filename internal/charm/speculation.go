@@ -397,13 +397,17 @@ func (sc *specController) RollbackSpec(s int) {
 	// re-arm the pump, and return the pending-delivery slot and recycled
 	// context to their pre-phase values. The context the dropped execution
 	// used is the old spare pointer itself — the execution is dead, so
-	// handing it back as the spare is exactly the recycling contract.
+	// handing it back, cleared, as the spare is exactly the recycling
+	// contract.
 	if sp.p != nil {
 		p := sp.p
 		if sp.popped != nil {
 			p.q.unpop(sp.popped)
 		}
 		p.pumpAt = sp.pumpAt
+		if sp.spare != nil {
+			*sp.spare = Ctx{}
+		}
 		p.ctxSpare = sp.spare
 		p.pendM, p.pendEl, p.pendCtx, p.pendAt = sp.pendM, sp.pendEl, sp.pendCtx, sp.pendAt
 		sc.rt.settle(p.msgs)

@@ -61,7 +61,7 @@ func TestCalendarGrowthAllocs(t *testing.T) {
 		x := uint32(1)
 		for i := 0; i < n; i++ {
 			x = x*1664525 + 1013904223
-			ev, _ := c.Add(base+Time(x>>10)*1e-9, int32(i%64)) // 4.2 ms wide
+			ev, _, _ := c.Add(base+Time(x>>10)*1e-9, int32(i%64)) // 4.2 ms wide
 			ev.Fn = body
 		}
 		var ev Event

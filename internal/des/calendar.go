@@ -177,7 +177,7 @@ func (s *slot) drop() { s.Fn, s.Pfn, s.Cfn, s.A = nil, nil, nil, nil }
 
 // Ent is an event's sort key plus slot id, copied out of the slab so
 // sorting and sifting touch a compact contiguous array. An Ent stays valid
-// as a reference for as long as Queued reports true for it.
+// as a reference while its event is queued: until it pops or is cancelled.
 type Ent struct {
 	At    Time
 	Seq   uint64
@@ -275,11 +275,21 @@ func (c *Calendar) live(id uint64) bool {
 	return s.gen == uint32(id) && s.state == slotQueued
 }
 
-// Queued reports whether the event k was minted for is still scheduled: its
-// slot has been neither popped, cancelled, nor recycled for a later event.
-func (c *Calendar) Queued(k Ent) bool {
-	s := c.slot(k.ID)
-	return s.state == slotQueued && s.Seq == k.Seq
+// Scan calls fn with the key and stored body of every scheduled event, in
+// slab order. It reads the slab, not the queue, so tests use it as the
+// oracle for what the queue and the structures kept beside it must hold.
+func (c *Calendar) Scan(fn func(k Ent, ev *Event)) {
+	for p, pg := range c.pages {
+		n := pageSlots
+		if p == len(c.pages)-1 {
+			n = c.fill
+		}
+		for i := range pg[:n] {
+			if s := &pg[i]; s.state == slotQueued {
+				fn(s.key(int32(p<<pageShift|i)), &s.Event)
+			}
+		}
+	}
 }
 
 // Event returns the stored event behind a queued key. The pointer stays
@@ -294,17 +304,10 @@ func (c *Calendar) handle(id int32, s *slot) Handle {
 }
 
 // Add schedules an event at t on shard (-1 for a global event), stamping it
-// with the next sequence number. The caller sets exactly one body form on
-// the returned event — in place, so scheduling never copies an Event —
-// before the calendar can pop it.
-func (c *Calendar) Add(t Time, shard int32) (*Event, Ent) {
-	s, k := c.add(t, shard)
-	return &s.Event, k
-}
-
-// add is Add returning the slot, so Sequential mints the handle without
-// looking the slot up again.
-func (c *Calendar) add(t Time, shard int32) (*slot, Ent) {
+// with the next sequence number, and returns it with its key and handle.
+// The caller sets exactly one body form on the returned event — in place,
+// so scheduling never copies an Event — before the calendar can pop it.
+func (c *Calendar) Add(t Time, shard int32) (*Event, Ent, Handle) {
 	id := c.free
 	var s *slot
 	if id >= 0 {
@@ -325,7 +328,7 @@ func (c *Calendar) add(t Time, shard int32) (*slot, Ent) {
 	} else if !c.file(id, fs) {
 		c.toFar(id, fs)
 	}
-	return s, k
+	return &s.Event, k, c.handle(id, s)
 }
 
 // mint takes a never-used slot, adding a page when the last one is full.

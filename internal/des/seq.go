@@ -44,8 +44,8 @@ func (e *Sequential) add(t Time, shard int) (*Event, Handle) {
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, e.now))
 	}
-	s, k := e.cal.add(t, int32(shard))
-	return &s.Event, e.cal.handle(k.ID, s)
+	ev, _, h := e.cal.Add(t, int32(shard))
+	return ev, h
 }
 
 // At schedules fn to run at absolute virtual time t.

@@ -12,22 +12,31 @@
 // order. A sharded event's body is split by the runtime into a phase (reads
 // and writes only its shard's state, buffers everything else) and a commit
 // closure (applies the buffered global effects). Before every pop the driver
-// compares each shard's earliest pending event — cached per shard, and
-// recomputed from a lazy-deletion min-heap of calendar keys only when a
-// push, pop or cancel can have changed it — against the window
+// compares each shard's earliest pending event — its cached candidate,
+// replaced only when a push, pop or cancel can have changed it — against
+// the window
 // [top, top+W) opened by the calendar head, and *launches* it when it lies
 // inside, is not the head itself (the driver runs that inline), is not a
 // commit-only body, and does not follow the earliest pending global event.
 // At most one phase per shard is ever launched, so the launched body, its
 // claim state and its result live in one reusable record per shard:
 // helpers never touch the slab, and the steady-state schedule → launch →
-// pop → commit cycle allocates nothing. The pass before a pop visits only
+// pop → commit cycle allocates nothing. A shard's pending events are held
+// exactly, the candidate and a min-heap of the rest: the calendar head is
+// always its shard's candidate, so a pop replaces it from the heap's top, a
+// cancel removes its entry at once, and an entry carries whether its body
+// has a phase, so neither finding nor classifying a candidate reads the
+// slab. The pass before a pop visits only
 // the shards whose cached candidate is launchable — a bitmask kept exact
 // wherever that flips — so its cost follows the live shards, not the shard
 // count, and it still visits them in ascending shard order. The pop then
 // proceeds exactly like the sequential engine: set the clock, run the
 // commit (first finishing the phase if nobody has) or, for events never
 // launched, the whole body inline.
+// A phase the driver runs at its own pop — inline, or launched and never
+// posted — is in commit position, since nothing runs between it and its
+// commit: AtPop tells its body so, and the runtime then applies its effects
+// directly instead of buffering them, as on the sequential engine.
 // A global event may touch every shard; the launch rule and the straggler
 // check below guarantee it pops with nothing launched.
 //
@@ -101,8 +110,9 @@
 // # Discipline
 //
 // Phase functions must not call back into the engine — the runtime's context
-// buffering guarantees this for all runtime paths. Commits may schedule
-// freely.
+// buffering guarantees this for all runtime paths — unless AtPop reports
+// their shard at its pop: such a phase is in commit position. Commits may
+// schedule freely.
 package parsim
 
 import (
@@ -170,23 +180,91 @@ type flight struct {
 	// helpers rank posted flights by it (timestamps are non-negative, so
 	// the bit patterns order like the floats).
 	postAt atomic.Uint64
-	key    des.Ent   // the launched event's calendar key (driver-only)
-	ev     des.Event // the launched event, copied out of the slab when posted
-	active bool      // launched, not yet popped or rolled back (driver-only)
+	key    des.Ent // the launched event's calendar key (driver-only)
+	active bool    // launched, not yet popped or rolled back (driver-only)
 	// posted: the phase left the driver's pop — posted to the helpers, or
 	// settled early — so its result is read from commit and pval (driver-only).
-	posted   bool
-	commit   func() // phase result, written by the claimant
-	pval     any    // captured phase panic (nil if none), re-raised at pop
-	launchNs int64  // wall stamp at launch, 0 unless a probe is installed
+	posted bool
+	// atPop: the phase about to run on this record is the driver's at its
+	// own pop, with no speculation open (see AtPop). Written by the driver
+	// only while no helper can hold the record; post clears it before its
+	// state store, so a claimant reads false.
+	atPop    bool
+	ev       des.Event // the launched event, copied out of the slab when posted
+	commit   func()    // phase result, written by the claimant
+	pval     any       // captured phase panic (nil if none), re-raised at pop
+	launchNs int64     // wall stamp at launch, 0 unless a probe is installed
 }
 
-// candidate caches a minima heap's earliest scheduled key, so the per-pop
-// launch pass compares timestamps instead of consulting every shard's heap
-// and the slab.
-type candidate struct {
+// minEnt is a pending event's calendar key and whether its body has a
+// phase to launch (a commit-only body or a global has none), so finding,
+// replacing or classifying a candidate reads nothing from the slab.
+type minEnt struct {
 	des.Ent
-	ok bool // false: nothing scheduled on this heap
+	phase bool
+}
+
+// candidate is a shard's (or the globals') earliest pending event, kept
+// outside its heap so the per-pop launch pass compares timestamps in one
+// contiguous array, and a shard with one pending event — PHOLD's usual
+// case — pushes and pops no heap at all.
+type candidate struct {
+	minEnt
+	ok bool // false: nothing scheduled on this shard
+}
+
+// minHeap is a binary min-heap of minEnts in event order: with its
+// candidate, exactly its shard's (or the globals') pending events. An entry
+// leaves when its event pops or is cancelled, never lazily.
+type minHeap []minEnt
+
+func (h minHeap) less(i, j int) bool { return h[i].Before(h[j].Ent) }
+
+func (h minHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h minHeap) down(i int) {
+	for n := len(h); ; {
+		l, m := 2*i+1, i
+		if l < n && h.less(l, m) {
+			m = l
+		}
+		if r := l + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (hp *minHeap) push(x minEnt) {
+	*hp = append(*hp, x)
+	hp.up(len(*hp) - 1)
+}
+
+// remove deletes and returns entry i.
+func (hp *minHeap) remove(i int) minEnt {
+	h := *hp
+	x, n := h[i], len(h)-1
+	h[i] = h[n]
+	h = h[:n]
+	if i < n {
+		h.down(i)
+		h.up(i)
+	}
+	*hp = h
+	return x
 }
 
 const (
@@ -226,15 +304,16 @@ type Engine struct {
 	flights  []flight // per shard
 	inFlight int      // active flights
 
-	// minima drives the launch pass: one lazy-deletion heap of calendar keys
-	// per shard, plus a last one for the pending global events, and cand,
-	// each heap's current minimum. ready has bit q set while cand[q] is
-	// launchable: a shard's candidate with a phase (not a commit-only body)
-	// that is not launched already. Nil when the engine can never launch.
-	minima     []des.EntHeap
+	// cand drives the launch pass: each shard's earliest pending event,
+	// plus a last entry for the pending global events; minima holds the
+	// rest of each one's pending events, exactly. ready has bit q set while
+	// cand[q] is launchable: a shard's candidate with a phase (not a
+	// commit-only body) that is not launched already. Nil when the engine
+	// can never launch.
+	minima     []minHeap
 	cand       []candidate
 	ready      []uint64
-	recomputes uint64 // cand entries rebuilt from their heap (tests pin its growth)
+	recomputes uint64 // candidates rebuilt after a pop or cancel (tests pin its growth)
 
 	// Helper goroutines, alive only while Run/RunUntil executes. mu guards
 	// quit and serialises parking against waking; everything else here is
@@ -329,7 +408,7 @@ func New(opts Options) *Engine {
 		e.window = des.Forever // optimism is unbounded
 	}
 	if e.window > 0 && len(e.flights) > 1 { // otherwise nothing can ever overlap
-		e.minima = make([]des.EntHeap, len(e.flights)+1)
+		e.minima = make([]minHeap, len(e.flights)+1)
 		e.cand = make([]candidate, len(e.flights)+1)
 		e.ready = make([]uint64, (len(e.flights)+1+63)/64)
 	}
@@ -422,7 +501,7 @@ func (e *Engine) straggler(s int, t des.Time, from int) {
 
 // schedule files a bodiless event at t on shard (-1: global) in the
 // calendar — and, when the engine can launch, in its shard's (or the
-// globals') minima heap — after the straggler check: a shard event against
+// globals') pending set — after the straggler check: a shard event against
 // its own shard's flight, a global against all of them. The caller fills in
 // the body; phase says whether that body will have a phase to launch.
 func (e *Engine) schedule(shard int, t des.Time, phase bool) (*des.Event, des.Handle) {
@@ -433,31 +512,37 @@ func (e *Engine) schedule(shard int, t des.Time, phase bool) (*des.Event, des.Ha
 	if shard >= 0 {
 		e.straggler(shard, t, shard)
 	} else {
-		q = len(e.flights) // the globals' minima heap
+		q = len(e.flights) // the globals' pending set
 		for s := 0; e.inFlight > 0 && s < len(e.flights); s++ {
 			e.straggler(s, t, shard)
 		}
 	}
-	ev, k := e.cal.Add(t, int32(shard))
+	ev, k, h := e.cal.Add(t, int32(shard))
 	if e.minima != nil {
-		e.minima[q].Push(k)
-		// A push that precedes the heap's minimum is the new minimum; any
-		// other leaves the cached one standing. (A straggler's victim has
-		// been rolled back above, so its candidate is launchable again.)
-		if c := &e.cand[q]; !c.ok || k.Before(c.Ent) {
-			*c = candidate{Ent: k, ok: true}
+		// An event that precedes the candidate replaces it, and the old one
+		// joins the heap; any other goes to the heap and leaves the
+		// candidate standing. (A straggler's victim has been rolled back
+		// above, so its candidate is launchable again.)
+		switch c := &e.cand[q]; {
+		case !c.ok:
+			c.Ent, c.phase, c.ok = k, phase, true
 			e.markReady(q, phase)
+		case k.Before(c.Ent):
+			e.minima[q].push(c.minEnt)
+			c.Ent, c.phase = k, phase
+			e.markReady(q, phase)
+		default:
+			e.minima[q].push(minEnt{Ent: k, phase: phase})
 		}
 	}
-	return ev, e.cal.Handle(k)
+	return ev, h
 }
 
-// atShard is schedule for a sharded event.
-func (e *Engine) atShard(shard int, t des.Time, phase bool) (*des.Event, des.Handle) {
-	if shard < 0 || shard >= len(e.flights) {
+// checkShard panics on a shard id outside [0, Shards).
+func (e *Engine) checkShard(shard int) {
+	if uint(shard) >= uint(len(e.flights)) {
 		panic(fmt.Sprintf("parsim: shard %d out of range [0,%d)", shard, len(e.flights)))
 	}
-	return e.schedule(shard, t, phase)
 }
 
 // At schedules fn as a global event: it runs alone on the driver, with no
@@ -471,7 +556,8 @@ func (e *Engine) At(t des.Time, fn func()) des.Handle {
 // AtShardFn schedules a two-phase event from a preallocated PhaseFn. Its
 // phase is launchable.
 func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64) des.Handle {
-	ev, h := e.atShard(shard, t, true)
+	e.checkShard(shard)
+	ev, h := e.schedule(shard, t, true)
 	ev.Pfn, ev.A, ev.B = fn, a, b
 	return h
 }
@@ -482,7 +568,8 @@ func (e *Engine) AtShardFn(shard int, t des.Time, fn des.PhaseFn, a any, b int64
 // a straggler) but is never launched: its body may touch global state,
 // exactly like any commit.
 func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b int64) des.Handle {
-	ev, h := e.atShard(shard, t, false)
+	e.checkShard(shard)
+	ev, h := e.schedule(shard, t, false)
 	ev.Cfn, ev.A, ev.B = fn, a, b
 	return h
 }
@@ -504,17 +591,25 @@ func (e *Engine) Cancel(h des.Handle) {
 		}
 	}
 	k, ok := e.cal.Cancel(h)
-	if !ok {
+	if !ok || e.minima == nil {
 		return
 	}
 	q := len(e.flights)
 	if k.Shard >= 0 {
 		q = int(k.Shard)
 	}
-	// Only the cancellation of a heap's minimum changes its candidate; any
-	// other entry is dropped lazily when it surfaces.
-	if e.minima != nil && e.cand[q].Seq == k.Seq {
-		e.recompute(q)
+	// The pending sets stay exact: the event leaves now, as the candidate
+	// or found in the heap by a scan (nothing in the runtime cancels).
+	if c := &e.cand[q]; c.ok && c.Seq == k.Seq {
+		e.popMin(q)
+		return
+	}
+	hp := &e.minima[q]
+	for i := range *hp {
+		if (*hp)[i].Seq == k.Seq {
+			hp.remove(i)
+			return
+		}
 	}
 }
 
@@ -565,7 +660,7 @@ func (e *Engine) step() {
 
 	if ev.Fn != nil {
 		if e.minima != nil {
-			e.recompute(len(e.flights))
+			e.popMin(len(e.flights))
 		}
 		// The launch rule never passes the earliest pending global, and the
 		// straggler check covers globals scheduled later — so a popping
@@ -582,7 +677,7 @@ func (e *Engine) step() {
 	}
 
 	if e.minima != nil {
-		e.recompute(shard) // the popped event was its shard's candidate
+		e.popMin(shard)
 	}
 	f := &e.flights[shard]
 	launched := f.active
@@ -602,12 +697,14 @@ func (e *Engine) step() {
 		if ev.Cfn != nil {
 			ev.Cfn(ev.A, ev.B, ev.At)
 		} else {
+			f.atPop = true
 			commit = e.drivePhase(&ev)
 		}
 	case !f.posted:
 		f.active = false
 		e.inFlight--
 		e.hand.DriverRan++
+		f.atPop = e.ctrl == nil // an optimistic launch has its speculation open
 		commit = e.drivePhase(&ev)
 		e.stats.Committed++
 	default:
@@ -645,6 +742,15 @@ func (e *Engine) step() {
 	}
 }
 
+// AtPop reports whether the phase running on shard is the driver's at its
+// own pop with no speculation open: an inline event, or a conservative
+// launch that was never posted. Nothing can run between such a phase and
+// its commit, so it is in commit position and may apply its global effects
+// directly, exactly as on the sequential engine; any other phase may run
+// off its pop (on a helper, or settled ahead of it) and must buffer them.
+// Call it only from inside a phase body running on shard.
+func (e *Engine) AtPop(shard int) bool { return e.flights[shard].atPop }
+
 // drivePhase runs a phase on the driving goroutine, timing every
 // grainSampleEvery-th one for the grain gate. The driver always runs some
 // phases — every calendar head, and every launched phase no helper took —
@@ -670,29 +776,24 @@ func (e *Engine) drivePhase(ev *des.Event) func() {
 	return commit
 }
 
-// top returns the earliest still-scheduled key of a minima heap, discarding
-// entries whose event was popped or cancelled.
-func (e *Engine) top(q *des.EntHeap) (des.Ent, bool) {
-	for len(*q) > 0 {
-		if k := (*q)[0]; e.cal.Queued(k) {
-			return k, true
-		}
-		q.Pop()
-	}
-	return des.Ent{}, false
-}
-
-// recompute rebuilds heap q's candidate after its minimum was popped or
-// cancelled. Pushes never need it (see schedule), so the work the launch
-// pipeline does per pop follows what changed, not the shard count.
-func (e *Engine) recompute(q int) {
+// popMin replaces shard (or globals) q's candidate, which just popped or
+// was cancelled, with the earliest of the rest: the pending sets are exact,
+// so the calendar head is always its shard's candidate. It is the one place
+// a candidate is rebuilt; pushes never need it (see schedule), so the work
+// the launch pipeline does per pop follows what changed, not the shard
+// count.
+func (e *Engine) popMin(q int) {
 	e.recomputes++
-	k, ok := e.top(&e.minima[q])
-	e.cand[q] = candidate{Ent: k, ok: ok}
-	e.markReady(q, ok && k.Shard >= 0 && e.cal.Event(k).Cfn == nil)
+	c := &e.cand[q]
+	if h := &e.minima[q]; len(*h) > 0 {
+		c.minEnt = h.remove(0)
+	} else {
+		c.ok, c.phase = false, false
+	}
+	e.markReady(q, c.phase)
 }
 
-// markReady sets or clears heap q's bit in the ready mask.
+// markReady sets or clears candidate q's bit in the ready mask.
 func (e *Engine) markReady(q int, on bool) {
 	if bit := uint64(1) << (q & 63); on {
 		e.ready[q>>6] |= bit
@@ -763,7 +864,7 @@ func (e *Engine) launchEvent(s int, c *candidate) {
 // the helpers and makes sure one is awake to take it.
 func (e *Engine) post(f *flight) {
 	f.ev = *e.cal.Event(f.key)
-	f.posted = true
+	f.posted, f.atPop = true, false
 	f.postAt.Store(math.Float64bits(float64(f.key.At)))
 	f.state.Store(phasePosted)
 	e.wakeHelper()
@@ -816,7 +917,7 @@ func (e *Engine) settle(f *flight) int64 {
 	if f.posted {
 		return e.await(f)
 	}
-	f.posted = true
+	f.posted, f.atPop = true, false
 	e.hand.DriverRan++
 	e.runPhase(f, e.cal.Event(f.key), true)
 	return 0

@@ -39,8 +39,10 @@ go test -race -timeout 20m ./...
 go test -count=1 -run 'Alloc|Golden' ./internal/charm/ ./internal/parsim/ ./internal/des/ ./internal/apps/determinism/ ./internal/projections/ ./internal/telemetry/ ./internal/chaos/
 # A runtime's message traffic is the same at one worker and at eight, with
 # helpers taking phases while the driver commits: the shard free lists are
-# race-free under the detector at eight threads.
-GOMAXPROCS=8 go test -race -count=1 -run 'TestMessageAllocationDeterministic' ./internal/charm/
+# race-free under the detector at eight threads. So is the at-pop flag: a
+# phase the driver runs at its own pop applies its effects directly, one a
+# helper runs buffers them, and the digest is the sequential engine's.
+GOMAXPROCS=8 go test -race -count=1 -run 'TestMessageAllocationDeterministic|TestAtPopPhasesApplyEffectsDirectly' ./internal/charm/
 # An adaptive round's allocations do not depend on when the collector runs:
 # nothing the round recycles lives in a pool a collection empties.
 GOGC=5 go test -count=1 -run 'AdaptiveRoundAllocs' ./internal/chaos/
