@@ -75,8 +75,6 @@ type (
 	LBPE     = charm.LBPE
 	// Migration is one strategy decision.
 	Migration = charm.Migration
-	// Group is a chare collection with one member per PE.
-	Group = charm.Group
 	// Machine is the virtual parallel machine.
 	Machine = machine.Machine
 	// MachineConfig describes a machine.

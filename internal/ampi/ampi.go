@@ -226,9 +226,6 @@ func (e *Env) abortAll() {
 	}
 }
 
-// Array exposes the backing chare array (for checkpoint tooling and tests).
-func (e *Env) Array() *charm.Array { return e.arr }
-
 // ---- scheduler-side handlers ----
 
 func (e *Env) rankOf(obj charm.Chare) *Rank { return e.ranks[obj.(*rankChare).ID] }
@@ -326,9 +323,6 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the number of ranks (MPI_Comm_size).
 func (r *Rank) Size() int { return len(r.env.ranks) }
 
-// PE returns the PE currently hosting this rank.
-func (r *Rank) PE() int { return r.env.arr.PEOf(charm.Idx1(r.id)) }
-
 // Wtime returns the rank's current virtual time (MPI_Wtime).
 func (r *Rank) Wtime() float64 { return float64(r.ctx.Now()) }
 
@@ -366,12 +360,6 @@ func (r *Rank) Recv(src, tag int) (any, int) {
 		r.recvSrc, r.recvTag = src, tag
 		r.block(onRecv)
 	}
-}
-
-// Sendrecv exchanges messages with two peers in one call.
-func (r *Rank) Sendrecv(dst, sendTag int, data any, bytes int, src, recvTag int) (any, int) {
-	r.Send(dst, sendTag, data, bytes)
-	return r.Recv(src, recvTag)
 }
 
 // Barrier synchronizes all ranks (MPI_Barrier).

@@ -48,7 +48,7 @@ func TestVirtualizationPlacement(t *testing.T) {
 	rt := newRT(4)
 	var pes [8]int
 	err := Run(rt, 8, func(r *Rank) {
-		pes[r.ID()] = r.PE()
+		pes[r.ID()] = r.ctx.MyPE()
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestMigrateBalancesLoad(t *testing.T) {
 		// Ranks 0..3 are heavy; all start block-mapped so PEs 0,1 are
 		// overloaded relative to 2,3... actually blocks are 2 ranks/PE;
 		// make ranks on PE 0-1 heavy.
-		before[r.ID()] = r.PE()
+		before[r.ID()] = r.ctx.MyPE()
 		for it := 0; it < 3; it++ {
 			if r.ID() < 4 {
 				r.Charge(0.1)
@@ -170,7 +170,7 @@ func TestMigrateBalancesLoad(t *testing.T) {
 			}
 			r.Migrate()
 		}
-		after[r.ID()] = r.PE()
+		after[r.ID()] = r.ctx.MyPE()
 	}, Options{Migratable: true, StateBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
@@ -225,22 +225,6 @@ func TestMigrationSpeedsUpImbalancedJob(t *testing.T) {
 	withLB := run(true)
 	if withLB >= noLB*0.85 {
 		t.Fatalf("migration did not help: %v vs %v", withLB, noLB)
-	}
-}
-
-func TestSendrecv(t *testing.T) {
-	rt := newRT(2)
-	ok := make([]bool, 2)
-	err := Run(rt, 2, func(r *Rank) {
-		peer := 1 - r.ID()
-		v, src := r.Sendrecv(peer, 1, r.ID()*11, 8, peer, 1)
-		ok[r.ID()] = v.(int) == peer*11 && src == peer
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok[0] || !ok[1] {
-		t.Fatal("sendrecv exchange failed")
 	}
 }
 

@@ -81,7 +81,7 @@ type Pass struct {
 	Path     string
 	Graph    *Graph
 
-	dirs     directives
+	pkg      *Package
 	findings *[]Finding
 }
 
@@ -162,7 +162,10 @@ const (
 )
 
 // Waived reports whether a directive covers the line of pos.
-func (p *Pass) Waived(name string, pos token.Pos) bool {
+func (p *Pass) Waived(name string, pos token.Pos) bool { return p.pkg.Waived(name, pos) }
+
+// Waived reports whether a directive in p covers the line of pos.
+func (p *Package) Waived(name string, pos token.Pos) bool {
 	return p.dirs.covers(name, p.Fset.Position(pos))
 }
 
@@ -279,7 +282,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package, graph *Graph, findings *[]Finding) {
 		Info:     pkg.Info,
 		Path:     pkg.Path,
 		Graph:    graph,
-		dirs:     pkg.dirs,
+		pkg:      pkg,
 		findings: findings,
 	}
 	a.Run(pass)

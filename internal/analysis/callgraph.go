@@ -406,10 +406,12 @@ func (g *Graph) staticEdge(n *Node, site token.Pos, fn *types.Func) {
 	g.staticSites = append(g.staticSites, staticSite{caller: n, site: site, fn: fn})
 }
 
-// resolveStatic links direct calls whose callee has a body in the module.
+// resolveStatic links direct calls whose callee has a body in the module. A
+// method of an instantiated generic type is called through its own
+// *types.Func; Origin maps it to the declared one the node is keyed by.
 func (g *Graph) resolveStatic() {
 	for _, s := range g.staticSites {
-		if callee := g.byFn[s.fn]; callee != nil {
+		if callee := g.byFn[s.fn.Origin()]; callee != nil {
 			s.caller.Edges = append(s.caller.Edges, Edge{Callee: callee, Site: s.site, Kind: "static"})
 		}
 	}

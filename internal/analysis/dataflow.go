@@ -66,12 +66,6 @@ func (g *Graph) Reach() map[*Node]reachEdge {
 	return g.reach
 }
 
-// Reachable reports whether n is reachable from any analysis root.
-func (g *Graph) Reachable(n *Node) bool {
-	_, ok := g.Reach()[n]
-	return ok
-}
-
 // Chain returns the call chain from the discovering root to n, inclusive,
 // as display names. The first element names the root and its kind, e.g.
 // "(pdes.*App).onEvent [entry method]".

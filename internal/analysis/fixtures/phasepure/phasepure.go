@@ -21,7 +21,7 @@ type lp struct {
 
 func use(fns ...any) {}
 
-func register() { use(onInc, onDefer, onWaived) }
+func register() { use(onInc, onDefer, onWaived, onGeneric) }
 
 func onInc(obj any, ctx *charm.Ctx, msg any) {
 	counter++ // want `phase-side write to package-level variable counter`
@@ -55,6 +55,22 @@ func onWaived(obj any, ctx *charm.Ctx, msg any) {
 
 	//charmvet:phase (fixture: deliberate)
 	counter++
+}
+
+// stack is generic: a call to a method of one of its instantiations
+// carries the instantiated method, which resolves to the declared body.
+type stack[T any] struct{ items []T }
+
+var pushes int
+
+func (s *stack[T]) push(x T) {
+	s.items = append(s.items, x)
+	pushes++ // want `phase-side write to package-level variable pushes`
+}
+
+func onGeneric(obj any, ctx *charm.Ctx, msg any) {
+	var s stack[int]
+	s.push(1)
 }
 
 // orphanWrite is unreachable from any entry point: no finding.

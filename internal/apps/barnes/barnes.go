@@ -320,9 +320,6 @@ func (a *App) pieceBounds(id int) (lo, hi [3]float64) {
 	return lo, hi
 }
 
-// Pieces exposes the array.
-func (a *App) Pieces() *charm.Array { return a.pieces }
-
 // Run executes the configured steps.
 func (a *App) Run() (*Result, error) {
 	a.startStep()
@@ -740,26 +737,6 @@ func walkInner(nd *node, ps []float64, x, y, z float64, self int, fs []float64, 
 	w := 0
 	for _, c := range nd.children {
 		w += walkInner(c, ps, x, y, z, self, fs, theta)
-	}
-	return w
-}
-
-// walkXYZ walks for an external position (no self index).
-func walkXYZ(nd *node, x, y, z float64, fs []float64, out int, theta float64) int {
-	size := nd.hi[0] - nd.lo[0]
-	dx, dy, dz := nd.cx-x, nd.cy-y, nd.cz-z
-	d2 := dx*dx + dy*dy + dz*dz
-	if nd.children == nil {
-		accumulateXYZ(fs, out, x, y, z, nd.cx, nd.cy, nd.cz, nd.mass)
-		return len(nd.pidx)
-	}
-	if d2 > 0 && size*size < theta*theta*d2 {
-		accumulateXYZ(fs, out, x, y, z, nd.cx, nd.cy, nd.cz, nd.mass)
-		return 1
-	}
-	w := 0
-	for _, c := range nd.children {
-		w += walkXYZ(c, x, y, z, fs, out, theta)
 	}
 	return w
 }

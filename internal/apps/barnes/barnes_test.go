@@ -118,8 +118,8 @@ func TestParticlesConservedAcrossDD(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, idx := range app.Pieces().Keys() {
-		total += app.Pieces().Get(idx).(*piece).n()
+	for _, idx := range app.pieces.Keys() {
+		total += app.pieces.Get(idx).(*piece).n()
 	}
 	if total != 600 {
 		t.Fatalf("particles not conserved: %d", total)
@@ -134,8 +134,8 @@ func TestPlummerIsCentrallyConcentrated(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[int]int{}
-	for _, idx := range app.Pieces().Keys() {
-		counts[idx.I()] = app.Pieces().Get(idx).(*piece).n()
+	for _, idx := range app.pieces.Keys() {
+		counts[idx.I()] = app.pieces.Get(idx).(*piece).n()
 	}
 	min, max := 1<<30, 0
 	for _, c := range counts {

@@ -60,9 +60,6 @@ func runPokers(rt *charm.Runtime, pes, n, steps int) string {
 			if step%2 == p.ID%2 {
 				ctx.Send(arr, charm.Idx1((p.ID+1+step%3)%n), epPoke, step)
 			}
-			if step == steps/2 && p.ID%4 == 1 {
-				ctx.Migrate((ctx.MyPE() + 1) % ctx.NumPEs())
-			}
 			if step < steps {
 				ctx.Send(arr, charm.Idx1(p.ID), epTick, step+1)
 			} else {
@@ -85,6 +82,14 @@ func runPokers(rt *charm.Runtime, pes, n, steps int) string {
 	// A third of the way in (a tick is ~8 µs): the meter reset of a
 	// load-balancing round, as the global event it is there.
 	rt.Engine().At(des.Time(steps)*8e-6/3, rt.ResetLoadStats)
+	// Half way: every fourth element moves on to the next PE.
+	rt.Engine().At(des.Time(steps)*8e-6/2, func() {
+		var migs []charm.Migration
+		for i := 1; i < n; i += 4 {
+			migs = append(migs, charm.Migration{Array: arr, Idx: charm.Idx1(i), ToPE: (arr.PEOf(charm.Idx1(i)) + 1) % pes})
+		}
+		rt.ApplyMigrations(migs)
+	})
 	rt.Run()
 
 	var sb strings.Builder

@@ -126,22 +126,22 @@ func TestCheckpointAtBarrierIsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range app2.Cells().Keys() {
-		app2.Cells().Remove(idx)
+	for _, idx := range app2.cells.Keys() {
+		app2.cells.Remove(idx)
 	}
-	for _, idx := range app2.Computes().Keys() {
-		app2.Computes().Remove(idx)
+	for _, idx := range app2.computes.Keys() {
+		app2.computes.Remove(idx)
 	}
 	if err := ckpt.Restore(rt2, snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range app2.Cells().Keys() {
-		if c := app2.Cells().Get(idx).(*cell); c.Step != 4 {
+	for _, idx := range app2.cells.Keys() {
+		if c := app2.cells.Get(idx).(*cell); c.Step != 4 {
 			t.Fatalf("cell %v restored at step %d, want 4", idx, c.Step)
 		}
 	}
-	for _, idx := range app2.Computes().Keys() {
-		if cp := app2.Computes().Get(idx).(*compute); cp.Step != 4 {
+	for _, idx := range app2.computes.Keys() {
+		if cp := app2.computes.Get(idx).(*compute); cp.Step != 4 {
 			t.Fatalf("compute %v restored at step %d, want 4", idx, cp.Step)
 		}
 	}

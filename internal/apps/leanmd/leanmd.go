@@ -441,10 +441,6 @@ func (a *App) computeIdx(x, y [3]int) charm.Index {
 	return charm.Idx6(x[0], x[1], x[2], y[0], y[1], y[2])
 }
 
-// Cells and Computes expose the arrays for tooling.
-func (a *App) Cells() *charm.Array    { return a.cells }
-func (a *App) Computes() *charm.Array { return a.computes }
-
 // Steps returns the number of steps whose energy reduction has landed.
 // Fault-tolerance drivers save it at a checkpoint cut.
 func (a *App) Steps() int { return len(a.res.StepDone) }

@@ -74,8 +74,8 @@ func TestAtomCountConservedAcrossExchange(t *testing.T) {
 	}
 	total := 0
 	moved := false
-	for _, idx := range app.Cells().Keys() {
-		c := app.Cells().Get(idx).(*cell)
+	for _, idx := range app.cells.Keys() {
+		c := app.cells.Get(idx).(*cell)
 		total += c.n()
 		if c.n() != cfg.AtomsPerCell {
 			moved = true
@@ -97,8 +97,8 @@ func TestGaussianCreatesImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	min, max := 1<<30, 0
-	for _, idx := range app.Cells().Keys() {
-		n := app.Cells().Get(idx).(*cell).n()
+	for _, idx := range app.cells.Keys() {
+		n := app.cells.Get(idx).(*cell).n()
 		if n < min {
 			min = n
 		}
@@ -192,7 +192,7 @@ func TestComputeCountPerCell(t *testing.T) {
 	}
 	// 27 cells, each with 1 self-compute and 26/2 pair computes.
 	want := 27 * (1 + 13)
-	if got := app.Computes().Len(); got != want {
+	if got := app.computes.Len(); got != want {
 		t.Fatalf("compute count %d, want %d", got, want)
 	}
 }

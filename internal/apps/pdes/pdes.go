@@ -269,9 +269,6 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 	return a, nil
 }
 
-// LPs exposes the array.
-func (a *App) LPs() *charm.Array { return a.lps }
-
 // TramStats returns the aggregation statistics (zero when TRAM is off).
 func (a *App) TramStats() tram.Stats {
 	if a.tram == nil {

@@ -128,8 +128,8 @@ func TestEventPopulationConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, idx := range app.LPs().Keys() {
-		total += len(app.LPs().Get(idx).(*lp).Q)
+	for _, idx := range app.lps.Keys() {
+		total += len(app.lps.Get(idx).(*lp).Q)
 	}
 	if total != 32*8 {
 		t.Fatalf("event population drifted: %d, want %d", total, 32*8)
@@ -178,8 +178,8 @@ func TestLPMigrationBetweenWindows(t *testing.T) {
 		t.Fatalf("committed %d", res.Committed)
 	}
 	total := 0
-	for _, idx := range app.LPs().Keys() {
-		total += len(app.LPs().Get(idx).(*lp).Q)
+	for _, idx := range app.lps.Keys() {
+		total += len(app.lps.Get(idx).(*lp).Q)
 	}
 	if total != 64*8 {
 		t.Fatalf("event population drifted under migration: %d", total)

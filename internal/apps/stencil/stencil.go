@@ -256,9 +256,6 @@ func peGrid(numPEs int) (px, py int) {
 
 func (a *App) factory() charm.Chare { return &block{app: a} }
 
-// Array exposes the block array (for checkpoint/LB tooling).
-func (a *App) Array() *charm.Array { return a.arr }
-
 // Iters returns the number of iterations whose residual reduction has
 // landed. Fault-tolerance drivers save it at a checkpoint cut.
 func (a *App) Iters() int { return len(a.res.IterDone) }

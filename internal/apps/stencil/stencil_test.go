@@ -76,7 +76,7 @@ func TestMatchesSequentialSolver(t *testing.T) {
 	bsz := n / 4
 	for bi := 0; bi < 4; bi++ {
 		for bj := 0; bj < 4; bj++ {
-			b := app.Array().Get(charm.Idx2(bi, bj)).(*block)
+			b := app.arr.Get(charm.Idx2(bi, bj)).(*block)
 			for y := 1; y <= bsz; y++ {
 				for x := 1; x <= bsz; x++ {
 					gx, gy := bi*bsz+x, bj*bsz+y

@@ -121,9 +121,6 @@ func NewServer(rt *charm.Runtime) *Server {
 	}
 }
 
-// SetRetryPolicy replaces the dead-PE retry policy. Call before Listen.
-func (s *Server) SetRetryPolicy(p RetryPolicy) { s.retry = p }
-
 // Register installs a named handler with no PE affinity: it runs whenever
 // the simulation goroutine pumps, even mid-recovery. Registration is not
 // safe after Listen; install every handler first.
@@ -152,14 +149,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.ln = ln
 	go s.acceptLoop()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
 }
 
 // Close stops accepting, rejects queued requests, lets every connection
@@ -387,56 +376,17 @@ func Dial(addr string) (*Client, error) {
 
 // Call sends one request and waits for the reply.
 func (c *Client) Call(handler, args string) (string, error) {
-	resp, err := c.call(handler, args)
-	if err != nil {
+	if err := c.enc.Encode(Request{Handler: handler, Args: args}); err != nil {
+		return "", err
+	}
+	var resp Response
+	if err := c.dec.Decode(&resp); err != nil {
 		return "", err
 	}
 	if !resp.OK {
 		return "", fmt.Errorf("%s", resp.Error)
 	}
 	return resp.Result, nil
-}
-
-// CallRetry is Call with client-side resilience: responses the server marks
-// Retryable (request queue full, serving PE dead beyond the server's own
-// virtual-time backoff budget) are re-issued up to attempts times, waiting
-// min(100ms·2^k, 1s) of wall clock between attempts. Wall-clock pacing is
-// correct here — the client lives outside the simulation, like the Drive
-// yield — and the server's own dead-PE backoff remains virtual-time, so
-// the simulated schedule stays deterministic.
-func (c *Client) CallRetry(handler, args string, attempts int) (string, error) {
-	backoff := 100 * time.Millisecond
-	const capB = time.Second
-	var resp Response
-	for i := 0; i < attempts; i++ {
-		var err error
-		resp, err = c.call(handler, args)
-		if err != nil {
-			return "", err // transport errors are not retried: the stream state is unknown
-		}
-		if resp.OK {
-			return resp.Result, nil
-		}
-		if !resp.Retryable || i == attempts-1 {
-			break
-		}
-		time.Sleep(backoff) //charmvet:wallclock (external client pacing, outside the simulation)
-		if backoff *= 2; backoff > capB {
-			backoff = capB
-		}
-	}
-	return "", fmt.Errorf("%s", resp.Error)
-}
-
-func (c *Client) call(handler, args string) (Response, error) {
-	if err := c.enc.Encode(Request{Handler: handler, Args: args}); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
 }
 
 // Close closes the client connection.

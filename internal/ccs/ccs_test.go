@@ -233,7 +233,7 @@ func pumpAdvancing(t *testing.T, srv *Server, rt *charm.Runtime, reviveAfter int
 
 func TestDeadPERetriesUntilRecovery(t *testing.T) {
 	srv, rt, addr := newServer(t, 4)
-	srv.SetRetryPolicy(RetryPolicy{Base: 1e-4, Cap: 1e-3, MaxRetries: 1000})
+	srv.retry = RetryPolicy{Base: 1e-4, Cap: 1e-3, MaxRetries: 1000}
 	srv.RegisterOn("work", 2, func(string) (string, error) {
 		return "done", nil
 	})
@@ -261,7 +261,7 @@ func TestDeadPERetriesUntilRecovery(t *testing.T) {
 
 func TestDeadPERetriesExhaust(t *testing.T) {
 	srv, rt, addr := newServer(t, 4)
-	srv.SetRetryPolicy(RetryPolicy{Base: 1e-4, Cap: 4e-4, MaxRetries: 3})
+	srv.retry = RetryPolicy{Base: 1e-4, Cap: 4e-4, MaxRetries: 3}
 	srv.RegisterOn("work", 1, func(string) (string, error) {
 		return "done", nil
 	})
@@ -281,13 +281,6 @@ func TestDeadPERetriesExhaust(t *testing.T) {
 	}
 	if v := rt.Metrics().Counter("ccs.retries").Value(); v != 3 {
 		t.Fatalf("ccs.retries = %d, want 3", v)
-	}
-	// CallRetry re-issues the whole request: one more exhaustion cycle.
-	if _, err := c.CallRetry("work", "", 2); err == nil {
-		t.Fatal("CallRetry against a permanently dead PE should fail")
-	}
-	if v := rt.Metrics().Counter("ccs.timeouts").Value(); v != 3 {
-		t.Fatalf("ccs.timeouts = %d after CallRetry(2 attempts), want 3", v)
 	}
 }
 

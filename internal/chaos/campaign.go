@@ -275,15 +275,10 @@ func floatsEqual(a, b []float64) bool {
 	return true
 }
 
-// RunCampaign probes an app's failure-free duration, derives a seeded
-// crash plan spread over its mid-run, and runs clean and chaos
-// executions on all three backends, asserting value and state identity.
-func RunCampaign(app string, crashes int, seed int64) (*Bench, error) {
-	return RunCampaignOpts(app, crashes, 0, seed, 0)
-}
-
-// RunCampaignOpts is RunCampaign with the full knob set: warns predicted
-// failures ride along with the crashes (delivered early enough that a
+// RunCampaignOpts probes an app's failure-free duration, derives a seeded
+// crash plan spread over its mid-run, and runs clean and chaos executions
+// on all three backends, asserting value and state identity. Warns
+// predicted failures ride along with the crashes (delivered early enough that a
 // checkpoint cut falls inside the prediction window, so they are
 // absorbed by evacuation), and replication sets the checkpoint
 // replication degree R (0: the default, 1). An unknown app, a negative

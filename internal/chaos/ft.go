@@ -202,7 +202,9 @@ func Enable(rt *charm.Runtime, plan Plan, opts Options) (*Controller, error) {
 	return c, nil
 }
 
-// Mem exposes the in-memory checkpointer (for inspection tools).
+// Mem exposes the in-memory checkpointer.
+//
+//charmvet:unreached test oracle: TestCheckpointAdoptsCleanImages compares every cut it holds against a fresh pack
 func (c *Controller) Mem() *ckpt.Mem { return c.mem }
 
 // Err reports the terminal error that aborted recovery, if any.

@@ -69,7 +69,7 @@ var ftDegrees = []int{1, 2, 3}
 const ftBaselineR = 2
 
 // RunFTBench runs the replication sweep and the evacuation comparison
-// for every campaign app. Deterministic in seed, like RunCampaign.
+// for every campaign app. Deterministic in seed, like RunCampaignOpts.
 func RunFTBench(seed int64) (*FTReport, error) {
 	rep := &FTReport{Seed: seed, Degrees: ftDegrees}
 	for _, app := range Apps() {

@@ -173,42 +173,3 @@ func WarnPlan(seed int64, n, numPEs int, start, end, lead float64) Plan {
 	}
 	return p
 }
-
-// FuzzPlan builds a seeded adversarial plan mixing plain crashes,
-// predicted failures (warns), and deliberately correlated crash pairs —
-// a PE and one of its ring successors (a likely replica holder) killed
-// back to back, the second timed to land inside the first's
-// detection-plus-restore window. Every draw comes from the seed, so a
-// plan is fully reproducible from (seed, numPEs, start, end) and a
-// failing seed can be replayed verbatim.
-func FuzzPlan(seed int64, numPEs int, start, end float64) Plan {
-	rng := rand.New(rand.NewSource(seed*104729 + 7))
-	p := Plan{Seed: seed}
-	if numPEs < 3 || end <= start {
-		return p
-	}
-	n := 1 + rng.Intn(3) // 1-3 fault groups
-	span := (end - start) / float64(n)
-	for i := 0; i < n; i++ {
-		base := start + span*(float64(i)+0.1+0.5*rng.Float64())
-		pe := 1 + rng.Intn(numPEs-1)
-		switch rng.Intn(3) {
-		case 0: // plain crash
-			p.Faults = append(p.Faults, Fault{Kind: FaultCrash, At: base, PE: pe})
-		case 1: // predicted failure; lead time may or may not span a cut
-			lead := span * (0.1 + 0.8*rng.Float64())
-			p.Faults = append(p.Faults,
-				Fault{Kind: FaultWarn, At: base, PE: pe, Until: base + lead})
-		case 2: // correlated pair: a PE and a ring successor, overlapping
-			succ := 1 + (pe+rng.Intn(2))%(numPEs-1) // stay off PE 0
-			if succ == pe {
-				succ = 1 + pe%(numPEs-1)
-			}
-			dt := 1e-4 + 2e-3*rng.Float64()
-			p.Faults = append(p.Faults,
-				Fault{Kind: FaultCrash, At: base, PE: pe},
-				Fault{Kind: FaultCrash, At: base + dt, PE: succ})
-		}
-	}
-	return p
-}

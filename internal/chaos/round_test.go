@@ -63,8 +63,8 @@ func TestAdaptiveRoundAllocs(t *testing.T) {
 		}
 		round() // the first cut; the second, inside AllocsPerRun, is the last into fresh storage
 		allocs := testing.AllocsPerRun(4, round)
-		if got, want := rt.LBRounds(), 6; got != want || c.Mem().Checkpoints != want {
-			t.Fatalf("n=%d: %d LB rounds and %d checkpoints, want %d each", n, got, c.Mem().Checkpoints, want)
+		if got, want := rt.LBRounds(), 6; got != want || c.mem.Checkpoints != want {
+			t.Fatalf("n=%d: %d LB rounds and %d checkpoints, want %d each", n, got, c.mem.Checkpoints, want)
 		}
 		if moved := rt.Stats.Migrations; moved != uint64(6*n) {
 			t.Fatalf("n=%d: %d migrations in 6 rounds, want %d", n, moved, 6*n)

@@ -216,14 +216,8 @@ func (c *Ctx) flushFX() {
 	fx.reset()
 }
 
-// Runtime returns the owning runtime.
-func (c *Ctx) Runtime() *Runtime { return c.rt }
-
 // MyPE returns the PE this execution runs on.
 func (c *Ctx) MyPE() int { return c.pe }
-
-// NumPEs returns the active PE count.
-func (c *Ctx) NumPEs() int { return c.rt.activePEs }
 
 // Index returns the executing element's array index.
 func (c *Ctx) Index() Index {
@@ -249,13 +243,6 @@ func (c *Ctx) Charge(work float64) {
 // node's cache model with the given number of cache sharers.
 func (c *Ctx) ChargeWithCache(work float64, ws int64, sharers int) {
 	c.Charge(work * c.rt.mach.CacheFactor(ws, sharers))
-}
-
-// ChargeSeconds adds an absolute virtual duration, bypassing the speed
-// model (used for fixed protocol costs).
-func (c *Ctx) ChargeSeconds(d des.Time) {
-	c.elapsed += d
-	c.chargeLoad(d)
 }
 
 // chargeLoad accrues a charge into the execution's load meter: integer
@@ -556,22 +543,6 @@ func (c *Ctx) AtSync() {
 func (rt *Runtime) arriveAtSync() {
 	rt.lbArrived++
 	rt.maybeStartLB()
-}
-
-// Migrate requests migration of the executing element to a specific PE
-// (CkMigrateMe). The move happens after the current method returns.
-func (c *Ctx) Migrate(toPE int) {
-	el := c.elem
-	if el == nil {
-		panic("charm: Migrate outside an array element")
-	}
-	rt := c.rt
-	from := el.pe
-	if toPE == from {
-		return
-	}
-	at := c.Now()
-	c.emit(func() { rt.atEpoch(at, func() { rt.moveElement(el, toPE, true) }) })
 }
 
 // Insert creates a new element of arr with the given initial state on this

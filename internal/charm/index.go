@@ -89,9 +89,6 @@ func BitVec(bits uint64, depth int) Index {
 // Depth returns the tree depth of a bitvector index.
 func (ix Index) Depth() int { return int(ix.B) }
 
-// Bits returns the packed octant path of a bitvector index.
-func (ix Index) Bits() uint64 { return ix.A }
-
 // Child returns the bitvector index of child octant o (0..7) — a purely
 // local operation, as §IV-A requires.
 func (ix Index) Child(o int) Index {
@@ -239,26 +236,4 @@ func log2ceil(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// KindName tags indices created from user-defined names (§II-D allows a
-// chare index to be "a user defined name").
-const KindName uint8 = 6
-
-// IdxName builds an index from a string name using two independent 64-bit
-// hashes (a 128-bit fingerprint; collisions are negligible for any
-// realistic name population). The name itself is not recoverable from the
-// index — chares needing it should carry it in their state.
-func IdxName(name string) Index {
-	const (
-		offset1 = 0xcbf29ce484222325
-		offset2 = 0x9e3779b97f4a7c15
-		prime   = 0x100000001b3
-	)
-	h1, h2 := uint64(offset1), uint64(offset2)
-	for i := 0; i < len(name); i++ {
-		h1 = (h1 ^ uint64(name[i])) * prime
-		h2 = mix(h2 ^ uint64(name[i])*prime)
-	}
-	return Index{Kind: KindName, A: h1, B: h2}
 }

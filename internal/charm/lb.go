@@ -83,20 +83,8 @@ func (rt *Runtime) SetBalancer(s Strategy) { rt.balancer = s }
 // Balancer returns the installed strategy.
 func (rt *Runtime) Balancer() Strategy { return rt.balancer }
 
-// OnLB registers a listener called after every LB round.
-func (rt *Runtime) OnLB(fn func(LBReport)) { rt.lbListener = fn }
-
 // LBRounds returns the number of completed LB rounds.
 func (rt *Runtime) LBRounds() int { return rt.lbCount }
-
-// PauseLB suspends AtSync processing (used during shrink/expand
-// reconfiguration).
-func (rt *Runtime) PauseLB(paused bool) {
-	rt.lbPaused = paused
-	if !paused {
-		rt.maybeStartLB()
-	}
-}
 
 // StallActivePEs advances every active PE's busy horizon to at least t,
 // modeling a global protocol (reconfiguration, restart) during which no
@@ -164,9 +152,6 @@ func (rt *Runtime) Rebalance() LBReport {
 	rt.StallActivePEs(end)
 	rt.endRound(end, rep.Duration, rep.NumMoved)
 	rt.ResetLoadStats()
-	if rt.lbListener != nil {
-		rt.lbListener(rep)
-	}
 	return rep
 }
 
@@ -201,7 +186,7 @@ func (rt *Runtime) strategyName() string {
 
 // maybeStartLB fires the LB step once every AtSync element has arrived.
 func (rt *Runtime) maybeStartLB() {
-	if rt.lbPaused || rt.lbInProgress || rt.lbTotal == 0 || rt.lbArrived < rt.lbTotal {
+	if rt.lbInProgress || rt.lbTotal == 0 || rt.lbArrived < rt.lbTotal {
 		return
 	}
 	rt.lbInProgress = true
@@ -317,9 +302,6 @@ func (rt *Runtime) runLB() {
 		// hook (see SetLBResumeHook), and observer state mutated after its
 		// own cut would be rolled back without ever being replayed —
 		// losing one observation per recovery.
-		if rt.lbListener != nil {
-			rt.lbListener(rep)
-		}
 		// The post-migration, pre-resume instant is a quiescent cut: the
 		// in-memory checkpoint scheme snapshots here (see SetLBResumeHook).
 		if rt.lbResumeHook != nil {

@@ -1,119 +1,6 @@
 package charm
 
-import (
-	"testing"
-
-	"charmgo/internal/pup"
-)
-
-type peService struct {
-	PE   int
-	Hits int64
-}
-
-func (s *peService) Pup(p *pup.Pup) {
-	p.Int(&s.PE)
-	p.Int64(&s.Hits)
-}
-
-func TestGroupOneMemberPerPE(t *testing.T) {
-	rt := testRT(8)
-	g := rt.DeclareGroup("svc", func(pe int) Chare { return &peService{PE: pe} }, nil)
-	for pe := 0; pe < 8; pe++ {
-		if got := g.Local(pe).(*peService).PE; got != pe {
-			t.Fatalf("member on PE %d says %d", pe, got)
-		}
-	}
-}
-
-func TestGroupSendAndLocal(t *testing.T) {
-	rt := testRT(4)
-	var g *Group
-	handlers := []Handler{
-		func(obj Chare, ctx *Ctx, msg any) {
-			s := obj.(*peService)
-			s.Hits += msg.(int64)
-			if s.PE != ctx.MyPE() {
-				t.Errorf("member %d executed on PE %d", s.PE, ctx.MyPE())
-			}
-			if ctx.GroupLocal(g) != obj {
-				t.Error("GroupLocal does not return the executing member")
-			}
-			ctx.Charge(1e-6)
-		},
-	}
-	g = rt.DeclareGroup("svc", func(pe int) Chare { return &peService{PE: pe} }, handlers)
-	rt.Boot(func(ctx *Ctx) {
-		for pe := 0; pe < 4; pe++ {
-			ctx.SendGroup(g, pe, 0, int64(pe+1), nil)
-		}
-	})
-	rt.Run()
-	for pe := 0; pe < 4; pe++ {
-		if got := g.Local(pe).(*peService).Hits; got != int64(pe+1) {
-			t.Fatalf("PE %d member hits %d, want %d", pe, got, pe+1)
-		}
-	}
-}
-
-func TestGroupBroadcast(t *testing.T) {
-	rt := testRT(16)
-	handlers := []Handler{
-		func(obj Chare, ctx *Ctx, msg any) {
-			obj.(*peService).Hits++
-		},
-	}
-	g := rt.DeclareGroup("svc", func(pe int) Chare { return &peService{PE: pe} }, handlers)
-	g.BroadcastGroup(0, nil)
-	rt.Run()
-	for pe := 0; pe < 16; pe++ {
-		if g.Local(pe).(*peService).Hits != 1 {
-			t.Fatalf("PE %d missed the group broadcast", pe)
-		}
-	}
-}
-
-func TestGroupBroadcastRespectsActivePEs(t *testing.T) {
-	rt := testRT(8)
-	handlers := []Handler{
-		func(obj Chare, ctx *Ctx, msg any) { obj.(*peService).Hits++ },
-	}
-	g := rt.DeclareGroup("svc", func(pe int) Chare { return &peService{PE: pe} }, handlers)
-	rt.SetActivePEs(4)
-	g.BroadcastGroup(0, nil)
-	rt.Run()
-	for pe := 0; pe < 4; pe++ {
-		if g.Local(pe).(*peService).Hits != 1 {
-			t.Fatalf("active PE %d missed the broadcast", pe)
-		}
-	}
-	for pe := 4; pe < 8; pe++ {
-		if g.Local(pe).(*peService).Hits != 0 {
-			t.Fatalf("inactive PE %d received the broadcast", pe)
-		}
-	}
-}
-
-func TestGroupBroadcastFromElement(t *testing.T) {
-	rt := testRT(8)
-	var g *Group
-	gHandlers := []Handler{
-		func(obj Chare, ctx *Ctx, msg any) { obj.(*peService).Hits++ },
-	}
-	g = rt.DeclareGroup("svc", func(pe int) Chare { return &peService{PE: pe} }, gHandlers)
-	arr := rt.DeclareArray("drv", func() Chare { return &counter{} },
-		[]Handler{func(obj Chare, ctx *Ctx, msg any) {
-			ctx.BroadcastGroup(g, 0, nil, nil)
-		}}, ArrayOpts{})
-	arr.InsertOn(Idx1(0), &counter{}, 5) // initiate from a non-zero PE
-	arr.Send(Idx1(0), 0, nil)
-	rt.Run()
-	for pe := 0; pe < 8; pe++ {
-		if g.Local(pe).(*peService).Hits != 1 {
-			t.Fatalf("PE %d missed element-initiated group broadcast", pe)
-		}
-	}
-}
+import "testing"
 
 func TestMulticastDeliversToSection(t *testing.T) {
 	rt := testRT(4)

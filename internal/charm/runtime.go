@@ -15,7 +15,7 @@ import (
 // table passed to DeclareArray).
 type EP int
 
-// PEH identifies a PE-level handler registered with DeclarePEHandler.
+// PEH identifies a PE-level handler registered with DeclareNamedPEHandler.
 type PEH int
 
 // Chare is the interface chare state implements: serializable so the RTS
@@ -262,8 +262,6 @@ type Runtime struct {
 	lbArrived    int
 	lbInProgress bool
 	lbCount      int // completed LB rounds
-	lbListener   func(LBReport)
-	lbPaused     bool
 
 	// Malleability: PEs >= activePEs are evacuated and receive no work.
 	activePEs int
@@ -417,13 +415,6 @@ func (rt *Runtime) homePE(k elemKey) int {
 	return int(k.idx.Hash() % uint64(rt.activePEs))
 }
 
-// DeclarePEHandler registers a PE-level handler and returns its id. The
-// handler traces under a generated "peh<N>" name; libraries that want
-// readable traces use DeclareNamedPEHandler.
-func (rt *Runtime) DeclarePEHandler(h PEHandler) PEH {
-	return rt.DeclareNamedPEHandler(fmt.Sprintf("peh%d", len(rt.peHandlers)), h)
-}
-
 // DeclareNamedPEHandler registers a PE-level handler under a trace name.
 func (rt *Runtime) DeclareNamedPEHandler(name string, h PEHandler) PEH {
 	rt.peHandlers = append(rt.peHandlers, h)
@@ -433,6 +424,8 @@ func (rt *Runtime) DeclareNamedPEHandler(name string, h PEHandler) PEH {
 
 // Boot runs fn as the main chare on PE 0 at the current virtual time,
 // before or during execution.
+//
+//charmvet:unreached entry point: the main chare (Charm++'s mainchare) a program starts its entry methods from
 func (rt *Runtime) Boot(fn func(ctx *Ctx)) {
 	rt.booted = true
 	rt.eng.At(rt.eng.Now(), func() {
@@ -848,9 +841,6 @@ func (rt *Runtime) finishExec(ctx *Ctx, el *element) {
 	}
 }
 
-// BusyUntil returns when PE p finishes its current work.
-func (rt *Runtime) BusyUntil(p int) des.Time { return rt.pes[p].busy }
-
 // MaxBusy returns the latest busy horizon across active PEs — the earliest
 // time a global barrier could complete.
 func (rt *Runtime) MaxBusy() des.Time {
@@ -916,62 +906,4 @@ func (rt *Runtime) ProbablePE(arr *Array, idx Index, fromPE int) int {
 // PEs.
 func (rt *Runtime) barrierLatency() des.Time {
 	return des.Time(float64(log2ceil(rt.activePEs)) * rt.treeHop)
-}
-
-// Diagnose summarizes the runtime's live state — queued and in-flight
-// messages, a stuck AtSync barrier, open reductions — for debugging a run
-// that stalled or deadlocked.
-func (rt *Runtime) Diagnose() string {
-	queued := 0
-	busiest, busiestPE := 0, -1
-	for _, p := range rt.pes {
-		n := p.q.len()
-		queued += n
-		if n > busiest {
-			busiest, busiestPE = n, p.id
-		}
-	}
-	s := fmt.Sprintf("t=%.6fs: %d msgs in flight, %d queued", float64(rt.eng.Now()), rt.inflight, queued)
-	if busiestPE >= 0 {
-		s += fmt.Sprintf(" (deepest queue: PE %d with %d)", busiestPE, busiest)
-	}
-	if rt.lbTotal > 0 {
-		s += fmt.Sprintf("; AtSync barrier %d/%d arrived", rt.lbArrived, rt.lbTotal)
-		if rt.lbInProgress {
-			s += " (LB in progress)"
-		}
-	}
-	open := 0
-	for _, arr := range rt.arrays {
-		for _, run := range arr.redOpen {
-			if run != nil {
-				open++
-			}
-		}
-	}
-	if open > 0 {
-		// Array-id then generation order — the same order the old global
-		// reduction map printed after sorting its keys.
-		s += fmt.Sprintf("; %d open reductions:", open)
-		for _, arr := range rt.arrays {
-			for i, run := range arr.redOpen {
-				if run == nil {
-					continue
-				}
-				s += fmt.Sprintf(" %s gen %d (%d/%d contributed)",
-					arr.name, arr.redBase+uint64(i), run.count, run.expected)
-			}
-		}
-	}
-	if n := len(rt.qdWatch); n > 0 {
-		s += fmt.Sprintf("; %d armed quiescence detections", n)
-	}
-	if n := len(rt.pending); n > 0 {
-		msgs := 0
-		for _, buffered := range rt.pending { //charmvet:ordered (a sum, order-insensitive)
-			msgs += len(buffered)
-		}
-		s += fmt.Sprintf("; %d messages buffered for %d uncreated elements", msgs, n)
-	}
-	return s
 }

@@ -226,10 +226,6 @@ func (m *Mem) Checkpoint() des.Time {
 // HasCheckpoint reports whether a checkpoint exists to recover from.
 func (m *Mem) HasCheckpoint() bool { return m.snap != nil }
 
-// Recovering reports whether a StartRecovery is awaiting FinishRecovery,
-// and for which PEs.
-func (m *Mem) Recovering() (bool, []int) { return m.recovering, m.failedPEs }
-
 // Snapshot returns the current checkpoint content (nil before the first
 // Checkpoint). Read-only: tools such as cmd/ckptinfo inspect it. It stays
 // valid until the second Checkpoint after it, which reuses its storage.

@@ -175,7 +175,7 @@ func TestStartRecoveryWhileRecoveringRestartsRestore(t *testing.T) {
 	if d1 <= 0 {
 		t.Fatalf("restore duration %v", d1)
 	}
-	if rec, pes := m.Recovering(); !rec || len(pes) != 1 || pes[0] != 2 {
+	if rec, pes := m.recovering, m.failedPEs; !rec || len(pes) != 1 || pes[0] != 2 {
 		t.Fatalf("recovering state: %v %v", rec, pes)
 	}
 
@@ -192,11 +192,11 @@ func TestStartRecoveryWhileRecoveringRestartsRestore(t *testing.T) {
 	if m.RestartedRestores != 1 {
 		t.Fatalf("RestartedRestores %d, want 1", m.RestartedRestores)
 	}
-	if rec, pes := m.Recovering(); !rec || len(pes) != 2 {
+	if rec, pes := m.recovering, m.failedPEs; !rec || len(pes) != 2 {
 		t.Fatalf("recovering state after restart: %v %v", rec, pes)
 	}
 	m.FinishRecovery()
-	if rec, _ := m.Recovering(); rec {
+	if rec := m.recovering; rec {
 		t.Fatal("window still open after FinishRecovery")
 	}
 	// Elements are back at checkpoint positions with checkpoint state.

@@ -39,42 +39,17 @@ type Point struct {
 // Value returns the current setting.
 func (p *Point) Value() int { return p.value }
 
-// Locked reports whether the tuner has converged for this point.
-func (p *Point) Locked() bool { return p.locked }
-
 // System is the control system: it owns the registered points and adjusts
 // them from performance reports. Points are tuned one at a time
 // (round-robin) so each point's observations reflect only its own moves.
 type System struct {
 	points    []*Point
-	history   []Report
 	active    int
 	sinceLock int
 }
 
-// Report is one observation fed back by the application or RTS.
-type Report struct {
-	Metric float64 // lower is better (e.g. time per step)
-	Values map[string]int
-}
-
 // NewSystem returns an empty control system.
 func NewSystem() *System { return &System{} }
-
-// Clone deep-copies the system's full tuning state — points, observation
-// history, and probe position. Fault-tolerance drivers snapshot the tuner
-// at checkpoint cuts with it and restore by assignment on rollback, so the
-// hill climber replays the identical trajectory after a recovery instead
-// of double-counting the replayed rounds' observations.
-func (s *System) Clone() *System {
-	c := &System{active: s.active, sinceLock: s.sinceLock}
-	c.history = append([]Report(nil), s.history...)
-	for _, p := range s.points {
-		q := *p
-		c.points = append(c.points, &q)
-	}
-	return c
-}
 
 // Register adds a control point and returns it.
 func (s *System) Register(name string, min, max, initial int, effect Effect) *Point {
@@ -90,28 +65,10 @@ func (s *System) Register(name string, min, max, initial int, effect Effect) *Po
 	return p
 }
 
-// Point returns the registered point by name, or nil.
-func (s *System) Point(name string) *Point {
-	for _, p := range s.points {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
-// History returns all reports observed so far.
-func (s *System) History() []Report { return s.history }
-
 // Observe feeds one performance measurement (lower = better) taken with
 // the points' current values; the system then adjusts the active point for
 // the next measurement period using hill climbing with shrinking steps.
 func (s *System) Observe(metric float64) {
-	vals := map[string]int{}
-	for _, p := range s.points {
-		vals[p.Name] = p.value
-	}
-	s.history = append(s.history, Report{Metric: metric, Values: vals})
 	if len(s.points) == 0 {
 		return
 	}

@@ -18,10 +18,10 @@ func TestConvergesToOptimum(t *testing.T) {
 		s := NewSystem()
 		p := s.Register("pipeline", 1, 40, 1, EffectMoreOverlap)
 		f := quadratic(opt)
-		for i := 0; i < 60 && !p.Locked(); i++ {
+		for i := 0; i < 60 && !p.locked; i++ {
 			s.Observe(f(p.Value()))
 		}
-		if !p.Locked() {
+		if !p.locked {
 			t.Fatalf("opt=%d: never converged (value %d)", opt, p.Value())
 		}
 		if math.Abs(float64(p.Value()-opt)) > 3 {
@@ -48,10 +48,10 @@ func TestReprobesAfterLock(t *testing.T) {
 	s := NewSystem()
 	p := s.Register("k", 1, 32, 1, EffectUnknown)
 	f := quadratic(6)
-	for i := 0; i < 40 && !p.Locked(); i++ {
+	for i := 0; i < 40 && !p.locked; i++ {
 		s.Observe(f(p.Value()))
 	}
-	if !p.Locked() {
+	if !p.locked {
 		t.Fatal("did not lock")
 	}
 	locked := p.Value()
@@ -80,20 +80,6 @@ func TestRegisterValidation(t *testing.T) {
 	s.Register("bad", 10, 5, 7, EffectUnknown)
 }
 
-func TestPointLookupAndHistory(t *testing.T) {
-	s := NewSystem()
-	s.Register("a", 1, 10, 5, EffectUnknown)
-	if s.Point("a") == nil || s.Point("b") != nil {
-		t.Fatal("Point lookup broken")
-	}
-	s.Observe(1.0)
-	s.Observe(2.0)
-	h := s.History()
-	if len(h) != 2 || h[0].Metric != 1.0 || h[0].Values["a"] != 5 {
-		t.Fatalf("history wrong: %+v", h)
-	}
-}
-
 func TestMultiplePointsTunedTogether(t *testing.T) {
 	s := NewSystem()
 	p1 := s.Register("x", 1, 20, 10, EffectUnknown)
@@ -102,7 +88,7 @@ func TestMultiplePointsTunedTogether(t *testing.T) {
 		dx, dy := float64(p1.Value()-4), float64(p2.Value()-16)
 		return 1 + 0.01*dx*dx + 0.01*dy*dy
 	}
-	for i := 0; i < 120 && !(p1.Locked() && p2.Locked()); i++ {
+	for i := 0; i < 120 && !(p1.locked && p2.locked); i++ {
 		s.Observe(f())
 	}
 	if math.Abs(float64(p1.Value()-4)) > 5 || math.Abs(float64(p2.Value()-16)) > 5 {

@@ -278,6 +278,8 @@ func (c *Calendar) live(id uint64) bool {
 // Scan calls fn with the key and stored body of every scheduled event, in
 // slab order. It reads the slab, not the queue, so tests use it as the
 // oracle for what the queue and the structures kept beside it must hold.
+//
+//charmvet:unreached test oracle: TestMinimaMatchCalendarScan checks parsim's pending sets against it
 func (c *Calendar) Scan(fn func(k Ent, ev *Event)) {
 	for p, pg := range c.pages {
 		n := pageSlots
@@ -295,13 +297,6 @@ func (c *Calendar) Scan(fn func(k Ent, ev *Event)) {
 // Event returns the stored event behind a queued key. The pointer stays
 // valid while the event is queued.
 func (c *Calendar) Event(k Ent) *Event { return &c.slot(k.ID).Event }
-
-// Handle returns the cancellation handle of the event behind a queued key.
-func (c *Calendar) Handle(k Ent) Handle { return c.handle(k.ID, c.slot(k.ID)) }
-
-func (c *Calendar) handle(id int32, s *slot) Handle {
-	return Handle{cal: c, id: uint64(id)<<32 | uint64(s.gen)}
-}
 
 // Add schedules an event at t on shard (-1 for a global event), stamping it
 // with the next sequence number, and returns it with its key and handle.
@@ -328,7 +323,7 @@ func (c *Calendar) Add(t Time, shard int32) (*Event, Ent, Handle) {
 	} else if !c.file(id, fs) {
 		c.toFar(id, fs)
 	}
-	return &s.Event, k, c.handle(id, s)
+	return &s.Event, k, Handle{cal: c, id: uint64(id)<<32 | uint64(s.gen)}
 }
 
 // mint takes a never-used slot, adding a page when the last one is full.
@@ -400,22 +395,19 @@ func (c *Calendar) toFar(id int32, fs uint64) {
 	c.farMin, c.farMax = min(c.farMin, fs), max(c.farMax, fs)
 }
 
-// Cancel removes h's event if it is still scheduled and returns its key;
-// an already-fired, already-cancelled, or foreign handle reports false. The
-// slot is reclaimed lazily when its calendar position drains.
-func (c *Calendar) Cancel(h Handle) (Ent, bool) {
+// Cancel removes h's event if it is still scheduled; an already-fired,
+// already-cancelled, or foreign handle is a no-op. The slot is reclaimed
+// lazily when its calendar position drains.
+func (c *Calendar) Cancel(h Handle) {
 	if h.cal != c || !c.live(h.id) {
-		return Ent{}, false
+		return
 	}
-	id := int32(h.id >> 32)
-	s := c.slot(id)
-	k := s.key(id)
+	s := c.slot(int32(h.id >> 32))
 	s.drop()
 	s.state = slotCancelled
 	s.gen++
 	c.count--
 	c.dead++
-	return k, true
 }
 
 // release returns slot id, whose event left the queue, to the free list.

@@ -54,7 +54,7 @@ type CommitFn func(a any, b int64, at Time)
 type Engine interface {
 	// Now returns the current virtual time.
 	Now() Time
-	// Pending returns the number of scheduled, uncancelled events.
+	// Pending returns the number of scheduled events.
 	Pending() int
 	// Executed counts events that have run, for introspection and tests.
 	Executed() uint64
@@ -71,9 +71,6 @@ type Engine interface {
 	// AtShardCommit schedules a sharded event whose entire body runs at
 	// commit position.
 	AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Handle
-	// Cancel removes a scheduled event. Cancelling an already-fired or
-	// already-cancelled event is a no-op.
-	Cancel(h Handle)
 	// Stop makes Run return after the currently executing event completes.
 	Stop()
 	// Run executes events until the queue drains or Stop is called.
@@ -158,21 +155,14 @@ type ProbeSetter interface {
 	SetProbe(Probe)
 }
 
-// Handle allows a scheduled event to be cancelled before it fires. Events
-// in a Calendar are named by slot index + generation, so minting a handle
-// never allocates and a fired or recycled slot rejects stale handles by
-// construction; the reference Heap engine's handles point at its heap node.
+// Handle names a scheduled event. The Engine contract has no cancellation:
+// only the concrete Sequential and Heap engines take a handle back, in
+// Cancel. Events in a Calendar are named by slot index + generation, so
+// minting a handle never allocates and a fired or recycled slot rejects
+// stale handles by construction; the reference Heap engine's handles point
+// at its heap node.
 type Handle struct {
 	ev  *heapEvent
 	cal *Calendar
 	id  uint64 // slot index << 32 | slot generation
-}
-
-// Cancelled reports whether Cancel was called on the handle's event, or the
-// event already fired.
-func (h Handle) Cancelled() bool {
-	if h.cal != nil {
-		return !h.cal.live(h.id)
-	}
-	return h.ev == nil || h.ev.pos < 0
 }

@@ -67,8 +67,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	h := e.At(1, func() { fired = true })
 	e.Cancel(h)
-	if !h.Cancelled() {
-		t.Fatal("handle should report cancelled")
+	if e.Pending() != 0 {
+		t.Fatal("cancelled event still pending")
 	}
 	e.Run()
 	if fired {
@@ -265,7 +265,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 // from where it schedules one more.
 func TestSparseRingMatchesHeap(t *testing.T) {
 	span := Time(calBuckets*defaultWidthFS) / fsPerSec
-	pops := func(e Engine) []string {
+	pops := func(e cancelEngine) []string {
 		var got []string
 		at := func(t Time, name string) Handle {
 			return e.At(t, func() { got = append(got, fmt.Sprintf("%s@%v", name, e.Now())) })

@@ -53,8 +53,15 @@ type fuzzPop struct {
 	at    Time
 }
 
+// cancelEngine is the engine contract plus the Cancel that Sequential and
+// Heap keep outside it.
+type cancelEngine interface {
+	Engine
+	Cancel(h Handle)
+}
+
 type fuzzRun struct {
-	e       Engine
+	e       cancelEngine
 	cal     *Calendar // nil on the oracle, which replays stamps
 	prog    []byte
 	pos     int

@@ -101,6 +101,8 @@ func (e *Heap) AtShardCommit(shard int, t Time, fn CommitFn, a any, b int64) Han
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
+//
+//charmvet:unreached test oracle: FuzzCalendarMatchesHeap's reference for Sequential.Cancel
 func (e *Heap) Cancel(h Handle) {
 	if h.ev != nil && h.ev.pos >= 0 {
 		heap.Remove(&e.heap, h.ev.pos)

@@ -25,6 +25,8 @@ func SetWorkers(n int) {
 }
 
 // Workers returns the current sweep parallelism.
+//
+//charmvet:unreached test oracle: cmd/figures' usage test checks that a refused run leaves it unset
 func Workers() int { return sweepWorkers }
 
 // sweep evaluates fn for every point 0..n-1, up to sweepWorkers at a time,

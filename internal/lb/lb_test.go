@@ -289,8 +289,8 @@ func TestMetaSkipsWhenBalanced(t *testing.T) {
 	if migs := m.Balance(objs, pes); len(migs) != 0 {
 		t.Fatalf("meta balanced a balanced system: %d moves", len(migs))
 	}
-	if m.Skips() != 1 || m.Triggers() != 0 {
-		t.Fatalf("skips=%d triggers=%d", m.Skips(), m.Triggers())
+	if m.skips != 1 || m.triggers != 0 {
+		t.Fatalf("skips=%d triggers=%d", m.skips, m.triggers)
 	}
 }
 
@@ -298,8 +298,8 @@ func TestMetaTriggersOnImbalance(t *testing.T) {
 	objs, pes := skewed(200, 16, 13)
 	m := &Meta{Inner: Greedy{}, Threshold: 1.1}
 	migs := m.Balance(objs, pes)
-	if len(migs) == 0 || m.Triggers() != 1 {
-		t.Fatalf("meta failed to trigger: %d moves, %d triggers", len(migs), m.Triggers())
+	if len(migs) == 0 || m.triggers != 1 {
+		t.Fatalf("meta failed to trigger: %d moves, %d triggers", len(migs), m.triggers)
 	}
 	// Cheap when skipping, expensive when triggering.
 	costAfterTrigger := m.DecisionCost(200, 16)

@@ -26,12 +26,6 @@ type Meta struct {
 // Name implements charm.Strategy.
 func (m *Meta) Name() string { return "MetaLB(" + m.Inner.Name() + ")" }
 
-// Triggers returns how many barriers actually rebalanced.
-func (m *Meta) Triggers() int { return m.triggers }
-
-// Skips returns how many barriers were cheap no-ops.
-func (m *Meta) Skips() int { return m.skips }
-
 // Balance implements charm.Strategy.
 func (m *Meta) Balance(objs []charm.LBObject, pes []charm.LBPE) []charm.Migration {
 	maxEff, avgEff := Imbalance(objs, pes)

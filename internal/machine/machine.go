@@ -33,12 +33,6 @@ func (n *Node) FreqGHz() float64 { return n.freqGHz }
 // TempC returns the node's current chip temperature.
 func (n *Node) TempC() float64 { return n.tempC }
 
-// MaxTempC returns the hottest temperature observed on the node.
-func (n *Node) MaxTempC() float64 { return n.maxTempC }
-
-// EnergyJ returns the node's accumulated energy consumption in joules.
-func (n *Node) EnergyJ() float64 { return n.energyJ }
-
 // PE is one processing element.
 type PE struct {
 	ID   int
@@ -57,6 +51,8 @@ type PE struct {
 }
 
 // Interference returns the fraction of the PE stolen by external load.
+//
+//charmvet:unreached test oracle: the cloud package's tests read the injected fraction back through it
 func (p *PE) Interference() float64 { return p.interference }
 
 // Speed returns the PE's effective speed as a multiple of a dedicated PE at
@@ -112,9 +108,6 @@ func (m *Machine) NumNodes() int { return len(m.nodes) }
 // PE returns PE i.
 func (m *Machine) PE(i int) *PE { return m.pes[i] }
 
-// NodeOf returns the node hosting PE i.
-func (m *Machine) NodeOf(i int) *Node { return m.pes[i].Node }
-
 // Node returns node i.
 func (m *Machine) Node(i int) *Node { return m.nodes[i] }
 
@@ -126,10 +119,6 @@ func (m *Machine) SetInterference(pe int, frac float64) {
 	m.pes[pe].interference = frac
 	m.resetSpeed(m.pes[pe])
 }
-
-// Interference returns the external-load fraction currently set on PE i
-// (fault-injection campaigns report straggler windows through it).
-func (m *Machine) Interference(pe int) float64 { return m.pes[pe].interference }
 
 // ResetNIC clears the egress NIC queue of the node hosting pe: a crashed
 // node reboots with an empty NIC, so transmissions it had queued — now
@@ -147,16 +136,6 @@ func (m *Machine) ResetAllNICs() {
 	for n := range m.nicFreeAt {
 		m.nicFreeAt[n] = 0
 	}
-}
-
-// SetNodeCooling scales node n's thermal resistance: factors above 1 make
-// the chip run hotter at the same power (poor rack position), below 1
-// cooler.
-func (m *Machine) SetNodeCooling(n int, factor float64) {
-	if factor <= 0 {
-		panic("machine: cooling factor must be positive")
-	}
-	m.nodes[n].coolFactor = factor
 }
 
 // SpreadCooling applies a deterministic linear cooling gradient across the

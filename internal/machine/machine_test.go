@@ -332,7 +332,7 @@ func TestEnergyAccounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.StepThermal(1.0)
 	}
-	busy, idle := m.Node(0).EnergyJ(), m.Node(1).EnergyJ()
+	busy, idle := m.Node(0).energyJ, m.Node(1).energyJ
 	if busy <= idle {
 		t.Fatalf("busy node energy %v should exceed idle %v", busy, idle)
 	}
@@ -349,9 +349,9 @@ func TestEnergyAccounting(t *testing.T) {
 	m2.SetNodeFreq(0, 1.2)
 	m2.Node(0).Utilization = 1.0
 	m2.StepThermal(100)
-	if m2.Node(0).EnergyJ() >= busy {
+	if m2.Node(0).energyJ >= busy {
 		t.Fatalf("DVFS-throttled node drew %v J vs %v J at full clock",
-			m2.Node(0).EnergyJ(), busy)
+			m2.Node(0).energyJ, busy)
 	}
 }
 

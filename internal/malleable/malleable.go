@@ -85,19 +85,6 @@ func NewManager(rt *charm.Runtime) *Manager {
 	return &Manager{rt: rt, model: DefaultCostModel()}
 }
 
-// SetModel overrides the cost model.
-func (m *Manager) SetModel(cm CostModel) { m.model = cm }
-
-// RequestAt schedules a reconfiguration to newPEs at virtual time t — the
-// analogue of an external CCS shrink/expand command arriving mid-run.
-func (m *Manager) RequestAt(t des.Time, newPEs int) {
-	m.rt.Engine().At(t, func() {
-		if err := m.Reconfigure(newPEs); err != nil {
-			panic(fmt.Sprintf("malleable: %v", err))
-		}
-	})
-}
-
 // Reconfigure performs a shrink or expand immediately, returning an error
 // for invalid targets. No residual processes remain on evacuated PEs: the
 // PE set is reduced for real, per the enhanced shrink/expand the paper

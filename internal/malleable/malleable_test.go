@@ -104,22 +104,6 @@ func TestInvalidTargets(t *testing.T) {
 	}
 }
 
-func TestRequestAtFiresOnSchedule(t *testing.T) {
-	rt, _, m := build(8, 16)
-	m.RequestAt(2.0, 4)
-	rt.Engine().RunUntil(1.0)
-	if rt.NumPEs() != 8 {
-		t.Fatal("reconfiguration fired early")
-	}
-	rt.Engine().RunUntil(3.0)
-	if rt.NumPEs() != 4 {
-		t.Fatal("scheduled reconfiguration did not fire")
-	}
-	if m.Events[0].At < 2.0 {
-		t.Fatalf("event at %v, want >= 2.0", m.Events[0].At)
-	}
-}
-
 func TestEvacuatePEDrainsDoomedPE(t *testing.T) {
 	rt, arr, _ := build(8, 32)
 	cm := DefaultCostModel()

@@ -29,7 +29,7 @@ func TestHandoffExactlyOnce(t *testing.T) {
 	const shards = 64
 	for _, optimistic := range []bool{false, true} {
 		t.Run(fmt.Sprintf("optimistic=%v", optimistic), func(t *testing.T) {
-			cfg := tortureCfg{lookahead: tortureLookahead, forms: true, cancels: true}
+			cfg := tortureCfg{lookahead: tortureLookahead, forms: true}
 			if optimistic {
 				cfg.lookahead = 0 // straggler bait: rollbacks land on every claim state
 			}

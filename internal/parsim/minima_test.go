@@ -65,18 +65,16 @@ func (p *minimaProbe) EventExecuted(int, des.Time, int) {
 }
 
 // TestMinimaMatchCalendarScan is the launch pipeline's property test: over
-// the torture workload with cancels — pending, fired and, optimistically,
-// in-flight — in both modes and at several worker counts, every cached
-// shard candidate, heap and ready bit equals what a scan of the calendar
-// says after every step. The pending sets are exact, so a step that failed
-// to drop the popped event, or a cancel that left its entry behind, shows
-// at once.
+// the torture workload in both modes and at several worker counts, every
+// cached shard candidate, heap and ready bit equals what a scan of the
+// calendar says after every step. The pending sets are exact, so a step
+// that failed to drop the popped event shows at once.
 func TestMinimaMatchCalendarScan(t *testing.T) {
 	const shards = 8
 	for _, conservative := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("conservative=%v/workers=%d", conservative, workers), func(t *testing.T) {
-				cfg := tortureCfg{forms: true, cancels: true}
+				cfg := tortureCfg{forms: true}
 				var e *Engine
 				state := make([]int64, shards)
 				if conservative {
@@ -89,9 +87,9 @@ func TestMinimaMatchCalendarScan(t *testing.T) {
 				}
 				p := &minimaProbe{t: t, e: e}
 				e.SetProbe(p)
-				_, tally := tortureWorkload(e, state, shards, cfg)
-				if tally.cancelPending == 0 || p.steps < 2000 {
-					t.Fatalf("%d steps, cancel tally %+v: want a long run that cancels pending events", p.steps, tally)
+				tortureWorkload(e, state, shards, cfg)
+				if p.steps < 2000 {
+					t.Fatalf("%d steps: want a long run", p.steps)
 				}
 				if e.stats.Launched == 0 {
 					t.Fatal("nothing launched: the candidates were never used")

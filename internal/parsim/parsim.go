@@ -13,8 +13,7 @@
 // and writes only its shard's state, buffers everything else) and a commit
 // closure (applies the buffered global effects). Before every pop the driver
 // compares each shard's earliest pending event — its cached candidate,
-// replaced only when a push, pop or cancel can have changed it — against
-// the window
+// replaced only when a push or pop can have changed it — against the window
 // [top, top+W) opened by the calendar head, and *launches* it when it lies
 // inside, is not the head itself (the driver runs that inline), is not a
 // commit-only body, and does not follow the earliest pending global event.
@@ -23,10 +22,9 @@
 // helpers never touch the slab, and the steady-state schedule → launch →
 // pop → commit cycle allocates nothing. A shard's pending events are held
 // exactly, the candidate and a min-heap of the rest: the calendar head is
-// always its shard's candidate, so a pop replaces it from the heap's top, a
-// cancel removes its entry at once, and an entry carries whether its body
-// has a phase, so neither finding nor classifying a candidate reads the
-// slab. The pass before a pop visits only
+// always its shard's candidate, so a pop replaces it from the heap's top,
+// and an entry carries whether its body has a phase, so neither finding nor
+// classifying a candidate reads the slab. The pass before a pop visits only
 // the shards whose cached candidate is launchable — a bitmask kept exact
 // wherever that flips — so its cost follows the live shards, not the shard
 // count, and it still visits them in ascending shard order. The pop then
@@ -43,8 +41,8 @@
 // A launched phase is its shard's earliest event, phases of distinct
 // shards touch disjoint state, and shard state is otherwise mutated only by
 // that shard's own commits — so the one way an early phase can be wrong is a
-// *straggler*: a new event (or a cancellation) arriving in its past. Every
-// scheduling entry point checks for one.
+// *straggler*: a new event arriving in its past. Every scheduling entry
+// point checks for one.
 //
 // # Who runs a launched phase
 //
@@ -55,9 +53,9 @@
 // the gate is shut and a launch only records the candidate's key in the
 // shard's flight. Such an unposted flight is run by the driver at its pop,
 // straight from the popped event, exactly like an inline event: no copy, no
-// atomic and no wake. Three things need an unposted phase's result before
-// its pop, and run it from the slab where it still sits: a rollback,
-// conservative run exit, and Cancel (before the calendar drops the body).
+// atomic and no wake. Two things need an unposted phase's result before its
+// pop, and run it from the slab where it still sits: a rollback and
+// conservative run exit.
 //
 // While the gate is open a launch posts the phase: it copies the event into
 // the flight, and an atomic state on the record goes posted → running →
@@ -93,8 +91,8 @@
 // it was unposted or still only posted, so the Controller always sees a
 // phase that ran), discards its withheld commit closure, and asks the Controller to
 // undo the phase's shard-local mutations. Every globally visible effect of
-// a phase is buffered in the commit closure, which never ran, so cancelling
-// a speculation needs no anti-messages; the event stays scheduled and runs
+// a phase is buffered in the commit closure, which never ran, so undoing a
+// speculation needs no anti-messages; the event stays scheduled and runs
 // again at or before its pop. Commits are serialized on the driver, so the
 // Global Virtual Time is exact — the last popped timestamp — and fossil
 // collection is eager: CommitSpec releases a shard's undo state the moment
@@ -215,7 +213,7 @@ type candidate struct {
 
 // minHeap is a binary min-heap of minEnts in event order: with its
 // candidate, exactly its shard's (or the globals') pending events. An entry
-// leaves when its event pops or is cancelled, never lazily.
+// leaves when its event pops, never lazily.
 type minHeap []minEnt
 
 func (h minHeap) less(i, j int) bool { return h[i].Before(h[j].Ent) }
@@ -253,16 +251,13 @@ func (hp *minHeap) push(x minEnt) {
 	hp.up(len(*hp) - 1)
 }
 
-// remove deletes and returns entry i.
-func (hp *minHeap) remove(i int) minEnt {
+// pop deletes and returns the earliest entry.
+func (hp *minHeap) pop() minEnt {
 	h := *hp
-	x, n := h[i], len(h)-1
-	h[i] = h[n]
+	x, n := h[0], len(h)-1
+	h[0] = h[n]
 	h = h[:n]
-	if i < n {
-		h.down(i)
-		h.up(i)
-	}
+	h.down(0)
 	*hp = h
 	return x
 }
@@ -313,7 +308,7 @@ type Engine struct {
 	minima     []minHeap
 	cand       []candidate
 	ready      []uint64
-	recomputes uint64 // candidates rebuilt after a pop or cancel (tests pin its growth)
+	recomputes uint64 // candidates rebuilt after a pop (tests pin its growth)
 
 	// Helper goroutines, alive only while Run/RunUntil executes. mu guards
 	// quit and serialises parking against waking; everything else here is
@@ -345,7 +340,7 @@ type Engine struct {
 type Stats struct {
 	Launched    uint64   // phases launched (including re-runs after rollback)
 	Committed   uint64   // launched phases whose cached commit was used at pop
-	RolledBack  uint64   // speculations undone by a straggler, cancel, or run exit
+	RolledBack  uint64   // speculations undone by a straggler or run exit
 	Inline      uint64   // sharded events run inline on the driver at pop
 	Global      uint64   // global events (always inline, always with zero in flight)
 	MaxInFlight int      // most concurrently launched phases observed
@@ -462,7 +457,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry) {
 // compute.
 func (e *Engine) Now() des.Time { return e.now }
 
-// Pending returns the number of scheduled, uncancelled events.
+// Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return e.cal.Len() }
 
 // Executed counts events that have run.
@@ -572,45 +567,6 @@ func (e *Engine) AtShardCommit(shard int, t des.Time, fn des.CommitFn, a any, b 
 	ev, h := e.schedule(shard, t, false)
 	ev.Cfn, ev.A, ev.B = fn, a, b
 	return h
-}
-
-// Cancel removes a scheduled event; an already-fired or already-cancelled
-// one is a no-op. Cancelling an event whose phase is in flight is a
-// straggler like any other: a lookahead violation conservatively, a
-// rollback optimistically — settled before the calendar drops the body,
-// which an unposted flight's phase still runs from. Nothing in the runtime
-// cancels, so finding the flight is a pass over the shards.
-func (e *Engine) Cancel(h des.Handle) {
-	for s := 0; e.inFlight > 0 && s < len(e.flights); s++ {
-		if f := &e.flights[s]; f.active && e.cal.Handle(f.key) == h {
-			if e.ctrl == nil {
-				panic("parsim: Cancel of an event whose phase is in flight (lookahead violation)")
-			}
-			e.rollback(s)
-			break
-		}
-	}
-	k, ok := e.cal.Cancel(h)
-	if !ok || e.minima == nil {
-		return
-	}
-	q := len(e.flights)
-	if k.Shard >= 0 {
-		q = int(k.Shard)
-	}
-	// The pending sets stay exact: the event leaves now, as the candidate
-	// or found in the heap by a scan (nothing in the runtime cancels).
-	if c := &e.cand[q]; c.ok && c.Seq == k.Seq {
-		e.popMin(q)
-		return
-	}
-	hp := &e.minima[q]
-	for i := range *hp {
-		if (*hp)[i].Seq == k.Seq {
-			hp.remove(i)
-			return
-		}
-	}
 }
 
 // Stop makes Run return before the next pop. Global state stops exactly
@@ -776,8 +732,8 @@ func (e *Engine) drivePhase(ev *des.Event) func() {
 	return commit
 }
 
-// popMin replaces shard (or globals) q's candidate, which just popped or
-// was cancelled, with the earliest of the rest: the pending sets are exact,
+// popMin replaces shard (or globals) q's candidate, which just popped, with
+// the earliest of the rest: the pending sets are exact,
 // so the calendar head is always its shard's candidate. It is the one place
 // a candidate is rebuilt; pushes never need it (see schedule), so the work
 // the launch pipeline does per pop follows what changed, not the shard
@@ -786,7 +742,7 @@ func (e *Engine) popMin(q int) {
 	e.recomputes++
 	c := &e.cand[q]
 	if h := &e.minima[q]; len(*h) > 0 {
-		c.minEnt = h.remove(0)
+		c.minEnt = h.pop()
 	} else {
 		c.ok, c.phase = false, false
 	}

@@ -337,83 +337,11 @@ func TestGlobalStragglerRollsBackLaterSpeculations(t *testing.T) {
 	c.balanced(t)
 }
 
-// TestCancelPendingEvent works like the sequential engine: the cancelled
-// event sits behind its shard's minimum, so it is never in flight.
-func TestCancelPendingEvent(t *testing.T) {
-	bothModes(t, 2, 2, func(t *testing.T, e *Engine, c *sliceCtrl) {
-		atShard(e, 1, 1.5, func() func() { return nil })
-		h := atShard(e, 1, 2.0, func() func() { t.Error("cancelled event still ran"); return nil })
-		atShard(e, 0, 0.1, func() func() {
-			return func() { e.Cancel(h) }
-		})
-		e.Run()
-		if !h.Cancelled() || e.Pending() != 0 || e.Executed() != 2 {
-			t.Fatalf("cancelled=%v pending=%d executed=%d after run, want true, 0, 2", h.Cancelled(), e.Pending(), e.Executed())
-		}
-		c.balanced(t)
-	})
-}
-
-// TestCancelInFlightPanics: conservatively, cancelling an event whose
-// phase is in flight is a lookahead violation.
-func TestCancelInFlightPanics(t *testing.T) {
-	e := mkConservative(2, 2)
-	h := atShard(e, 1, 0.101, func() func() { return nil })
-	atShard(e, 0, 0.1, func() func() {
-		return func() { e.Cancel(h) }
-	})
-	expectPanic(t, e, "cancelling an in-flight event")
-}
-
 // shutGate shuts e's grain gate before a run, as a warm-up of cheap phases
 // would: launches then only record their candidate and post nothing. The
 // small tests that use it never reach the gate's first sample, so it stays
 // shut for the whole run.
 func shutGate(e *Engine) { e.gateShut.Store(true) }
-
-// TestCancelInFlightRollsBack: optimistically, cancelling a speculated
-// event is an ordinary straggler: the speculation is undone and the event
-// never commits. With the gate shut the speculation was never posted, so
-// the cancel itself runs its phase, from the calendar, before the calendar
-// drops the event: once, like a posted phase, and then rolls it back.
-func TestCancelInFlightRollsBack(t *testing.T) {
-	for _, shut := range []bool{false, true} {
-		t.Run(fmt.Sprintf("gateShut=%v", shut), func(t *testing.T) {
-			e, c := mkOptimistic(2, 2)
-			if shut {
-				shutGate(e)
-			}
-			var runs atomic.Int64
-			h := atShard(e, 1, 5.0, func() func() {
-				runs.Add(1)
-				c.state[1]++
-				return func() { t.Error("cancelled event's commit ran") }
-			})
-			atShard(e, 0, 0.1, func() func() {
-				return func() {
-					if f := &e.flights[1]; !f.active || f.posted == shut {
-						t.Errorf("shard 1's flight active=%v posted=%v before the cancel, want launched and posted=%v", f.active, f.posted, !shut)
-					}
-					e.Cancel(h)
-				}
-			})
-			e.Run()
-			if c.rolledBack != 1 {
-				t.Fatalf("rolled back %d, want 1", c.rolledBack)
-			}
-			if runs.Load() != 1 {
-				t.Fatalf("cancelled speculation's phase ran %d times, want exactly once", runs.Load())
-			}
-			if c.state[1] != 0 {
-				t.Fatalf("shard 1 state %d after cancelled speculation, want 0", c.state[1])
-			}
-			if e.Pending() != 0 {
-				t.Fatalf("pending %d after run, want 0", e.Pending())
-			}
-			c.balanced(t)
-		})
-	}
-}
 
 // TestRunUntil bounds launches by the horizon and advances the clock.
 func TestRunUntil(t *testing.T) {
@@ -566,69 +494,6 @@ func TestStragglerDiscardsSpeculativePanic(t *testing.T) {
 	}
 }
 
-// TestCancelAfterFireIsNoOp: Cancel of an already-fired handle is a no-op
-// on every backend — des.Engine's documented contract. Two shard events are
-// scheduled so the later one is launched early (where the engine launches
-// at all); after the run both handles are cancelled, and then cancelled
-// again once their slots have been recycled by a live event, which the
-// handle's generation must protect.
-func TestCancelAfterFireIsNoOp(t *testing.T) {
-	opt, ctrl := mkOptimistic(2, 2)
-	engines := []struct {
-		name string
-		e    des.Engine
-	}{
-		{"sequential", des.NewEngine()},
-		{"heap", des.NewHeapEngine()},
-		{"conservative", mkConservative(2, 2)},
-		{"optimistic", opt},
-	}
-	for _, tc := range engines {
-		t.Run(tc.name, func(t *testing.T) {
-			e := tc.e
-			fired := 0
-			body := func() func() { return func() { fired++ } }
-			hs := []des.Handle{atShard(e, 0, 0.1, body), atShard(e, 1, 0.2, body)}
-			// A third event keeps shard 1 speculating after its first
-			// phase pops, so a misdirected rollback would have a victim.
-			atShard(e, 0, 0.3, func() func() {
-				return func() {
-					for _, h := range hs {
-						if !h.Cancelled() {
-							t.Error("fired handle does not report Cancelled")
-						}
-						e.Cancel(h)
-					}
-				}
-			})
-			atShard(e, 1, 0.4, body)
-			e.Run()
-			if fired != 3 || e.Pending() != 0 {
-				t.Fatalf("fired %d pending %d after cancelling fired handles, want 3 and 0", fired, e.Pending())
-			}
-			// Recycle the fired events' storage, then cancel the stale
-			// handles again: the new tenants must survive.
-			for i := 0; i < 4; i++ {
-				atShard(e, i%2, 1.0+des.Time(i), body)
-			}
-			for _, h := range hs {
-				e.Cancel(h)
-			}
-			if e.Pending() != 4 {
-				t.Fatalf("pending %d after stale cancels, want 4 — a stale handle cancelled a recycled slot", e.Pending())
-			}
-			e.Run()
-			if fired != 7 {
-				t.Fatalf("fired %d, want 7", fired)
-			}
-		})
-	}
-	ctrl.balanced(t)
-	if ctrl.rolledBack != 0 {
-		t.Fatalf("cancelling fired handles rolled back %d speculations", ctrl.rolledBack)
-	}
-}
-
 // The calendar keys buckets on femtoseconds in a uint64, which saturates at
 // ≈18,446.744 virtual seconds. A global event that starts just below the
 // boundary and re-arms itself across it must keep running on every engine:
@@ -674,21 +539,13 @@ func TestRearmAcrossCalendarSaturation(t *testing.T) {
 // pinned below.
 type tortureCfg struct {
 	// lookahead > 0 makes every cross-shard and global follow-on land at
-	// least that far ahead, and restricts cancels to events that cannot be
-	// in flight — the discipline the conservative mode demands.
+	// least that far ahead — the discipline the conservative mode demands.
 	lookahead des.Time
 	forms     bool     // rotate closure-phase / PhaseFn / CommitFn bodies
-	cancels   bool     // cancel pending, in-flight and already-fired handles
 	slice     des.Time // > 0: drive with RunUntil slices this wide, not Run
 	// Hooks: phase runs inside every state mutation (on whichever goroutine
 	// executes it), commit at the start of every commit (on the driver).
 	phase, commit func()
-}
-
-// tortureTally counts what the optional inputs actually exercised.
-type tortureTally struct {
-	cancelPending, cancelFired, cancelInFlight int
-	slices                                     int
 }
 
 // tortureWorkload drives an engine through a seeded self-expanding event
@@ -697,45 +554,15 @@ type tortureTally struct {
 // occasional far-future work (speculation depth) and global events
 // (forced rollbacks of everything in flight). Phase bodies mutate
 // per-shard state; commits log shard, timestamp, and state, so the log
-// captures both order and the correctness of every rollback restore.
-func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([]string, tortureTally) {
+// captures both order and the correctness of every rollback restore. It
+// returns the log and the number of RunUntil slices it drove.
+func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([]string, int) {
 	var log []string
-	var tally tortureTally
+	slices := 0
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(n uint64) uint64 {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return (rng >> 33) % n
-	}
-	type sched struct {
-		h  des.Handle
-		at des.Time
-	}
-	var handles []sched
-	pe, _ := e.(*Engine)
-	cancelOne := func() {
-		// Mostly recent handles (likely pending or speculated), sometimes
-		// any handle ever minted (likely fired, its slot long recycled).
-		span := uint64(len(handles))
-		if next(4) != 0 {
-			span = min(span, 16)
-		}
-		c := handles[uint64(len(handles))-1-next(span)]
-		switch {
-		case c.h.Cancelled():
-			tally.cancelFired++
-		case cfg.lookahead > 0 && c.at < e.Now()+cfg.lookahead:
-			return // may be in flight: off limits under the lookahead discipline
-		default:
-			tally.cancelPending++
-		}
-		var before uint64
-		if pe != nil {
-			before = pe.stats.RolledBack
-		}
-		e.Cancel(c.h)
-		if pe != nil && pe.stats.RolledBack != before {
-			tally.cancelInFlight++
-		}
 	}
 	budget := 2500
 	var schedule func(from, shard int, t des.Time)
@@ -768,9 +595,6 @@ func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([
 				log = append(log, fmt.Sprintf("g@%.9f", at))
 			})
 		}
-		if cfg.cancels && next(6) == 0 {
-			cancelOne()
-		}
 	}
 	pfn := func(_ any, shard int64, t des.Time) func() {
 		v := phase(int(shard))
@@ -785,20 +609,16 @@ func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([
 		if cfg.forms {
 			form = next(3)
 		}
-		var h des.Handle
 		switch form {
 		case 0:
-			h = atShard(e, shard, t, func() func() {
+			atShard(e, shard, t, func() func() {
 				v := phase(shard)
 				return func() { commit(shard, t, v) }
 			})
 		case 1:
-			h = e.AtShardFn(shard, t, pfn, nil, int64(shard))
+			e.AtShardFn(shard, t, pfn, nil, int64(shard))
 		case 2:
-			h = e.AtShardCommit(shard, t, cfn, nil, int64(shard))
-		}
-		if cfg.cancels {
-			handles = append(handles, sched{h, t})
+			e.AtShardCommit(shard, t, cfn, nil, int64(shard))
 		}
 	}
 	for s := 0; s < shards; s++ {
@@ -811,9 +631,9 @@ func tortureWorkload(e des.Engine, state []int64, shards int, cfg tortureCfg) ([
 	}
 	for e.Pending() > 0 {
 		e.RunUntil(e.Now() + cfg.slice)
-		tally.slices++
+		slices++
 	}
-	return log, tally
+	return log, slices
 }
 
 // tortureLookahead is the conservative torture variant's lookahead: a tenth
@@ -824,8 +644,7 @@ const tortureLookahead = 1e-3
 // TestTortureCascadesMatchSequential is the differential torture test: thousands of
 // events whose commits continually schedule into the past of deep
 // speculations (or, in the lookahead-respecting variant, right at the
-// conservative window's edge), cancel handles in every lifecycle state,
-// mix the sharded body forms, and cut the run into RunUntil slices
+// conservative window's edge), mix the sharded body forms, and cut the run into RunUntil slices
 // must produce a commit log — order, timestamps, and rolled-back-and-
 // restored shard state — byte-equal to the des.Heap oracle's on the
 // sequential engine and on the parallel engine in both modes, on several
@@ -835,27 +654,25 @@ func TestTortureCascadesMatchSequential(t *testing.T) {
 	for _, cfg := range []tortureCfg{
 		{},
 		{forms: true},
-		{cancels: true},
 		{slice: 0.05},
-		{forms: true, cancels: true, slice: 0.05},
+		{forms: true, slice: 0.05},
 		{lookahead: tortureLookahead},
-		{lookahead: tortureLookahead, forms: true, cancels: true, slice: 0.05},
+		{lookahead: tortureLookahead, forms: true, slice: 0.05},
 	} {
-		t.Run(fmt.Sprintf("%+v", cfg), func(t *testing.T) {
+		// The hooks are nil in every case here, so the name leaves them out.
+		name := fmt.Sprintf("{lookahead:%v forms:%v slice:%v}", cfg.lookahead, cfg.forms, cfg.slice)
+		t.Run(name, func(t *testing.T) {
 			wantState := make([]int64, shards)
-			want, tally := tortureWorkload(des.NewHeapEngine(), wantState, shards, cfg)
+			want, slices := tortureWorkload(des.NewHeapEngine(), wantState, shards, cfg)
 			if len(want) < 2000 {
 				t.Fatalf("torture workload produced only %d events; the web failed to expand", len(want))
 			}
-			if cfg.cancels && (tally.cancelPending == 0 || tally.cancelFired == 0) {
-				t.Fatalf("cancel tally %+v: want pending and fired handles both cancelled", tally)
+			if cfg.slice > 0 && slices < 10 {
+				t.Fatalf("only %d RunUntil slices", slices)
 			}
-			if cfg.slice > 0 && tally.slices < 10 {
-				t.Fatalf("only %d RunUntil slices", tally.slices)
-			}
-			check := func(name string, e des.Engine, state []int64) tortureTally {
+			check := func(name string, e des.Engine, state []int64) {
 				t.Helper()
-				got, tally := tortureWorkload(e, state, shards, cfg)
+				got, _ := tortureWorkload(e, state, shards, cfg)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d committed events, want %d", name, len(got), len(want))
 				}
@@ -869,18 +686,14 @@ func TestTortureCascadesMatchSequential(t *testing.T) {
 						t.Fatalf("%s: shard %d final state %d, want %d", name, s, state[s], wantState[s])
 					}
 				}
-				return tally
 			}
 			check("sequential", des.NewEngine(), make([]int64, shards))
 			for _, workers := range []int{1, 2, 8} {
 				e, c := mkOptimistic(shards, workers)
-				tally := check(fmt.Sprintf("optimistic/workers=%d", workers), e, c.state)
+				check(fmt.Sprintf("optimistic/workers=%d", workers), e, c.state)
 				c.balanced(t)
 				if cfg.lookahead == 0 && e.stats.RolledBack == 0 {
 					t.Fatal("torture run never rolled back — the cascade pressure is gone")
-				}
-				if cfg.cancels && cfg.lookahead == 0 && tally.cancelInFlight == 0 {
-					t.Fatal("no cancel ever hit an in-flight speculation")
 				}
 				if cfg.lookahead == 0 {
 					continue

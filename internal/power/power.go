@@ -58,7 +58,6 @@ type Controller struct {
 
 	meta    *lb.Meta
 	lastLB  des.Time
-	stopped bool
 	history []Sample
 }
 
@@ -93,24 +92,18 @@ func NewController(rt *charm.Runtime, policy Policy) *Controller {
 	return c
 }
 
-// History returns the recorded samples.
-func (c *Controller) History() []Sample { return c.history }
-
 // Start begins periodic sampling. The loop stops itself when the runtime
-// exits or Stop is called.
+// exits.
 func (c *Controller) Start() {
 	c.tickLater()
 }
-
-// Stop halts the control loop after the current tick.
-func (c *Controller) Stop() { c.stopped = true }
 
 func (c *Controller) tickLater() {
 	c.rt.Engine().At(c.rt.Now()+c.SamplePeriod, c.tick)
 }
 
 func (c *Controller) tick() {
-	if c.stopped || c.rt.Exited() {
+	if c.rt.Exited() {
 		return
 	}
 	rt := c.rt

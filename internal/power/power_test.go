@@ -97,12 +97,12 @@ func TestControllerRecordsHistory(t *testing.T) {
 	ctl := NewController(rt, NaiveDVFS)
 	ctl.SamplePeriod = 0.5
 	ctl.Start()
-	rt.Engine().At(5.2, func() { ctl.Stop() })
+	rt.Engine().At(5.2, rt.Engine().Stop)
 	rt.Engine().Run()
-	if len(ctl.History()) < 8 {
-		t.Fatalf("controller recorded %d samples over 5s at 0.5s period", len(ctl.History()))
+	if len(ctl.history) < 8 {
+		t.Fatalf("controller recorded %d samples over 5s at 0.5s period", len(ctl.history))
 	}
-	for _, s := range ctl.History() {
+	for _, s := range ctl.history {
 		if s.MaxFreq < s.MinFreq {
 			t.Fatalf("bad sample %+v", s)
 		}

@@ -23,7 +23,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -45,15 +44,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable float64 metric.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores x.
-func (g *Gauge) Set(x float64) { g.bits.Store(math.Float64bits(x)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Timer accumulates wall-clock durations in nanoseconds: count, total, and
 // max. Callers read the clock themselves (the telemetry layer owns every
@@ -153,7 +143,6 @@ type Metric struct {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
@@ -163,7 +152,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		timers:   map[string]*Timer{},
 		hists:    map[string]*Histogram{},
 		funcs:    map[string]func() float64{},
@@ -188,23 +176,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Timer returns the named timer, creating it on first use.
@@ -250,25 +221,15 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.counters) + len(r.gauges) + len(r.timers) + len(r.hists) + len(r.funcs)
-}
-
 // Export evaluates every metric into its typed form, sorted by name, so
 // exports are deterministic regardless of registration order. Like
 // Snapshot it evaluates GaugeFuncs, so call it from driver, commit, or
 // post-run context.
 func (r *Registry) Export() []Metric {
 	r.mu.RLock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.timers)+len(r.hists)+len(r.funcs))
+	out := make([]Metric, 0, len(r.counters)+len(r.timers)+len(r.hists)+len(r.funcs))
 	for name, c := range r.counters {
 		out = append(out, Metric{Name: name, Kind: KindCounter, Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Kind: KindGauge, Value: g.Value()})
 	}
 	for name, fn := range r.funcs {
 		out = append(out, Metric{Name: name, Kind: KindGauge, Value: fn()})
@@ -352,19 +313,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (metric names sanitized to the Prometheus charset, timers as
-// count/sum/max with sums converted to seconds, histograms with cumulative
-// le-labeled buckets).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WritePrometheus(w, r.Export())
-}
-
-// WriteJSON renders the registry's typed export as a JSON array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return WriteJSON(w, r.Export())
-}
-
 // promName maps a registry name to the Prometheus charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*.
 func promName(name string) string {
@@ -418,11 +366,4 @@ func WritePrometheus(w io.Writer, ms []Metric) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders an exported metric set as an indented JSON array.
-func WriteJSON(w io.Writer, ms []Metric) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ms)
 }

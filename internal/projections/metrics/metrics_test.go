@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -19,23 +17,19 @@ func TestCounterAndGauge(t *testing.T) {
 	if r.Counter("a.count") != c {
 		t.Fatal("Counter is not get-or-create")
 	}
-	g := r.Gauge("a.gauge")
-	g.Set(2.5)
-	if g.Value() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Value())
-	}
-	if r.Gauge("a.gauge") != g {
-		t.Fatal("Gauge is not get-or-create")
+	r.GaugeFunc("a.gauge", func() float64 { return 2.5 })
+	if snap := r.Snapshot(); len(snap) != 2 || snap[1] != (Sample{"a.gauge", 2.5}) {
+		t.Fatalf("snapshot %+v, want a.count then a.gauge = 2.5", snap)
 	}
 }
 
 func TestSnapshotSortedAndComplete(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(3)
-	r.Gauge("m.mid").Set(7)
+	r.GaugeFunc("m.mid", func() float64 { return 7 })
 	r.GaugeFunc("a.first", func() float64 { return 1 })
 	snap := r.Snapshot()
-	if len(snap) != 3 || r.Len() != 3 {
+	if len(snap) != 3 {
 		t.Fatalf("snapshot has %d samples, want 3", len(snap))
 	}
 	names := []string{snap[0].Name, snap[1].Name, snap[2].Name}
@@ -54,7 +48,7 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 func TestSnapshotIsFlattenedExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)
-	r.Gauge("g").Set(2.5)
+	r.GaugeFunc("g", func() float64 { return 2.5 })
 	r.GaugeFunc("f", func() float64 { return 9 })
 	r.Timer("t").ObserveNs(100)
 	r.Timer("t").ObserveNs(300)
@@ -157,7 +151,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 func TestExportDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c.z").Inc()
-	r.Gauge("b.g").Set(1)
+	r.GaugeFunc("b.g", func() float64 { return 1 })
 	r.Timer("a.t").ObserveNs(1)
 	r.Histogram("d.h").Observe(1)
 	r.GaugeFunc("e.f", func() float64 { return 9 })
@@ -194,7 +188,6 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Counter("hammer.count").Inc()
-				r.Gauge("hammer.gauge").Set(float64(i))
 				r.Timer("hammer.timer").ObserveNs(int64(i))
 				r.Histogram("hammer.hist").Observe(uint64(i))
 				if i%100 == 0 {
@@ -222,11 +215,11 @@ func TestConcurrentHammer(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rts.msgs_sent").Add(7)
-	r.Gauge("optsim.gvt").Set(1.5)
+	r.GaugeFunc("optsim.gvt", func() float64 { return 1.5 })
 	r.Timer("wall.phase").ObserveNs(2e9)
 	r.Histogram("wall.lat").Observe(3)
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, r.Export()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -239,36 +232,6 @@ func TestWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(2)
-	r.Histogram("h").Observe(10)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var ms []Metric
-	if err := json.Unmarshal([]byte(b.String()), &ms); err != nil {
-		t.Fatalf("JSON export does not parse: %v\n%s", err, b.String())
-	}
-	if len(ms) != 2 || ms[0].Name != "a" || ms[0].Kind != KindCounter || ms[1].Kind != KindHistogram {
-		t.Fatalf("unexpected JSON export: %+v", ms)
-	}
-}
-
-func TestGaugeNegativeAndInf(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("g")
-	g.Set(-3.25)
-	if g.Value() != -3.25 {
-		t.Fatalf("gauge = %v, want -3.25", g.Value())
-	}
-	g.Set(math.Inf(1))
-	if !math.IsInf(g.Value(), 1) {
-		t.Fatalf("gauge = %v, want +Inf", g.Value())
 	}
 }
 

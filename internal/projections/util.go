@@ -107,25 +107,6 @@ func (u Utilization) HottestPE() (pe int, util float64) {
 	return pe, sums[pe] / float64(len(u.Samples))
 }
 
-// Summary renders a per-window table: time, mean/min/max utilization,
-// message throughput.
-func (u Utilization) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-8s %-8s %-8s %s\n", "t(s)", "mean", "min", "max", "msgs")
-	for _, s := range u.Samples {
-		mean, lo, hi := 0.0, 1.0, 0.0
-		for _, v := range s.Util {
-			mean += v
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		if len(s.Util) > 0 {
-			mean /= float64(len(s.Util))
-		}
-		fmt.Fprintf(&b, "%-10.4f %-8.2f %-8.2f %-8.2f %d\n", float64(s.At), mean, lo, hi, s.Msgs)
-	}
-	return b.String()
-}
-
 // utilGlyphs maps utilization to density characters.
 var utilGlyphs = []rune(" .:-=+*#%@")
 

@@ -110,14 +110,9 @@ func TestUtilizationMatchesBusyTime(t *testing.T) {
 	}
 }
 
-func TestSummaryAndTimelineRender(t *testing.T) {
+func TestTimelineRender(t *testing.T) {
 	_, tr := imbalancedRun(t, 4, "", nil)
-	u := tr.Utilization(0.1)
-	sum := u.Summary()
-	if !strings.Contains(sum, "mean") || len(strings.Split(sum, "\n")) < 5 {
-		t.Fatalf("summary too small:\n%s", sum)
-	}
-	tl := u.Timeline(0)
+	tl := tr.Utilization(0.1).Timeline(0)
 	lines := strings.Split(strings.TrimSpace(tl), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("timeline rows %d, want 4:\n%s", len(lines), tl)
@@ -181,7 +176,12 @@ func TestAttachSchedulesNothing(t *testing.T) {
 // PEs read as idle.
 func TestShrinkMidTrace(t *testing.T) {
 	rt, tr := imbalancedRun(t, 8, "", func(rt *charm.Runtime) {
-		malleable.NewManager(rt).RequestAt(0.42, 4)
+		m := malleable.NewManager(rt)
+		rt.Engine().At(0.42, func() {
+			if err := m.Reconfigure(4); err != nil {
+				panic(err)
+			}
+		})
 	})
 	if rt.NumPEs() != 4 {
 		t.Fatalf("shrink did not take: %d active PEs", rt.NumPEs())
@@ -204,8 +204,8 @@ func TestShrinkMidTrace(t *testing.T) {
 	}
 }
 
-// Golden renders: Summary and Timeline are consumed by scripts and eyes
-// alike, so their exact shape is locked here against a hand-built table.
+// Golden render: Timeline is consumed by scripts and eyes alike, so its
+// exact shape is locked here against a hand-built table.
 func goldenUtilization() Utilization {
 	return Utilization{
 		Interval: 0.1, NumPEs: 2,
@@ -214,17 +214,6 @@ func goldenUtilization() Utilization {
 			{At: 0.2, Util: []float64{0.5, 0.25}, Msgs: 3},
 			{At: 0.3, Util: []float64{0.0, 1.0}, Msgs: 0},
 		},
-	}
-}
-
-func TestSummaryGolden(t *testing.T) {
-	got := goldenUtilization().Summary()
-	want := "t(s)       mean     min      max      msgs\n" +
-		"0.1000     0.50     0.00     1.00     7\n" +
-		"0.2000     0.38     0.25     0.50     3\n" +
-		"0.3000     0.50     0.00     1.00     0\n"
-	if got != want {
-		t.Fatalf("summary drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

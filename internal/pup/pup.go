@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -53,34 +52,16 @@ type Pup struct {
 	mode Mode
 	buf  []byte
 	off  int
-	// grow: a packing cursor appends, growing buf as it goes (Append,
-	// PackTo), instead of filling a buffer sized up front (NewPacker).
-	grow bool
 }
 
-// NewSizer returns a Pup that measures.
-func NewSizer() *Pup { return &Pup{mode: Sizing} }
-
-// NewPacker returns a Pup that writes into buf, which must be large enough
-// (use Size first, or the Pack convenience function).
-func NewPacker(buf []byte) *Pup { return &Pup{mode: Packing, buf: buf} }
-
-// NewUnpacker returns a Pup that reads from buf.
-func NewUnpacker(buf []byte) *Pup { return &Pup{mode: Unpacking, buf: buf} }
-
 // Mode returns the traversal mode.
+//
+//charmvet:unreached test oracle: the traversal-count pins in charm and chaos tell sizing, packing and unpacking apart with it
 func (p *Pup) Mode() Mode { return p.mode }
 
 // IsUnpacking reports whether the traversal restores state; Pup methods use
 // it to allocate structures before filling them.
 func (p *Pup) IsUnpacking() bool { return p.mode == Unpacking }
-
-// IsSizing reports whether the traversal only measures.
-func (p *Pup) IsSizing() bool { return p.mode == Sizing }
-
-// Bytes returns the cursor position: the measured size after a sizing
-// traversal, or the bytes consumed/produced so far.
-func (p *Pup) Bytes() int { return p.off }
 
 func (p *Pup) need(n int) []byte {
 	switch p.mode {
@@ -89,9 +70,6 @@ func (p *Pup) need(n int) []byte {
 		return nil
 	case Packing:
 		if p.off+n > len(p.buf) {
-			if !p.grow {
-				panic(fmt.Sprintf("pup: packing overflow at %d+%d of %d", p.off, n, len(p.buf)))
-			}
 			if p.off+n > cap(p.buf) {
 				// Double, rather than append's 1.25x for large slices: an
 				// arena packed from empty allocates about twice its size.
@@ -122,7 +100,7 @@ func (p *Pup) Uint64(v *uint64) {
 	}
 }
 
-// The composite helpers below (Int64, Int, Int32, Bool, Float64, Float32)
+// The composite helpers below (Int64, Int, Bool, Float64)
 // write *v back only when unpacking. Packing and sizing traversals must be
 // pure readers of the object graph: the optimistic backend PUP-snapshots a
 // chare from a speculative phase on one worker while phases on other
@@ -144,26 +122,6 @@ func (p *Pup) Int(v *int) {
 	p.Uint64(&u)
 	if p.mode == Unpacking {
 		*v = int(int64(u))
-	}
-}
-
-// Uint32 pups a uint32.
-func (p *Pup) Uint32(v *uint32) {
-	b := p.need(4)
-	switch p.mode {
-	case Packing:
-		binary.LittleEndian.PutUint32(b, *v)
-	case Unpacking:
-		*v = binary.LittleEndian.Uint32(b)
-	}
-}
-
-// Int32 pups an int32.
-func (p *Pup) Int32(v *int32) {
-	u := uint32(*v)
-	p.Uint32(&u)
-	if p.mode == Unpacking {
-		*v = int32(u)
 	}
 }
 
@@ -196,15 +154,6 @@ func (p *Pup) Float64(v *float64) {
 	p.Uint64(&u)
 	if p.mode == Unpacking {
 		*v = math.Float64frombits(u)
-	}
-}
-
-// Float32 pups a float32.
-func (p *Pup) Float32(v *float32) {
-	u := math.Float32bits(*v)
-	p.Uint32(&u)
-	if p.mode == Unpacking {
-		*v = math.Float32frombits(u)
 	}
 }
 
@@ -272,11 +221,6 @@ func (p *Pup) Virtual(n int) {
 // Float64s pups a []float64 with a length prefix.
 func (p *Pup) Float64s(v *[]float64) {
 	Slice(p, v, (*Pup).Float64)
-}
-
-// Ints pups a []int with a length prefix.
-func (p *Pup) Ints(v *[]int) {
-	Slice(p, v, (*Pup).Int)
 }
 
 // Uint64s pups a []uint64 with a length prefix.
@@ -353,7 +297,7 @@ func PackTo(buf []byte, obj Pupable) []byte {
 // growing dst as needed, and returns the extended slice.
 func Append(dst []byte, obj Pupable) []byte {
 	pk := getCursor()
-	*pk = Pup{mode: Packing, buf: dst, off: len(dst), grow: true}
+	*pk = Pup{mode: Packing, buf: dst, off: len(dst)}
 	obj.Pup(pk)
 	dst = pk.buf[:pk.off]
 	pk.buf = nil
@@ -401,52 +345,4 @@ func Unpack(data []byte, obj Pupable) (err error) {
 		return fmt.Errorf("pup: unpack consumed %d of %d bytes", up.off, len(data))
 	}
 	return nil
-}
-
-// Strings pups a []string with a length prefix.
-func (p *Pup) Strings(v *[]string) {
-	Slice(p, v, (*Pup).String)
-}
-
-// Int32s pups a []int32 with a length prefix.
-func (p *Pup) Int32s(v *[]int32) {
-	Slice(p, v, (*Pup).Int32)
-}
-
-// Map pups a map with deterministic (sorted-key) encoding; keyLess orders
-// keys, and the key/value pup functions handle the entries. On unpacking
-// the map is replaced.
-func Map[K comparable, V any](p *Pup, m *map[K]V, keyLess func(a, b K) bool,
-	pupK func(*Pup, *K), pupV func(*Pup, *V)) {
-	n := len(*m)
-	p.Int(&n)
-	if p.IsUnpacking() {
-		*m = make(map[K]V, n)
-		for i := 0; i < n; i++ {
-			var k K
-			var v V
-			pupK(p, &k)
-			pupV(p, &v)
-			(*m)[k] = v
-		}
-		return
-	}
-	keys := make([]K, 0, len(*m))
-	for k := range *m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b K) int {
-		if keyLess(a, b) {
-			return -1
-		}
-		if keyLess(b, a) {
-			return 1
-		}
-		return 0
-	})
-	for _, k := range keys {
-		v := (*m)[k]
-		pupK(p, &k)
-		pupV(p, &v)
-	}
 }

@@ -86,7 +86,7 @@ type padder struct{ A int }
 
 func (d *padder) Pup(p *pup.Pup) {
 	p.Int(&d.A)
-	if p.IsSizing() {
+	if p.Mode() == pup.Sizing {
 		var pad int
 		p.Int(&pad)
 	}

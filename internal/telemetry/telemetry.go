@@ -178,6 +178,8 @@ func Attach(rt *charm.Runtime, opts Options) *Telemetry {
 }
 
 // Flight returns the flight recorder.
+//
+//charmvet:unreached test oracle: the flight-recorder tests note into and read back the ring through it
 func (t *Telemetry) Flight() *Recorder { return t.flight }
 
 // WallNow returns nanoseconds since Attach, from the monotonic clock. It

@@ -183,12 +183,6 @@ func (c *Client) nextHop(from, dest int) int {
 	return from
 }
 
-// Peers returns the peer set of a PE (one per reachable single-dimension
-// move) — O(Σ(dims-1)) rather than O(P).
-func (c *Client) Peers(pe int) []int {
-	return append([]int(nil), c.pes[pe].peers...)
-}
-
 func (c *Client) newPEBuffers(pe int) *peBuffers {
 	b := &peBuffers{peerOf: map[int]int{}}
 	for d := range c.dims {

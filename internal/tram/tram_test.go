@@ -58,7 +58,7 @@ func TestAutoDims(t *testing.T) {
 
 func TestPeersAreSingleDimension(t *testing.T) {
 	_, _, c := setup(16, 16, Options{Dims: []int{4, 4}})
-	peers := c.Peers(5)
+	peers := c.pes[5].peers
 	if len(peers) != 6 { // 3 along each of 2 dims
 		t.Fatalf("PE 5 has %d peers, want 6: %v", len(peers), peers)
 	}
@@ -236,7 +236,7 @@ func TestThreeDimensionalGrid(t *testing.T) {
 		t.Fatalf("3-D grid delivered %d of 270 items", total)
 	}
 	// Peers in 3D: 2 along each of 3 dims = 6.
-	if got := len(c.Peers(13)); got != 6 {
+	if got := len(c.pes[13].peers); got != 6 {
 		t.Fatalf("centre PE has %d peers, want 6", got)
 	}
 }
