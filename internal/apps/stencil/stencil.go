@@ -130,9 +130,6 @@ func (b *block) Pup(p *pup.Pup) {
 	p.Bool(&b.Started)
 }
 
-func (b *block) at(x, y int) float64     { return b.Cur[y*(b.B+2)+x] }
-func (b *block) set(x, y int, v float64) { b.Cur[y*(b.B+2)+x] = v }
-
 func (b *block) neighbors() int {
 	n := 0
 	if b.BI > 0 {
@@ -208,31 +205,35 @@ func New(rt *charm.Runtime, cfg Config) (*App, error) {
 				New: make([]float64, (bsz+2)*(bsz+2)),
 				app: app,
 			}
+			w := bsz + 2
 			for y := 1; y <= bsz; y++ {
-				for x := 1; x <= bsz; x++ {
-					b.set(x, y, cfg.Source(i*bsz+x-1, j*bsz+y-1))
+				row := b.Cur[y*w+1:][:bsz]
+				for x := range row {
+					row[x] = cfg.Source(i*bsz+x, j*bsz+y-1)
 				}
 			}
 			// Global edges: the fixed boundary lives in the ghost ring
 			// of edge blocks and is never overwritten.
 			if i == 0 {
 				for y := 1; y <= bsz; y++ {
-					b.set(0, y, cfg.Boundary(0, j*bsz+y-1))
+					b.Cur[y*w] = cfg.Boundary(0, j*bsz+y-1)
 				}
 			}
 			if i == cfg.Chares-1 {
 				for y := 1; y <= bsz; y++ {
-					b.set(bsz+1, y, cfg.Boundary(1, j*bsz+y-1))
+					b.Cur[y*w+bsz+1] = cfg.Boundary(1, j*bsz+y-1)
 				}
 			}
 			if j == 0 {
-				for x := 1; x <= bsz; x++ {
-					b.set(x, 0, cfg.Boundary(2, i*bsz+x-1))
+				row := b.Cur[1:][:bsz]
+				for x := range row {
+					row[x] = cfg.Boundary(2, i*bsz+x)
 				}
 			}
 			if j == cfg.Chares-1 {
-				for x := 1; x <= bsz; x++ {
-					b.set(x, bsz+1, cfg.Boundary(3, i*bsz+x-1))
+				row := b.Cur[(bsz+1)*w+1:][:bsz]
+				for x := range row {
+					row[x] = cfg.Boundary(3, i*bsz+x)
 				}
 			}
 			app.arr.Insert(charm.Idx2(i, j), b)
@@ -356,23 +357,20 @@ func (a *App) onGhost(obj charm.Chare, ctx *charm.Ctx, msg any) {
 // applyGhost writes one ghost edge into the block's ghost ring.
 func (a *App) applyGhost(b *block, side int, data []float64) {
 	bsz := b.B
+	w := bsz + 2
 	switch side {
 	case 0: // from left neighbour: fill x=0 ghost column
 		for y := 1; y <= bsz; y++ {
-			b.set(0, y, data[y-1])
+			b.Cur[y*w] = data[y-1]
 		}
 	case 1:
 		for y := 1; y <= bsz; y++ {
-			b.set(bsz+1, y, data[y-1])
+			b.Cur[y*w+bsz+1] = data[y-1]
 		}
 	case 2:
-		for x := 1; x <= bsz; x++ {
-			b.set(x, 0, data[x-1])
-		}
+		copy(b.Cur[1:][:bsz], data[:bsz])
 	case 3:
-		for x := 1; x <= bsz; x++ {
-			b.set(x, bsz+1, data[x-1])
-		}
+		copy(b.Cur[(bsz+1)*w+1:][:bsz], data[:bsz])
 	}
 }
 
@@ -382,22 +380,8 @@ func (a *App) maybeCompute(b *block, ctx *charm.Ctx) {
 	if b.InSync || b.Got < b.neighbors() {
 		return
 	}
-	bsz := b.B
-	var residual float64
-	for y := 1; y <= bsz; y++ {
-		for x := 1; x <= bsz; x++ {
-			v := 0.25 * (b.at(x-1, y) + b.at(x+1, y) + b.at(x, y-1) + b.at(x, y+1))
-			d := v - b.at(x, y)
-			residual += d * d
-			b.New[y*(bsz+2)+x] = v
-		}
-	}
-	// Copy the updated interior back, preserving the ghost ring (which
-	// holds the fixed global boundary on edge blocks).
-	for y := 1; y <= bsz; y++ {
-		copy(b.Cur[y*(bsz+2)+1:y*(bsz+2)+1+bsz], b.New[y*(bsz+2)+1:y*(bsz+2)+1+bsz])
-	}
-	ctx.Charge(float64(bsz*bsz) * a.cfg.PerPointWork)
+	residual := b.sweep()
+	ctx.Charge(float64(b.B*b.B) * a.cfg.PerPointWork)
 
 	b.Iter++
 	b.Got = 0
@@ -412,6 +396,40 @@ func (a *App) maybeCompute(b *block, ctx *charm.Ctx) {
 		return
 	}
 	a.advance(b, ctx)
+}
+
+// sweep runs one Jacobi update of the interior into New, copies it back
+// into Cur and returns the squared residual. Each row reads its four
+// neighbours through slices cut to the row's length, so the inner loop has
+// no bounds checks. Row y-1 of Cur is last read by row y, so it takes its
+// new values as soon as row y is done: the block is streamed once per
+// iteration. The ghost ring (which holds the fixed global boundary on edge
+// blocks) is never written.
+func (b *block) sweep() float64 {
+	bsz, w := b.B, b.B+2
+	cur, next := b.Cur, b.New
+	var residual float64
+	for y := 1; y <= bsz; y++ {
+		i := y*w + 1
+		mid := cur[i : i+bsz]
+		left := cur[i-1:][:len(mid)]
+		right := cur[i+1:][:len(mid)]
+		up := cur[i-w:][:len(mid)]
+		down := cur[i+w:][:len(mid)]
+		out := next[i:][:len(mid)]
+		for x := range mid {
+			v := 0.25 * (left[x] + right[x] + up[x] + down[x])
+			d := v - mid[x]
+			residual += d * d
+			out[x] = v
+		}
+		if y > 1 {
+			copy(up, next[i-w:][:len(mid)])
+		}
+	}
+	last := bsz*w + 1
+	copy(cur[last:][:bsz], next[last:][:bsz])
+	return residual
 }
 
 // advance starts the next iteration: send ghosts, replay buffered ones.

@@ -80,7 +80,7 @@ func TestMatchesSequentialSolver(t *testing.T) {
 			for y := 1; y <= bsz; y++ {
 				for x := 1; x <= bsz; x++ {
 					gx, gy := bi*bsz+x, bj*bsz+y
-					if got, want := b.at(x, y), ref[gx][gy]; math.Abs(got-want) > 1e-12 {
+					if got, want := b.Cur[y*(bsz+2)+x], ref[gx][gy]; math.Abs(got-want) > 1e-12 {
 						t.Fatalf("point (%d,%d): got %v want %v", gx, gy, got, want)
 					}
 				}

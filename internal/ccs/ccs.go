@@ -41,13 +41,11 @@ type Request struct {
 	Args    string `json:"args"`
 }
 
-// Response is the wire format of a reply. Retryable marks transient
-// failures (queue full, serving PE dead) the client may simply re-issue.
+// Response is the wire format of a reply.
 type Response struct {
-	OK        bool   `json:"ok"`
-	Result    string `json:"result,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Retryable bool   `json:"retryable,omitempty"`
+	OK     bool   `json:"ok"`
+	Result string `json:"result,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 type pending struct {
@@ -258,7 +256,7 @@ func (s *Server) enqueue(p pending) (Response, bool) {
 		s.replies.Add(1)
 		return Response{}, true
 	default:
-		return Response{OK: false, Retryable: true, Error: "ccs: request queue full"}, false
+		return Response{OK: false, Error: "ccs: request queue full"}, false
 	}
 }
 
@@ -316,7 +314,7 @@ func (s *Server) serve(p pending, attempt int) bool {
 	if h.pe >= 0 && s.rt.PEDead(h.pe) {
 		if attempt >= s.retry.MaxRetries {
 			s.timeouts.Inc()
-			p.resp <- Response{OK: false, Retryable: true, Error: fmt.Sprintf(
+			p.resp <- Response{OK: false, Error: fmt.Sprintf(
 				"ccs: handler %q: serving PE %d still dead after %d retries",
 				p.req.Handler, h.pe, attempt)}
 			return true

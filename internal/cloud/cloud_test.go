@@ -11,11 +11,12 @@ func TestSlowNode(t *testing.T) {
 	rt := charm.New(machine.New(machine.Cloud(8))) // 2 nodes x 4 PEs
 	SlowNode(rt, 1, 0.7)
 	m := rt.Machine()
-	want := m.Config().BaseFreqGHz * 0.7
-	if got := m.Node(1).FreqGHz(); got != want {
-		t.Fatalf("node freq %v, want %v", got, want)
+	// Node 1 holds PEs 4–7; a PE's speed is its node's clock over the base.
+	base := m.Config().BaseFreqGHz
+	if got, want := m.Speed(4), base*0.7/base; got != want {
+		t.Fatalf("slowed PE speed %v, want %v", got, want)
 	}
-	if m.Node(0).FreqGHz() != m.Config().BaseFreqGHz {
+	if m.Speed(0) != 1 {
 		t.Fatal("wrong node slowed")
 	}
 }

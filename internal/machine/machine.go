@@ -27,9 +27,6 @@ type Node struct {
 	energyJ float64
 }
 
-// FreqGHz returns the node's current clock frequency.
-func (n *Node) FreqGHz() float64 { return n.freqGHz }
-
 // TempC returns the node's current chip temperature.
 func (n *Node) TempC() float64 { return n.tempC }
 
@@ -369,17 +366,6 @@ func (m *Machine) StepThermal(dt float64) {
 			n.maxTempC = n.tempC
 		}
 	}
-}
-
-// MaxTempC returns the hottest instantaneous temperature across nodes.
-func (m *Machine) MaxTempC() float64 {
-	max := math.Inf(-1)
-	for _, n := range m.nodes {
-		if n.tempC > max {
-			max = n.tempC
-		}
-	}
-	return max
 }
 
 // TotalEnergyJ returns the machine-wide accumulated energy in joules.

@@ -130,13 +130,13 @@ func TestTorusWraparound(t *testing.T) {
 func TestDVFSSnapsToLevels(t *testing.T) {
 	m := New(ThermalTestbed(4))
 	m.SetNodeFreq(2, 1.95)
-	got := m.Node(2).FreqGHz()
+	got := m.Node(2).freqGHz
 	if got != 1.8 && got != 2.1 {
 		t.Fatalf("freq %v not snapped to a DVFS level", got)
 	}
 	m.SetNodeFreq(2, 0.1)
-	if m.Node(2).FreqGHz() != 1.2 {
-		t.Fatalf("freq below range should clamp to 1.2, got %v", m.Node(2).FreqGHz())
+	if m.Node(2).freqGHz != 1.2 {
+		t.Fatalf("freq below range should clamp to 1.2, got %v", m.Node(2).freqGHz)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestStepNodeFreq(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.StepNodeFreq(0, -1)
 	}
-	if f := m.Node(0).FreqGHz(); f != 1.2 {
+	if f := m.Node(0).freqGHz; f != 1.2 {
 		t.Fatalf("repeated step down should clamp at 1.2, got %v", f)
 	}
 }

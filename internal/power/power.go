@@ -56,17 +56,9 @@ type Controller struct {
 	// LBPeriod is the rebalance interval for DVFSWithLB.
 	LBPeriod des.Time
 
-	meta    *lb.Meta
-	lastLB  des.Time
-	history []Sample
-}
-
-// Sample is one controller observation.
-type Sample struct {
-	Time    des.Time
-	MaxTemp float64
-	MinFreq float64
-	MaxFreq float64
+	meta   *lb.Meta
+	lastLB des.Time
+	ticks  int // sampling periods run so far
 }
 
 // NewController builds the control loop for a runtime. It installs the
@@ -145,16 +137,6 @@ func (c *Controller) tick() {
 		}
 	}
 
-	minF, maxF := 1e18, 0.0
-	for n := 0; n < m.NumNodes(); n++ {
-		f := m.Node(n).FreqGHz()
-		if f < minF {
-			minF = f
-		}
-		if f > maxF {
-			maxF = f
-		}
-	}
-	c.history = append(c.history, Sample{Time: now, MaxTemp: m.MaxTempC(), MinFreq: minF, MaxFreq: maxF})
+	c.ticks++
 	c.tickLater()
 }

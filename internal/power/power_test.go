@@ -1,6 +1,7 @@
 package power
 
 import (
+	"slices"
 	"testing"
 
 	"charmgo/internal/charm"
@@ -91,21 +92,37 @@ func TestLBReducesDVFSTimingPenalty(t *testing.T) {
 	}
 }
 
-func TestControllerRecordsHistory(t *testing.T) {
-	m := machine.New(machine.ThermalTestbed(2))
+func TestControllerTicksOncePerPeriod(t *testing.T) {
+	cfg := machine.ThermalTestbed(2)
+	m := machine.New(cfg)
 	rt := charm.New(m)
 	ctl := NewController(rt, NaiveDVFS)
 	ctl.SamplePeriod = 0.5
 	ctl.Start()
+	// A probe halfway between ticks: by then the loop has ticked once per
+	// elapsed period, and every PE runs at one of the DVFS levels (its
+	// speed is its node's clock over the base clock).
+	probes := 0
+	var probe func()
+	probe = func() {
+		now := rt.Now()
+		if want := int(now / ctl.SamplePeriod); ctl.ticks != want {
+			t.Errorf("t=%v: controller ticked %d times, want %d", now, ctl.ticks, want)
+		}
+		for pe := 0; pe < m.NumPEs(); pe++ {
+			s := m.Speed(pe)
+			if !slices.ContainsFunc(cfg.DVFSLevelsGHz, func(f float64) bool { return f/cfg.BaseFreqGHz == s }) {
+				t.Errorf("t=%v: PE %d at speed %v, not a DVFS level %v over %v GHz", now, pe, s, cfg.DVFSLevelsGHz, cfg.BaseFreqGHz)
+			}
+		}
+		probes++
+		rt.Engine().At(now+ctl.SamplePeriod, probe)
+	}
+	rt.Engine().At(0.25, probe)
 	rt.Engine().At(5.2, rt.Engine().Stop)
 	rt.Engine().Run()
-	if len(ctl.history) < 8 {
-		t.Fatalf("controller recorded %d samples over 5s at 0.5s period", len(ctl.history))
-	}
-	for _, s := range ctl.history {
-		if s.MaxFreq < s.MinFreq {
-			t.Fatalf("bad sample %+v", s)
-		}
+	if probes != 10 || ctl.ticks != 10 {
+		t.Fatalf("over 5.2 s at a 0.5 s period: %d probes, %d ticks, want 10 each", probes, ctl.ticks)
 	}
 }
 

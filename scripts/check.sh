@@ -56,7 +56,7 @@ go test -run '^$' -fuzz '^FuzzMsgQueueOrder$' -fuzztime 5000x ./internal/charm/
 # The in-package benchmarks are otherwise only compiled (go vet): one
 # iteration of each, so one that panics or no longer sets up fails here. A
 # smoke, not a measurement — its output is discarded.
-go test -run '^$' -bench . -benchtime 1x ./internal/charm/ ./internal/des/ ./internal/parsim/ ./internal/pup/ > /dev/null
+go test -run '^$' -bench . -benchtime 1x ./internal/apps/stencil/ ./internal/charm/ ./internal/des/ ./internal/parsim/ ./internal/pup/ > /dev/null
 # bench/ is its own module, invisible to the ./... above. Its smoke suite is
 # what catches a renamed engine gauge or a cross-backend digest break in the
 # repository benchmark (BENCHMARK.json).
